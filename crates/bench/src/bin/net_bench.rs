@@ -3,8 +3,6 @@
 //!
 //! ```text
 //! cargo run --release -p bench --bin net_bench [-- OUT.json [N]]
-//! cargo run --release -p bench --bin net_bench -- BENCH_9.json N \
-//!     --journal-dir DIR [--sync always|never|every:N]
 //! ```
 //!
 //! Self-hosts a server on a loopback port and drives an SS job (chunk
@@ -36,17 +34,12 @@
 //! The server's own counters ride along through the standard
 //! [`service_report`] pipeline, embedded in the JSON artefact.
 //!
-//! With `--journal-dir DIR` the binary switches to the **durability
-//! comparison**: the 8-client scenarios run twice — once against a
-//! plain in-memory server, once against a server journaling every
-//! grant/settle to `DIR` — and the artefact records both side by side
-//! plus the journaled server's own journal counters. The gate:
-//! group commit must keep journaled SS throughput at ≥ 0.8× the
-//! in-memory figure at 8 clients, batch 8.
+//! The journaled-versus-in-memory comparison lives in the repo
+//! benchmark (`hdls-bench --workload svc_journal`), whose runs are long
+//! enough to resolve it.
 
 use dls_service::protocol::{frame, LeaseId, Request, Response};
 use dls_service::{Client, FetchReply, Server, ServiceConfig};
-use durability::{JournalOptions, SyncPolicy};
 use hdls::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -281,130 +274,11 @@ fn run_mux_scenario(server: &Server, clients: u32, batch: u32, n: u64) -> Outcom
     outcome(format!("{clients}c_b{batch}_mux"), clients, batch, chunks, elapsed_s, setup_s, lat)
 }
 
-/// Durability comparison (`--journal-dir`): identical 8-client SS
-/// scenarios against an in-memory and a journaling server, written as
-/// the BENCH_9 artefact. The journaled server defaults to
-/// `SyncPolicy::EveryN(512)` — group commit every cycle, fsync every
-/// 512th. `kill -9` exactly-once needs no fsync at all (the page
-/// cache outlives the process — the failure model the restart smoke
-/// and crash adversary verify); fsyncs only bound the *power-loss*
-/// window, and each one blocks the event loop, so syncing every cycle
-/// (`--sync always`) or even every 64th puts a ~0.5ms stall on the
-/// critical path every millisecond or two and halves throughput.
-/// every:512 keeps the power-loss window around ten milliseconds of
-/// records under full load with the fsync cost amortised to noise —
-/// which is the trade the 0.8x gate certifies.
-fn run_durability_compare(out: &str, n: u64, dir: &str, sync: SyncPolicy) {
-    let cfg = || ServiceConfig { max_connections: 64, event_loops: 1, ..ServiceConfig::default() };
-
-    // Best-of-5 per scenario, both modes: the campaigns are tens of
-    // milliseconds, where one scheduler or writeback hiccup swings the
-    // ratio 2x. Max-throughput-of-k is the usual noise filter and is
-    // applied symmetrically.
-    let best = |server: &Server, batch: u32| -> Outcome {
-        (0..5)
-            .map(|_| run_scenario(server, 8, batch, n))
-            .max_by(|a, b| a.chunks_per_s.total_cmp(&b.chunks_per_s))
-            .expect("three runs")
-    };
-
-    let memory = Server::start(cfg(), "127.0.0.1:0").expect("bind in-memory server");
-    let mut mem_outcomes = Vec::new();
-    for batch in [1u32, 8] {
-        mem_outcomes.push(best(&memory, batch));
-    }
-    memory.shutdown();
-
-    let mut jopts = JournalOptions::new(dir);
-    jopts.sync = sync;
-    // Snapshot sparsely: a snapshot install always fsyncs (whatever the
-    // commit policy), so the interval — not the sync policy — sets the
-    // stall floor on a fast campaign.
-    let journaled =
-        Server::start_with_journal(cfg(), "127.0.0.1:0", jopts, 65_536).expect("bind journaled");
-    let mut jrn_outcomes = Vec::new();
-    for batch in [1u32, 8] {
-        jrn_outcomes.push(best(&journaled, batch));
-    }
-    let jstats = journaled.shutdown().journal;
-
-    let mut json = String::from("{\n  \"bench\": \"net-service-durability\",\n");
-    json.push_str("  \"spec\": \"SS\",\n");
-    json.push_str(&format!("  \"chunks_per_scenario\": {n},\n"));
-    json.push_str("  \"scenarios\": [\n");
-    let labelled: Vec<(&str, &Outcome)> = mem_outcomes
-        .iter()
-        .map(|o| ("memory", o))
-        .chain(jrn_outcomes.iter().map(|o| ("journaled", o)))
-        .collect();
-    for (i, (mode, o)) in labelled.iter().enumerate() {
-        eprintln!(
-            "{:>12} [{mode:>9}]: {:>9.0} chunks/s  p50 {:>7.1}us  p99 {:>7.1}us",
-            o.label, o.chunks_per_s, o.p50_us, o.p99_us
-        );
-        json.push_str(&format!(
-            "    {{\"mode\": \"{mode}\", \"label\": \"{}\", \"clients\": {}, \"batch\": {}, \
-             \"chunks\": {}, \"elapsed_s\": {:.6}, \"chunks_per_s\": {:.1}, \
-             \"p50_us\": {:.2}, \"p95_us\": {:.2}, \"p99_us\": {:.2}}}{}\n",
-            o.label,
-            o.clients,
-            o.batch,
-            o.chunks,
-            o.elapsed_s,
-            o.chunks_per_s,
-            o.p50_us,
-            o.p95_us,
-            o.p99_us,
-            if i + 1 < labelled.len() { "," } else { "" }
-        ));
-    }
-    let ratio = jrn_outcomes[1].chunks_per_s / mem_outcomes[1].chunks_per_s;
-    json.push_str(&format!("  ],\n  \"sync_policy\": \"{sync:?}\",\n"));
-    json.push_str(&format!("  \"journaled_over_memory_8c_b8\": {ratio:.3},\n"));
-    json.push_str(&format!(
-        "  \"journal\": {{\"epoch\": {}, \"records\": {}, \"bytes\": {}, \"fsyncs\": {}, \
-         \"snapshots\": {}, \"segments\": {}}}\n}}\n",
-        jstats.epoch,
-        jstats.journal_records,
-        jstats.journal_bytes,
-        jstats.fsyncs,
-        jstats.snapshots,
-        jstats.segments
-    ));
-    std::fs::write(out, &json).expect("write bench json");
-    print!("{json}");
-    eprintln!("wrote {out}");
-
-    // The durability acceptance gate: group commit must keep the
-    // journal off the per-chunk critical path.
-    assert!(
-        ratio >= 0.8,
-        "journaled SS throughput is only {ratio:.3}x in-memory at 8 clients, batch 8 \
-         (floor 0.8x)"
-    );
-}
-
 fn main() {
-    let mut positional: Vec<String> = Vec::new();
-    let mut journal_dir: Option<String> = None;
-    let mut sync = SyncPolicy::EveryN(512);
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--journal-dir" => journal_dir = Some(args.next().expect("--journal-dir DIR")),
-            "--sync" => sync = args.next().expect("--sync POLICY").parse().expect("sync policy"),
-            _ => positional.push(arg),
-        }
-    }
-    let mut positional = positional.into_iter();
+    let mut positional = std::env::args().skip(1);
     let out = positional.next().unwrap_or_else(|| "BENCH_6.json".into());
     let n: u64 = positional.next().map(|v| v.parse().expect("N")).unwrap_or(20_000);
     let strict = std::env::var("NET_BENCH_STRICT").map(|v| v == "1").unwrap_or(false);
-
-    if let Some(dir) = journal_dir {
-        run_durability_compare(&out, n, &dir, sync);
-        return;
-    }
 
     let cfg = ServiceConfig { max_connections: 2048, event_loops: 1, ..Default::default() };
     let server = Server::start(cfg, "127.0.0.1:0").expect("bind server");

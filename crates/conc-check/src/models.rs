@@ -10,24 +10,22 @@
 //! admission bug the service actually shipped once) that must produce
 //! counterexamples.
 //!
-//! The protocol logic deliberately reuses the *real* building blocks:
-//! the dls chunk calculators drive the two-counter queue and the
-//! `resilience` lease ledger arbitrates reclaims, so a model violation
-//! indicts the synchronization pattern, not a toy re-implementation.
+//! The job models lock the *real* job kernel ([`durability::JobCore`],
+//! wrapped with a connection index as [`ConnJob`]) exactly as the
+//! server's shard mutex does, so a violation indicts the
+//! synchronization pattern, not a toy re-implementation. A seeded job
+//! bug is a kernel call the model driver bypasses, never a flag inside
+//! the kernel.
 
 use crate::history::Recorder;
 use crate::linearize::assert_linearizable;
-use crate::spec::{JobOp, JobRes, JobSpec};
+use crate::linearize::SeqSpec;
+use crate::spec::{ConnJob, JobOp, JobRes, JobSpec};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Arc, Mutex};
 use crate::thread;
-use dls::technique::WorkerCtx;
-use dls::{ChunkCalculator, Kind, SchedState, Technique};
-use resilience::{LeaseId, LeaseTable};
-use std::collections::{HashMap, VecDeque};
-
-/// Reclaimer id used by the server's disconnect path.
-const RECLAIMER: u32 = u32::MAX;
+use dls::Kind;
+use resilience::LeaseId;
 
 /// Which implementation of a protocol a model runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,114 +138,14 @@ pub fn admission_model(
 }
 
 // ---------------------------------------------------------------------------
-// Shared job core (server.rs Job under one shard lock)
+// Shared job (server.rs Job under one shard lock)
 // ---------------------------------------------------------------------------
 
-/// The server's per-job state, guarded by one shard mutex exactly as in
-/// `server.rs`: two-counter queue driven by the real chunk calculator,
-/// reclaim pool served first, `resilience` lease ledger for settlement.
-struct JobCore {
-    spec: JobSpec,
-    step: u64,
-    scheduled: u64,
-    completed: u64,
-    pool: VecDeque<(u64, u64)>,
-    leases: LeaseTable,
-    lease_range: HashMap<LeaseId, (u64, u64)>,
-    conn_leases: HashMap<u64, Vec<LeaseId>>,
-}
-
-impl JobCore {
-    fn new(spec: JobSpec) -> JobCore {
-        JobCore {
-            spec,
-            step: 0,
-            scheduled: 0,
-            completed: 0,
-            pool: VecDeque::new(),
-            leases: LeaseTable::new(),
-            lease_range: HashMap::new(),
-            conn_leases: HashMap::new(),
-        }
-    }
-
-    /// `Job::fetch`: reclaimed ranges first, then fresh counter
-    /// advances.
-    fn fetch(&mut self, worker: u32, batch: u32, conn: u64) -> Vec<(LeaseId, u64, u64)> {
-        let n = self.spec.n;
-        let spec = self.spec.loop_spec_for_model();
-        let technique = Technique::from_kind(self.spec.kind);
-        let weight = self.spec.weights.get(worker as usize).copied().unwrap_or(1.0);
-        let ctx = WorkerCtx { worker, weight };
-        let mut out = Vec::new();
-        for _ in 0..batch {
-            let (lo, hi) = if let Some(r) = self.pool.pop_front() {
-                r
-            } else if self.scheduled < n {
-                let state = SchedState { step: self.step, scheduled: self.scheduled };
-                let size = technique.chunk_size(&spec, state, ctx).clamp(1, n - self.scheduled);
-                let lo = self.scheduled;
-                self.step += 1;
-                self.scheduled += size;
-                (lo, lo + size)
-            } else {
-                break;
-            };
-            let lease = self.leases.grant(worker, lo, hi, 0);
-            self.lease_range.insert(lease, (lo, hi));
-            self.conn_leases.entry(conn).or_default().push(lease);
-            out.push((lease, lo, hi));
-        }
-        out
-    }
-
-    /// `Job::report`: settle through the ledger; a second settlement is
-    /// a stale lease, not a double credit.
-    fn report(&mut self, lease: LeaseId) -> Option<u64> {
-        let (lo, hi) = *self.lease_range.get(&lease)?;
-        if self.leases.complete(lease).is_err() {
-            return None;
-        }
-        self.completed += hi - lo;
-        Some(hi - lo)
-    }
-
-    /// `Job::reclaim_conn`: re-pool the dead connection's unsettled
-    /// grants. The ledger is what makes this exactly-once — the seeded
-    /// variant skips it and re-pools settled ranges.
-    fn disconnect(&mut self, conn: u64, variant: Variant) -> u64 {
-        let Some(list) = self.conn_leases.remove(&conn) else { return 0 };
-        let mut reclaimed = 0;
-        for lease in list {
-            match variant {
-                Variant::ReclaimWithoutLedger => {
-                    // Seeded bug: trust the reverse index alone.
-                    let range = self.lease_range[&lease];
-                    self.pool.push_back(range);
-                    reclaimed += 1;
-                }
-                _ => {
-                    // Only an Active -> Reclaimed ledger transition may
-                    // re-pool a range; settled leases are skipped.
-                    if let Ok(range) = self.leases.reclaim(lease, RECLAIMER) {
-                        self.pool.push_back(range);
-                        reclaimed += 1;
-                    }
-                }
-            }
-        }
-        reclaimed
-    }
-}
-
-type SharedJob = Arc<Mutex<JobCore>>;
+type SharedJob = Arc<Mutex<ConnJob>>;
 type JobRecorder = Recorder<JobOp, JobRes>;
 
-impl JobSpec {
-    fn loop_spec_for_model(&self) -> dls::LoopSpec {
-        let p = if self.weights.is_empty() { 8 } else { self.weights.len() as u32 };
-        dls::LoopSpec::new(self.n, p.max(1))
-    }
+fn shared_job(spec: &JobSpec) -> SharedJob {
+    Arc::new(Mutex::new(spec.init()).named("shard"))
 }
 
 fn recorded_fetch(
@@ -258,9 +156,9 @@ fn recorded_fetch(
     conn: u64,
 ) -> Vec<(LeaseId, u64, u64)> {
     let token = rec.invoke(JobOp::Fetch { worker, conn, batch });
-    let granted = {
-        let mut core = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        core.fetch(worker, batch, conn)
+    let granted: Vec<(LeaseId, u64, u64)> = {
+        let mut job = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        job.fetch(worker, conn, batch).iter().map(|g| (g.lease, g.lo, g.hi)).collect()
     };
     rec.complete(token, JobRes::Granted(granted.iter().map(|&(_, lo, hi)| (lo, hi)).collect()));
     granted
@@ -269,8 +167,8 @@ fn recorded_fetch(
 fn recorded_report(job: &SharedJob, rec: &JobRecorder, lease: LeaseId, lo: u64, hi: u64) {
     let token = rec.invoke(JobOp::Report { lo, hi });
     let credited = {
-        let mut core = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        core.report(lease)
+        let mut job = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        job.report(lease)
     };
     rec.complete(token, JobRes::Reported(credited));
 }
@@ -278,8 +176,23 @@ fn recorded_report(job: &SharedJob, rec: &JobRecorder, lease: LeaseId, lo: u64, 
 fn recorded_disconnect(job: &SharedJob, rec: &JobRecorder, conn: u64, variant: Variant) {
     let token = rec.invoke(JobOp::Disconnect { conn });
     let reclaimed = {
-        let mut core = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        core.disconnect(conn, variant)
+        let mut job = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        match variant {
+            Variant::ReclaimWithoutLedger => {
+                // Seeded bug: trust the reverse index alone and re-pool
+                // every listed range without the kernel's ledger
+                // transition — a range settled by a racing report is
+                // served again.
+                let leases = job.conn_leases.remove(&conn).unwrap_or_default();
+                for &lease in &leases {
+                    if let Some(l) = job.core.leases.get(lease).copied() {
+                        job.core.reclaim_pool.push_back((l.lo, l.hi));
+                    }
+                }
+                leases.len() as u64
+            }
+            _ => job.disconnect(conn),
+        }
     };
     rec.complete(token, JobRes::Reclaimed(reclaimed));
 }
@@ -302,7 +215,7 @@ pub fn burst_fetch_report_model(
 ) -> impl Fn() + Send + Sync {
     move || {
         let spec = JobSpec::new(n, kind);
-        let job: SharedJob = Arc::new(Mutex::new(JobCore::new(spec.clone())).named("shard"));
+        let job = shared_job(&spec);
         let rec: JobRecorder = Recorder::new();
 
         let handles: Vec<_> = (0..workers)
@@ -360,7 +273,7 @@ pub fn burst_fetch_report_model(
 pub fn reclaim_model(variant: Variant, kind: Kind, n: u64) -> impl Fn() + Send + Sync {
     move || {
         let spec = JobSpec::new(n, kind);
-        let job: SharedJob = Arc::new(Mutex::new(JobCore::new(spec.clone())).named("shard"));
+        let job = shared_job(&spec);
         let rec: JobRecorder = Recorder::new();
 
         // Connection 1: fetch one chunk, report it.

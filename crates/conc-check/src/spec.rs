@@ -1,17 +1,21 @@
 //! Sequential specification of one `dls-service` job — the reference
 //! object the linearizability checker replays histories against.
 //!
-//! The spec is the paper's two-counter global queue (scheduling `step`
-//! and total `scheduled` iterations) driven by the *real* dls chunk
-//! calculators, plus the reclaim pool and active-lease set that give
-//! the service its exactly-once guarantee. It deliberately mirrors
-//! `dls-service`'s `Job::fetch`/`report`/`reclaim_conn` logic — ranges
-//! are the identity of a grant (lease ids are connection-local
-//! bookkeeping and not part of the sequential contract).
+//! The specification is the job kernel itself ([`JobCore`], the state
+//! machine the server and journal replay run); this module only adapts
+//! it to the sequential contract, which identifies a grant by its
+//! *range* (lease ids depend on the linearization order) and a
+//! disconnect by its *connection* (the kernel knows neither sockets nor
+//! connections). So the state is the kernel plus the connection →
+//! leases index the server also keeps, and nothing here advances a
+//! counter, touches the pool or transitions the ledger.
 
 use crate::linearize::SeqSpec;
-use dls::technique::WorkerCtx;
-use dls::{ChunkCalculator, Kind, LoopSpec, SchedState, Technique};
+use dls::Kind;
+use durability::{GrantEntry, JobCore};
+use resilience::LeaseId;
+use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 
 /// An operation against one job.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -50,25 +54,64 @@ pub enum JobRes {
     Reclaimed(u64),
 }
 
-/// Sequential job state: the two counters plus reclaim pool and active
-/// grants.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct JobState {
-    /// Scheduling step (first global counter).
-    pub step: u64,
-    /// Iterations handed out (second global counter).
-    pub scheduled: u64,
-    /// Iterations reported back.
-    pub completed: u64,
-    /// Reclaimed ranges, served FIFO before fresh counter advances.
-    pub pool: Vec<(u64, u64)>,
-    /// Active (unsettled) grants with the connection holding each, in
-    /// grant order.
-    pub active: Vec<((u64, u64), u64)>,
+/// The kernel plus the connection → leases index that turns "this
+/// connection died" into kernel reclaims. Shared by the specification
+/// and the models (which put it under their shard mutex), exactly as
+/// the server wraps its kernel.
+#[derive(Clone, Debug)]
+pub struct ConnJob {
+    /// The job state machine.
+    pub core: JobCore,
+    /// Every lease a connection was ever granted, in grant order;
+    /// settled ones stay listed and the ledger rejects their reclaim.
+    pub conn_leases: BTreeMap<u64, Vec<LeaseId>>,
 }
 
-/// The job's fixed parameters (everything `apply` needs beyond the
-/// state).
+impl ConnJob {
+    /// Fetch through the kernel (clock pinned at 0) and index the
+    /// grants under `conn`.
+    pub fn fetch(&mut self, worker: u32, conn: u64, batch: u32) -> Vec<GrantEntry> {
+        let grants = self.core.fetch(worker, batch, 0);
+        self.conn_leases.entry(conn).or_default().extend(grants.iter().map(|g| g.lease));
+        grants
+    }
+
+    /// Settle by lease id; the iterations credited, `None` if stale.
+    pub fn report(&mut self, lease: LeaseId) -> Option<u64> {
+        self.core.settle(lease, 0).ok().map(|s| s.len)
+    }
+
+    /// Reclaim what `conn` still holds; the number of leases re-pooled.
+    pub fn disconnect(&mut self, conn: u64) -> u64 {
+        let leases = self.conn_leases.remove(&conn).unwrap_or_default();
+        leases.into_iter().filter(|&l| self.core.reclaim(l).is_ok()).count() as u64
+    }
+
+    /// The kernel's canonical image — what equality and hashing of the
+    /// specification state go through.
+    fn image(&self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.core.serialize_into(&mut bytes);
+        bytes
+    }
+}
+
+impl PartialEq for ConnJob {
+    fn eq(&self, other: &Self) -> bool {
+        self.conn_leases == other.conn_leases && self.image() == other.image()
+    }
+}
+
+impl Eq for ConnJob {}
+
+impl Hash for ConnJob {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.conn_leases.hash(state);
+        self.image().hash(state);
+    }
+}
+
+/// The job's fixed parameters.
 #[derive(Clone, Debug)]
 pub struct JobSpec {
     /// Total loop iterations.
@@ -84,77 +127,31 @@ impl JobSpec {
     pub fn new(n: u64, kind: Kind) -> JobSpec {
         JobSpec { n, kind, weights: Vec::new() }
     }
-
-    fn loop_spec(&self) -> LoopSpec {
-        // Mirrors `dls-service`: techniques that divide by worker count
-        // are parameterised by the weight table size, default 8.
-        let p = if self.weights.is_empty() { 8 } else { self.weights.len() as u32 };
-        LoopSpec::new(self.n, p.max(1))
-    }
 }
 
 impl SeqSpec for JobSpec {
     type Op = JobOp;
     type Res = JobRes;
-    type State = JobState;
+    type State = ConnJob;
 
-    fn init(&self) -> JobState {
-        JobState { step: 0, scheduled: 0, completed: 0, pool: Vec::new(), active: Vec::new() }
+    fn init(&self) -> ConnJob {
+        ConnJob {
+            core: JobCore::new(self.n, self.kind.into(), self.weights.clone()),
+            conn_leases: BTreeMap::new(),
+        }
     }
 
-    fn apply(&self, state: &mut JobState, op: &JobOp) -> JobRes {
+    fn apply(&self, state: &mut ConnJob, op: &JobOp) -> JobRes {
         match *op {
             JobOp::Fetch { worker, conn, batch } => {
-                let spec = self.loop_spec();
-                let technique = Technique::from_kind(self.kind);
-                let weight = self.weights.get(worker as usize).copied().unwrap_or(1.0);
-                let ctx = WorkerCtx { worker, weight };
-                let n = self.n;
-                let mut out = Vec::new();
-                for _ in 0..batch {
-                    if !state.pool.is_empty() {
-                        let (lo, hi) = state.pool.remove(0);
-                        state.active.push(((lo, hi), conn));
-                        out.push((lo, hi));
-                    } else if state.scheduled < n {
-                        let st = SchedState { step: state.step, scheduled: state.scheduled };
-                        let size =
-                            technique.chunk_size(&spec, st, ctx).clamp(1, n - state.scheduled);
-                        let lo = state.scheduled;
-                        state.step += 1;
-                        state.scheduled += size;
-                        state.active.push(((lo, lo + size), conn));
-                        out.push((lo, lo + size));
-                    } else {
-                        break;
-                    }
-                }
-                JobRes::Granted(out)
+                let grants = state.fetch(worker, conn, batch);
+                JobRes::Granted(grants.iter().map(|g| (g.lo, g.hi)).collect())
             }
             JobOp::Report { lo, hi } => {
-                match state.active.iter().position(|&(r, _)| r == (lo, hi)) {
-                    Some(i) => {
-                        state.active.remove(i);
-                        state.completed += hi - lo;
-                        JobRes::Reported(Some(hi - lo))
-                    }
-                    None => JobRes::Reported(None),
-                }
+                let lease = state.core.leases.active(None).find(|l| (l.lo, l.hi) == (lo, hi));
+                JobRes::Reported(lease.map(|l| l.id).and_then(|id| state.report(id)))
             }
-            JobOp::Disconnect { conn } => {
-                let mut reclaimed = 0;
-                let mut keep = Vec::with_capacity(state.active.len());
-                for &(range, owner) in &state.active {
-                    if owner == conn {
-                        state.pool.push(range);
-                        reclaimed += 1;
-                    } else {
-                        keep.push((range, owner));
-                    }
-                }
-                state.active = keep;
-                JobRes::Reclaimed(reclaimed)
-            }
+            JobOp::Disconnect { conn } => JobRes::Reclaimed(state.disconnect(conn)),
         }
     }
 }

@@ -40,18 +40,14 @@ use crate::protocol::{
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Arc, Condvar, Mutex};
 use autotune::{ChunkSample, Tuner};
-use dls::switchable::{Decision, SchedKind, SwitchableScheduler};
-use dls::technique::WorkerCtx;
-use dls::{LoopSpec, SchedState};
-use durability::{GrantEntry, JobImage, Journal, JournalOptions, JournalRecord, RecoveredState};
-use resilience::{LeaseId, LeaseTable};
-use std::collections::{HashMap, VecDeque};
+use dls::switchable::{Decision, SchedKind};
+use durability::{
+    GrantEntry, ImageWriter, JobCore, Journal, JournalOptions, JournalRecord, RecoveredState,
+};
+use resilience::LeaseId;
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::time::{Duration, Instant};
-
-/// Reclaimer id recorded in the lease ledger for server-side
-/// disconnect reclamation (no worker rank performs it).
-const SERVER_RECLAIMER: u32 = u32::MAX;
 
 /// Tunable limits and backpressure knobs.
 #[derive(Clone, Debug)]
@@ -76,11 +72,6 @@ pub struct ServiceConfig {
     /// Readiness-poll tick; bounds drain latency and how often batched
     /// counters are committed.
     pub poll_interval: Duration,
-    /// Accept adaptive techniques (`AF`, `AWF-*`, `AUTO`). When false,
-    /// `CreateJob` with any non-pure kind is answered with
-    /// [`ErrorCode::BadTechnique`] — the knob for deployments that
-    /// want the v2 behaviour of purely deterministic sizing.
-    pub adaptive: bool,
     /// Override the AUTO tuner's assumed per-fetch overhead `h` in
     /// nanoseconds (`None` uses the `autotune` default). Raising it
     /// biases the tuner toward coarser techniques — and pins its
@@ -100,40 +91,19 @@ impl Default for ServiceConfig {
             shards: 8,
             event_loops: 2,
             poll_interval: Duration::from_millis(20),
-            adaptive: true,
             tuner_overhead_ns: None,
         }
     }
 }
 
-/// One job: the paper's two-counter global queue plus the lease ledger
-/// and reclaim pool.
+/// One job as a live server holds it: the shared kernel — counters,
+/// ledger, reclaim pool, technique switches; every exactly-once
+/// transition is a [`JobCore`] call — plus what only a server with
+/// sockets has.
 pub(crate) struct Job {
-    spec: LoopSpec,
-    /// Chunk sizing: any technique (pure or adaptive), re-basable onto
-    /// the unscheduled remainder when the tuner switches mid-job.
-    sched: SwitchableScheduler,
-    /// Mode the job was created with — journaled in `JobCreated` and
-    /// reported as `mode` in snapshots (`AUTO` stays `AUTO` here even
-    /// as `sched.active()` moves through the ladder).
-    mode: SchedKind,
-    /// Online technique selector; `Some` iff `mode == AUTO`.
+    core: JobCore,
+    /// Online technique selector; `Some` iff the job's mode is `AUTO`.
     tuner: Option<Tuner>,
-    /// Tuner decision history, dense by `seq` (journaled one record
-    /// per decision, replayed verbatim on recovery).
-    decisions: Vec<Decision>,
-    weights: Vec<f64>,
-    /// Scheduling step — the first global counter.
-    step: u64,
-    /// Iterations handed out — the second global counter.
-    scheduled: u64,
-    /// Iterations executed *and acknowledged*.
-    completed: u64,
-    done: bool,
-    /// Ranges reclaimed from dead clients, served before fresh counter
-    /// advances.
-    reclaim_pool: VecDeque<(u64, u64)>,
-    leases: LeaseTable,
     /// Active lease -> connection that holds it.
     lease_conn: HashMap<LeaseId, u64>,
     /// Connection -> its active leases (reverse index for disconnect).
@@ -148,32 +118,24 @@ pub(crate) struct Job {
 }
 
 impl Job {
-    fn new(n: u64, kind: SchedKind, weights: Vec<f64>, tuner_overhead_ns: Option<u64>) -> Job {
-        // `p` only parameterises techniques that divide by worker
-        // count; the service has no fixed worker census, so size the
-        // spec by the weight table when given, else a default of 8 —
-        // the same role `nodes` plays for the inter level in `hier`.
-        let p = if weights.is_empty() { 8 } else { weights.len() as u32 };
-        let spec = LoopSpec::new(n, p.max(1));
+    /// Wrap a kernel: fresh from `CreateJob`, or replayed and re-armed
+    /// — then the connection indices rightly start empty (every
+    /// pre-crash client is gone) and the tuner continues the journaled
+    /// decision sequence.
+    fn new(core: JobCore, tuner_overhead_ns: Option<u64>) -> Job {
+        let p = core.spec().n_workers;
+        let tuner = (core.mode == SchedKind::Auto).then(|| {
+            let mut cfg = autotune::TunerConfig::new(p);
+            if let Some(h) = tuner_overhead_ns {
+                cfg.overhead_ns = h;
+            }
+            let mut tuner = Tuner::new(p, cfg);
+            tuner.resume_at(core.decisions.len() as u32);
+            tuner
+        });
         Job {
-            spec,
-            sched: SwitchableScheduler::new(spec, kind),
-            mode: kind,
-            tuner: (kind == SchedKind::Auto).then(|| {
-                let mut cfg = autotune::TunerConfig::new(p.max(1));
-                if let Some(h) = tuner_overhead_ns {
-                    cfg.overhead_ns = h;
-                }
-                Tuner::new(p.max(1), cfg)
-            }),
-            decisions: Vec::new(),
-            weights,
-            step: 0,
-            scheduled: 0,
-            completed: 0,
-            done: n == 0,
-            reclaim_pool: VecDeque::new(),
-            leases: LeaseTable::new(),
+            core,
+            tuner,
             lease_conn: HashMap::new(),
             conn_leases: HashMap::new(),
             outstanding: HashMap::new(),
@@ -184,133 +146,45 @@ impl Job {
         }
     }
 
-    /// Rebuild a live job from its replayed image. Connection indices
-    /// start empty: every pre-crash client is gone, and recovery has
-    /// already re-armed their leases into the reclaim pool.
-    fn from_image(img: JobImage, tuner_overhead_ns: Option<u64>) -> Job {
-        let mode = img.kind.unwrap_or(SchedKind::Fixed(dls::Kind::SS));
-        // The technique in force after a restart is whatever the last
-        // journaled decision switched to — replayed, never re-derived,
-        // so recovery is deterministic whatever the tuner would think
-        // of the post-crash timings.
-        let active = img.active_kind().unwrap_or(mode);
-        let switches = img.decisions.len() as u32;
-        let mut job = Job::new(img.n, mode, img.weights, tuner_overhead_ns);
-        job.step = img.step;
-        job.scheduled = img.scheduled;
-        job.completed = img.completed;
-        job.done = job.done || img.done;
-        job.reclaim_pool = img.reclaim_pool.into_iter().collect();
-        job.leases = img.leases;
-        job.decisions = img.decisions;
-        job.sched = SwitchableScheduler::restore(
-            job.spec,
-            active,
-            SchedState { step: img.step, scheduled: img.scheduled },
-            switches,
-        );
-        if let Some(t) = job.tuner.as_mut() {
-            t.resume_at(switches);
-        }
-        job
-    }
-
-    /// The journal's view of this job's replayed image — the snapshot
-    /// body is serialized from live state through this.
-    fn to_image(&self) -> JobImage {
-        JobImage {
-            n: self.spec.n_iters,
-            kind: Some(self.mode),
-            weights: self.weights.clone(),
-            step: self.step,
-            scheduled: self.scheduled,
-            completed: self.completed,
-            done: self.done,
-            reclaim_pool: self.reclaim_pool.iter().copied().collect(),
-            leases: self.leases.clone(),
-            decisions: self.decisions.clone(),
-        }
-    }
-
-    fn grant(&mut self, worker: u32, lo: u64, hi: u64, conn: u64, now_ns: u64) -> GrantedChunk {
-        let lease = self.leases.grant(worker, lo, hi, now_ns);
-        self.lease_conn.insert(lease, conn);
-        self.conn_leases.entry(conn).or_default().push(lease);
-        *self.outstanding.entry(worker).or_insert(0) += 1;
-        self.chunks_granted += 1;
-        GrantedChunk { lease, lo, hi }
-    }
-
-    /// Serve up to `batch` chunks: reclaimed ranges first, then fresh
-    /// advances of the two counters. Each grant carries a `from_pool`
-    /// flag so the caller can journal the burst faithfully.
-    fn fetch(
-        &mut self,
-        worker: u32,
-        batch: u32,
-        conn: u64,
-        now_ns: u64,
-    ) -> Vec<(GrantedChunk, bool)> {
-        let n = self.spec.n_iters;
-        let weight = self.weights.get(worker as usize).copied().unwrap_or(1.0);
-        let ctx = WorkerCtx { worker, weight };
-        let mut out = Vec::new();
-        for _ in 0..batch {
-            if let Some((lo, hi)) = self.reclaim_pool.pop_front() {
-                out.push((self.grant(worker, lo, hi, conn, now_ns), true));
-            } else if self.scheduled < n {
-                // `next_size` consumes the size from the scheduler's
-                // segment view; the global counters must advance by
-                // exactly what it returned (lockstep contract).
-                let size = self.sched.next_size(ctx);
-                if size == 0 {
-                    break;
-                }
-                let lo = self.scheduled;
-                self.step += 1;
-                self.scheduled += size;
-                out.push((self.grant(worker, lo, lo + size, conn, now_ns), false));
-            } else {
-                break;
-            }
-        }
+    /// Serve up to `batch` chunks and index them under `conn`.
+    fn fetch(&mut self, worker: u32, batch: u32, conn: u64, now_ns: u64) -> Vec<GrantEntry> {
+        let grants = self.core.fetch(worker, batch, now_ns);
         self.fetches += 1;
-        if out.is_empty() {
+        if grants.is_empty() {
             self.empty_polls += 1;
+            return grants;
         }
-        out
+        self.conn_leases.entry(conn).or_default().extend(grants.iter().map(|g| g.lease));
+        self.lease_conn.extend(grants.iter().map(|g| (g.lease, conn)));
+        *self.outstanding.entry(worker).or_insert(0) += grants.len() as u32;
+        self.chunks_granted += grants.len() as u64;
+        grants
     }
 
     /// Settle one reported lease. Returns the iteration count credited.
     fn report(&mut self, lease: LeaseId, now_ns: u64) -> Result<u64, ErrorCode> {
-        let (owner, len, granted_ns) = match self.leases.get(lease) {
-            Some(l) => (l.owner, l.hi - l.lo, l.granted_ns),
-            None => return Err(ErrorCode::StaleLease),
-        };
-        if self.leases.complete(lease).is_err() {
-            return Err(ErrorCode::StaleLease);
-        }
-        // Grant-to-settle latency is the monitor's whole signal: it
-        // feeds the adaptive scheduler's per-worker rate estimate and
-        // the tuner's streaming statistics.
-        let latency_ns = now_ns.saturating_sub(granted_ns);
-        self.sched.record(owner, len, latency_ns, 0);
+        let s = self.core.settle(lease, now_ns).map_err(|_| ErrorCode::StaleLease)?;
+        // Grant-to-settle latency is the monitor's whole signal: the
+        // kernel fed it to the adaptive scheduler's rate estimate, the
+        // tuner's streaming statistics take it here.
         if let Some(t) = self.tuner.as_mut() {
-            t.observe(ChunkSample { worker: owner, len, latency_ns });
+            t.observe(ChunkSample { worker: s.worker, len: s.len, latency_ns: s.latency_ns });
         }
-        self.completed += len;
-        if let Some(o) = self.outstanding.get_mut(&owner) {
-            *o = o.saturating_sub(1);
-        }
-        if let Some(conn) = self.lease_conn.remove(&lease) {
+        if let Some(conn) = self.release(lease, s.worker) {
             if let Some(list) = self.conn_leases.get_mut(&conn) {
                 list.retain(|&l| l != lease);
             }
         }
-        if self.completed == self.spec.n_iters {
-            self.done = true;
+        Ok(s.len)
+    }
+
+    /// Drop a no-longer-active lease from the quota count and the
+    /// lease -> connection index; returns the connection that held it.
+    fn release(&mut self, lease: LeaseId, worker: u32) -> Option<u64> {
+        if let Some(o) = self.outstanding.get_mut(&worker) {
+            *o = o.saturating_sub(1);
         }
-        Ok(len)
+        self.lease_conn.remove(&lease)
     }
 
     /// One settle elapsed: let the tuner re-evaluate at its batch
@@ -318,13 +192,11 @@ impl Job {
     /// global counters carry over — exactly-once is untouched) and is
     /// returned so the caller can journal it.
     fn tuner_tick(&mut self) -> Option<Decision> {
-        if self.done {
+        if self.core.done {
             return None;
         }
-        let global = SchedState { step: self.step, scheduled: self.scheduled };
-        let decision = self.tuner.as_mut()?.on_settle(self.sched.active(), global)?;
-        self.sched.switch(decision.to, global);
-        self.decisions.push(decision);
+        let decision = self.tuner.as_mut()?.on_settle(self.core.active(), self.core.counters())?;
+        self.core.switch(decision);
         Some(decision)
     }
 
@@ -338,33 +210,29 @@ impl Job {
             // Only unsettled leases remain in the reverse index, so the
             // ledger transition must succeed; a failure here would mean
             // a double settlement and is a server bug worth surfacing.
-            match self.leases.reclaim(lease, SERVER_RECLAIMER) {
-                Ok((lo, hi)) => {
-                    self.reclaim_pool.push_back((lo, hi));
-                    if let Some(l) = self.leases.get(lease) {
-                        if let Some(o) = self.outstanding.get_mut(&l.owner) {
-                            *o = o.saturating_sub(1);
-                        }
+            match self.core.reclaim(lease) {
+                Ok(_) => {
+                    if let Some(worker) = self.core.leases.get(lease).map(|l| l.owner) {
+                        self.release(lease, worker);
                     }
-                    self.lease_conn.remove(&lease);
-                    self.reclaims += 1;
                     reclaimed.push(lease);
                 }
                 Err(e) => debug_assert!(false, "disconnect reclaim hit settled lease: {e}"),
             }
         }
+        self.reclaims += reclaimed.len() as u64;
         reclaimed
     }
 
     fn snapshot(&self, job: u64) -> JobSnapshot {
-        let (granted, completed, reclaimed) = self.leases.counts();
+        let (granted, completed, reclaimed) = self.core.leases.counts();
         JobSnapshot {
             job,
-            n: self.spec.n_iters,
-            step: self.step,
-            scheduled: self.scheduled,
-            completed: self.completed,
-            done: self.done,
+            n: self.core.n,
+            step: self.core.step,
+            scheduled: self.core.scheduled,
+            completed: self.core.completed,
+            done: self.core.done,
             fetches: self.fetches,
             chunks_granted: self.chunks_granted,
             reclaims: self.reclaims,
@@ -372,9 +240,9 @@ impl Job {
             leases_granted: granted,
             leases_completed: completed,
             leases_reclaimed: reclaimed,
-            kind: Some(self.sched.active()),
-            mode: Some(self.mode),
-            decisions: self.decisions.clone(),
+            kind: Some(self.core.active()),
+            mode: Some(self.core.mode),
+            decisions: self.core.decisions.clone(),
         }
     }
 }
@@ -476,10 +344,10 @@ impl State {
         self.journal = Some(Mutex::new(journal));
         self.next_job = AtomicU64::new(rec.jobs_created);
         self.jobs_created = AtomicU64::new(rec.jobs_created);
-        for (id, img) in rec.jobs {
+        for (id, core) in rec.jobs {
             let shard = self.shard_index(id);
             if let Ok(mut jobs) = self.shards[shard].lock() {
-                jobs.insert(id, Job::from_image(img, self.cfg.tuner_overhead_ns));
+                jobs.insert(id, Job::new(core, self.cfg.tuner_overhead_ns));
             }
         }
     }
@@ -548,7 +416,7 @@ impl State {
             // Journal lock released here: serializing live state takes
             // shard locks, and shard -> journal is the locking order.
         };
-        let body = self.serialize_live().serialize();
+        let body = self.serialize_live();
         if let Ok(mut j) = journal.lock() {
             if let Err(e) = j.install_snapshot(boundary, &body) {
                 eprintln!("dls-service: snapshot install failed: {e}");
@@ -556,22 +424,28 @@ impl State {
         }
     }
 
-    /// The journal's view of the live state, shard by shard (one lock
-    /// at a time, never nested with the journal lock). The image may
-    /// run *ahead* of the committed journal — replay idempotence makes
-    /// the overlap harmless.
-    fn serialize_live(&self) -> RecoveredState {
-        let mut rec = RecoveredState::new();
-        rec.epoch = self.journal_epoch;
-        rec.jobs_created = self.jobs_created.load(Ordering::SeqCst);
+    /// The snapshot body, written straight from the live kernels in
+    /// job-id order — one shard lock at a time, never nested with the
+    /// journal lock. The image may run *ahead* of the committed journal
+    /// — replay idempotence makes the overlap harmless.
+    fn serialize_live(&self) -> Vec<u8> {
+        let jobs_created = self.jobs_created.load(Ordering::SeqCst);
+        let mut ids = Vec::new();
         for shard in &self.shards {
             if let Ok(shard) = shard.lock() {
-                for (&id, job) in shard.iter() {
-                    rec.jobs.insert(id, job.to_image());
+                ids.extend(shard.keys().copied());
+            }
+        }
+        ids.sort_unstable();
+        let mut image = ImageWriter::new(self.journal_epoch, false, jobs_created);
+        for id in ids {
+            if let Ok(shard) = self.shard_of(id).lock() {
+                if let Some(job) = shard.get(&id) {
+                    image.job(id, &job.core);
                 }
             }
         }
-        rec
+        image.finish()
     }
 
     /// Drain the journal: flush + force-fsync everything buffered and
@@ -603,7 +477,7 @@ impl State {
         for shard in &self.shards {
             if let Ok(shard) = shard.lock() {
                 for (&id, job) in shard.iter() {
-                    if !job.done {
+                    if !job.core.done {
                         jobs_active += 1;
                     }
                     jobs.push(job.snapshot(id));
@@ -681,11 +555,9 @@ impl State {
                         ),
                     };
                 }
-                let resp = self.report(job, &leases);
+                let (resp, credited) = self.report(job, &leases);
                 if matches!(resp, Response::Ack) {
-                    // The ledger keeps settled leases' ranges, so the
-                    // per-connection row can be credited after the fact.
-                    stat.iterations += self.credited(job, &leases);
+                    stat.iterations += credited;
                 }
                 resp
             }
@@ -729,12 +601,12 @@ impl State {
         Response::JobEpoch {
             job,
             epoch: self.journal_epoch,
-            n: j.spec.n_iters,
-            scheduled: j.scheduled,
-            completed: j.completed,
-            done: j.done,
-            kind: j.sched.active(),
-            decisions: j.decisions.clone(),
+            n: j.core.n,
+            scheduled: j.core.scheduled,
+            completed: j.core.completed,
+            done: j.core.done,
+            kind: j.core.active(),
+            decisions: j.core.decisions.clone(),
         }
     }
 
@@ -743,12 +615,6 @@ impl State {
             return Response::Error {
                 code: ErrorCode::BadTechnique,
                 detail: "weights must be finite and non-negative".into(),
-            };
-        }
-        if !self.cfg.adaptive && !matches!(kind, SchedKind::Fixed(_)) {
-            return Response::Error {
-                code: ErrorCode::BadTechnique,
-                detail: format!("adaptive techniques are disabled on this server ({kind})"),
             };
         }
         // Admission to the job table is a single CAS. The previous
@@ -772,7 +638,8 @@ impl State {
         }
         let job = self.next_job.fetch_add(1, Ordering::SeqCst);
         if let Ok(mut shard) = self.shard_of(job).lock() {
-            shard.insert(job, Job::new(n, kind, weights.clone(), self.cfg.tuner_overhead_ns));
+            let core = JobCore::new(n, kind, weights.clone());
+            shard.insert(job, Job::new(core, self.cfg.tuner_overhead_ns));
             // Under the shard lock so the JobCreated record is ordered
             // before any Granted record a racing fetch could append.
             self.journal_append(&JournalRecord::JobCreated { job, n, kind, weights });
@@ -834,23 +701,21 @@ impl State {
             };
             return (resp, none);
         };
-        if j.done {
+        if j.core.done {
             let resp = Response::Error {
                 code: ErrorCode::JobFinished,
-                detail: format!("job {job} completed all {} iterations", j.spec.n_iters),
+                detail: format!("job {job} completed all {} iterations", j.core.n),
             };
             return (resp, none);
         }
         // A weighted job defines exactly `weights.len()` worker slots;
         // an out-of-range id used to be granted chunks at a silent
         // default weight of 1.0 — reject it with a typed error instead.
-        if !j.weights.is_empty() && (worker as usize) >= j.weights.len() {
+        let slots = j.core.weights.len();
+        if slots != 0 && (worker as usize) >= slots {
             let resp = Response::Error {
                 code: ErrorCode::BadWorker,
-                detail: format!(
-                    "worker {worker} outside weighted job's 0..{} range",
-                    j.weights.len()
-                ),
+                detail: format!("worker {worker} outside weighted job's 0..{slots} range"),
             };
             return (resp, none);
         }
@@ -866,29 +731,16 @@ impl State {
             return (resp, none);
         }
         let batch = batch.min(self.cfg.worker_quota - out);
-        let granted = j.fetch(worker, batch, conn, self.now_ns());
-        if self.journal.is_some() && !granted.is_empty() {
+        let grants = j.fetch(worker, batch, conn, self.now_ns());
+        let chunks: Vec<GrantedChunk> =
+            grants.iter().map(|g| GrantedChunk { lease: g.lease, lo: g.lo, hi: g.hi }).collect();
+        if self.journal.is_some() && !grants.is_empty() {
             // One record per burst: post-burst watermarks plus every
             // lease, appended while the caller's shard lock pins the
             // counters. No I/O until the cycle's journal_commit.
-            let grants = granted
-                .iter()
-                .map(|(g, from_pool)| GrantEntry {
-                    lease: g.lease,
-                    worker,
-                    lo: g.lo,
-                    hi: g.hi,
-                    from_pool: *from_pool,
-                })
-                .collect();
-            self.journal_append(&JournalRecord::Granted {
-                job,
-                step: j.step,
-                scheduled: j.scheduled,
-                grants,
-            });
+            let (step, scheduled) = (j.core.step, j.core.scheduled);
+            self.journal_append(&JournalRecord::Granted { job, step, scheduled, grants });
         }
-        let chunks: Vec<GrantedChunk> = granted.into_iter().map(|(g, _)| g).collect();
         let tally = FetchTally {
             fetches: 1,
             granted: chunks.len() as u64,
@@ -897,28 +749,27 @@ impl State {
         (Response::Chunks { chunks, epoch: self.journal_epoch }, tally)
     }
 
-    fn report(&self, job: u64, leases: &[LeaseId]) -> Response {
+    /// Settle `leases` in order, stopping at the first stale one. Returns
+    /// the reply and the iterations the settled prefix credited.
+    fn report(&self, job: u64, leases: &[LeaseId]) -> (Response, u64) {
+        let unknown = |detail: String| (Response::Error { code: ErrorCode::UnknownJob, detail }, 0);
         let Ok(mut shard) = self.shard_of(job).lock() else {
-            return Response::Error {
-                code: ErrorCode::UnknownJob,
-                detail: "shard poisoned".into(),
-            };
+            return unknown("shard poisoned".into());
         };
         let Some(j) = shard.get_mut(&job) else {
-            return Response::Error {
-                code: ErrorCode::UnknownJob,
-                detail: format!("job {job} was never created"),
-            };
+            return unknown(format!("job {job} was never created"));
         };
-        let was_done = j.done;
+        let was_done = j.core.done;
         let now_ns = self.now_ns();
         let mut settled = Vec::new();
+        let mut credited = 0;
         let mut switched = Vec::new();
         let mut failed = None;
         for &lease in leases {
             match j.report(lease, now_ns) {
-                Ok(_) => {
+                Ok(len) => {
                     settled.push(lease);
+                    credited += len;
                     // Batch boundaries are counted in settles, so the
                     // tick sits inside the settle loop; decisions are
                     // collected for journaling below.
@@ -945,24 +796,17 @@ impl State {
         for decision in switched {
             self.journal_append(&JournalRecord::TechniqueSwitched { job, decision });
         }
-        if !was_done && j.done {
+        if !was_done && j.core.done {
             self.journal_append(&JournalRecord::JobFinished { job });
         }
-        match failed {
+        let resp = match failed {
             Some((lease, code)) => Response::Error {
                 code,
                 detail: format!("lease {lease} is unknown or already settled"),
             },
             None => Response::Ack,
-        }
-    }
-
-    /// Iterations credited to reports from `leases` — used to keep the
-    /// per-connection row in sync without re-walking the ledger.
-    fn credited(&self, job: u64, leases: &[LeaseId]) -> u64 {
-        let Ok(shard) = self.shard_of(job).lock() else { return 0 };
-        let Some(j) = shard.get(&job) else { return 0 };
-        leases.iter().filter_map(|&l| j.leases.get(l)).map(|l| l.hi - l.lo).sum()
+        };
+        (resp, credited)
     }
 
     /// A connection died or closed: reclaim its unsettled leases in

@@ -191,7 +191,7 @@ fn sigkill_auto_job_replays_decisions_bit_identically() {
         img.decisions, pre_kill,
         "journal replays exactly the decisions the live server reported"
     );
-    let expected_active = img.active_kind().expect("AUTO job has a kind");
+    let expected_active = img.active_kind();
     assert_eq!(expected_active, pre_kill.last().expect("two decisions").to);
 
     // Restart: the recovered job resumes under that same technique.

@@ -236,22 +236,18 @@ fn first_unassigned_kind_byte_is_typed() {
 }
 
 #[test]
-fn adaptive_kinds_against_non_adaptive_server_are_typed() {
-    // A server built with `adaptive: false` speaks protocol v3 (the
-    // bytes parse fine) but refuses to *drive* adaptive techniques:
-    // typed BadTechnique, never a silent downgrade to some pure kind.
-    let srv = Server::start(ServiceConfig { adaptive: false, ..Default::default() }, "127.0.0.1:0")
-        .expect("bind");
+fn malformed_weights_are_typed() {
+    // Weights are the one CreateJob field the wire cannot constrain:
+    // NaN, infinities and negatives are rejected before a job exists.
+    let srv = server();
     let mut c = Client::connect(srv.addr()).expect("connect");
-    for kind in dls::SchedKind::ADAPTIVE.into_iter().chain([dls::SchedKind::Auto]) {
-        match c.create_job(100, kind, &[]) {
+    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+        match c.create_job(100, dls::Kind::WF, &[1.0, bad]) {
             Err(ClientError::Server { code: ErrorCode::BadTechnique, .. }) => {}
-            other => panic!("{kind}: expected BadTechnique, got {other:?}"),
+            other => panic!("weight {bad}: expected BadTechnique, got {other:?}"),
         }
     }
-    // Pure kinds are unaffected, on the same connection.
-    let job = c.create_job(100, dls::Kind::GSS, &[]).expect("pure kind still served");
-    assert!(matches!(c.fetch(job, 0, 1), Ok(FetchReply::Chunks(_))));
+    assert_eq!(srv.snapshot().totals.jobs_created, 0);
     drop(c);
     wait_drained(&srv);
     srv.shutdown();

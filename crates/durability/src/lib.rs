@@ -8,8 +8,11 @@
 //! *contents*, only counter high-watermarks and the lease ledger, and
 //! replay re-derives everything else through the real calculators.
 //!
-//! Three layers:
+//! Four layers:
 //!
+//! * [`job`] — the job kernel: the one sequential state machine
+//!   (counters, lease ledger, reclaim pool, technique switches) that
+//!   the live server, replay, and the checkers all drive.
 //! * [`frame`] — the on-disk record framing: length-prefixed,
 //!   CRC32-guarded records in append-only segment files. A crash can
 //!   tear at most the tail of the last segment; opening truncates back
@@ -43,10 +46,12 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod frame;
+pub mod job;
 pub mod journal;
 pub mod record;
 pub mod replay;
 
+pub use job::JobCore;
 pub use journal::{Journal, JournalOptions, JournalStats, RecoverError, SyncPolicy};
 pub use record::{GrantEntry, JournalRecord};
-pub use replay::{JobImage, RecoveredState};
+pub use replay::{ImageWriter, RecoveredState};

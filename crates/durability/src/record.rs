@@ -108,46 +108,67 @@ const T_JOB_FINISHED: u8 = 6;
 const T_DRAINED: u8 = 7;
 const T_TECHNIQUE_SWITCHED: u8 = 8;
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    off: usize,
+/// Bounds-checked little-endian cursor shared by the record decoder
+/// and the snapshot-image decoder.
+pub(crate) struct Reader<'a> {
+    pub(crate) bytes: &'a [u8],
+    pub(crate) off: usize,
 }
 
 impl<'a> Reader<'a> {
-    fn u8(&mut self) -> Option<u8> {
+    pub(crate) fn u8(&mut self) -> Option<u8> {
         let b = *self.bytes.get(self.off)?;
         self.off += 1;
         Some(b)
     }
 
-    fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         let s = self.bytes.get(self.off..self.off + 4)?;
         self.off += 4;
         Some(u32::from_le_bytes(s.try_into().ok()?))
     }
 
-    fn u64(&mut self) -> Option<u64> {
+    pub(crate) fn u64(&mut self) -> Option<u64> {
         let s = self.bytes.get(self.off..self.off + 8)?;
         self.off += 8;
         Some(u64::from_le_bytes(s.try_into().ok()?))
     }
 
-    fn f64(&mut self) -> Option<f64> {
+    pub(crate) fn f64(&mut self) -> Option<f64> {
         self.u64().map(f64::from_bits)
     }
 
     /// A count that the remaining bytes could plausibly hold, given a
     /// minimum per-element size — rejects garbage counts before any
     /// allocation.
-    fn count(&mut self, min_elem: usize) -> Option<usize> {
+    pub(crate) fn count(&mut self, min_elem: usize) -> Option<usize> {
         let c = self.u32()? as usize;
-        if c > (self.bytes.len() - self.off) / min_elem.max(1) {
-            return None;
-        }
-        Some(c)
+        self.fits(c, min_elem)
     }
 
-    fn done(self) -> Option<()> {
+    /// [`Reader::count`] for the image fields that carry a 64-bit count.
+    pub(crate) fn count64(&mut self, min_elem: usize) -> Option<usize> {
+        let c = usize::try_from(self.u64()?).ok()?;
+        self.fits(c, min_elem)
+    }
+
+    fn fits(&self, c: usize, min_elem: usize) -> Option<usize> {
+        (c <= (self.bytes.len() - self.off) / min_elem.max(1)).then_some(c)
+    }
+
+    /// One [`Decision`] in its 27-byte form (see [`encode_decision`]).
+    pub(crate) fn decision(&mut self) -> Option<Decision> {
+        Some(Decision {
+            seq: self.u32()?,
+            step: self.u64()?,
+            scheduled: self.u64()?,
+            from: SchedKind::from_byte(self.u8()?)?,
+            to: SchedKind::from_byte(self.u8()?)?,
+            reason: SwitchReason::from_byte(self.u8()?)?,
+        })
+    }
+
+    pub(crate) fn done(self) -> Option<()> {
         (self.off == self.bytes.len()).then_some(())
     }
 }
@@ -213,12 +234,7 @@ impl JournalRecord {
             JournalRecord::TechniqueSwitched { job, decision } => {
                 b.push(T_TECHNIQUE_SWITCHED);
                 b.extend_from_slice(&job.to_le_bytes());
-                b.extend_from_slice(&decision.seq.to_le_bytes());
-                b.extend_from_slice(&decision.step.to_le_bytes());
-                b.extend_from_slice(&decision.scheduled.to_le_bytes());
-                b.push(decision.from.to_byte());
-                b.push(decision.to.to_byte());
-                b.push(decision.reason.to_byte());
+                encode_decision(b, decision);
             }
         }
     }
@@ -269,21 +285,24 @@ impl JournalRecord {
             T_DRAINED => JournalRecord::Drained { epoch: r.u32()? },
             T_TECHNIQUE_SWITCHED => {
                 let job = r.u64()?;
-                let decision = Decision {
-                    seq: r.u32()?,
-                    step: r.u64()?,
-                    scheduled: r.u64()?,
-                    from: SchedKind::from_byte(r.u8()?)?,
-                    to: SchedKind::from_byte(r.u8()?)?,
-                    reason: SwitchReason::from_byte(r.u8()?)?,
-                };
-                JournalRecord::TechniqueSwitched { job, decision }
+                JournalRecord::TechniqueSwitched { job, decision: r.decision()? }
             }
             _ => return None,
         };
         r.done()?;
         Some(rec)
     }
+}
+
+/// The 27-byte decision form shared by `TechniqueSwitched` records and
+/// the snapshot image: `seq, step, scheduled, from, to, reason`.
+pub(crate) fn encode_decision(b: &mut Vec<u8>, d: &Decision) {
+    b.extend_from_slice(&d.seq.to_le_bytes());
+    b.extend_from_slice(&d.step.to_le_bytes());
+    b.extend_from_slice(&d.scheduled.to_le_bytes());
+    b.push(d.from.to_byte());
+    b.push(d.to.to_byte());
+    b.push(d.reason.to_byte());
 }
 
 fn encode_lease_list(b: &mut Vec<u8>, job: u64, leases: &[u64]) {

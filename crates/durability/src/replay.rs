@@ -1,8 +1,8 @@
 //! Deterministic, idempotent replay of a journal record stream.
 //!
-//! [`RecoveredState`] is the journal's view of the service: per-job
-//! counter watermarks, the lease ledger, and the reclaim pool. Two
-//! properties carry the whole recovery design:
+//! [`RecoveredState`] is the journal's view of the service: the epoch
+//! fence plus one [`JobCore`] per job. Two properties carry the whole
+//! recovery design:
 //!
 //! * **Determinism** — applying the same record stream to the same
 //!   base always yields a byte-identical [`RecoveredState::serialize`]
@@ -10,59 +10,21 @@
 //!   little-endian), so "replay twice, compare digests" is a real
 //!   test, and the snapshot is just the serialized state.
 //! * **Idempotence** — re-applying a record the state already
-//!   reflects is a no-op: `JobCreated` inserts only if absent,
-//!   `Granted` advances counters by max-watermark and skips lease ids
-//!   already in the ledger, `Settled`/`Reclaimed` skip leases already
-//!   settled. This lets a snapshot be taken from *live* state that may
-//!   already include transitions whose records sit after the snapshot
-//!   boundary; replaying the overlap changes nothing.
+//!   reflects is a no-op: `JobCreated` inserts only if absent, and
+//!   [`JobCore::apply`] is idempotent per record. This lets a snapshot
+//!   be taken from *live* state that may already include transitions
+//!   whose records sit after the snapshot boundary; replaying the
+//!   overlap changes nothing.
+//!
+//! Replay and the live server run the same kernel, so "live state ==
+//! replayed state" is an equality of serialized bytes, up to the one
+//! thing the journal deliberately does not carry: the clock reading a
+//! lease was granted at (replayed grants are stamped 0).
 
 use std::collections::BTreeMap;
 
-use dls::switchable::{Decision, SchedKind, SwitchReason};
-use resilience::lease::{LeaseState, LeaseTable};
-
-use crate::record::JournalRecord;
-
-/// Rank recorded as the reclaimer when recovery re-arms a lease whose
-/// owner died with the server (mirrors the service's own
-/// server-reclaimer sentinel).
-pub const RECOVERY_RECLAIMER: u32 = u32::MAX;
-
-/// Replayed image of one job.
-#[derive(Clone, Debug, Default)]
-pub struct JobImage {
-    /// Total iterations.
-    pub n: u64,
-    /// Scheduling technique (or AUTO) the job was created with.
-    pub kind: Option<SchedKind>,
-    /// Per-worker weights.
-    pub weights: Vec<f64>,
-    /// Chunk-index counter watermark.
-    pub step: u64,
-    /// Scheduled-iterations counter watermark.
-    pub scheduled: u64,
-    /// Iterations settled exactly once.
-    pub completed: u64,
-    /// True once every iteration settled.
-    pub done: bool,
-    /// Ranges awaiting re-execution, oldest first.
-    pub reclaim_pool: Vec<(u64, u64)>,
-    /// Tuner decision history, in dense `seq` order. The technique
-    /// active at recovery is the last decision's `to` (or `kind` if no
-    /// decision was ever journaled).
-    pub decisions: Vec<Decision>,
-    /// Full lease ledger (dense ids).
-    pub leases: LeaseTable,
-}
-
-impl JobImage {
-    /// The technique active when the journal ended: the last switch's
-    /// target, else the creation kind.
-    pub fn active_kind(&self) -> Option<SchedKind> {
-        self.decisions.last().map(|d| d.to).or(self.kind)
-    }
-}
+use crate::job::JobCore;
+use crate::record::{JournalRecord, Reader};
 
 /// A record that cannot be applied to the current state — always
 /// corruption or a journaling bug, never a normal outcome.
@@ -123,7 +85,7 @@ pub struct RecoveredState {
     /// Highest epoch seen in a `ServerStart` record (0 = none).
     pub epoch: u32,
     /// Jobs by id, in id order.
-    pub jobs: BTreeMap<u64, JobImage>,
+    pub jobs: BTreeMap<u64, JobCore>,
     /// Jobs ever created (monotone; job ids are allocated densely so
     /// this doubles as the next job id to hand out).
     pub jobs_created: u64,
@@ -148,243 +110,54 @@ impl RecoveredState {
             }
             JournalRecord::JobCreated { job, n, kind, weights } => {
                 self.jobs_created = self.jobs_created.max(job + 1);
-                self.jobs.entry(*job).or_insert_with(|| JobImage {
-                    n: *n,
-                    kind: Some(*kind),
-                    weights: weights.clone(),
-                    ..JobImage::default()
-                });
-            }
-            JournalRecord::Granted { job, step, scheduled, grants } => {
-                let img = self.jobs.get_mut(job).ok_or(ReplayError::UnknownJob(*job))?;
-                img.step = img.step.max(*step);
-                img.scheduled = img.scheduled.max(*scheduled);
-                for g in grants {
-                    let ledger = img.leases.len();
-                    if g.lease < ledger {
-                        continue; // already applied (snapshot overlap)
-                    }
-                    if g.lease > ledger {
-                        return Err(ReplayError::NonDenseLease {
-                            job: *job,
-                            lease: g.lease,
-                            ledger,
-                        });
-                    }
-                    img.leases.grant(g.worker, g.lo, g.hi, 0);
-                    if g.from_pool {
-                        if let Some(pos) = img.reclaim_pool.iter().position(|&r| r == (g.lo, g.hi))
-                        {
-                            img.reclaim_pool.remove(pos);
-                        }
-                    }
-                }
-            }
-            JournalRecord::Settled { job, leases } => {
-                let img = self.jobs.get_mut(job).ok_or(ReplayError::UnknownJob(*job))?;
-                for &id in leases {
-                    let lease = img
-                        .leases
-                        .get(id)
-                        .copied()
-                        .ok_or(ReplayError::UnknownLease { job: *job, lease: id })?;
-                    if lease.state == LeaseState::Active {
-                        let _ = img.leases.complete(id);
-                        img.completed += lease.hi - lease.lo;
-                    }
-                }
-            }
-            JournalRecord::Reclaimed { job, leases } => {
-                let img = self.jobs.get_mut(job).ok_or(ReplayError::UnknownJob(*job))?;
-                for &id in leases {
-                    let lease = img
-                        .leases
-                        .get(id)
-                        .copied()
-                        .ok_or(ReplayError::UnknownLease { job: *job, lease: id })?;
-                    if lease.state == LeaseState::Active {
-                        let _ = img.leases.reclaim(id, RECOVERY_RECLAIMER);
-                        img.reclaim_pool.push((lease.lo, lease.hi));
-                    }
-                }
-            }
-            JournalRecord::JobFinished { job } => {
-                let img = self.jobs.get_mut(job).ok_or(ReplayError::UnknownJob(*job))?;
-                img.done = true;
+                self.jobs.entry(*job).or_insert_with(|| JobCore::new(*n, *kind, weights.clone()));
             }
             JournalRecord::Drained { epoch } => {
                 if *epoch == self.epoch {
                     self.drained = true;
                 }
             }
-            JournalRecord::TechniqueSwitched { job, decision } => {
-                let img = self.jobs.get_mut(job).ok_or(ReplayError::UnknownJob(*job))?;
-                let have = img.decisions.len() as u64;
-                match u64::from(decision.seq) {
-                    seq if seq < have => {} // already applied (snapshot overlap)
-                    seq if seq == have => img.decisions.push(*decision),
-                    _ => {
-                        return Err(ReplayError::NonDenseDecision {
-                            job: *job,
-                            seq: decision.seq,
-                            have,
-                        })
-                    }
-                }
+            JournalRecord::Granted { job, .. }
+            | JournalRecord::Settled { job, .. }
+            | JournalRecord::Reclaimed { job, .. }
+            | JournalRecord::JobFinished { job }
+            | JournalRecord::TechniqueSwitched { job, .. } => {
+                self.jobs.get_mut(job).ok_or(ReplayError::UnknownJob(*job))?.apply(rec)?;
             }
         }
         Ok(())
     }
 
-    /// Re-arm after a crash: every lease still active belonged to a
-    /// client of a dead epoch and can never be settled — reclaim it
-    /// and push its range to the pool, oldest grant first. Returns the
-    /// number of leases re-armed.
+    /// Re-arm every job after a crash ([`JobCore::re_arm`]). Returns
+    /// the number of leases re-armed.
     pub fn re_arm(&mut self) -> u64 {
-        let mut armed = 0;
-        for img in self.jobs.values_mut() {
-            let active: Vec<u64> = img.leases.active(None).map(|l| l.id).collect();
-            for id in active {
-                if let Ok(range) = img.leases.reclaim(id, RECOVERY_RECLAIMER) {
-                    img.reclaim_pool.push(range);
-                    armed += 1;
-                }
-            }
-        }
-        armed
+        self.jobs.values_mut().map(JobCore::re_arm).sum()
     }
 
     /// Canonical serialization — the snapshot body, and the input to
     /// [`RecoveredState::digest`].
     pub fn serialize(&self) -> Vec<u8> {
-        let mut b = Vec::with_capacity(64);
-        b.extend_from_slice(&self.epoch.to_le_bytes());
-        b.push(self.drained as u8);
-        b.extend_from_slice(&self.jobs_created.to_le_bytes());
-        b.extend_from_slice(&(self.jobs.len() as u64).to_le_bytes());
-        for (&id, img) in &self.jobs {
-            b.extend_from_slice(&id.to_le_bytes());
-            b.extend_from_slice(&img.n.to_le_bytes());
-            b.push(img.kind.map_or(u8::MAX, SchedKind::to_byte));
-            b.extend_from_slice(&(img.weights.len() as u32).to_le_bytes());
-            for w in &img.weights {
-                b.extend_from_slice(&w.to_bits().to_le_bytes());
-            }
-            b.extend_from_slice(&img.step.to_le_bytes());
-            b.extend_from_slice(&img.scheduled.to_le_bytes());
-            b.extend_from_slice(&img.completed.to_le_bytes());
-            b.push(img.done as u8);
-            b.extend_from_slice(&(img.reclaim_pool.len() as u64).to_le_bytes());
-            for &(lo, hi) in &img.reclaim_pool {
-                b.extend_from_slice(&lo.to_le_bytes());
-                b.extend_from_slice(&hi.to_le_bytes());
-            }
-            b.extend_from_slice(&(img.decisions.len() as u32).to_le_bytes());
-            for d in &img.decisions {
-                b.extend_from_slice(&d.seq.to_le_bytes());
-                b.extend_from_slice(&d.step.to_le_bytes());
-                b.extend_from_slice(&d.scheduled.to_le_bytes());
-                b.push(d.from.to_byte());
-                b.push(d.to.to_byte());
-                b.push(d.reason.to_byte());
-            }
-            img.leases.serialize_into(&mut b);
+        let mut w = ImageWriter::new(self.epoch, self.drained, self.jobs_created);
+        for (&id, job) in &self.jobs {
+            w.job(id, job);
         }
-        b
+        w.finish()
     }
 
     /// Inverse of [`RecoveredState::serialize`]. `None` on malformed
     /// input.
     pub fn deserialize(bytes: &[u8]) -> Option<Self> {
-        let mut off = 0usize;
-        let u32_at = |b: &[u8], off: &mut usize| -> Option<u32> {
-            let s = b.get(*off..*off + 4)?;
-            *off += 4;
-            Some(u32::from_le_bytes(s.try_into().ok()?))
-        };
-        let u64_at = |b: &[u8], off: &mut usize| -> Option<u64> {
-            let s = b.get(*off..*off + 8)?;
-            *off += 8;
-            Some(u64::from_le_bytes(s.try_into().ok()?))
-        };
-        let u8_at = |b: &[u8], off: &mut usize| -> Option<u8> {
-            let v = *b.get(*off)?;
-            *off += 1;
-            Some(v)
-        };
-
-        let epoch = u32_at(bytes, &mut off)?;
-        let drained = u8_at(bytes, &mut off)? != 0;
-        let jobs_created = u64_at(bytes, &mut off)?;
-        let job_count = u64_at(bytes, &mut off)?;
-        if job_count > (bytes.len() as u64 - off as u64) / 8 {
-            return None;
-        }
+        let mut r = Reader { bytes, off: 0 };
+        let epoch = r.u32()?;
+        let drained = r.u8()? != 0;
+        let jobs_created = r.u64()?;
         let mut jobs = BTreeMap::new();
-        for _ in 0..job_count {
-            let id = u64_at(bytes, &mut off)?;
-            let n = u64_at(bytes, &mut off)?;
-            let kind = match u8_at(bytes, &mut off)? {
-                u8::MAX => None,
-                k => Some(SchedKind::from_byte(k)?),
-            };
-            let wcount = u32_at(bytes, &mut off)? as usize;
-            if wcount > (bytes.len() - off) / 8 {
-                return None;
-            }
-            let mut weights = Vec::with_capacity(wcount);
-            for _ in 0..wcount {
-                weights.push(f64::from_bits(u64_at(bytes, &mut off)?));
-            }
-            let step = u64_at(bytes, &mut off)?;
-            let scheduled = u64_at(bytes, &mut off)?;
-            let completed = u64_at(bytes, &mut off)?;
-            let done = u8_at(bytes, &mut off)? != 0;
-            let pcount = u64_at(bytes, &mut off)?;
-            if pcount > (bytes.len() as u64 - off as u64) / 16 {
-                return None;
-            }
-            let mut reclaim_pool = Vec::with_capacity(pcount as usize);
-            for _ in 0..pcount {
-                let lo = u64_at(bytes, &mut off)?;
-                let hi = u64_at(bytes, &mut off)?;
-                reclaim_pool.push((lo, hi));
-            }
-            let dcount = u32_at(bytes, &mut off)? as usize;
-            // 27 bytes per decision: u32 + 2*u64 + 3 single bytes.
-            if dcount > (bytes.len() - off) / 27 {
-                return None;
-            }
-            let mut decisions = Vec::with_capacity(dcount);
-            for _ in 0..dcount {
-                decisions.push(Decision {
-                    seq: u32_at(bytes, &mut off)?,
-                    step: u64_at(bytes, &mut off)?,
-                    scheduled: u64_at(bytes, &mut off)?,
-                    from: SchedKind::from_byte(u8_at(bytes, &mut off)?)?,
-                    to: SchedKind::from_byte(u8_at(bytes, &mut off)?)?,
-                    reason: SwitchReason::from_byte(u8_at(bytes, &mut off)?)?,
-                });
-            }
-            let (leases, used) = LeaseTable::deserialize(&bytes[off..])?;
-            off += used;
-            jobs.insert(
-                id,
-                JobImage {
-                    n,
-                    kind,
-                    weights,
-                    step,
-                    scheduled,
-                    completed,
-                    done,
-                    reclaim_pool,
-                    decisions,
-                    leases,
-                },
-            );
+        for _ in 0..r.count64(8)? {
+            let id = r.u64()?;
+            jobs.insert(id, JobCore::deserialize(&mut r)?);
         }
-        (off == bytes.len()).then_some(Self { epoch, jobs, jobs_created, drained })
+        r.done()?;
+        Some(Self { epoch, jobs, jobs_created, drained })
     }
 
     /// FNV-1a over the canonical serialization — a cheap, stable
@@ -399,10 +172,50 @@ impl RecoveredState {
     }
 }
 
+/// Streaming writer of the [`RecoveredState::serialize`] image: the
+/// header, then one entry per job. It exists so a live server can
+/// snapshot its kernels one shard lock at a time without first cloning
+/// them into a `RecoveredState`; jobs must be added in ascending id
+/// order for the image to be canonical.
+pub struct ImageWriter {
+    buf: Vec<u8>,
+    jobs: u64,
+}
+
+/// Offset of the job count in the image header (`epoch: u32`,
+/// `drained: u8`, `jobs_created: u64` precede it).
+const JOB_COUNT_AT: usize = 4 + 1 + 8;
+
+impl ImageWriter {
+    /// Start an image with the given header fields.
+    pub fn new(epoch: u32, drained: bool, jobs_created: u64) -> Self {
+        let mut buf = Vec::with_capacity(64);
+        buf.extend_from_slice(&epoch.to_le_bytes());
+        buf.push(drained as u8);
+        buf.extend_from_slice(&jobs_created.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes()); // job count, patched by `finish`
+        ImageWriter { buf, jobs: 0 }
+    }
+
+    /// Append one job.
+    pub fn job(&mut self, id: u64, job: &JobCore) {
+        self.buf.extend_from_slice(&id.to_le_bytes());
+        job.serialize_into(&mut self.buf);
+        self.jobs += 1;
+    }
+
+    /// The finished image.
+    pub fn finish(mut self) -> Vec<u8> {
+        self.buf[JOB_COUNT_AT..JOB_COUNT_AT + 8].copy_from_slice(&self.jobs.to_le_bytes());
+        self.buf
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::record::GrantEntry;
+    use dls::switchable::{Decision, SchedKind, SwitchReason};
 
     fn granted(job: u64, step: u64, scheduled: u64, grants: Vec<GrantEntry>) -> JournalRecord {
         JournalRecord::Granted { job, step, scheduled, grants }
@@ -464,13 +277,13 @@ mod tests {
         assert!(img.reclaim_pool.is_empty(), "pool-served grant must drain the pool");
         assert!(!img.done);
         assert_eq!(img.decisions, vec![decision(0), decision(1)]);
-        assert_eq!(img.active_kind(), Some(SchedKind::Af));
+        assert_eq!(img.active_kind(), SchedKind::Af);
     }
 
     #[test]
     fn active_kind_falls_back_to_creation_kind() {
         let st = apply_all(&small_run()[..2]);
-        assert_eq!(st.jobs[&0].active_kind(), Some(SchedKind::Auto));
+        assert_eq!(st.jobs[&0].active_kind(), SchedKind::Auto);
     }
 
     #[test]
@@ -532,6 +345,40 @@ mod tests {
         for cut in 0..bytes.len() {
             assert!(RecoveredState::deserialize(&bytes[..cut]).is_none(), "cut {cut}");
         }
+    }
+
+    /// `small_run()` + `JobFinished` + `Drained`, serialized at the
+    /// commit before replay and the live server were moved onto the
+    /// shared kernel: the on-disk snapshot layout must not drift.
+    const GOLDEN_DIGEST: u64 = 0x9f54_30a5_4543_97fa;
+    const GOLDEN_HEX: &str = "\
+        0100000001010000000000000001000000000000000000000000000000640000\
+        00000000000f0000000002000000000000000200000000000000010000000000\
+        0000010000000000000000020000000000000002000000000000000200000000\
+        0000000102000100000003000000000000000200000000000000020a00030000\
+        0000000000010000000000000000000000010000000000000000000000000000\
+        00010200000001000000000000000200000000000000000000000000000002ff\
+        ffffff0300000001000000000000000200000000000000000000000000000000";
+
+    #[test]
+    fn on_disk_format_is_pinned() {
+        let mut st = apply_all(&small_run());
+        st.apply(&JournalRecord::JobFinished { job: 0 }).unwrap();
+        st.apply(&JournalRecord::Drained { epoch: 1 }).unwrap();
+        let hex: String = st.serialize().iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_HEX);
+        assert_eq!(st.digest(), GOLDEN_DIGEST);
+    }
+
+    #[test]
+    fn image_without_a_technique_is_malformed() {
+        // Byte 0xFF in the mode slot used to decode as "no technique"
+        // and was silently served as SS; it is a corrupt image.
+        let mut bytes = apply_all(&small_run()).serialize();
+        let mode_at = 4 + 1 + 8 + 8 + 8 + 8; // header, job id, n
+        assert_eq!(bytes[mode_at], SchedKind::Auto.to_byte());
+        bytes[mode_at] = u8::MAX;
+        assert!(RecoveredState::deserialize(&bytes).is_none());
     }
 
     #[test]

@@ -18,12 +18,11 @@
 //! Swept for every technique the service journals chunk watermarks
 //! for: {SS, GSS, TSS, FAC2}, all with leases.
 
-use dls::technique::WorkerCtx;
-use dls::{ChunkCalculator, Kind, LoopSpec, SchedState, Technique};
+use dls::Kind;
 use durability::frame::{encode_record, segment_header};
 use durability::journal::{Journal, JournalOptions, SyncPolicy};
 use durability::record::{GrantEntry, JournalRecord};
-use durability::replay::JobImage;
+use durability::JobCore;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -37,71 +36,30 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// In-memory mirror of the service's per-job scheduling semantics:
-/// reclaim pool first, then fresh advances of the two counters through
-/// the real `dls` calculator — the deterministic chunk function the
-/// whole recovery design leans on.
+/// The campaign's server: the job kernel itself, driven one chunk at a
+/// time (the adversary measures state, so every clock reading is 0).
 struct Sim {
-    img: JobImage,
-    spec: LoopSpec,
-    tech: Technique,
+    job: JobCore,
 }
 
 impl Sim {
-    fn new(kind: Kind, n: u64) -> Sim {
-        let mut img = JobImage { n, kind: Some(kind.into()), ..JobImage::default() };
-        img.done = n == 0;
-        Sim { img, spec: LoopSpec::new(n, 8), tech: Technique::from_kind(kind) }
-    }
-
-    fn from_image(img: JobImage) -> Sim {
-        let kind = match img.kind.expect("recovered job has a kind") {
-            dls::SchedKind::Fixed(k) => k,
-            other => panic!("this adversary drives pure kinds only, got {other}"),
-        };
-        Sim { spec: LoopSpec::new(img.n, 8), tech: Technique::from_kind(kind), img }
-    }
-
-    /// Grant one chunk to `worker`, mirroring `Job::fetch` with batch 1.
+    /// Grant one chunk to `worker`.
     fn fetch_one(&mut self, worker: u32) -> Option<GrantEntry> {
-        if !self.img.reclaim_pool.is_empty() {
-            let (lo, hi) = self.img.reclaim_pool.remove(0);
-            let lease = self.img.leases.grant(worker, lo, hi, 0);
-            return Some(GrantEntry { lease, worker, lo, hi, from_pool: true });
-        }
-        if self.img.scheduled < self.img.n {
-            let state = SchedState { step: self.img.step, scheduled: self.img.scheduled };
-            let ctx = WorkerCtx { worker, weight: 1.0 };
-            let size = self
-                .tech
-                .chunk_size(&self.spec, state, ctx)
-                .clamp(1, self.img.n - self.img.scheduled);
-            let lo = self.img.scheduled;
-            self.img.step += 1;
-            self.img.scheduled += size;
-            let lease = self.img.leases.grant(worker, lo, lo + size, 0);
-            return Some(GrantEntry { lease, worker, lo, hi: lo + size, from_pool: false });
-        }
-        None
+        self.job.fetch(worker, 1, 0).pop()
     }
 
     /// Settle a lease; returns its range.
     fn settle(&mut self, lease: u64) -> (u64, u64) {
-        let l = *self.img.leases.get(lease).expect("settle known lease");
-        self.img.leases.complete(lease).expect("settle active lease");
-        self.img.completed += l.hi - l.lo;
-        if self.img.completed == self.img.n {
-            self.img.done = true;
-        }
+        self.job.settle(lease, 0).expect("settle active lease");
+        let l = self.job.leases.get(lease).expect("settled lease is in the ledger");
         (l.lo, l.hi)
     }
 
     /// Kill a client: reclaim its active leases into the pool.
     fn disconnect(&mut self, worker: u32) -> Vec<u64> {
-        let ids: Vec<u64> = self.img.leases.active(Some(worker)).map(|l| l.id).collect();
+        let ids: Vec<u64> = self.job.leases.active(Some(worker)).map(|l| l.id).collect();
         for &id in &ids {
-            let range = self.img.leases.reclaim(id, worker).expect("reclaim active");
-            self.img.reclaim_pool.push(range);
+            self.job.reclaim(id).expect("reclaim active");
         }
         ids
     }
@@ -109,8 +67,8 @@ impl Sim {
     fn granted(&self, grants: Vec<GrantEntry>) -> JournalRecord {
         JournalRecord::Granted {
             job: JOB,
-            step: self.img.step,
-            scheduled: self.img.scheduled,
+            step: self.job.step,
+            scheduled: self.job.scheduled,
             grants,
         }
     }
@@ -129,12 +87,12 @@ struct Step {
 /// 2 and its leases are reclaimed. `journal_settles = false` seeds the
 /// broken variant: settles are acked but never journaled.
 fn campaign(kind: Kind, journal_settles: bool) -> Vec<Step> {
-    let mut sim = Sim::new(kind, N);
+    let mut sim = Sim { job: JobCore::new(N, kind.into(), vec![]) };
     let mut steps = Vec::new();
     let mut held: Vec<Vec<u64>> = vec![Vec::new(); 3];
     let mut dead = [false; 3];
     let mut round = 0u32;
-    while !sim.img.done {
+    while !sim.job.done {
         for w in 0..3u32 {
             if dead[w as usize] {
                 continue;
@@ -158,7 +116,7 @@ fn campaign(kind: Kind, journal_settles: bool) -> Vec<Step> {
                 let rec = journal_settles
                     .then(|| JournalRecord::Settled { job: JOB, leases: vec![lease] });
                 steps.push(Step { rec, ack: Some(range) });
-                if sim.img.done {
+                if sim.job.done {
                     break;
                 }
             }
@@ -201,8 +159,8 @@ fn recover_and_finish(dir: &Path) -> (Vec<(u64, u64)>, u64) {
     let (mut journal, mut state) = Journal::open(opts).expect("recover");
     assert_eq!(state.epoch, 2, "restart bumps the epoch");
     state.re_arm();
-    let img = state.jobs.get(&JOB).expect("job survived the journal").clone();
-    let mut sim = Sim::from_image(img);
+    let job = state.jobs.remove(&JOB).expect("job survived the journal");
+    let mut sim = Sim { job };
     let mut acked = Vec::new();
     while let Some(g) = sim.fetch_one(7) {
         journal.append(&sim.granted(vec![g]));
@@ -210,11 +168,11 @@ fn recover_and_finish(dir: &Path) -> (Vec<(u64, u64)>, u64) {
         journal.append(&JournalRecord::Settled { job: JOB, leases: vec![g.lease] });
         acked.push(range);
     }
-    if sim.img.done {
+    if sim.job.done {
         journal.append(&JournalRecord::JobFinished { job: JOB });
     }
     journal.commit().expect("commit resume");
-    (acked, sim.img.completed)
+    (acked, sim.job.completed)
 }
 
 /// Count how often each iteration was acked across both epochs.
