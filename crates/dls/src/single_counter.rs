@@ -9,23 +9,38 @@
 //! function of the step index — no lock, no master, one atomic.
 //!
 //! [`assignment`] is that pure function for every technique in this
-//! crate (by exact replay of the deterministic schedule), and
-//! [`assignment_fast`] provides the O(1)/O(log) closed forms the PDP
-//! paper derives where they exist.
+//! crate: the O(1) closed form the PDP paper derives where one exists
+//! ([`assignment_fast`]), else exact replay of the deterministic schedule.
 
 use crate::chunk::{LoopSpec, SchedState};
 use crate::nonadaptive::FixedSizeChunking;
 use crate::sequence::ChunkSequence;
 use crate::technique::{ChunkCalculator, Technique, WorkerCtx};
 
+/// The O(1) closed form of the fixed-chunk techniques (STATIC, SS, FSC):
+/// the assignment of `step`, or outer `None` for any other technique.
+fn closed_form(technique: &Technique, spec: &LoopSpec, step: u64) -> Option<Option<(u64, u64)>> {
+    let n = spec.n_iters;
+    let chunk = match technique {
+        Technique::Ss(_) => 1,
+        Technique::Static(_) => n.div_ceil(spec.p()).max(1),
+        Technique::Fsc(fsc) => FixedSizeChunking::resolved(fsc, spec).max(1),
+        _ => return None,
+    };
+    let start = step.checked_mul(chunk).filter(|&start| start < n);
+    Some(start.map(|start| (start, chunk.min(n - start))))
+}
+
 /// The chunk assigned to scheduling step `step`, as `(start, len)`, or
 /// `None` when the schedule has fewer steps. Pure in `step`: any worker
 /// computes the same assignment from the same counter value.
 ///
-/// Exact for every technique (deterministic replay of the preceding
-/// steps — `O(step)` worst case); use [`assignment_fast`] when a closed
-/// form exists.
+/// Exact for every technique: the closed form where one exists, else
+/// deterministic replay of the preceding steps — `O(step)` worst case.
 pub fn assignment(technique: &Technique, spec: &LoopSpec, step: u64) -> Option<(u64, u64)> {
+    if let Some(closed) = closed_form(technique, spec, step) {
+        return closed;
+    }
     let mut state = SchedState::START;
     for _ in 0..step {
         if state.exhausted(spec) {
@@ -46,21 +61,7 @@ pub fn assignment(technique: &Technique, spec: &LoopSpec, step: u64) -> Option<(
 /// no replay. Returns `None` for techniques without a practical closed
 /// form — callers fall back to [`assignment`].
 pub fn assignment_fast(technique: &Technique, spec: &LoopSpec, step: u64) -> Option<(u64, u64)> {
-    let n = spec.n_iters;
-    match technique {
-        Technique::Ss(_) => (step < n).then_some((step, 1)),
-        Technique::Static(_) => {
-            let chunk = n.div_ceil(spec.p()).max(1);
-            let start = step.checked_mul(chunk)?;
-            (start < n).then(|| (start, chunk.min(n - start)))
-        }
-        Technique::Fsc(fsc) => {
-            let chunk = FixedSizeChunking::resolved(fsc, spec).max(1);
-            let start = step.checked_mul(chunk)?;
-            (start < n).then(|| (start, chunk.min(n - start)))
-        }
-        _ => None,
-    }
+    closed_form(technique, spec, step).flatten()
 }
 
 /// Number of scheduling steps in the full schedule — the exclusive
@@ -112,6 +113,19 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn closed_form_steps_do_not_replay() {
+        // Seeking ~2^64 steps by replay would never finish.
+        let spec = LoopSpec::new(u64::MAX, 4);
+        assert_eq!(assignment(&Technique::ss(), &spec, u64::MAX - 1), Some((u64::MAX - 1, 1)));
+        assert_eq!(assignment(&Technique::ss(), &spec, u64::MAX), None);
+        let block = u64::MAX.div_ceil(4);
+        let last = Some((3 * block, u64::MAX - 3 * block));
+        assert_eq!(assignment(&Technique::static_(), &spec, 3), last);
+        assert_eq!(assignment(&Technique::static_(), &spec, 4), None);
+        assert_eq!(assignment(&Technique::static_(), &spec, u64::MAX), None);
     }
 
     #[test]

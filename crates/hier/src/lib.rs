@@ -37,6 +37,7 @@
 
 pub mod adaptive;
 pub mod config;
+pub mod layout;
 pub mod live;
 pub mod queue;
 pub mod sim;

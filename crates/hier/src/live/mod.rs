@@ -7,6 +7,7 @@
 //! (every iteration executed exactly once, checksums equal to a serial
 //! run); timing fidelity at scale is the `sim` backend's job.
 
+mod global_queue;
 mod master_worker;
 mod mpi_mpi;
 mod mpi_omp;
@@ -127,4 +128,18 @@ pub fn run_live(cfg: &LiveConfig, workload: &(dyn Workload + Sync)) -> mpisim::R
 /// The serial reference checksum a correct run must reproduce.
 pub fn serial_checksum(workload: &dyn Workload) -> u64 {
     (0..workload.n_iters()).map(|i| workload.execute(i)).sum()
+}
+
+/// The executors' shared test oracle: the serial checksum, the
+/// iteration count and exactly-once coverage of `0..n`.
+#[cfg(test)]
+fn assert_exact(r: &LiveResult, serial: u64, n: u64) {
+    assert_eq!(r.checksum, serial, "checksum mismatch vs serial");
+    assert_eq!(r.stats.total_iterations, n);
+    let chunks: Vec<dls::Chunk> = r
+        .executed
+        .iter()
+        .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
+        .collect();
+    dls::verify::check_exactly_once(&chunks, n).expect("exactly-once");
 }

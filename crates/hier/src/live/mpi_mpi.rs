@@ -1,9 +1,10 @@
 //! Real-thread MPI+MPI executor: the paper's proposed approach on the
 //! `mpisim` runtime.
 //!
-//! * The **global work queue** is an RMA window exposed by world rank 0
-//!   holding `[step, scheduled]`, updated under `MPI_Win_lock(EXCLUSIVE)`
-//!   — the distributed chunk-calculation state.
+//! * The **global work queue** is the two counters `[step, scheduled]`
+//!   — the distributed chunk-calculation state — behind
+//!   [`GlobalQueue::fetch`]: an RMA window exposed by world rank 0, or
+//!   (for [`super::run_live_net`]) a `dls-service` job.
 //! * Each node's **local work queue** is an `MPI_Win_allocate_shared`
 //!   window on the node communicator holding
 //!   `[refilling, global_done, lo, hi, step, taken]`, updated under
@@ -12,24 +13,22 @@
 //!   sets the `refilling` flag and fetches the next chunk itself — the
 //!   fastest worker takes the responsibility; nobody blocks.
 
+use super::global_queue::{Fetched, GlobalQueue};
 use super::{LiveConfig, LiveResult};
+use crate::layout::{GLOBAL_DONE, HI, LO, REFILLING, STEP, TAKEN};
 use crate::queue::SubChunk;
 use crate::stats::RunStats;
 use cluster_sim::trace::{SegmentKind, Trace};
+use dls_service::{Client, JobId};
 use mpisim::{LockKind, RankWinStats, RmaLog, RmaRecord, Topology, Universe, Window};
+use std::sync::Mutex;
 use std::time::Instant;
 use workloads::Workload;
 
-// Local window slot indices.
-const REFILLING: usize = 0;
-const GLOBAL_DONE: usize = 1;
-const LO: usize = 2;
-const HI: usize = 3;
-const STEP: usize = 4;
-const TAKEN: usize = 5;
-/// Start of the AWF measurement history: per local rank, two slots —
-/// cumulative iterations and cumulative time in ns.
-const HIST_BASE: usize = 6;
+/// Start of the AWF measurement history, right after the queue's own
+/// slots: per local rank, two slots — cumulative iterations and
+/// cumulative time in ns.
+const HIST_BASE: usize = TAKEN + 1;
 
 /// Start of the lease area: per local rank, four slots —
 /// `[lo, hi, epoch, heartbeat]`. An odd epoch means the range
@@ -61,10 +60,7 @@ fn local_slots(wpn: u32) -> usize {
     refiller_slot(wpn) + 1
 }
 
-// Global window slot indices (on world rank 0).
-const GSTEP: usize = 0;
-const GSCHED: usize = 1;
-
+#[derive(Default)]
 pub(super) struct RankOutcome {
     pub(super) worker: u32,
     pub(super) node: u32,
@@ -134,6 +130,17 @@ pub fn run_live_mpi_mpi(
     cfg: &LiveConfig,
     workload: &(dyn Workload + Sync),
 ) -> mpisim::Result<LiveResult> {
+    run_ranks(cfg, workload, None)
+}
+
+/// The MPI+MPI rank loop. The global queue is the RMA window
+/// `cfg.global_mode` names, or the `service` job (one agent connection
+/// per node) when the caller brings one.
+pub(super) fn run_ranks(
+    cfg: &LiveConfig,
+    workload: &(dyn Workload + Sync),
+    service: Option<(&[Mutex<Client>], JobId)>,
+) -> mpisim::Result<LiveResult> {
     let topology = Topology::new(cfg.nodes, cfg.workers_per_node);
     let n = workload.n_iters();
     assert!(n <= i64::MAX as u64, "loop too large for i64 window slots");
@@ -153,49 +160,42 @@ pub fn run_live_mpi_mpi(
         let now = || epoch.elapsed().as_nanos() as u64;
         let world = p.world();
         let me = world.rank();
-        let mut global_win = Window::allocate(world, if me == 0 { 2 } else { 0 })?;
+        let my_node = p.node_id();
+        let queue = match service {
+            Some((agents, job)) => {
+                GlobalQueue::Service { agent: &agents[my_node as usize], job, node: my_node }
+            }
+            None => GlobalQueue::open_rma(
+                world,
+                global_mode,
+                spec.inter,
+                inter_spec,
+                log_for_ranks.as_ref(),
+            )?,
+        };
         let node_comm = world.split_shared()?;
         let mut local_win = Window::allocate_shared(
             &node_comm,
             if node_comm.rank() == 0 { local_slots(wpn) } else { 0 },
         )?;
         if let Some(log) = &log_for_ranks {
-            global_win.record_to(log);
             local_win.record_to(log);
         }
         world.barrier();
-        global_win.note_barrier();
+        queue.note_barrier();
         local_win.note_barrier();
-        if global_mode == crate::config::GlobalQueueMode::SingleAtomic {
-            // The distributed chunk calculation runs on bare
-            // fetch_and_op, so the whole run is one passive-target
-            // access epoch on the global window (the MPI-3 idiom for
-            // lock-free shared counters).
-            global_win.lock_all();
-        }
+        queue.begin();
 
         let mut out = RankOutcome {
             worker: me,
-            node: p.node_id(),
-            iterations: 0,
-            sub_chunks: 0,
-            global_fetches: 0,
-            deposits: 0,
-            checksum: 0,
-            executed: Vec::new(),
-            lock_stats: None,
-            global_accesses: 0,
-            win_stats: RankWinStats::default(),
+            node: my_node,
             trace: if do_trace { Trace::recording() } else { Trace::disabled() },
-            finish_ns: 0,
-            reclaims: 0,
-            recovery: Vec::new(),
+            ..RankOutcome::default()
         };
 
         let plan_active = faults.is_active();
         let detect_polls = faults.recovery.detect_polls;
         let my_local = node_comm.rank();
-        let my_node = p.node_id();
         let world_of = |local: u32| my_node * wpn + local;
         let straggle = faults.straggle_factor(me, u64::MAX);
         // Mirror of my own LEASE_EPOCH slot — single-writer while alive.
@@ -426,51 +426,15 @@ pub fn run_live_mpi_mpi(
 
             // ---- fetch a chunk from the global queue ----
             out.global_accesses += 1;
-            let fetched = match global_mode {
-                crate::config::GlobalQueueMode::SingleAtomic => {
-                    // The PDP'19 distributed chunk calculation: one
-                    // fetch-and-increment of the step counter, then the
-                    // chunk bounds are a pure local function of it. The
-                    // run-long lock_all epoch covers it; the flush
-                    // completes the operation at the target before the
-                    // local deposit proceeds.
-                    let my_step = global_win.fetch_and_op(0, GSTEP, 1, mpisim::RmaOp::Sum)? as u64;
-                    global_win.flush(0)?;
-                    dls::single_counter::assignment(&spec.inter, &inter_spec, my_step)
-                        .map(|(start, len)| (start, start + len))
-                }
-                crate::config::GlobalQueueMode::LockedCounters => {
-                    global_win.lock(LockKind::Exclusive, 0)?;
-                    let gstep = global_win.get(0, GSTEP)? as u64;
-                    let gsched = global_win.get(0, GSCHED)? as u64;
-                    let fetched = if gsched < n {
-                        let state = dls::SchedState { step: gstep, scheduled: gsched };
-                        let size = dls::ChunkCalculator::chunk_size(
-                            &spec.inter,
-                            &inter_spec,
-                            state,
-                            dls::technique::WorkerCtx::default(),
-                        )
-                        .clamp(1, n - gsched);
-                        global_win.put(0, GSTEP, (gstep + 1) as i64)?;
-                        global_win.put(0, GSCHED, (gsched + size) as i64)?;
-                        Some((gsched, gsched + size))
-                    } else {
-                        None
-                    };
-                    global_win.unlock(LockKind::Exclusive, 0)?;
-                    fetched
-                }
-            };
+            let fetched = queue.fetch()?;
 
-            if plan_active && fetched.is_some() {
+            if let (true, Fetched::Chunk(clo, chi)) = (plan_active, fetched) {
                 fetches_done += 1;
                 if faults.crash_as_refiller_after(me).is_some_and(|g| fetches_done >= g) {
                     // Die as the refiller: the global step is already
                     // consumed, so the fetched chunk exists only in this
                     // rank's lease. Publish it and stop — REFILLING
                     // stays set until a survivor fails the role over.
-                    let (clo, chi) = fetched.unwrap_or((0, 0));
                     lock_queue(&local_win, &node_comm, plan_active, detect_polls)?;
                     local_win.put(0, lease_slot(wpn, my_local, LEASE_LO), clo as i64)?;
                     local_win.put(0, lease_slot(wpn, my_local, LEASE_HI), chi as i64)?;
@@ -488,7 +452,7 @@ pub fn run_live_mpi_mpi(
                 }
             }
 
-            // ---- deposit (or mark the node done) ----
+            // ---- deposit, mark the node done, or hand the role back ----
             if let Some(h) = lock_queue(&local_win, &node_comm, plan_active, detect_polls)? {
                 out.reclaims += 1;
                 out.recovery.push(resilience::RecoveryEvent::LockRepair {
@@ -499,7 +463,7 @@ pub fn run_live_mpi_mpi(
                 });
             }
             match fetched {
-                Some((clo, chi)) => {
+                Fetched::Chunk(clo, chi) => {
                     out.global_fetches += 1;
                     out.deposits += 1;
                     local_win.put(0, LO, clo as i64)?;
@@ -507,30 +471,38 @@ pub fn run_live_mpi_mpi(
                     local_win.put(0, STEP, 0)?;
                     local_win.put(0, TAKEN, 0)?;
                 }
-                None => {
+                Fetched::Done => {
                     local_win.put(0, GLOBAL_DONE, 1)?;
                 }
+                // Another node's unsettled lease may still come back as
+                // work: leave the queue as it is and only release the
+                // refill role.
+                Fetched::Pending => {}
             }
             local_win.put(0, REFILLING, 0)?;
             local_win.sync();
             local_win.unlock(LockKind::Exclusive, 0)?;
-            // The whole refill transaction (global fetch + deposit) is
-            // scheduling overhead.
-            out.trace.record(me, probe_start, now(), SegmentKind::Sched);
+            if fetched == Fetched::Pending {
+                // Waiting on a peer node, like a refill in flight.
+                std::thread::yield_now();
+                out.trace.record(me, probe_start, now(), SegmentKind::Sync);
+            } else {
+                // The whole refill transaction (global fetch + deposit)
+                // is scheduling overhead.
+                out.trace.record(me, probe_start, now(), SegmentKind::Sched);
+            }
         }
 
-        if global_mode == crate::config::GlobalQueueMode::SingleAtomic {
-            global_win.unlock_all()?;
-        }
+        queue.end()?;
         out.finish_ns = now();
         world.barrier();
-        global_win.note_barrier();
+        queue.note_barrier();
         local_win.note_barrier();
         if node_comm.rank() == 0 {
             out.lock_stats = Some(local_win.lock_stats(0)?);
         }
         let lw = local_win.rank_stats();
-        let gw = global_win.rank_stats();
+        let gw = queue.rank_stats();
         out.win_stats = RankWinStats {
             lock_acquisitions: lw.lock_acquisitions + gw.lock_acquisitions,
             failed_polls: lw.failed_polls + gw.failed_polls,
@@ -606,8 +578,7 @@ pub(super) fn aggregate(
 mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
-    use crate::live::serial_checksum;
-    use dls::verify::check_exactly_once;
+    use crate::live::{assert_exact, serial_checksum};
     use dls::Kind;
     use workloads::synthetic::Synthetic;
 
@@ -616,17 +587,6 @@ mod tests {
         let cfg = LiveConfig::new(nodes, wpn, spec, Approach::MpiMpi);
         let serial = serial_checksum(&w);
         (run_live_mpi_mpi(&cfg, &w).expect("live run"), serial)
-    }
-
-    fn assert_exact(r: &LiveResult, serial: u64, n: u64) {
-        assert_eq!(r.checksum, serial, "checksum mismatch vs serial");
-        assert_eq!(r.stats.total_iterations, n);
-        let chunks: Vec<dls::Chunk> = r
-            .executed
-            .iter()
-            .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-            .collect();
-        check_exactly_once(&chunks, n).expect("exactly-once");
     }
 
     #[test]
@@ -679,7 +639,7 @@ mod tests {
             assert!(r.trace.worker_totals(w).total() > 0, "worker {w} has an empty timeline");
         }
         // Every rank locks the local window at least once per sub-chunk
-        // and issues a global fetch_and_op per refill attempt (successful
+        // and issues a global atomic per refill attempt (successful
         // fetches plus the exhaustion probe that comes back empty).
         for ws in &r.stats.workers {
             assert!(ws.lock_time_ns > 0, "time-in-lock must accumulate");

@@ -16,21 +16,18 @@
 //! same limitation message the paper gives for skipping those
 //! combinations.
 
+use super::global_queue::{Fetched, GlobalQueue};
 use super::{LiveConfig, LiveResult};
+use crate::config::GlobalQueueMode;
 use crate::queue::SubChunk;
 use crate::stats::RunStats;
 use cluster_sim::trace::{SegmentKind, Trace};
 use dls::openmp::{omp_equivalent, OmpSchedule};
-use dls::technique::WorkerCtx;
-use dls::ChunkCalculator;
-use mpisim::{LockKind, RankWinStats, RmaLog, RmaRecord, Topology, Universe, Window};
+use mpisim::{RankWinStats, RmaLog, RmaRecord, Topology, Universe};
 use openmp_sim::{Schedule, Team, TeamCtx};
 use parking_lot::Mutex;
 use std::time::Instant;
 use workloads::Workload;
-
-const GSTEP: usize = 0;
-const GSCHED: usize = 1;
 
 struct ThreadOutcome {
     iterations: u64,
@@ -93,12 +90,16 @@ pub fn run_live_mpi_omp(
     let outcomes = Universe::run(topology, move |p| -> mpisim::Result<NodeOutcome> {
         let world = p.world();
         let me = world.rank();
-        let mut global_win = Window::allocate(world, if me == 0 { 2 } else { 0 })?;
-        if let Some(log) = &log_for_ranks {
-            global_win.record_to(log);
-        }
+        // The baseline keeps both counters in the window, under a lock.
+        let queue = GlobalQueue::open_rma(
+            world,
+            GlobalQueueMode::LockedCounters,
+            spec.inter,
+            inter_spec,
+            log_for_ranks.as_ref(),
+        )?;
         world.barrier();
-        global_win.note_barrier();
+        queue.note_barrier();
 
         let chunk_slot: Mutex<Option<(u64, u64)>> = Mutex::new(None);
         let fetches = Mutex::new((0u64, 0u64, 0u64)); // fetches, accesses, deposits
@@ -111,14 +112,11 @@ pub fn run_live_mpi_omp(
             team_thread(
                 ctx,
                 workload,
-                &global_win,
+                &queue,
                 &chunk_slot,
                 &fetches,
                 &fetch_err,
-                &spec,
-                &inter_spec,
                 schedule,
-                n,
                 do_trace,
                 epoch,
             )
@@ -127,7 +125,7 @@ pub fn run_live_mpi_omp(
         if let Some(e) = fetch_err.into_inner() {
             return Err(e);
         }
-        let win_stats = global_win.rank_stats();
+        let win_stats = queue.rank_stats();
         let f = fetches.into_inner();
         Ok(NodeOutcome {
             node: me,
@@ -150,14 +148,11 @@ pub fn run_live_mpi_omp(
 fn team_thread(
     ctx: &TeamCtx,
     workload: &dyn Workload,
-    global_win: &Window,
+    queue: &GlobalQueue,
     chunk_slot: &Mutex<Option<(u64, u64)>>,
     fetches: &Mutex<(u64, u64, u64)>,
     fetch_err: &Mutex<Option<mpisim::Error>>,
-    spec: &crate::config::HierSpec,
-    inter_spec: &dls::LoopSpec,
     schedule: Schedule,
-    n: u64,
     do_trace: bool,
     epoch: Instant,
 ) -> ThreadOutcome {
@@ -177,32 +172,16 @@ fn team_thread(
         // error in `fetch_err` and posts `None` so the whole team
         // drains out of the loop.
         ctx.master(|| {
-            let fetched = (|| -> mpisim::Result<Option<(u64, u64)>> {
-                global_win.lock(LockKind::Exclusive, 0)?;
-                let gstep = global_win.get(0, GSTEP)? as u64;
-                let gsched = global_win.get(0, GSCHED)? as u64;
-                let mut f = fetches.lock();
-                f.1 += 1;
-                let fetched = if gsched < n {
-                    let state = dls::SchedState { step: gstep, scheduled: gsched };
-                    let size = spec
-                        .inter
-                        .chunk_size(inter_spec, state, WorkerCtx::default())
-                        .clamp(1, n - gsched);
-                    global_win.put(0, GSTEP, (gstep + 1) as i64)?;
-                    global_win.put(0, GSCHED, (gsched + size) as i64)?;
+            let mut f = fetches.lock();
+            f.1 += 1;
+            *chunk_slot.lock() = match queue.fetch() {
+                Ok(Fetched::Chunk(lo, hi)) => {
                     f.0 += 1;
                     f.2 += 1;
-                    Some((gsched, gsched + size))
-                } else {
-                    None
-                };
-                drop(f);
-                global_win.unlock(LockKind::Exclusive, 0)?;
-                Ok(fetched)
-            })();
-            *chunk_slot.lock() = match fetched {
-                Ok(c) => c,
+                    Some((lo, hi))
+                }
+                Ok(Fetched::Done) => None,
+                Ok(Fetched::Pending) => unreachable!("only the service queue defers"),
                 Err(e) => {
                     fetch_err.lock().get_or_insert(e);
                     None
@@ -287,8 +266,7 @@ fn aggregate(cfg: &LiveConfig, outcomes: Vec<NodeOutcome>, rma: Vec<RmaRecord>) 
 mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
-    use crate::live::serial_checksum;
-    use dls::verify::check_exactly_once;
+    use crate::live::{assert_exact, serial_checksum};
     use dls::Kind;
     use workloads::synthetic::Synthetic;
 
@@ -297,17 +275,6 @@ mod tests {
         let cfg = LiveConfig::new(nodes, wpn, spec, Approach::MpiOpenMp);
         let serial = serial_checksum(&w);
         (run_live_mpi_omp(&cfg, &w).expect("live run"), serial)
-    }
-
-    fn assert_exact(r: &LiveResult, serial: u64, n: u64) {
-        assert_eq!(r.checksum, serial, "checksum mismatch vs serial");
-        assert_eq!(r.stats.total_iterations, n);
-        let chunks: Vec<dls::Chunk> = r
-            .executed
-            .iter()
-            .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-            .collect();
-        check_exactly_once(&chunks, n).expect("exactly-once");
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //!
 //! The global work queue is no longer an RMA window on rank 0 — it is
 //! a `dls-service` server reached over TCP. Each node keeps exactly
-//! one *node-agent connection*; the node's ranks keep self-scheduling
-//! sub-chunks out of the `mpisim` shared-memory window exactly as in
-//! [`super::run_live_mpi_mpi`]. When a rank drains the local queue and
-//! wins the refill role, it locks the node's agent and performs one
-//! `FetchChunk` round trip instead of one `MPI_Fetch_and_op` — the
-//! paper's structure, with the top level crossing a socket.
+//! one *node-agent connection*; the node's ranks run the very rank
+//! loop of [`super::run_live_mpi_mpi`], self-scheduling sub-chunks out
+//! of the `mpisim` shared-memory window. When a rank drains the local
+//! queue and wins the refill role, its global-queue handle locks the
+//! node's agent and performs one `FetchChunk` round trip instead of one
+//! `MPI_Fetch_and_op` — the paper's structure, with the top level
+//! crossing a socket.
 //!
 //! Fetched chunks carry leases; the agent settles each lease right
 //! after depositing the chunk (the ranks of one process cannot die
@@ -16,25 +17,12 @@
 //! — multi-process recovery is exercised by the `net-worker` smoke
 //! tests in `dls-service`).
 
-use super::mpi_mpi::{aggregate, execute, RankOutcome};
 use super::{LiveConfig, LiveResult};
-use crate::queue::SubChunk;
-use cluster_sim::trace::{SegmentKind, Trace};
-use dls_service::{Client, FetchReply};
-use mpisim::{LockKind, RankWinStats, Topology, Universe, Window};
+use dls_service::Client;
 use std::net::SocketAddr;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use workloads::Workload;
-
-// Local window slot indices (the fault-free subset of `mpi_mpi`'s).
-const REFILLING: usize = 0;
-const GLOBAL_DONE: usize = 1;
-const LO: usize = 2;
-const HI: usize = 3;
-const STEP: usize = 4;
-const TAKEN: usize = 5;
-const LOCAL_SLOTS: usize = 6;
 
 /// Run the hierarchy with the global queue behind `addr`.
 ///
@@ -56,21 +44,17 @@ pub fn run_live_net(
 ) -> mpisim::Result<LiveResult> {
     assert!(!cfg.faults.is_active(), "run_live_net does not inject faults");
     assert!(cfg.awf.is_none(), "run_live_net does not support AWF");
-    let topology = Topology::new(cfg.nodes, cfg.workers_per_node);
-    let n = workload.n_iters();
-    assert!(n <= i64::MAX as u64, "loop too large for i64 window slots");
-    let wpn = cfg.workers_per_node;
-    let spec = cfg.spec;
-    let weights = cfg.weights.clone();
-    let do_trace = cfg.trace;
-    let epoch = Instant::now();
 
     // One connection per node — the node agent. The job itself is
     // created over a separate setup connection.
     let mut setup = Client::connect(addr).expect("connect to dls-service");
-    let inter_kind: dls::SchedKind = cfg.net_inter.unwrap_or_else(|| spec.inter.kind().into());
+    let inter_kind: dls::SchedKind = cfg.net_inter.unwrap_or_else(|| cfg.spec.inter.kind().into());
     let job = setup
-        .create_job(n, inter_kind, &node_weights(&weights, cfg.nodes, wpn))
+        .create_job(
+            workload.n_iters(),
+            inter_kind,
+            &node_weights(&cfg.weights, cfg.nodes, cfg.workers_per_node),
+        )
         .expect("create job");
     // A bounded reply wait per agent call: a wedged server surfaces as
     // a typed TimedOut error instead of hanging every rank on the node.
@@ -84,158 +68,16 @@ pub fn run_live_net(
         })
         .collect();
 
-    let outcomes = Universe::run(topology, move |p| -> mpisim::Result<RankOutcome> {
-        let now = || epoch.elapsed().as_nanos() as u64;
-        let world = p.world();
-        let me = world.rank();
-        let node_comm = world.split_shared()?;
-        let local_win = Window::allocate_shared(
-            &node_comm,
-            if node_comm.rank() == 0 { LOCAL_SLOTS } else { 0 },
-        )?;
-        world.barrier();
-        local_win.note_barrier();
-
-        let mut out = RankOutcome {
-            worker: me,
-            node: p.node_id(),
-            iterations: 0,
-            sub_chunks: 0,
-            global_fetches: 0,
-            deposits: 0,
-            checksum: 0,
-            executed: Vec::new(),
-            lock_stats: None,
-            global_accesses: 0,
-            win_stats: RankWinStats::default(),
-            trace: if do_trace { Trace::recording() } else { Trace::disabled() },
-            finish_ns: 0,
-            reclaims: 0,
-            recovery: Vec::new(),
-        };
-
-        let my_node = p.node_id();
-
-        loop {
-            // ---- probe the local queue under the window lock ----
-            let probe_start = now();
-            local_win.lock(LockKind::Exclusive, 0)?;
-            local_win.sync();
-            let lo = local_win.get(0, LO)? as u64;
-            let hi = local_win.get(0, HI)? as u64;
-            let step = local_win.get(0, STEP)? as u64;
-            let taken = local_win.get(0, TAKEN)? as u64;
-            let len = hi - lo;
-
-            if taken < len {
-                let local = node_comm.rank();
-                let weight = weights.get(me as usize).copied().unwrap_or(1.0);
-                let ctx = dls::technique::WorkerCtx { worker: local, weight };
-                let size =
-                    crate::queue::sub_chunk_size_for(&spec.intra, len, wpn, step, taken, ctx);
-                local_win.put(0, STEP, (step + 1) as i64)?;
-                local_win.put(0, TAKEN, (taken + size) as i64)?;
-                let sub = SubChunk { start: lo + taken, end: lo + taken + size };
-                local_win.sync();
-                local_win.unlock(LockKind::Exclusive, 0)?;
-                out.trace.record(me, probe_start, now(), SegmentKind::Sched);
-                let compute_start = now();
-                execute(workload, &sub, &mut out);
-                out.trace.record(me, compute_start, now(), SegmentKind::Compute);
-                continue;
-            }
-
-            let global_done = local_win.get(0, GLOBAL_DONE)? != 0;
-            let refilling = local_win.get(0, REFILLING)? != 0;
-            if global_done {
-                local_win.unlock(LockKind::Exclusive, 0)?;
-                out.trace.record(me, probe_start, now(), SegmentKind::Sched);
-                break;
-            }
-            if refilling {
-                // A peer is refilling: back off briefly and re-probe.
-                local_win.unlock(LockKind::Exclusive, 0)?;
-                std::thread::yield_now();
-                out.trace.record(me, probe_start, now(), SegmentKind::Sync);
-                continue;
-            }
-            // This worker becomes the refiller.
-            local_win.put(0, REFILLING, 1)?;
-            local_win.sync();
-            local_win.unlock(LockKind::Exclusive, 0)?;
-
-            // ---- fetch a chunk over TCP via the node agent ----
-            out.global_accesses += 1;
-            let fetched = {
-                let mut agent = agents[my_node as usize].lock().expect("node agent poisoned");
-                match agent.fetch(job, my_node, 1).expect("fetch chunk") {
-                    FetchReply::Chunks(chunks) => {
-                        let c = chunks[0];
-                        // Settle the lease as soon as the chunk is
-                        // safely ours: in-process ranks cannot die
-                        // independently of the agent connection.
-                        agent.report_done(job, &[c.lease]).expect("report lease");
-                        Some((c.lo, c.hi))
-                    }
-                    FetchReply::Pending => {
-                        // Another node holds an unsettled lease; the
-                        // queue may still grow via reclamation. Clear
-                        // the refill role and re-poll.
-                        local_win.lock(LockKind::Exclusive, 0)?;
-                        local_win.put(0, REFILLING, 0)?;
-                        local_win.sync();
-                        local_win.unlock(LockKind::Exclusive, 0)?;
-                        std::thread::yield_now();
-                        out.trace.record(me, probe_start, now(), SegmentKind::Sync);
-                        continue;
-                    }
-                    FetchReply::Done => None,
-                }
-            };
-
-            // ---- deposit (or mark the node done) ----
-            local_win.lock(LockKind::Exclusive, 0)?;
-            match fetched {
-                Some((clo, chi)) => {
-                    out.global_fetches += 1;
-                    out.deposits += 1;
-                    local_win.put(0, LO, clo as i64)?;
-                    local_win.put(0, HI, chi as i64)?;
-                    local_win.put(0, STEP, 0)?;
-                    local_win.put(0, TAKEN, 0)?;
-                }
-                None => {
-                    local_win.put(0, GLOBAL_DONE, 1)?;
-                }
-            }
-            local_win.put(0, REFILLING, 0)?;
-            local_win.sync();
-            local_win.unlock(LockKind::Exclusive, 0)?;
-            out.trace.record(me, probe_start, now(), SegmentKind::Sched);
-        }
-
-        out.finish_ns = now();
-        world.barrier();
-        local_win.note_barrier();
-        if node_comm.rank() == 0 {
-            out.lock_stats = Some(local_win.lock_stats(0)?);
-        }
-        out.win_stats = local_win.rank_stats();
-        Ok(out)
-    });
-
-    let outcomes = outcomes.into_iter().collect::<mpisim::Result<Vec<_>>>()?;
-    Ok(aggregate(cfg, outcomes, Vec::new()))
+    super::mpi_mpi::run_ranks(cfg, workload, Some((&agents, job)))
 }
 
 /// Weights for the *inter-node* level: the service schedules chunks
-/// per node, so per-worker weights collapse to their per-node sums
-/// (mean-normalised by the technique itself). Empty stays empty (unit
-/// weights).
+/// per node, so per-worker weights collapse to their per-node means
+/// (missing entries are unit weights, so an empty table is all ones).
+/// Always one entry per node: the table's length is the `p` the server
+/// sizes inter-level chunks for, which must be `nodes` exactly as for
+/// the RMA queues.
 fn node_weights(weights: &[f64], nodes: u32, wpn: u32) -> Vec<f64> {
-    if weights.is_empty() {
-        return Vec::new();
-    }
     (0..nodes)
         .map(|node| {
             (0..wpn)
@@ -250,8 +92,7 @@ fn node_weights(weights: &[f64], nodes: u32, wpn: u32) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
-    use crate::live::serial_checksum;
-    use dls::verify::check_exactly_once;
+    use crate::live::{assert_exact, serial_checksum};
     use dls::Kind;
     use dls_service::{Server, ServiceConfig};
     use workloads::synthetic::Synthetic;
@@ -269,17 +110,6 @@ mod tests {
         assert_eq!(job.completed, n);
         assert_eq!(job.leases_granted, job.leases_completed);
         (r, serial)
-    }
-
-    fn assert_exact(r: &LiveResult, serial: u64, n: u64) {
-        assert_eq!(r.checksum, serial, "checksum mismatch vs serial");
-        assert_eq!(r.stats.total_iterations, n);
-        let chunks: Vec<dls::Chunk> = r
-            .executed
-            .iter()
-            .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-            .collect();
-        check_exactly_once(&chunks, n).expect("exactly-once");
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! are exactly reproducible and independent of host load — which is how
 //! the paper's 16-node figures are regenerated on a single-core machine.
 
-pub mod layout;
 mod master_worker;
 mod mpi_mpi;
 mod mpi_omp;
 
+pub use crate::layout;
 pub use master_worker::{simulate_flat_master_worker, simulate_master_worker};
 pub use mpi_mpi::simulate_mpi_mpi;
 pub use mpi_omp::simulate_mpi_omp;

@@ -23,10 +23,9 @@ use dls::{ChunkCalculator, LoopSpec, SchedState};
 use mpisim::{AtomicOpKind, LockKind, RmaEvent};
 use workloads::CostTable;
 
-// Window layout mirrored from the live executor (see `super::layout`),
-// so the synthesized log and a recorded live log describe the same
-// protocol.
-use super::layout::{
+// The live executor's window layout, so the synthesized log and a
+// recorded live log describe the same protocol.
+use crate::layout::{
     node_win, GLOBAL_DONE, GLOBAL_WIN, GSCHED, GSTEP, HI, LO, REFILLING, STEP, TAKEN,
 };
 
@@ -76,6 +75,35 @@ struct NodeState {
     global_done: bool,
     /// Adaptive weight history (AWF intra), when enabled.
     awf: Option<crate::adaptive::AwfHistory>,
+}
+
+/// Fault injection only: lease out every range lost with the dead
+/// worker `w` and schedule each reclaim for `reclaim_at`, one lease
+/// timeout after `w` died.
+fn lease_out(
+    leases: &mut resilience::LeaseTable,
+    events: &mut EventQueue<Event>,
+    w: u32,
+    ranges: impl IntoIterator<Item = (u64, u64)>,
+    granted: Time,
+    reclaim_at: Time,
+) {
+    for (lo, hi) in ranges {
+        let lease = leases.grant(w, lo, hi, granted);
+        events.push(reclaim_at, Event::Recover(RecoverAction::ReclaimChunk { lease }));
+    }
+}
+
+/// Fault injection only: the stalled-refill timeout a dead refiller
+/// `from` leaves behind on `node`.
+fn clear_refill(node: usize, from: u32) -> Event {
+    Event::Recover(RecoverAction::ClearRefill { node, from })
+}
+
+/// Whether node `node_idx` has lost its last live worker: what is still
+/// queued in its window is then stranded and must migrate via leases.
+fn node_dead(dead: &[bool], node_idx: usize, wpn: u32) -> bool {
+    dead[node_idx * wpn as usize..][..wpn as usize].iter().all(|&d| d)
 }
 
 /// Run the MPI+MPI approach in virtual time.
@@ -192,23 +220,10 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                 at_ns: died,
                 holding_lock: false,
             });
-            let rp = cfg.faults.recovery;
-            let id = leases.grant(w, sub.start, sub.end, grant_end);
-            events.push(
-                died + rp.lease_timeout_ns,
-                Event::Recover(RecoverAction::ReclaimChunk { lease: id }),
-            );
-            // Last live worker of the node: its queued-but-untaken
-            // ranges would be stranded in the dead node's window, so
-            // lease them out for migration too.
-            if (0..wpn as usize).all(|l| dead[node_idx * wpn as usize + l]) {
-                for (lo, hi) in node.queue.drain_remaining() {
-                    let id = leases.grant(w, lo, hi, died);
-                    events.push(
-                        died + rp.lease_timeout_ns,
-                        Event::Recover(RecoverAction::ReclaimChunk { lease: id }),
-                    );
-                }
+            let reclaim_at = died + cfg.faults.recovery.lease_timeout_ns;
+            lease_out(leases, events, w, [(sub.start, sub.end)], grant_end, reclaim_at);
+            if node_dead(dead, node_idx, wpn) {
+                lease_out(leases, events, w, node.queue.drain_remaining(), died, reclaim_at);
             }
             return;
         }
@@ -260,6 +275,7 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                 }
                 if let Some(ct) = cfg.faults.crash_at(w).filter(|&ct| ct <= t) {
                     let node_idx = (w / wpn) as usize;
+                    let reclaim_at = ct + rp.lease_timeout_ns;
                     dead[w as usize] = true;
                     finish_time[w as usize] = ct;
                     recovery.push(resilience::RecoveryEvent::Crash {
@@ -275,46 +291,21 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                         // refilling flag stays set until survivors time
                         // the stalled refill out.
                         Event::GlobalArrive(_) => {
-                            events.push(
-                                ct + rp.lease_timeout_ns,
-                                Event::Recover(RecoverAction::ClearRefill {
-                                    node: node_idx,
-                                    from: w,
-                                }),
-                            );
+                            events.push(reclaim_at, clear_refill(node_idx, w));
                         }
                         // Died with a fetched chunk in hand: the global
                         // counters already advanced but the deposit
                         // never happened — the lost-chunk hazard the
                         // lease closes.
                         Event::Deposit(_, payload) => {
-                            if let Some((lo, hi)) = payload {
-                                let id = leases.grant(w, lo, hi, ct);
-                                events.push(
-                                    ct + rp.lease_timeout_ns,
-                                    Event::Recover(RecoverAction::ReclaimChunk { lease: id }),
-                                );
-                            }
-                            events.push(
-                                ct + rp.lease_timeout_ns,
-                                Event::Recover(RecoverAction::ClearRefill {
-                                    node: node_idx,
-                                    from: w,
-                                }),
-                            );
+                            lease_out(&mut leases, &mut events, w, payload, ct, reclaim_at);
+                            events.push(reclaim_at, clear_refill(node_idx, w));
                         }
                         Event::Recover(_) => unreachable!("recover events have no actor"),
                     }
-                    // Node lost its last live worker: migrate the
-                    // stranded local queue via leases.
-                    if (0..wpn as usize).all(|l| dead[node_idx * wpn as usize + l]) {
-                        for (lo, hi) in node_states[node_idx].queue.drain_remaining() {
-                            let id = leases.grant(w, lo, hi, ct);
-                            events.push(
-                                ct + rp.lease_timeout_ns,
-                                Event::Recover(RecoverAction::ReclaimChunk { lease: id }),
-                            );
-                        }
+                    if node_dead(&dead, node_idx, wpn) {
+                        let queued = node_states[node_idx].queue.drain_remaining();
+                        lease_out(&mut leases, &mut events, w, queued, ct, reclaim_at);
                     }
                     continue;
                 }
@@ -346,14 +337,10 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                         repair_at,
                         Event::Recover(RecoverAction::Repair { node: node_idx, dead_holder: w }),
                     );
-                    if (0..wpn as usize).all(|l| dead[node_idx * wpn as usize + l]) {
-                        for (lo, hi) in node.queue.drain_remaining() {
-                            let id = leases.grant(w, lo, hi, grant.start);
-                            events.push(
-                                grant.start + rp.lease_timeout_ns,
-                                Event::Recover(RecoverAction::ReclaimChunk { lease: id }),
-                            );
-                        }
+                    if node_dead(&dead, node_idx, wpn) {
+                        let reclaim_at = grant.start + rp.lease_timeout_ns;
+                        let queued = node.queue.drain_remaining();
+                        lease_out(&mut leases, &mut events, w, queued, grant.start, reclaim_at);
                     }
                     continue;
                 }
@@ -518,6 +505,7 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                             // the global counters advanced but the
                             // chunk never reaches the node queue.
                             let node_idx = (w / wpn) as usize;
+                            let reclaim_at = served + rp.lease_timeout_ns;
                             dead[w as usize] = true;
                             finish_time[w as usize] = served;
                             recovery.push(resilience::RecoveryEvent::Crash {
@@ -525,28 +513,11 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                                 at_ns: served,
                                 holding_lock: false,
                             });
-                            if let Some((lo, hi)) = payload {
-                                let id = leases.grant(w, lo, hi, served);
-                                events.push(
-                                    served + rp.lease_timeout_ns,
-                                    Event::Recover(RecoverAction::ReclaimChunk { lease: id }),
-                                );
-                            }
-                            events.push(
-                                served + rp.lease_timeout_ns,
-                                Event::Recover(RecoverAction::ClearRefill {
-                                    node: node_idx,
-                                    from: w,
-                                }),
-                            );
-                            if (0..wpn as usize).all(|l| dead[node_idx * wpn as usize + l]) {
-                                for (lo, hi) in node_states[node_idx].queue.drain_remaining() {
-                                    let id = leases.grant(w, lo, hi, served);
-                                    events.push(
-                                        served + rp.lease_timeout_ns,
-                                        Event::Recover(RecoverAction::ReclaimChunk { lease: id }),
-                                    );
-                                }
+                            lease_out(&mut leases, &mut events, w, payload, served, reclaim_at);
+                            events.push(reclaim_at, clear_refill(node_idx, w));
+                            if node_dead(&dead, node_idx, wpn) {
+                                let queued = node_states[node_idx].queue.drain_remaining();
+                                lease_out(&mut leases, &mut events, w, queued, served, reclaim_at);
                             }
                             continue;
                         }

@@ -8,6 +8,7 @@
 //! the paper's Figure 2 illustrates and its MPI+MPI approach removes.
 
 use super::{Jitter, RmaTape, SimConfig, SimResult};
+use crate::layout::{GSCHED, GSTEP};
 use crate::queue::{LocalQueue, SubChunk};
 use crate::stats::RunStats;
 use cluster_sim::trace::SegmentKind;
@@ -15,9 +16,6 @@ use cluster_sim::{EventQueue, Resource, Time, Trace};
 use dls::{ChunkCalculator, LoopSpec, SchedState};
 use mpisim::{LockKind, RmaEvent};
 use workloads::CostTable;
-
-const GSTEP: usize = 0;
-const GSCHED: usize = 1;
 
 fn get(disp: usize) -> RmaEvent {
     RmaEvent::Get { target: 0, disp, len: 1 }

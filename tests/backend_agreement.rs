@@ -48,7 +48,9 @@ fn net_backend_agrees_with_live_rma_for_all_pairs() {
     // invariant of the in-process MPI+MPI executor for *every*
     // {STATIC, SS, GSS, TSS, FAC2}^2 combination: exactly-once
     // coverage, the serial checksum, total iterations, and deposits ==
-    // global fetches (one deposit per chunk crossing the wire).
+    // global fetches (one deposit per chunk crossing the wire). Both
+    // global queues size the inter level for `p = nodes`, so the number
+    // of fetches is the technique's step count on either side.
     const KINDS: [Kind; 5] = [Kind::STATIC, Kind::SS, Kind::GSS, Kind::TSS, Kind::FAC2];
     let w = Synthetic::uniform(400, 1, 100, 4);
     for inter in KINDS {
@@ -66,6 +68,15 @@ fn net_backend_agrees_with_live_rma_for_all_pairs() {
             let fetches: u64 = net.stats.workers.iter().map(|w| w.global_fetches).sum();
             let deposits: u64 = net.stats.nodes.iter().map(|n| n.deposits).sum();
             assert_eq!(fetches, deposits, "{pair} deposit discipline");
+            let live_fetches: u64 = live.stats.workers.iter().map(|w| w.global_fetches).sum();
+            // `schedule` builds two nodes.
+            let steps = dls::single_counter::total_steps(
+                &Technique::from_kind(inter),
+                &LoopSpec::new(w.n_iters(), 2),
+            );
+            assert_eq!(fetches, steps, "{pair} net fetches == inter steps for p = nodes");
+            assert_eq!(live_fetches, steps, "{pair} live fetches == inter steps");
+            assert_eq!(snap.jobs[0].step, steps, "{pair} server-side step counter");
             // The server's ledger saw the same run: job complete, every
             // lease settled by its owner, chunks granted == deposits.
             let job = &snap.jobs[0];
