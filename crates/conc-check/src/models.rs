@@ -141,11 +141,20 @@ pub fn admission_model(
 // Shared job (server.rs Job under one shard lock)
 // ---------------------------------------------------------------------------
 
-type SharedJob = Arc<Mutex<ConnJob>>;
+/// What a model's shard mutex guards: the job, and the drivers' own
+/// record of every range they were granted, by (dense) lease id. The
+/// ledger forgets a lease's range at settlement, so this is what the
+/// seeded no-ledger disconnect re-pools from.
+struct Shard {
+    job: ConnJob,
+    granted: Vec<(u64, u64)>,
+}
+
+type SharedJob = Arc<Mutex<Shard>>;
 type JobRecorder = Recorder<JobOp, JobRes>;
 
 fn shared_job(spec: &JobSpec) -> SharedJob {
-    Arc::new(Mutex::new(spec.init()).named("shard"))
+    Arc::new(Mutex::new(Shard { job: spec.init(), granted: Vec::new() }).named("shard"))
 }
 
 fn recorded_fetch(
@@ -157,8 +166,10 @@ fn recorded_fetch(
 ) -> Vec<(LeaseId, u64, u64)> {
     let token = rec.invoke(JobOp::Fetch { worker, conn, batch });
     let granted: Vec<(LeaseId, u64, u64)> = {
-        let mut job = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        job.fetch(worker, conn, batch).iter().map(|g| (g.lease, g.lo, g.hi)).collect()
+        let mut shard = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let grants = shard.job.fetch(worker, conn, batch);
+        shard.granted.extend(grants.iter().map(|g| (g.lo, g.hi)));
+        grants.iter().map(|g| (g.lease, g.lo, g.hi)).collect()
     };
     rec.complete(token, JobRes::Granted(granted.iter().map(|&(_, lo, hi)| (lo, hi)).collect()));
     granted
@@ -167,8 +178,8 @@ fn recorded_fetch(
 fn recorded_report(job: &SharedJob, rec: &JobRecorder, lease: LeaseId, lo: u64, hi: u64) {
     let token = rec.invoke(JobOp::Report { lo, hi });
     let credited = {
-        let mut job = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        job.report(lease)
+        let mut shard = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        shard.job.report(lease)
     };
     rec.complete(token, JobRes::Reported(credited));
 }
@@ -176,7 +187,8 @@ fn recorded_report(job: &SharedJob, rec: &JobRecorder, lease: LeaseId, lo: u64, 
 fn recorded_disconnect(job: &SharedJob, rec: &JobRecorder, conn: u64, variant: Variant) {
     let token = rec.invoke(JobOp::Disconnect { conn });
     let reclaimed = {
-        let mut job = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut shard = job.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let Shard { job, granted } = &mut *shard;
         match variant {
             Variant::ReclaimWithoutLedger => {
                 // Seeded bug: trust the reverse index alone and re-pool
@@ -185,9 +197,7 @@ fn recorded_disconnect(job: &SharedJob, rec: &JobRecorder, conn: u64, variant: V
                 // served again.
                 let leases = job.conn_leases.remove(&conn).unwrap_or_default();
                 for &lease in &leases {
-                    if let Some(l) = job.core.leases.get(lease).copied() {
-                        job.core.reclaim_pool.push_back((l.lo, l.hi));
-                    }
+                    job.core.reclaim_pool.push_back(granted[lease as usize]);
                 }
                 leases.len() as u64
             }

@@ -245,4 +245,45 @@ mod tests {
         assert_eq!(c.fetch(job, 0, 1).unwrap(), FetchReply::Done);
         srv.shutdown();
     }
+
+    #[test]
+    fn max_jobs_caps_unfinished_jobs_not_jobs_ever_created() {
+        let cfg = ServiceConfig { max_jobs: 2, ..Default::default() };
+        let srv = Server::start(cfg, "127.0.0.1:0").expect("bind");
+        let mut c = Client::connect(srv.addr()).unwrap();
+        let first = c.create_job(4, Kind::SS, &[]).unwrap();
+        c.create_job(4, Kind::SS, &[]).unwrap();
+        let full = c.create_job(4, Kind::SS, &[]).unwrap_err();
+        assert!(matches!(full, ClientError::Server { code: ErrorCode::TooManyJobs, .. }));
+        // An empty loop is born finished and needs no slot.
+        c.create_job(0, Kind::SS, &[]).unwrap();
+
+        drive_job_batched(&mut c, first, 0, 4, &mut |i| i).unwrap();
+        c.create_job(4, Kind::SS, &[]).expect("the finished job's slot is free again");
+        let full = c.create_job(4, Kind::SS, &[]).unwrap_err();
+        assert!(matches!(full, ClientError::Server { code: ErrorCode::TooManyJobs, .. }));
+        let totals = c.stats().unwrap().totals;
+        assert_eq!((totals.jobs_created, totals.jobs_active), (4, 2));
+        srv.shutdown();
+    }
+
+    #[test]
+    fn a_lease_settled_over_another_connection_is_not_reclaimed() {
+        let srv = server();
+        let mut owner = Client::connect(srv.addr()).unwrap();
+        let mut other = Client::connect(srv.addr()).unwrap();
+        let job = owner.create_job(10, Kind::SS, &[]).unwrap();
+        let FetchReply::Chunks(held) = owner.fetch(job, 0, 2).unwrap() else { panic!("chunks") };
+        // The protocol lets any connection settle any lease; the server
+        // must take it off the *granting* connection's list.
+        other.report_done(job, &[held[0].lease]).unwrap();
+        drop(owner);
+        let reclaimed = |c: &mut Client| c.stats().unwrap().jobs[0].leases_reclaimed;
+        while reclaimed(&mut other) == 0 {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        let j = &other.stats().unwrap().jobs[0];
+        assert_eq!((j.leases_granted, j.leases_completed, j.leases_reclaimed), (2, 1, 1));
+        srv.shutdown();
+    }
 }

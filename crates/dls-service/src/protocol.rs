@@ -312,6 +312,13 @@ fn read_decision(r: &mut Reader<'_>) -> Result<Decision, DecodeError> {
     Ok(Decision { seq, step, scheduled, from, to, reason })
 }
 
+/// The rows a `u16` count can announce: the last `u16::MAX` of `rows`.
+/// `State::snapshot` sorts jobs and connections by id, so a `Stats`
+/// reply over more rows than that carries the most recent ones.
+fn newest<T>(rows: &[T]) -> &[T] {
+    &rows[rows.len().saturating_sub(usize::from(u16::MAX))..]
+}
+
 fn write_decisions(w: &mut Writer, decisions: &[Decision]) {
     w.u16(decisions.len() as u16);
     for d in decisions {
@@ -803,8 +810,9 @@ impl Response {
                 {
                     w.u64(v);
                 }
-                w.u16(s.jobs.len() as u16);
-                for j in &s.jobs {
+                let jobs = newest(&s.jobs);
+                w.u16(jobs.len() as u16);
+                for j in jobs {
                     for v in [
                         j.job,
                         j.n,
@@ -826,8 +834,9 @@ impl Response {
                     w.u8(j.mode.map_or(u8::MAX, SchedKind::to_byte));
                     write_decisions(&mut w, &j.decisions);
                 }
-                w.u16(s.conns.len() as u16);
-                for c in &s.conns {
+                let conns = newest(&s.conns);
+                w.u16(conns.len() as u16);
+                for c in conns {
                     w.u64(c.conn);
                     w.u32(c.worker);
                     for v in
@@ -1073,6 +1082,19 @@ mod tests {
             conns: vec![ConnSnapshot { conn: 0, worker: 3, open: true, ..Default::default() }],
         };
         roundtrip_resp(Response::Snapshot(snap));
+    }
+
+    #[test]
+    fn snapshot_over_u16_max_rows_keeps_the_newest() {
+        let row = |conn| ConnSnapshot { conn, ..Default::default() };
+        let snap = StatsSnapshot { conns: (0..70_000).map(row).collect(), ..Default::default() };
+        let Ok(Response::Snapshot(back)) = Response::decode(&Response::Snapshot(snap).encode())
+        else {
+            panic!("the count written must match the rows written");
+        };
+        assert_eq!(back.conns.len(), usize::from(u16::MAX));
+        assert_eq!(back.conns.first(), Some(&row(70_000 - u64::from(u16::MAX))));
+        assert_eq!(back.conns.last(), Some(&row(69_999)));
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub struct ServiceConfig {
     /// Largest unsettled-lease count per `(job, worker)` — a worker
     /// must report before it can hoard more chunks.
     pub worker_quota: u32,
-    /// Jobs the table will hold.
+    /// Unfinished jobs the table will hold at once.
     pub max_jobs: u32,
     /// Largest accepted frame payload.
     pub max_frame: u32,
@@ -104,9 +104,9 @@ pub(crate) struct Job {
     core: JobCore,
     /// Online technique selector; `Some` iff the job's mode is `AUTO`.
     tuner: Option<Tuner>,
-    /// Active lease -> connection that holds it.
-    lease_conn: HashMap<LeaseId, u64>,
-    /// Connection -> its active leases (reverse index for disconnect).
+    /// Connection -> the unsettled leases granted over it, in grant
+    /// order — the one record of which socket holds what (the ledger's
+    /// `owner` names a worker, and a worker may reconnect).
     conn_leases: HashMap<u64, Vec<LeaseId>>,
     /// Unsettled leases per worker (quota enforcement).
     outstanding: HashMap<u32, u32>,
@@ -136,7 +136,6 @@ impl Job {
         Job {
             core,
             tuner,
-            lease_conn: HashMap::new(),
             conn_leases: HashMap::new(),
             outstanding: HashMap::new(),
             fetches: 0,
@@ -155,14 +154,14 @@ impl Job {
             return grants;
         }
         self.conn_leases.entry(conn).or_default().extend(grants.iter().map(|g| g.lease));
-        self.lease_conn.extend(grants.iter().map(|g| (g.lease, conn)));
         *self.outstanding.entry(worker).or_insert(0) += grants.len() as u32;
         self.chunks_granted += grants.len() as u64;
         grants
     }
 
-    /// Settle one reported lease. Returns the iteration count credited.
-    fn report(&mut self, lease: LeaseId, now_ns: u64) -> Result<u64, ErrorCode> {
+    /// Settle one lease reported over `conn`. Returns the iteration
+    /// count credited.
+    fn report(&mut self, lease: LeaseId, conn: u64, now_ns: u64) -> Result<u64, ErrorCode> {
         let s = self.core.settle(lease, now_ns).map_err(|_| ErrorCode::StaleLease)?;
         // Grant-to-settle latency is the monitor's whole signal: the
         // kernel fed it to the adaptive scheduler's rate estimate, the
@@ -170,21 +169,25 @@ impl Job {
         if let Some(t) = self.tuner.as_mut() {
             t.observe(ChunkSample { worker: s.worker, len: s.len, latency_ns: s.latency_ns });
         }
-        if let Some(conn) = self.release(lease, s.worker) {
-            if let Some(list) = self.conn_leases.get_mut(&conn) {
-                list.retain(|&l| l != lease);
-            }
+        self.release(s.worker);
+        // The lease is listed under the connection it was granted over:
+        // the reporting one, unless a client settled another's lease
+        // (the protocol allows it) — only then are the other lists
+        // searched.
+        let unlist = |list: &mut Vec<LeaseId>| {
+            list.iter().position(|&l| l == lease).map(|at| list.remove(at)).is_some()
+        };
+        if !self.conn_leases.get_mut(&conn).is_some_and(unlist) {
+            self.conn_leases.values_mut().any(unlist);
         }
         Ok(s.len)
     }
 
-    /// Drop a no-longer-active lease from the quota count and the
-    /// lease -> connection index; returns the connection that held it.
-    fn release(&mut self, lease: LeaseId, worker: u32) -> Option<u64> {
+    /// Drop a no-longer-active lease from `worker`'s quota count.
+    fn release(&mut self, worker: u32) {
         if let Some(o) = self.outstanding.get_mut(&worker) {
             *o = o.saturating_sub(1);
         }
-        self.lease_conn.remove(&lease)
     }
 
     /// One settle elapsed: let the tuner re-evaluate at its batch
@@ -211,10 +214,8 @@ impl Job {
             // ledger transition must succeed; a failure here would mean
             // a double settlement and is a server bug worth surfacing.
             match self.core.reclaim(lease) {
-                Ok(_) => {
-                    if let Some(worker) = self.core.leases.get(lease).map(|l| l.owner) {
-                        self.release(lease, worker);
-                    }
+                Ok(l) => {
+                    self.release(l.owner);
                     reclaimed.push(lease);
                 }
                 Err(e) => debug_assert!(false, "disconnect reclaim hit settled lease: {e}"),
@@ -262,8 +263,10 @@ pub(crate) struct State {
     pub(crate) cfg: ServiceConfig,
     epoch: Instant,
     pub(crate) shards: Vec<Mutex<HashMap<u64, Job>>>,
+    /// Jobs ever created — the next job id. Monotone.
     next_job: AtomicU64,
-    jobs_created: AtomicU64,
+    /// Jobs not yet done: what `max_jobs` admits against.
+    jobs_live: AtomicU64,
     pub(crate) next_conn: AtomicU64,
     // Ordering discipline for the counters below: every writer uses an
     // RMW (`fetch_add`/`fetch_sub`/`fetch_max`/`fetch_update`), and an
@@ -273,7 +276,7 @@ pub(crate) struct State {
     // admission model). `Relaxed` is about visibility to *other*
     // memory, which none of these counters guard. The two sites with a
     // hard cross-thread invariant — the `conns_active` admission CAS
-    // and the `jobs_created` cap CAS — use `SeqCst` anyway so the cap
+    // and the `jobs_live` cap CAS — use `SeqCst` anyway so the cap
     // check is also ordered against the `shutdown` flag.
     pub(crate) conns_active: AtomicU64,
     pub(crate) conns_total: AtomicU64,
@@ -313,7 +316,7 @@ impl State {
             epoch: Instant::now(),
             shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             next_job: AtomicU64::new(0),
-            jobs_created: AtomicU64::new(0),
+            jobs_live: AtomicU64::new(0),
             next_conn: AtomicU64::new(0),
             conns_active: AtomicU64::new(0),
             conns_total: AtomicU64::new(0),
@@ -343,7 +346,8 @@ impl State {
         self.last_snap_records = AtomicU64::new(journal.stats().records);
         self.journal = Some(Mutex::new(journal));
         self.next_job = AtomicU64::new(rec.jobs_created);
-        self.jobs_created = AtomicU64::new(rec.jobs_created);
+        let live = rec.jobs.values().filter(|core| !core.done).count();
+        self.jobs_live = AtomicU64::new(live as u64);
         for (id, core) in rec.jobs {
             let shard = self.shard_index(id);
             if let Ok(mut jobs) = self.shards[shard].lock() {
@@ -429,7 +433,7 @@ impl State {
     /// journal lock. The image may run *ahead* of the committed journal
     /// — replay idempotence makes the overlap harmless.
     fn serialize_live(&self) -> Vec<u8> {
-        let jobs_created = self.jobs_created.load(Ordering::SeqCst);
+        let jobs_created = self.next_job.load(Ordering::SeqCst);
         let mut ids = Vec::new();
         for shard in &self.shards {
             if let Ok(shard) = shard.lock() {
@@ -500,7 +504,7 @@ impl State {
                 chunks_granted: self.chunks_granted.load(Ordering::Relaxed),
                 reclaims: self.reclaims.load(Ordering::Relaxed),
                 empty_polls: self.empty_polls.load(Ordering::Relaxed),
-                jobs_created: self.jobs_created.load(Ordering::Relaxed),
+                jobs_created: self.next_job.load(Ordering::Relaxed),
                 jobs_active,
                 conns_active: self.conns_active.load(Ordering::Relaxed),
                 conns_total: self.conns_total.load(Ordering::Relaxed),
@@ -555,7 +559,7 @@ impl State {
                         ),
                     };
                 }
-                let (resp, credited) = self.report(job, &leases);
+                let (resp, credited) = self.report(job, &leases, conn);
                 if matches!(resp, Response::Ack) {
                     stat.iterations += credited;
                 }
@@ -623,13 +627,17 @@ impl State {
         // check and overshoot `max_jobs` (the same check-then-act shape
         // as the old connection-admission bug; pinned by the
         // `conc-check` admission model and the cap model below).
+        // The cap is on unfinished jobs: the slot is given back where
+        // `report` sees the job complete, and an empty loop, born
+        // finished, takes none.
         let cap = u64::from(self.cfg.max_jobs);
-        if self
-            .jobs_created
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |created| {
-                (created < cap).then_some(created + 1)
-            })
-            .is_err()
+        if n > 0
+            && self
+                .jobs_live
+                .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |live| {
+                    (live < cap).then_some(live + 1)
+                })
+                .is_err()
         {
             return Response::Error {
                 code: ErrorCode::TooManyJobs,
@@ -749,9 +757,10 @@ impl State {
         (Response::Chunks { chunks, epoch: self.journal_epoch }, tally)
     }
 
-    /// Settle `leases` in order, stopping at the first stale one. Returns
-    /// the reply and the iterations the settled prefix credited.
-    fn report(&self, job: u64, leases: &[LeaseId]) -> (Response, u64) {
+    /// Settle `leases`, reported over `conn`, in order, stopping at the
+    /// first stale one. Returns the reply and the iterations the settled
+    /// prefix credited.
+    fn report(&self, job: u64, leases: &[LeaseId], conn: u64) -> (Response, u64) {
         let unknown = |detail: String| (Response::Error { code: ErrorCode::UnknownJob, detail }, 0);
         let Ok(mut shard) = self.shard_of(job).lock() else {
             return unknown("shard poisoned".into());
@@ -766,7 +775,7 @@ impl State {
         let mut switched = Vec::new();
         let mut failed = None;
         for &lease in leases {
-            match j.report(lease, now_ns) {
+            match j.report(lease, conn, now_ns) {
                 Ok(len) => {
                     settled.push(lease);
                     credited += len;
@@ -798,6 +807,9 @@ impl State {
         }
         if !was_done && j.core.done {
             self.journal_append(&JournalRecord::JobFinished { job });
+            // Relaxed for the same reason as `conns_active` in
+            // `disconnect`: a slot seen late can only under-admit.
+            self.jobs_live.fetch_sub(1, Ordering::Relaxed);
         }
         let resp = match failed {
             Some((lease, code)) => Response::Error {

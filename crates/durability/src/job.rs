@@ -29,10 +29,6 @@ use resilience::lease::{Lease, LeaseError, LeaseId, LeaseTable};
 use crate::record::{encode_decision, GrantEntry, JournalRecord, Reader};
 use crate::replay::ReplayError;
 
-/// Rank the ledger records as the reclaimer of every server-side
-/// reclaim — a dead connection or a dead epoch; no worker performs it.
-pub const RECLAIMER: u32 = u32::MAX;
-
 /// What one [`JobCore::settle`] credited, and the measurement the
 /// monitor layers (adaptive scheduler, tuner) feed on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,7 +64,7 @@ pub struct JobCore {
     pub reclaim_pool: VecDeque<(u64, u64)>,
     /// Technique switches in dense `seq` order.
     pub decisions: Vec<Decision>,
-    /// Full lease ledger (dense ids).
+    /// Lease ledger: the unsettled leases and the settlement totals.
     pub leases: LeaseTable,
     /// Sizing view of the counters. In lockstep with them on the live
     /// path; [`JobCore::apply`] moves the counters without it, and
@@ -166,20 +162,20 @@ impl JobCore {
 
     /// The ledger half of a settlement (all that replay needs).
     fn credit(&mut self, lease: LeaseId) -> Result<Lease, LeaseError> {
-        let l = *self.leases.get(lease).ok_or(LeaseError::Unknown(lease))?;
-        self.leases.complete(lease)?;
+        let l = self.leases.complete(lease)?;
         self.completed += l.hi - l.lo;
         self.done |= self.completed == self.n;
         Ok(l)
     }
 
-    /// Take `lease` back from a dead owner: only an Active → Reclaimed
-    /// ledger transition re-pools the range, so a lease settled first
-    /// is an error here and its range is never served twice.
-    pub fn reclaim(&mut self, lease: LeaseId) -> Result<(u64, u64), LeaseError> {
-        let range = self.leases.reclaim(lease, RECLAIMER)?;
-        self.reclaim_pool.push_back(range);
-        Ok(range)
+    /// Take `lease` back from a dead owner — a dead connection or a
+    /// dead epoch: only the ledger's single settlement re-pools the
+    /// range, so a lease settled first is an error here and its range
+    /// is never served twice. Returns the reclaimed lease.
+    pub fn reclaim(&mut self, lease: LeaseId) -> Result<Lease, LeaseError> {
+        let l = self.leases.reclaim(lease)?;
+        self.reclaim_pool.push_back((l.lo, l.hi));
+        Ok(l)
     }
 
     /// Switch technique: the new calculator is re-based onto the
@@ -216,7 +212,7 @@ impl JobCore {
 
     /// Apply one journal record addressed to this job. Idempotent: a
     /// record the state already reflects is a no-op — counters advance
-    /// by max-watermark, lease ids already in the ledger are skipped,
+    /// by max-watermark, lease ids the ledger already granted are skipped,
     /// and so are settlements of leases already settled — which is what
     /// lets a snapshot taken from *live* state run ahead of its journal
     /// position.

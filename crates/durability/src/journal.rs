@@ -33,8 +33,10 @@ use crate::frame;
 use crate::record::JournalRecord;
 use crate::replay::{RecoveredState, ReplayError};
 
-/// Magic at the start of a snapshot file.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DLSSNAP1";
+/// Magic at the start of a snapshot file; the digit versions the body
+/// layout. `DLSSNAP1` bodies carried a row per lease ever granted and
+/// are refused as [`RecoverError::BadSnapshot`], like any other magic.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DLSSNAP2";
 
 /// When to fsync committed records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -789,9 +791,12 @@ mod tests {
         assert!("sometimes".parse::<SyncPolicy>().is_err());
     }
 
-    #[test]
-    fn corrupt_snapshot_is_a_typed_error() {
-        let dir = tmpdir("badsnap");
+    /// Install a snapshot, `damage` its file, and reopen the journal.
+    fn open_with_damaged_snapshot(
+        tag: &str,
+        damage: impl Fn(&mut Vec<u8>),
+    ) -> Option<RecoverError> {
+        let dir = tmpdir(tag);
         let (mut j, _) = Journal::open(opts(&dir)).unwrap();
         let boundary = j.begin_snapshot().unwrap();
         let state = Journal::replay_dir(&dir).unwrap();
@@ -799,10 +804,27 @@ mod tests {
         drop(j);
         let snap = snap_path(&dir, boundary);
         let mut bytes = fs::read(&snap).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
+        damage(&mut bytes);
         fs::write(&snap, &bytes).unwrap();
-        assert!(matches!(Journal::open(opts(&dir)), Err(RecoverError::BadSnapshot { .. })));
+        let reopened = Journal::open(opts(&dir)).err();
         fs::remove_dir_all(&dir).unwrap();
+        reopened
+    }
+
+    #[test]
+    fn corrupt_snapshot_is_a_typed_error() {
+        let err = open_with_damaged_snapshot("badsnap", |bytes| *bytes.last_mut().unwrap() ^= 0x01);
+        assert!(matches!(err, Some(RecoverError::BadSnapshot { .. })));
+    }
+
+    #[test]
+    fn version_1_snapshot_is_a_typed_error() {
+        // Only the magic differs, so the CRC still matches: the refusal
+        // is the version check, not a checksum accident.
+        let err = open_with_damaged_snapshot("v1snap", |bytes| {
+            assert_eq!(&bytes[..8], b"DLSSNAP2");
+            bytes[..8].copy_from_slice(b"DLSSNAP1");
+        });
+        assert!(matches!(err, Some(RecoverError::BadSnapshot { .. })));
     }
 }

@@ -347,27 +347,41 @@ mod tests {
         }
     }
 
-    /// `small_run()` + `JobFinished` + `Drained`, serialized at the
-    /// commit before replay and the live server were moved onto the
-    /// shared kernel: the on-disk snapshot layout must not drift.
-    const GOLDEN_DIGEST: u64 = 0x9f54_30a5_4543_97fa;
+    /// `small_run()` + `JobFinished` + `Drained`: the on-disk snapshot
+    /// body (layout 2, behind the `DLSSNAP2` magic) must not drift.
+    const GOLDEN_DIGEST: u64 = 0x0174_bc08_ed6c_4f45;
     const GOLDEN_HEX: &str = "\
         0100000001010000000000000001000000000000000000000000000000640000\
         00000000000f0000000002000000000000000200000000000000010000000000\
         0000010000000000000000020000000000000002000000000000000200000000\
         0000000102000100000003000000000000000200000000000000020a00030000\
-        0000000000010000000000000000000000010000000000000000000000000000\
-        00010200000001000000000000000200000000000000000000000000000002ff\
-        ffffff0300000001000000000000000200000000000000000000000000000000";
+        0000000000010000000000000001000000000000000100000000000000020000\
+        0000000000030000000100000000000000020000000000000000000000000000\
+        00";
 
     #[test]
     fn on_disk_format_is_pinned() {
         let mut st = apply_all(&small_run());
         st.apply(&JournalRecord::JobFinished { job: 0 }).unwrap();
         st.apply(&JournalRecord::Drained { epoch: 1 }).unwrap();
-        let hex: String = st.serialize().iter().map(|b| format!("{b:02x}")).collect();
+        let bytes = st.serialize();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
         assert_eq!(hex, GOLDEN_HEX);
         assert_eq!(st.digest(), GOLDEN_DIGEST);
+
+        // The ledger closes the job entry. Of three leases granted only
+        // the unsettled one has a row; the other two are the counters.
+        let mut r = Reader { bytes: &bytes, off: bytes.len() - (4 * 8 + 36) };
+        assert_eq!(r.u64(), Some(3), "granted");
+        assert_eq!(r.u64(), Some(1), "completed");
+        assert_eq!(r.u64(), Some(1), "reclaimed");
+        assert_eq!(r.u64(), Some(1), "unsettled rows");
+        assert_eq!(r.u64(), Some(2), "id");
+        assert_eq!(r.u32(), Some(3), "owner");
+        assert_eq!(r.u64(), Some(1), "lo");
+        assert_eq!(r.u64(), Some(2), "hi");
+        assert_eq!(r.u64(), Some(0), "granted_ns (replayed grants are stamped 0)");
+        assert_eq!(r.done(), Some(()));
     }
 
     #[test]

@@ -50,8 +50,8 @@ impl Sim {
 
     /// Settle a lease; returns its range.
     fn settle(&mut self, lease: u64) -> (u64, u64) {
+        let l = *self.job.leases.get(lease).expect("held lease is in the ledger");
         self.job.settle(lease, 0).expect("settle active lease");
-        let l = self.job.leases.get(lease).expect("settled lease is in the ledger");
         (l.lo, l.hi)
     }
 

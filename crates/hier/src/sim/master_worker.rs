@@ -330,12 +330,9 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
                 }
             }
             Event::Reclaim { lease } => {
-                let Some(&resilience::Lease { owner, state, .. }) = leases.get(lease) else {
+                let Some(&resilience::Lease { owner, .. }) = leases.get(lease) else {
                     continue;
                 };
-                if state != resilience::LeaseState::Active {
-                    continue;
-                }
                 // Elect the surviving worker the re-issued chunk goes
                 // to: prefer the dead owner's node (hierarchical),
                 // prefer ranks without a pending crash of their own.
@@ -356,7 +353,8 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
                 let Some(by) = by else {
                     continue; // nobody left alive to reclaim
                 };
-                let (lo, hi) = leases.reclaim(lease, by).expect("lease checked active");
+                let resilience::Lease { lo, hi, .. } =
+                    leases.reclaim(lease).expect("lease checked active");
                 recovery.push(resilience::RecoveryEvent::LeaseExpired { owner, lo, hi, at_ns: t });
                 recovery.push(resilience::RecoveryEvent::Reclaim { by, owner, lo, hi, at_ns: t });
                 stats.workers[by as usize].reclaims += 1;

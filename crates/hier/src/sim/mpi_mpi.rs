@@ -593,12 +593,9 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
             }
             Event::Recover(action) => match action {
                 RecoverAction::ReclaimChunk { lease } => {
-                    let Some(&resilience::Lease { owner, state, .. }) = leases.get(lease) else {
+                    let Some(&resilience::Lease { owner, .. }) = leases.get(lease) else {
                         continue;
                     };
-                    if state != resilience::LeaseState::Active {
-                        continue;
-                    }
                     // Elect the reclaiming survivor: prefer the dead
                     // owner's own node (its shared window keeps the
                     // queue reachable), prefer ranks without a pending
@@ -614,7 +611,8 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                     let Some(by) = by else {
                         continue; // nobody left alive to reclaim
                     };
-                    let (lo, hi) = leases.reclaim(lease, by).expect("lease checked active");
+                    let resilience::Lease { lo, hi, .. } =
+                        leases.reclaim(lease).expect("lease checked active");
                     let target = (by / wpn) as usize;
                     recovery.push(resilience::RecoveryEvent::LeaseExpired {
                         owner,

@@ -94,19 +94,17 @@ pub fn simulate_mpi_omp(cfg: &SimConfig, table: &CostTable) -> SimResult {
         let node = match ev {
             Event::FetchArrive(n) => n,
             Event::Reclaim { lease } => {
-                let Some(&resilience::Lease { owner, state, .. }) = leases.get(lease) else {
+                let Some(&resilience::Lease { owner, .. }) = leases.get(lease) else {
                     continue;
                 };
-                if state != resilience::LeaseState::Active {
-                    continue;
-                }
                 // Hand the expired lease's range to the first surviving
                 // node's master and wake it.
                 let Some(target) = (0..nodes).find(|&n| !dead_node[n as usize]) else {
                     continue; // nobody left alive to reclaim
                 };
                 let by = target * threads;
-                let (lo, hi) = leases.reclaim(lease, by).expect("lease checked active");
+                let resilience::Lease { lo, hi, .. } =
+                    leases.reclaim(lease).expect("lease checked active");
                 recovery.push(resilience::RecoveryEvent::LeaseExpired { owner, lo, hi, at_ns: t });
                 recovery.push(resilience::RecoveryEvent::Reclaim { by, owner, lo, hi, at_ns: t });
                 stats.workers[by as usize].reclaims += 1;

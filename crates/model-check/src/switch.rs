@@ -263,8 +263,7 @@ impl JobModel {
     /// Settle the oldest in-flight lease.
     fn settle(&mut self) -> Result<(), SwitchViolation> {
         let id = self.outstanding.pop_front().expect("settle with nothing in flight");
-        let lease = *self.leases.get(id).expect("granted lease");
-        self.leases.complete(id).expect("single settlement");
+        let lease = self.leases.complete(id).expect("single settlement");
         for i in lease.lo..lease.hi.min(self.cfg.n) {
             self.counts[usize::try_from(i).expect("small-scope n")] += 1;
         }
@@ -307,8 +306,8 @@ impl JobModel {
         self.outstanding.clear();
         let ids: Vec<u64> = self.leases.active(None).map(|l| l.id).collect();
         for id in ids {
-            let range = self.leases.reclaim(id, 0).expect("re-arm active lease");
-            self.pool.push(range);
+            let lease = self.leases.reclaim(id).expect("re-arm active lease");
+            self.pool.push((lease.lo, lease.hi));
         }
         // Deterministic re-serve order: lowest range first (popped last).
         self.pool.sort_unstable_by(|a, b| b.cmp(a));

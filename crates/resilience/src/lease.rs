@@ -8,32 +8,24 @@
 //! is the bookkeeping half of that idea; the windows carry the same
 //! `(owner, range, epoch)` triple for the real-thread executors.
 //!
-//! The critical invariant is **single settlement**: a lease transitions
-//! out of [`LeaseState::Active`] exactly once. Completing or reclaiming
-//! a lease twice — the double-reclaim that would re-execute iterations —
-//! is a [`LeaseError`], not a silent no-op, so executors cannot paper
-//! over a race in the recovery path.
+//! The critical invariant is **single settlement**: a lease is settled
+//! — completed or reclaimed — exactly once. The table holds a row for
+//! as long as its lease is unsettled and drops it at the settlement,
+//! which hands the row back; what outlives it are three counters. Ids
+//! are dense, so an id below the grant counter with no row is a lease
+//! already settled: completing or reclaiming it again — the
+//! double-reclaim that would re-execute iterations — is a
+//! [`LeaseError`], not a silent no-op, so executors cannot paper over
+//! a race in the recovery path.
+
+use std::collections::BTreeMap;
 
 use cluster_sim::Time;
 
 /// Identifier of a lease within one [`LeaseTable`] (dense, 0-based).
 pub type LeaseId = u64;
 
-/// Lifecycle state of a lease.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum LeaseState {
-    /// Granted, not yet settled.
-    Active,
-    /// The owner finished the range.
-    Completed,
-    /// A survivor reclaimed the range after the owner died.
-    Reclaimed {
-        /// Rank that performed the reclamation.
-        by: u32,
-    },
-}
-
-/// One granted range.
+/// One granted, not yet settled range.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Lease {
     /// Identifier within the table.
@@ -46,8 +38,6 @@ pub struct Lease {
     pub hi: u64,
     /// Virtual time of the grant.
     pub granted_ns: Time,
-    /// Settlement state.
-    pub state: LeaseState,
 }
 
 /// Misuse of the lease lifecycle.
@@ -55,37 +45,40 @@ pub struct Lease {
 pub enum LeaseError {
     /// The id was never granted.
     Unknown(LeaseId),
-    /// Settling a lease that was already completed by its owner.
-    AlreadyCompleted(LeaseId),
-    /// Settling a lease that was already reclaimed — the double-reclaim
-    /// that would duplicate work.
-    AlreadyReclaimed {
-        /// The offending lease.
-        lease: LeaseId,
-        /// Who reclaimed it first.
-        by: u32,
-    },
+    /// The lease was already completed or reclaimed — settling it again
+    /// would credit or re-pool its range twice.
+    Settled(LeaseId),
 }
 
 impl std::fmt::Display for LeaseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LeaseError::Unknown(id) => write!(f, "lease {id} was never granted"),
-            LeaseError::AlreadyCompleted(id) => write!(f, "lease {id} already completed"),
-            LeaseError::AlreadyReclaimed { lease, by } => {
-                write!(f, "lease {lease} already reclaimed by rank {by}")
-            }
+            LeaseError::Settled(id) => write!(f, "lease {id} already settled"),
         }
     }
 }
 
 impl std::error::Error for LeaseError {}
 
-/// Table of all leases granted during one run.
-#[derive(Clone, Debug, Default)]
+/// The unsettled leases of one run, and how many were ever granted,
+/// completed and reclaimed. Memory and image size follow the leases in
+/// flight, not the leases ever granted: ids settle in near-grant order
+/// but one may stay unsettled while millions behind it come and go, so
+/// the rows live in an ordered map rather than behind a watermark.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LeaseTable {
-    leases: Vec<Lease>,
+    live: BTreeMap<LeaseId, Lease>,
+    /// Leases ever granted — the next id.
+    granted: u64,
+    completed: u64,
+    reclaimed: u64,
 }
+
+/// Encoded size of the counters and the live count.
+const IMAGE_HEADER: usize = 4 * 8;
+/// Encoded size of one live row.
+const IMAGE_ROW: usize = 8 + 4 + 8 + 8 + 8;
 
 impl LeaseTable {
     /// Empty table.
@@ -96,92 +89,86 @@ impl LeaseTable {
     /// Record a grant of `[lo, hi)` to `owner` at `now`.
     pub fn grant(&mut self, owner: u32, lo: u64, hi: u64, now: Time) -> LeaseId {
         debug_assert!(lo < hi, "empty lease [{lo}, {hi})");
-        let id = self.leases.len() as LeaseId;
-        self.leases.push(Lease { id, owner, lo, hi, granted_ns: now, state: LeaseState::Active });
+        let id = self.granted;
+        self.granted += 1;
+        self.live.insert(id, Lease { id, owner, lo, hi, granted_ns: now });
         id
     }
 
-    /// The owner finished the range.
-    pub fn complete(&mut self, id: LeaseId) -> Result<(), LeaseError> {
-        let lease = self.leases.get_mut(id as usize).ok_or(LeaseError::Unknown(id))?;
-        match lease.state {
-            LeaseState::Active => {
-                lease.state = LeaseState::Completed;
-                Ok(())
-            }
-            LeaseState::Completed => Err(LeaseError::AlreadyCompleted(id)),
-            LeaseState::Reclaimed { by } => Err(LeaseError::AlreadyReclaimed { lease: id, by }),
+    /// The single settlement: drop the row and hand it back.
+    fn settle(&mut self, id: LeaseId) -> Result<Lease, LeaseError> {
+        match self.live.remove(&id) {
+            Some(lease) => Ok(lease),
+            None if id < self.granted => Err(LeaseError::Settled(id)),
+            None => Err(LeaseError::Unknown(id)),
         }
     }
 
-    /// A survivor reclaims the range after the owner's death. Returns
-    /// the range to re-execute. Reclaiming a settled lease is an error:
-    /// recovery code must hold whatever mutual exclusion makes the
-    /// first reclaim win before calling this.
-    pub fn reclaim(&mut self, id: LeaseId, by: u32) -> Result<(u64, u64), LeaseError> {
-        let lease = self.leases.get_mut(id as usize).ok_or(LeaseError::Unknown(id))?;
-        match lease.state {
-            LeaseState::Active => {
-                lease.state = LeaseState::Reclaimed { by };
-                Ok((lease.lo, lease.hi))
-            }
-            LeaseState::Completed => Err(LeaseError::AlreadyCompleted(id)),
-            LeaseState::Reclaimed { by } => Err(LeaseError::AlreadyReclaimed { lease: id, by }),
-        }
+    /// The owner finished the range. Returns the settled lease.
+    pub fn complete(&mut self, id: LeaseId) -> Result<Lease, LeaseError> {
+        let lease = self.settle(id)?;
+        self.completed += 1;
+        Ok(lease)
     }
 
-    /// Look up a lease.
+    /// The range is taken back after the owner's death. Returns the
+    /// settled lease, whose range is to be re-executed. Reclaiming a
+    /// settled lease is an error: recovery code must hold whatever
+    /// mutual exclusion makes the first reclaim win before calling this.
+    pub fn reclaim(&mut self, id: LeaseId) -> Result<Lease, LeaseError> {
+        let lease = self.settle(id)?;
+        self.reclaimed += 1;
+        Ok(lease)
+    }
+
+    /// Look up an unsettled lease.
     pub fn get(&self, id: LeaseId) -> Option<&Lease> {
-        self.leases.get(id as usize)
+        self.live.get(&id)
     }
 
-    /// All leases still active (granted to `owner` if given).
+    /// The unsettled leases (granted to `owner` if given), in id order.
     pub fn active(&self, owner: Option<u32>) -> impl Iterator<Item = &Lease> {
-        self.leases
-            .iter()
-            .filter(move |l| l.state == LeaseState::Active && owner.is_none_or(|o| l.owner == o))
-    }
-
-    /// All leases in grant order (dense ids `0..len`).
-    pub fn iter(&self) -> impl Iterator<Item = &Lease> {
-        self.leases.iter()
+        self.live.values().filter(move |l| owner.is_none_or(|o| l.owner == o))
     }
 
     /// Number of leases ever granted.
     pub fn len(&self) -> u64 {
-        self.leases.len() as u64
+        self.granted
     }
 
     /// True when no lease has been granted.
     pub fn is_empty(&self) -> bool {
-        self.leases.is_empty()
+        self.granted == 0
+    }
+
+    /// `(granted, completed, reclaimed)` totals.
+    pub fn counts(&self) -> (u64, u64, u64) {
+        (self.granted, self.completed, self.reclaimed)
     }
 
     /// Append the ledger's canonical little-endian serialization to
-    /// `out`: count, then per lease `owner, lo, hi, granted_ns, state`
-    /// (state `0` active, `1` completed, `2` reclaimed followed by the
-    /// reclaiming rank). Ids are dense so they are not stored.
+    /// `out`: `granted, completed, reclaimed`, the number of unsettled
+    /// leases, then per unsettled lease in ascending id order
+    /// `id, owner, lo, hi, granted_ns`.
     pub fn serialize_into(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(self.leases.len() as u64).to_le_bytes());
-        for l in &self.leases {
+        out.reserve(IMAGE_HEADER + self.live.len() * IMAGE_ROW);
+        for v in [self.granted, self.completed, self.reclaimed, self.live.len() as u64] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        for l in self.live.values() {
+            out.extend_from_slice(&l.id.to_le_bytes());
             out.extend_from_slice(&l.owner.to_le_bytes());
             out.extend_from_slice(&l.lo.to_le_bytes());
             out.extend_from_slice(&l.hi.to_le_bytes());
             out.extend_from_slice(&l.granted_ns.to_le_bytes());
-            match l.state {
-                LeaseState::Active => out.push(0),
-                LeaseState::Completed => out.push(1),
-                LeaseState::Reclaimed { by } => {
-                    out.push(2);
-                    out.extend_from_slice(&by.to_le_bytes());
-                }
-            }
         }
     }
 
     /// Inverse of [`LeaseTable::serialize_into`]. Reads one ledger from
     /// the front of `bytes` and returns it with the number of bytes
-    /// consumed, or `None` on truncated or malformed input.
+    /// consumed, or `None` on truncated or malformed input: ids out of
+    /// order or not below `granted`, an empty range, or counters that
+    /// do not add up to `granted == completed + reclaimed + unsettled`.
     pub fn deserialize(bytes: &[u8]) -> Option<(Self, usize)> {
         fn u32_at(b: &[u8], off: &mut usize) -> Option<u32> {
             let s = b.get(*off..*off + 4)?;
@@ -194,44 +181,32 @@ impl LeaseTable {
             Some(u64::from_le_bytes(s.try_into().ok()?))
         }
         let mut off = 0;
+        let granted = u64_at(bytes, &mut off)?;
+        let completed = u64_at(bytes, &mut off)?;
+        let reclaimed = u64_at(bytes, &mut off)?;
         let count = u64_at(bytes, &mut off)?;
         // A real ledger is bounded by what fits in the input; reject
-        // counts the remaining bytes cannot possibly hold (25 bytes is
-        // the smallest per-lease encoding).
-        if count > (bytes.len() as u64 - off as u64) / 25 {
+        // counts the remaining bytes cannot possibly hold.
+        if count > ((bytes.len() - off) / IMAGE_ROW) as u64
+            || completed.checked_add(reclaimed)?.checked_add(count)? != granted
+        {
             return None;
         }
-        let mut leases = Vec::with_capacity(count as usize);
-        for id in 0..count {
+        let mut live = BTreeMap::new();
+        let mut next = 0;
+        for _ in 0..count {
+            let id = u64_at(bytes, &mut off)?;
             let owner = u32_at(bytes, &mut off)?;
             let lo = u64_at(bytes, &mut off)?;
             let hi = u64_at(bytes, &mut off)?;
             let granted_ns = u64_at(bytes, &mut off)?;
-            let tag = *bytes.get(off)?;
-            off += 1;
-            let state = match tag {
-                0 => LeaseState::Active,
-                1 => LeaseState::Completed,
-                2 => LeaseState::Reclaimed { by: u32_at(bytes, &mut off)? },
-                _ => return None,
-            };
-            leases.push(Lease { id, owner, lo, hi, granted_ns, state });
-        }
-        Some((Self { leases }, off))
-    }
-
-    /// `(granted, completed, reclaimed)` totals.
-    pub fn counts(&self) -> (u64, u64, u64) {
-        let mut completed = 0;
-        let mut reclaimed = 0;
-        for l in &self.leases {
-            match l.state {
-                LeaseState::Completed => completed += 1,
-                LeaseState::Reclaimed { .. } => reclaimed += 1,
-                LeaseState::Active => {}
+            if id < next || id >= granted || lo >= hi {
+                return None;
             }
+            next = id + 1;
+            live.insert(id, Lease { id, owner, lo, hi, granted_ns });
         }
-        (self.leases.len() as u64, completed, reclaimed)
+        Some((Self { live, granted, completed, reclaimed }, off))
     }
 }
 
@@ -243,23 +218,28 @@ mod tests {
     fn grant_complete_lifecycle() {
         let mut t = LeaseTable::new();
         let id = t.grant(3, 10, 20, 100);
-        assert_eq!(t.get(id).unwrap().state, LeaseState::Active);
+        let row = Lease { id, owner: 3, lo: 10, hi: 20, granted_ns: 100 };
+        assert_eq!(t.get(id), Some(&row));
         assert_eq!(t.active(Some(3)).count(), 1);
-        t.complete(id).unwrap();
-        assert_eq!(t.get(id).unwrap().state, LeaseState::Completed);
+        assert_eq!(t.active(Some(4)).count(), 0);
+        assert_eq!(t.complete(id), Ok(row));
+        assert_eq!(t.get(id), None, "the row is dropped at settlement");
         assert_eq!(t.active(None).count(), 0);
         assert_eq!(t.counts(), (1, 1, 0));
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
     fn reclaim_returns_range_once() {
         let mut t = LeaseTable::new();
         let id = t.grant(0, 5, 9, 0);
-        assert_eq!(t.reclaim(id, 2), Ok((5, 9)));
+        let l = t.reclaim(id).unwrap();
+        assert_eq!((l.owner, l.lo, l.hi), (0, 5, 9));
         // Double reclaim is the bug this table exists to catch.
-        assert_eq!(t.reclaim(id, 4), Err(LeaseError::AlreadyReclaimed { lease: id, by: 2 }));
+        assert_eq!(t.reclaim(id), Err(LeaseError::Settled(id)));
         // And the dead owner cannot complete it post-mortem either.
-        assert_eq!(t.complete(id), Err(LeaseError::AlreadyReclaimed { lease: id, by: 2 }));
+        assert_eq!(t.complete(id), Err(LeaseError::Settled(id)));
+        assert_eq!(t.counts(), (1, 0, 1));
     }
 
     #[test]
@@ -267,56 +247,93 @@ mod tests {
         let mut t = LeaseTable::new();
         let id = t.grant(1, 0, 4, 0);
         t.complete(id).unwrap();
-        assert_eq!(t.reclaim(id, 0), Err(LeaseError::AlreadyCompleted(id)));
-        assert_eq!(t.complete(id), Err(LeaseError::AlreadyCompleted(id)));
+        assert_eq!(t.reclaim(id), Err(LeaseError::Settled(id)));
+        assert_eq!(t.complete(id), Err(LeaseError::Settled(id)));
+        assert_eq!(t.counts(), (1, 1, 0));
     }
 
     #[test]
     fn unknown_ids_rejected() {
         let mut t = LeaseTable::new();
         assert_eq!(t.complete(7), Err(LeaseError::Unknown(7)));
-        assert_eq!(t.reclaim(7, 0), Err(LeaseError::Unknown(7)));
+        assert_eq!(t.reclaim(7), Err(LeaseError::Unknown(7)));
+        t.grant(0, 0, 1, 0);
+        assert_eq!(t.complete(1), Err(LeaseError::Unknown(1)), "the next id is not granted yet");
+        assert_eq!(t.counts(), (1, 0, 0));
     }
 
-    #[test]
-    fn serialization_roundtrip() {
+    fn image(t: &LeaseTable) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        t.serialize_into(&mut bytes);
+        bytes
+    }
+
+    /// Three grants, the first completed and the second reclaimed.
+    fn one_live_of_three() -> LeaseTable {
         let mut t = LeaseTable::new();
         let a = t.grant(0, 0, 10, 5);
         let b = t.grant(1, 10, 25, 6);
         t.grant(2, 25, 30, 7);
         t.complete(a).unwrap();
-        t.reclaim(b, 9).unwrap();
-        let mut bytes = vec![0xAA]; // prefix noise: serialization must append
-        t.serialize_into(&mut bytes);
-        bytes.extend_from_slice(b"suffix");
-        let (back, used) = LeaseTable::deserialize(&bytes[1..]).unwrap();
-        assert_eq!(used, bytes.len() - 1 - 6);
-        assert_eq!(back.len(), 3);
-        for (orig, got) in t.iter().zip(back.iter()) {
-            assert_eq!(orig, got);
-        }
-        assert_eq!(back.counts(), (3, 1, 1));
+        t.reclaim(b).unwrap();
+        t
     }
 
     #[test]
-    fn deserialize_rejects_truncation_and_bad_tags() {
-        let mut t = LeaseTable::new();
-        t.grant(0, 0, 4, 1);
-        let mut bytes = Vec::new();
+    fn serialization_roundtrip() {
+        let t = one_live_of_three();
+        let mut bytes = vec![0xAA]; // prefix noise: serialization must append
         t.serialize_into(&mut bytes);
+        assert_eq!(bytes.len(), 1 + IMAGE_HEADER + IMAGE_ROW, "settled leases cost no bytes");
+        bytes.extend_from_slice(b"suffix");
+        let (back, used) = LeaseTable::deserialize(&bytes[1..]).unwrap();
+        assert_eq!(used, bytes.len() - 1 - 6);
+        assert_eq!(back, t);
+        assert_eq!(back.counts(), (3, 1, 1));
+        assert_eq!(back.active(None).map(|l| l.id).collect::<Vec<_>>(), [2]);
+    }
+
+    #[test]
+    fn deserialize_rejects_truncation_and_absurd_counts() {
+        let bytes = image(&one_live_of_three());
         for cut in 0..bytes.len() {
             assert!(LeaseTable::deserialize(&bytes[..cut]).is_none(), "cut at {cut}");
         }
-        let mut bad = bytes.clone();
-        *bad.last_mut().unwrap() = 9; // unknown state tag
-        assert!(LeaseTable::deserialize(&bad).is_none());
-        // Absurd count with no bytes behind it must not allocate/loop.
-        assert!(LeaseTable::deserialize(&u64::MAX.to_le_bytes()).is_none());
+        // A live count with no bytes behind it must not allocate/loop.
+        let mut absurd = Vec::new();
+        for v in [u64::MAX, 0, 0, u64::MAX] {
+            absurd.extend_from_slice(&v.to_le_bytes());
+        }
+        assert!(LeaseTable::deserialize(&absurd).is_none());
+    }
+
+    #[test]
+    fn deserialize_rejects_inconsistent_ledgers() {
+        let mut t = LeaseTable::new();
+        for i in 0..4 {
+            t.grant(i, u64::from(i), u64::from(i) + 1, 0);
+        }
+        t.complete(0).unwrap();
+        let good = image(&t); // granted 4, completed 1, live ids 1, 2, 3
+        assert!(LeaseTable::deserialize(&good).is_some());
+        let patched = |at: usize, v: u64| {
+            let mut bytes = good.clone();
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            LeaseTable::deserialize(&bytes)
+        };
+        let row = |i: usize| IMAGE_HEADER + i * IMAGE_ROW;
+        assert!(patched(0, 5).is_none(), "granted != completed + reclaimed + live");
+        assert!(patched(8, 2).is_none(), "completed does not add up");
+        assert!(patched(16, u64::MAX).is_none(), "counter sum overflows");
+        assert!(patched(row(1), 1).is_none(), "duplicate id");
+        assert!(patched(row(2), 1).is_none(), "descending ids");
+        assert!(patched(row(2), 4).is_none(), "live id not below granted");
+        assert!(patched(row(0) + 8 + 4 + 8, 1).is_none(), "empty range hi == lo");
     }
 
     #[test]
     fn errors_render() {
-        assert!(LeaseError::AlreadyReclaimed { lease: 3, by: 1 }.to_string().contains("rank 1"));
+        assert!(LeaseError::Settled(3).to_string().contains("already settled"));
         assert!(LeaseError::Unknown(9).to_string().contains('9'));
     }
 }

@@ -37,5 +37,5 @@ pub mod lease;
 pub mod plan;
 
 pub use event::RecoveryEvent;
-pub use lease::{Lease, LeaseError, LeaseId, LeaseState, LeaseTable};
+pub use lease::{Lease, LeaseError, LeaseId, LeaseTable};
 pub use plan::{Fault, FaultKind, FaultPlan, RecoveryParams};
