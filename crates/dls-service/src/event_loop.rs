@@ -28,7 +28,9 @@
 //! 3. *Flush*: write each touched connection's queued responses with
 //!    non-blocking writes, arming `EPOLLOUT` only while a partial
 //!    write is outstanding, then retire connections that died or
-//!    were poisoned by a framing violation.
+//!    were poisoned by a framing violation. A cycle whose journal
+//!    commit failed does not flush: it closes its connections with
+//!    the replies unwritten (journal-before-ack, fail-stop).
 //!
 //! Rejected connections (`Busy`) get one best-effort non-blocking
 //! write and an immediate close — a client that never reads can no
@@ -172,14 +174,24 @@ impl LoopShard {
             // implies the matching Settled/Granted record is durable.
             // (Grant-side loss is additionally fenced by the epoch
             // bump on restart.)
-            self.state.journal_commit();
-
-            // ---- pass 3: flush & retire -----------------------------------
-            self.touched.sort_unstable();
-            self.touched.dedup();
-            for i in 0..self.touched.len() {
-                let slot = self.touched[i];
-                self.flush_conn(slot);
+            if self.state.journal_commit() {
+                // ---- pass 3: flush & retire -------------------------------
+                self.touched.sort_unstable();
+                self.touched.dedup();
+                for i in 0..self.touched.len() {
+                    let slot = self.touched[i];
+                    self.flush_conn(slot);
+                }
+            } else {
+                // Fail-stop: queued replies may acknowledge records
+                // that never reached the file. Close every connection
+                // with its replies unwritten — a closed socket is the
+                // protocol's "ambiguous" outcome, which clients
+                // already handle; a wrong `Ack` is not. The failed
+                // commit requested the drain that ends this loop.
+                for slot in 0..self.conns.len() {
+                    self.close_conn(slot);
+                }
             }
             if draining {
                 self.drain_pass();
@@ -447,12 +459,14 @@ impl LoopShard {
     }
 
     fn close_conn(&mut self, slot: usize) {
-        let Some(mut entry) = self.conns[slot].take() else { return };
+        let Some(entry) = self.conns[slot].take() else { return };
         self.poller.deregister(entry.stream.as_raw_fd());
         let _ = entry.stream.shutdown(SockShutdown::Both);
-        entry.stat.open = false;
+        // The row goes with the connection — `ServiceTotals` keeps the
+        // lifetime sums — so `Stats` and this map follow the open
+        // connections, not every connection ever accepted.
         if let Ok(mut stats) = self.state.conn_stats.lock() {
-            stats.insert(entry.id, entry.stat);
+            stats.remove(&entry.id);
         }
         // Reclaims this connection's unsettled leases exactly once and
         // releases its admission slot.

@@ -413,8 +413,8 @@ pub struct JobSnapshot {
     pub decisions: Vec<Decision>,
 }
 
-/// One connection's counters (live and closed connections both appear;
-/// closed ones keep their final values).
+/// One open connection's counters. A connection's row goes when it
+/// closes; what it did stays in the lifetime sums of [`ServiceTotals`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ConnSnapshot {
     /// Connection id (accept order).

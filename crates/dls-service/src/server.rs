@@ -306,6 +306,8 @@ pub(crate) struct State {
     snapshot_every: u64,
     /// `JournalStats::records` at the last snapshot.
     last_snap_records: AtomicU64,
+    /// A journal commit failed: nothing may be acknowledged any more.
+    journal_failed: AtomicBool,
 }
 
 impl State {
@@ -334,6 +336,7 @@ impl State {
             journal_epoch: 0,
             snapshot_every: 0,
             last_snap_records: AtomicU64::new(0),
+            journal_failed: AtomicBool::new(false),
         }
     }
 
@@ -387,25 +390,35 @@ impl State {
     /// never reaches a socket before its `Settled` record is durable.
     /// Also the snapshot trigger: when enough records have accumulated,
     /// seal the segment, serialize live state, and install.
-    pub(crate) fn journal_commit(&self) {
-        let Some(journal) = &self.journal else { return };
+    ///
+    /// Returns `false` when the commit failed, and from then on for
+    /// every loop shard: their records shared the failed write, and a
+    /// later commit of an empty buffer would report a success it cannot
+    /// vouch for.
+    #[must_use = "a failed commit must suppress the cycle's replies"]
+    pub(crate) fn journal_commit(&self) -> bool {
+        let Some(journal) = &self.journal else { return true };
+        if self.journal_failed.load(Ordering::SeqCst) {
+            return false;
+        }
         let boundary = {
-            let Ok(mut j) = journal.lock() else { return };
+            let Ok(mut j) = journal.lock() else { return true };
             if let Err(e) = j.commit() {
                 // A server that cannot persist must stop granting:
                 // drain now rather than hand out leases it would
                 // forget after a crash.
                 eprintln!("dls-service: journal commit failed, draining: {e}");
                 drop(j);
+                self.journal_failed.store(true, Ordering::SeqCst);
                 self.request_shutdown();
-                return;
+                return false;
             }
             let records = j.stats().records;
             let due = self.snapshot_every > 0
                 && records.saturating_sub(self.last_snap_records.load(Ordering::Relaxed))
                     >= self.snapshot_every;
             if !due {
-                return;
+                return true;
             }
             // Claim the snapshot while still holding the journal lock
             // so concurrent loop shards don't both start one.
@@ -414,7 +427,7 @@ impl State {
                 Ok(b) => b,
                 Err(e) => {
                     eprintln!("dls-service: snapshot rotation failed: {e}");
-                    return;
+                    return true;
                 }
             }
             // Journal lock released here: serializing live state takes
@@ -426,6 +439,7 @@ impl State {
                 eprintln!("dls-service: snapshot install failed: {e}");
             }
         }
+        true
     }
 
     /// The snapshot body, written straight from the live kernels in
@@ -846,11 +860,6 @@ impl State {
         // admission a moment "late", which can only under-admit, never
         // overshoot.
         self.conns_active.fetch_sub(1, Ordering::Relaxed);
-        if let Ok(mut stats) = self.conn_stats.lock() {
-            if let Some(s) = stats.get_mut(&conn) {
-                s.open = false;
-            }
-        }
     }
 }
 

@@ -139,14 +139,15 @@ mod tests {
         let srv = Server::start(ServiceConfig::default(), "127.0.0.1:0").expect("bind");
         let w = Synthetic::uniform(300, 1, 100, 3);
         let cfg = LiveConfig::new(3, 2, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
-        run_live_net(&cfg, &w, srv.addr()).expect("net run");
+        let r = run_live_net(&cfg, &w, srv.addr()).expect("net run");
         let snap = srv.shutdown();
         // 1 setup connection + one agent per node, all closed now.
         assert_eq!(snap.totals.conns_total, 1 + 3);
         assert_eq!(snap.totals.conns_active, 0);
-        // Only agent connections fetch; every fetch went through them.
-        let fetching: Vec<_> = snap.conns.iter().filter(|c| c.fetches > 0).collect();
-        assert_eq!(fetching.len(), 3, "exactly the three node agents fetch");
+        assert!(snap.conns.is_empty(), "closed connections leave no row");
+        // Every chunk the nodes fetched was granted over those agents.
+        let fetched: u64 = r.stats.workers.iter().map(|w| w.global_fetches).sum();
+        assert_eq!(snap.totals.chunks_granted, fetched);
     }
 
     #[test]

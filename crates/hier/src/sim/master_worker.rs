@@ -18,12 +18,11 @@
 //! serialization the distributed chunk-calculation approach and the
 //! paper's shared work queues remove.
 
+use super::run::{Run, Step};
 use super::{SimConfig, SimResult};
-use crate::queue::LocalQueue;
-use crate::stats::RunStats;
+use crate::queue::{LocalQueue, SubChunk};
 use cluster_sim::trace::SegmentKind;
-use cluster_sim::{EventQueue, Resource, Time, Trace};
-use dls::{ChunkCalculator, LoopSpec, SchedState};
+use cluster_sim::{Resource, Time};
 use workloads::CostTable;
 
 enum Event {
@@ -37,9 +36,6 @@ enum Event {
     ChunkArrive(u32, Option<(u64, u64)>),
     /// A reply with a sub-chunk (or exhaustion) reaches worker `w`.
     Reply(u32, Option<(u64, u64)>),
-    /// A dead worker's chunk lease timed out (fault injection only).
-    /// The masters are modelled as reliable; only workers crash.
-    Reclaim { lease: resilience::LeaseId },
 }
 
 struct MasterState {
@@ -67,14 +63,11 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
     let nodes = cfg.topology.nodes;
     let wpn = cfg.topology.workers_per_node;
     let total_workers = cfg.topology.total_workers();
-    let n_iters = table.n_iters();
     let m = &cfg.machine;
 
     // Flat: one level, technique over all workers. Hierarchical: inter
     // over nodes feeding per-node local queues.
-    let global_spec = LoopSpec::new(n_iters, if flat { total_workers } else { nodes });
-    let mut global_state = SchedState::START;
-    let mut global_master = Resource::new();
+    let mut run = Run::new(cfg, table, if flat { total_workers } else { nodes });
     let mut locals: Vec<MasterState> = (0..nodes)
         .map(|_| MasterState {
             queue: LocalQueue::new(),
@@ -84,12 +77,6 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
             global_done: false,
         })
         .collect();
-
-    let mut stats = RunStats::new(total_workers as usize, nodes as usize);
-    let mut trace = if cfg.trace { Trace::recording() } else { Trace::disabled() };
-    let mut executed = Vec::new();
-    let mut events = EventQueue::new();
-    let mut finish_time = vec![0 as Time; total_workers as usize];
     let mut request_sent = vec![0 as Time; total_workers as usize];
 
     // Fault-injection state: only workers crash (the masters are
@@ -98,26 +85,50 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
     // completing it is leased and re-issued by the master once the
     // lease times out.
     let plan_active = cfg.faults.is_active();
-    let rp = cfg.faults.recovery;
-    let mut dead = vec![false; total_workers as usize];
-    let mut done = vec![false; total_workers as usize];
     let mut reclaim_pool: Vec<(u64, u64)> = Vec::new();
-    let mut leases = resilience::LeaseTable::new();
-    let mut recovery: Vec<resilience::RecoveryEvent> = Vec::new();
-    let crash_time = |w: u32| -> Option<Time> {
-        match (cfg.faults.crash_at(w), cfg.faults.crash_holding_lock_at(w)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    };
 
     for w in 0..total_workers {
         request_sent[w as usize] = 0;
         let lat = if flat { m.net.latency_ns } else { m.intra_msg_latency_ns };
-        events.push(lat, Event::RequestArrive(w));
+        run.push(lat, Event::RequestArrive(w));
     }
 
-    while let Some((t, ev)) = events.pop() {
+    while let Some((t, step)) = run.pop() {
+        let ev = match step {
+            Step::Exec(ev) => ev,
+            Step::LeaseExpired(lease) => {
+                let Some(owner) = run.lease_owner(lease) else {
+                    continue;
+                };
+                // Elect the surviving worker the re-issued chunk goes
+                // to; only the hierarchical model has a node to prefer.
+                let Some(by) = run.survivor((!flat).then_some(owner)) else {
+                    continue; // nobody left alive to reclaim
+                };
+                let (lo, hi) = run.expire(lease, by, t);
+                if flat {
+                    reclaim_pool.push((lo, hi));
+                    if run.done[by as usize] {
+                        run.done[by as usize] = false;
+                        request_sent[by as usize] = t;
+                        run.push(t + m.net.latency_ns, Event::RequestArrive(by));
+                    }
+                } else {
+                    let target = (by / wpn) as usize;
+                    locals[target].queue.deposit(lo, hi);
+                    run.stats.nodes[target].deposits += 1;
+                    for l in 0..wpn {
+                        let u = target as u32 * wpn + l;
+                        if !run.dead[u as usize] && run.done[u as usize] {
+                            run.done[u as usize] = false;
+                            request_sent[u as usize] = t;
+                            run.push(t + m.intra_msg_latency_ns, Event::RequestArrive(u));
+                        }
+                    }
+                }
+                continue;
+            }
+        };
         // Fault layer: drop events of dead workers (leasing any chunk
         // still in flight to the corpse) and kill workers whose crash
         // time has passed.
@@ -127,38 +138,24 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
                 _ => None,
             };
             if let Some(w) = actor {
-                let lease_in_flight = |leases: &mut resilience::LeaseTable,
-                                       events: &mut EventQueue<Event>,
-                                       at: Time| {
-                    if let Event::Reply(_, Some((lo, hi))) = ev {
-                        // The master detects the undeliverable reply
-                        // and leases the chunk for re-issue.
-                        let id = leases.grant(w, lo, hi, at);
-                        events.push(at + rp.lease_timeout_ns, Event::Reclaim { lease: id });
-                    }
+                // The master detects an undeliverable reply and leases
+                // the chunk for re-issue.
+                let in_flight = match ev {
+                    Event::Reply(_, payload) => payload,
+                    _ => None,
                 };
-                if dead[w as usize] {
-                    lease_in_flight(&mut leases, &mut events, t);
+                if run.dead[w as usize] {
+                    run.lease_out(w, in_flight, t, t);
                     continue;
                 }
-                if let Some(ct) = crash_time(w).filter(|&ct| ct <= t) {
-                    dead[w as usize] = true;
-                    finish_time[w as usize] = ct;
-                    recovery.push(resilience::RecoveryEvent::Crash {
-                        rank: w,
-                        at_ns: ct,
-                        holding_lock: false,
-                    });
-                    lease_in_flight(&mut leases, &mut events, ct);
+                if let Some(ct) = cfg.crash_time(w).filter(|&ct| ct <= t) {
+                    run.crash(w, ct, false);
+                    run.lease_out(w, in_flight, ct, ct);
                     // Last live worker of a node: the local master's
                     // remaining queue has nobody to serve — lease it
                     // out for migration (hierarchical only).
-                    let node = (w / wpn) as usize;
-                    if !flat && (0..wpn as usize).all(|l| dead[node * wpn as usize + l]) {
-                        for (lo, hi) in locals[node].queue.drain_remaining() {
-                            let id = leases.grant(w, lo, hi, ct);
-                            events.push(ct + rp.lease_timeout_ns, Event::Reclaim { lease: id });
-                        }
+                    if !flat {
+                        run.strand(w, &mut locals[(w / wpn) as usize].queue, ct);
                     }
                     continue;
                 }
@@ -168,23 +165,9 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
             Event::RequestArrive(w) if flat => {
                 // Served directly by the global master. Reclaimed
                 // chunks are re-issued before fresh ones.
-                let (_, served) = global_master.request(t, m.master_service_ns);
-                stats.global_accesses += 1;
-                let payload = if let Some(range) = reclaim_pool.pop() {
-                    Some(range)
-                } else if global_state.exhausted(&global_spec) {
-                    None
-                } else {
-                    let size = cfg.spec.inter.chunk_size(
-                        &global_spec,
-                        global_state,
-                        dls::technique::WorkerCtx::default(),
-                    );
-                    let c = global_state.take(&global_spec, size).expect("not exhausted");
-                    stats.workers[w as usize].global_fetches += 1;
-                    Some((c.start, c.end()))
-                };
-                events.push(served + m.net.latency_ns, Event::Reply(w, payload));
+                let served = run.request_global(t, m.master_service_ns);
+                let payload = reclaim_pool.pop().or_else(|| run.fetch(Some(w)));
+                run.push(served + m.net.latency_ns, Event::Reply(w, payload));
             }
             Event::RequestArrive(w) => {
                 let node = (w / wpn) as usize;
@@ -192,40 +175,30 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
                 let (_, served) = lm.service.request(t, m.master_service_ns);
                 match lm.queue.take_sub_chunk(&cfg.spec.intra, wpn) {
                     Some(sub) => {
-                        events.push(
+                        run.push(
                             served + m.intra_msg_latency_ns,
                             Event::Reply(w, Some((sub.start, sub.end))),
                         );
-                        stats.nodes[node].sub_chunks += 1;
+                        run.stats.nodes[node].sub_chunks += 1;
                     }
                     None if lm.global_done => {
-                        events.push(served + m.intra_msg_latency_ns, Event::Reply(w, None));
+                        run.push(served + m.intra_msg_latency_ns, Event::Reply(w, None));
                     }
                     None => {
                         lm.pending.push_back(w);
                         if !lm.refilling {
                             lm.refilling = true;
-                            events
-                                .push(served + m.net.latency_ns, Event::GlobalArrive(node as u32));
+                            run.push(served + m.net.latency_ns, Event::GlobalArrive(node as u32));
                         }
                     }
                 }
             }
             Event::GlobalArrive(node) => {
-                let (_, served) = global_master.request(t, m.master_service_ns);
-                stats.global_accesses += 1;
-                let payload = if global_state.exhausted(&global_spec) {
-                    None
-                } else {
-                    let size = cfg.spec.inter.chunk_size(
-                        &global_spec,
-                        global_state,
-                        dls::technique::WorkerCtx::default(),
-                    );
-                    let c = global_state.take(&global_spec, size).expect("not exhausted");
-                    Some((c.start, c.end()))
-                };
-                events.push(served + m.net.latency_ns, Event::ChunkArrive(node, payload));
+                // Fetched by the local master, a dedicated process: no
+                // worker is credited with the global fetch.
+                let served = run.request_global(t, m.master_service_ns);
+                let payload = run.fetch(None);
+                run.push(served + m.net.latency_ns, Event::ChunkArrive(node, payload));
             }
             Event::ChunkArrive(node, payload) => {
                 let node_idx = node as usize;
@@ -234,7 +207,7 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
                 match payload {
                     Some((lo, hi)) => {
                         lm.queue.deposit(lo, hi);
-                        stats.nodes[node_idx].deposits += 1;
+                        run.stats.nodes[node_idx].deposits += 1;
                         // Serve the waiting workers in arrival order;
                         // each reply is one more master service.
                         let mut reply_t = t;
@@ -243,8 +216,8 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
                             reply_t = served;
                             match lm.queue.take_sub_chunk(&cfg.spec.intra, wpn) {
                                 Some(sub) => {
-                                    stats.nodes[node_idx].sub_chunks += 1;
-                                    events.push(
+                                    run.stats.nodes[node_idx].sub_chunks += 1;
+                                    run.push(
                                         served + m.intra_msg_latency_ns,
                                         Event::Reply(w, Some((sub.start, sub.end))),
                                     );
@@ -256,7 +229,7 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
                                     lm.pending.push_front(w);
                                     if !lm.refilling && !lm.global_done {
                                         lm.refilling = true;
-                                        events.push(
+                                        run.push(
                                             served + m.net.latency_ns,
                                             Event::GlobalArrive(node),
                                         );
@@ -270,125 +243,47 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
                         lm.global_done = true;
                         while let Some(w) = lm.pending.pop_front() {
                             let (_, served) = lm.service.request(t, m.master_service_ns);
-                            events.push(served + m.intra_msg_latency_ns, Event::Reply(w, None));
+                            run.push(served + m.intra_msg_latency_ns, Event::Reply(w, None));
                         }
                     }
                 }
             }
             Event::Reply(w, payload) => {
-                trace.record(w, request_sent[w as usize], t, SegmentKind::Sched);
+                run.trace.record(w, request_sent[w as usize], t, SegmentKind::Sched);
                 match payload {
                     Some((lo, hi)) => {
-                        let cost = cfg.cost_at(w, t, table.range_cost(lo, hi));
+                        let sub = SubChunk { start: lo, end: hi };
+                        let cost = run.cost(w, t, sub);
                         if plan_active {
-                            if let Some(ct) = crash_time(w).filter(|&ct| ct < t + cost) {
+                            if let Some(ct) = cfg.crash_time(w).filter(|&ct| ct < t + cost) {
                                 // Took the chunk, died before finishing
                                 // it: lease it so the master re-issues
                                 // the whole range after the timeout.
-                                dead[w as usize] = true;
-                                finish_time[w as usize] = ct;
-                                trace.record(w, t, ct, SegmentKind::Compute);
-                                recovery.push(resilience::RecoveryEvent::Crash {
-                                    rank: w,
-                                    at_ns: ct,
-                                    holding_lock: false,
-                                });
-                                let id = leases.grant(w, lo, hi, t);
-                                events.push(ct + rp.lease_timeout_ns, Event::Reclaim { lease: id });
-                                let node = (w / wpn) as usize;
-                                if !flat && (0..wpn as usize).all(|l| dead[node * wpn as usize + l])
-                                {
-                                    for (qlo, qhi) in locals[node].queue.drain_remaining() {
-                                        let id = leases.grant(w, qlo, qhi, ct);
-                                        events.push(
-                                            ct + rp.lease_timeout_ns,
-                                            Event::Reclaim { lease: id },
-                                        );
-                                    }
+                                run.trace.record(w, t, ct, SegmentKind::Compute);
+                                run.crash(w, ct, false);
+                                run.lease_out(w, [(lo, hi)], t, ct);
+                                if !flat {
+                                    run.strand(w, &mut locals[(w / wpn) as usize].queue, ct);
                                 }
                                 continue;
                             }
                         }
-                        trace.record(w, t, t + cost, SegmentKind::Compute);
-                        stats.workers[w as usize].iterations += hi - lo;
-                        stats.workers[w as usize].sub_chunks += 1;
-                        if cfg.record_chunks {
-                            executed.push((w, crate::queue::SubChunk { start: lo, end: hi }));
-                        }
+                        run.compute(w, t, cost, sub);
                         let fin = t + cost;
                         request_sent[w as usize] = fin;
                         let lat = if flat { m.net.latency_ns } else { m.intra_msg_latency_ns };
-                        events.push(
+                        run.push(
                             fin + lat + cfg.faults.message_delay(w, fin),
                             Event::RequestArrive(w),
                         );
                     }
-                    None => {
-                        finish_time[w as usize] = t;
-                        done[w as usize] = true;
-                    }
-                }
-            }
-            Event::Reclaim { lease } => {
-                let Some(&resilience::Lease { owner, .. }) = leases.get(lease) else {
-                    continue;
-                };
-                // Elect the surviving worker the re-issued chunk goes
-                // to: prefer the dead owner's node (hierarchical),
-                // prefer ranks without a pending crash of their own.
-                let pick = |ni: usize| {
-                    (0..wpn)
-                        .map(|l| ni as u32 * wpn + l)
-                        .find(|&u| !dead[u as usize] && !cfg.faults.crashes(u))
-                };
-                let by = if flat {
-                    (0..total_workers)
-                        .find(|&u| !dead[u as usize] && !cfg.faults.crashes(u))
-                        .or_else(|| (0..total_workers).find(|&u| !dead[u as usize]))
-                } else {
-                    pick((owner / wpn) as usize)
-                        .or_else(|| (0..nodes as usize).find_map(pick))
-                        .or_else(|| (0..total_workers).find(|&u| !dead[u as usize]))
-                };
-                let Some(by) = by else {
-                    continue; // nobody left alive to reclaim
-                };
-                let resilience::Lease { lo, hi, .. } =
-                    leases.reclaim(lease).expect("lease checked active");
-                recovery.push(resilience::RecoveryEvent::LeaseExpired { owner, lo, hi, at_ns: t });
-                recovery.push(resilience::RecoveryEvent::Reclaim { by, owner, lo, hi, at_ns: t });
-                stats.workers[by as usize].reclaims += 1;
-                if flat {
-                    reclaim_pool.push((lo, hi));
-                    if done[by as usize] {
-                        done[by as usize] = false;
-                        request_sent[by as usize] = t;
-                        events.push(t + m.net.latency_ns, Event::RequestArrive(by));
-                    }
-                } else {
-                    let target = (by / wpn) as usize;
-                    locals[target].queue.deposit(lo, hi);
-                    stats.nodes[target].deposits += 1;
-                    for l in 0..wpn {
-                        let u = target as u32 * wpn + l;
-                        if !dead[u as usize] && done[u as usize] {
-                            done[u as usize] = false;
-                            request_sent[u as usize] = t;
-                            events.push(t + m.intra_msg_latency_ns, Event::RequestArrive(u));
-                        }
-                    }
+                    None => run.retire(w, t),
                 }
             }
         }
     }
 
-    let makespan = finish_time.iter().copied().max().unwrap_or(0);
-    for (w, &ft) in finish_time.iter().enumerate() {
-        trace.record(w as u32, ft, makespan, SegmentKind::Idle);
-    }
-    stats.total_iterations = stats.workers.iter().map(|w| w.iterations).sum();
-
-    SimResult { makespan, stats, trace, lock_poll_penalty: 0, executed, rma: Vec::new(), recovery }
+    run.finish(0)
 }
 
 #[cfg(test)]

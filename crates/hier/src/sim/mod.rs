@@ -6,10 +6,20 @@
 //! [`cluster_sim::Resource`] / [`cluster_sim::ContendedLock`]. Results
 //! are exactly reproducible and independent of host load — which is how
 //! the paper's 16-node figures are regenerated on a single-core machine.
+//!
+//! The executors differ only in what the paper compares — the
+//! intra-node level: a window lock (`mpi_mpi`), OpenMP dispatch plus a
+//! region barrier (`mpi_omp`), or master service centres
+//! (`master_worker`). Each keeps its own `Event` enum and event loop
+//! for that. Everything else — the modelled global work queue, the
+//! per-run accumulators, and the crash → lease → expiry → reclaim path
+//! of fault injection — exists once, in the private `run` context
+//! they all drive (the virtual-time mirror of `live::global_queue`).
 
 mod master_worker;
 mod mpi_mpi;
 mod mpi_omp;
+mod run;
 
 pub use crate::layout;
 pub use master_worker::{simulate_flat_master_worker, simulate_master_worker};
@@ -87,7 +97,8 @@ impl Jitter {
                 x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
                 x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
                 x ^= x >> 31;
-                x % (max_ns + 1)
+                // `u64::MAX` means "any delay": there is no `max_ns + 1`.
+                max_ns.checked_add(1).map_or(x, |bound| x % bound)
             }
             Perturbation::AdversarialHandoff => {
                 // Odd rounds: invert the node's rank order (last local
@@ -104,6 +115,21 @@ impl Jitter {
             }
         }
     }
+}
+
+// The RMA operations the synthesized logs are made of (the live
+// executors' window layout is in `crate::layout`).
+pub(crate) const LOCK: mpisim::RmaEvent =
+    mpisim::RmaEvent::Lock { kind: mpisim::LockKind::Exclusive, target: 0 };
+pub(crate) const UNLOCK: mpisim::RmaEvent =
+    mpisim::RmaEvent::Unlock { kind: mpisim::LockKind::Exclusive, target: 0 };
+
+pub(crate) fn get(disp: usize) -> mpisim::RmaEvent {
+    mpisim::RmaEvent::Get { target: 0, disp, len: 1 }
+}
+
+pub(crate) fn put(disp: usize) -> mpisim::RmaEvent {
+    mpisim::RmaEvent::Put { target: 0, disp, len: 1 }
 }
 
 /// Deferred RMA log synthesis for the virtual-time executors: the sim
@@ -262,6 +288,15 @@ impl SimConfig {
             (base as f64 * f).round().max(1.0) as Time
         }
     }
+
+    /// Earliest crash fault of either kind on `worker`, for executors
+    /// whose workers hold no window lock to die in.
+    pub(crate) fn crash_time(&self, worker: u32) -> Option<Time> {
+        match (self.faults.crash_at(worker), self.faults.crash_holding_lock_at(worker)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
 }
 
 /// Result of one virtual-time run.
@@ -345,6 +380,18 @@ mod tests {
         assert_eq!(nowait.stats.total_iterations, 20_000);
         assert!(nowait.makespan <= barrier.makespan);
         assert!(nowait.makespan <= mpi_mpi.makespan);
+    }
+
+    #[test]
+    fn seeded_jitter_stays_within_its_bound() {
+        // `u64::MAX` is the "any delay" bound: `max_ns + 1` does not
+        // exist, and the modulus must not be computed.
+        for max_ns in [0, 1, 700, u64::MAX - 1, u64::MAX] {
+            let mut jitter = Jitter::new(Perturbation::Seeded { seed: 9, max_ns }, 4, 8);
+            for w in 0..8 {
+                assert!(jitter.delay(w) <= max_ns);
+            }
+        }
     }
 
     #[test]

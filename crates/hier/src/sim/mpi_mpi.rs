@@ -14,13 +14,12 @@
 //! A worker terminates once the global queue is exhausted and its local
 //! queue is empty.
 
-use super::{Jitter, RmaTape, SimConfig, SimResult};
+use super::run::{Run, Step};
+use super::{get, put, SimConfig, SimResult, LOCK, UNLOCK};
 use crate::queue::LocalQueue;
-use crate::stats::RunStats;
 use cluster_sim::trace::SegmentKind;
-use cluster_sim::{ContendedLock, EventQueue, Resource, Time, Trace};
-use dls::{ChunkCalculator, LoopSpec, SchedState};
-use mpisim::{AtomicOpKind, LockKind, RmaEvent};
+use cluster_sim::{ContendedLock, Time};
+use mpisim::{AtomicOpKind, RmaEvent};
 use workloads::CostTable;
 
 // The live executor's window layout, so the synthesized log and a
@@ -28,18 +27,6 @@ use workloads::CostTable;
 use crate::layout::{
     node_win, GLOBAL_DONE, GLOBAL_WIN, GSCHED, GSTEP, HI, LO, REFILLING, STEP, TAKEN,
 };
-
-const EXCL: LockKind = LockKind::Exclusive;
-const LOCK: RmaEvent = RmaEvent::Lock { kind: EXCL, target: 0 };
-const UNLOCK: RmaEvent = RmaEvent::Unlock { kind: EXCL, target: 0 };
-
-fn get(disp: usize) -> RmaEvent {
-    RmaEvent::Get { target: 0, disp, len: 1 }
-}
-
-fn put(disp: usize) -> RmaEvent {
-    RmaEvent::Put { target: 0, disp, len: 1 }
-}
 
 enum Event {
     /// Worker is free: probe the local queue.
@@ -49,15 +36,13 @@ enum Event {
     /// Worker's RMA response arrived: deposit `Some((lo, hi))`, or mark
     /// the node globally done on `None`.
     Deposit(u32, Option<(u64, u64)>),
-    /// A recovery-protocol timeout fired (fault injection only).
+    /// A recovery-protocol timeout other than a lease expiry fired
+    /// (fault injection only).
     Recover(RecoverAction),
 }
 
 /// What a survivor does when a recovery timeout expires.
 enum RecoverAction {
-    /// A dead worker's leased chunk timed out: re-deposit its range
-    /// into a surviving node's queue for re-execution.
-    ReclaimChunk { lease: resilience::LeaseId },
     /// The node's refill stalled (the refiller died mid-fetch): clear
     /// the flag so a surviving worker takes over the responsibility.
     ClearRefill { node: usize, from: u32 },
@@ -77,33 +62,78 @@ struct NodeState {
     awf: Option<crate::adaptive::AwfHistory>,
 }
 
-/// Fault injection only: lease out every range lost with the dead
-/// worker `w` and schedule each reclaim for `reclaim_at`, one lease
-/// timeout after `w` died.
-fn lease_out(
-    leases: &mut resilience::LeaseTable,
-    events: &mut EventQueue<Event>,
-    w: u32,
-    ranges: impl IntoIterator<Item = (u64, u64)>,
-    granted: Time,
-    reclaim_at: Time,
-) {
-    for (lo, hi) in ranges {
-        let lease = leases.grant(w, lo, hi, granted);
-        events.push(reclaim_at, Event::Recover(RecoverAction::ReclaimChunk { lease }));
-    }
-}
-
 /// Fault injection only: the stalled-refill timeout a dead refiller
 /// `from` leaves behind on `node`.
 fn clear_refill(node: usize, from: u32) -> Event {
     Event::Recover(RecoverAction::ClearRefill { node, from })
 }
 
-/// Whether node `node_idx` has lost its last live worker: what is still
-/// queued in its window is then stranded and must migrate via leases.
-fn node_dead(dead: &[bool], node_idx: usize, wpn: u32) -> bool {
-    dead[node_idx * wpn as usize..][..wpn as usize].iter().all(|&d| d)
+/// Worker `w` takes a sub-chunk from its node's queue (known non-empty)
+/// under the lock grant ending at `grant_end`, executes it, and probes
+/// again after the compute burst. `sched_ns` is the scheduling time the
+/// worker spent obtaining the sub-chunk (charged to its AWF history
+/// under the -D/-E variants).
+fn execute_sub(
+    run: &mut Run<Event>,
+    node: &mut NodeState,
+    w: u32,
+    grant_end: Time,
+    sched_ns: Time,
+) {
+    let cfg = run.cfg;
+    let wpn = cfg.topology.workers_per_node;
+    let (node_idx, local) = ((w / wpn) as usize, w % wpn);
+    // AWF is *adaptive weighted factoring*: it replaces the intra
+    // technique with WF driven by the learned weights.
+    let (technique, weight) = match &node.awf {
+        Some(h) => (dls::Technique::wf(), h.weight(local)),
+        None => (cfg.spec.intra, cfg.weights.get(w as usize).copied().unwrap_or(1.0)),
+    };
+    let ctx = dls::technique::WorkerCtx { worker: local, weight };
+    let sub =
+        node.queue.take_sub_chunk_for(&technique, wpn, ctx).expect("caller checked non-empty");
+    let cost = run.cost(w, grant_end, sub);
+    if let Some(ct) = cfg.faults.crash_at(w).filter(|&ct| ct < grant_end + cost) {
+        // Took the sub-chunk under the lock, then died before
+        // finishing it: the queue counters advanced, so without a
+        // lease these iterations would be silently lost. Grant the
+        // lease at the take and let its timeout trigger the reclaim.
+        let died = ct.max(grant_end);
+        if died > grant_end {
+            run.trace.record(w, grant_end, died, SegmentKind::Compute);
+        }
+        run.crash(w, died, false);
+        run.lease_out(w, [(sub.start, sub.end)], grant_end, died);
+        run.strand(w, &mut node.queue, died);
+        return;
+    }
+    if let Some(h) = &mut node.awf {
+        h.record(local, sub.len(), cost, sched_ns);
+    }
+    run.compute(w, grant_end, cost, sub);
+    run.stats.nodes[node_idx].sub_chunks += 1;
+    // The probe-and-take window transaction this grant modelled:
+    // one MPI_Win_lock / sync / read counters / advance counters /
+    // sync / unlock cycle on the node's shared window.
+    run.tape.tx(
+        grant_end,
+        node_win(node_idx),
+        w % wpn,
+        &[
+            LOCK,
+            RmaEvent::Sync,
+            get(LO),
+            get(HI),
+            get(STEP),
+            get(TAKEN),
+            put(STEP),
+            put(TAKEN),
+            RmaEvent::Sync,
+            UNLOCK,
+        ],
+    );
+    let next_probe = grant_end + cost + run.jitter.delay(w);
+    run.push(next_probe, Event::TryLocal(w));
 }
 
 /// Run the MPI+MPI approach in virtual time.
@@ -111,12 +141,9 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
     let nodes = cfg.topology.nodes;
     let wpn = cfg.topology.workers_per_node;
     let total_workers = cfg.topology.total_workers();
-    let n_iters = table.n_iters();
-    let inter_spec = LoopSpec::new(n_iters, nodes);
     let m = &cfg.machine;
 
-    let mut global_state = SchedState::START;
-    let mut global_q = Resource::new();
+    let mut run = Run::new(cfg, table, nodes);
     let mut node_states: Vec<NodeState> = (0..nodes)
         .map(|_| NodeState {
             queue: LocalQueue::new(),
@@ -126,36 +153,24 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
             awf: cfg.awf.map(|v| crate::adaptive::AwfHistory::new(v, wpn)),
         })
         .collect();
-
-    let mut stats = RunStats::new(total_workers as usize, nodes as usize);
-    let mut trace = if cfg.trace { Trace::recording() } else { Trace::disabled() };
-    let mut executed = Vec::new();
-    let mut events = EventQueue::new();
-    let mut finish_time = vec![0 as Time; total_workers as usize];
-    let mut jitter = Jitter::new(cfg.perturb, wpn, total_workers);
-    let mut tape = RmaTape::new(cfg.record_rma);
     let single_atomic = cfg.global_mode == crate::config::GlobalQueueMode::SingleAtomic;
 
     // Fault-injection state. With an inert plan every branch below is
     // dead and the run is bit-for-bit the fault-free one.
     let plan_active = cfg.faults.is_active();
     let rp = cfg.faults.recovery;
-    let mut dead = vec![false; total_workers as usize];
-    let mut done = vec![false; total_workers as usize];
     let mut drop_used = vec![false; total_workers as usize];
-    let mut leases = resilience::LeaseTable::new();
-    let mut recovery: Vec<resilience::RecoveryEvent> = Vec::new();
 
     if cfg.record_rma {
         for w in 0..total_workers {
             let node_idx = (w / wpn) as usize;
-            tape.tx(
+            run.tape.tx(
                 0,
                 GLOBAL_WIN,
                 w,
                 &[RmaEvent::Attach { shared: false, comm_size: total_workers }],
             );
-            tape.tx(
+            run.tape.tx(
                 0,
                 node_win(node_idx),
                 w % wpn,
@@ -164,103 +179,46 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
             if single_atomic {
                 // The live executor's run-long passive epoch for bare
                 // fetch_and_op on the global counter.
-                tape.tx(0, GLOBAL_WIN, w, &[RmaEvent::LockAll]);
+                run.tape.tx(0, GLOBAL_WIN, w, &[RmaEvent::LockAll]);
             }
         }
     }
 
     for w in 0..total_workers {
-        events.push(jitter.delay(w), Event::TryLocal(w));
+        let first_probe = run.jitter.delay(w);
+        run.push(first_probe, Event::TryLocal(w));
     }
 
-    // Take a sub-chunk (queue known non-empty), record it, and schedule
-    // the worker's next probe after the compute burst. `sched_ns` is the
-    // scheduling time this worker spent obtaining the sub-chunk (charged
-    // to its AWF history under the -D/-E variants).
-    #[allow(clippy::too_many_arguments)]
-    let execute_sub = |w: u32,
-                       node: &mut NodeState,
-                       node_idx: usize,
-                       grant_end: Time,
-                       sched_ns: Time,
-                       stats: &mut RunStats,
-                       trace: &mut Trace,
-                       executed: &mut Vec<(u32, crate::queue::SubChunk)>,
-                       events: &mut EventQueue<Event>,
-                       jitter: &mut Jitter,
-                       tape: &mut RmaTape,
-                       dead: &mut [bool],
-                       finish_time: &mut [Time],
-                       leases: &mut resilience::LeaseTable,
-                       recovery: &mut Vec<resilience::RecoveryEvent>| {
-        let local = w % wpn;
-        // AWF is *adaptive weighted factoring*: it replaces the intra
-        // technique with WF driven by the learned weights.
-        let (technique, weight) = match &node.awf {
-            Some(h) => (dls::Technique::wf(), h.weight(local)),
-            None => (cfg.spec.intra, cfg.weights.get(w as usize).copied().unwrap_or(1.0)),
+    while let Some((t, step)) = run.pop() {
+        let ev = match step {
+            Step::Exec(ev) => ev,
+            Step::LeaseExpired(lease) => {
+                // A dead worker's leased chunk timed out: a survivor
+                // re-deposits its range into its own node's queue for
+                // re-execution.
+                let Some(owner) = run.lease_owner(lease) else {
+                    continue;
+                };
+                let Some(by) = run.survivor(Some(owner)) else {
+                    continue; // nobody left alive to reclaim
+                };
+                let (lo, hi) = run.expire(lease, by, t);
+                let target = (by / wpn) as usize;
+                node_states[target].queue.deposit(lo, hi);
+                run.stats.nodes[target].deposits += 1;
+                // Wake the target node's already-finished workers so
+                // the re-deposited range gets executed.
+                for l in 0..wpn {
+                    let u = target as u32 * wpn + l;
+                    if !run.dead[u as usize] && run.done[u as usize] {
+                        run.done[u as usize] = false;
+                        let probe = t + run.jitter.delay(u);
+                        run.push(probe, Event::TryLocal(u));
+                    }
+                }
+                continue;
+            }
         };
-        let ctx = dls::technique::WorkerCtx { worker: local, weight };
-        let sub =
-            node.queue.take_sub_chunk_for(&technique, wpn, ctx).expect("caller checked non-empty");
-        let cost = cfg.cost_at(w, grant_end, table.range_cost(sub.start, sub.end));
-        if let Some(ct) = cfg.faults.crash_at(w).filter(|&ct| ct < grant_end + cost) {
-            // Took the sub-chunk under the lock, then died before
-            // finishing it: the queue counters advanced, so without a
-            // lease these iterations would be silently lost. Grant the
-            // lease at the take and let its timeout trigger the reclaim.
-            let died = ct.max(grant_end);
-            dead[w as usize] = true;
-            finish_time[w as usize] = died;
-            if died > grant_end {
-                trace.record(w, grant_end, died, SegmentKind::Compute);
-            }
-            recovery.push(resilience::RecoveryEvent::Crash {
-                rank: w,
-                at_ns: died,
-                holding_lock: false,
-            });
-            let reclaim_at = died + cfg.faults.recovery.lease_timeout_ns;
-            lease_out(leases, events, w, [(sub.start, sub.end)], grant_end, reclaim_at);
-            if node_dead(dead, node_idx, wpn) {
-                lease_out(leases, events, w, node.queue.drain_remaining(), died, reclaim_at);
-            }
-            return;
-        }
-        if let Some(h) = &mut node.awf {
-            h.record(local, sub.len(), cost, sched_ns);
-        }
-        trace.record(w, grant_end, grant_end + cost, SegmentKind::Compute);
-        stats.workers[w as usize].iterations += sub.len();
-        stats.workers[w as usize].sub_chunks += 1;
-        stats.nodes[node_idx].sub_chunks += 1;
-        if cfg.record_chunks {
-            executed.push((w, sub));
-        }
-        // The probe-and-take window transaction this grant modelled:
-        // one MPI_Win_lock / sync / read counters / advance counters /
-        // sync / unlock cycle on the node's shared window.
-        tape.tx(
-            grant_end,
-            node_win(node_idx),
-            w % wpn,
-            &[
-                LOCK,
-                RmaEvent::Sync,
-                get(LO),
-                get(HI),
-                get(STEP),
-                get(TAKEN),
-                put(STEP),
-                put(TAKEN),
-                RmaEvent::Sync,
-                UNLOCK,
-            ],
-        );
-        events.push(grant_end + cost + jitter.delay(w), Event::TryLocal(w));
-    };
-
-    while let Some((t, ev)) = events.pop() {
         // Fault layer: drop events of dead workers, and kill a worker
         // whose scheduled crash time has passed — with recovery wired
         // to the protocol role it died in.
@@ -270,19 +228,13 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                 Event::Recover(_) => None,
             };
             if let Some(w) = actor {
-                if dead[w as usize] {
+                if run.dead[w as usize] {
                     continue;
                 }
                 if let Some(ct) = cfg.faults.crash_at(w).filter(|&ct| ct <= t) {
                     let node_idx = (w / wpn) as usize;
                     let reclaim_at = ct + rp.lease_timeout_ns;
-                    dead[w as usize] = true;
-                    finish_time[w as usize] = ct;
-                    recovery.push(resilience::RecoveryEvent::Crash {
-                        rank: w,
-                        at_ns: ct,
-                        holding_lock: false,
-                    });
+                    run.crash(w, ct, false);
                     match ev {
                         // Idle between probes: nothing held, nothing lost.
                         Event::TryLocal(_) => {}
@@ -291,22 +243,19 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                         // refilling flag stays set until survivors time
                         // the stalled refill out.
                         Event::GlobalArrive(_) => {
-                            events.push(reclaim_at, clear_refill(node_idx, w));
+                            run.push(reclaim_at, clear_refill(node_idx, w));
                         }
                         // Died with a fetched chunk in hand: the global
                         // counters already advanced but the deposit
                         // never happened — the lost-chunk hazard the
                         // lease closes.
                         Event::Deposit(_, payload) => {
-                            lease_out(&mut leases, &mut events, w, payload, ct, reclaim_at);
-                            events.push(reclaim_at, clear_refill(node_idx, w));
+                            run.lease_out(w, payload, ct, ct);
+                            run.push(reclaim_at, clear_refill(node_idx, w));
                         }
                         Event::Recover(_) => unreachable!("recover events have no actor"),
                     }
-                    if node_dead(&dead, node_idx, wpn) {
-                        let queued = node_states[node_idx].queue.drain_remaining();
-                        lease_out(&mut leases, &mut events, w, queued, ct, reclaim_at);
-                    }
+                    run.strand(w, &mut node_states[node_idx].queue, ct);
                     continue;
                 }
             }
@@ -315,60 +264,32 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
             Event::TryLocal(w) => {
                 let node_idx = (w / wpn) as usize;
                 let node = &mut node_states[node_idx];
+                // One MPI_Win_lock / update / MPI_Win_sync / unlock cycle.
+                let grant = node.lock.acquire(t, m.shm_lock_hold_ns);
+                run.stats.nodes[node_idx].lock_acquisitions += 1;
                 if plan_active && cfg.faults.crash_holding_lock_at(w).is_some_and(|ct| ct <= t) {
                     // Dies inside the critical section on its first
                     // lock acquisition past the fault time: the FIFO
                     // ticket lock stays seized by the corpse until a
                     // waiter's bounded-grant timeout expires and the
                     // grant is revoked.
-                    let grant = node.lock.acquire(t, m.shm_lock_hold_ns);
-                    stats.nodes[node_idx].lock_acquisitions += 1;
                     let repair_at = grant.start + rp.lock_grant_timeout_ns;
                     node.lock.seize_until(repair_at);
-                    dead[w as usize] = true;
-                    finish_time[w as usize] = grant.start;
-                    trace.record(w, t, grant.start, SegmentKind::Sched);
-                    recovery.push(resilience::RecoveryEvent::Crash {
-                        rank: w,
-                        at_ns: grant.start,
-                        holding_lock: true,
-                    });
-                    events.push(
+                    run.trace.record(w, t, grant.start, SegmentKind::Sched);
+                    run.crash(w, grant.start, true);
+                    run.push(
                         repair_at,
                         Event::Recover(RecoverAction::Repair { node: node_idx, dead_holder: w }),
                     );
-                    if node_dead(&dead, node_idx, wpn) {
-                        let reclaim_at = grant.start + rp.lease_timeout_ns;
-                        let queued = node.queue.drain_remaining();
-                        lease_out(&mut leases, &mut events, w, queued, grant.start, reclaim_at);
-                    }
+                    run.strand(w, &mut node.queue, grant.start);
                     continue;
                 }
-                // One MPI_Win_lock / update / MPI_Win_sync / unlock cycle.
-                let grant = node.lock.acquire(t, m.shm_lock_hold_ns);
-                stats.nodes[node_idx].lock_acquisitions += 1;
                 if grant.queued_ahead > 0 {
-                    stats.nodes[node_idx].lock_contended += 1;
+                    run.stats.nodes[node_idx].lock_contended += 1;
                 }
-                trace.record(w, t, grant.end, SegmentKind::Sched);
+                run.trace.record(w, t, grant.end, SegmentKind::Sched);
                 if !node.queue.is_empty() {
-                    execute_sub(
-                        w,
-                        node,
-                        node_idx,
-                        grant.end,
-                        grant.end - t,
-                        &mut stats,
-                        &mut trace,
-                        &mut executed,
-                        &mut events,
-                        &mut jitter,
-                        &mut tape,
-                        &mut dead,
-                        &mut finish_time,
-                        &mut leases,
-                        &mut recovery,
-                    );
+                    execute_sub(&mut run, node, w, grant.end, grant.end - t);
                 } else {
                     // An empty probe reads the queue counters and both
                     // flags under the lock; becoming the refiller also
@@ -384,15 +305,14 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                         get(REFILLING),
                     ];
                     if node.global_done {
-                        tape.tx_slice_then(
+                        run.tape.tx_slice_then(
                             grant.end,
                             node_win(node_idx),
                             w % wpn,
                             &probe,
                             &[UNLOCK],
                         );
-                        finish_time[w as usize] = grant.end;
-                        done[w as usize] = true;
+                        run.retire(w, grant.end);
                     } else if !node.refilling
                         && (cfg.refill == super::RefillPolicy::Fastest || w % wpn == 0)
                     {
@@ -400,7 +320,7 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                         // the paper's policy because it is the fastest free
                         // one; under the ablation because it is the node's
                         // dedicated local master.
-                        tape.tx_slice_then(
+                        run.tape.tx_slice_then(
                             grant.end,
                             node_win(node_idx),
                             w % wpn,
@@ -424,19 +344,24 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                                 }
                             }
                         }
-                        events.push(depart, Event::GlobalArrive(w));
+                        run.push(depart, Event::GlobalArrive(w));
                     } else {
                         // A peer's refill is in flight: re-probe shortly.
-                        tape.tx_slice_then(
+                        run.tape.tx_slice_then(
                             grant.end,
                             node_win(node_idx),
                             w % wpn,
                             &probe,
                             &[UNLOCK],
                         );
-                        trace.record(w, grant.end, grant.end + m.shm_retry_ns, SegmentKind::Sync);
-                        events
-                            .push(grant.end + m.shm_retry_ns + jitter.delay(w), Event::TryLocal(w));
+                        run.trace.record(
+                            w,
+                            grant.end,
+                            grant.end + m.shm_retry_ns,
+                            SegmentKind::Sync,
+                        );
+                        let retry = grant.end + m.shm_retry_ns + run.jitter.delay(w);
+                        run.push(retry, Event::TryLocal(w));
                     }
                 }
             }
@@ -446,8 +371,7 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                 // distributed chunk calculation. The lock-guarded
                 // two-counter variant pays two extra round trips
                 // (MPI_Win_lock + MPI_Win_unlock) per fetch.
-                let (_, served) = global_q.request(t, m.rma_service_ns);
-                stats.global_accesses += 1;
+                let served = run.request_global(t, m.rma_service_ns);
                 let mode_extra = match cfg.global_mode {
                     crate::config::GlobalQueueMode::SingleAtomic => 0,
                     crate::config::GlobalQueueMode::LockedCounters => 2 * m.net.rma_round_trip(),
@@ -457,13 +381,13 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                     + m.chunk_calc_ns
                     + mode_extra
                     + cfg.faults.message_delay(w, served);
-                trace.record(w, t, resp, SegmentKind::Sched);
-                let exhausted = global_state.exhausted(&inter_spec);
+                run.trace.record(w, t, resp, SegmentKind::Sched);
+                let payload = run.fetch(Some(w));
                 // The RMA transaction at the global queue's host, keyed
                 // by its serialized service completion so exclusive
                 // epochs of distinct fetches never overlap.
                 if single_atomic {
-                    tape.tx(
+                    run.tape.tx(
                         served,
                         GLOBAL_WIN,
                         w,
@@ -476,68 +400,46 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                             RmaEvent::Flush { target: 0 },
                         ],
                     );
-                } else if exhausted {
-                    tape.tx(served, GLOBAL_WIN, w, &[LOCK, get(GSTEP), get(GSCHED), UNLOCK]);
+                } else if payload.is_none() {
+                    run.tape.tx(served, GLOBAL_WIN, w, &[LOCK, get(GSTEP), get(GSCHED), UNLOCK]);
                 } else {
-                    tape.tx(
+                    run.tape.tx(
                         served,
                         GLOBAL_WIN,
                         w,
                         &[LOCK, get(GSTEP), get(GSCHED), put(GSTEP), put(GSCHED), UNLOCK],
                     );
                 }
-                let payload = if exhausted {
-                    None
-                } else {
-                    let size = cfg.spec.inter.chunk_size(
-                        &inter_spec,
-                        global_state,
-                        dls::technique::WorkerCtx::default(),
-                    );
-                    let chunk = global_state.take(&inter_spec, size).expect("not exhausted");
-                    stats.workers[w as usize].global_fetches += 1;
-                    Some((chunk.start, chunk.end()))
-                };
                 if plan_active {
                     if let Some(k) = cfg.faults.crash_as_refiller_after(w) {
-                        if stats.workers[w as usize].global_fetches >= u64::from(k) {
+                        if run.stats.workers[w as usize].global_fetches >= u64::from(k) {
                             // Dies right after the fetch-and-op lands:
                             // the global counters advanced but the
                             // chunk never reaches the node queue.
                             let node_idx = (w / wpn) as usize;
-                            let reclaim_at = served + rp.lease_timeout_ns;
-                            dead[w as usize] = true;
-                            finish_time[w as usize] = served;
-                            recovery.push(resilience::RecoveryEvent::Crash {
-                                rank: w,
-                                at_ns: served,
-                                holding_lock: false,
-                            });
-                            lease_out(&mut leases, &mut events, w, payload, served, reclaim_at);
-                            events.push(reclaim_at, clear_refill(node_idx, w));
-                            if node_dead(&dead, node_idx, wpn) {
-                                let queued = node_states[node_idx].queue.drain_remaining();
-                                lease_out(&mut leases, &mut events, w, queued, served, reclaim_at);
-                            }
+                            run.crash(w, served, false);
+                            run.lease_out(w, payload, served, served);
+                            run.push(served + rp.lease_timeout_ns, clear_refill(node_idx, w));
+                            run.strand(w, &mut node_states[node_idx].queue, served);
                             continue;
                         }
                     }
                 }
-                events.push(resp, Event::Deposit(w, payload));
+                run.push(resp, Event::Deposit(w, payload));
             }
             Event::Deposit(w, payload) => {
                 let node_idx = (w / wpn) as usize;
                 let node = &mut node_states[node_idx];
                 let grant = node.lock.acquire(t, m.shm_lock_hold_ns);
-                stats.nodes[node_idx].lock_acquisitions += 1;
+                run.stats.nodes[node_idx].lock_acquisitions += 1;
                 if grant.queued_ahead > 0 {
-                    stats.nodes[node_idx].lock_contended += 1;
+                    run.stats.nodes[node_idx].lock_contended += 1;
                 }
-                trace.record(w, t, grant.end, SegmentKind::Sched);
+                run.trace.record(w, t, grant.end, SegmentKind::Sched);
                 node.refilling = false;
                 match payload {
                     Some((lo, hi)) => {
-                        tape.tx(
+                        run.tape.tx(
                             grant.end,
                             node_win(node_idx),
                             w % wpn,
@@ -553,27 +455,11 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                             ],
                         );
                         node.queue.deposit(lo, hi);
-                        stats.nodes[node_idx].deposits += 1;
-                        execute_sub(
-                            w,
-                            node,
-                            node_idx,
-                            grant.end,
-                            grant.end - t,
-                            &mut stats,
-                            &mut trace,
-                            &mut executed,
-                            &mut events,
-                            &mut jitter,
-                            &mut tape,
-                            &mut dead,
-                            &mut finish_time,
-                            &mut leases,
-                            &mut recovery,
-                        );
+                        run.stats.nodes[node_idx].deposits += 1;
+                        execute_sub(&mut run, node, w, grant.end, grant.end - t);
                     }
                     None => {
-                        tape.tx(
+                        run.tape.tx(
                             grant.end,
                             node_win(node_idx),
                             w % wpn,
@@ -583,68 +469,20 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                         // The refiller itself may still find leftovers
                         // deposited by racing peers; re-probe once.
                         if node.queue.is_empty() {
-                            finish_time[w as usize] = grant.end;
-                            done[w as usize] = true;
+                            run.retire(w, grant.end);
                         } else {
-                            events.push(grant.end + jitter.delay(w), Event::TryLocal(w));
+                            let probe = grant.end + run.jitter.delay(w);
+                            run.push(probe, Event::TryLocal(w));
                         }
                     }
                 }
             }
             Event::Recover(action) => match action {
-                RecoverAction::ReclaimChunk { lease } => {
-                    let Some(&resilience::Lease { owner, .. }) = leases.get(lease) else {
-                        continue;
-                    };
-                    // Elect the reclaiming survivor: prefer the dead
-                    // owner's own node (its shared window keeps the
-                    // queue reachable), prefer ranks without a pending
-                    // crash of their own, fall back to any live rank.
-                    let pick = |ni: usize| {
-                        (0..wpn)
-                            .map(|l| ni as u32 * wpn + l)
-                            .find(|&u| !dead[u as usize] && !cfg.faults.crashes(u))
-                    };
-                    let by = pick((owner / wpn) as usize)
-                        .or_else(|| (0..nodes as usize).find_map(pick))
-                        .or_else(|| (0..total_workers).find(|&u| !dead[u as usize]));
-                    let Some(by) = by else {
-                        continue; // nobody left alive to reclaim
-                    };
-                    let resilience::Lease { lo, hi, .. } =
-                        leases.reclaim(lease).expect("lease checked active");
-                    let target = (by / wpn) as usize;
-                    recovery.push(resilience::RecoveryEvent::LeaseExpired {
-                        owner,
-                        lo,
-                        hi,
-                        at_ns: t,
-                    });
-                    recovery.push(resilience::RecoveryEvent::Reclaim {
-                        by,
-                        owner,
-                        lo,
-                        hi,
-                        at_ns: t,
-                    });
-                    stats.workers[by as usize].reclaims += 1;
-                    node_states[target].queue.deposit(lo, hi);
-                    stats.nodes[target].deposits += 1;
-                    // Wake the target node's already-finished workers so
-                    // the re-deposited range gets executed.
-                    for l in 0..wpn {
-                        let u = target as u32 * wpn + l;
-                        if !dead[u as usize] && done[u as usize] {
-                            done[u as usize] = false;
-                            events.push(t + jitter.delay(u), Event::TryLocal(u));
-                        }
-                    }
-                }
                 RecoverAction::ClearRefill { node: ni, from } => {
                     let node = &mut node_states[ni];
                     if node.refilling {
                         node.refilling = false;
-                        recovery.push(resilience::RecoveryEvent::RefillFailover {
+                        run.recovery.push(resilience::RecoveryEvent::RefillFailover {
                             node: ni as u32,
                             from,
                             at_ns: t,
@@ -657,42 +495,34 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                     // to the node's first surviving waiter.
                     let by = (0..wpn)
                         .map(|l| ni as u32 * wpn + l)
-                        .find(|&u| !dead[u as usize])
-                        .or_else(|| (0..total_workers).find(|&u| !dead[u as usize]));
+                        .find(|&u| !run.dead[u as usize])
+                        .or_else(|| (0..total_workers).find(|&u| !run.dead[u as usize]));
                     if let Some(by) = by {
-                        recovery.push(resilience::RecoveryEvent::LockRepair {
+                        run.recovery.push(resilience::RecoveryEvent::LockRepair {
                             node: ni as u32,
                             dead_holder,
                             by,
                             at_ns: t,
                         });
-                        stats.workers[by as usize].reclaims += 1;
+                        run.stats.workers[by as usize].reclaims += 1;
                     }
                 }
             },
         }
     }
 
-    let makespan = finish_time.iter().copied().max().unwrap_or(0);
-    for (w, &ft) in finish_time.iter().enumerate() {
-        trace.record(w as u32, ft, makespan, SegmentKind::Idle);
-    }
-    stats.total_iterations = stats.workers.iter().map(|w| w.iterations).sum();
     for (i, node) in node_states.iter().enumerate() {
-        stats.nodes[i].lock_polls = node.lock.polls();
-        stats.nodes[i].lock_revocations = node.lock.revocations();
+        run.stats.nodes[i].lock_polls = node.lock.polls();
+        run.stats.nodes[i].lock_revocations = node.lock.revocations();
     }
-    let lock_poll_penalty = node_states.iter().map(|n| n.lock.total_penalty()).sum();
-
     if cfg.record_rma && single_atomic {
         // Close each worker's run-long global-window epoch where its
         // last probe released the node lock.
         for w in 0..total_workers {
-            tape.tx(finish_time[w as usize], GLOBAL_WIN, w, &[RmaEvent::UnlockAll]);
+            run.tape.tx(run.finish_time[w as usize], GLOBAL_WIN, w, &[RmaEvent::UnlockAll]);
         }
     }
-
-    SimResult { makespan, stats, trace, lock_poll_penalty, executed, rma: tape.finish(), recovery }
+    run.finish(node_states.iter().map(|n| n.lock.total_penalty()).sum())
 }
 
 #[cfg(test)]

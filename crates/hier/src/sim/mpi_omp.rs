@@ -7,166 +7,111 @@
 //! the slowest one before the next chunk can be fetched — the idle time
 //! the paper's Figure 2 illustrates and its MPI+MPI approach removes.
 
-use super::{Jitter, RmaTape, SimConfig, SimResult};
+use super::run::{Run, Step};
+use super::{get, put, SimConfig, SimResult, LOCK, UNLOCK};
 use crate::layout::{GSCHED, GSTEP};
 use crate::queue::{LocalQueue, SubChunk};
-use crate::stats::RunStats;
 use cluster_sim::trace::SegmentKind;
-use cluster_sim::{EventQueue, Resource, Time, Trace};
-use dls::{ChunkCalculator, LoopSpec, SchedState};
-use mpisim::{LockKind, RmaEvent};
+use cluster_sim::{Resource, Time};
+use dls::ChunkCalculator;
+use mpisim::RmaEvent;
 use workloads::CostTable;
-
-fn get(disp: usize) -> RmaEvent {
-    RmaEvent::Get { target: 0, disp, len: 1 }
-}
-
-fn put(disp: usize) -> RmaEvent {
-    RmaEvent::Put { target: 0, disp, len: 1 }
-}
 
 enum Event {
     /// Node `n`'s master thread's RMA request reaches the global
     /// queue's host.
     FetchArrive(u32),
-    /// A dead node's chunk lease timed out (fault injection only).
-    Reclaim { lease: resilience::LeaseId },
 }
 
 /// Run the MPI+OpenMP approach in virtual time.
 pub fn simulate_mpi_omp(cfg: &SimConfig, table: &CostTable) -> SimResult {
     let nodes = cfg.topology.nodes;
     let threads = cfg.topology.workers_per_node;
-    let total_workers = cfg.topology.total_workers();
-    let n_iters = table.n_iters();
-    let inter_spec = LoopSpec::new(n_iters, nodes);
     let m = &cfg.machine;
 
-    let mut global_state = SchedState::START;
-    let mut global_q = Resource::new();
-    let mut stats = RunStats::new(total_workers as usize, nodes as usize);
-    let mut trace = if cfg.trace { Trace::recording() } else { Trace::disabled() };
-    let mut executed: Vec<(u32, SubChunk)> = Vec::new();
-    let mut events = EventQueue::new();
-    let mut node_finish = vec![0 as Time; nodes as usize];
+    let mut run = Run::new(cfg, table, nodes);
     // End of each node's previous worksharing region, for attributing
     // the fetch gap as Sync time on the non-master threads.
     let mut region_ends = vec![0 as Time; nodes as usize];
-    let mut jitter = Jitter::new(cfg.perturb, threads, total_workers);
-    let mut tape = RmaTape::new(cfg.record_rma);
 
     // Fault-injection state. Under MPI+OpenMP a crash of *any* thread
-    // kills its whole node — the OpenMP team dies with the MPI process.
+    // kills its whole node — the OpenMP team dies with the MPI process
+    // — so a node is down as soon as one of its threads is dead.
     // Crashes take effect at protocol-step boundaries (fetch, deposit,
     // end of region), the same discretization the model checker uses.
     let plan_active = cfg.faults.is_active();
-    let rp = cfg.faults.recovery;
-    let mut dead_node = vec![false; nodes as usize];
     let mut reclaim_queue: Vec<(u64, u64)> = Vec::new();
-    let mut leases = resilience::LeaseTable::new();
-    let mut recovery: Vec<resilience::RecoveryEvent> = Vec::new();
+    let team = |node: u32| node * threads..(node + 1) * threads;
     // Earliest crash fault on any of the node's threads.
     let node_crash = |node: u32| -> Option<(Time, u32)> {
-        (0..threads)
-            .filter_map(|i| {
-                let w = node * threads + i;
-                let c = match (cfg.faults.crash_at(w), cfg.faults.crash_holding_lock_at(w)) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                }?;
-                Some((c, w))
-            })
-            .min()
+        team(node).filter_map(|w| Some((cfg.crash_time(w)?, w))).min()
     };
 
     if cfg.record_rma {
         // Window ranks are the node masters (one MPI process per node).
         for node in 0..nodes {
-            tape.tx(0, 0, node, &[RmaEvent::Attach { shared: false, comm_size: nodes }]);
+            run.tape.tx(0, 0, node, &[RmaEvent::Attach { shared: false, comm_size: nodes }]);
         }
     }
 
     for node in 0..nodes {
-        events.push(m.net.latency_ns + jitter.delay(node * threads), Event::FetchArrive(node));
+        let arrive = m.net.latency_ns + run.jitter.delay(node * threads);
+        run.push(arrive, Event::FetchArrive(node));
     }
 
-    while let Some((t, ev)) = events.pop() {
-        let node = match ev {
-            Event::FetchArrive(n) => n,
-            Event::Reclaim { lease } => {
-                let Some(&resilience::Lease { owner, .. }) = leases.get(lease) else {
+    while let Some((t, step)) = run.pop() {
+        let node = match step {
+            Step::Exec(Event::FetchArrive(n)) => n,
+            Step::LeaseExpired(lease) => {
+                if run.lease_owner(lease).is_none() {
                     continue;
-                };
+                }
                 // Hand the expired lease's range to the first surviving
                 // node's master and wake it.
-                let Some(target) = (0..nodes).find(|&n| !dead_node[n as usize]) else {
+                let Some(target) = (0..nodes).find(|&n| !team(n).any(|w| run.dead[w as usize]))
+                else {
                     continue; // nobody left alive to reclaim
                 };
-                let by = target * threads;
-                let resilience::Lease { lo, hi, .. } =
-                    leases.reclaim(lease).expect("lease checked active");
-                recovery.push(resilience::RecoveryEvent::LeaseExpired { owner, lo, hi, at_ns: t });
-                recovery.push(resilience::RecoveryEvent::Reclaim { by, owner, lo, hi, at_ns: t });
-                stats.workers[by as usize].reclaims += 1;
-                reclaim_queue.push((lo, hi));
-                events.push(t + m.net.latency_ns, Event::FetchArrive(target));
+                reclaim_queue.push(run.expire(lease, target * threads, t));
+                run.push(t + m.net.latency_ns, Event::FetchArrive(target));
                 continue;
             }
         };
+        let master = node * threads;
         if plan_active {
-            if dead_node[node as usize] {
+            if team(node).any(|w| run.dead[w as usize]) {
                 continue;
             }
             if let Some((c, rank)) = node_crash(node).filter(|&(c, _)| c <= t) {
                 // Died at (or before) this fetch boundary: regions
                 // completed earlier are counted, nothing is in hand.
                 let at = c.max(region_ends[node as usize]);
-                dead_node[node as usize] = true;
-                node_finish[node as usize] = at;
-                recovery.push(resilience::RecoveryEvent::Crash {
-                    rank,
-                    at_ns: at,
-                    holding_lock: false,
-                });
+                run.crash(rank, at, false);
+                team(node).for_each(|w| run.finish_time[w as usize] = at);
                 continue;
             }
         }
-        let (_, served) = global_q.request(t, m.rma_service_ns);
-        stats.global_accesses += 1;
-        let master = node * threads;
+        let served = run.request_global(t, m.rma_service_ns);
         let fetched_at =
             served + m.net.latency_ns + m.chunk_calc_ns + cfg.faults.message_delay(master, served);
-        trace.record(master, t - m.net.latency_ns, fetched_at, SegmentKind::Sched);
+        run.trace.record(master, t - m.net.latency_ns, fetched_at, SegmentKind::Sched);
 
-        let lock = RmaEvent::Lock { kind: LockKind::Exclusive, target: 0 };
-        let unlock = RmaEvent::Unlock { kind: LockKind::Exclusive, target: 0 };
         // Reclaimed ranges take priority over fresh global chunks.
-        let reclaimed = if plan_active { reclaim_queue.pop() } else { None };
-        if reclaimed.is_none() && global_state.exhausted(&inter_spec) {
-            tape.tx(served, 0, node, &[lock, get(GSTEP), get(GSCHED), unlock]);
-            node_finish[node as usize] = fetched_at;
+        let reclaimed = reclaim_queue.pop();
+        let Some((c_lo, c_hi)) = reclaimed.or_else(|| run.fetch(Some(master))) else {
+            run.tape.tx(served, 0, node, &[LOCK, get(GSTEP), get(GSCHED), UNLOCK]);
+            team(node).for_each(|w| run.retire(w, fetched_at));
             continue;
-        }
-        let (c_lo, c_hi) = match reclaimed {
-            Some(range) => range,
-            None => {
-                tape.tx(
-                    served,
-                    0,
-                    node,
-                    &[lock, get(GSTEP), get(GSCHED), put(GSTEP), put(GSCHED), unlock],
-                );
-                let size = cfg.spec.inter.chunk_size(
-                    &inter_spec,
-                    global_state,
-                    dls::technique::WorkerCtx::default(),
-                );
-                let chunk = global_state.take(&inter_spec, size).expect("not exhausted");
-                stats.workers[master as usize].global_fetches += 1;
-                (chunk.start, chunk.end())
-            }
         };
-        stats.nodes[node as usize].deposits += 1;
+        if reclaimed.is_none() {
+            run.tape.tx(
+                served,
+                0,
+                node,
+                &[LOCK, get(GSTEP), get(GSCHED), put(GSTEP), put(GSCHED), UNLOCK],
+            );
+        }
+        run.stats.nodes[node as usize].deposits += 1;
 
         if plan_active {
             // Died with the fetched chunk in hand (before the team
@@ -174,21 +119,15 @@ pub fn simulate_mpi_omp(cfg: &SimConfig, table: &CostTable) -> SimResult {
             // fault targets: the chunk is lost until its lease expires.
             let in_hand = node_crash(node).filter(|&(c, _)| c <= fetched_at).or_else(|| {
                 cfg.faults.crash_as_refiller_after(master).and_then(|k| {
-                    (stats.workers[master as usize].global_fetches >= u64::from(k))
+                    (run.stats.workers[master as usize].global_fetches >= u64::from(k))
                         .then_some((served, master))
                 })
             });
             if let Some((c, rank)) = in_hand {
                 let at = c.max(region_ends[node as usize]);
-                dead_node[node as usize] = true;
-                node_finish[node as usize] = at;
-                recovery.push(resilience::RecoveryEvent::Crash {
-                    rank,
-                    at_ns: at,
-                    holding_lock: false,
-                });
-                let id = leases.grant(rank, c_lo, c_hi, served);
-                events.push(at + rp.lease_timeout_ns, Event::Reclaim { lease: id });
+                run.crash(rank, at, false);
+                team(node).for_each(|w| run.finish_time[w as usize] = at);
+                run.lease_out(rank, [(c_lo, c_hi)], served, at);
                 continue;
             }
         }
@@ -197,70 +136,32 @@ pub fn simulate_mpi_omp(cfg: &SimConfig, table: &CostTable) -> SimResult {
         // region boundary.
         for i in 1..threads {
             let w = node * threads + i;
-            trace.record(w, region_ends[node as usize], fetched_at, SegmentKind::Sync);
+            run.trace.record(w, region_ends[node as usize], fetched_at, SegmentKind::Sync);
         }
 
         // ---- OpenMP worksharing region over [c_lo, c_hi) ----
         let region_start = fetched_at;
-        let finishes = run_team(
-            cfg,
-            table,
-            node,
-            threads,
-            c_lo,
-            c_hi,
-            region_start,
-            &mut stats,
-            &mut executed,
-            &mut trace,
-            &mut jitter,
-        );
+        let finishes = run_team(&mut run, node, c_lo, c_hi, region_start);
         // Implicit barrier: everyone advances to the slowest thread.
         let slowest = finishes.iter().copied().max().expect("non-empty team");
         let region_end = slowest + m.omp_barrier(threads);
         for (i, &f) in finishes.iter().enumerate() {
             let w = node * threads + i as u32;
-            trace.record(w, f, region_end, SegmentKind::Sync);
+            run.trace.record(w, f, region_end, SegmentKind::Sync);
         }
         region_ends[node as usize] = region_end;
-        events.push(region_end + m.net.latency_ns + jitter.delay(master), Event::FetchArrive(node));
+        let arrive = region_end + m.net.latency_ns + run.jitter.delay(master);
+        run.push(arrive, Event::FetchArrive(node));
     }
 
-    let makespan = node_finish.iter().copied().max().unwrap_or(0);
-    for node in 0..nodes {
-        for i in 0..threads {
-            let w = node * threads + i;
-            trace.record(w, node_finish[node as usize], makespan, SegmentKind::Idle);
-        }
-    }
-    stats.total_iterations = stats.workers.iter().map(|w| w.iterations).sum();
-
-    SimResult {
-        makespan,
-        stats,
-        trace,
-        lock_poll_penalty: 0,
-        executed,
-        rma: tape.finish(),
-        recovery,
-    }
+    run.finish(0)
 }
 
-/// Execute one chunk over the team; returns each thread's finish time.
-#[allow(clippy::too_many_arguments)]
-fn run_team(
-    cfg: &SimConfig,
-    table: &CostTable,
-    node: u32,
-    threads: u32,
-    lo: u64,
-    hi: u64,
-    start: Time,
-    stats: &mut RunStats,
-    executed: &mut Vec<(u32, SubChunk)>,
-    trace: &mut Trace,
-    jitter: &mut Jitter,
-) -> Vec<Time> {
+/// Execute the chunk `[lo, hi)` over `node`'s team from `start` on;
+/// returns each thread's finish time.
+fn run_team(run: &mut Run<Event>, node: u32, lo: u64, hi: u64, start: Time) -> Vec<Time> {
+    let cfg = run.cfg;
+    let threads = cfg.topology.workers_per_node;
     let m = &cfg.machine;
     let intra = &cfg.spec.intra;
     let len = hi - lo;
@@ -276,14 +177,10 @@ fn run_team(
             let e = (s + block).min(hi);
             let mut finish = start;
             if s < e {
-                let cost = cfg.cost_at(w, start, table.range_cost(s, e));
-                trace.record(w, start, start + cost, SegmentKind::Compute);
-                stats.workers[w as usize].iterations += e - s;
-                stats.workers[w as usize].sub_chunks += 1;
-                stats.nodes[node as usize].sub_chunks += 1;
-                if cfg.record_chunks {
-                    executed.push((w, SubChunk { start: s, end: e }));
-                }
+                let sub = SubChunk { start: s, end: e };
+                let cost = run.cost(w, start, sub);
+                run.compute(w, start, cost, sub);
+                run.stats.nodes[node as usize].sub_chunks += 1;
                 finish += cost;
             }
             finishes.push(finish);
@@ -301,7 +198,7 @@ fn run_team(
     // Perturbation staggers each thread's arrival at the dispatcher,
     // reshuffling which thread wins each pull.
     let mut clocks: Vec<Time> =
-        (0..threads).map(|i| start + jitter.delay(node * threads + i)).collect();
+        (0..threads).map(|i| start + run.jitter.delay(node * threads + i)).collect();
     loop {
         // The earliest-free thread grabs the next sub-chunk.
         let (i, _) =
@@ -311,15 +208,10 @@ fn run_team(
         let Some(sub) = queue.take_sub_chunk(intra, threads) else {
             break;
         };
-        trace.record(w, clocks[i], dispatched, SegmentKind::Sched);
-        let cost = cfg.cost_at(w, dispatched, table.range_cost(sub.start, sub.end));
-        trace.record(w, dispatched, dispatched + cost, SegmentKind::Compute);
-        stats.workers[w as usize].iterations += sub.len();
-        stats.workers[w as usize].sub_chunks += 1;
-        stats.nodes[node as usize].sub_chunks += 1;
-        if cfg.record_chunks {
-            executed.push((w, sub));
-        }
+        run.trace.record(w, clocks[i], dispatched, SegmentKind::Sched);
+        let cost = run.cost(w, dispatched, sub);
+        run.compute(w, dispatched, cost, sub);
+        run.stats.nodes[node as usize].sub_chunks += 1;
         clocks[i] = dispatched + cost;
     }
     clocks
