@@ -24,10 +24,10 @@
 //! `adjoint:<n>`, `uniform:<n>:<min>:<max>:<seed>`,
 //! `constant:<n>:<cost>`).
 
-use bench::{mandelbrot_paper, mandelbrot_quick, psia_paper, psia_quick};
 use dls::openmp::table1;
 use hdls::figures::{figure_grid, point, render_grid, NODE_COUNTS, WORKERS_PER_NODE};
 use hdls::prelude::*;
+use workloads::PsiaStream;
 
 struct Args {
     quick: bool,
@@ -46,6 +46,15 @@ struct Args {
     trace_dir: Option<std::path::PathBuf>,
     /// `key=value` pairs following `--run`.
     custom: Vec<String>,
+}
+
+/// PSIA instance for `--quick` runs: 16x fewer frames with 16x the
+/// per-frame cost.
+fn psia_quick() -> PsiaStream {
+    let mut base = Psia::single_object();
+    base.ns_scan *= 16;
+    base.ns_accum *= 16;
+    PsiaStream::new(base, 96, 0.1)
 }
 
 fn parse_args() -> Args {
@@ -165,9 +174,9 @@ fn main() {
     if figs.iter().any(|f| f.0) {
         println!("\nBuilding workload cost tables...");
         let (mandel, psia): (CostTable, CostTable) = if args.quick {
-            (CostTable::build(&mandelbrot_quick()), CostTable::build(&psia_quick()))
+            (CostTable::build(&Mandelbrot::quick()), CostTable::build(&psia_quick()))
         } else {
-            (CostTable::build(&mandelbrot_paper()), CostTable::build(&psia_paper()))
+            (CostTable::build(&Mandelbrot::paper()), CostTable::build(&PsiaStream::paper()))
         };
         report_workload(&mandel);
         report_workload(&psia);
@@ -314,9 +323,9 @@ fn build_workload(name: &str) -> CostTable {
     let head = parts.next().unwrap_or_default();
     let nums: Vec<u64> = parts.map(|p| p.parse().expect("numeric workload parameter")).collect();
     match (head, nums.as_slice()) {
-        ("mandelbrot-paper", []) => CostTable::build(&mandelbrot_paper()),
-        ("mandelbrot-quick", []) => CostTable::build(&mandelbrot_quick()),
-        ("psia-paper", []) => CostTable::build(&psia_paper()),
+        ("mandelbrot-paper", []) => CostTable::build(&Mandelbrot::paper()),
+        ("mandelbrot-quick", []) => CostTable::build(&Mandelbrot::quick()),
+        ("psia-paper", []) => CostTable::build(&PsiaStream::paper()),
         ("psia-quick", []) => CostTable::build(&psia_quick()),
         ("adjoint", [n]) => {
             CostTable::build(&workloads::AdjointConvolution::new(*n as usize, 0xADC0))
@@ -337,7 +346,7 @@ fn build_workload(name: &str) -> CostTable {
 fn run_speedup(quick: bool) {
     println!("\n#############################################################");
     println!("Scaling study (Mandelbrot, 16 workers/node)");
-    let m = if quick { mandelbrot_quick() } else { mandelbrot_paper() };
+    let m = if quick { Mandelbrot::quick() } else { Mandelbrot::paper() };
     let table = CostTable::build(&m);
     for (inter, intra) in [(Kind::GSS, Kind::STATIC), (Kind::FAC2, Kind::GSS)] {
         for approach in Approach::ALL {
@@ -360,7 +369,7 @@ fn run_speedup(quick: bool) {
 fn run_ablations(quick: bool) {
     println!("\n#############################################################");
     println!("Ablations (Mandelbrot, 4 nodes x 16 workers)");
-    let m = if quick { mandelbrot_quick() } else { mandelbrot_paper() };
+    let m = if quick { Mandelbrot::quick() } else { Mandelbrot::paper() };
     let table = CostTable::build(&m);
     let base = |inter: Kind, intra: Kind, approach: Approach| {
         HierSchedule::builder()
@@ -446,7 +455,7 @@ fn print_trace_figures(fig2: bool, fig3: bool, quick: bool, machine: MachinePara
     // the per-worker timelines of the two approaches. FAC2 at the
     // (single-node) global level produces the multi-chunk structure the
     // paper's illustrations show.
-    let m = if quick { mandelbrot_quick() } else { mandelbrot_paper() };
+    let m = if quick { Mandelbrot::quick() } else { Mandelbrot::paper() };
     let table = CostTable::build(&m);
     let runs = [
         (

@@ -306,8 +306,6 @@ pub(crate) struct State {
     snapshot_every: u64,
     /// `JournalStats::records` at the last snapshot.
     last_snap_records: AtomicU64,
-    /// A journal commit failed: nothing may be acknowledged any more.
-    journal_failed: AtomicBool,
 }
 
 impl State {
@@ -336,7 +334,6 @@ impl State {
             journal_epoch: 0,
             snapshot_every: 0,
             last_snap_records: AtomicU64::new(0),
-            journal_failed: AtomicBool::new(false),
         }
     }
 
@@ -391,25 +388,30 @@ impl State {
     /// Also the snapshot trigger: when enough records have accumulated,
     /// seal the segment, serialize live state, and install.
     ///
-    /// Returns `false` when the commit failed, and from then on for
-    /// every loop shard: their records shared the failed write, and a
-    /// later commit of an empty buffer would report a success it cannot
-    /// vouch for.
+    /// Returns `false` when the commit failed or the journal lock is
+    /// poisoned, and from then on for every loop shard (the failure is
+    /// sticky in [`Journal::commit`]): their records shared the failed
+    /// write, and a later commit of an empty buffer would report a
+    /// success it cannot vouch for.
     #[must_use = "a failed commit must suppress the cycle's replies"]
     pub(crate) fn journal_commit(&self) -> bool {
         let Some(journal) = &self.journal else { return true };
-        if self.journal_failed.load(Ordering::SeqCst) {
-            return false;
-        }
         let boundary = {
-            let Ok(mut j) = journal.lock() else { return true };
+            // A server that cannot persist must stop granting: drain
+            // now rather than hand out leases it would forget after a
+            // crash.
+            let Ok(mut j) = journal.lock() else {
+                // Whoever panicked under the lock may have left a
+                // record half-appended.
+                self.request_shutdown();
+                return false;
+            };
+            let first = !j.is_failed();
             if let Err(e) = j.commit() {
-                // A server that cannot persist must stop granting:
-                // drain now rather than hand out leases it would
-                // forget after a crash.
-                eprintln!("dls-service: journal commit failed, draining: {e}");
+                if first {
+                    eprintln!("dls-service: journal commit failed, draining: {e}");
+                }
                 drop(j);
-                self.journal_failed.store(true, Ordering::SeqCst);
                 self.request_shutdown();
                 return false;
             }
@@ -975,6 +977,37 @@ impl Server {
         // clean-exit record and force the final fsync.
         self.state.journal_drain();
         self.state.snapshot()
+    }
+}
+
+#[cfg(all(test, not(conc_check)))]
+mod tests {
+    use super::*;
+
+    /// A panic under the journal lock must not turn every later cycle
+    /// into an ack with nothing written: the poisoned lock fail-stops
+    /// like a failed commit.
+    #[test]
+    fn a_poisoned_journal_lock_fails_the_commit_and_drains() {
+        let dir = std::env::temp_dir().join(format!("dls-poisoned-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, rec) = Journal::open(JournalOptions::new(&dir)).expect("open journal");
+        let mut state = State::new(ServiceConfig::default());
+        state.adopt_recovered(journal, rec, 0);
+        assert!(state.journal_commit(), "a healthy journal commits");
+
+        let state = Arc::new(state);
+        let poisoner = Arc::clone(&state);
+        let panicked = std::thread::spawn(move || {
+            let _held = poisoner.journal.as_ref().expect("journaled").lock();
+            panic!("poison the journal lock");
+        })
+        .join();
+        assert!(panicked.is_err());
+
+        assert!(!state.journal_commit(), "a poisoned journal acknowledged a cycle");
+        assert!(state.shutdown.load(Ordering::SeqCst), "and must drain the server");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

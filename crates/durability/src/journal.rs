@@ -270,6 +270,9 @@ pub struct Journal {
     commits_since_sync: u32,
     flusher: Option<Flusher>,
     stats: JournalStats,
+    /// The first write, fsync or rotation error of a commit. Sticky:
+    /// see [`Journal::commit`].
+    failed: Option<(io::ErrorKind, String)>,
 }
 
 impl Journal {
@@ -357,6 +360,7 @@ impl Journal {
             commits_since_sync: 0,
             flusher: None,
             stats: JournalStats { segments: segments_live, ..JournalStats::default() },
+            failed: None,
         };
 
         // New incarnation: bump the epoch and make it durable before
@@ -416,14 +420,36 @@ impl Journal {
 
     /// Write every buffered record to the current segment, fsync per
     /// policy, rotate if the segment is full.
+    ///
+    /// Fail-stop: after one failed commit the file may hold a partial
+    /// write and the buffer no longer says which records reached it,
+    /// so this and every later commit (also through [`Journal::sync`]
+    /// and [`Journal::begin_snapshot`]) return that first error again
+    /// and write nothing.
     pub fn commit(&mut self) -> io::Result<()> {
-        if self.buf.is_empty() {
+        if self.buf.is_empty() && self.failed.is_none() {
             return Ok(());
         }
         self.commit_inner(false)
     }
 
+    /// True once a commit has failed (see [`Journal::commit`]).
+    pub fn is_failed(&self) -> bool {
+        self.failed.is_some()
+    }
+
     fn commit_inner(&mut self, force_sync: bool) -> io::Result<()> {
+        if let Some((kind, msg)) = &self.failed {
+            return Err(io::Error::new(*kind, msg.clone()));
+        }
+        let written = self.write_out(force_sync);
+        if let Err(e) = &written {
+            self.failed = Some((e.kind(), e.to_string()));
+        }
+        written
+    }
+
+    fn write_out(&mut self, force_sync: bool) -> io::Result<()> {
         if !self.buf.is_empty() {
             self.file.write_all(&self.buf)?;
             self.seg_len += self.buf.len() as u64;
@@ -665,6 +691,33 @@ mod tests {
         let (_j2, st) = Journal::open(opts(&dir)).unwrap();
         assert!(st.jobs.contains_key(&0));
         assert!(!st.jobs[&0].done, "uncommitted record must not replay");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_commit_is_sticky() {
+        let dir = tmpdir("sticky");
+        let mut o = opts(&dir);
+        o.segment_bytes = 1; // every commit rotates the segment
+        let (mut j, _) = Journal::open(o).unwrap();
+        assert!(!j.is_failed());
+        // With the directory gone, the rotation cannot create its file.
+        fs::remove_dir_all(&dir).unwrap();
+        j.append(&JournalRecord::JobFinished { job: 0 });
+        let first = j.commit().expect_err("the segment cannot rotate");
+        assert!(j.is_failed());
+
+        // The same error again: on an empty buffer, through the drain
+        // path, and for a new record once the directory is back — which
+        // is neither written nor counted.
+        let same = |e: io::Error| (e.kind(), e.to_string()) == (first.kind(), first.to_string());
+        assert!(same(j.commit().expect_err("an empty commit cannot vouch for the lost one")));
+        assert!(same(j.sync().expect_err("nor can the drain path")));
+        fs::create_dir_all(&dir).unwrap();
+        let records = j.stats().records;
+        j.append(&JournalRecord::JobFinished { job: 1 });
+        assert!(same(j.commit().expect_err("fail-stop, not fail-and-resume")));
+        assert_eq!(j.stats().records, records);
         fs::remove_dir_all(&dir).unwrap();
     }
 

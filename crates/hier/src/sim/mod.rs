@@ -34,9 +34,9 @@ pub enum RefillPolicy {
     /// responsibility").
     #[default]
     Fastest,
-    /// Ablation: only the node's first rank may refill (a dedicated
-    /// local master, as in hierarchical master-worker schemes); other
-    /// workers re-probe until it does.
+    /// Ablation: only the node's lowest live rank may refill (a
+    /// dedicated local master, as in hierarchical master-worker
+    /// schemes); other workers re-probe until it does.
     Dedicated,
 }
 

@@ -314,12 +314,14 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                         );
                         run.retire(w, grant.end);
                     } else if !node.refilling
-                        && (cfg.refill == super::RefillPolicy::Fastest || w % wpn == 0)
+                        && (cfg.refill == super::RefillPolicy::Fastest
+                            || run.dead[node_idx * wpn as usize..w as usize].iter().all(|&d| d))
                     {
                         // This worker takes the refill responsibility: under
                         // the paper's policy because it is the fastest free
                         // one; under the ablation because it is the node's
-                        // dedicated local master.
+                        // dedicated local master — its lowest live rank, so
+                        // the role fails over when the master dies.
                         run.tape.tx_slice_then(
                             grant.end,
                             node_win(node_idx),

@@ -38,18 +38,23 @@ fn base_cfg(spec: HierSpec, approach: Approach, plan: FaultPlan) -> SimConfig {
     cfg
 }
 
-/// The ledger plus recovery-trace attribution checks shared by every
-/// backend: exactly-once coverage, reclaim counters consistent with
-/// the recovery events, reclaims performed by live ranks only.
-fn check(r: &SimResult, label: &str) {
+/// Each of the `n` iterations was executed exactly once.
+fn check_exactly_once(r: &SimResult, n: u64, label: &str) {
     let chunks: Vec<dls::Chunk> = r
         .executed
         .iter()
         .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
         .collect();
-    dls::verify::check_exactly_once(&chunks, N_ITERS)
+    dls::verify::check_exactly_once(&chunks, n)
         .unwrap_or_else(|e| panic!("{label}: exactly-once ledger failed: {e:?}"));
-    assert_eq!(r.stats.total_iterations, N_ITERS, "{label}: iteration total");
+    assert_eq!(r.stats.total_iterations, n, "{label}: iteration total");
+}
+
+/// The ledger plus recovery-trace attribution checks shared by every
+/// backend: exactly-once coverage, reclaim counters consistent with
+/// the recovery events, reclaims performed by live ranks only.
+fn check(r: &SimResult, label: &str) {
+    check_exactly_once(r, N_ITERS, label);
 
     let crashed: Vec<u32> = r
         .recovery
@@ -231,4 +236,43 @@ fn message_faults_do_not_break_the_ledger() {
         let r = simulate(&cfg, &table);
         check(&r, "message-faults");
     }
+}
+
+/// What surviving a fault costs: GSS+SS on 2x4 over 8,000 exponential
+/// iterations. One crash on 8 workers must stay under 1.5x the
+/// fault-free makespan (losing an eighth of the machine outright costs
+/// 1.14x), and the dead rank's lost range must be back in a queue
+/// within 1 ms — a crash mid-run hides a slow reclaim from the
+/// makespan, one near the end of the loop would not. A 4x straggler
+/// loses nothing.
+#[test]
+fn one_crash_and_one_straggler_cost_a_bounded_makespan() {
+    const N: u64 = 8_000;
+    let table = CostTable::build(&Synthetic::exponential(N, 50_000.0, 42));
+    let run = |plan: FaultPlan, label: &str| {
+        let mut cfg = base_cfg(HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi, plan);
+        cfg.topology = SimTopology::new(2, 4);
+        let r = simulate(&cfg, &table);
+        check_exactly_once(&r, N, label);
+        r
+    };
+    let clean = run(FaultPlan::none(), "fault-free");
+    let crash = run(FaultPlan::crash(5, 20_000_000), "one crash");
+    run(FaultPlan::straggler(3, 4.0), "one 4x straggler");
+    assert!(
+        (crash.makespan as f64) < clean.makespan as f64 * 1.5,
+        "1-crash overhead out of bounds: {} ns -> {} ns",
+        clean.makespan,
+        crash.makespan
+    );
+    let died = crash.recovery.iter().find_map(|e| match *e {
+        RecoveryEvent::Crash { at_ns, .. } => Some(at_ns),
+        _ => None,
+    });
+    let reclaimed = crash.recovery.iter().find_map(|e| match *e {
+        RecoveryEvent::Reclaim { at_ns, .. } => Some(at_ns),
+        _ => None,
+    });
+    let (died, reclaimed) = died.zip(reclaimed).expect("the crash plan exercised no recovery");
+    assert!(reclaimed - died <= 1_000_000, "lost range reclaimed {} ns late", reclaimed - died);
 }

@@ -13,7 +13,8 @@
 //!
 //! Wrap it in [`crate::Spin`] to burn the virtual cost for real on the
 //! thread-backed runtime, or feed the cost profile straight to the
-//! discrete-event simulator / the `autotune_bench` mini-DES.
+//! discrete-event simulator / the virtual-time loop of
+//! `autotune/tests/auto_vs_fixed.rs`.
 
 use crate::Workload;
 
