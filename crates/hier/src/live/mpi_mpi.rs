@@ -123,6 +123,39 @@ fn lock_queue(
     }
 }
 
+/// One rank's wall clock, cut into back-to-back timeline segments. The
+/// clock is read once per segment boundary, and only when somebody
+/// uses the value: the trace, AWF's rate history or a straggler's
+/// busy-wait. Otherwise a boundary costs nothing and reports 0.
+struct Timeline {
+    epoch: Instant,
+    timed: bool,
+    /// Where the open segment began, in ns since `epoch`.
+    open: u64,
+}
+
+impl Timeline {
+    fn start(epoch: Instant, timed: bool) -> Self {
+        Self { epoch, timed, open: epoch.elapsed().as_nanos() as u64 }
+    }
+
+    fn now(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Close the open segment as `kind` on `trace` and open the next
+    /// one at the same instant, which is returned.
+    fn cut(&mut self, trace: &mut Trace, worker: u32, kind: SegmentKind) -> u64 {
+        if !self.timed {
+            return 0;
+        }
+        let at = self.now();
+        trace.record(worker, self.open, at, kind);
+        self.open = at;
+        at
+    }
+}
+
 /// Run the MPI+MPI approach with real threads.
 ///
 /// Allocation or RMA failures from any rank surface as `Err`.
@@ -157,7 +190,6 @@ pub(super) fn run_ranks(
     let epoch = Instant::now();
 
     let outcomes = Universe::run(topology, move |p| -> mpisim::Result<RankOutcome> {
-        let now = || epoch.elapsed().as_nanos() as u64;
         let world = p.world();
         let me = world.rank();
         let my_node = p.node_id();
@@ -201,17 +233,17 @@ pub(super) fn run_ranks(
         // Mirror of my own LEASE_EPOCH slot — single-writer while alive.
         let mut my_epoch: i64 = 0;
         let mut fetches_done: u32 = 0;
+        let mut clock = Timeline::start(epoch, do_trace || awf.is_some() || straggle > 1.0);
 
         loop {
             // ---- probe the local queue under the window lock ----
-            let probe_start = now();
             if let Some(h) = lock_queue(&local_win, &node_comm, plan_active, detect_polls)? {
                 out.reclaims += 1;
                 out.recovery.push(resilience::RecoveryEvent::LockRepair {
                     node: my_node,
                     dead_holder: world_of(h),
                     by: me,
-                    at_ns: now(),
+                    at_ns: clock.now(),
                 });
             }
             local_win.sync();
@@ -237,7 +269,7 @@ pub(super) fn run_ranks(
                     local_win.sync();
                     out.recovery.push(resilience::RecoveryEvent::Crash {
                         rank: me,
-                        at_ns: now(),
+                        at_ns: clock.now(),
                         holding_lock: true,
                     });
                     break;
@@ -292,7 +324,7 @@ pub(super) fn run_ranks(
                         local_win.unlock(LockKind::Exclusive, 0)?;
                         out.recovery.push(resilience::RecoveryEvent::Crash {
                             rank: me,
-                            at_ns: now(),
+                            at_ns: clock.now(),
                             holding_lock: false,
                         });
                         break;
@@ -300,24 +332,21 @@ pub(super) fn run_ranks(
                 }
                 local_win.sync();
                 local_win.unlock(LockKind::Exclusive, 0)?;
-                out.trace.record(me, probe_start, now(), SegmentKind::Sched);
-                let started = std::time::Instant::now();
-                let compute_start = now();
+                let started = clock.cut(&mut out.trace, me, SegmentKind::Sched);
                 execute(workload, &sub, &mut out);
                 if straggle > 1.0 {
                     // Injected straggler: stretch the kernel time to
                     // `straggle`× by busy-waiting out the difference.
-                    let target = started.elapsed().mul_f64(straggle);
-                    while started.elapsed() < target {
+                    let target = started + ((clock.now() - started) as f64 * straggle) as u64;
+                    while clock.now() < target {
                         std::hint::spin_loop();
                     }
                 }
-                out.trace.record(me, compute_start, now(), SegmentKind::Compute);
+                let finished = clock.cut(&mut out.trace, me, SegmentKind::Compute);
                 if awf.is_some() {
                     // Charge the measured kernel time to the shared
                     // history (AWF-C style: per chunk completion).
-                    let elapsed = started.elapsed().as_nanos().min(i64::MAX as u128) as i64;
-                    let hist_start = now();
+                    let elapsed = (finished - started).min(i64::MAX as u64) as i64;
                     lock_queue(&local_win, &node_comm, plan_active, detect_polls)?;
                     // Unified-model visibility: sync before reading
                     // counters peers put under their own epochs (the
@@ -332,7 +361,7 @@ pub(super) fn run_ranks(
                     local_win.put(0, i_slot + 1, tm + elapsed.max(1))?;
                     local_win.sync();
                     local_win.unlock(LockKind::Exclusive, 0)?;
-                    out.trace.record(me, hist_start, now(), SegmentKind::Sched);
+                    clock.cut(&mut out.trace, me, SegmentKind::Sched);
                 }
                 continue;
             }
@@ -358,7 +387,7 @@ pub(super) fn run_ranks(
                         local_win.note_reclaim();
                         out.reclaims += 1;
                         out.deposits += 1;
-                        let at = now();
+                        let at = clock.now();
                         out.recovery.push(resilience::RecoveryEvent::LeaseExpired {
                             owner: world_of(r),
                             lo: rlo as u64,
@@ -379,7 +408,7 @@ pub(super) fn run_ranks(
                 if reclaimed {
                     local_win.sync();
                     local_win.unlock(LockKind::Exclusive, 0)?;
-                    out.trace.record(me, probe_start, now(), SegmentKind::Sched);
+                    clock.cut(&mut out.trace, me, SegmentKind::Sched);
                     continue;
                 }
                 if refilling {
@@ -395,16 +424,16 @@ pub(super) fn run_ranks(
                         out.recovery.push(resilience::RecoveryEvent::RefillFailover {
                             node: my_node,
                             from: world_of(rr),
-                            at_ns: now(),
+                            at_ns: clock.now(),
                         });
-                        out.trace.record(me, probe_start, now(), SegmentKind::Sched);
+                        clock.cut(&mut out.trace, me, SegmentKind::Sched);
                         continue;
                     }
                 }
             }
             if global_done {
                 local_win.unlock(LockKind::Exclusive, 0)?;
-                out.trace.record(me, probe_start, now(), SegmentKind::Sched);
+                clock.cut(&mut out.trace, me, SegmentKind::Sched);
                 break;
             }
             if refilling {
@@ -413,7 +442,7 @@ pub(super) fn run_ranks(
                 std::thread::yield_now();
                 // A queue-empty observation while a peer refills is peer
                 // waiting, not scheduling work of our own.
-                out.trace.record(me, probe_start, now(), SegmentKind::Sync);
+                clock.cut(&mut out.trace, me, SegmentKind::Sync);
                 continue;
             }
             // This worker becomes the refiller.
@@ -445,7 +474,7 @@ pub(super) fn run_ranks(
                     local_win.unlock(LockKind::Exclusive, 0)?;
                     out.recovery.push(resilience::RecoveryEvent::Crash {
                         rank: me,
-                        at_ns: now(),
+                        at_ns: clock.now(),
                         holding_lock: false,
                     });
                     break;
@@ -459,7 +488,7 @@ pub(super) fn run_ranks(
                     node: my_node,
                     dead_holder: world_of(h),
                     by: me,
-                    at_ns: now(),
+                    at_ns: clock.now(),
                 });
             }
             match fetched {
@@ -485,16 +514,16 @@ pub(super) fn run_ranks(
             if fetched == Fetched::Pending {
                 // Waiting on a peer node, like a refill in flight.
                 std::thread::yield_now();
-                out.trace.record(me, probe_start, now(), SegmentKind::Sync);
+                clock.cut(&mut out.trace, me, SegmentKind::Sync);
             } else {
                 // The whole refill transaction (global fetch + deposit)
                 // is scheduling overhead.
-                out.trace.record(me, probe_start, now(), SegmentKind::Sched);
+                clock.cut(&mut out.trace, me, SegmentKind::Sched);
             }
         }
 
         queue.end()?;
-        out.finish_ns = now();
+        out.finish_ns = clock.now();
         world.barrier();
         queue.note_barrier();
         local_win.note_barrier();
@@ -654,6 +683,27 @@ mod tests {
     fn trace_disabled_by_default() {
         let (r, _) = run(HierSpec::new(Kind::GSS, Kind::SS), 1, 2, 100);
         assert!(r.trace.segments().is_empty());
+    }
+
+    #[test]
+    fn untraced_run_still_times_its_lock_epochs() {
+        // The rank loop reads no clock without a trace; the window's own
+        // grant/release stamps must keep `lock_time_ns` alive.
+        let (r, _) = run(HierSpec::new(Kind::GSS, Kind::SS), 2, 2, 400);
+        assert!(r.trace.segments().is_empty());
+        for ws in &r.stats.workers {
+            assert!(ws.lock_time_ns > 0, "time-in-lock must accumulate untraced");
+        }
+    }
+
+    #[test]
+    fn unblocked_run_reports_no_lock_polls() {
+        // One rank has nobody to wait for: not one failed poll, on
+        // either window.
+        let (r, serial) = run(HierSpec::new(Kind::GSS, Kind::SS), 1, 1, 400);
+        assert_exact(&r, serial, 400);
+        assert_eq!(r.stats.workers[0].lock_polls, 0);
+        assert_eq!((r.stats.nodes[0].lock_polls, r.stats.nodes[0].lock_contended), (0, 0));
     }
 
     #[test]

@@ -164,10 +164,13 @@ fn team_thread(
         trace: if do_trace { Trace::recording() } else { Trace::disabled() },
         finish_ns: 0,
     };
-    let now = || epoch.elapsed().as_nanos() as u64;
+    let clock = || epoch.elapsed().as_nanos() as u64;
+    // Segment boundaries are only worth a clock read when they are kept.
+    let now = || if do_trace { clock() } else { 0 };
     let tid = ctx.thread_num();
+    // Each boundary is read once: a segment starts where the last ended.
+    let mut at = now();
     loop {
-        let fetch_start = now();
         // Only the main thread calls MPI. An RMA failure parks its
         // error in `fetch_err` and posts `None` so the whole team
         // drains out of the loop.
@@ -190,18 +193,20 @@ fn team_thread(
         });
         if tid == 0 {
             // The master's MPI round-trip is scheduling overhead.
-            out.trace.record(tid, fetch_start, now(), SegmentKind::Sched);
+            let fetched = now();
+            out.trace.record(tid, at, fetched, SegmentKind::Sched);
+            at = fetched;
         }
         // Region start: the team waits for the fetch.
-        let barrier_start = now();
         ctx.barrier();
-        out.trace.record(tid, barrier_start, now(), SegmentKind::Sync);
+        let region_start = now();
+        out.trace.record(tid, at, region_start, SegmentKind::Sync);
+        at = region_start;
         let Some((lo, hi)) = *chunk_slot.lock() else {
             break;
         };
         // The worksharing region; `for_each_dispatch` ends in the
         // implicit barrier the paper's Figure 2 illustrates.
-        let mut last_end = now();
         ctx.for_each_dispatch(lo..hi, schedule, |r| {
             let c0 = now();
             for i in r.clone() {
@@ -210,14 +215,16 @@ fn team_thread(
             out.iterations += r.end - r.start;
             out.sub_chunks += 1;
             out.executed.push(SubChunk { start: r.start, end: r.end });
-            last_end = now();
-            out.trace.record(tid, c0, last_end, SegmentKind::Compute);
+            at = now();
+            out.trace.record(tid, c0, at, SegmentKind::Compute);
         });
         // Fast threads sit in the region's implicit end barrier until
         // the slowest one drains its share.
-        out.trace.record(tid, last_end, now(), SegmentKind::Sync);
+        let region_end = now();
+        out.trace.record(tid, at, region_end, SegmentKind::Sync);
+        at = region_end;
     }
-    out.finish_ns = now();
+    out.finish_ns = clock();
     out
 }
 

@@ -12,8 +12,6 @@ use crate::comm::{Comm, TAG_WIN};
 use crate::error::{Error, Result};
 use crate::rmalog::{AtomicOpKind, RmaEvent, RmaLog};
 use crate::sync::QueuedLock;
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,11 +67,15 @@ pub struct RankWinStats {
     /// Successful `MPI_Win_lock` epochs this rank opened (shared and
     /// exclusive, including `try_lock` successes and `lock_all`).
     pub lock_acquisitions: u64,
-    /// Failed poll attempts: wake-ups (or `try_lock` failures) while the
-    /// requested lock was still unavailable — this rank's share of the
-    /// lock-attempt message traffic.
+    /// Failed poll attempts: looks at a lock (spinning, after a wake-up,
+    /// or one `try_lock` failure) that found it unavailable or an earlier
+    /// ticket still queued — this rank's share of the lock-attempt
+    /// message traffic, counted as [`LockStats::polls`](crate::LockStats)
+    /// counts it.
     pub failed_polls: u64,
-    /// Nanoseconds this rank spent blocked *acquiring* window locks.
+    /// Nanoseconds this rank spent blocked *acquiring* window locks,
+    /// from its first failed poll to the grant; an acquire that never
+    /// polls adds nothing.
     pub lock_wait_ns: u64,
     /// Nanoseconds this rank spent *inside* lock epochs (lock→unlock).
     pub lock_held_ns: u64,
@@ -93,7 +95,6 @@ pub struct RankWinStats {
 /// This rank's cumulative counters plus the open-epoch bookkeeping the
 /// held-time measurement needs. One per rank per window (shared by
 /// clones of the same handle, which stay on the creating rank).
-#[derive(Default)]
 struct RankLocal {
     lock_acquisitions: AtomicU64,
     failed_polls: AtomicU64,
@@ -103,23 +104,55 @@ struct RankLocal {
     puts: AtomicU64,
     gets: AtomicU64,
     reclaims: AtomicU64,
-    /// Grant instant of each epoch this rank currently holds, by target.
-    held_since: Mutex<HashMap<u32, Instant>>,
+    /// Zero of the `held_since` clock.
+    base: Instant,
+    /// One slot per target: 0 while this rank holds no epoch there,
+    /// otherwise the grant time in ns since `base`, plus one. The slot is
+    /// also how `unlock` tells an epoch this handle opened from somebody
+    /// else's.
+    held_since: Box<[AtomicU64]>,
 }
 
 impl RankLocal {
-    fn granted(&self, target: u32, requested: Instant, polls: u64) {
-        let granted = Instant::now();
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        self.failed_polls.fetch_add(polls, Ordering::Relaxed);
-        self.lock_wait_ns
-            .fetch_add(granted.duration_since(requested).as_nanos() as u64, Ordering::Relaxed);
-        self.held_since.lock().insert(target, granted);
+    fn new(targets: usize) -> Self {
+        Self {
+            lock_acquisitions: AtomicU64::new(0),
+            failed_polls: AtomicU64::new(0),
+            lock_wait_ns: AtomicU64::new(0),
+            lock_held_ns: AtomicU64::new(0),
+            rma_atomic_ops: AtomicU64::new(0),
+            puts: AtomicU64::new(0),
+            gets: AtomicU64::new(0),
+            reclaims: AtomicU64::new(0),
+            base: Instant::now(),
+            held_since: (0..targets).map(|_| AtomicU64::new(0)).collect(),
+        }
     }
 
-    fn released(&self, target: u32) {
-        if let Some(granted) = self.held_since.lock().remove(&target) {
-            self.lock_held_ns.fetch_add(granted.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    /// Account a granted epoch on `target`; `waited` is what
+    /// [`QueuedLock::acquire`] returned.
+    fn granted(&self, target: usize, (polls, blocked_at): (u64, Option<Instant>)) {
+        let granted = Instant::now();
+        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+        if let Some(since) = blocked_at {
+            self.failed_polls.fetch_add(polls, Ordering::Relaxed);
+            self.lock_wait_ns
+                .fetch_add(granted.duration_since(since).as_nanos() as u64, Ordering::Relaxed);
+        }
+        let at = granted.duration_since(self.base).as_nanos() as u64;
+        self.held_since[target].store(at + 1, Ordering::Relaxed);
+    }
+
+    /// Whether this rank holds an epoch on `target`.
+    fn holds(&self, target: usize) -> bool {
+        self.held_since[target].load(Ordering::Relaxed) != 0
+    }
+
+    /// Close the epoch on `target` and account its held time.
+    fn released(&self, target: usize) {
+        if let Some(granted) = self.held_since[target].swap(0, Ordering::Relaxed).checked_sub(1) {
+            let now = self.base.elapsed().as_nanos() as u64;
+            self.lock_held_ns.fetch_add(now.saturating_sub(granted), Ordering::Relaxed);
         }
     }
 
@@ -203,7 +236,8 @@ impl Window {
             let (_, _, state): (_, _, Arc<WinState>) = comm.recv(Some(0), Some(TAG_WIN))?;
             state
         };
-        Ok(Window { state, comm: comm.clone(), rank: Arc::new(RankLocal::default()), log: None })
+        let rank = Arc::new(RankLocal::new(lens.len()));
+        Ok(Window { state, comm: comm.clone(), rank, log: None })
     }
 
     /// The communicator the window was created over.
@@ -291,16 +325,12 @@ impl Window {
             .locks
             .get(target as usize)
             .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
-        let requested = Instant::now();
-        let polls = match kind {
-            LockKind::Exclusive => lock.lock_exclusive(),
-            LockKind::Shared => lock.lock_shared(),
-        };
+        let waited = lock.acquire(kind == LockKind::Shared);
         if kind == LockKind::Exclusive {
             self.state.holders[target as usize]
                 .store(i64::from(self.comm.rank()), Ordering::SeqCst);
         }
-        self.rank.granted(target, requested, polls);
+        self.rank.granted(target as usize, waited);
         // Stamped after the grant: a correctly-disciplined exclusive
         // epoch's [Lock.seq, Unlock.seq] interval cannot overlap another
         // rank's on the same target.
@@ -319,11 +349,10 @@ impl Window {
             .locks
             .get(target as usize)
             .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
-        let requested = Instant::now();
         if lock.try_lock_exclusive() {
             self.state.holders[target as usize]
                 .store(i64::from(self.comm.rank()), Ordering::SeqCst);
-            self.rank.granted(target, requested, 0);
+            self.rank.granted(target as usize, (0, None));
             self.rec(RmaEvent::Lock { kind: LockKind::Exclusive, target });
             Ok(true)
         } else {
@@ -342,6 +371,11 @@ impl Window {
         // Stamped before the release (even if the release turns out to
         // be mismatched — the checker wants to see the attempt).
         self.rec(RmaEvent::Unlock { kind, target });
+        if !self.rank.holds(target as usize) {
+            // Not this handle's epoch: the lock, and whoever does hold
+            // it, are left alone.
+            return Err(Error::NotLocked);
+        }
         if kind == LockKind::Exclusive {
             // Cleared before the release so an observer never sees a
             // stale holder on an already-free lock.
@@ -352,7 +386,7 @@ impl Window {
             LockKind::Shared => lock.unlock_shared(),
         };
         if ok {
-            self.rank.released(target);
+            self.rank.released(target as usize);
             fence(Ordering::SeqCst);
             Ok(())
         } else {
@@ -464,9 +498,7 @@ impl Window {
     /// rank order, so concurrent `lock_all` calls cannot deadlock).
     pub fn lock_all(&self) {
         for (target, lock) in self.state.locks.iter().enumerate() {
-            let requested = Instant::now();
-            let polls = lock.lock_shared();
-            self.rank.granted(target as u32, requested, polls);
+            self.rank.granted(target, lock.acquire(true));
         }
         self.rec(RmaEvent::LockAll);
     }
@@ -476,10 +508,10 @@ impl Window {
     pub fn unlock_all(&self) -> Result<()> {
         self.rec(RmaEvent::UnlockAll);
         for (target, lock) in self.state.locks.iter().enumerate() {
-            if !lock.unlock_shared() {
+            if !self.rank.holds(target) || !lock.unlock_shared() {
                 return Err(Error::NotLocked);
             }
-            self.rank.released(target as u32);
+            self.rank.released(target);
         }
         fence(Ordering::SeqCst);
         Ok(())

@@ -86,3 +86,31 @@ fn stats_for_out_of_range_target_are_errors() {
         assert!(win.lock_stats(3).is_err());
     });
 }
+
+#[test]
+fn stray_unlock_from_another_rank_leaves_the_epoch_alone() {
+    Universe::run(Topology::new(1, 2), |p| {
+        let w = p.world();
+        let win = Window::allocate(w, 1).expect("allocate");
+        if w.rank() == 0 {
+            win.lock(LockKind::Exclusive, 0).expect("lock");
+            w.barrier(); // rank 1 misbehaves between the barriers
+            w.barrier();
+            win.unlock(LockKind::Exclusive, 0).expect("the epoch is still rank 0's to close");
+        } else {
+            w.barrier();
+            // Rank 1 holds no epoch on target 0: each refusal must leave
+            // the lock held and rank 0 on record as its holder.
+            assert!(matches!(win.unlock(LockKind::Exclusive, 0), Err(Error::NotLocked)));
+            assert!(matches!(win.unlock(LockKind::Shared, 0), Err(Error::NotLocked)));
+            assert!(matches!(win.unlock_all(), Err(Error::NotLocked)));
+            assert_eq!(win.exclusive_holder(0).expect("holder"), Some(0));
+            assert!(!win.try_lock_exclusive(0).expect("try_lock"), "rank 0's lock was released");
+            assert!(!win.repair_lock(0).expect("repair"), "a live holder is not evicted");
+            w.barrier();
+        }
+        w.barrier();
+        assert_eq!(win.exclusive_holder(0).expect("holder"), None);
+        assert_eq!(win.lock_stats(0).expect("stats").0, 1, "one epoch was ever opened");
+    });
+}

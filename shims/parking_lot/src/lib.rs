@@ -106,28 +106,6 @@ impl Condvar {
     }
 }
 
-/// A reader-writer lock with `parking_lot`-style non-poisoning accessors.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: sync::RwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    pub const fn new(value: T) -> Self {
-        Self { inner: sync::RwLock::new(value) }
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> sync::RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    pub fn write(&self) -> sync::RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
