@@ -285,6 +285,69 @@ impl Client {
     }
 }
 
+/// The worker loop behind the three `drive_job*` functions: fetch a
+/// batch, execute its chunks, settle their leases, repeat until the
+/// job is done. `per_chunk` settles each chunk in its own `ReportDone`
+/// round trip, right after `on_chunk` saw it; otherwise the whole batch
+/// is settled in one. Returns the totals over *acknowledged* reports.
+/// `on_report` is handed the chunks of each report the server may have
+/// applied: with `true` once it was acknowledged, with `false` when it
+/// failed with an `Io` error (applied or lost — the reply never came).
+#[allow(clippy::too_many_arguments)]
+fn drive(
+    client: &mut Client,
+    job: JobId,
+    worker: u32,
+    batch: u32,
+    per_chunk: bool,
+    execute: &mut dyn FnMut(u64) -> u64,
+    on_chunk: &mut dyn FnMut(u64) -> bool,
+    on_report: &mut dyn FnMut(&[GrantedChunk], bool),
+) -> Result<(u64, u64, u64)> {
+    let (mut checksum, mut iterations, mut chunks) = (0u64, 0u64, 0u64);
+    let mut executed_chunks = 0u64;
+    let mut leases: Vec<LeaseId> = Vec::new();
+    loop {
+        let granted = match client.fetch(job, worker, batch)? {
+            FetchReply::Done => return Ok((checksum, iterations, chunks)),
+            FetchReply::Pending => {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                continue;
+            }
+            FetchReply::Chunks(granted) => granted,
+        };
+        let settle_together = if per_chunk { 1 } else { granted.len().max(1) };
+        for group in granted.chunks(settle_together) {
+            let mut sum = 0u64;
+            for c in group {
+                for i in c.lo..c.hi {
+                    sum = sum.wrapping_add(execute(i));
+                }
+                executed_chunks += 1;
+                if !on_chunk(executed_chunks) {
+                    // Abandon mid-chunk: executed but never reported —
+                    // the server must reclaim it.
+                    return Ok((checksum, iterations, chunks));
+                }
+            }
+            leases.clear();
+            leases.extend(group.iter().map(|c| c.lease));
+            match client.report_done(job, &leases) {
+                Ok(()) => on_report(group, true),
+                Err(e) => {
+                    if matches!(e, ClientError::Io(_)) {
+                        on_report(group, false);
+                    }
+                    return Err(e);
+                }
+            }
+            checksum = checksum.wrapping_add(sum);
+            iterations += group.iter().map(|c| c.hi - c.lo).sum::<u64>();
+            chunks += group.len() as u64;
+        }
+    }
+}
+
 /// Run a whole job from this process: fetch batches, execute each
 /// granted iteration through `execute`, report, repeat until the job
 /// is done. Returns `(checksum_of_reported_work, iterations_reported,
@@ -306,36 +369,7 @@ pub fn drive_job(
     execute: &mut dyn FnMut(u64) -> u64,
     on_chunk: &mut dyn FnMut(u64) -> bool,
 ) -> Result<(u64, u64, u64)> {
-    let mut checksum = 0u64;
-    let mut iterations = 0u64;
-    let mut chunks = 0u64;
-    let mut executed_chunks = 0u64;
-    loop {
-        match client.fetch(job, worker, batch)? {
-            FetchReply::Done => return Ok((checksum, iterations, chunks)),
-            FetchReply::Pending => {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            FetchReply::Chunks(granted) => {
-                for c in &granted {
-                    let mut sum = 0u64;
-                    for i in c.lo..c.hi {
-                        sum = sum.wrapping_add(execute(i));
-                    }
-                    executed_chunks += 1;
-                    if !on_chunk(executed_chunks) {
-                        // Abandon mid-chunk: executed but never
-                        // reported — the server must reclaim it.
-                        return Ok((checksum, iterations, chunks));
-                    }
-                    client.report_done(job, &[c.lease])?;
-                    checksum = checksum.wrapping_add(sum);
-                    iterations += c.hi - c.lo;
-                    chunks += 1;
-                }
-            }
-        }
-    }
+    drive(client, job, worker, batch, true, execute, on_chunk, &mut |_, _| {})
 }
 
 /// [`drive_job`] that additionally records every *acknowledged* range
@@ -363,36 +397,15 @@ pub fn drive_job_tracked(
     acked: &mut Vec<(u64, u64)>,
     ambiguous: &mut Vec<(u64, u64)>,
 ) -> Result<()> {
-    let mut executed_chunks = 0u64;
-    loop {
-        match client.fetch(job, worker, batch)? {
-            FetchReply::Done => return Ok(()),
-            FetchReply::Pending => {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            FetchReply::Chunks(granted) => {
-                for c in &granted {
-                    let mut sum = 0u64;
-                    for i in c.lo..c.hi {
-                        sum = sum.wrapping_add(execute(i));
-                    }
-                    let _ = sum;
-                    executed_chunks += 1;
-                    if !on_chunk(executed_chunks) {
-                        return Ok(());
-                    }
-                    match client.report_done(job, &[c.lease]) {
-                        Ok(()) => acked.push((c.lo, c.hi)),
-                        Err(e @ ClientError::Io(_)) => {
-                            ambiguous.push((c.lo, c.hi));
-                            return Err(e);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
+    let mut record = |group: &[GrantedChunk], acknowledged: bool| {
+        let ranges = group.iter().map(|c| (c.lo, c.hi));
+        if acknowledged {
+            acked.extend(ranges)
+        } else {
+            ambiguous.extend(ranges)
         }
-    }
+    };
+    drive(client, job, worker, batch, true, execute, on_chunk, &mut record).map(|_| ())
 }
 
 /// [`drive_job`] with whole-batch reporting: execute every chunk of
@@ -405,30 +418,5 @@ pub fn drive_job_batched(
     batch: u32,
     execute: &mut dyn FnMut(u64) -> u64,
 ) -> Result<(u64, u64, u64)> {
-    let mut checksum = 0u64;
-    let mut iterations = 0u64;
-    let mut chunks = 0u64;
-    loop {
-        match client.fetch(job, worker, batch)? {
-            FetchReply::Done => return Ok((checksum, iterations, chunks)),
-            FetchReply::Pending => {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-            }
-            FetchReply::Chunks(granted) => {
-                let mut sum = 0u64;
-                let mut iters = 0u64;
-                for c in &granted {
-                    for i in c.lo..c.hi {
-                        sum = sum.wrapping_add(execute(i));
-                    }
-                    iters += c.hi - c.lo;
-                }
-                let leases: Vec<LeaseId> = granted.iter().map(|c| c.lease).collect();
-                client.report_done(job, &leases)?;
-                checksum = checksum.wrapping_add(sum);
-                iterations += iters;
-                chunks += granted.len() as u64;
-            }
-        }
-    }
+    drive(client, job, worker, batch, false, execute, &mut |_| true, &mut |_, _| {})
 }

@@ -16,9 +16,9 @@
 //! loop: it first answers all queued requests, then takes a sub-chunk
 //! for itself.
 
+use super::run::{assemble, Ledger};
 use super::{LiveConfig, LiveResult};
 use crate::queue::{LocalQueue, SubChunk};
-use crate::stats::RunStats;
 use dls::technique::WorkerCtx;
 use dls::{ChunkCalculator, LoopSpec, SchedState};
 use mpisim::{Comm, Topology, Universe};
@@ -51,12 +51,12 @@ pub fn run_live_flat_master_worker(
         let world = p.world();
         if world.rank() == 0 {
             master_serve(world, &spec.inter, &calc_spec, total - 1);
-            (0u64, 0u64, Vec::new())
+            Ledger::untimed(0)
         } else {
-            worker_loop(world, workload)
+            worker_loop(world, 0, workload)
         }
     });
-    aggregate(cfg, outcomes)
+    assemble(cfg, outcomes, Vec::new())
 }
 
 /// The dedicated master: serve requests until every worker has been
@@ -78,49 +78,18 @@ fn master_serve(world: &Comm, technique: &dls::Technique, spec: &LoopSpec, worke
     }
 }
 
-/// A worker: request, execute, repeat until the termination notice.
-fn worker_loop(world: &Comm, workload: &dyn Workload) -> (u64, u64, Vec<SubChunk>) {
-    let mut checksum = 0u64;
-    let mut iterations = 0u64;
-    let mut executed = Vec::new();
+/// A worker: request from `master`, execute, repeat until the
+/// termination notice.
+fn worker_loop(world: &Comm, master: u32, workload: &dyn Workload) -> Ledger {
+    let mut out = Ledger::untimed(world.rank());
     loop {
-        world.send(0, TAG_REQUEST, ()).expect("request");
+        world.send(master, TAG_REQUEST, ()).expect("request");
         let (_, _, assignment): (_, _, Assignment) =
-            world.recv(Some(0), Some(TAG_ASSIGN)).expect("assignment");
+            world.recv(Some(master), Some(TAG_ASSIGN)).expect("assignment");
         match assignment {
-            Some((lo, hi)) => {
-                for i in lo..hi {
-                    checksum = checksum.wrapping_add(workload.execute(i));
-                }
-                iterations += hi - lo;
-                executed.push(SubChunk { start: lo, end: hi });
-            }
-            None => return (checksum, iterations, executed),
+            Some((lo, hi)) => out.execute(workload, SubChunk { start: lo, end: hi }),
+            None => return out,
         }
-    }
-}
-
-fn aggregate(cfg: &LiveConfig, outcomes: Vec<(u64, u64, Vec<SubChunk>)>) -> LiveResult {
-    let total_workers = (cfg.nodes * cfg.workers_per_node) as usize;
-    let mut stats = RunStats::new(total_workers, cfg.nodes as usize);
-    let mut checksum = 0u64;
-    let mut executed = Vec::new();
-    for (w, (cs, iters, subs)) in outcomes.into_iter().enumerate() {
-        stats.workers[w].iterations = iters;
-        stats.workers[w].sub_chunks = subs.len() as u64;
-        stats.total_iterations += iters;
-        checksum = checksum.wrapping_add(cs);
-        executed.extend(subs.into_iter().map(|s| (w as u32, s)));
-    }
-    // The message-passing models are comparison baselines; they do not
-    // record timelines.
-    LiveResult {
-        stats,
-        checksum,
-        executed,
-        trace: cluster_sim::Trace::disabled(),
-        rma: Vec::new(),
-        recovery: Vec::new(),
     }
 }
 
@@ -148,19 +117,15 @@ pub fn run_live_master_worker(cfg: &LiveConfig, workload: &(dyn Workload + Sync)
             // Global master: serve the local masters. Each node sends
             // exactly one final request that returns None.
             master_serve(world, &spec.inter, &inter_spec, cfg.nodes);
-            // Rank 0 of node 0 doubles as that node's local master in
-            // this layout? No — the global master is dedicated; node
-            // 0's local master is handled below only for me != 0. To
-            // keep every node uniform, node 0's local master is rank 1.
-            (0u64, 0u64, Vec::new())
+            Ledger::untimed(0)
         } else if p.local_rank() == local_master_rank(p.node_id()) {
             local_master_loop(world, p.node_id(), wpn, &spec.intra, workload)
         } else {
             let lm = p.node_id() * wpn + local_master_rank(p.node_id());
-            plain_worker_loop(world, lm, workload)
+            worker_loop(world, lm, workload)
         }
     });
-    aggregate(cfg, outcomes)
+    assemble(cfg, outcomes, Vec::new())
 }
 
 /// Local rank of the node's local master: rank 1 on node 0 (whose rank
@@ -179,16 +144,14 @@ fn local_master_loop(
     wpn: u32,
     intra: &dls::Technique,
     workload: &dyn Workload,
-) -> (u64, u64, Vec<SubChunk>) {
+) -> Ledger {
     let mut queue = LocalQueue::new();
     let mut pending: std::collections::VecDeque<u32> = Default::default();
     let mut global_done = false;
-    let mut checksum = 0u64;
-    let mut iterations = 0u64;
-    let mut executed = Vec::new();
     // Peers: every rank of this node except the local master itself
     // (and except the dedicated global master on node 0).
     let my_world = node * wpn + local_master_rank(node);
+    let mut out = Ledger::untimed(my_world);
     let mut active_peers =
         (node * wpn..(node + 1) * wpn).filter(|&r| r != my_world && r != 0).count() as u32;
 
@@ -221,11 +184,7 @@ fn local_master_loop(
         }
         // One sub-chunk of our own between serving rounds.
         if let Some(sub) = queue.take_sub_chunk(intra, wpn) {
-            for i in sub.start..sub.end {
-                checksum = checksum.wrapping_add(workload.execute(i));
-            }
-            iterations += sub.len();
-            executed.push(sub);
+            out.execute(workload, sub);
         } else if global_done {
             if active_peers == 0 && pending.is_empty() {
                 break;
@@ -238,53 +197,16 @@ fn local_master_loop(
         }
         // Otherwise loop back to refill.
     }
-    (checksum, iterations, executed)
-}
-
-fn plain_worker_loop(
-    world: &Comm,
-    local_master: u32,
-    workload: &dyn Workload,
-) -> (u64, u64, Vec<SubChunk>) {
-    let mut checksum = 0u64;
-    let mut iterations = 0u64;
-    let mut executed = Vec::new();
-    loop {
-        world.send(local_master, TAG_REQUEST, ()).expect("request");
-        let (_, _, assignment): (_, _, Assignment) =
-            world.recv(Some(local_master), Some(TAG_ASSIGN)).expect("assignment");
-        match assignment {
-            Some((lo, hi)) => {
-                for i in lo..hi {
-                    checksum = checksum.wrapping_add(workload.execute(i));
-                }
-                iterations += hi - lo;
-                executed.push(SubChunk { start: lo, end: hi });
-            }
-            None => return (checksum, iterations, executed),
-        }
-    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
-    use crate::live::serial_checksum;
-    use dls::verify::check_exactly_once;
+    use crate::live::{assert_exact, serial_checksum};
     use dls::Kind;
     use workloads::synthetic::Synthetic;
-
-    fn assert_exact(r: &LiveResult, serial: u64, n: u64) {
-        assert_eq!(r.checksum, serial, "checksum mismatch");
-        assert_eq!(r.stats.total_iterations, n);
-        let chunks: Vec<dls::Chunk> = r
-            .executed
-            .iter()
-            .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-            .collect();
-        check_exactly_once(&chunks, n).expect("exactly-once");
-    }
 
     #[test]
     fn flat_master_worker_exactly_once() {

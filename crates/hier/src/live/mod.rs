@@ -12,6 +12,7 @@ mod master_worker;
 mod mpi_mpi;
 mod mpi_omp;
 mod net;
+mod run;
 
 pub use master_worker::{run_live_flat_master_worker, run_live_master_worker};
 pub use mpi_mpi::run_live_mpi_mpi;
@@ -127,7 +128,7 @@ pub fn run_live(cfg: &LiveConfig, workload: &(dyn Workload + Sync)) -> mpisim::R
 
 /// The serial reference checksum a correct run must reproduce.
 pub fn serial_checksum(workload: &dyn Workload) -> u64 {
-    (0..workload.n_iters()).map(|i| workload.execute(i)).sum()
+    run::fold_checksum(workload, 0, workload.n_iters(), 0)
 }
 
 /// The executors' shared test oracle: the serial checksum, the
@@ -136,10 +137,5 @@ pub fn serial_checksum(workload: &dyn Workload) -> u64 {
 fn assert_exact(r: &LiveResult, serial: u64, n: u64) {
     assert_eq!(r.checksum, serial, "checksum mismatch vs serial");
     assert_eq!(r.stats.total_iterations, n);
-    let chunks: Vec<dls::Chunk> = r
-        .executed
-        .iter()
-        .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-        .collect();
-    dls::verify::check_exactly_once(&chunks, n).expect("exactly-once");
+    crate::queue::exactly_once(&r.executed, n).expect("exactly-once");
 }

@@ -14,13 +14,13 @@
 //!   fastest worker takes the responsibility; nobody blocks.
 
 use super::global_queue::{Fetched, GlobalQueue};
+use super::run::{assemble, Ledger};
 use super::{LiveConfig, LiveResult};
 use crate::layout::{GLOBAL_DONE, HI, LO, REFILLING, STEP, TAKEN};
 use crate::queue::SubChunk;
-use crate::stats::RunStats;
-use cluster_sim::trace::{SegmentKind, Trace};
+use cluster_sim::trace::SegmentKind;
 use dls_service::{Client, JobId};
-use mpisim::{LockKind, RankWinStats, RmaLog, RmaRecord, Topology, Universe, Window};
+use mpisim::{LockKind, RankWinStats, RmaLog, Topology, Universe, Window};
 use std::sync::Mutex;
 use std::time::Instant;
 use workloads::Workload;
@@ -60,33 +60,6 @@ fn local_slots(wpn: u32) -> usize {
     refiller_slot(wpn) + 1
 }
 
-#[derive(Default)]
-pub(super) struct RankOutcome {
-    pub(super) worker: u32,
-    pub(super) node: u32,
-    pub(super) iterations: u64,
-    pub(super) sub_chunks: u64,
-    pub(super) global_fetches: u64,
-    pub(super) deposits: u64,
-    pub(super) checksum: u64,
-    pub(super) executed: Vec<(u32, SubChunk)>,
-    /// `(acquisitions, contended, polls)` of the node lock, reported by
-    /// local rank 0 only (None elsewhere) to avoid double counting.
-    pub(super) lock_stats: Option<(u64, u64, u64)>,
-    pub(super) global_accesses: u64,
-    /// This rank's window counters, local + global window summed.
-    pub(super) win_stats: RankWinStats,
-    /// Wall-clock timeline of this rank (empty unless tracing).
-    pub(super) trace: Trace,
-    /// When this rank left the main loop, in ns since the run epoch.
-    pub(super) finish_ns: u64,
-    /// Recovery actions this rank performed (lease reclaims + lock
-    /// repairs).
-    pub(super) reclaims: u64,
-    /// Crash / detection / repair events this rank observed.
-    pub(super) recovery: Vec<resilience::RecoveryEvent>,
-}
-
 /// Acquire the node-window lock. Fault-free runs use the blocking FIFO
 /// path untouched; under an active fault plan the acquisition is a
 /// bounded-poll loop so a lock abandoned by a dead holder is detected
@@ -123,39 +96,6 @@ fn lock_queue(
     }
 }
 
-/// One rank's wall clock, cut into back-to-back timeline segments. The
-/// clock is read once per segment boundary, and only when somebody
-/// uses the value: the trace, AWF's rate history or a straggler's
-/// busy-wait. Otherwise a boundary costs nothing and reports 0.
-struct Timeline {
-    epoch: Instant,
-    timed: bool,
-    /// Where the open segment began, in ns since `epoch`.
-    open: u64,
-}
-
-impl Timeline {
-    fn start(epoch: Instant, timed: bool) -> Self {
-        Self { epoch, timed, open: epoch.elapsed().as_nanos() as u64 }
-    }
-
-    fn now(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
-    }
-
-    /// Close the open segment as `kind` on `trace` and open the next
-    /// one at the same instant, which is returned.
-    fn cut(&mut self, trace: &mut Trace, worker: u32, kind: SegmentKind) -> u64 {
-        if !self.timed {
-            return 0;
-        }
-        let at = self.now();
-        trace.record(worker, self.open, at, kind);
-        self.open = at;
-        at
-    }
-}
-
 /// Run the MPI+MPI approach with real threads.
 ///
 /// Allocation or RMA failures from any rank surface as `Err`.
@@ -189,7 +129,7 @@ pub(super) fn run_ranks(
     let faults = cfg.faults.clone();
     let epoch = Instant::now();
 
-    let outcomes = Universe::run(topology, move |p| -> mpisim::Result<RankOutcome> {
+    let outcomes = Universe::run(topology, move |p| -> mpisim::Result<Ledger> {
         let world = p.world();
         let me = world.rank();
         let my_node = p.node_id();
@@ -218,13 +158,6 @@ pub(super) fn run_ranks(
         local_win.note_barrier();
         queue.begin();
 
-        let mut out = RankOutcome {
-            worker: me,
-            node: my_node,
-            trace: if do_trace { Trace::recording() } else { Trace::disabled() },
-            ..RankOutcome::default()
-        };
-
         let plan_active = faults.is_active();
         let detect_polls = faults.recovery.detect_polls;
         let my_local = node_comm.rank();
@@ -233,18 +166,13 @@ pub(super) fn run_ranks(
         // Mirror of my own LEASE_EPOCH slot — single-writer while alive.
         let mut my_epoch: i64 = 0;
         let mut fetches_done: u32 = 0;
-        let mut clock = Timeline::start(epoch, do_trace || awf.is_some() || straggle > 1.0);
+        let timed = do_trace || awf.is_some() || straggle > 1.0;
+        let mut out = Ledger::new(me, Some(my_node), epoch, do_trace, timed);
 
         loop {
             // ---- probe the local queue under the window lock ----
             if let Some(h) = lock_queue(&local_win, &node_comm, plan_active, detect_polls)? {
-                out.reclaims += 1;
-                out.recovery.push(resilience::RecoveryEvent::LockRepair {
-                    node: my_node,
-                    dead_holder: world_of(h),
-                    by: me,
-                    at_ns: clock.now(),
-                });
+                out.lock_repaired(world_of(h));
             }
             local_win.sync();
             if plan_active {
@@ -260,18 +188,14 @@ pub(super) fn run_ranks(
                 local_win.put(0, hb_slot, hb + 1)?;
                 if faults
                     .crash_holding_lock_after(me)
-                    .is_some_and(|k| out.sub_chunks >= u64::from(k))
+                    .is_some_and(|k| out.sub_chunks() >= u64::from(k))
                 {
                     // Die inside the critical section: mark the failure
                     // and leave without unlocking — survivors must
                     // detect the abandoned grant and repair the lock.
                     node_comm.mark_failed();
                     local_win.sync();
-                    out.recovery.push(resilience::RecoveryEvent::Crash {
-                        rank: me,
-                        at_ns: clock.now(),
-                        holding_lock: true,
-                    });
+                    out.crashed(true);
                     break;
                 }
             }
@@ -314,7 +238,7 @@ pub(super) fn run_ranks(
                     local_win.put(0, lease_slot(wpn, my_local, LEASE_EPOCH), my_epoch)?;
                     if faults
                         .crash_after_sub_chunks(me)
-                        .is_some_and(|k| out.sub_chunks + 1 >= u64::from(k))
+                        .is_some_and(|k| out.sub_chunks() + 1 >= u64::from(k))
                     {
                         // Die after taking, before executing: the queue
                         // counters already account the range to this
@@ -322,27 +246,23 @@ pub(super) fn run_ranks(
                         node_comm.mark_failed();
                         local_win.sync();
                         local_win.unlock(LockKind::Exclusive, 0)?;
-                        out.recovery.push(resilience::RecoveryEvent::Crash {
-                            rank: me,
-                            at_ns: clock.now(),
-                            holding_lock: false,
-                        });
+                        out.crashed(false);
                         break;
                     }
                 }
                 local_win.sync();
                 local_win.unlock(LockKind::Exclusive, 0)?;
-                let started = clock.cut(&mut out.trace, me, SegmentKind::Sched);
-                execute(workload, &sub, &mut out);
+                let started = out.cut(SegmentKind::Sched);
+                out.execute(workload, sub);
                 if straggle > 1.0 {
                     // Injected straggler: stretch the kernel time to
                     // `straggle`× by busy-waiting out the difference.
-                    let target = started + ((clock.now() - started) as f64 * straggle) as u64;
-                    while clock.now() < target {
+                    let target = started + ((out.now() - started) as f64 * straggle) as u64;
+                    while out.now() < target {
                         std::hint::spin_loop();
                     }
                 }
-                let finished = clock.cut(&mut out.trace, me, SegmentKind::Compute);
+                let finished = out.cut(SegmentKind::Compute);
                 if awf.is_some() {
                     // Charge the measured kernel time to the shared
                     // history (AWF-C style: per chunk completion).
@@ -361,7 +281,7 @@ pub(super) fn run_ranks(
                     local_win.put(0, i_slot + 1, tm + elapsed.max(1))?;
                     local_win.sync();
                     local_win.unlock(LockKind::Exclusive, 0)?;
-                    clock.cut(&mut out.trace, me, SegmentKind::Sched);
+                    out.cut(SegmentKind::Sched);
                 }
                 continue;
             }
@@ -387,7 +307,7 @@ pub(super) fn run_ranks(
                         local_win.note_reclaim();
                         out.reclaims += 1;
                         out.deposits += 1;
-                        let at = clock.now();
+                        let at = out.now();
                         out.recovery.push(resilience::RecoveryEvent::LeaseExpired {
                             owner: world_of(r),
                             lo: rlo as u64,
@@ -408,7 +328,7 @@ pub(super) fn run_ranks(
                 if reclaimed {
                     local_win.sync();
                     local_win.unlock(LockKind::Exclusive, 0)?;
-                    clock.cut(&mut out.trace, me, SegmentKind::Sched);
+                    out.cut(SegmentKind::Sched);
                     continue;
                 }
                 if refilling {
@@ -424,16 +344,16 @@ pub(super) fn run_ranks(
                         out.recovery.push(resilience::RecoveryEvent::RefillFailover {
                             node: my_node,
                             from: world_of(rr),
-                            at_ns: clock.now(),
+                            at_ns: out.now(),
                         });
-                        clock.cut(&mut out.trace, me, SegmentKind::Sched);
+                        out.cut(SegmentKind::Sched);
                         continue;
                     }
                 }
             }
             if global_done {
                 local_win.unlock(LockKind::Exclusive, 0)?;
-                clock.cut(&mut out.trace, me, SegmentKind::Sched);
+                out.cut(SegmentKind::Sched);
                 break;
             }
             if refilling {
@@ -442,7 +362,7 @@ pub(super) fn run_ranks(
                 std::thread::yield_now();
                 // A queue-empty observation while a peer refills is peer
                 // waiting, not scheduling work of our own.
-                clock.cut(&mut out.trace, me, SegmentKind::Sync);
+                out.cut(SegmentKind::Sync);
                 continue;
             }
             // This worker becomes the refiller.
@@ -472,24 +392,14 @@ pub(super) fn run_ranks(
                     node_comm.mark_failed();
                     local_win.sync();
                     local_win.unlock(LockKind::Exclusive, 0)?;
-                    out.recovery.push(resilience::RecoveryEvent::Crash {
-                        rank: me,
-                        at_ns: clock.now(),
-                        holding_lock: false,
-                    });
+                    out.crashed(false);
                     break;
                 }
             }
 
             // ---- deposit, mark the node done, or hand the role back ----
             if let Some(h) = lock_queue(&local_win, &node_comm, plan_active, detect_polls)? {
-                out.reclaims += 1;
-                out.recovery.push(resilience::RecoveryEvent::LockRepair {
-                    node: my_node,
-                    dead_holder: world_of(h),
-                    by: me,
-                    at_ns: clock.now(),
-                });
+                out.lock_repaired(world_of(h));
             }
             match fetched {
                 Fetched::Chunk(clo, chi) => {
@@ -514,16 +424,16 @@ pub(super) fn run_ranks(
             if fetched == Fetched::Pending {
                 // Waiting on a peer node, like a refill in flight.
                 std::thread::yield_now();
-                clock.cut(&mut out.trace, me, SegmentKind::Sync);
+                out.cut(SegmentKind::Sync);
             } else {
                 // The whole refill transaction (global fetch + deposit)
                 // is scheduling overhead.
-                clock.cut(&mut out.trace, me, SegmentKind::Sched);
+                out.cut(SegmentKind::Sched);
             }
         }
 
         queue.end()?;
-        out.finish_ns = clock.now();
+        out.finish();
         world.barrier();
         queue.note_barrier();
         local_win.note_barrier();
@@ -547,60 +457,7 @@ pub(super) fn run_ranks(
 
     let outcomes = outcomes.into_iter().collect::<mpisim::Result<Vec<_>>>()?;
     let rma = rma_log.map(|l| l.records()).unwrap_or_default();
-    Ok(aggregate(cfg, outcomes, rma))
-}
-
-pub(super) fn execute(workload: &dyn Workload, sub: &SubChunk, out: &mut RankOutcome) {
-    for i in sub.start..sub.end {
-        out.checksum = out.checksum.wrapping_add(workload.execute(i));
-    }
-    out.iterations += sub.len();
-    out.sub_chunks += 1;
-    out.executed.push((out.worker, *sub));
-}
-
-pub(super) fn aggregate(
-    cfg: &LiveConfig,
-    outcomes: Vec<RankOutcome>,
-    rma: Vec<RmaRecord>,
-) -> LiveResult {
-    let total_workers = (cfg.nodes * cfg.workers_per_node) as usize;
-    let mut stats = RunStats::new(total_workers, cfg.nodes as usize);
-    let mut checksum = 0u64;
-    let mut executed = Vec::new();
-    let mut trace = if cfg.trace { Trace::recording() } else { Trace::disabled() };
-    let mut recovery = Vec::new();
-    let makespan_ns = outcomes.iter().map(|o| o.finish_ns).max().unwrap_or(0);
-    for o in outcomes {
-        let w = o.worker as usize;
-        stats.workers[w].iterations = o.iterations;
-        stats.workers[w].sub_chunks = o.sub_chunks;
-        stats.workers[w].global_fetches = o.global_fetches;
-        stats.workers[w].lock_polls = o.win_stats.failed_polls;
-        stats.workers[w].lock_time_ns = o.win_stats.lock_wait_ns + o.win_stats.lock_held_ns;
-        stats.workers[w].rma_ops = o.win_stats.rma_atomic_ops;
-        stats.workers[w].reclaims = o.reclaims;
-        recovery.extend(o.recovery.iter().copied());
-        let node = &mut stats.nodes[o.node as usize];
-        node.deposits += o.deposits;
-        node.sub_chunks += o.sub_chunks;
-        if let Some((acq, contended, polls)) = o.lock_stats {
-            node.lock_acquisitions = acq;
-            node.lock_contended = contended;
-            node.lock_polls = polls;
-        }
-        stats.global_accesses += o.global_accesses;
-        stats.total_iterations += o.iterations;
-        checksum = checksum.wrapping_add(o.checksum);
-        executed.extend(o.executed);
-        for s in o.trace.segments() {
-            trace.record(s.worker, s.start, s.end, s.kind);
-        }
-        // Pad the tail so every worker's timeline spans the makespan.
-        trace.record(o.worker, o.finish_ns, makespan_ns, SegmentKind::Idle);
-    }
-    recovery.sort_by_key(resilience::RecoveryEvent::at_ns);
-    LiveResult { stats, checksum, executed, trace, rma, recovery }
+    Ok(assemble(cfg, outcomes, rma))
 }
 
 #[cfg(test)]

@@ -17,38 +17,17 @@
 //! combinations.
 
 use super::global_queue::{Fetched, GlobalQueue};
+use super::run::{assemble, Ledger};
 use super::{LiveConfig, LiveResult};
 use crate::config::GlobalQueueMode;
 use crate::queue::SubChunk;
-use crate::stats::RunStats;
-use cluster_sim::trace::{SegmentKind, Trace};
+use cluster_sim::trace::SegmentKind;
 use dls::openmp::{omp_equivalent, OmpSchedule};
-use mpisim::{RankWinStats, RmaLog, RmaRecord, Topology, Universe};
+use mpisim::{RmaLog, Topology, Universe};
 use openmp_sim::{Schedule, Team, TeamCtx};
 use parking_lot::Mutex;
 use std::time::Instant;
 use workloads::Workload;
-
-struct ThreadOutcome {
-    iterations: u64,
-    sub_chunks: u64,
-    checksum: u64,
-    executed: Vec<SubChunk>,
-    /// Timeline keyed by the *local* thread id; remapped to global
-    /// worker ids during aggregation.
-    trace: Trace,
-    finish_ns: u64,
-}
-
-struct NodeOutcome {
-    node: u32,
-    threads: Vec<ThreadOutcome>,
-    global_fetches: u64,
-    global_accesses: u64,
-    deposits: u64,
-    /// The node rank's window counters (only thread 0 calls MPI).
-    win_stats: RankWinStats,
-}
 
 /// The intra technique as an `openmp-sim` schedule, or the paper's
 /// limitation message.
@@ -87,9 +66,9 @@ pub fn run_live_mpi_omp(
     // Timeline epoch: every thread stamps segments relative to this.
     let epoch = Instant::now();
 
-    let outcomes = Universe::run(topology, move |p| -> mpisim::Result<NodeOutcome> {
+    let outcomes = Universe::run(topology, move |p| -> mpisim::Result<Vec<Ledger>> {
         let world = p.world();
-        let me = world.rank();
+        let node = world.rank();
         // The baseline keeps both counters in the window, under a lock.
         let queue = GlobalQueue::open_rma(
             world,
@@ -102,85 +81,55 @@ pub fn run_live_mpi_omp(
         queue.note_barrier();
 
         let chunk_slot: Mutex<Option<(u64, u64)>> = Mutex::new(None);
-        let fetches = Mutex::new((0u64, 0u64, 0u64)); // fetches, accesses, deposits
-                                                      // First RMA error the master thread hit (it cannot return a
-                                                      // Result through the worksharing closure); reported after the
-                                                      // team joins.
+        // First RMA error the master thread hit (it cannot return a
+        // Result through the worksharing closure); reported after the
+        // team joins.
         let fetch_err: Mutex<Option<mpisim::Error>> = Mutex::new(None);
 
-        let thread_outcomes = Team::new(team_size).parallel(|ctx| {
-            team_thread(
-                ctx,
-                workload,
-                &queue,
-                &chunk_slot,
-                &fetches,
-                &fetch_err,
-                schedule,
-                do_trace,
-                epoch,
-            )
+        let mut threads = Team::new(team_size).parallel(|ctx| {
+            let worker = node * team_size + ctx.thread_num();
+            let out = Ledger::new(worker, Some(node), epoch, do_trace, do_trace);
+            team_thread(ctx, out, workload, &queue, &chunk_slot, &fetch_err, schedule)
         });
 
         if let Some(e) = fetch_err.into_inner() {
             return Err(e);
         }
+        // Only thread 0 touches the global window, so the rank's window
+        // counters are the master worker's, and the global window's lock
+        // is the only one this node takes.
         let win_stats = queue.rank_stats();
-        let f = fetches.into_inner();
-        Ok(NodeOutcome {
-            node: me,
-            threads: thread_outcomes,
-            global_fetches: f.0,
-            global_accesses: f.1,
-            deposits: f.2,
-            win_stats,
-        })
+        threads[0].lock_stats = Some((win_stats.lock_acquisitions, 0, win_stats.failed_polls));
+        threads[0].win_stats = win_stats;
+        Ok(threads)
     });
 
-    let outcomes = outcomes.into_iter().collect::<mpisim::Result<Vec<_>>>()?;
+    let teams = outcomes.into_iter().collect::<mpisim::Result<Vec<_>>>()?;
     let rma = rma_log.map(|l| l.records()).unwrap_or_default();
-    Ok(aggregate(cfg, outcomes, rma))
+    Ok(assemble(cfg, teams.into_iter().flatten().collect(), rma))
 }
 
 /// One team thread's life: thread 0 fetches chunks over MPI; everyone
 /// executes worksharing regions with the implicit end barrier.
-#[allow(clippy::too_many_arguments)]
 fn team_thread(
     ctx: &TeamCtx,
+    mut out: Ledger,
     workload: &dyn Workload,
     queue: &GlobalQueue,
     chunk_slot: &Mutex<Option<(u64, u64)>>,
-    fetches: &Mutex<(u64, u64, u64)>,
     fetch_err: &Mutex<Option<mpisim::Error>>,
     schedule: Schedule,
-    do_trace: bool,
-    epoch: Instant,
-) -> ThreadOutcome {
-    let mut out = ThreadOutcome {
-        iterations: 0,
-        sub_chunks: 0,
-        checksum: 0,
-        executed: Vec::new(),
-        trace: if do_trace { Trace::recording() } else { Trace::disabled() },
-        finish_ns: 0,
-    };
-    let clock = || epoch.elapsed().as_nanos() as u64;
-    // Segment boundaries are only worth a clock read when they are kept.
-    let now = || if do_trace { clock() } else { 0 };
-    let tid = ctx.thread_num();
-    // Each boundary is read once: a segment starts where the last ended.
-    let mut at = now();
+) -> Ledger {
     loop {
         // Only the main thread calls MPI. An RMA failure parks its
         // error in `fetch_err` and posts `None` so the whole team
         // drains out of the loop.
         ctx.master(|| {
-            let mut f = fetches.lock();
-            f.1 += 1;
+            out.global_accesses += 1;
             *chunk_slot.lock() = match queue.fetch() {
                 Ok(Fetched::Chunk(lo, hi)) => {
-                    f.0 += 1;
-                    f.2 += 1;
+                    out.global_fetches += 1;
+                    out.deposits += 1;
                     Some((lo, hi))
                 }
                 Ok(Fetched::Done) => None,
@@ -190,83 +139,29 @@ fn team_thread(
                     None
                 }
             };
-        });
-        if tid == 0 {
             // The master's MPI round-trip is scheduling overhead.
-            let fetched = now();
-            out.trace.record(tid, at, fetched, SegmentKind::Sched);
-            at = fetched;
-        }
+            out.cut(SegmentKind::Sched);
+        });
         // Region start: the team waits for the fetch.
         ctx.barrier();
-        let region_start = now();
-        out.trace.record(tid, at, region_start, SegmentKind::Sync);
-        at = region_start;
+        out.cut(SegmentKind::Sync);
         let Some((lo, hi)) = *chunk_slot.lock() else {
             break;
         };
         // The worksharing region; `for_each_dispatch` ends in the
         // implicit barrier the paper's Figure 2 illustrates.
         ctx.for_each_dispatch(lo..hi, schedule, |r| {
-            let c0 = now();
-            for i in r.clone() {
-                out.checksum = out.checksum.wrapping_add(workload.execute(i));
-            }
-            out.iterations += r.end - r.start;
-            out.sub_chunks += 1;
-            out.executed.push(SubChunk { start: r.start, end: r.end });
-            at = now();
-            out.trace.record(tid, c0, at, SegmentKind::Compute);
+            // Obtaining the range from the runtime is scheduling overhead.
+            out.cut(SegmentKind::Sched);
+            out.execute(workload, SubChunk { start: r.start, end: r.end });
+            out.cut(SegmentKind::Compute);
         });
         // Fast threads sit in the region's implicit end barrier until
         // the slowest one drains its share.
-        let region_end = now();
-        out.trace.record(tid, at, region_end, SegmentKind::Sync);
-        at = region_end;
+        out.cut(SegmentKind::Sync);
     }
-    out.finish_ns = clock();
+    out.finish();
     out
-}
-
-fn aggregate(cfg: &LiveConfig, outcomes: Vec<NodeOutcome>, rma: Vec<RmaRecord>) -> LiveResult {
-    let team = cfg.workers_per_node;
-    let total_workers = (cfg.nodes * team) as usize;
-    let mut stats = RunStats::new(total_workers, cfg.nodes as usize);
-    let mut checksum = 0u64;
-    let mut executed = Vec::new();
-    let mut trace = if cfg.trace { Trace::recording() } else { Trace::disabled() };
-    let makespan_ns =
-        outcomes.iter().flat_map(|o| o.threads.iter().map(|t| t.finish_ns)).max().unwrap_or(0);
-    for o in outcomes {
-        for (tid, t) in o.threads.into_iter().enumerate() {
-            let w = o.node * team + tid as u32;
-            stats.workers[w as usize].iterations = t.iterations;
-            stats.workers[w as usize].sub_chunks = t.sub_chunks;
-            stats.nodes[o.node as usize].sub_chunks += t.sub_chunks;
-            stats.total_iterations += t.iterations;
-            checksum = checksum.wrapping_add(t.checksum);
-            executed.extend(t.executed.into_iter().map(|s| (w, s)));
-            // Thread timelines are keyed by the local thread id; remap
-            // to the global worker id and pad the tail so every worker
-            // timeline spans the whole run.
-            for s in t.trace.segments() {
-                trace.record(w, s.start, s.end, s.kind);
-            }
-            trace.record(w, t.finish_ns, makespan_ns, SegmentKind::Idle);
-        }
-        let master = (o.node * team) as usize;
-        stats.workers[master].global_fetches = o.global_fetches;
-        // Only thread 0 touches the global window, so the rank's window
-        // counters are the master worker's.
-        stats.workers[master].lock_polls = o.win_stats.failed_polls;
-        stats.workers[master].lock_time_ns = o.win_stats.lock_wait_ns + o.win_stats.lock_held_ns;
-        stats.workers[master].rma_ops = o.win_stats.rma_atomic_ops;
-        stats.nodes[o.node as usize].lock_acquisitions = o.win_stats.lock_acquisitions;
-        stats.nodes[o.node as usize].lock_polls = o.win_stats.failed_polls;
-        stats.nodes[o.node as usize].deposits = o.deposits;
-        stats.global_accesses += o.global_accesses;
-    }
-    LiveResult { stats, checksum, executed, trace, rma, recovery: Vec::new() }
 }
 
 #[cfg(test)]

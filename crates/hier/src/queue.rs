@@ -73,6 +73,20 @@ impl SubChunk {
     }
 }
 
+/// Check that a run's executed ledger (`LiveResult::executed`,
+/// `SimResult::executed`: sub-chunks tagged with the worker that ran
+/// them, in any order) covers `0..n` exactly once.
+pub fn exactly_once(
+    executed: &[(u32, SubChunk)],
+    n: u64,
+) -> Result<(), dls::verify::PartitionError> {
+    let chunks: Vec<dls::Chunk> = executed
+        .iter()
+        .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
+        .collect();
+    dls::verify::check_exactly_once(&chunks, n)
+}
+
 /// The node-local work queue state machine. Both backends wrap this in
 /// their own storage/synchronisation (window slots + `MPI_Win_lock` in
 /// `live`, a [`cluster_sim::ContendedLock`]-guarded struct in `sim`).

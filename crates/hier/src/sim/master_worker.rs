@@ -290,8 +290,8 @@ fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) 
 mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
+    use crate::sim::assert_covers;
     use cluster_sim::{MachineParams, SimTopology};
-    use dls::verify::check_exactly_once;
     use dls::Kind;
     use workloads::synthetic::Synthetic;
 
@@ -304,16 +304,6 @@ mod tests {
         );
         c.record_chunks = true;
         c
-    }
-
-    fn assert_covers(r: &SimResult, n: u64) {
-        let chunks: Vec<dls::Chunk> = r
-            .executed
-            .iter()
-            .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-            .collect();
-        check_exactly_once(&chunks, n).expect("exactly-once");
-        assert_eq!(r.stats.total_iterations, n);
     }
 
     #[test]

@@ -350,6 +350,14 @@ pub fn simulate_mpi_omp_nowait(cfg: &SimConfig, table: &CostTable) -> SimResult 
     simulate_mpi_mpi(&nowait_cfg, table)
 }
 
+/// The executors' shared test oracle: exactly-once coverage of `0..n`
+/// by the recorded ledger, and the iteration count.
+#[cfg(test)]
+fn assert_covers(r: &SimResult, n: u64) {
+    crate::queue::exactly_once(&r.executed, n).expect("every iteration exactly once");
+    assert_eq!(r.stats.total_iterations, n);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -531,8 +531,8 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
 mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
+    use crate::sim::assert_covers;
     use cluster_sim::{MachineParams, SimTopology};
-    use dls::verify::check_exactly_once;
     use dls::Kind;
     use workloads::synthetic::Synthetic;
 
@@ -547,16 +547,6 @@ mod tests {
         );
         cfg.record_chunks = true;
         simulate_mpi_mpi(&cfg, &table)
-    }
-
-    fn assert_covers(result: &SimResult, n: u64) {
-        let chunks: Vec<dls::Chunk> = result
-            .executed
-            .iter()
-            .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-            .collect();
-        check_exactly_once(&chunks, n).expect("every iteration exactly once");
-        assert_eq!(result.stats.total_iterations, n);
     }
 
     #[test]

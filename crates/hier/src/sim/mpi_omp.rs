@@ -221,8 +221,8 @@ fn run_team(run: &mut Run<Event>, node: u32, lo: u64, hi: u64, start: Time) -> V
 mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
+    use crate::sim::assert_covers;
     use cluster_sim::{MachineParams, SimTopology};
-    use dls::verify::check_exactly_once;
     use dls::Kind;
     use workloads::synthetic::Synthetic;
 
@@ -237,16 +237,6 @@ mod tests {
         );
         cfg.record_chunks = true;
         simulate_mpi_omp(&cfg, &table)
-    }
-
-    fn assert_covers(result: &SimResult, n: u64) {
-        let chunks: Vec<dls::Chunk> = result
-            .executed
-            .iter()
-            .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-            .collect();
-        check_exactly_once(&chunks, n).expect("every iteration exactly once");
-        assert_eq!(result.stats.total_iterations, n);
     }
 
     #[test]

@@ -273,8 +273,9 @@ rma 42";
 #[test]
 fn run_stats_carry_the_checksum() {
     let r = mpi_mpi(GlobalQueueMode::SingleAtomic, FaultPlan::none());
-    // Before the fix: never written.
-    assert_eq!(r.stats.checksum, 0);
+    // Before the fix: never written, 0.
+    assert_eq!(r.stats.checksum, r.checksum);
+    assert_eq!(r.stats.checksum, serial_checksum(&workload()));
 }
 
 /// A lock revoked from a dead holder is counted on the holder's node.
@@ -290,8 +291,8 @@ fn a_repaired_lock_is_a_revocation_on_its_node() {
         let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
         assert_eq!(r.stats.total_iterations, 200);
         if r.recovery.iter().any(|e| matches!(e, RecoveryEvent::LockRepair { .. })) {
-            // Before the fix: repaired, reported as an event, not counted.
-            assert_eq!(r.stats.nodes[0].lock_revocations, 0);
+            // Before the fix: repaired, reported as an event, counted 0.
+            assert_eq!(r.stats.nodes[0].lock_revocations, 1);
             return;
         }
     }

@@ -4,9 +4,8 @@
 //! the local queue must partition every deposit.
 
 use cluster_sim::{MachineParams, SimTopology};
-use dls::verify::check_exactly_once;
 use dls::{Kind, Technique};
-use hier::queue::LocalQueue;
+use hier::queue::{exactly_once, LocalQueue};
 use hier::sim::{simulate, SimConfig};
 use hier::{Approach, HierSpec};
 use proptest::prelude::*;
@@ -51,12 +50,7 @@ proptest! {
             nodes,
             wpn
         );
-        let chunks: Vec<dls::Chunk> = r
-            .executed
-            .iter()
-            .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-            .collect();
-        prop_assert!(check_exactly_once(&chunks, n).is_ok());
+        prop_assert!(exactly_once(&r.executed, n).is_ok());
     }
 
     #[test]

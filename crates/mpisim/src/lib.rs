@@ -45,7 +45,6 @@ pub mod comm;
 pub mod error;
 pub mod group;
 pub mod message;
-pub mod request;
 pub mod rmalog;
 pub mod sync;
 pub mod topology;
@@ -55,7 +54,6 @@ pub mod window;
 pub use comm::Comm;
 pub use error::{Error, Result};
 pub use group::Group;
-pub use request::{RecvRequest, SendRequest};
 pub use rmalog::{AtomicOpKind, RmaEvent, RmaLog, RmaRecord};
 pub use sync::{LockStats, QueuedLock};
 pub use topology::Topology;

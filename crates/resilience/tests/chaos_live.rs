@@ -15,7 +15,6 @@
 //! asserted on every run; the *trigger actually fired* assertions
 //! retry a few times so one unlucky scheduling round does not fail CI.
 
-use dls::verify::check_exactly_once;
 use dls::Kind;
 use hier::config::{Approach, HierSpec};
 use hier::live::{run_live_mpi_mpi, serial_checksum, LiveConfig, LiveResult};
@@ -43,12 +42,7 @@ fn run(spec: HierSpec, plan: FaultPlan) -> (LiveResult, u64) {
 fn check(r: &LiveResult, serial: u64, label: &str) {
     assert_eq!(r.checksum, serial, "{label}: checksum diverged from serial");
     assert_eq!(r.stats.total_iterations, N_ITERS, "{label}: iterations lost or duplicated");
-    let chunks: Vec<dls::Chunk> = r
-        .executed
-        .iter()
-        .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-        .collect();
-    check_exactly_once(&chunks, N_ITERS)
+    hier::queue::exactly_once(&r.executed, N_ITERS)
         .unwrap_or_else(|e| panic!("{label}: exactly-once ledger failed: {e:?}"));
 }
 
@@ -108,6 +102,9 @@ fn crash_holding_lock_is_detected_and_repaired() {
         "abandoned lock never repaired: {:?}",
         r.recovery
     );
+    // Rank 3 lives on node 1: the one revocation is counted there.
+    let revocations: Vec<u64> = r.stats.nodes.iter().map(|n| n.lock_revocations).collect();
+    assert_eq!(revocations, [0, 1]);
 }
 
 #[test]

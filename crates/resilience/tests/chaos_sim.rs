@@ -40,12 +40,7 @@ fn base_cfg(spec: HierSpec, approach: Approach, plan: FaultPlan) -> SimConfig {
 
 /// Each of the `n` iterations was executed exactly once.
 fn check_exactly_once(r: &SimResult, n: u64, label: &str) {
-    let chunks: Vec<dls::Chunk> = r
-        .executed
-        .iter()
-        .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
-        .collect();
-    dls::verify::check_exactly_once(&chunks, n)
+    hier::queue::exactly_once(&r.executed, n)
         .unwrap_or_else(|e| panic!("{label}: exactly-once ledger failed: {e:?}"));
     assert_eq!(r.stats.total_iterations, n, "{label}: iteration total");
 }

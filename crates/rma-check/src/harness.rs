@@ -189,16 +189,10 @@ impl Summary {
     }
 }
 
-/// Map a run's executed sub-chunk ledger to `dls` chunks and verify it
-/// is exactly a partition of `[0, n)` (no lost or doubled iterations).
+/// Verify a run's executed sub-chunk ledger is exactly a partition of
+/// `[0, n)` (no lost or doubled iterations).
 fn ledger_error(executed: &[(u32, SubChunk)], n: u64) -> Option<String> {
-    let chunks: Vec<dls::Chunk> = executed
-        .iter()
-        .map(|(_, sc)| dls::Chunk { start: sc.start, len: sc.end - sc.start, step: 0 })
-        .collect();
-    dls::verify::check_exactly_once(&chunks, n)
-        .err()
-        .map(|e| format!("ledger not a partition: {e:?}"))
+    hier::queue::exactly_once(executed, n).err().map(|e| format!("ledger not a partition: {e:?}"))
 }
 
 fn note(summary: &mut Summary, backend: Backend, spec: HierSpec, schedule: &str, detail: String) {

@@ -5,7 +5,6 @@
 //! agree. (Timing-dependent quantities like chunk interleavings
 //! legitimately differ.)
 
-use dls::verify::check_exactly_once;
 use hdls::prelude::*;
 
 fn schedule(inter: Kind, intra: Kind, approach: Approach) -> HierSchedule {
@@ -20,9 +19,7 @@ fn schedule(inter: Kind, intra: Kind, approach: Approach) -> HierSchedule {
 }
 
 fn coverage(chunks: &[(u32, hier::queue::SubChunk)], n: u64) {
-    let as_chunks: Vec<dls::Chunk> =
-        chunks.iter().map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 }).collect();
-    check_exactly_once(&as_chunks, n).expect("exactly-once coverage");
+    hier::queue::exactly_once(chunks, n).expect("exactly-once coverage");
 }
 
 #[test]
