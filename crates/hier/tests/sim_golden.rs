@@ -28,35 +28,16 @@ use resilience::{FaultKind, FaultPlan, RecoveryEvent};
 use workloads::synthetic::Synthetic;
 use workloads::CostTable;
 
+#[path = "support/fnv.rs"]
+mod fnv;
+use fnv::Fnv;
+
 const KINDS: [Kind; 5] = [Kind::STATIC, Kind::SS, Kind::GSS, Kind::TSS, Kind::FAC2];
 const NODES: u32 = 2;
 const WPN: u32 = 3;
 // Same cost range as chaos_sim's table, so the seeded crash times
 // (20k-200k virtual ns) land mid-run.
 const N_ITERS: u64 = 300;
-
-/// FNV-1a over little-endian 64-bit words: stable across platforms,
-/// toolchains and `std` versions, unlike `DefaultHasher`.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn word(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn words(&mut self, vs: &[u64]) {
-        for &v in vs {
-            self.word(v);
-        }
-    }
-}
 
 fn fold_rma_event(h: &mut Fnv, ev: &RmaEvent) {
     let kind = |k: LockKind| match k {
