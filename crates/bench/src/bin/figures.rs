@@ -158,11 +158,20 @@ fn main() {
     let args = parse_args();
     let machine = MachineParams::default();
 
+    // One Mandelbrot table per process, built by the first section that
+    // needs it and shared by all of them.
+    let mandel = std::cell::OnceCell::new();
+    let mandel = || {
+        mandel.get_or_init(|| {
+            CostTable::build(&if args.quick { Mandelbrot::quick() } else { Mandelbrot::paper() })
+        })
+    };
+
     if args.table1 {
         print_table1();
     }
     if args.fig2 || args.fig3 {
-        print_trace_figures(args.fig2, args.fig3, args.quick, machine);
+        print_trace_figures(args.fig2, args.fig3, mandel(), machine);
     }
 
     let figs = [
@@ -173,28 +182,24 @@ fn main() {
     ];
     if figs.iter().any(|f| f.0) {
         println!("\nBuilding workload cost tables...");
-        let (mandel, psia): (CostTable, CostTable) = if args.quick {
-            (CostTable::build(&Mandelbrot::quick()), CostTable::build(&psia_quick()))
-        } else {
-            (CostTable::build(&Mandelbrot::paper()), CostTable::build(&PsiaStream::paper()))
-        };
-        report_workload(&mandel);
+        let psia = CostTable::build(&if args.quick { psia_quick() } else { PsiaStream::paper() });
+        report_workload(mandel());
         report_workload(&psia);
         for (enabled, fig_no, inter) in figs {
             if !enabled {
                 continue;
             }
-            run_figure(fig_no, inter, &mandel, &psia, machine, args.csv_dir.as_deref());
+            run_figure(fig_no, inter, mandel(), &psia, machine, args.csv_dir.as_deref());
         }
     }
     if let Some(dir) = args.trace_dir.as_deref() {
         run_trace_export(dir, args.quick);
     }
     if args.ablations {
-        run_ablations(args.quick);
+        run_ablations(mandel());
     }
     if args.speedup {
-        run_speedup(args.quick);
+        run_speedup(mandel());
     }
     if !args.custom.is_empty() {
         run_custom(&args.custom, machine);
@@ -321,7 +326,14 @@ fn run_custom(pairs: &[String], machine: MachineParams) {
 fn build_workload(name: &str) -> CostTable {
     let mut parts = name.split(':');
     let head = parts.next().unwrap_or_default();
-    let nums: Vec<u64> = parts.map(|p| p.parse().expect("numeric workload parameter")).collect();
+    let nums: Vec<u64> = parts
+        .map(|p| {
+            p.parse().unwrap_or_else(|e| {
+                eprintln!("bad workload: {e}");
+                std::process::exit(2);
+            })
+        })
+        .collect();
     match (head, nums.as_slice()) {
         ("mandelbrot-paper", []) => CostTable::build(&Mandelbrot::paper()),
         ("mandelbrot-quick", []) => CostTable::build(&Mandelbrot::quick()),
@@ -343,11 +355,9 @@ fn build_workload(name: &str) -> CostTable {
 
 /// Speedup / parallel-efficiency tables for the headline combinations —
 /// the derived metrics readers compute from Figures 5 and 7 by hand.
-fn run_speedup(quick: bool) {
+fn run_speedup(table: &CostTable) {
     println!("\n#############################################################");
     println!("Scaling study (Mandelbrot, 16 workers/node)");
-    let m = if quick { Mandelbrot::quick() } else { Mandelbrot::paper() };
-    let table = CostTable::build(&m);
     for (inter, intra) in [(Kind::GSS, Kind::STATIC), (Kind::FAC2, Kind::GSS)] {
         for approach in Approach::ALL {
             let study = hdls::report::ScalingStudy::run(
@@ -357,7 +367,7 @@ fn run_speedup(quick: bool) {
                 &NODE_COUNTS,
                 WORKERS_PER_NODE,
                 MachineParams::default(),
-                &table,
+                table,
             );
             println!("\n{}", study.render());
         }
@@ -366,11 +376,9 @@ fn run_speedup(quick: bool) {
 
 /// Ablations of the design choices DESIGN.md calls out, on the
 /// Mandelbrot workload at 4 nodes x 16 workers.
-fn run_ablations(quick: bool) {
+fn run_ablations(table: &CostTable) {
     println!("\n#############################################################");
     println!("Ablations (Mandelbrot, 4 nodes x 16 workers)");
-    let m = if quick { Mandelbrot::quick() } else { Mandelbrot::paper() };
-    let table = CostTable::build(&m);
     let base = |inter: Kind, intra: Kind, approach: Approach| {
         HierSchedule::builder()
             .inter(inter)
@@ -381,22 +389,22 @@ fn run_ablations(quick: bool) {
     };
 
     // 1. Lock polling on/off: the X+SS pathology is the lock model.
-    let on = base(Kind::STATIC, Kind::SS, Approach::MpiMpi).build().simulate(&table);
+    let on = base(Kind::STATIC, Kind::SS, Approach::MpiMpi).build().simulate(table);
     let off = base(Kind::STATIC, Kind::SS, Approach::MpiMpi)
         .machine(MachineParams::default().without_lock_polling())
         .build()
-        .simulate(&table);
+        .simulate(table);
     println!("\n  lock polling (STATIC+SS, MPI+MPI):");
     println!("    penalty on : {:>8.2}s", on.seconds());
     println!("    penalty off: {:>8.2}s", off.seconds());
 
     // 2. Fastest-worker refill vs dedicated refiller. TSS+FAC2 refills
     // often enough for the policy to matter.
-    let fastest = base(Kind::TSS, Kind::FAC2, Approach::MpiMpi).build().simulate(&table);
+    let fastest = base(Kind::TSS, Kind::FAC2, Approach::MpiMpi).build().simulate(table);
     let dedicated = base(Kind::TSS, Kind::FAC2, Approach::MpiMpi)
         .refill(hier::sim::RefillPolicy::Dedicated)
         .build()
-        .simulate(&table);
+        .simulate(table);
     println!("\n  local-queue refill policy (TSS+FAC2, MPI+MPI):");
     println!("    fastest worker (paper): {:>8.2}s", fastest.seconds());
     println!("    dedicated refiller    : {:>8.2}s", dedicated.seconds());
@@ -404,22 +412,20 @@ fn run_ablations(quick: bool) {
     // 3. Global queue realisation: the PDP'19 single-atomic distributed
     // chunk calculation vs lock-guarded counters (two extra round trips
     // per fetch).
-    let atomic = base(Kind::FAC2, Kind::GSS, Approach::MpiMpi).build().simulate(&table);
+    let atomic = base(Kind::FAC2, Kind::GSS, Approach::MpiMpi).build().simulate(table);
     let locked = base(Kind::FAC2, Kind::GSS, Approach::MpiMpi)
         .global_queue(hier::GlobalQueueMode::LockedCounters)
         .build()
-        .simulate(&table);
+        .simulate(table);
     println!("\n  global queue realisation (FAC2+GSS, MPI+MPI):");
     println!("    single fetch_and_op (paper [15]): {:>8.3}s", atomic.seconds());
     println!("    lock-guarded counters           : {:>8.3}s", locked.seconds());
 
     // 4. OpenMP nowait (the paper's future work).
-    let barrier = base(Kind::GSS, Kind::STATIC, Approach::MpiOpenMp).build().simulate(&table);
-    let nowait = base(Kind::GSS, Kind::STATIC, Approach::MpiOpenMp)
-        .omp_nowait(true)
-        .build()
-        .simulate(&table);
-    let proposed = base(Kind::GSS, Kind::STATIC, Approach::MpiMpi).build().simulate(&table);
+    let barrier = base(Kind::GSS, Kind::STATIC, Approach::MpiOpenMp).build().simulate(table);
+    let nowait =
+        base(Kind::GSS, Kind::STATIC, Approach::MpiOpenMp).omp_nowait(true).build().simulate(table);
+    let proposed = base(Kind::GSS, Kind::STATIC, Approach::MpiMpi).build().simulate(table);
     println!("\n  OpenMP nowait (GSS+STATIC):");
     println!("    MPI+OpenMP, barrier: {:>8.2}s", barrier.seconds());
     println!("    MPI+OpenMP, nowait : {:>8.2}s", nowait.seconds());
@@ -450,13 +456,11 @@ fn report_workload(t: &CostTable) {
     );
 }
 
-fn print_trace_figures(fig2: bool, fig3: bool, quick: bool, machine: MachineParams) {
+fn print_trace_figures(fig2: bool, fig3: bool, table: &CostTable, machine: MachineParams) {
     // Figures 2 and 3: one node, 8 workers, an imbalanced loop; compare
     // the per-worker timelines of the two approaches. FAC2 at the
     // (single-node) global level produces the multi-chunk structure the
     // paper's illustrations show.
-    let m = if quick { Mandelbrot::quick() } else { Mandelbrot::paper() };
-    let table = CostTable::build(&m);
     let runs = [
         (
             fig2,
@@ -482,7 +486,7 @@ fn print_trace_figures(fig2: bool, fig3: bool, quick: bool, machine: MachinePara
             .machine(machine)
             .trace(true)
             .build();
-        let r = schedule.simulate(&table);
+        let r = schedule.simulate(table);
         println!("\n{title}");
         println!("  loop time: {:.3}s", r.seconds());
         println!("{}", r.trace.gantt(8, 64));

@@ -33,3 +33,22 @@ fn mandelbrot_sections_print_the_pinned_bytes() {
         "figures --quick --table1 --fig2 --fig3 --ablations --speedup printed different bytes"
     );
 }
+
+/// A malformed `--run` value is a usage error like any other: a
+/// `bad <key>: ...` line and exit status 2, not a panic.
+#[test]
+fn bad_run_values_exit_2_with_a_message() {
+    for (arg, key) in [
+        ("workload=uniform:abc:1:2:3", "workload"),
+        ("workload=constant:10:", "workload"),
+        ("wpn=x", "wpn"),
+        ("nodes=2,y", "nodes"),
+        ("inter=NOPE", "inter"),
+    ] {
+        let out = figures(&["--run", arg]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--run {arg}: {stderr}");
+        assert!(stderr.starts_with(&format!("bad {key}: ")), "--run {arg}: {stderr}");
+        assert!(out.stdout.is_empty(), "--run {arg} printed before failing");
+    }
+}

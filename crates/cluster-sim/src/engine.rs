@@ -5,7 +5,6 @@
 //! reproducible regardless of hash seeds or platform.
 
 use crate::time::Time;
-use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Deterministic time-ordered event queue.
@@ -15,8 +14,16 @@ pub struct EventQueue<E> {
 }
 
 struct Entry<E> {
-    key: Reverse<(Time, u64)>,
+    /// `time << 64 | seq`: one integer compare orders by time, then by
+    /// insertion.
+    key: u128,
     event: E,
+}
+
+impl<E> Entry<E> {
+    fn time(&self) -> Time {
+        (self.key >> 64) as Time
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
@@ -31,8 +38,10 @@ impl<E> PartialOrd for Entry<E> {
     }
 }
 impl<E> Ord for Entry<E> {
+    /// Reversed: `BinaryHeap` is a max-heap and the earliest key pops
+    /// first.
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key.cmp(&other.key)
+        other.key.cmp(&self.key)
     }
 }
 
@@ -52,17 +61,17 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: Time, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { key: Reverse((at, seq)), event });
+        self.heap.push(Entry { key: u128::from(at) << 64 | u128::from(seq), event });
     }
 
     /// Remove and return the earliest event as `(time, event)`.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap.pop().map(|e| (e.key.0 .0, e.event))
+        self.heap.pop().map(|e| (e.time(), e.event))
     }
 
     /// Timestamp of the earliest event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.key.0 .0)
+        self.heap.peek().map(Entry::time)
     }
 
     /// Number of pending events.

@@ -30,6 +30,7 @@ impl Resource {
 
     /// Serve a request arriving at `arrive` that needs `service` time.
     /// Returns `(start, end)`.
+    #[inline]
     pub fn request(&mut self, arrive: Time, service: Time) -> (Time, Time) {
         let start = arrive.max(self.free_at);
         let end = start + service;

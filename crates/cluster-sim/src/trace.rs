@@ -85,6 +85,7 @@ impl Trace {
     }
 
     /// Record a segment (no-op when disabled or empty).
+    #[inline]
     pub fn record(&mut self, worker: u32, start: Time, end: Time, kind: SegmentKind) {
         if self.enabled && end > start {
             self.segments.push(Segment { worker, start, end, kind });

@@ -68,18 +68,18 @@ fn clear_refill(node: usize, from: u32) -> Event {
     Event::Recover(RecoverAction::ClearRefill { node, from })
 }
 
-/// Worker `w` takes a sub-chunk from its node's queue (known non-empty)
-/// under the lock grant ending at `grant_end`, executes it, and probes
-/// again after the compute burst. `sched_ns` is the scheduling time the
-/// worker spent obtaining the sub-chunk (charged to its AWF history
-/// under the -D/-E variants).
+/// Worker `w` takes a sub-chunk from its node's queue under the lock
+/// grant ending at `grant_end`, executes it, and probes again after the
+/// compute burst; `false`, and nothing done, when the queue is empty.
+/// `sched_ns` is the scheduling time the worker spent obtaining the
+/// sub-chunk (charged to its AWF history under the -D/-E variants).
 fn execute_sub(
     run: &mut Run<Event>,
     node: &mut NodeState,
     w: u32,
     grant_end: Time,
     sched_ns: Time,
-) {
+) -> bool {
     let cfg = run.cfg;
     let wpn = cfg.topology.workers_per_node;
     let (node_idx, local) = ((w / wpn) as usize, w % wpn);
@@ -90,8 +90,9 @@ fn execute_sub(
         None => (cfg.spec.intra, cfg.weights.get(w as usize).copied().unwrap_or(1.0)),
     };
     let ctx = dls::technique::WorkerCtx { worker: local, weight };
-    let sub =
-        node.queue.take_sub_chunk_for(&technique, wpn, ctx).expect("caller checked non-empty");
+    let Some(sub) = node.queue.take_sub_chunk_for(&technique, wpn, ctx) else {
+        return false;
+    };
     let cost = run.cost(w, grant_end, sub);
     if let Some(ct) = cfg.faults.crash_at(w).filter(|&ct| ct < grant_end + cost) {
         // Took the sub-chunk under the lock, then died before
@@ -105,7 +106,7 @@ fn execute_sub(
         run.crash(w, died, false);
         run.lease_out(w, [(sub.start, sub.end)], grant_end, died);
         run.strand(w, &mut node.queue, died);
-        return;
+        return true;
     }
     if let Some(h) = &mut node.awf {
         h.record(local, sub.len(), cost, sched_ns);
@@ -134,6 +135,7 @@ fn execute_sub(
     );
     let next_probe = grant_end + cost + run.jitter.delay(w);
     run.push(next_probe, Event::TryLocal(w));
+    true
 }
 
 /// Run the MPI+MPI approach in virtual time.
@@ -288,9 +290,7 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                     run.stats.nodes[node_idx].lock_contended += 1;
                 }
                 run.trace.record(w, t, grant.end, SegmentKind::Sched);
-                if !node.queue.is_empty() {
-                    execute_sub(&mut run, node, w, grant.end, grant.end - t);
-                } else {
+                if !execute_sub(&mut run, node, w, grant.end, grant.end - t) {
                     // An empty probe reads the queue counters and both
                     // flags under the lock; becoming the refiller also
                     // publishes the refilling flag before releasing.
@@ -458,7 +458,8 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                         );
                         node.queue.deposit(lo, hi);
                         run.stats.nodes[node_idx].deposits += 1;
-                        execute_sub(&mut run, node, w, grant.end, grant.end - t);
+                        let took = execute_sub(&mut run, node, w, grant.end, grant.end - t);
+                        assert!(took, "the deposit is in the queue");
                     }
                     None => {
                         run.tape.tx(

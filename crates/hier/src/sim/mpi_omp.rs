@@ -200,15 +200,20 @@ fn run_team(run: &mut Run<Event>, node: u32, lo: u64, hi: u64, start: Time) -> V
     let mut clocks: Vec<Time> =
         (0..threads).map(|i| start + run.jitter.delay(node * threads + i)).collect();
     loop {
-        // The earliest-free thread grabs the next sub-chunk.
-        let (i, _) =
-            clocks.iter().enumerate().min_by_key(|&(i, &c)| (c, i)).expect("non-empty team");
+        // The earliest-free thread grabs the next sub-chunk; among
+        // equals, the lowest thread id.
+        let (mut i, mut earliest) = (0, clocks[0]);
+        for (j, &c) in clocks.iter().enumerate() {
+            if c < earliest {
+                (i, earliest) = (j, c);
+            }
+        }
         let w = node * threads + i as u32;
-        let (_, dispatched) = dispatcher.request(clocks[i], m.omp_dispatch_ns);
+        let (_, dispatched) = dispatcher.request(earliest, m.omp_dispatch_ns);
         let Some(sub) = queue.take_sub_chunk(intra, threads) else {
             break;
         };
-        run.trace.record(w, clocks[i], dispatched, SegmentKind::Sched);
+        run.trace.record(w, earliest, dispatched, SegmentKind::Sched);
         let cost = run.cost(w, dispatched, sub);
         run.compute(w, dispatched, cost, sub);
         run.stats.nodes[node as usize].sub_chunks += 1;

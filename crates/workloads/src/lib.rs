@@ -61,6 +61,14 @@ pub trait Workload: Send + Sync {
     /// Exact virtual cost of iteration `i` in nanoseconds, derived from
     /// the kernel's real operation count.
     fn cost(&self, i: u64) -> u64;
+
+    /// [`Workload::cost`] of every iteration, in iteration order — what
+    /// [`CostTable::build`] stores. A workload overrides it when it can
+    /// produce the whole table faster than one `cost` call at a time;
+    /// the values must be the same.
+    fn costs(&self) -> Vec<u64> {
+        (0..self.n_iters()).map(|i| self.cost(i)).collect()
+    }
 }
 
 /// A precomputed cost table: evaluates [`Workload::cost`] once per
@@ -75,7 +83,7 @@ pub struct CostTable {
 impl CostTable {
     /// Precompute all iteration costs of `w`.
     pub fn build(w: &dyn Workload) -> Self {
-        Self { costs: (0..w.n_iters()).map(|i| w.cost(i)).collect(), name: w.name() }
+        Self { costs: w.costs(), name: w.name() }
     }
 
     /// Cost of iteration `i`.

@@ -123,7 +123,11 @@ impl Mandelbrot {
 
     /// Map iteration index to pixel centre in the complex plane.
     fn point(&self, i: u64) -> (f64, f64) {
-        let p = self.pixel_of(i);
+        self.centre(self.pixel_of(i))
+    }
+
+    /// Centre of pixel `p` in the complex plane.
+    fn centre(&self, p: u64) -> (f64, f64) {
         let x = (p % u64::from(self.width)) as f64;
         let y = (p / u64::from(self.width)) as f64;
         let cr = self.re.0 + (x + 0.5) / f64::from(self.width) * (self.re.1 - self.re.0);
@@ -173,6 +177,107 @@ impl Workload for Mandelbrot {
 
     fn cost(&self, i: u64) -> u64 {
         self.ns_base + u64::from(self.escape_iterations(i)) * self.ns_per_iter
+    }
+
+    /// The whole table with [`LANES`] pixels in flight at once. One
+    /// escape loop is a serial dependency chain (`z` feeds the next
+    /// `z`), so a core runs it at a fraction of its floating-point
+    /// throughput; independent pixels fill the gaps. Every pixel still
+    /// sees exactly the operations of [`Mandelbrot::escape_iterations`],
+    /// in the same order, so the counts are the same.
+    fn costs(&self) -> Vec<u64> {
+        let n = self.n_iters();
+        if n < LANES as u64 {
+            return (0..n).map(|i| self.cost(i)).collect();
+        }
+        let cost_of = |it: u32| self.ns_base + u64::from(it) * self.ns_per_iter;
+        let mut out = vec![0u64; n as usize];
+
+        // The traversal maps contiguous runs of iterations onto
+        // contiguous pixels: one `pixel_of` per run, not per pixel.
+        let run = match self.traversal {
+            Traversal::RowMajor => n,
+            Traversal::TiledShuffle { tile } => u64::from(tile),
+        };
+        let (mut next, mut base) = (0u64, 0u64);
+        // The next iteration to compute and its point, in order.
+        let mut feed = || {
+            let i = next;
+            if i == n {
+                return None;
+            }
+            if i % run == 0 {
+                base = self.pixel_of(i);
+            }
+            next += 1;
+            Some((i, self.centre(base + i % run)))
+        };
+
+        // (Filling the array with `std::array::from_fn` instead was
+        // measured: the quick table takes 0.124 s, not 0.094 s.)
+        let mut lanes = [Lane::default(); LANES];
+        for lane in &mut lanes {
+            *lane = Lane::start(feed().expect("n >= LANES"));
+        }
+        'lanes: loop {
+            let mut finished = false;
+            for lane in &mut lanes {
+                lane.zr2 = lane.zr * lane.zr;
+                lane.zi2 = lane.zi * lane.zi;
+                finished |= lane.finished(self.max_iter);
+            }
+            if finished {
+                for lane in &mut lanes {
+                    if lane.finished(self.max_iter) {
+                        out[lane.i as usize] = cost_of(lane.it);
+                        let Some(fresh) = feed() else {
+                            // Nothing left to refill with: the pixels
+                            // still in flight start over below.
+                            lane.i = n;
+                            break 'lanes;
+                        };
+                        *lane = Lane::start(fresh);
+                    }
+                }
+                continue;
+            }
+            for lane in &mut lanes {
+                lane.zi = 2.0 * lane.zr * lane.zi + lane.ci;
+                lane.zr = lane.zr2 - lane.zi2 + lane.cr;
+                lane.it += 1;
+            }
+        }
+        for i in lanes.iter().map(|lane| lane.i).filter(|&i| i < n) {
+            out[i as usize] = self.cost(i);
+        }
+        out
+    }
+}
+
+/// Pixels [`Mandelbrot::costs`] keeps in flight.
+const LANES: usize = 4;
+
+/// One pixel in flight: iteration `i` at point `c`, `it` steps in, with
+/// the squares the escape test and the next step share.
+#[derive(Clone, Copy, Default)]
+struct Lane {
+    i: u64,
+    cr: f64,
+    ci: f64,
+    zr: f64,
+    zi: f64,
+    zr2: f64,
+    zi2: f64,
+    it: u32,
+}
+
+impl Lane {
+    fn start((i, (cr, ci)): (u64, (f64, f64))) -> Self {
+        Self { i, cr, ci, ..Self::default() }
+    }
+
+    fn finished(&self, max_iter: u32) -> bool {
+        self.it >= max_iter || self.zr2 + self.zi2 > 4.0
     }
 }
 

@@ -71,3 +71,54 @@ proptest! {
         prop_assert!(s.imbalance_factor() >= 1.0);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // The lane-interleaved table build against the scalar kernel. About
+    // a quarter of the cases have fewer pixels than lanes, most have a
+    // count the lanes do not divide; `max_iter` 0 and 1 finish every
+    // pixel at once.
+    #[test]
+    fn mandelbrot_costs_match_the_scalar_kernel(
+        width in prop_oneof![1u32..4, 1u32..48],
+        height in prop_oneof![Just(1u32), 1u32..10],
+        max_iter in prop::sample::select(vec![0u32, 1, 7, 256]),
+        re_min in -2.2f64..0.6,
+        re_span in 0.001f64..2.8,
+        im_min in -1.3f64..1.3,
+        im_span in 0.001f64..2.6,
+        tile_pick in any::<u32>(),
+    ) {
+        let n = width * height;
+        // Row-major, or a tile size that divides the pixel count.
+        let tiles: Vec<u32> = (1..=n).filter(|t| n % t == 0).collect();
+        let traversal = match tile_pick as usize % (tiles.len() + 1) {
+            0 => Traversal::RowMajor,
+            k => Traversal::TiledShuffle { tile: tiles[k - 1] },
+        };
+        let m = Mandelbrot {
+            width,
+            height,
+            max_iter,
+            re: (re_min, re_min + re_span),
+            im: (im_min, im_min + im_span),
+            traversal,
+            ..Mandelbrot::tiny()
+        };
+        let scalar: Vec<u64> = (0..m.n_iters()).map(|i| m.cost(i)).collect();
+        prop_assert_eq!(m.costs(), scalar);
+    }
+}
+
+/// The instance the figure sweeps and the benchmark build: every one of
+/// its 786 432 costs, lanes against the scalar kernel.
+#[test]
+fn mandelbrot_quick_costs_match_the_scalar_kernel() {
+    let m = Mandelbrot::quick();
+    let table = CostTable::build(&m);
+    assert_eq!(table.n_iters(), m.n_iters());
+    for (i, &c) in table.costs().iter().enumerate() {
+        assert_eq!(c, m.cost(i as u64), "iteration {i}");
+    }
+}
