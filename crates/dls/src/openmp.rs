@@ -3,13 +3,17 @@
 //!
 //! The intra-node baseline of the paper executes chunks with the Intel
 //! OpenMP runtime, which supports `static`, `dynamic`, and `guided`. This
-//! module models those three dispatchers so the MPI+OpenMP executor (in
-//! the `hier` crate) reproduces their chunking exactly.
+//! module is the one place that knows that mapping: the `openmp-sim`
+//! worksharing runtime sizes its dispatches with
+//! [`OmpSchedule::chunk_size`] and [`static_blocks`], and the MPI+OpenMP
+//! executors of the `hier` crate ask [`omp_equivalent`] which clause (if
+//! any) an intra-node technique is.
 
 use crate::chunk::{LoopSpec, SchedState};
-use crate::nonadaptive::{Guided, SelfScheduling, StaticChunking};
+use crate::nonadaptive::{FixedSizeChunking, Guided, SelfScheduling, StaticChunking};
 use crate::technique::{ChunkCalculator, Kind, Technique, WorkerCtx};
 use std::fmt;
+use std::ops::Range;
 
 /// An OpenMP `schedule(kind[, chunk])` clause.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,18 +60,18 @@ impl OmpSchedule {
             OmpSchedule::Static { chunk: Some(k) } => {
                 // Block-cyclic static behaves like fixed-size chunking for
                 // coverage purposes.
-                Technique::Fsc(crate::nonadaptive::FixedSizeChunking::with_chunk(k))
+                Technique::Fsc(FixedSizeChunking::with_chunk(k))
             }
             OmpSchedule::Dynamic { chunk: 1 } => Technique::Ss(SelfScheduling),
-            OmpSchedule::Dynamic { chunk: k } => {
-                Technique::Fsc(crate::nonadaptive::FixedSizeChunking::with_chunk(k))
-            }
+            OmpSchedule::Dynamic { chunk: k } => Technique::Fsc(FixedSizeChunking::with_chunk(k)),
             OmpSchedule::Guided { chunk: k } => Technique::Gss(Guided::with_min_chunk(k)),
         }
     }
 
-    /// Chunk size this clause would dispatch at the given state — used by
-    /// the OpenMP team model in the `hier` crate.
+    /// Chunk size this clause dispatches at the given state. Every
+    /// clause is step-free (the size depends on `state.scheduled` at
+    /// most), which is what lets a worksharing runtime keep a bare
+    /// cursor as its whole scheduling state.
     pub fn chunk_size(&self, spec: &LoopSpec, state: SchedState) -> u64 {
         self.to_technique().chunk_size(spec, state, WorkerCtx::default())
     }
@@ -100,24 +104,52 @@ pub struct Table1Row {
 /// included with `omp = None`, which is exactly the limitation the
 /// MPI+MPI approach removes.
 pub fn table1() -> Vec<Table1Row> {
-    vec![
-        Table1Row { technique: Kind::STATIC, omp: Some(OmpSchedule::static_block()) },
-        Table1Row { technique: Kind::SS, omp: Some(OmpSchedule::dynamic1()) },
-        Table1Row { technique: Kind::GSS, omp: Some(OmpSchedule::guided1()) },
-        Table1Row { technique: Kind::TSS, omp: None },
-        Table1Row { technique: Kind::FAC2, omp: None },
-    ]
+    Kind::PAPER
+        .into_iter()
+        .map(|technique| Table1Row {
+            technique,
+            omp: omp_equivalent(&Technique::from_kind(technique)),
+        })
+        .collect()
 }
 
 /// The OpenMP clause implementing a DLS technique, if the (Intel) OpenMP
-/// runtime the paper uses supports one.
-pub fn omp_equivalent(kind: Kind) -> Option<OmpSchedule> {
-    match kind {
-        Kind::STATIC => Some(OmpSchedule::static_block()),
-        Kind::SS => Some(OmpSchedule::dynamic1()),
-        Kind::GSS => Some(OmpSchedule::guided1()),
+/// runtime the paper uses supports one — the inverse of
+/// [`OmpSchedule::to_technique`], parameters included: `GSS:k` is
+/// `guided,k` and `FSC:k` is `dynamic,k`. FSC without an explicit chunk
+/// sizes itself from loop statistics no clause can carry, so it has no
+/// equivalent, like TSS, FAC2 and the rest.
+pub fn omp_equivalent(technique: &Technique) -> Option<OmpSchedule> {
+    match *technique {
+        Technique::Static(_) => Some(OmpSchedule::static_block()),
+        Technique::Ss(_) => Some(OmpSchedule::dynamic1()),
+        Technique::Fsc(FixedSizeChunking { explicit: Some(chunk), .. }) => {
+            Some(OmpSchedule::Dynamic { chunk })
+        }
+        Technique::Gss(Guided { min_chunk }) => Some(OmpSchedule::Guided { chunk: min_chunk }),
         _ => None,
     }
+}
+
+/// The blocks `schedule(static[, chunk])` assigns to thread `tid` of a
+/// team of `threads` over `range`: blocks of `chunk` iterations
+/// (`ceil(len / threads)` when `None`, so one block per thread) handed
+/// out round-robin by thread id, in ascending order.
+pub fn static_blocks(
+    range: Range<u64>,
+    chunk: Option<u64>,
+    tid: u32,
+    threads: u32,
+) -> impl Iterator<Item = Range<u64>> {
+    let len = range.end.saturating_sub(range.start);
+    let spec = LoopSpec::new(len, threads);
+    let block = OmpSchedule::Static { chunk }.chunk_size(&spec, SchedState::START);
+    let stride = block.saturating_mul(spec.p());
+    // A first block past `u64::MAX` is past `len` too.
+    let first = u64::from(tid).checked_mul(block);
+    std::iter::successors(first, move |base| base.checked_add(stride))
+        .take_while(move |&base| base < len)
+        .map(move |base| range.start + base..range.start + base.saturating_add(block).min(len))
 }
 
 #[cfg(test)]
@@ -182,11 +214,36 @@ mod tests {
 
     #[test]
     fn omp_equivalent_only_for_intel_supported() {
-        assert!(omp_equivalent(Kind::STATIC).is_some());
-        assert!(omp_equivalent(Kind::SS).is_some());
-        assert!(omp_equivalent(Kind::GSS).is_some());
-        assert!(omp_equivalent(Kind::TSS).is_none());
-        assert!(omp_equivalent(Kind::FAC2).is_none());
-        assert!(omp_equivalent(Kind::TFSS).is_none());
+        let of = |s: &str| omp_equivalent(&s.parse().unwrap());
+        assert_eq!(of("STATIC"), Some(OmpSchedule::static_block()));
+        assert_eq!(of("SS"), Some(OmpSchedule::dynamic1()));
+        assert_eq!(of("GSS"), Some(OmpSchedule::guided1()));
+        // Parameters are part of the clause.
+        assert_eq!(of("GSS:4"), Some(OmpSchedule::Guided { chunk: 4 }));
+        assert_eq!(of("FSC:8"), Some(OmpSchedule::Dynamic { chunk: 8 }));
+        for none in ["TSS", "FAC", "FAC2", "TFSS", "WF", "RND", "FSC"] {
+            assert_eq!(of(none), None, "{none}");
+        }
+    }
+
+    #[test]
+    fn static_blocks_partition_the_range() {
+        let blocks =
+            |chunk, tid, threads| static_blocks(10..110, chunk, tid, threads).collect::<Vec<_>>();
+        // schedule(static): one block of ceil(100/4) per thread.
+        for tid in 0..4 {
+            let base = 10 + 25 * u64::from(tid);
+            assert_eq!(blocks(None, tid, 4), vec![base..base + 25]);
+        }
+        // A team larger than the range leaves the tail threads idle.
+        assert_eq!(static_blocks(0..3, None, 2, 8).collect::<Vec<_>>(), vec![2..3]);
+        assert_eq!(static_blocks(0..3, None, 3, 8).count(), 0);
+        // schedule(static,30): blocks round-robin by thread id, tail clamped.
+        let expect: Vec<Range<u64>> = vec![40..70, 100..110];
+        assert_eq!(blocks(Some(30), 1, 2), expect);
+        // Neither an empty range nor a block size near u64::MAX wraps.
+        assert_eq!(static_blocks(7..7, None, 0, 4).count(), 0);
+        assert_eq!(blocks(Some(u64::MAX), 0, 4), vec![10..110]);
+        assert_eq!(blocks(Some(u64::MAX), 3, 4), Vec::<Range<u64>>::new());
     }
 }

@@ -3,6 +3,7 @@
 //! sequence that exactly partitions the iteration space, and techniques
 //! with documented monotonicity must honour it.
 
+use dls::openmp::{omp_equivalent, static_blocks, OmpSchedule};
 use dls::sequence::{schedule_all, step_count};
 use dls::verify::{check_partition, is_nonincreasing};
 use dls::{Kind, LoopSpec, Technique};
@@ -94,5 +95,40 @@ proptest! {
         for (i, c) in chunks.iter().enumerate() {
             prop_assert_eq!(c.step, i as u64);
         }
+    }
+
+    #[test]
+    fn omp_equivalent_sizes_every_step_like_its_technique(spec in arb_spec(), k in 1u64..64) {
+        // Table 1, parameters included: the clause of an expressible
+        // technique sizes every step like the technique itself.
+        for t in [
+            Technique::static_(),
+            Technique::ss(),
+            Technique::gss(),
+            format!("GSS:{k}").parse().unwrap(),
+            format!("FSC:{k}").parse().unwrap(),
+        ] {
+            let clause = omp_equivalent(&t);
+            prop_assert!(clause.is_some(), "{} has a clause", t);
+            let via_clause = clause.map(OmpSchedule::to_technique).unwrap();
+            prop_assert_eq!(schedule_all(&spec, &via_clause), schedule_all(&spec, &t),
+                "{:?} vs {:?} on n={} p={}", clause, t, spec.n_iters, spec.n_workers);
+        }
+        // ... and nothing else has one.
+        for kind in Kind::ALL {
+            let expressible = matches!(kind, Kind::STATIC | Kind::SS | Kind::GSS);
+            prop_assert_eq!(omp_equivalent(&Technique::from_kind(kind)).is_some(), expressible,
+                "{}", kind);
+        }
+    }
+
+    #[test]
+    fn static_blocks_are_the_static_schedule(n in 0u64..100_000, p in 1u32..128, lo in 0u64..1000) {
+        // schedule(static) hands thread `tid` the chunk STATIC hands out
+        // at step `tid`.
+        let blocks: Vec<_> =
+            (0..p).flat_map(|tid| static_blocks(lo..lo + n, None, tid, p)).collect();
+        let chunks = schedule_all(&LoopSpec::new(n, p), &Technique::static_());
+        prop_assert_eq!(blocks, chunks.iter().map(|c| lo + c.start..lo + c.end()).collect::<Vec<_>>());
     }
 }

@@ -72,11 +72,12 @@ impl HierSpec {
     }
 
     /// Whether the Intel OpenMP runtime the paper uses can execute the
-    /// intra-node technique (`static`, `dynamic,1`, `guided,1` only) —
-    /// combinations like `GSS+TSS` exist *only* under MPI+MPI, which is
-    /// one of the paper's points.
+    /// intra-node technique, i.e. whether Table 1
+    /// ([`dls::openmp::omp_equivalent`]) has a `static`, `dynamic,k` or
+    /// `guided,k` clause for it — combinations like `GSS+TSS` exist
+    /// *only* under MPI+MPI, which is one of the paper's points.
     pub fn supported_by_openmp(&self) -> bool {
-        omp_equivalent(self.intra.kind()).is_some()
+        omp_equivalent(&self.intra).is_some()
     }
 }
 
@@ -103,6 +104,11 @@ mod tests {
         assert!(HierSpec::new(Kind::GSS, Kind::GSS).supported_by_openmp());
         assert!(!HierSpec::new(Kind::GSS, Kind::TSS).supported_by_openmp());
         assert!(!HierSpec::new(Kind::GSS, Kind::FAC2).supported_by_openmp());
+        // The clause carries the parameter; FSC needs an explicit one.
+        let intra = |s: &str| HierSpec { inter: Technique::gss(), intra: s.parse().unwrap() };
+        assert!(intra("GSS:4").supported_by_openmp());
+        assert!(intra("FSC:8").supported_by_openmp());
+        assert!(!intra("FSC").supported_by_openmp());
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! fetched.
 //!
 //! As on the paper's testbed (Intel OpenMP), only `schedule(static)`,
-//! `schedule(dynamic)` and `schedule(guided)` exist at this level:
-//! requesting TSS/FAC2/... intra-node under MPI+OpenMP panics with the
-//! same limitation message the paper gives for skipping those
-//! combinations.
+//! `schedule(dynamic,k)` and `schedule(guided,k)` exist at this level.
+//! Which clause the intra technique is, parameter included, is
+//! `dls::openmp`'s Table 1; requesting TSS/FAC2/... intra-node under
+//! MPI+OpenMP panics with the same limitation message the paper gives
+//! for skipping those combinations.
 
 use super::global_queue::{Fetched, GlobalQueue};
 use super::run::{assemble, Ledger};
@@ -24,24 +25,21 @@ use crate::queue::SubChunk;
 use cluster_sim::trace::SegmentKind;
 use dls::openmp::{omp_equivalent, OmpSchedule};
 use mpisim::{RmaLog, Topology, Universe};
-use openmp_sim::{Schedule, Team, TeamCtx};
+use openmp_sim::{Team, TeamCtx};
 use parking_lot::Mutex;
 use std::time::Instant;
 use workloads::Workload;
 
-/// The intra technique as an `openmp-sim` schedule, or the paper's
-/// limitation message.
-fn omp_schedule(intra: &dls::Technique) -> Schedule {
-    match omp_equivalent(intra.kind()) {
-        Some(OmpSchedule::Static { chunk }) => Schedule::Static { chunk },
-        Some(OmpSchedule::Dynamic { chunk }) => Schedule::Dynamic { chunk },
-        Some(OmpSchedule::Guided { chunk }) => Schedule::Guided { chunk },
-        None => panic!(
+/// The intra technique's `schedule` clause, or the paper's limitation
+/// message.
+fn omp_schedule(intra: &dls::Technique) -> OmpSchedule {
+    omp_equivalent(intra).unwrap_or_else(|| {
+        panic!(
             "the Intel OpenMP runtime only supports schedule(static|dynamic|guided); \
              {} at the intra-node level requires Approach::MpiMpi",
             intra.kind()
-        ),
-    }
+        )
+    })
 }
 
 /// Run the MPI+OpenMP approach with real threads.
@@ -118,7 +116,7 @@ fn team_thread(
     queue: &GlobalQueue,
     chunk_slot: &Mutex<Option<(u64, u64)>>,
     fetch_err: &Mutex<Option<mpisim::Error>>,
-    schedule: Schedule,
+    schedule: OmpSchedule,
 ) -> Ledger {
     loop {
         // Only the main thread calls MPI. An RMA failure parks its
@@ -169,7 +167,7 @@ mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
     use crate::live::{assert_exact, serial_checksum};
-    use dls::Kind;
+    use dls::{Kind, Technique};
     use workloads::synthetic::Synthetic;
 
     fn run(spec: HierSpec, nodes: u32, wpn: u32, n: u64) -> (LiveResult, u64) {
@@ -273,6 +271,30 @@ mod tests {
         let w = Synthetic::constant(10, 1);
         let cfg = LiveConfig::new(1, 2, HierSpec::new(Kind::GSS, Kind::TSS), Approach::MpiOpenMp);
         let _ = run_live_mpi_omp(&cfg, &w);
+    }
+
+    #[test]
+    fn parameterised_intra_technique_is_honoured() {
+        // GSS:4 is schedule(guided,4), not guided,1: one node, one
+        // region of 100 over 2 threads, no dispatch below 4 but the tail.
+        let w = Synthetic::constant(100, 1);
+        let spec = HierSpec { inter: Technique::static_(), intra: "GSS:4".parse().unwrap() };
+        let r = run_live_mpi_omp(&LiveConfig::new(1, 2, spec, Approach::MpiOpenMp), &w)
+            .expect("live run");
+        let mut subs: Vec<SubChunk> = r.executed.iter().map(|&(_, sub)| sub).collect();
+        subs.sort_by_key(|sub| sub.start);
+        assert_eq!(subs.iter().map(SubChunk::len).collect::<Vec<_>>(), [50, 25, 13, 6, 4, 2]);
+    }
+
+    #[test]
+    fn every_inexpressible_intra_technique_gets_the_limitation_message() {
+        for kind in [Kind::TSS, Kind::FAC, Kind::FAC2, Kind::TFSS, Kind::WF, Kind::RND, Kind::FSC] {
+            let panic = std::panic::catch_unwind(|| omp_schedule(&Technique::from_kind(kind)))
+                .expect_err("no clause for this technique");
+            let msg = panic.downcast_ref::<String>().expect("formatted panic message");
+            assert!(msg.contains("Intel OpenMP runtime only supports"), "{kind}: {msg}");
+        }
+        assert_eq!(omp_schedule(&"FSC:8".parse().unwrap()), OmpSchedule::Dynamic { chunk: 8 });
     }
 
     #[test]

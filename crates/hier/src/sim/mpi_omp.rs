@@ -13,6 +13,7 @@ use crate::layout::{GSCHED, GSTEP};
 use crate::queue::{LocalQueue, SubChunk};
 use cluster_sim::trace::SegmentKind;
 use cluster_sim::{Resource, Time};
+use dls::openmp::static_blocks;
 use dls::ChunkCalculator;
 use mpisim::RmaEvent;
 use workloads::CostTable;
@@ -164,22 +165,18 @@ fn run_team(run: &mut Run<Event>, node: u32, lo: u64, hi: u64, start: Time) -> V
     let threads = cfg.topology.workers_per_node;
     let m = &cfg.machine;
     let intra = &cfg.spec.intra;
-    let len = hi - lo;
 
     if !intra.is_dynamic() {
-        // schedule(static): contiguous blocks of ceil(len/threads),
-        // assigned round-robin by thread id; no dispatch cost.
-        let block = len.div_ceil(u64::from(threads));
+        // schedule(static): one contiguous block per thread, fixed up
+        // front; no dispatch cost.
         let mut finishes = Vec::with_capacity(threads as usize);
         for i in 0..threads {
             let w = node * threads + i;
-            let s = lo + u64::from(i) * block;
-            let e = (s + block).min(hi);
             let mut finish = start;
-            if s < e {
-                let sub = SubChunk { start: s, end: e };
-                let cost = run.cost(w, start, sub);
-                run.compute(w, start, cost, sub);
+            for block in static_blocks(lo..hi, None, i, threads) {
+                let sub = SubChunk { start: block.start, end: block.end };
+                let cost = run.cost(w, finish, sub);
+                run.compute(w, finish, cost, sub);
                 run.stats.nodes[node as usize].sub_chunks += 1;
                 finish += cost;
             }

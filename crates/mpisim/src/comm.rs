@@ -75,15 +75,6 @@ impl Comm {
         self.state.world_ranks.len() as u32
     }
 
-    /// The world rank of a communicator member.
-    pub fn world_rank_of(&self, comm_rank: u32) -> Result<u32> {
-        self.state
-            .world_ranks
-            .get(comm_rank as usize)
-            .copied()
-            .ok_or(Error::RankOutOfRange { rank: comm_rank, size: self.size() })
-    }
-
     /// The cluster topology the world was launched with.
     pub fn topology(&self) -> Topology {
         self.state.topology

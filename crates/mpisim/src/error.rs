@@ -20,8 +20,6 @@ pub enum Error {
         /// Tag of the mismatched message.
         tag: i32,
     },
-    /// The peer side of a channel disappeared (a rank panicked).
-    Disconnected,
     /// A window offset was outside the target region.
     OffsetOutOfRange {
         /// The offending offset.
@@ -52,7 +50,6 @@ impl fmt::Display for Error {
             Error::TypeMismatch { src, tag } => {
                 write!(f, "message from rank {src} tag {tag} has unexpected payload type")
             }
-            Error::Disconnected => write!(f, "peer rank disconnected"),
             Error::OffsetOutOfRange { offset, len } => {
                 write!(f, "window offset {offset} out of range (target region len {len})")
             }

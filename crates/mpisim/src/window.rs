@@ -12,6 +12,7 @@ use crate::comm::{Comm, TAG_WIN};
 use crate::error::{Error, Result};
 use crate::rmalog::{AtomicOpKind, RmaEvent, RmaLog};
 use crate::sync::QueuedLock;
+use std::ops::Range;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -80,7 +81,7 @@ pub struct RankWinStats {
     /// Nanoseconds this rank spent *inside* lock epochs (lock→unlock).
     pub lock_held_ns: u64,
     /// RMA atomic operations issued (`MPI_Fetch_and_op`,
-    /// `MPI_Compare_and_swap`, `MPI_Accumulate`).
+    /// `MPI_Compare_and_swap`).
     pub rma_atomic_ops: u64,
     /// `MPI_Put` operations issued (a multi-element put counts once).
     pub puts: u64,
@@ -243,12 +244,6 @@ impl Window {
     /// The communicator the window was created over.
     pub fn comm(&self) -> &Comm {
         &self.comm
-    }
-
-    /// Process-unique id of this window allocation, as stamped into
-    /// [`RmaRecord`](crate::RmaRecord)s.
-    pub fn win_id(&self) -> u64 {
-        self.state.id
     }
 
     /// Enter recording mode: append every subsequent passive-target
@@ -449,47 +444,36 @@ impl Window {
         Ok(())
     }
 
-    /// `MPI_Get` of a whole region.
-    pub fn get_all(&self, target: u32) -> Result<Vec<i64>> {
-        self.check_alive(target)?;
-        let (offset, len) = self.region(target)?;
-        self.rank.gets.fetch_add(1, Ordering::Relaxed);
-        self.rec(RmaEvent::Get { target, disp: 0, len });
-        Ok(self.state.data[offset..offset + len].iter().map(|a| a.load(Ordering::SeqCst)).collect())
-    }
-
-    /// `MPI_Accumulate` with a predefined op on a single element — like
-    /// [`Window::fetch_and_op`] but without returning the old value.
-    pub fn accumulate(&self, target: u32, disp: usize, operand: i64, op: RmaOp) -> Result<()> {
-        self.fetch_and_op(target, disp, operand, op).map(|_| ())
+    /// `disp..disp + len` of `target`'s region as indices into the
+    /// window's data, or the offset error for a span that leaves the
+    /// region (or the address space: `disp + len` must not wrap).
+    fn span(&self, target: u32, disp: usize, len: usize) -> Result<Range<usize>> {
+        let (offset, region_len) = self.region(target)?;
+        match disp.checked_add(len) {
+            Some(end) if end <= region_len => Ok(offset + disp..offset + end),
+            end => {
+                Err(Error::OffsetOutOfRange { offset: end.unwrap_or(usize::MAX), len: region_len })
+            }
+        }
     }
 
     /// `MPI_Get` of `len` consecutive elements starting at `disp`.
     pub fn get_range(&self, target: u32, disp: usize, len: usize) -> Result<Vec<i64>> {
         self.check_alive(target)?;
-        let (offset, region_len) = self.region(target)?;
-        if disp + len > region_len {
-            return Err(Error::OffsetOutOfRange { offset: disp + len, len: region_len });
-        }
+        let span = self.span(target, disp, len)?;
         self.rank.gets.fetch_add(1, Ordering::Relaxed);
         self.rec(RmaEvent::Get { target, disp, len });
-        Ok(self.state.data[offset + disp..offset + disp + len]
-            .iter()
-            .map(|a| a.load(Ordering::SeqCst))
-            .collect())
+        Ok(self.state.data[span].iter().map(|a| a.load(Ordering::SeqCst)).collect())
     }
 
     /// `MPI_Put` of consecutive elements starting at `disp`.
     pub fn put_range(&self, target: u32, disp: usize, values: &[i64]) -> Result<()> {
         self.check_alive(target)?;
-        let (offset, region_len) = self.region(target)?;
-        if disp + values.len() > region_len {
-            return Err(Error::OffsetOutOfRange { offset: disp + values.len(), len: region_len });
-        }
+        let span = self.span(target, disp, values.len())?;
         self.rank.puts.fetch_add(1, Ordering::Relaxed);
         self.rec(RmaEvent::Put { target, disp, len: values.len() });
-        for (i, &v) in values.iter().enumerate() {
-            self.state.data[offset + disp + i].store(v, Ordering::SeqCst);
+        for (slot, &v) in self.state.data[span].iter().zip(values) {
+            slot.store(v, Ordering::SeqCst);
         }
         Ok(())
     }
@@ -769,17 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_applies_op() {
-        Universe::run(Topology::new(1, 4), |p| {
-            let w = p.world();
-            let win = Window::allocate(w, if w.rank() == 0 { 1 } else { 0 }).unwrap();
-            win.accumulate(0, 0, 5, RmaOp::Sum).unwrap();
-            w.barrier();
-            assert_eq!(win.get(0, 0).unwrap(), 20);
-        });
-    }
-
-    #[test]
     fn lock_all_excludes_exclusive() {
         Universe::run(Topology::new(1, 2), |p| {
             let w = p.world();
@@ -930,20 +903,5 @@ mod tests {
             let _ = log.len(); // log moved in but never attached
         });
         assert!(outer.is_empty());
-    }
-
-    #[test]
-    fn get_all_region() {
-        Universe::run(Topology::new(1, 2), |p| {
-            let w = p.world();
-            let win = Window::allocate(w, 3).unwrap();
-            if w.rank() == 1 {
-                for i in 0..3 {
-                    win.put(1, i, i as i64 + 1).unwrap();
-                }
-            }
-            w.barrier();
-            assert_eq!(win.get_all(1).unwrap(), vec![1, 2, 3]);
-        });
     }
 }

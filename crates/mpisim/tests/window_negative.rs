@@ -74,6 +74,10 @@ fn range_ops_past_region_are_offset_errors() {
         win.lock(LockKind::Exclusive, 0).expect("lock");
         assert!(win.get_range(0, 2, 3).is_err());
         assert!(win.put_range(0, 3, &[1, 2]).is_err());
+        // `disp + len` wraps: still the offset error, not a panic.
+        let wrapped = Error::OffsetOutOfRange { offset: usize::MAX, len: 4 };
+        assert_eq!(win.get_range(0, usize::MAX, 2), Err(wrapped.clone()));
+        assert_eq!(win.put_range(0, usize::MAX, &[1, 2]), Err(wrapped));
         win.unlock(LockKind::Exclusive, 0).expect("unlock");
     });
 }

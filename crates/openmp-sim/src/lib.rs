@@ -10,20 +10,23 @@
 //!
 //! * [`Team::parallel`] — fork-join parallel region with per-thread
 //!   context ([`TeamCtx`]): `thread_num`, `num_threads`.
-//! * [`TeamCtx::for_each`] — worksharing loop with [`Schedule`]
-//!   semantics matching the OpenMP `schedule` clause, implicit barrier,
-//!   and an explicit `nowait` variant.
+//! * [`TeamCtx::for_each`] — worksharing loop over a
+//!   [`dls::openmp::OmpSchedule`] clause (the type and its dispatch
+//!   sizes are `dls`'s, so a team and the `dls` calculators cannot
+//!   disagree about Table 1), implicit barrier, and an explicit
+//!   `nowait` variant.
 //! * [`TeamCtx::barrier`], [`TeamCtx::master`], [`TeamCtx::critical`],
 //!   [`TeamCtx::reduce`] — the synchronisation constructs hierarchical
 //!   DLS codes use.
 //!
 //! ```
-//! use openmp_sim::{Schedule, Team};
+//! use dls::openmp::OmpSchedule;
+//! use openmp_sim::Team;
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
 //! let sum = AtomicU64::new(0);
 //! Team::new(4).parallel(|ctx| {
-//!     ctx.for_each(0..1000, Schedule::Guided { chunk: 1 }, |i| {
+//!     ctx.for_each(0..1000, OmpSchedule::Guided { chunk: 1 }, |i| {
 //!         sum.fetch_add(i, Ordering::Relaxed);
 //!     });
 //! });
@@ -39,5 +42,4 @@ mod region;
 mod schedule;
 mod team;
 
-pub use schedule::Schedule;
 pub use team::{Team, TeamCtx};

@@ -1,59 +1,18 @@
 //! The `schedule` clause: how a worksharing loop's iterations are
-//! carved into dispatch units.
+//! carved into dispatch units. The clause type and every size formula
+//! are `dls::openmp`'s (the paper's Table 1 lives there, once); this
+//! module only turns the team's shared cursor into the state that
+//! formula reads.
 
-/// OpenMP loop schedules. The semantics follow the OpenMP standard (and
-//  the Intel runtime's defaults the paper uses).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// `schedule(static)` / `schedule(static, chunk)`: iterations are
-    /// divided up front. With `chunk: None`, each thread gets one
-    /// contiguous block of `ceil(n / threads)`; with `Some(k)`, blocks
-    /// of `k` are assigned round-robin by thread id.
-    Static {
-        /// Optional block-cyclic chunk size.
-        chunk: Option<u64>,
-    },
-    /// `schedule(dynamic, chunk)`: threads grab fixed-size chunks from
-    /// a shared cursor.
-    Dynamic {
-        /// Chunk size (the clause defaults to 1).
-        chunk: u64,
-    },
-    /// `schedule(guided, chunk)`: threads grab `max(remaining/threads,
-    /// chunk)` iterations from a shared cursor.
-    Guided {
-        /// Minimum chunk size (the clause defaults to 1).
-        chunk: u64,
-    },
-}
+use dls::openmp::OmpSchedule;
+use dls::{LoopSpec, SchedState};
 
-impl Schedule {
-    /// `schedule(static)`.
-    pub fn static_block() -> Self {
-        Schedule::Static { chunk: None }
-    }
-
-    /// `schedule(dynamic, 1)` — the SS mapping of the paper's Table 1.
-    pub fn dynamic1() -> Self {
-        Schedule::Dynamic { chunk: 1 }
-    }
-
-    /// `schedule(guided, 1)` — the GSS mapping of the paper's Table 1.
-    pub fn guided1() -> Self {
-        Schedule::Guided { chunk: 1 }
-    }
-
-    /// Size of the next dispatch from a shared cursor, given `remaining`
-    /// iterations and `threads` in the team (dynamic/guided only).
-    pub(crate) fn next_dispatch(&self, remaining: u64, threads: u64) -> u64 {
-        match *self {
-            Schedule::Static { .. } => remaining, // not cursor-driven
-            Schedule::Dynamic { chunk } => chunk.clamp(1, remaining),
-            Schedule::Guided { chunk } => {
-                (remaining.div_ceil(threads)).max(chunk.max(1)).min(remaining)
-            }
-        }
-    }
+/// Size of the next dispatch from a shared cursor with `remaining`
+/// iterations left, in a team of `threads` (dynamic/guided only). No
+/// clause reads the scheduling step and none reads more of the loop
+/// than what is left of it, so the cursor alone is the state.
+pub(crate) fn next_dispatch(schedule: OmpSchedule, remaining: u64, threads: u32) -> u64 {
+    schedule.chunk_size(&LoopSpec::new(remaining, threads), SchedState::START).min(remaining)
 }
 
 #[cfg(test)]
@@ -62,23 +21,23 @@ mod tests {
 
     #[test]
     fn dynamic_dispatch_fixed() {
-        let s = Schedule::Dynamic { chunk: 8 };
-        assert_eq!(s.next_dispatch(100, 4), 8);
-        assert_eq!(s.next_dispatch(5, 4), 5);
+        let s = OmpSchedule::Dynamic { chunk: 8 };
+        assert_eq!(next_dispatch(s, 100, 4), 8);
+        assert_eq!(next_dispatch(s, 5, 4), 5);
     }
 
     #[test]
     fn guided_dispatch_shrinks() {
-        let s = Schedule::guided1();
-        assert_eq!(s.next_dispatch(100, 4), 25);
-        assert_eq!(s.next_dispatch(7, 4), 2);
-        assert_eq!(s.next_dispatch(1, 4), 1);
+        let s = OmpSchedule::guided1();
+        assert_eq!(next_dispatch(s, 100, 4), 25);
+        assert_eq!(next_dispatch(s, 7, 4), 2);
+        assert_eq!(next_dispatch(s, 1, 4), 1);
     }
 
     #[test]
     fn guided_respects_min_chunk() {
-        let s = Schedule::Guided { chunk: 10 };
-        assert_eq!(s.next_dispatch(12, 4), 10);
-        assert_eq!(s.next_dispatch(4, 4), 4);
+        let s = OmpSchedule::Guided { chunk: 10 };
+        assert_eq!(next_dispatch(s, 12, 4), 10);
+        assert_eq!(next_dispatch(s, 4, 4), 4);
     }
 }

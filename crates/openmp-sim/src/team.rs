@@ -1,7 +1,8 @@
 //! Fork-join teams and the per-thread context.
 
 use crate::region::RegionRegistry;
-use crate::schedule::Schedule;
+use crate::schedule::next_dispatch;
+use dls::openmp::{static_blocks, OmpSchedule};
 use parking_lot::Mutex;
 use std::cell::Cell;
 use std::ops::Range;
@@ -96,7 +97,7 @@ impl TeamCtx<'_> {
     /// `#pragma omp for schedule(...)`: distribute `range` over the
     /// team, call `body(i)` for each owned iteration, and cross the
     /// implicit end-of-region barrier.
-    pub fn for_each(&self, range: Range<u64>, schedule: Schedule, mut body: impl FnMut(u64)) {
+    pub fn for_each(&self, range: Range<u64>, schedule: OmpSchedule, mut body: impl FnMut(u64)) {
         self.for_each_nowait(range, schedule, &mut body);
         self.barrier();
     }
@@ -108,7 +109,7 @@ impl TeamCtx<'_> {
     pub fn for_each_nowait(
         &self,
         range: Range<u64>,
-        schedule: Schedule,
+        schedule: OmpSchedule,
         mut body: impl FnMut(u64),
     ) -> u64 {
         let mut executed = 0u64;
@@ -127,7 +128,7 @@ impl TeamCtx<'_> {
     pub fn for_each_dispatch(
         &self,
         range: Range<u64>,
-        schedule: Schedule,
+        schedule: OmpSchedule,
         mut body: impl FnMut(Range<u64>),
     ) {
         self.for_each_dispatch_nowait(range, schedule, &mut body);
@@ -138,7 +139,7 @@ impl TeamCtx<'_> {
     pub fn for_each_dispatch_nowait(
         &self,
         range: Range<u64>,
-        schedule: Schedule,
+        schedule: OmpSchedule,
         mut body: impl FnMut(Range<u64>),
     ) {
         let seq = self.seq.get();
@@ -148,22 +149,13 @@ impl TeamCtx<'_> {
             return;
         }
         match schedule {
-            Schedule::Static { chunk } => {
-                let block = chunk.unwrap_or_else(|| len.div_ceil(u64::from(self.threads)));
-                let block = block.max(1);
-                // Round-robin blocks by thread id.
-                let mut base = u64::from(self.tid) * block;
-                while base < len {
-                    let hi = (base + block).min(len);
-                    body(range.start + base..range.start + hi);
-                    base += block * u64::from(self.threads);
-                }
+            OmpSchedule::Static { chunk } => {
+                static_blocks(range, chunk, self.tid, self.threads).for_each(body);
             }
-            Schedule::Dynamic { .. } | Schedule::Guided { .. } => {
+            OmpSchedule::Dynamic { .. } | OmpSchedule::Guided { .. } => {
                 let region = self.shared.regions.get(seq);
-                let threads = u64::from(self.threads);
                 while let Some((lo, hi)) =
-                    region.claim(len, |remaining| schedule.next_dispatch(remaining, threads))
+                    region.claim(len, |remaining| next_dispatch(schedule, remaining, self.threads))
                 {
                     body(range.start + lo..range.start + hi);
                 }
@@ -240,12 +232,12 @@ mod tests {
     #[test]
     fn for_each_covers_range_every_schedule() {
         for schedule in [
-            Schedule::static_block(),
-            Schedule::Static { chunk: Some(3) },
-            Schedule::dynamic1(),
-            Schedule::Dynamic { chunk: 7 },
-            Schedule::guided1(),
-            Schedule::Guided { chunk: 4 },
+            OmpSchedule::static_block(),
+            OmpSchedule::Static { chunk: Some(3) },
+            OmpSchedule::dynamic1(),
+            OmpSchedule::Dynamic { chunk: 7 },
+            OmpSchedule::guided1(),
+            OmpSchedule::Guided { chunk: 4 },
         ] {
             let hits: Vec<AtomicU64> = (0..500).map(|_| AtomicU64::new(0)).collect();
             Team::new(4).parallel(|ctx| {
@@ -264,7 +256,7 @@ mod tests {
     fn static_blocks_are_contiguous_per_thread() {
         let owner: Vec<AtomicU64> = (0..100).map(|_| AtomicU64::new(u64::MAX)).collect();
         Team::new(4).parallel(|ctx| {
-            ctx.for_each(0..100, Schedule::static_block(), |i| {
+            ctx.for_each(0..100, OmpSchedule::static_block(), |i| {
                 owner[i as usize].store(u64::from(ctx.thread_num()), Ordering::SeqCst);
             });
         });
@@ -279,7 +271,7 @@ mod tests {
         let count = AtomicU64::new(0);
         Team::new(3).parallel(|ctx| {
             for _ in 0..5 {
-                ctx.for_each(0..30, Schedule::dynamic1(), |_| {
+                ctx.for_each(0..30, OmpSchedule::dynamic1(), |_| {
                     count.fetch_add(1, Ordering::SeqCst);
                 });
             }
@@ -290,7 +282,7 @@ mod tests {
     #[test]
     fn nowait_returns_executed_count() {
         let out = Team::new(4).parallel(|ctx| {
-            let n = ctx.for_each_nowait(0..97, Schedule::Dynamic { chunk: 5 }, |_| {});
+            let n = ctx.for_each_nowait(0..97, OmpSchedule::Dynamic { chunk: 5 }, |_| {});
             ctx.barrier();
             n
         });
@@ -332,7 +324,7 @@ mod tests {
         let sum = AtomicU64::new(0);
         Team::new(3).parallel(|ctx| {
             let total = ctx.reduce(1u64, |a, b| a + b);
-            ctx.for_each(0..total, Schedule::guided1(), |_| {
+            ctx.for_each(0..total, OmpSchedule::guided1(), |_| {
                 sum.fetch_add(1, Ordering::SeqCst);
             });
         });
@@ -379,7 +371,7 @@ mod tests {
     #[test]
     fn empty_range_is_fine() {
         Team::new(4).parallel(|ctx| {
-            ctx.for_each(10..10, Schedule::dynamic1(), |_| panic!("no iterations"));
+            ctx.for_each(10..10, OmpSchedule::dynamic1(), |_| panic!("no iterations"));
         });
     }
 
@@ -387,7 +379,7 @@ mod tests {
     fn single_thread_team() {
         let hits = AtomicU64::new(0);
         Team::new(1).parallel(|ctx| {
-            ctx.for_each(0..10, Schedule::guided1(), |_| {
+            ctx.for_each(0..10, OmpSchedule::guided1(), |_| {
                 hits.fetch_add(1, Ordering::SeqCst);
             });
         });

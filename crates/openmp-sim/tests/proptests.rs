@@ -2,16 +2,17 @@
 //! once for arbitrary team sizes and ranges, across consecutive
 //! regions, with and without `nowait`.
 
-use openmp_sim::{Schedule, Team};
+use dls::openmp::OmpSchedule;
+use openmp_sim::Team;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-fn arb_schedule() -> impl Strategy<Value = Schedule> {
+fn arb_schedule() -> impl Strategy<Value = OmpSchedule> {
     prop_oneof![
-        Just(Schedule::static_block()),
-        (1u64..20).prop_map(|k| Schedule::Static { chunk: Some(k) }),
-        (1u64..20).prop_map(|k| Schedule::Dynamic { chunk: k }),
-        (1u64..20).prop_map(|k| Schedule::Guided { chunk: k }),
+        Just(OmpSchedule::static_block()),
+        (1u64..20).prop_map(|k| OmpSchedule::Static { chunk: Some(k) }),
+        (1u64..20).prop_map(|k| OmpSchedule::Dynamic { chunk: k }),
+        (1u64..20).prop_map(|k| OmpSchedule::Guided { chunk: k }),
     ]
 }
 

@@ -22,6 +22,13 @@ fn coverage(chunks: &[(u32, hier::queue::SubChunk)], n: u64) {
     hier::queue::exactly_once(chunks, n).expect("exactly-once coverage");
 }
 
+/// The executed ranges in iteration order, whoever ran them.
+fn sorted_ranges(executed: Vec<(u32, hier::queue::SubChunk)>) -> Vec<(u64, u64)> {
+    let mut ranges: Vec<_> = executed.into_iter().map(|(_, s)| (s.start, s.end)).collect();
+    ranges.sort_unstable();
+    ranges
+}
+
 #[test]
 fn both_backends_cover_exactly_once() {
     let w = Synthetic::uniform(1_000, 10, 200, 4);
@@ -139,11 +146,44 @@ fn static_static_produces_identical_partitions() {
     let s = schedule(Kind::STATIC, Kind::STATIC, Approach::MpiMpi);
     let sim = s.simulate(&table);
     let live = s.run_live(&w);
-    let norm = |mut v: Vec<(u32, hier::queue::SubChunk)>| {
-        v.sort_by_key(|(_, s)| s.start);
-        v.into_iter().map(|(_, s)| (s.start, s.end)).collect::<Vec<_>>()
+    assert_eq!(sorted_ranges(sim.executed), sorted_ranges(live.executed));
+}
+
+#[test]
+fn mpi_openmp_ranges_are_the_dls_sequence_on_both_backends() {
+    // One node, so STATIC inter deposits the whole loop as one
+    // worksharing region over the team. Which thread wins a claim is a
+    // race, but a cursor-driven claim's *range* depends on the cursor
+    // only: the sorted ranges of a live run, of a sim run and of the
+    // `dls` sequence for the intra technique must be equal — Table 1,
+    // parameters included, read the same way by all three.
+    let check = |n: u64, threads: u32, intra: &str| {
+        let w = Synthetic::constant(n, 100);
+        let intra_t: Technique = intra.parse().unwrap();
+        let s = HierSchedule::builder()
+            .inter(Kind::STATIC)
+            .intra_technique(intra_t)
+            .approach(Approach::MpiOpenMp)
+            .nodes(1)
+            .workers_per_node(threads)
+            .record_chunks(true)
+            .build();
+        let expected: Vec<(u64, u64)> =
+            dls::sequence::schedule_all(&LoopSpec::new(n, threads), &intra_t)
+                .iter()
+                .map(|c| (c.start, c.end()))
+                .collect();
+        assert_eq!(sorted_ranges(s.run_live(&w).executed), expected, "live, intra {intra}");
+        let sim = s.simulate(&CostTable::build(&w));
+        assert_eq!(sorted_ranges(sim.executed), expected, "sim, intra {intra}");
+        expected.iter().map(|(lo, hi)| hi - lo).collect::<Vec<_>>()
     };
-    assert_eq!(norm(sim.executed), norm(live.executed));
+    for intra in ["STATIC", "SS", "GSS", "GSS:4", "FSC:8"] {
+        check(1_000, 4, intra);
+    }
+    // The shape that used to disagree: live ran guided,1 and ended
+    // [.., 6, 3, 2, 1] where the sim ran guided,4.
+    assert_eq!(check(100, 2, "GSS:4"), [50, 25, 13, 6, 4, 2]);
 }
 
 #[test]
