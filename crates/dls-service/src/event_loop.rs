@@ -16,15 +16,17 @@
 //!    check-then-act race cannot overshoot `max_connections`), read
 //!    every ready socket into its ring buffer, and extract decoded
 //!    requests in arrival order.
-//! 2. *Serve*: answer the whole cycle's requests in one pass. Fetches
-//!    keep the job-table shard lock *cached* between consecutive ops,
-//!    so a burst of fetches against one job locks its shard once per
-//!    cycle instead of once per request — and each lock acquisition
-//!    drains the reclaim pool and advances the counters for every
-//!    waiting fetch before the lock is released (wakeup-free
-//!    batching: no condvars, no cross-thread handoff). Global stat
-//!    counters are accumulated locally and flushed with one atomic
-//!    add per counter per cycle.
+//! 2. *Serve*: answer the whole cycle's requests in one pass, each
+//!    reply framed in place at the end of its connection's write
+//!    buffer. The pass holds one job-table shard guard
+//!    ([`crate::server::Held`]) from request to request — reports,
+//!    fetches, creates and resumes alike — and trades it only when a
+//!    request names a job of another shard (or `Stats` wants them all),
+//!    so a worker's `ReportDone` + `FetchChunk` pair, or a whole burst
+//!    of them against one job, locks its shard once per cycle instead
+//!    of once per request (wakeup-free batching: no condvars, no
+//!    cross-thread handoff). Global stat counters are accumulated
+//!    locally and flushed with one atomic add per counter per cycle.
 //! 3. *Flush*: write each touched connection's queued responses with
 //!    non-blocking writes, arming `EPOLLOUT` only while a partial
 //!    write is outstanding, then retire connections that died or
@@ -43,10 +45,11 @@
 
 use crate::machine::{ConnMachine, FramePeek};
 use crate::poller::{Event, Interest, Poller};
-use crate::protocol::{frame, ConnSnapshot, ErrorCode, Request, Response, VERSION};
-use crate::server::State;
+use crate::protocol::{ErrorCode, Request, Response, VERSION};
+use crate::ring::READ_CHUNK;
+use crate::server::{CycleTally, Peer, State};
 use crate::sync::atomic::Ordering;
-use crate::sync::{Arc, MutexGuard};
+use crate::sync::Arc;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown as SockShutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
@@ -65,35 +68,20 @@ const DRAIN_GRACE_CYCLES: u32 = 5;
 /// One decoded unit of work, queued in arrival order so responses on a
 /// connection always match its request order (pipelining-safe).
 enum OpKind {
-    /// `FetchChunk` — served by the batched shard-lock pass.
-    Fetch { job: u64, worker: u32, batch: u32 },
-    /// Any other well-formed request — served through `State::handle`.
-    Other(Request),
+    /// A well-formed request — served through `State::handle`.
+    Request(Request),
     /// A pre-computed response (decode errors); `close` poisons the
     /// connection once flushed.
     Reply { resp: Response, close: bool },
 }
 
 struct ConnEntry {
-    id: u64,
+    peer: Peer,
     stream: TcpStream,
     machine: ConnMachine,
-    stat: ConnSnapshot,
     interest: Interest,
     /// Read side saw EOF or a hard error: retire after this cycle.
     dead: bool,
-    stat_dirty: bool,
-}
-
-/// Per-cycle additions to the server-wide atomic counters, applied
-/// with one `fetch_add` per counter per cycle.
-#[derive(Default)]
-struct CycleTally {
-    bytes_in: u64,
-    bytes_out: u64,
-    fetches: u64,
-    chunks_granted: u64,
-    empty_polls: u64,
 }
 
 pub(crate) struct LoopShard {
@@ -174,10 +162,10 @@ impl LoopShard {
             // implies the matching Settled/Granted record is durable.
             // (Grant-side loss is additionally fenced by the epoch
             // bump on restart.)
+            self.touched.sort_unstable();
+            self.touched.dedup();
             if self.state.journal_commit() {
                 // ---- pass 3: flush & retire -------------------------------
-                self.touched.sort_unstable();
-                self.touched.dedup();
                 for i in 0..self.touched.len() {
                     let slot = self.touched[i];
                     self.flush_conn(slot);
@@ -240,7 +228,9 @@ impl LoopShard {
                     detail: format!("connection limit {} reached", state.cfg.max_connections),
                 };
                 let mut stream = stream;
-                let _ = stream.write(&frame(&resp.encode()));
+                let mut reply = Vec::new();
+                resp.frame_into(&mut reply);
+                let _ = stream.write(&reply);
                 let _ = stream.shutdown(SockShutdown::Both);
                 return;
             }
@@ -266,18 +256,16 @@ impl LoopShard {
             state.conns_active.fetch_sub(1, Ordering::SeqCst);
             return;
         }
-        let stat = ConnSnapshot { conn: id, worker: u32::MAX, open: true, ..Default::default() };
+        let peer = Peer::new(id);
         if let Ok(mut stats) = state.conn_stats.lock() {
-            stats.insert(id, stat.clone());
+            stats.insert(id, peer.stat.clone());
         }
         self.conns[slot] = Some(ConnEntry {
-            id,
+            peer,
             stream,
             machine: ConnMachine::new(),
-            stat,
             interest: Interest::READ,
             dead: false,
-            stat_dirty: false,
         });
         self.live += 1;
         self.touched.push(slot);
@@ -299,6 +287,13 @@ impl LoopShard {
                 Ok(k) => {
                     tally.bytes_in += k as u64;
                     entry.machine.idle_cycles = 0;
+                    // A short read emptied the socket: asking again
+                    // would buy one `WouldBlock`. Should bytes land in
+                    // between, level-triggered readiness reports them
+                    // next cycle.
+                    if k < READ_CHUNK {
+                        break;
+                    }
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -327,10 +322,7 @@ impl LoopShard {
                     break;
                 }
                 FramePeek::Payload(payload) => match Request::decode(payload) {
-                    Ok(Request::FetchChunk { job, worker, batch }) => {
-                        OpKind::Fetch { job, worker, batch }
-                    }
-                    Ok(req) => OpKind::Other(req),
+                    Ok(req) => OpKind::Request(req),
                     Err(crate::protocol::DecodeError::Version(v)) => {
                         // A foreign version poisons the rest of the
                         // stream (framing may differ): close after the
@@ -354,67 +346,41 @@ impl LoopShard {
                 },
             };
             let wire = entry.machine.consume_frame();
-            entry.stat.bytes_in += wire as u64;
+            entry.peer.stat.bytes_in += wire as u64;
             self.ops.push((slot, op));
         }
     }
 
     // ---- serve path ------------------------------------------------------
 
-    /// Answer the cycle's requests in arrival order. Consecutive
-    /// fetches against jobs of the same shard reuse one held lock.
+    /// Answer the cycle's requests in arrival order, under one held
+    /// shard guard for as long as consecutive requests stay on a shard.
     fn serve_cycle(&mut self, tally: &mut CycleTally) {
         let state = Arc::clone(&self.state);
-        let mut cache: Option<(usize, MutexGuard<'_, _>)> = None;
-        for (slot, op) in std::mem::take(&mut self.ops) {
+        let mut held = None;
+        let mut ops = std::mem::take(&mut self.ops);
+        for (slot, op) in ops.drain(..) {
             let Some(entry) = self.conns[slot].as_mut() else { continue };
-            let resp = match op {
-                OpKind::Fetch { job, worker, batch } => {
-                    let idx = state.shard_index(job);
-                    if cache.as_ref().map(|(i, _)| *i) != Some(idx) {
-                        // Release the held guard *before* locking the
-                        // next shard — holding two shard locks at once
-                        // would risk lock-order inversion across loop
-                        // shards.
-                        drop(cache.take());
-                        cache = state.shards[idx].lock().ok().map(|g| (idx, g));
-                    }
-                    match cache.as_mut() {
-                        Some((_, jobs)) => {
-                            let (resp, t) = state.fetch_locked(jobs, job, worker, batch, entry.id);
-                            tally.fetches += t.fetches;
-                            tally.chunks_granted += t.granted;
-                            tally.empty_polls += t.empty;
-                            entry.stat.worker = worker;
-                            entry.stat.fetches += 1;
-                            entry.stat.chunks += t.granted;
-                            resp
-                        }
-                        None => Response::Error {
-                            code: ErrorCode::UnknownJob,
-                            detail: "shard poisoned".into(),
-                        },
-                    }
-                }
-                OpKind::Other(req) => {
-                    cache = None; // `handle` takes its own locks
-                    state.handle(req, entry.id, &mut entry.stat)
+            let tx = entry.machine.tx_mut();
+            let queued = tx.len();
+            let close = match op {
+                OpKind::Request(req) => {
+                    state.handle(req, &mut entry.peer, &mut held, tally, tx);
+                    false
                 }
                 OpKind::Reply { resp, close } => {
-                    if close {
-                        entry.machine.close_after_flush = true;
-                    }
-                    resp
+                    resp.frame_into(tx);
+                    close
                 }
             };
-            entry.stat.requests += 1;
-            let f = frame(&resp.encode());
-            entry.stat.bytes_out += f.len() as u64;
-            tally.bytes_out += f.len() as u64;
-            entry.machine.queue_write(&f);
-            entry.stat_dirty = true;
+            let wire = (tx.len() - queued) as u64;
+            entry.machine.close_after_flush |= close;
+            entry.peer.stat.requests += 1;
+            entry.peer.stat.bytes_out += wire;
+            tally.bytes_out += wire;
             self.touched.push(slot);
         }
+        self.ops = ops; // keep the allocation for the next cycle
     }
 
     // ---- flush & lifecycle ----------------------------------------------
@@ -466,45 +432,28 @@ impl LoopShard {
         // lifetime sums — so `Stats` and this map follow the open
         // connections, not every connection ever accepted.
         if let Ok(mut stats) = self.state.conn_stats.lock() {
-            stats.remove(&entry.id);
+            stats.remove(&entry.peer.id);
         }
         // Reclaims this connection's unsettled leases exactly once and
         // releases its admission slot.
-        self.state.disconnect(entry.id);
+        self.state.disconnect(&entry.peer);
         self.free.push(slot);
         self.live -= 1;
     }
 
     /// Apply the cycle's counter deltas (one atomic add per counter)
-    /// and publish dirty per-connection stat rows under one lock.
+    /// and publish the touched connections' stat rows under one lock —
+    /// work in proportion to the sockets that were ready, not to the
+    /// sockets that are open.
     fn commit(&mut self, tally: &CycleTally) {
-        let state = &self.state;
-        // Relaxed throughout: stat counters with RMW-only writers —
-        // per-counter totals stay exact under any interleaving, and
-        // nothing orders against them.
-        if tally.bytes_in > 0 {
-            state.bytes_in.fetch_add(tally.bytes_in, Ordering::Relaxed);
+        self.state.commit(tally);
+        if self.touched.is_empty() {
+            return;
         }
-        if tally.bytes_out > 0 {
-            state.bytes_out.fetch_add(tally.bytes_out, Ordering::Relaxed);
-        }
-        if tally.fetches > 0 {
-            state.fetches.fetch_add(tally.fetches, Ordering::Relaxed);
-        }
-        if tally.chunks_granted > 0 {
-            state.chunks_granted.fetch_add(tally.chunks_granted, Ordering::Relaxed);
-        }
-        if tally.empty_polls > 0 {
-            state.empty_polls.fetch_add(tally.empty_polls, Ordering::Relaxed);
-        }
-        let any_dirty = self.conns.iter().any(|c| c.as_ref().is_some_and(|e| e.stat_dirty));
-        if any_dirty {
-            if let Ok(mut stats) = state.conn_stats.lock() {
-                for entry in self.conns.iter_mut().flatten() {
-                    if entry.stat_dirty {
-                        stats.insert(entry.id, entry.stat.clone());
-                        entry.stat_dirty = false;
-                    }
+        if let Ok(mut stats) = self.state.conn_stats.lock() {
+            for &slot in &self.touched {
+                if let Some(entry) = &self.conns[slot] {
+                    stats.insert(entry.peer.id, entry.peer.stat.clone());
                 }
             }
         }

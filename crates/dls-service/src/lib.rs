@@ -21,7 +21,8 @@
 //!   Connections are multiplexed over a sharded `epoll` readiness loop
 //!   (no thread per connection); admission to `max_connections` is a
 //!   single compare-and-swap, and each readiness cycle answers all of
-//!   its buffered fetches under one job-table lock acquisition.
+//!   its buffered requests — reports and fetches alike — under one
+//!   held job-table lock.
 //! * [`client`] — a blocking client plus the [`client::drive_job`] /
 //!   [`client::drive_job_batched`] worker loops.
 //!

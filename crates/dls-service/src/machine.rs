@@ -93,8 +93,8 @@ impl ConnMachine {
 
     // ---- send side --------------------------------------------------------
 
-    /// Queue an already-framed response for writing.
-    pub(crate) fn queue_write(&mut self, frame_bytes: &[u8]) {
+    /// The write buffer, for framing a response in place at its end.
+    pub(crate) fn tx_mut(&mut self) -> &mut Vec<u8> {
         // Compact the flushed prefix before growing.
         if self.tx_head > 0 && self.tx_head >= self.tx.len() - self.tx_head {
             self.tx.copy_within(self.tx_head.., 0);
@@ -102,7 +102,7 @@ impl ConnMachine {
             self.tx.truncate(live);
             self.tx_head = 0;
         }
-        self.tx.extend_from_slice(frame_bytes);
+        &mut self.tx
     }
 
     /// Unflushed outgoing bytes.
@@ -128,7 +128,7 @@ impl ConnMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{frame, Request, MAX_FRAME};
+    use crate::protocol::{frame, ErrorCode, Request, Response, MAX_FRAME};
 
     fn fetch_frame() -> Vec<u8> {
         frame(&Request::FetchChunk { job: 1, worker: 2, batch: 3 }.encode())
@@ -218,17 +218,24 @@ mod tests {
         assert_eq!(m.peek_frame(MAX_FRAME), FramePeek::BadLength(MAX_FRAME + 1));
     }
 
+    /// Replies framed in place behind a partially flushed one: the
+    /// pending bytes are exactly the unflushed tail plus the new frames.
     #[test]
     fn write_queue_tracks_partial_flushes() {
+        let ack = frame(&Response::Ack.encode());
+        let err = Response::Error { code: ErrorCode::StaleLease, detail: "lease 7".into() };
         let mut m = ConnMachine::new();
-        m.queue_write(&[1, 2, 3, 4, 5]);
-        m.queue_write(&[6, 7]);
-        assert_eq!(m.tx_pending(), &[1, 2, 3, 4, 5, 6, 7]);
-        m.tx_advance(4); // short write
-        assert_eq!(m.tx_pending(), &[5, 6, 7]);
-        m.queue_write(&[8]); // triggers compaction of the flushed prefix
-        assert_eq!(m.tx_pending(), &[5, 6, 7, 8]);
-        m.tx_advance(4);
+        Response::Ack.frame_into(m.tx_mut());
+        err.frame_into(m.tx_mut());
+        let both = [ack.clone(), frame(&err.encode())].concat();
+        assert_eq!(m.tx_pending(), both, "framing in place is encode + frame");
+        let cut = both.len() - 3;
+        m.tx_advance(cut); // short write, mid-frame
+        assert_eq!(m.tx_pending(), &both[cut..]);
+        Response::Ack.frame_into(m.tx_mut()); // compacts the flushed prefix
+        assert_eq!(m.tx_head, 0);
+        assert_eq!(m.tx_pending(), [&both[cut..], &ack[..]].concat());
+        m.tx_advance(m.tx_pending().len());
         assert!(m.tx_is_empty());
     }
 }

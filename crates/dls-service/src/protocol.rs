@@ -292,7 +292,7 @@ impl std::error::Error for DecodeError {}
 // protocol v2, adaptive 10–14, AUTO 15). A [`Decision`] travels as 27
 // bytes: seq u32, step u64, scheduled u64, from u8, to u8, reason u8.
 
-fn write_decision(w: &mut Writer, d: &Decision) {
+fn write_decision(w: &mut Writer<'_>, d: &Decision) {
     w.u32(d.seq);
     w.u64(d.step);
     w.u64(d.scheduled);
@@ -319,7 +319,7 @@ fn newest<T>(rows: &[T]) -> &[T] {
     &rows[rows.len().saturating_sub(usize::from(u16::MAX))..]
 }
 
-fn write_decisions(w: &mut Writer, decisions: &[Decision]) {
+fn write_decisions(w: &mut Writer<'_>, decisions: &[Decision]) {
     w.u16(decisions.len() as u16);
     for d in decisions {
         write_decision(w, d);
@@ -583,13 +583,16 @@ impl StatsSnapshot {
 // ---------------------------------------------------------------------------
 // Encoding.
 
-struct Writer {
-    buf: Vec<u8>,
+/// Appends one payload (version + tag + body) to a buffer it borrows:
+/// a fresh `Vec` for `encode()`, a connection's write buffer for the
+/// server's replies.
+struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
-    fn new(tag: u8) -> Self {
-        let mut buf = Vec::with_capacity(32);
+impl<'a> Writer<'a> {
+    fn new(buf: &'a mut Vec<u8>, tag: u8) -> Self {
+        buf.reserve(32);
         buf.push(VERSION);
         buf.push(tag);
         Writer { buf }
@@ -675,47 +678,43 @@ impl<'a> Reader<'a> {
 impl Request {
     /// Serialise to one frame payload (version + tag + body).
     pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
         match self {
             Request::CreateJob { n, kind, weights } => {
-                let mut w = Writer::new(T_CREATE_JOB);
+                let mut w = Writer::new(&mut buf, T_CREATE_JOB);
                 w.u64(*n);
                 w.u8(kind.to_byte());
                 w.u16(weights.len() as u16);
                 for &wt in weights {
                     w.f64(wt);
                 }
-                w.buf
             }
             Request::FetchChunk { job, worker, batch } => {
-                let mut w = Writer::new(T_FETCH_CHUNK);
+                let mut w = Writer::new(&mut buf, T_FETCH_CHUNK);
                 w.u64(*job);
                 w.u32(*worker);
                 w.u32(*batch);
-                w.buf
             }
             Request::ReportDone { job, leases, epoch } => {
-                let mut w = Writer::new(T_REPORT_DONE);
+                buf.reserve(16 + 8 * leases.len());
+                let mut w = Writer::new(&mut buf, T_REPORT_DONE);
                 w.u64(*job);
                 w.u32(*epoch);
                 w.u16(leases.len() as u16);
                 for &l in leases {
                     w.u64(l);
                 }
-                w.buf
             }
-            Request::Heartbeat { worker } => {
-                let mut w = Writer::new(T_HEARTBEAT);
-                w.u32(*worker);
-                w.buf
+            Request::Heartbeat { worker } => Writer::new(&mut buf, T_HEARTBEAT).u32(*worker),
+            Request::Stats => {
+                Writer::new(&mut buf, T_STATS);
             }
-            Request::Stats => Writer::new(T_STATS).buf,
-            Request::Shutdown => Writer::new(T_SHUTDOWN).buf,
-            Request::ResumeJob { job } => {
-                let mut w = Writer::new(T_RESUME_JOB);
-                w.u64(*job);
-                w.buf
+            Request::Shutdown => {
+                Writer::new(&mut buf, T_SHUTDOWN);
             }
+            Request::ResumeJob { job } => Writer::new(&mut buf, T_RESUME_JOB).u64(*job),
         }
+        buf
     }
 
     /// Parse one frame payload.
@@ -762,29 +761,73 @@ impl Request {
     }
 }
 
+/// Encoded size of one `Chunks` row: lease, lo, hi.
+const CHUNK_ROW: usize = 24;
+/// Encoded size of a `Chunks` payload ahead of its rows: version, tag,
+/// epoch, row count.
+const CHUNKS_HEADER: usize = 2 + 4 + 2;
+
+/// The most rows one `Chunks` frame can carry under `max_frame`: what
+/// its `u16` count can announce and what fits in the payload. A server
+/// must not grant more leases per fetch than it can name in the reply.
+pub(crate) fn max_chunks_per_frame(max_frame: u32) -> u32 {
+    let fit = (max_frame as usize).saturating_sub(CHUNKS_HEADER) / CHUNK_ROW;
+    fit.min(usize::from(u16::MAX)) as u32
+}
+
+/// Append one complete frame to `out`: the length prefix is patched in
+/// after `payload` has written the payload behind it, so a reply is
+/// encoded once, where it is sent from.
+pub(crate) fn framed(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = (out.len() - at - 4) as u32;
+    out[at..at + 4].copy_from_slice(&len.to_le_bytes());
+}
+
+/// Write a [`Response::Chunks`] payload of `[lease, lo, hi]` rows — for
+/// the server, straight from the rows it granted.
+pub(crate) fn write_chunks(
+    buf: &mut Vec<u8>,
+    epoch: u32,
+    rows: impl ExactSizeIterator<Item = [u64; 3]>,
+) {
+    buf.reserve(CHUNKS_HEADER + CHUNK_ROW * rows.len());
+    let mut w = Writer::new(buf, T_CHUNKS);
+    w.u32(epoch);
+    w.u16(rows.len() as u16);
+    for row in rows {
+        for v in row {
+            w.u64(v);
+        }
+    }
+}
+
 impl Response {
     /// Serialise to one frame payload (version + tag + body).
     pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append this response to `out` as one complete frame.
+    pub fn frame_into(&self, out: &mut Vec<u8>) {
+        framed(out, |buf| self.encode_into(buf));
+    }
+
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Response::JobCreated { job } => {
-                let mut w = Writer::new(T_JOB_CREATED);
-                w.u64(*job);
-                w.buf
-            }
+            Response::JobCreated { job } => Writer::new(buf, T_JOB_CREATED).u64(*job),
             Response::Chunks { chunks, epoch } => {
-                let mut w = Writer::new(T_CHUNKS);
-                w.u32(*epoch);
-                w.u16(chunks.len() as u16);
-                for c in chunks {
-                    w.u64(c.lease);
-                    w.u64(c.lo);
-                    w.u64(c.hi);
-                }
-                w.buf
+                write_chunks(buf, *epoch, chunks.iter().map(|c| [c.lease, c.lo, c.hi]));
             }
-            Response::Ack => Writer::new(T_ACK).buf,
+            Response::Ack => {
+                Writer::new(buf, T_ACK);
+            }
             Response::Snapshot(s) => {
-                let mut w = Writer::new(T_SNAPSHOT);
+                let mut w = Writer::new(buf, T_SNAPSHOT);
                 w.u64(s.uptime_ns);
                 w.u8(u8::from(s.shutting_down));
                 let t = &s.totals;
@@ -846,19 +889,17 @@ impl Response {
                     }
                     w.u8(u8::from(c.open));
                 }
-                w.buf
             }
             Response::Error { code, detail } => {
-                let mut w = Writer::new(T_ERROR);
+                let mut w = Writer::new(buf, T_ERROR);
                 w.u8(*code as u8);
                 let bytes = detail.as_bytes();
                 let len = bytes.len().min(u16::MAX as usize);
                 w.u16(len as u16);
                 w.bytes(&bytes[..len]);
-                w.buf
             }
             Response::JobEpoch { job, epoch, n, scheduled, completed, done, kind, decisions } => {
-                let mut w = Writer::new(T_JOB_EPOCH);
+                let mut w = Writer::new(buf, T_JOB_EPOCH);
                 w.u64(*job);
                 w.u32(*epoch);
                 w.u64(*n);
@@ -867,7 +908,6 @@ impl Response {
                 w.u8(u8::from(*done));
                 w.u8(kind.to_byte());
                 write_decisions(&mut w, decisions);
-                w.buf
             }
         }
     }
@@ -1005,6 +1045,9 @@ mod tests {
     }
 
     fn roundtrip_resp(resp: Response) {
+        let mut framed = vec![0xAA]; // a reply already queued ahead of it
+        resp.frame_into(&mut framed);
+        assert_eq!(framed[1..], frame(&resp.encode()), "framing in place is encode + frame");
         assert_eq!(Response::decode(&resp.encode()), Ok(resp));
     }
 
@@ -1082,6 +1125,27 @@ mod tests {
             conns: vec![ConnSnapshot { conn: 0, worker: 3, open: true, ..Default::default() }],
         };
         roundtrip_resp(Response::Snapshot(snap));
+    }
+
+    /// The server's reply path writes `Chunks` straight from its grant
+    /// rows; the bytes are the ones the `Response` would have produced,
+    /// and the row bound is exactly where the frame stops fitting.
+    #[test]
+    fn chunks_framed_from_rows_are_the_response_bytes_up_to_the_frame_bound() {
+        let fit = max_chunks_per_frame(MAX_FRAME) as u64;
+        assert_eq!(fit, 10_922);
+        for rows in [0, 1, 64, fit, fit + 1] {
+            let chunks: Vec<GrantedChunk> =
+                (0..rows).map(|i| GrantedChunk { lease: i, lo: 7 * i, hi: 7 * i + 7 }).collect();
+            let mut direct = Vec::new();
+            framed(&mut direct, |b| {
+                write_chunks(b, 3, chunks.iter().map(|c| [c.lease, c.lo, c.hi]))
+            });
+            assert_eq!(direct, frame(&Response::Chunks { chunks, epoch: 3 }.encode()));
+            assert_eq!(direct.len() - 4 <= MAX_FRAME as usize, rows <= fit, "{rows} rows");
+        }
+        assert_eq!(max_chunks_per_frame(u32::MAX), u32::from(u16::MAX), "the count is a u16");
+        assert_eq!(max_chunks_per_frame(7), 0);
     }
 
     #[test]

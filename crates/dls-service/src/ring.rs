@@ -11,8 +11,8 @@
 
 use std::io::Read;
 
-/// Initial spare capacity reserved ahead of each socket read.
-const READ_CHUNK: usize = 4096;
+/// Spare capacity offered to each socket read.
+pub(crate) const READ_CHUNK: usize = 4096;
 
 /// A contiguous sliding receive buffer (head-offset "ring": the live
 /// bytes are always one contiguous slice, which is what zero-copy

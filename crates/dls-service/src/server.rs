@@ -22,8 +22,13 @@
 //! Connections are served by [`crate::event_loop`]: a fixed set of
 //! readiness-loop shards multiplexing every socket over `epoll` — no
 //! thread per connection, admission decided by a single compare-and-
-//! swap, and each shard answering a whole readiness cycle's fetches
-//! under one job-table lock acquisition.
+//! swap, and each shard answering a whole readiness cycle's requests —
+//! reports and fetches alike, through [`State::handle`] — under one
+//! held job-table lock for as long as they name jobs of one shard,
+//! each reply framed in place in its connection's write buffer. What
+//! a lease costs on that path is its ledger row: the two reverse
+//! indices beside it (connection -> leases, worker -> quota count) are
+//! kept once per request, not once per lease.
 //!
 //! Shutdown (a `Shutdown` frame or [`Server::shutdown`], which the
 //! `dls-serverd` binary also wires to SIGTERM) drains in-flight
@@ -34,18 +39,18 @@
 
 use crate::event_loop::LoopShard;
 use crate::protocol::{
-    ConnSnapshot, ErrorCode, GrantedChunk, JobSnapshot, JournalTotals, Request, Response,
-    ServiceTotals, StatsSnapshot,
+    framed, max_chunks_per_frame, write_chunks, ConnSnapshot, ErrorCode, JobSnapshot,
+    JournalTotals, Request, Response, ServiceTotals, StatsSnapshot,
 };
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use crate::sync::{Arc, Condvar, Mutex};
+use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
 use autotune::{ChunkSample, Tuner};
 use dls::switchable::{Decision, SchedKind};
 use durability::{
     GrantEntry, ImageWriter, JobCore, Journal, JournalOptions, JournalRecord, RecoveredState,
 };
 use resilience::LeaseId;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -55,7 +60,8 @@ pub struct ServiceConfig {
     /// Concurrent connections; further accepts answer
     /// [`ErrorCode::Busy`] and close.
     pub max_connections: u32,
-    /// Largest `FetchChunk.batch` honoured.
+    /// Largest `FetchChunk.batch` honoured — bounded besides by what
+    /// one `Chunks` frame can carry under `max_frame`.
     pub max_batch: u32,
     /// Largest unsettled-lease count per `(job, worker)` — a worker
     /// must report before it can hoard more chunks.
@@ -106,8 +112,10 @@ pub(crate) struct Job {
     tuner: Option<Tuner>,
     /// Connection -> the unsettled leases granted over it, in grant
     /// order — the one record of which socket holds what (the ledger's
-    /// `owner` names a worker, and a worker may reconnect).
-    conn_leases: HashMap<u64, Vec<LeaseId>>,
+    /// `owner` names a worker, and a worker may reconnect). A deque:
+    /// clients settle in grant order, so the common unlisting is a
+    /// `pop_front`.
+    conn_leases: HashMap<u64, VecDeque<LeaseId>>,
     /// Unsettled leases per worker (quota enforcement).
     outstanding: HashMap<u32, u32>,
     // Counters.
@@ -159,48 +167,64 @@ impl Job {
         grants
     }
 
-    /// Settle one lease reported over `conn`. Returns the iteration
-    /// count credited.
-    fn report(&mut self, lease: LeaseId, conn: u64, now_ns: u64) -> Result<u64, ErrorCode> {
-        let s = self.core.settle(lease, now_ns).map_err(|_| ErrorCode::StaleLease)?;
-        // Grant-to-settle latency is the monitor's whole signal: the
-        // kernel fed it to the adaptive scheduler's rate estimate, the
-        // tuner's streaming statistics take it here.
-        if let Some(t) = self.tuner.as_mut() {
-            t.observe(ChunkSample { worker: s.worker, len: s.len, latency_ns: s.latency_ns });
+    /// Settle `leases`, reported over `conn`, in order, stopping at the
+    /// first stale one. Returns how many settled and the iterations
+    /// they credited; the tuner's decisions on the way go to `switched`.
+    /// The ledger and the tuner move per lease, the two reverse indices
+    /// per request: one lookup of `conn`'s list, one quota update per
+    /// run of same-owner leases.
+    fn report(
+        &mut self,
+        leases: &[LeaseId],
+        conn: u64,
+        now_ns: u64,
+        switched: &mut Vec<Decision>,
+    ) -> (usize, u64) {
+        let Job { core, tuner, conn_leases, outstanding, .. } = self;
+        let mut own = conn_leases.get_mut(&conn);
+        let mut out_of_order = Vec::new();
+        let (mut settled, mut credited) = (0, 0);
+        let mut run = (0, 0);
+        for &lease in leases {
+            let Ok(s) = core.settle(lease, now_ns) else { break };
+            settled += 1;
+            credited += s.len;
+            // Grant-to-settle latency is the monitor's whole signal: the
+            // kernel fed it to the adaptive scheduler's rate estimate, the
+            // tuner's streaming statistics take it here. Batch boundaries
+            // are counted in settles, so the tuner re-evaluates per lease;
+            // a decision re-bases the live scheduler (the two global
+            // counters carry over — exactly-once is untouched).
+            if let Some(t) = tuner.as_mut() {
+                t.observe(ChunkSample { worker: s.worker, len: s.len, latency_ns: s.latency_ns });
+                let tick = (!core.done).then(|| t.on_settle(core.active(), core.counters()));
+                if let Some(decision) = tick.flatten() {
+                    core.switch(decision);
+                    switched.push(decision);
+                }
+            }
+            if s.worker != run.0 {
+                release(outstanding, run);
+                run = (s.worker, 0);
+            }
+            run.1 += 1;
+            // Clients settle in grant order, so the lease heads the list
+            // of the connection it was granted over.
+            match own.as_deref_mut() {
+                Some(list) if list.front() == Some(&lease) => drop(list.pop_front()),
+                _ => out_of_order.push(lease),
+            }
         }
-        self.release(s.worker);
-        // The lease is listed under the connection it was granted over:
-        // the reporting one, unless a client settled another's lease
-        // (the protocol allows it) — only then are the other lists
-        // searched.
-        let unlist = |list: &mut Vec<LeaseId>| {
-            list.iter().position(|&l| l == lease).map(|at| list.remove(at)).is_some()
-        };
-        if !self.conn_leases.get_mut(&conn).is_some_and(unlist) {
-            self.conn_leases.values_mut().any(unlist);
+        release(outstanding, run);
+        // Settled out of grant order, or over another connection than
+        // the granting one (the protocol allows both): only these pay a
+        // search, and only the latter a search of the other lists.
+        for lease in out_of_order {
+            if !conn_leases.get_mut(&conn).is_some_and(|list| unlist(list, lease)) {
+                conn_leases.values_mut().any(|list| unlist(list, lease));
+            }
         }
-        Ok(s.len)
-    }
-
-    /// Drop a no-longer-active lease from `worker`'s quota count.
-    fn release(&mut self, worker: u32) {
-        if let Some(o) = self.outstanding.get_mut(&worker) {
-            *o = o.saturating_sub(1);
-        }
-    }
-
-    /// One settle elapsed: let the tuner re-evaluate at its batch
-    /// boundary. A decision both re-bases the live scheduler (the two
-    /// global counters carry over — exactly-once is untouched) and is
-    /// returned so the caller can journal it.
-    fn tuner_tick(&mut self) -> Option<Decision> {
-        if self.core.done {
-            return None;
-        }
-        let decision = self.tuner.as_mut()?.on_settle(self.core.active(), self.core.counters())?;
-        self.core.switch(decision);
-        Some(decision)
+        (settled, credited)
     }
 
     /// Reclaim every unsettled lease held by `conn` (it disconnected).
@@ -215,7 +239,7 @@ impl Job {
             // a double settlement and is a server bug worth surfacing.
             match self.core.reclaim(lease) {
                 Ok(l) => {
-                    self.release(l.owner);
+                    release(&mut self.outstanding, (l.owner, 1));
                     reclaimed.push(lease);
                 }
                 Err(e) => debug_assert!(false, "disconnect reclaim hit settled lease: {e}"),
@@ -248,21 +272,57 @@ impl Job {
     }
 }
 
-/// Per-fetch additions to the global counters, returned by
-/// [`State::fetch_locked`] so the event loop can batch them into one
-/// atomic add per counter per readiness cycle.
+/// Drop `k` no-longer-active leases from `worker`'s quota count.
+fn release(outstanding: &mut HashMap<u32, u32>, (worker, k): (u32, u32)) {
+    if k > 0 {
+        if let Some(o) = outstanding.get_mut(&worker) {
+            *o = o.saturating_sub(k);
+        }
+    }
+}
+
+/// Remove `lease` from `list` wherever it sits.
+fn unlist(list: &mut VecDeque<LeaseId>, lease: LeaseId) -> bool {
+    list.iter().position(|&l| l == lease).map(|at| list.remove(at)).is_some()
+}
+
+/// What the server keeps beside one connection.
+pub(crate) struct Peer {
+    pub(crate) id: u64,
+    pub(crate) stat: ConnSnapshot,
+    /// Jobs this connection was granted leases from: where a disconnect
+    /// has anything to reclaim.
+    jobs: Vec<u64>,
+}
+
+impl Peer {
+    pub(crate) fn new(id: u64) -> Peer {
+        let stat = ConnSnapshot { conn: id, worker: u32::MAX, open: true, ..Default::default() };
+        Peer { id, stat, jobs: Vec::new() }
+    }
+}
+
+/// The job-table shard lock a serve pass holds from one request to the
+/// next: consecutive requests against jobs of one shard — a worker's
+/// `ReportDone` + `FetchChunk` pair, a burst of fetches — lock once.
+pub(crate) type Held<'a> = Option<(usize, MutexGuard<'a, HashMap<u64, Job>>)>;
+
+/// Additions to the server-wide counters, gathered over one serve pass
+/// and applied with one atomic add per counter ([`State::commit`]).
 #[derive(Default)]
-pub(crate) struct FetchTally {
-    pub(crate) fetches: u64,
-    pub(crate) granted: u64,
-    pub(crate) empty: u64,
+pub(crate) struct CycleTally {
+    pub(crate) bytes_in: u64,
+    pub(crate) bytes_out: u64,
+    fetches: u64,
+    chunks_granted: u64,
+    empty_polls: u64,
 }
 
 /// Shared server state.
 pub(crate) struct State {
     pub(crate) cfg: ServiceConfig,
     epoch: Instant,
-    pub(crate) shards: Vec<Mutex<HashMap<u64, Job>>>,
+    shards: Vec<Mutex<HashMap<u64, Job>>>,
     /// Jobs ever created — the next job id. Monotone.
     next_job: AtomicU64,
     /// Jobs not yet done: what `max_jobs` admits against.
@@ -283,12 +343,12 @@ pub(crate) struct State {
     /// High-water mark of concurrently admitted connections — observes
     /// that CAS admission never overshoots `max_connections`.
     pub(crate) conns_peak: AtomicU64,
-    pub(crate) fetches: AtomicU64,
-    pub(crate) chunks_granted: AtomicU64,
+    fetches: AtomicU64,
+    chunks_granted: AtomicU64,
     reclaims: AtomicU64,
-    pub(crate) empty_polls: AtomicU64,
-    pub(crate) bytes_in: AtomicU64,
-    pub(crate) bytes_out: AtomicU64,
+    empty_polls: AtomicU64,
+    bytes_in: AtomicU64,
+    bytes_out: AtomicU64,
     pub(crate) shutdown: AtomicBool,
     shutdown_cv: (Mutex<bool>, Condvar),
     pub(crate) conn_stats: Mutex<HashMap<u64, ConnSnapshot>>,
@@ -309,8 +369,11 @@ pub(crate) struct State {
 }
 
 impl State {
-    fn new(cfg: ServiceConfig) -> State {
+    fn new(mut cfg: ServiceConfig) -> State {
         let shards = cfg.shards.max(1);
+        // A fetch may grant no more leases than one `Chunks` frame can
+        // name; beyond that the limit answers `BatchTooLarge`.
+        cfg.max_batch = cfg.max_batch.min(max_chunks_per_frame(cfg.max_frame));
         State {
             cfg,
             epoch: Instant::now(),
@@ -359,14 +422,45 @@ impl State {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// Index of the job-table shard holding `job` — exposed so the
-    /// event loop can batch same-shard fetches under one lock.
-    pub(crate) fn shard_index(&self, job: u64) -> usize {
+    /// Index of the job-table shard holding `job`.
+    fn shard_index(&self, job: u64) -> usize {
         (job % self.shards.len() as u64) as usize
     }
 
-    fn shard_of(&self, job: u64) -> &Mutex<HashMap<u64, Job>> {
-        &self.shards[self.shard_index(job)]
+    /// The shard holding `job`, locked: by `held` already, or now — after
+    /// releasing whatever `held` had, because holding two shard locks at
+    /// once would risk lock-order inversion across loop shards.
+    fn jobs_held<'a, 'h>(
+        &'a self,
+        held: &'h mut Held<'a>,
+        job: u64,
+    ) -> Result<&'h mut HashMap<u64, Job>, Refusal> {
+        let idx = self.shard_index(job);
+        if held.as_ref().map(|(i, _)| *i) != Some(idx) {
+            drop(held.take());
+            *held = self.shards[idx].lock().ok().map(|g| (idx, g));
+        }
+        held.as_mut()
+            .map(|(_, jobs)| &mut **jobs)
+            .ok_or_else(|| Refusal(ErrorCode::UnknownJob, "shard poisoned".into()))
+    }
+
+    /// Apply one serve pass's counter deltas.
+    pub(crate) fn commit(&self, tally: &CycleTally) {
+        // Relaxed throughout: stat counters with RMW-only writers —
+        // per-counter totals stay exact under any interleaving, and
+        // nothing orders against them.
+        for (counter, delta) in [
+            (&self.bytes_in, tally.bytes_in),
+            (&self.bytes_out, tally.bytes_out),
+            (&self.fetches, tally.fetches),
+            (&self.chunks_granted, tally.chunks_granted),
+            (&self.empty_polls, tally.empty_polls),
+        ] {
+            if delta > 0 {
+                counter.fetch_add(delta, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Buffer one journal record (no-op on a volatile server). Called
@@ -459,7 +553,7 @@ impl State {
         ids.sort_unstable();
         let mut image = ImageWriter::new(self.journal_epoch, false, jobs_created);
         for id in ids {
-            if let Ok(shard) = self.shard_of(id).lock() {
+            if let Ok(shard) = self.shards[self.shard_index(id)].lock() {
                 if let Some(job) = shard.get(&id) {
                     image.job(id, &job.core);
                 }
@@ -549,49 +643,53 @@ impl State {
 
     // ---- request handlers -------------------------------------------------
 
-    pub(crate) fn handle(&self, req: Request, conn: u64, stat: &mut ConnSnapshot) -> Response {
-        match req {
-            Request::CreateJob { n, kind, weights } => self.create_job(n, kind, weights),
+    /// Answer `req` from `peer`: one framed reply appended to `out`.
+    /// Every job-table access goes through `held`, so a serve pass that
+    /// hands the same `held` to each request locks a shard once for as
+    /// long as consecutive requests stay on it.
+    pub(crate) fn handle<'a>(
+        &'a self,
+        req: Request,
+        peer: &mut Peer,
+        held: &mut Held<'a>,
+        tally: &mut CycleTally,
+        out: &mut Vec<u8>,
+    ) {
+        let resp = match req {
+            Request::CreateJob { n, kind, weights } => self.create_job(held, n, kind, weights),
             Request::FetchChunk { job, worker, batch } => {
-                stat.worker = worker;
-                stat.fetches += 1;
-                let resp = self.fetch(job, worker, batch, conn);
-                if let Response::Chunks { chunks, .. } = &resp {
-                    stat.chunks += chunks.len() as u64;
+                peer.stat.worker = worker;
+                peer.stat.fetches += 1;
+                match self.fetch(held, job, worker, batch, peer, out) {
+                    Ok(granted) => {
+                        peer.stat.chunks += granted;
+                        tally.fetches += 1;
+                        tally.chunks_granted += granted;
+                        tally.empty_polls += u64::from(granted == 0);
+                        return;
+                    }
+                    Err(refusal) => Err(refusal),
                 }
-                resp
             }
             Request::ReportDone { job, leases, epoch } => {
-                // Epoch fence: a report against a lease granted by a
-                // previous incarnation must not settle anything — the
-                // recovery path already re-armed those leases, and
-                // crediting them here would double-count the range.
-                if epoch != self.journal_epoch {
-                    return Response::Error {
-                        code: ErrorCode::StaleEpoch,
-                        detail: format!(
-                            "report from epoch {epoch}, server is at {}",
-                            self.journal_epoch
-                        ),
-                    };
-                }
-                let (resp, credited) = self.report(job, &leases, conn);
-                if matches!(resp, Response::Ack) {
-                    stat.iterations += credited;
-                }
-                resp
+                self.report(held, job, leases, epoch, peer)
             }
-            Request::ResumeJob { job } => self.resume_job(job),
+            Request::ResumeJob { job } => self.resume_job(held, job),
             Request::Heartbeat { worker } => {
-                stat.worker = worker;
-                Response::Ack
+                peer.stat.worker = worker;
+                Ok(Response::Ack)
             }
-            Request::Stats => Response::Snapshot(self.snapshot()),
+            Request::Stats => {
+                *held = None; // the snapshot takes every shard lock in turn
+                Ok(Response::Snapshot(self.snapshot()))
+            }
             Request::Shutdown => {
                 self.request_shutdown();
-                Response::Ack
+                Ok(Response::Ack)
             }
-        }
+        };
+        resp.unwrap_or_else(|Refusal(code, detail)| Response::Error { code, detail })
+            .frame_into(out);
     }
 
     /// Answer a reconnecting worker: does `job` still exist, what
@@ -599,26 +697,20 @@ impl State {
     /// a journaled server — a volatile one forgot everything, and a
     /// typed error beats letting the client poll a job that will never
     /// reappear.
-    fn resume_job(&self, job: u64) -> Response {
+    fn resume_job<'a>(&'a self, held: &mut Held<'a>, job: u64) -> Result<Response, Refusal> {
         if self.journal.is_none() {
-            return Response::Error {
-                code: ErrorCode::NoJournal,
-                detail: "server runs without a journal; jobs do not survive restarts".into(),
-            };
+            return Err(Refusal(
+                ErrorCode::NoJournal,
+                "server runs without a journal; jobs do not survive restarts".into(),
+            ));
         }
-        let Ok(shard) = self.shard_of(job).lock() else {
-            return Response::Error {
-                code: ErrorCode::UnknownJob,
-                detail: "shard poisoned".into(),
-            };
+        let Some(j) = self.jobs_held(held, job)?.get(&job) else {
+            return Err(Refusal(
+                ErrorCode::UnknownJob,
+                format!("job {job} is not in the recovered state"),
+            ));
         };
-        let Some(j) = shard.get(&job) else {
-            return Response::Error {
-                code: ErrorCode::UnknownJob,
-                detail: format!("job {job} is not in the recovered state"),
-            };
-        };
-        Response::JobEpoch {
+        Ok(Response::JobEpoch {
             job,
             epoch: self.journal_epoch,
             n: j.core.n,
@@ -627,15 +719,21 @@ impl State {
             done: j.core.done,
             kind: j.core.active(),
             decisions: j.core.decisions.clone(),
-        }
+        })
     }
 
-    fn create_job(&self, n: u64, kind: SchedKind, weights: Vec<f64>) -> Response {
+    fn create_job<'a>(
+        &'a self,
+        held: &mut Held<'a>,
+        n: u64,
+        kind: SchedKind,
+        weights: Vec<f64>,
+    ) -> Result<Response, Refusal> {
         if weights.iter().any(|w| !w.is_finite() || *w < 0.0) {
-            return Response::Error {
-                code: ErrorCode::BadTechnique,
-                detail: "weights must be finite and non-negative".into(),
-            };
+            return Err(Refusal(
+                ErrorCode::BadTechnique,
+                "weights must be finite and non-negative".into(),
+            ));
         }
         // Admission to the job table is a single CAS. The previous
         // load-then-add pair had a lost-update window: two creates
@@ -655,165 +753,135 @@ impl State {
                 })
                 .is_err()
         {
-            return Response::Error {
-                code: ErrorCode::TooManyJobs,
-                detail: format!("job table limit {} reached", self.cfg.max_jobs),
-            };
+            return Err(Refusal(
+                ErrorCode::TooManyJobs,
+                format!("job table limit {} reached", self.cfg.max_jobs),
+            ));
         }
         let job = self.next_job.fetch_add(1, Ordering::SeqCst);
-        if let Ok(mut shard) = self.shard_of(job).lock() {
+        if let Ok(jobs) = self.jobs_held(held, job) {
             let core = JobCore::new(n, kind, weights.clone());
-            shard.insert(job, Job::new(core, self.cfg.tuner_overhead_ns));
+            jobs.insert(job, Job::new(core, self.cfg.tuner_overhead_ns));
             // Under the shard lock so the JobCreated record is ordered
             // before any Granted record a racing fetch could append.
             self.journal_append(&JournalRecord::JobCreated { job, n, kind, weights });
         }
-        Response::JobCreated { job }
+        Ok(Response::JobCreated { job })
     }
 
-    /// Standalone fetch (the `State::handle` path): takes the shard
-    /// lock itself and commits its counter deltas immediately.
-    fn fetch(&self, job: u64, worker: u32, batch: u32, conn: u64) -> Response {
-        let Ok(mut shard) = self.shard_of(job).lock() else {
-            return Response::Error {
-                code: ErrorCode::UnknownJob,
-                detail: "shard poisoned".into(),
-            };
-        };
-        let (resp, tally) = self.fetch_locked(&mut shard, job, worker, batch, conn);
-        if tally.fetches > 0 {
-            // Relaxed: pure stat counters, each delta applied by one
-            // RMW (no update can be lost), no other memory guarded.
-            self.fetches.fetch_add(tally.fetches, Ordering::Relaxed);
-            self.chunks_granted.fetch_add(tally.granted, Ordering::Relaxed);
-            self.empty_polls.fetch_add(tally.empty, Ordering::Relaxed);
-        }
-        resp
-    }
-
-    /// Fetch against an already-locked job-table shard. The event loop
-    /// holds one shard guard across a whole readiness cycle's fetches;
-    /// counter deltas are returned, not applied, so a cycle costs one
-    /// atomic add per counter however many fetches it answered.
-    pub(crate) fn fetch_locked(
-        &self,
-        jobs: &mut HashMap<u64, Job>,
+    /// Grant up to `batch` chunks of `job` to `worker` over `peer`. On
+    /// success the framed `Chunks` reply is appended to `out`, written
+    /// straight from the grants, and the grant count is returned.
+    fn fetch<'a>(
+        &'a self,
+        held: &mut Held<'a>,
         job: u64,
         worker: u32,
         batch: u32,
-        conn: u64,
-    ) -> (Response, FetchTally) {
-        let none = FetchTally::default();
+        peer: &mut Peer,
+        out: &mut Vec<u8>,
+    ) -> Result<u64, Refusal> {
         if batch == 0 || batch > self.cfg.max_batch {
-            let resp = Response::Error {
-                code: ErrorCode::BatchTooLarge,
-                detail: format!("batch {batch} outside 1..={}", self.cfg.max_batch),
-            };
-            return (resp, none);
+            return Err(Refusal(
+                ErrorCode::BatchTooLarge,
+                format!("batch {batch} outside 1..={}", self.cfg.max_batch),
+            ));
         }
         if self.shutdown.load(Ordering::SeqCst) {
-            let resp = Response::Error {
-                code: ErrorCode::ShuttingDown,
-                detail: "server draining; no new grants".into(),
-            };
-            return (resp, none);
+            return Err(Refusal(ErrorCode::ShuttingDown, "server draining; no new grants".into()));
         }
-        let Some(j) = jobs.get_mut(&job) else {
-            let resp = Response::Error {
-                code: ErrorCode::UnknownJob,
-                detail: format!("job {job} was never created"),
-            };
-            return (resp, none);
+        let Some(j) = self.jobs_held(held, job)?.get_mut(&job) else {
+            return Err(Refusal(ErrorCode::UnknownJob, format!("job {job} was never created")));
         };
         if j.core.done {
-            let resp = Response::Error {
-                code: ErrorCode::JobFinished,
-                detail: format!("job {job} completed all {} iterations", j.core.n),
-            };
-            return (resp, none);
+            return Err(Refusal(
+                ErrorCode::JobFinished,
+                format!("job {job} completed all {} iterations", j.core.n),
+            ));
         }
         // A weighted job defines exactly `weights.len()` worker slots;
         // an out-of-range id used to be granted chunks at a silent
         // default weight of 1.0 — reject it with a typed error instead.
         let slots = j.core.weights.len();
         if slots != 0 && (worker as usize) >= slots {
-            let resp = Response::Error {
-                code: ErrorCode::BadWorker,
-                detail: format!("worker {worker} outside weighted job's 0..{slots} range"),
-            };
-            return (resp, none);
+            return Err(Refusal(
+                ErrorCode::BadWorker,
+                format!("worker {worker} outside weighted job's 0..{slots} range"),
+            ));
         }
-        let out = j.outstanding.get(&worker).copied().unwrap_or(0);
-        if out >= self.cfg.worker_quota {
-            let resp = Response::Error {
-                code: ErrorCode::QuotaExceeded,
-                detail: format!(
-                    "worker {worker} holds {out} unsettled leases (quota {})",
+        let held_by_worker = j.outstanding.get(&worker).copied().unwrap_or(0);
+        if held_by_worker >= self.cfg.worker_quota {
+            return Err(Refusal(
+                ErrorCode::QuotaExceeded,
+                format!(
+                    "worker {worker} holds {held_by_worker} unsettled leases (quota {})",
                     self.cfg.worker_quota
                 ),
-            };
-            return (resp, none);
+            ));
         }
-        let batch = batch.min(self.cfg.worker_quota - out);
-        let grants = j.fetch(worker, batch, conn, self.now_ns());
-        let chunks: Vec<GrantedChunk> =
-            grants.iter().map(|g| GrantedChunk { lease: g.lease, lo: g.lo, hi: g.hi }).collect();
-        if self.journal.is_some() && !grants.is_empty() {
-            // One record per burst: post-burst watermarks plus every
-            // lease, appended while the caller's shard lock pins the
-            // counters. No I/O until the cycle's journal_commit.
-            let (step, scheduled) = (j.core.step, j.core.scheduled);
-            self.journal_append(&JournalRecord::Granted { job, step, scheduled, grants });
-        }
-        let tally = FetchTally {
-            fetches: 1,
-            granted: chunks.len() as u64,
-            empty: u64::from(chunks.is_empty()),
-        };
-        (Response::Chunks { chunks, epoch: self.journal_epoch }, tally)
-    }
-
-    /// Settle `leases`, reported over `conn`, in order, stopping at the
-    /// first stale one. Returns the reply and the iterations the settled
-    /// prefix credited.
-    fn report(&self, job: u64, leases: &[LeaseId], conn: u64) -> (Response, u64) {
-        let unknown = |detail: String| (Response::Error { code: ErrorCode::UnknownJob, detail }, 0);
-        let Ok(mut shard) = self.shard_of(job).lock() else {
-            return unknown("shard poisoned".into());
-        };
-        let Some(j) = shard.get_mut(&job) else {
-            return unknown(format!("job {job} was never created"));
-        };
-        let was_done = j.core.done;
-        let now_ns = self.now_ns();
-        let mut settled = Vec::new();
-        let mut credited = 0;
-        let mut switched = Vec::new();
-        let mut failed = None;
-        for &lease in leases {
-            match j.report(lease, conn, now_ns) {
-                Ok(len) => {
-                    settled.push(lease);
-                    credited += len;
-                    // Batch boundaries are counted in settles, so the
-                    // tick sits inside the settle loop; decisions are
-                    // collected for journaling below.
-                    if let Some(d) = j.tuner_tick() {
-                        switched.push(d);
-                    }
-                }
-                Err(code) => {
-                    failed = Some((lease, code));
-                    break;
-                }
+        let batch = batch.min(self.cfg.worker_quota - held_by_worker);
+        let grants = j.fetch(worker, batch, peer.id, self.now_ns());
+        let granted = grants.len() as u64;
+        let rows = grants.iter().map(|g| [g.lease, g.lo, g.hi]);
+        framed(out, |buf| write_chunks(buf, self.journal_epoch, rows));
+        if granted > 0 {
+            if !peer.jobs.contains(&job) {
+                peer.jobs.push(job);
+            }
+            if self.journal.is_some() {
+                // One record per burst: post-burst watermarks plus every
+                // lease, appended while the held shard lock pins the
+                // counters. No I/O until the cycle's journal_commit.
+                let (step, scheduled) = (j.core.step, j.core.scheduled);
+                self.journal_append(&JournalRecord::Granted { job, step, scheduled, grants });
             }
         }
+        Ok(granted)
+    }
+
+    /// Settle `leases`, reported over `peer`, in order, stopping at the
+    /// first stale one.
+    fn report<'a>(
+        &'a self,
+        held: &mut Held<'a>,
+        job: u64,
+        mut leases: Vec<LeaseId>,
+        epoch: u32,
+        peer: &mut Peer,
+    ) -> Result<Response, Refusal> {
+        // Epoch fence: a report against a lease granted by a previous
+        // incarnation must not settle anything — the recovery path
+        // already re-armed those leases, and crediting them here would
+        // double-count the range.
+        if epoch != self.journal_epoch {
+            return Err(Refusal(
+                ErrorCode::StaleEpoch,
+                format!("report from epoch {epoch}, server is at {}", self.journal_epoch),
+            ));
+        }
+        let Some(j) = self.jobs_held(held, job)?.get_mut(&job) else {
+            return Err(Refusal(ErrorCode::UnknownJob, format!("job {job} was never created")));
+        };
+        let was_done = j.core.done;
+        let mut switched = Vec::new();
+        let (settled, credited) = j.report(&leases, peer.id, self.now_ns(), &mut switched);
+        let resp = match leases.get(settled) {
+            Some(lease) => Err(Refusal(
+                ErrorCode::StaleLease,
+                format!("lease {lease} is unknown or already settled"),
+            )),
+            None => {
+                peer.stat.iterations += credited;
+                Ok(Response::Ack)
+            }
+        };
         // Journal whatever prefix actually settled — on a partial
         // failure the in-memory ledger has already transitioned those
         // leases, and the journal must agree or replay re-arms them
         // into double execution.
-        if !settled.is_empty() {
-            self.journal_append(&JournalRecord::Settled { job, leases: settled });
+        if settled > 0 && self.journal.is_some() {
+            leases.truncate(settled);
+            self.journal_append(&JournalRecord::Settled { job, leases });
         }
         // Decisions after the settles that triggered them: replay then
         // restores the exact same (counters, active technique) pair the
@@ -827,29 +895,20 @@ impl State {
             // `disconnect`: a slot seen late can only under-admit.
             self.jobs_live.fetch_sub(1, Ordering::Relaxed);
         }
-        let resp = match failed {
-            Some((lease, code)) => Response::Error {
-                code,
-                detail: format!("lease {lease} is unknown or already settled"),
-            },
-            None => Response::Ack,
-        };
-        (resp, credited)
+        resp
     }
 
     /// A connection died or closed: reclaim its unsettled leases in
-    /// every job, exactly once each.
-    pub(crate) fn disconnect(&self, conn: u64) {
+    /// every job it was granted any from, exactly once each.
+    pub(crate) fn disconnect(&self, peer: &Peer) {
         let mut reclaimed = 0;
-        for shard in &self.shards {
-            if let Ok(mut shard) = shard.lock() {
-                for (&id, job) in shard.iter_mut() {
-                    let leases = job.reclaim_conn(conn);
-                    if !leases.is_empty() {
-                        reclaimed += leases.len() as u64;
-                        self.journal_append(&JournalRecord::Reclaimed { job: id, leases });
-                    }
-                }
+        let mut held = None;
+        for &id in &peer.jobs {
+            let Ok(jobs) = self.jobs_held(&mut held, id) else { continue };
+            let leases = jobs.get_mut(&id).map(|job| job.reclaim_conn(peer.id)).unwrap_or_default();
+            if !leases.is_empty() {
+                reclaimed += leases.len() as u64;
+                self.journal_append(&JournalRecord::Reclaimed { job: id, leases });
             }
         }
         if reclaimed > 0 {
@@ -864,6 +923,9 @@ impl State {
         self.conns_active.fetch_sub(1, Ordering::Relaxed);
     }
 }
+
+/// A request the server will not serve: becomes the typed error frame.
+struct Refusal(ErrorCode, String);
 
 /// A running chunk-scheduling server.
 ///
@@ -1043,6 +1105,28 @@ mod conc_models {
         }
     }
 
+    /// One request through `State::handle` as a serve pass of its own:
+    /// the shard guard it takes is released before it returns.
+    fn call(state: &State, peer: &mut Peer, req: Request) -> Response {
+        let mut out = Vec::new();
+        state.handle(req, peer, &mut None, &mut CycleTally::default(), &mut out);
+        Response::decode(&out[4..]).expect("the server's own reply decodes")
+    }
+
+    fn create(state: &State, n: u64) -> Response {
+        let req = Request::CreateJob { n, kind: dls::Kind::SS.into(), weights: vec![] };
+        call(state, &mut Peer::new(u64::MAX), req)
+    }
+
+    fn fetch(state: &State, peer: &mut Peer, worker: u32, batch: u32) -> Vec<(u64, u64, u64)> {
+        match call(state, peer, Request::FetchChunk { job: 0, worker, batch }) {
+            Response::Chunks { chunks, .. } => {
+                chunks.into_iter().map(|g| (g.lease, g.lo, g.hi)).collect()
+            }
+            other => panic!("fetch failed: {other:?}"),
+        }
+    }
+
     /// Two creates racing for one job slot: the `fetch_update` CAS in
     /// `create_job` must admit exactly one on *every* schedule. (The
     /// pre-fix load-then-add pair fails this model.)
@@ -1054,10 +1138,7 @@ mod conc_models {
                 .map(|_| {
                     let st = Arc::clone(&state);
                     conc_check::thread::spawn(move || {
-                        matches!(
-                            st.create_job(4, dls::Kind::SS.into(), vec![]),
-                            Response::JobCreated { .. }
-                        )
+                        matches!(create(&st, 4), Response::JobCreated { .. })
                     })
                 })
                 .collect();
@@ -1068,32 +1149,27 @@ mod conc_models {
         assert_pass("create_job cap", &outcome);
     }
 
-    /// Two workers fetching from one real job through `State::fetch`:
-    /// grants must be disjoint on every schedule, whichever worker's
-    /// fetch commits first.
+    /// Two workers fetching from one real job, each in a serve pass of
+    /// its own: grants must be disjoint on every schedule, whichever
+    /// worker's fetch commits first.
     #[test]
     fn standalone_fetches_never_overlap() {
         let outcome = check(move || {
             let state = tiny_state(ServiceConfig { shards: 1, ..Default::default() });
-            assert!(matches!(
-                state.create_job(6, dls::Kind::SS.into(), vec![]),
-                Response::JobCreated { job: 0 }
-            ));
+            assert!(matches!(create(&state, 6), Response::JobCreated { job: 0 }));
             let handles: Vec<_> = (0..2)
                 .map(|worker| {
                     let st = Arc::clone(&state);
                     conc_check::thread::spawn(move || {
-                        match st.fetch(0, worker, 2, u64::from(worker)) {
-                            Response::Chunks { chunks, .. } => {
-                                chunks.into_iter().map(|g| (g.lo, g.hi)).collect::<Vec<_>>()
-                            }
-                            other => panic!("fetch failed: {other:?}"),
-                        }
+                        fetch(&st, &mut Peer::new(u64::from(worker)), worker, 2)
                     })
                 })
                 .collect();
-            let mut ranges: Vec<(u64, u64)> =
-                handles.into_iter().flat_map(|h| h.join().expect("worker panicked")).collect();
+            let mut ranges: Vec<(u64, u64)> = handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("worker panicked"))
+                .map(|(_, lo, hi)| (lo, hi))
+                .collect();
             ranges.sort_unstable();
             for w in ranges.windows(2) {
                 assert!(
@@ -1105,5 +1181,49 @@ mod conc_models {
             }
         });
         assert_pass("standalone fetch", &outcome);
+    }
+
+    /// A lease granted over connection A, reported over connection B
+    /// while A's loop shard retires A: the ledger's single settlement
+    /// credits it or re-pools it — never both, never neither — and the
+    /// reverse indices end empty either way.
+    #[test]
+    fn report_racing_disconnect_settles_the_lease_once() {
+        let outcome = check(move || {
+            let state = tiny_state(ServiceConfig { shards: 1, ..Default::default() });
+            assert!(matches!(create(&state, 8), Response::JobCreated { job: 0 }));
+            state.conns_active.fetch_add(1, Ordering::SeqCst);
+            let mut a = Peer::new(0);
+            let [(lease, lo, hi)] = fetch(&state, &mut a, 3, 1)[..] else { panic!("one chunk") };
+
+            let st = Arc::clone(&state);
+            let reporter = conc_check::thread::spawn(move || {
+                let req = Request::ReportDone { job: 0, leases: vec![lease], epoch: 0 };
+                call(&st, &mut Peer::new(1), req)
+            });
+            let st = Arc::clone(&state);
+            let retirer = conc_check::thread::spawn(move || st.disconnect(&a));
+            let reply = reporter.join().expect("reporter panicked");
+            retirer.join().expect("retirer panicked");
+
+            let jobs = state.shards[0].lock().expect("shard lock");
+            let job = &jobs[&0];
+            let pooled: Vec<_> = job.core.reclaim_pool.iter().copied().collect();
+            match reply {
+                Response::Ack => {
+                    assert_eq!(job.core.leases.counts(), (1, 1, 0), "credited");
+                    assert_eq!((job.core.completed, pooled), (hi - lo, vec![]));
+                }
+                Response::Error { code: ErrorCode::StaleLease, .. } => {
+                    assert_eq!(job.core.leases.counts(), (1, 0, 1), "re-pooled");
+                    assert_eq!((job.core.completed, pooled), (0, vec![(lo, hi)]));
+                }
+                other => panic!("report answered {other:?}"),
+            }
+            assert_eq!(job.outstanding.get(&3), Some(&0), "quota released exactly once");
+            assert!(job.conn_leases.is_empty(), "no list outlives its connection");
+            assert_eq!(state.conns_active.load(Ordering::SeqCst), 0);
+        });
+        assert_pass("report vs disconnect", &outcome);
     }
 }

@@ -140,6 +140,48 @@ fn truncated_body_is_bad_message() {
     srv.shutdown();
 }
 
+/// `max_batch` beyond what one `Chunks` frame can name is bounded by
+/// the frame: the largest batch served is the largest the reply can
+/// carry — its `u16` count, its 24-byte rows under `max_frame` — and
+/// one more is the typed refusal, not 70 000 leases behind a count
+/// that wrapped.
+#[test]
+fn a_batch_is_bounded_by_what_a_chunks_frame_can_carry() {
+    let greedy = |max_frame| ServiceConfig {
+        max_batch: 70_000,
+        worker_quota: 70_000,
+        max_frame,
+        ..Default::default()
+    };
+    // (max_frame, rows that fit): the default frame, then one so large
+    // that the count field is what binds.
+    for (max_frame, fit) in [(MAX_FRAME, (MAX_FRAME - 8) / 24), (4 << 20, u32::from(u16::MAX))] {
+        let srv = Server::start(greedy(max_frame), "127.0.0.1:0").expect("bind");
+        let mut c = Client::connect(srv.addr()).expect("connect");
+        let job = c.create_job(100_000, dls::Kind::SS, &[]).expect("create job");
+        for over in [fit + 1, 70_000] {
+            match c.fetch(job, 0, over) {
+                Err(ClientError::Server { code: ErrorCode::BatchTooLarge, detail }) => {
+                    assert!(detail.contains(&format!("1..={fit}")), "states the bound: {detail}");
+                }
+                other => panic!(
+                    "batch {over} under max_frame {max_frame} was not refused (served: {})",
+                    other.is_ok()
+                ),
+            }
+        }
+        let Ok(FetchReply::Chunks(chunks)) = c.fetch(job, 0, fit) else {
+            panic!("the largest batch a frame can carry is served")
+        };
+        assert_eq!(chunks.len(), fit as usize, "every lease granted is named in the reply");
+        assert!(chunks.windows(2).all(|w| w[0].lease + 1 == w[1].lease && w[0].hi == w[1].lo));
+        assert_eq!(srv.snapshot().jobs[0].leases_granted, u64::from(fit));
+        drop(c);
+        wait_drained(&srv);
+        srv.shutdown();
+    }
+}
+
 #[test]
 fn oversized_batch_is_typed_and_connection_survives() {
     let srv = server();

@@ -121,7 +121,11 @@ impl JobCore {
     pub fn fetch(&mut self, worker: u32, batch: u32, now_ns: u64) -> Vec<GrantEntry> {
         let weight = self.weights.get(worker as usize).copied().unwrap_or(1.0);
         let ctx = WorkerCtx { worker, weight };
-        let mut out = Vec::new();
+        // One allocation per burst: it cannot grant more than the pool
+        // holds plus one chunk per unscheduled iteration.
+        let room =
+            (self.reclaim_pool.len() as u64).saturating_add(self.n.saturating_sub(self.scheduled));
+        let mut out = Vec::with_capacity(u64::from(batch).min(room) as usize);
         for _ in 0..batch {
             let (lo, hi, from_pool) = if let Some((lo, hi)) = self.reclaim_pool.pop_front() {
                 (lo, hi, true)

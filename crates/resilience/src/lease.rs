@@ -18,7 +18,8 @@
 //! [`LeaseError`], not a silent no-op, so executors cannot paper over
 //! a race in the recovery path.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use cluster_sim::Time;
 
@@ -61,14 +62,40 @@ impl std::fmt::Display for LeaseError {
 
 impl std::error::Error for LeaseError {}
 
+/// Fibonacci (multiplicative) hashing of a lease id. Ids are dense and
+/// assigned by the table itself, never attacker-chosen, so SipHash's
+/// collision resistance buys nothing. The multiplier is odd: the low
+/// bits that pick the bucket are a bijection of the id's low bits (a
+/// window of consecutive ids no wider than the table never collides)
+/// and the high bits that tag the slot are well mixed.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(self.0 ^ u64::from(b)));
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The unsettled leases of one run, and how many were ever granted,
 /// completed and reclaimed. Memory and image size follow the leases in
 /// flight, not the leases ever granted: ids settle in near-grant order
 /// but one may stay unsettled while millions behind it come and go, so
-/// the rows live in an ordered map rather than behind a watermark.
+/// the rows live in a map keyed by id rather than behind a watermark.
+/// A grant and a settlement are one hash probe each; what is ordered is
+/// the *view* — [`LeaseTable::active`] and the image sort by id, and
+/// they run at snapshot, re-arm and in checkers, never per chunk.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LeaseTable {
-    live: BTreeMap<LeaseId, Lease>,
+    live: HashMap<LeaseId, Lease, BuildHasherDefault<IdHasher>>,
     /// Leases ever granted — the next id.
     granted: u64,
     completed: u64,
@@ -128,7 +155,10 @@ impl LeaseTable {
 
     /// The unsettled leases (granted to `owner` if given), in id order.
     pub fn active(&self, owner: Option<u32>) -> impl Iterator<Item = &Lease> {
-        self.live.values().filter(move |l| owner.is_none_or(|o| l.owner == o))
+        let mut rows: Vec<&Lease> =
+            self.live.values().filter(|l| owner.is_none_or(|o| l.owner == o)).collect();
+        rows.sort_unstable_by_key(|l| l.id);
+        rows.into_iter()
     }
 
     /// Number of leases ever granted.
@@ -155,7 +185,7 @@ impl LeaseTable {
         for v in [self.granted, self.completed, self.reclaimed, self.live.len() as u64] {
             out.extend_from_slice(&v.to_le_bytes());
         }
-        for l in self.live.values() {
+        for l in self.active(None) {
             out.extend_from_slice(&l.id.to_le_bytes());
             out.extend_from_slice(&l.owner.to_le_bytes());
             out.extend_from_slice(&l.lo.to_le_bytes());
@@ -192,7 +222,7 @@ impl LeaseTable {
         {
             return None;
         }
-        let mut live = BTreeMap::new();
+        let mut live = HashMap::with_capacity_and_hasher(count as usize, Default::default());
         let mut next = 0;
         for _ in 0..count {
             let id = u64_at(bytes, &mut off)?;
