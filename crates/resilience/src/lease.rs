@@ -155,10 +155,15 @@ impl LeaseTable {
 
     /// The unsettled leases (granted to `owner` if given), in id order.
     pub fn active(&self, owner: Option<u32>) -> impl Iterator<Item = &Lease> {
-        let mut rows: Vec<&Lease> =
-            self.live.values().filter(|l| owner.is_none_or(|o| l.owner == o)).collect();
-        rows.sort_unstable_by_key(|l| l.id);
-        rows.into_iter()
+        // Ids beside the pointers: the sort compares without chasing them.
+        let mut rows: Vec<(LeaseId, &Lease)> = self
+            .live
+            .iter()
+            .filter(|(_, l)| owner.is_none_or(|o| l.owner == o))
+            .map(|(&id, l)| (id, l))
+            .collect();
+        rows.sort_unstable_by_key(|&(id, _)| id);
+        rows.into_iter().map(|(_, l)| l)
     }
 
     /// Number of leases ever granted.
