@@ -1,12 +1,13 @@
 //! Typed journal records and their little-endian wire form.
 //!
 //! One record per *exactly-once-relevant* state transition, and
-//! nothing else: chunk boundaries are re-derived through the real
-//! `dls` calculators at replay, so the journal records watermarks and
-//! lease identities, never chunk contents. Grants are batched — one
-//! [`JournalRecord::Granted`] per fetch burst carries every lease the
-//! burst produced plus the post-burst counter watermarks, which is
-//! what keeps the hot path at one buffered append per burst.
+//! nothing else. A granted lease is recorded with its range (a
+//! [`GrantEntry`] is 29 bytes on the wire) and replay grants that range
+//! verbatim; what replay re-derives through the real `dls` calculators
+//! is the chunks not yet granted, from the counter watermarks. Grants
+//! are batched — one [`JournalRecord::Granted`] per fetch burst carries
+//! every lease the burst produced plus the post-burst watermarks, which
+//! is what keeps the hot path at one buffered append per burst.
 
 use dls::switchable::{Decision, SchedKind, SwitchReason};
 

@@ -463,7 +463,7 @@ pub(super) fn run_ranks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Approach, HierSpec};
+    use crate::config::{Approach, GlobalQueueMode, HierSpec};
     use crate::live::{assert_exact, serial_checksum};
     use dls::Kind;
     use workloads::synthetic::Synthetic;
@@ -550,6 +550,33 @@ mod tests {
         assert!(r.trace.segments().is_empty());
         for ws in &r.stats.workers {
             assert!(ws.lock_time_ns > 0, "time-in-lock must accumulate untraced");
+        }
+    }
+
+    #[test]
+    fn time_in_lock_fits_inside_the_run() {
+        // The atomic global queue holds one `lock_all` from the first
+        // fetch to the last; that access epoch is not time in lock, or a
+        // worker would report `nodes` x the run on top of its own epochs.
+        let w = workloads::Spin(Synthetic::constant(40, 500_000));
+        let cfg = LiveConfig::new(2, 1, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        assert_eq!(cfg.global_mode, GlobalQueueMode::SingleAtomic);
+        let started = Instant::now();
+        let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
+        let wall_ns = started.elapsed().as_nanos() as u64;
+        assert!(r.trace.segments().is_empty());
+        for node in &r.stats.nodes {
+            // Every local epoch is in the window's exactly-timed prefix,
+            // so the bound below is arithmetic, not an estimate.
+            assert!(node.lock_acquisitions <= 64, "{} epochs", node.lock_acquisitions);
+        }
+        for ws in &r.stats.workers {
+            assert!(ws.lock_time_ns > 0, "local epochs are still timed");
+            assert!(
+                ws.lock_time_ns <= wall_ns,
+                "{} ns in lock during a {wall_ns} ns run",
+                ws.lock_time_ns
+            );
         }
     }
 

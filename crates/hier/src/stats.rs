@@ -14,10 +14,14 @@ pub struct WorkerStats {
     /// (live backends only; the sim backends account polling per node).
     pub lock_polls: u64,
     /// Wall-clock nanoseconds this worker spent blocked acquiring or
-    /// holding RMA window locks (live backends only).
+    /// holding RMA window locks (live backends only): the wait is
+    /// measured, the held part is [`mpisim::RankWinStats::lock_held_ns`]
+    /// — exact for a window's first 64 epochs, a 1-in-16 estimate after.
+    /// The run-long `lock_all` access epoch of the atomic global queue
+    /// is not in it.
     pub lock_time_ns: u64,
-    /// RMA atomic operations (`MPI_Fetch_and_op`, `MPI_Compare_and_swap`,
-    /// `MPI_Accumulate`) this worker issued (live backends only).
+    /// RMA atomic operations (`MPI_Fetch_and_op`) this worker issued
+    /// (live backends only).
     pub rma_ops: u64,
     /// Recovery actions this worker performed on behalf of dead peers:
     /// expired leases reclaimed plus window locks repaired.

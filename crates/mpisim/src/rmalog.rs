@@ -5,7 +5,7 @@
 //! [`Window::record_to`](crate::Window::record_to) appends one
 //! [`RmaRecord`] per passive-target operation (lock/unlock of either
 //! kind, `lock_all`/`unlock_all`, `sync`, `flush`, get/put including
-//! ranges, `fetch_and_op`/`compare_and_swap`) to a shared [`RmaLog`].
+//! ranges, `fetch_and_op`) to a shared [`RmaLog`].
 //! Records carry the acting rank, the window id, and a *global* sequence
 //! number drawn from one atomic counter, so logs from every rank of
 //! every window interleave into a single totally-ordered trace.

@@ -66,7 +66,8 @@ struct WinState {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RankWinStats {
     /// Successful `MPI_Win_lock` epochs this rank opened (shared and
-    /// exclusive, including `try_lock` successes and `lock_all`).
+    /// exclusive, including `try_lock` successes and one per target of a
+    /// `lock_all`). Exact, like every count here.
     pub lock_acquisitions: u64,
     /// Failed poll attempts: looks at a lock (spinning, after a wake-up,
     /// or one `try_lock` failure) that found it unavailable or an earlier
@@ -76,12 +77,17 @@ pub struct RankWinStats {
     pub failed_polls: u64,
     /// Nanoseconds this rank spent blocked *acquiring* window locks,
     /// from its first failed poll to the grant; an acquire that never
-    /// polls adds nothing.
+    /// polls adds nothing. Exact: every blocked acquire is timed.
     pub lock_wait_ns: u64,
-    /// Nanoseconds this rank spent *inside* lock epochs (lock→unlock).
+    /// Nanoseconds this rank spent *inside* `lock`→`unlock` epochs:
+    /// measured for each of the handle's first 64 epochs, then estimated
+    /// from every 16th, whose duration counts 16 times — an uncontended
+    /// epoch is shorter than the two clock reads that would time it.
+    /// `lock_all`→`unlock_all` is an access epoch that excludes nobody
+    /// but exclusive lockers and may span a whole run; it is never
+    /// timed.
     pub lock_held_ns: u64,
-    /// RMA atomic operations issued (`MPI_Fetch_and_op`,
-    /// `MPI_Compare_and_swap`).
+    /// RMA atomic operations issued (`MPI_Fetch_and_op`).
     pub rma_atomic_ops: u64,
     /// `MPI_Put` operations issued (a multi-element put counts once).
     pub puts: u64,
@@ -93,10 +99,34 @@ pub struct RankWinStats {
     pub reclaims: u64,
 }
 
+/// Epochs a handle times exactly before it starts sampling: short runs
+/// and tests read a true `lock_held_ns`.
+const EXACT_EPOCHS: u64 = 64;
+
+/// Past the exact prefix one epoch in this many reads the clock, and its
+/// duration stands for all of them. Two clock reads cost about as much
+/// as the rest of an uncontended epoch, so at 16 the estimate costs a
+/// few percent of what it measures (DESIGN.md, "What the live hot path
+/// costs").
+const SAMPLE_EVERY: u64 = 16;
+
+/// `held_since` value of an open epoch nobody stamped.
+const UNTIMED: u64 = 1;
+
+/// Advance a counter only its owning rank's thread writes: a plain load
+/// and store where `fetch_add` would be a locked read-modify-write.
+#[inline]
+fn bump(counter: &AtomicU64, by: u64) {
+    counter.store(counter.load(Ordering::Relaxed).wrapping_add(by), Ordering::Relaxed);
+}
+
 /// This rank's cumulative counters plus the open-epoch bookkeeping the
-/// held-time measurement needs. One per rank per window (shared by
-/// clones of the same handle, which stay on the creating rank).
+/// held-time measurement needs. One per rank per window, shared by
+/// clones of the same handle and written by that rank's thread alone
+/// (the contract on [`Window`]).
 struct RankLocal {
+    /// Also the index of the next epoch, which decides whether it is
+    /// stamped.
     lock_acquisitions: AtomicU64,
     failed_polls: AtomicU64,
     lock_wait_ns: AtomicU64,
@@ -108,9 +138,10 @@ struct RankLocal {
     /// Zero of the `held_since` clock.
     base: Instant,
     /// One slot per target: 0 while this rank holds no epoch there,
-    /// otherwise the grant time in ns since `base`, plus one. The slot is
-    /// also how `unlock` tells an epoch this handle opened from somebody
-    /// else's.
+    /// [`UNTIMED`] for an open epoch that read no clock, otherwise
+    /// `(grant time in ns since base + 1) << 1`, low bit set when the
+    /// epoch stands for [`SAMPLE_EVERY`] of them. The slot is also how
+    /// `unlock` tells an epoch this handle opened from somebody else's.
     held_since: Box<[AtomicU64]>,
 }
 
@@ -131,17 +162,24 @@ impl RankLocal {
     }
 
     /// Account a granted epoch on `target`; `waited` is what
-    /// [`QueuedLock::acquire`] returned.
-    fn granted(&self, target: usize, (polls, blocked_at): (u64, Option<Instant>)) {
-        let granted = Instant::now();
-        self.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+    /// [`QueuedLock::acquire`] returned. A `timed` epoch is stamped when
+    /// its index is in the exact prefix or on the sampling stride; the
+    /// clock is read only for a stamp or to close a blocked wait.
+    fn granted(&self, target: usize, (polls, blocked_at): (u64, Option<Instant>), timed: bool) {
+        let n = self.lock_acquisitions.load(Ordering::Relaxed);
+        self.lock_acquisitions.store(n.wrapping_add(1), Ordering::Relaxed);
         if let Some(since) = blocked_at {
-            self.failed_polls.fetch_add(polls, Ordering::Relaxed);
-            self.lock_wait_ns
-                .fetch_add(granted.duration_since(since).as_nanos() as u64, Ordering::Relaxed);
+            bump(&self.failed_polls, polls);
+            bump(&self.lock_wait_ns, since.elapsed().as_nanos() as u64);
         }
-        let at = granted.duration_since(self.base).as_nanos() as u64;
-        self.held_since[target].store(at + 1, Ordering::Relaxed);
+        let sampled = n >= EXACT_EPOCHS;
+        let slot = if timed && (!sampled || n % SAMPLE_EVERY == 0) {
+            let at = self.base.elapsed().as_nanos() as u64;
+            (at + 1) << 1 | u64::from(sampled)
+        } else {
+            UNTIMED
+        };
+        self.held_since[target].store(slot, Ordering::Relaxed);
     }
 
     /// Whether this rank holds an epoch on `target`.
@@ -149,11 +187,16 @@ impl RankLocal {
         self.held_since[target].load(Ordering::Relaxed) != 0
     }
 
-    /// Close the epoch on `target` and account its held time.
+    /// Close the epoch on `target` and, if it was stamped, account its
+    /// held time at the weight it stands for.
     fn released(&self, target: usize) {
-        if let Some(granted) = self.held_since[target].swap(0, Ordering::Relaxed).checked_sub(1) {
+        let slot = self.held_since[target].load(Ordering::Relaxed);
+        self.held_since[target].store(0, Ordering::Relaxed);
+        if slot > UNTIMED {
+            let granted = (slot >> 1) - 1;
+            let weight = if slot & 1 == 1 { SAMPLE_EVERY } else { 1 };
             let now = self.base.elapsed().as_nanos() as u64;
-            self.lock_held_ns.fetch_add(now.saturating_sub(granted), Ordering::Relaxed);
+            bump(&self.lock_held_ns, weight * now.saturating_sub(granted));
         }
     }
 
@@ -171,7 +214,13 @@ impl RankLocal {
     }
 }
 
-/// A window handle held by one rank. Cloning is cheap.
+/// A window handle held by one rank. Cloning is cheap, and clones stay
+/// on the creating rank: a handle and its clones are used by one thread
+/// at a time. The per-rank counters behind [`Window::rank_stats`] are
+/// advanced with plain loads and stores on that contract — atomics, so
+/// a handle misused from two threads loses counts, nothing else. The
+/// locks, the data and the RMA log are shared between ranks and make no
+/// such assumption.
 ///
 /// ```
 /// use mpisim::{RmaOp, Topology, Universe, Window};
@@ -271,11 +320,6 @@ impl Window {
         }
     }
 
-    /// True for windows created with [`Window::allocate_shared`].
-    pub fn is_shared(&self) -> bool {
-        self.state.shared
-    }
-
     /// Length of `target`'s region.
     pub fn len_of(&self, target: u32) -> Result<usize> {
         self.region(target).map(|(_, len)| len)
@@ -325,7 +369,7 @@ impl Window {
             self.state.holders[target as usize]
                 .store(i64::from(self.comm.rank()), Ordering::SeqCst);
         }
-        self.rank.granted(target as usize, waited);
+        self.rank.granted(target as usize, waited, true);
         // Stamped after the grant: a correctly-disciplined exclusive
         // epoch's [Lock.seq, Unlock.seq] interval cannot overlap another
         // rank's on the same target.
@@ -347,11 +391,11 @@ impl Window {
         if lock.try_lock_exclusive() {
             self.state.holders[target as usize]
                 .store(i64::from(self.comm.rank()), Ordering::SeqCst);
-            self.rank.granted(target as usize, (0, None));
+            self.rank.granted(target as usize, (0, None), true);
             self.rec(RmaEvent::Lock { kind: LockKind::Exclusive, target });
             Ok(true)
         } else {
-            self.rank.failed_polls.fetch_add(1, Ordering::Relaxed);
+            bump(&self.rank.failed_polls, 1);
             Ok(false)
         }
     }
@@ -394,7 +438,7 @@ impl Window {
     pub fn fetch_and_op(&self, target: u32, disp: usize, operand: i64, op: RmaOp) -> Result<i64> {
         self.check_alive(target)?;
         let slot = self.slot(target, disp)?;
-        self.rank.rma_atomic_ops.fetch_add(1, Ordering::Relaxed);
+        bump(&self.rank.rma_atomic_ops, 1);
         self.rec(RmaEvent::Atomic { target, disp, op: AtomicOpKind::FetchAndOp });
         let prev = match op {
             RmaOp::Sum => slot.fetch_add(operand, Ordering::SeqCst),
@@ -406,30 +450,11 @@ impl Window {
         Ok(prev)
     }
 
-    /// `MPI_Compare_and_swap`: if the element equals `expected`, replace
-    /// it with `new`; returns the previous value either way.
-    pub fn compare_and_swap(
-        &self,
-        target: u32,
-        disp: usize,
-        expected: i64,
-        new: i64,
-    ) -> Result<i64> {
-        self.check_alive(target)?;
-        let slot = self.slot(target, disp)?;
-        self.rank.rma_atomic_ops.fetch_add(1, Ordering::Relaxed);
-        self.rec(RmaEvent::Atomic { target, disp, op: AtomicOpKind::CompareAndSwap });
-        Ok(match slot.compare_exchange(expected, new, Ordering::SeqCst, Ordering::SeqCst) {
-            Ok(prev) => prev,
-            Err(prev) => prev,
-        })
-    }
-
     /// `MPI_Get` of one element.
     pub fn get(&self, target: u32, disp: usize) -> Result<i64> {
         self.check_alive(target)?;
         let slot = self.slot(target, disp)?;
-        self.rank.gets.fetch_add(1, Ordering::Relaxed);
+        bump(&self.rank.gets, 1);
         self.rec(RmaEvent::Get { target, disp, len: 1 });
         Ok(slot.load(Ordering::SeqCst))
     }
@@ -438,7 +463,7 @@ impl Window {
     pub fn put(&self, target: u32, disp: usize, value: i64) -> Result<()> {
         self.check_alive(target)?;
         let slot = self.slot(target, disp)?;
-        self.rank.puts.fetch_add(1, Ordering::Relaxed);
+        bump(&self.rank.puts, 1);
         self.rec(RmaEvent::Put { target, disp, len: 1 });
         slot.store(value, Ordering::SeqCst);
         Ok(())
@@ -461,7 +486,7 @@ impl Window {
     pub fn get_range(&self, target: u32, disp: usize, len: usize) -> Result<Vec<i64>> {
         self.check_alive(target)?;
         let span = self.span(target, disp, len)?;
-        self.rank.gets.fetch_add(1, Ordering::Relaxed);
+        bump(&self.rank.gets, 1);
         self.rec(RmaEvent::Get { target, disp, len });
         Ok(self.state.data[span].iter().map(|a| a.load(Ordering::SeqCst)).collect())
     }
@@ -470,7 +495,7 @@ impl Window {
     pub fn put_range(&self, target: u32, disp: usize, values: &[i64]) -> Result<()> {
         self.check_alive(target)?;
         let span = self.span(target, disp, values.len())?;
-        self.rank.puts.fetch_add(1, Ordering::Relaxed);
+        bump(&self.rank.puts, 1);
         self.rec(RmaEvent::Put { target, disp, len: values.len() });
         for (slot, &v) in self.state.data[span].iter().zip(values) {
             slot.store(v, Ordering::SeqCst);
@@ -479,10 +504,12 @@ impl Window {
     }
 
     /// `MPI_Win_lock_all`: shared-lock every rank's region (ascending
-    /// rank order, so concurrent `lock_all` calls cannot deadlock).
+    /// rank order, so concurrent `lock_all` calls cannot deadlock). Each
+    /// target counts as a lock acquisition and a blocked grant as wait
+    /// time; the epoch adds nothing to `lock_held_ns`.
     pub fn lock_all(&self) {
         for (target, lock) in self.state.locks.iter().enumerate() {
-            self.rank.granted(target, lock.acquire(true));
+            self.rank.granted(target, lock.acquire(true), false);
         }
         self.rec(RmaEvent::LockAll);
     }
@@ -549,7 +576,7 @@ impl Window {
     /// Count one lease reclamation performed by this rank into
     /// [`Window::rank_stats`].
     pub fn note_reclaim(&self) {
-        self.rank.reclaims.fetch_add(1, Ordering::Relaxed);
+        bump(&self.rank.reclaims, 1);
     }
 
     /// Lock repair: revoke an exclusive hold left on `target`'s lock by
@@ -580,7 +607,7 @@ impl Window {
         }
         let revoked = lock.revoke_exclusive();
         if revoked {
-            self.rank.reclaims.fetch_add(1, Ordering::Relaxed);
+            bump(&self.rank.reclaims, 1);
             // The repairer closes the corpse's epoch in the log so the
             // revocation is attributed on the timeline.
             self.rec(RmaEvent::Unlock { kind: LockKind::Exclusive, target });
@@ -613,25 +640,12 @@ mod tests {
     }
 
     #[test]
-    fn compare_and_swap_unique_winner() {
-        let out = Universe::run(Topology::new(1, 8), |p| {
-            let w = p.world();
-            let win = Window::allocate(w, if w.rank() == 0 { 1 } else { 0 }).unwrap();
-            let prev = win.compare_and_swap(0, 0, 0, i64::from(w.rank()) + 1).unwrap();
-            w.barrier();
-            prev == 0
-        });
-        assert_eq!(out.iter().filter(|&&won| won).count(), 1);
-    }
-
-    #[test]
     fn shared_window_requires_single_node_comm() {
         Universe::run(Topology::new(2, 2), |p| {
             let w = p.world();
             assert!(matches!(Window::allocate_shared(w, 1), Err(Error::NotShared)));
             let node = w.split_shared().unwrap();
-            let win = Window::allocate_shared(&node, 2).unwrap();
-            assert!(win.is_shared());
+            Window::allocate_shared(&node, 2).unwrap();
         });
     }
 

@@ -29,7 +29,6 @@ fn post_crash_window_ops_return_rank_failed() {
                 win.fetch_and_op(1, 0, 1, mpisim::RmaOp::Sum),
                 Err(Error::RankFailed { rank: 1 })
             ));
-            assert!(matches!(win.compare_and_swap(1, 0, 0, 7), Err(Error::RankFailed { rank: 1 })));
             assert!(matches!(win.get(1, 0), Err(Error::RankFailed { rank: 1 })));
             assert!(matches!(win.put(1, 0, 3), Err(Error::RankFailed { rank: 1 })));
             // The survivor's own region is untouched by the peer death.
@@ -164,7 +163,7 @@ fn double_reclaim_of_same_lease_has_one_winner() {
         } else {
             w.barrier();
             // Both survivors race to settle epoch 1 -> 2.
-            let prev = win.compare_and_swap(0, 0, 1, 2).expect("cas");
+            let prev = win.fetch_and_op(0, 0, 2, mpisim::RmaOp::Max).expect("settle");
             if prev == 1 {
                 win.note_reclaim();
             }
