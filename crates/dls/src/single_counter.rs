@@ -11,6 +11,8 @@
 //! [`assignment`] is that pure function for every technique in this
 //! crate: the O(1) closed form the PDP paper derives where one exists
 //! ([`assignment_fast`]), else exact replay of the deterministic schedule.
+//! [`assignment_from`] is the same function for a worker that keeps the
+//! state of its last draw and so never replays.
 
 use crate::chunk::{LoopSpec, SchedState};
 use crate::nonadaptive::FixedSizeChunking;
@@ -55,6 +57,37 @@ pub fn assignment(technique: &Technique, spec: &LoopSpec, step: u64) -> Option<(
     let size = technique.chunk_size(spec, state, WorkerCtx::default());
     let chunk = state.take(spec, size)?;
     Some((chunk.start, chunk.len))
+}
+
+/// [`assignment`] for a caller whose steps only increase — one rank's
+/// draws from the shared counter do. `cursor` is the schedule state an
+/// earlier call left behind ([`SchedState::START`] before the first) and
+/// is advanced to just past `step`, so a run of calls costs one
+/// calculator step per schedule step in all instead of a replay from
+/// step 0 each: exact, amortised `O(1)`. A `step` behind the cursor
+/// starts the replay over.
+pub fn assignment_from(
+    technique: &Technique,
+    spec: &LoopSpec,
+    cursor: &mut SchedState,
+    step: u64,
+) -> Option<(u64, u64)> {
+    if let Some(closed) = closed_form(technique, spec, step) {
+        return closed;
+    }
+    if step < cursor.step {
+        *cursor = SchedState::START;
+    }
+    loop {
+        if cursor.exhausted(spec) {
+            return None;
+        }
+        let size = technique.chunk_size(spec, *cursor, WorkerCtx::default());
+        let chunk = cursor.take(spec, size)?;
+        if chunk.step == step {
+            return Some((chunk.start, chunk.len));
+        }
+    }
 }
 
 /// Closed-form assignment where one exists (STATIC, SS, FSC): `O(1)`,
@@ -126,6 +159,57 @@ mod tests {
         assert_eq!(assignment(&Technique::static_(), &spec, 3), last);
         assert_eq!(assignment(&Technique::static_(), &spec, 4), None);
         assert_eq!(assignment(&Technique::static_(), &spec, u64::MAX), None);
+    }
+
+    #[test]
+    fn cursor_matches_replay_on_increasing_gappy_steps() {
+        // One rank of several draws an increasing subsequence of the
+        // steps. Every step to exhaustion for the small loops, the first
+        // 10 000 for the large one (replay is O(step) per check).
+        for t in [Technique::gss(), Technique::tss(), Technique::fac2(), Technique::ss()] {
+            for n in [1, 1_000, 1u64 << 40] {
+                for p in [1, 3, 1024] {
+                    let spec = LoopSpec::new(n, p);
+                    let large = n > 1_000;
+                    let horizon = if large { 10_000 } else { u64::MAX };
+                    let mut cursor = SchedState::START;
+                    let mut lcg = 0x9E37_79B9_7F4A_7C15u64 ^ n ^ u64::from(p);
+                    let mut step = 0;
+                    while step < horizon {
+                        let expected = assignment(&t, &spec, step);
+                        assert_eq!(
+                            assignment_from(&t, &spec, &mut cursor, step),
+                            expected,
+                            "{t:?} n={n} p={p} step={step}"
+                        );
+                        if expected.is_none() {
+                            break;
+                        }
+                        // Gaps of 1..=16 on the large loop keep the
+                        // oracle's replays affordable; 1..=4 otherwise.
+                        lcg =
+                            lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        step += 1 + (lcg >> 33) % if large { 16 } else { 4 };
+                    }
+                    // Far past the end both say `None`, wherever the
+                    // cursor stopped (at 2^40 the replaying techniques
+                    // have under 50 k steps; SS answers in closed form).
+                    assert_eq!(assignment(&t, &spec, u64::MAX), None);
+                    assert_eq!(assignment_from(&t, &spec, &mut cursor, u64::MAX), None);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_behind_a_step_replays_from_the_start() {
+        let spec = LoopSpec::new(1_000, 4);
+        let t = Technique::gss();
+        let mut cursor = SchedState::START;
+        let late = assignment_from(&t, &spec, &mut cursor, 9);
+        assert_eq!(late, assignment(&t, &spec, 9));
+        assert_eq!(assignment_from(&t, &spec, &mut cursor, 2), assignment(&t, &spec, 2));
+        assert_eq!(assignment_from(&t, &spec, &mut cursor, 9), late);
     }
 
     #[test]

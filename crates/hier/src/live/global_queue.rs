@@ -31,7 +31,12 @@ pub(super) enum Fetched {
 pub(super) enum GlobalQueue<'a> {
     /// The PDP'19 distributed chunk calculation: one `MPI_Fetch_and_op`
     /// on the step counter; the bounds follow locally from the step.
-    Atomic { win: Window, inter: Technique, spec: LoopSpec },
+    /// The steps one rank draws only increase, so `cursor` keeps the
+    /// schedule state of its last draw and the next one advances the
+    /// calculator from there instead of replaying from step 0. (A
+    /// `Mutex` only because an MPI+OpenMP team shares `&GlobalQueue`
+    /// between its threads; it is never contended.)
+    Atomic { win: Window, inter: Technique, spec: LoopSpec, cursor: Mutex<SchedState> },
     /// Both counters advanced under one `MPI_Win_lock(EXCLUSIVE)` epoch.
     Locked { win: Window, inter: Technique, spec: LoopSpec },
     /// The counters live in a `dls-service` job reached through the
@@ -54,7 +59,9 @@ impl GlobalQueue<'_> {
             win.record_to(log);
         }
         Ok(match mode {
-            GlobalQueueMode::SingleAtomic => GlobalQueue::Atomic { win, inter, spec },
+            GlobalQueueMode::SingleAtomic => {
+                GlobalQueue::Atomic { win, inter, spec, cursor: Mutex::new(SchedState::START) }
+            }
             GlobalQueueMode::LockedCounters => GlobalQueue::Locked { win, inter, spec },
         })
     }
@@ -98,12 +105,13 @@ impl GlobalQueue<'_> {
     /// `Err`; network failures panic (see [`super::run_live_net`]).
     pub(super) fn fetch(&self) -> mpisim::Result<Fetched> {
         match self {
-            GlobalQueue::Atomic { win, inter, spec } => {
+            GlobalQueue::Atomic { win, inter, spec, cursor } => {
                 // The flush completes the operation at the target before
                 // the caller's deposit proceeds.
                 let step = win.fetch_and_op(0, GSTEP, 1, RmaOp::Sum)? as u64;
                 win.flush(0)?;
-                Ok(match dls::single_counter::assignment(inter, spec, step) {
+                let mut cursor = cursor.lock().expect("a fetch panicked mid-step");
+                Ok(match dls::single_counter::assignment_from(inter, spec, &mut cursor, step) {
                     Some((start, len)) => Fetched::Chunk(start, start + len),
                     None => Fetched::Done,
                 })

@@ -26,7 +26,7 @@ use cluster_sim::trace::SegmentKind;
 use dls::openmp::{omp_equivalent, OmpSchedule};
 use mpisim::{RmaLog, Topology, Universe};
 use openmp_sim::{Team, TeamCtx};
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 use workloads::Workload;
 
@@ -90,7 +90,7 @@ pub fn run_live_mpi_omp(
             team_thread(ctx, out, workload, &queue, &chunk_slot, &fetch_err, schedule)
         });
 
-        if let Some(e) = fetch_err.into_inner() {
+        if let Some(e) = fetch_err.into_inner().unwrap_or_else(PoisonError::into_inner) {
             return Err(e);
         }
         // Only thread 0 touches the global window, so the rank's window
@@ -124,7 +124,7 @@ fn team_thread(
         // drains out of the loop.
         ctx.master(|| {
             out.global_accesses += 1;
-            *chunk_slot.lock() = match queue.fetch() {
+            *chunk_slot.lock().unwrap_or_else(PoisonError::into_inner) = match queue.fetch() {
                 Ok(Fetched::Chunk(lo, hi)) => {
                     out.global_fetches += 1;
                     out.deposits += 1;
@@ -133,7 +133,7 @@ fn team_thread(
                 Ok(Fetched::Done) => None,
                 Ok(Fetched::Pending) => unreachable!("only the service queue defers"),
                 Err(e) => {
-                    fetch_err.lock().get_or_insert(e);
+                    fetch_err.lock().unwrap_or_else(PoisonError::into_inner).get_or_insert(e);
                     None
                 }
             };
@@ -143,7 +143,7 @@ fn team_thread(
         // Region start: the team waits for the fetch.
         ctx.barrier();
         out.cut(SegmentKind::Sync);
-        let Some((lo, hi)) = *chunk_slot.lock() else {
+        let Some((lo, hi)) = *chunk_slot.lock().unwrap_or_else(PoisonError::into_inner) else {
             break;
         };
         // The worksharing region; `for_each_dispatch` ends in the

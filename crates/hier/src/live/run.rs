@@ -34,7 +34,8 @@ pub(super) struct Ledger {
     checksum: u64,
     iterations: u64,
     sub_chunks: u64,
-    executed: Vec<(u32, SubChunk)>,
+    /// In execution order; [`assemble`] tags each with `worker`.
+    executed: Vec<SubChunk>,
     trace: Trace,
     // The worker's wall clock, cut into back-to-back timeline segments.
     // It is read once per segment boundary, and only when somebody uses
@@ -114,7 +115,7 @@ impl Ledger {
         self.checksum = fold_checksum(workload, sub.start, sub.end, self.checksum);
         self.iterations += sub.len();
         self.sub_chunks += 1;
-        self.executed.push((self.worker, sub));
+        self.executed.push(sub);
     }
 
     /// Nanoseconds since the run epoch.
@@ -166,7 +167,9 @@ impl Ledger {
 pub(super) fn assemble(cfg: &LiveConfig, ledgers: Vec<Ledger>, rma: Vec<RmaRecord>) -> LiveResult {
     let total_workers = (cfg.nodes * cfg.workers_per_node) as usize;
     let mut stats = RunStats::new(total_workers, cfg.nodes as usize);
-    let mut executed = Vec::new();
+    // One allocation of the final size: growing it ledger by ledger would
+    // fault the run's largest buffer in again at every doubling.
+    let mut executed = Vec::with_capacity(ledgers.iter().map(|l| l.executed.len()).sum());
     let mut trace = if cfg.trace { Trace::recording() } else { Trace::disabled() };
     let mut recovery = Vec::new();
     let makespan_ns = ledgers.iter().map(|l| l.finish_ns).max().unwrap_or(0);
@@ -193,7 +196,7 @@ pub(super) fn assemble(cfg: &LiveConfig, ledgers: Vec<Ledger>, rma: Vec<RmaRecor
         stats.global_accesses += l.global_accesses;
         stats.total_iterations += l.iterations;
         stats.checksum = stats.checksum.wrapping_add(l.checksum);
-        executed.extend(l.executed);
+        executed.extend(l.executed.iter().map(|&sub| (l.worker, sub)));
         for s in l.trace.segments() {
             trace.record(s.worker, s.start, s.end, s.kind);
         }

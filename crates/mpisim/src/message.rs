@@ -8,9 +8,9 @@
 //! source and tag.
 
 use crate::error::{Error, Result};
-use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::VecDeque;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// Matches any source rank (like `MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: Option<u32> = None;
@@ -41,7 +41,7 @@ impl Mailbox {
     }
 
     pub(crate) fn push(&self, env: Envelope) {
-        self.queue.lock().push_back(env);
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner).push_back(env);
         self.cv.notify_all();
     }
 
@@ -53,7 +53,7 @@ impl Mailbox {
         src: Option<u32>,
         tag: Option<i32>,
     ) -> Result<(u32, i32, T)> {
-        let mut queue = self.queue.lock();
+        let mut queue = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
             let pos = queue
                 .iter()
@@ -66,7 +66,7 @@ impl Mailbox {
                     Err(_) => Err(Error::TypeMismatch { src: esrc, tag: etag }),
                 };
             }
-            self.cv.wait(&mut queue);
+            queue = self.cv.wait(queue).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -74,13 +74,14 @@ impl Mailbox {
     pub(crate) fn probe(&self, src: Option<u32>, tag: Option<i32>) -> bool {
         self.queue
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .any(|e| src.is_none_or(|s| s == e.src) && tag.is_none_or(|t| t == e.tag))
     }
 
     /// Number of queued messages (diagnostics).
     pub fn len(&self) -> usize {
-        self.queue.lock().len()
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when no messages are queued.

@@ -23,9 +23,8 @@
 //! what backends do when their config asks for an RMA log.
 
 use crate::window::LockKind;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Which read-modify-write primitive an [`RmaEvent::Atomic`] records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,19 +146,20 @@ impl RmaLog {
     /// tests may, to hand-build protocol traces.
     pub fn push(&self, win: u64, rank: u32, event: RmaEvent) {
         let seq = self.inner.seq.fetch_add(1, Ordering::SeqCst);
-        self.inner.events.lock().push(RmaRecord { win, rank, seq, event });
+        let record = RmaRecord { win, rank, seq, event };
+        self.inner.events.lock().unwrap_or_else(PoisonError::into_inner).push(record);
     }
 
     /// Snapshot of all records so far, sorted by sequence number.
     pub fn records(&self) -> Vec<RmaRecord> {
-        let mut v = self.inner.events.lock().clone();
+        let mut v = self.inner.events.lock().unwrap_or_else(PoisonError::into_inner).clone();
         v.sort_by_key(|r| r.seq);
         v
     }
 
     /// Number of records logged so far.
     pub fn len(&self) -> usize {
-        self.inner.events.lock().len()
+        self.inner.events.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// True when nothing has been logged.

@@ -30,8 +30,8 @@
 //! `cluster-sim` crate turns these counts into virtual time; here they
 //! are exposed as statistics.
 
-use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 /// `holders` value of an exclusive hold; any smaller non-zero value is a
@@ -54,10 +54,18 @@ const SPIN_ROUNDS: u32 = 8;
 const YIELD_ROUNDS: u32 = 200;
 
 /// Cumulative lock statistics, updated atomically.
+///
+/// The number of successful acquisitions (shared + exclusive) is
+/// *derived*, not counted: every admission advances the ticket at the
+/// head of the queue by exactly one, so [`LockStats::snapshot`] reports
+/// that word and an acquire that does not block writes no statistic.
 #[derive(Debug, Default)]
 pub struct LockStats {
-    /// Total successful acquisitions (shared + exclusive).
-    pub acquisitions: AtomicU64,
+    /// The ticket at the head of the queue: [`QueuedLock`]'s
+    /// `now_serving` word, which doubles as the acquisition count.
+    /// `next_ticket - now_serving` acquirers have drawn a ticket and are
+    /// not admitted yet. Written by the lock alone, always `SeqCst`.
+    now_serving: AtomicU64,
     /// Acquisitions that had to block at least once.
     pub contended: AtomicU64,
     /// Total failed admission checks: one per look at the lock that found
@@ -78,10 +86,13 @@ pub struct LockStats {
 }
 
 impl LockStats {
-    /// Snapshot `(acquisitions, contended, polls)`.
+    /// Snapshot `(acquisitions, contended, polls)`. `acquisitions` is
+    /// the number of tickets admitted so far — never behind a holder
+    /// that is already inside its epoch, and non-decreasing from one
+    /// snapshot to the next.
     pub fn snapshot(&self) -> (u64, u64, u64) {
         (
-            self.acquisitions.load(Ordering::Relaxed),
+            self.now_serving.load(Ordering::Relaxed),
             self.contended.load(Ordering::Relaxed),
             self.polls.load(Ordering::Relaxed),
         )
@@ -97,11 +108,10 @@ impl LockStats {
 /// of the two must see the other's write.
 #[derive(Default)]
 pub struct QueuedLock {
-    /// Next ticket to hand to an arriving acquirer.
+    /// Next ticket to hand to an arriving acquirer. The ticket at the
+    /// head of the queue, `now_serving`, is the third lock word; it lives
+    /// in `stats` because it is also the acquisition count.
     next_ticket: AtomicU64,
-    /// The ticket at the head of the queue. `next_ticket - now_serving`
-    /// acquirers have drawn a ticket and are not admitted yet.
-    now_serving: AtomicU64,
     /// [`EXCLUSIVE`], or the number of shared holds. Only the thread at
     /// the head of the queue adds a hold.
     holders: AtomicU32,
@@ -158,7 +168,7 @@ impl QueuedLock {
         }
         let ticket = self.next_ticket.fetch_add(1, Ordering::SeqCst);
         let admissible = || {
-            self.now_serving.load(Ordering::SeqCst) == ticket && {
+            self.stats.now_serving.load(Ordering::SeqCst) == ticket && {
                 let holders = self.holders.load(Ordering::SeqCst);
                 if shared {
                     holders != EXCLUSIVE
@@ -179,12 +189,11 @@ impl QueuedLock {
         } else {
             self.holders.store(EXCLUSIVE, Ordering::SeqCst);
         }
-        self.now_serving.store(ticket + 1, Ordering::SeqCst);
+        self.stats.now_serving.store(ticket + 1, Ordering::SeqCst);
         if shared {
             // The ticket behind us may be another reader that can now enter.
             self.wake_parked();
         }
-        self.stats.acquisitions.fetch_add(1, Ordering::Relaxed);
         waited
     }
 
@@ -226,11 +235,12 @@ impl QueuedLock {
         }
         self.yielding.fetch_sub(1, Ordering::Relaxed);
         self.stats.parks.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.park.lock();
+        // The mutex guards no data, so a poisoned one is as good as new.
+        let mut guard = self.park.lock().unwrap_or_else(PoisonError::into_inner);
         self.parked.fetch_add(1, Ordering::SeqCst);
         while !admissible() {
             polls += 1;
-            self.cv.wait(&mut guard);
+            guard = self.cv.wait(guard).unwrap_or_else(PoisonError::into_inner);
         }
         self.parked.fetch_sub(1, Ordering::SeqCst);
         polls
@@ -242,7 +252,7 @@ impl QueuedLock {
         if self.parked.load(Ordering::SeqCst) > 0 {
             // A parker checks the lock words under this mutex, so the
             // notification cannot fall between its check and its wait.
-            let _guard = self.park.lock();
+            let _guard = self.park.lock().unwrap_or_else(PoisonError::into_inner);
             self.cv.notify_all();
         }
     }
@@ -291,7 +301,7 @@ impl QueuedLock {
         // holds are gone too, the lock stays free until ticket `head` is
         // admitted — so drawing exactly that ticket admits us at once,
         // and losing the draw means somebody is queued ahead.
-        let head = self.now_serving.load(Ordering::SeqCst);
+        let head = self.stats.now_serving.load(Ordering::SeqCst);
         let won = self.holders.load(Ordering::SeqCst) == 0
             && self
                 .next_ticket
@@ -302,8 +312,7 @@ impl QueuedLock {
             return false;
         }
         self.holders.store(EXCLUSIVE, Ordering::SeqCst);
-        self.now_serving.store(head + 1, Ordering::SeqCst);
-        self.stats.acquisitions.fetch_add(1, Ordering::Relaxed);
+        self.stats.now_serving.store(head + 1, Ordering::SeqCst);
         true
     }
 
@@ -400,7 +409,7 @@ mod tests {
             let o = Arc::clone(&order);
             handles.push(thread::spawn(move || {
                 l.lock_exclusive();
-                o.lock().push(id);
+                o.lock().unwrap().push(id);
                 l.unlock_exclusive();
             }));
             // Wait until this waiter has drawn its ticket before
@@ -413,7 +422,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*order.lock(), vec![0, 1, 2, 3]);
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -449,7 +458,7 @@ mod tests {
         let (lw, ow) = (Arc::clone(&lock), Arc::clone(&order));
         let w = thread::spawn(move || {
             lw.lock_exclusive();
-            ow.lock().push("w");
+            ow.lock().unwrap().push("w");
             lw.unlock_exclusive();
         });
         while lock.waiters() == 0 {
@@ -459,7 +468,7 @@ mod tests {
         let (lr, or) = (Arc::clone(&lock), Arc::clone(&order));
         let r2 = thread::spawn(move || {
             lr.lock_shared();
-            or.lock().push("r2");
+            or.lock().unwrap().push("r2");
             lr.unlock_shared();
         });
         while lock.waiters() < 2 {
@@ -469,7 +478,7 @@ mod tests {
         lock.unlock_shared();
         w.join().unwrap();
         r2.join().unwrap();
-        assert_eq!(*order.lock(), vec!["w", "r2"]);
+        assert_eq!(*order.lock().unwrap(), vec!["w", "r2"]);
     }
 
     #[test]
@@ -484,8 +493,8 @@ mod tests {
                 for _ in 0..200 {
                     lock.lock_exclusive();
                     // Non-atomic read-modify-write protected by our lock.
-                    let v = *counter.lock();
-                    *counter.lock() = v + 1;
+                    let v = *counter.lock().unwrap();
+                    *counter.lock().unwrap() = v + 1;
                     lock.unlock_exclusive();
                 }
             }));
@@ -493,6 +502,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(*counter.lock(), 8 * 200);
+        assert_eq!(*counter.lock().unwrap(), 8 * 200);
     }
 }

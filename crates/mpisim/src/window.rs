@@ -3,10 +3,14 @@
 //!
 //! A window is a buffer of `i64` elements contributed per rank (the only
 //! element type the hierarchical DLS queues need — scheduling step and
-//! scheduled-iteration counters). All accesses are sequentially
-//! consistent atomics, which is *stronger* than MPI's separate memory
-//! model but matches the `MPI_Win_lock`/`MPI_Fetch_and_op` usage the
-//! paper relies on.
+//! scheduled-iteration counters). An epoch pays for the barriers MPI
+//! asks for and no others: `lock`/`unlock` acquire and release through
+//! the lock words, `sync` and `flush` are the full fences of the unified
+//! memory model, `fetch_and_op` is a sequentially consistent
+//! read-modify-write, and `put`/`get` are release stores and acquire
+//! loads that order nothing by themselves (the contract is on
+//! [`Window`]; DESIGN.md "What the live hot path costs" has the table of
+//! every atomic, the edge that carries it and the test that pins it).
 
 use crate::comm::{Comm, TAG_WIN};
 use crate::error::{Error, Result};
@@ -222,6 +226,21 @@ impl RankLocal {
 /// locks, the data and the RMA log are shared between ranks and make no
 /// such assumption.
 ///
+/// # Visibility
+///
+/// As in MPI, [`Window::put`] and [`Window::get`] are defined inside an
+/// access epoch and are ordered against other ranks by what delimits or
+/// punctuates it — [`Window::lock`]/[`Window::unlock`] on the same
+/// target, [`Window::sync`], [`Window::flush`], or a barrier on the
+/// communicator — never by the call itself. Between two ranks that
+/// synchronise in one of those ways, puts and gets are sequentially
+/// consistent. A `put` is a release store and a `get` an acquire load, so
+/// a rank that *observes* a value also observes everything its writer
+/// put before it (flag-then-data works without the lock); two ranks that
+/// each `put` and then `get` the other's slot need a `sync` or `flush` in
+/// between, or both may read the old value. [`Window::fetch_and_op`] is
+/// a sequentially consistent read-modify-write wherever it is called.
+///
 /// ```
 /// use mpisim::{RmaOp, Topology, Universe, Window};
 ///
@@ -366,8 +385,11 @@ impl Window {
             .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
         let waited = lock.acquire(kind == LockKind::Shared);
         if kind == LockKind::Exclusive {
+            // Release, paired with the acquire loads of
+            // `exclusive_holder` / `repair_lock`: whoever reads this rank
+            // here also sees what it did before it asked for the lock.
             self.state.holders[target as usize]
-                .store(i64::from(self.comm.rank()), Ordering::SeqCst);
+                .store(i64::from(self.comm.rank()), Ordering::Release);
         }
         self.rank.granted(target as usize, waited, true);
         // Stamped after the grant: a correctly-disciplined exclusive
@@ -390,7 +412,7 @@ impl Window {
             .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
         if lock.try_lock_exclusive() {
             self.state.holders[target as usize]
-                .store(i64::from(self.comm.rank()), Ordering::SeqCst);
+                .store(i64::from(self.comm.rank()), Ordering::Release);
             self.rank.granted(target as usize, (0, None), true);
             self.rec(RmaEvent::Lock { kind: LockKind::Exclusive, target });
             Ok(true)
@@ -417,16 +439,21 @@ impl Window {
         }
         if kind == LockKind::Exclusive {
             // Cleared before the release so an observer never sees a
-            // stale holder on an already-free lock.
-            self.state.holders[target as usize].store(-1, Ordering::SeqCst);
+            // stale holder on an already-free lock: the release below is
+            // a `SeqCst` read-modify-write, which no earlier store of
+            // this thread can pass, and the next holder's store follows
+            // it in the slot's modification order.
+            self.state.holders[target as usize].store(-1, Ordering::Release);
         }
         let ok = match kind {
             LockKind::Exclusive => lock.unlock_exclusive(),
             LockKind::Shared => lock.unlock_shared(),
         };
         if ok {
+            // No fence: the release above is a `SeqCst` read-modify-write
+            // and every operation of the epoch completed when it was
+            // issued, so there is nothing left to order.
             self.rank.released(target as usize);
-            fence(Ordering::SeqCst);
             Ok(())
         } else {
             Err(Error::NotLocked)
@@ -450,22 +477,24 @@ impl Window {
         Ok(prev)
     }
 
-    /// `MPI_Get` of one element.
+    /// `MPI_Get` of one element: an acquire load (see "Visibility" on
+    /// [`Window`]).
     pub fn get(&self, target: u32, disp: usize) -> Result<i64> {
         self.check_alive(target)?;
         let slot = self.slot(target, disp)?;
         bump(&self.rank.gets, 1);
         self.rec(RmaEvent::Get { target, disp, len: 1 });
-        Ok(slot.load(Ordering::SeqCst))
+        Ok(slot.load(Ordering::Acquire))
     }
 
-    /// `MPI_Put` of one element.
+    /// `MPI_Put` of one element: a release store (see "Visibility" on
+    /// [`Window`]).
     pub fn put(&self, target: u32, disp: usize, value: i64) -> Result<()> {
         self.check_alive(target)?;
         let slot = self.slot(target, disp)?;
         bump(&self.rank.puts, 1);
         self.rec(RmaEvent::Put { target, disp, len: 1 });
-        slot.store(value, Ordering::SeqCst);
+        slot.store(value, Ordering::Release);
         Ok(())
     }
 
@@ -488,7 +517,7 @@ impl Window {
         let span = self.span(target, disp, len)?;
         bump(&self.rank.gets, 1);
         self.rec(RmaEvent::Get { target, disp, len });
-        Ok(self.state.data[span].iter().map(|a| a.load(Ordering::SeqCst)).collect())
+        Ok(self.state.data[span].iter().map(|a| a.load(Ordering::Acquire)).collect())
     }
 
     /// `MPI_Put` of consecutive elements starting at `disp`.
@@ -498,7 +527,7 @@ impl Window {
         bump(&self.rank.puts, 1);
         self.rec(RmaEvent::Put { target, disp, len: values.len() });
         for (slot, &v) in self.state.data[span].iter().zip(values) {
-            slot.store(v, Ordering::SeqCst);
+            slot.store(v, Ordering::Release);
         }
         Ok(())
     }
@@ -524,15 +553,19 @@ impl Window {
             }
             self.rank.released(target);
         }
-        fence(Ordering::SeqCst);
         Ok(())
     }
 
     /// `MPI_Win_flush`: complete outstanding operations at `target`.
-    /// All operations in this runtime complete eagerly, so this is a
-    /// memory fence — but flushing towards a dead rank on a non-shared
-    /// window reports [`Error::RankFailed`], as completing operations
-    /// at a failed process is impossible.
+    /// Every operation here completes when it is issued, so nothing is
+    /// outstanding; what is left of the call is its ordering. The
+    /// sequentially consistent fence puts this rank's earlier puts and
+    /// atomics before its later gets in the one order all fences and
+    /// atomics agree on — the store-to-load ordering a release `put` and
+    /// an acquire `get` do not have — so of two ranks that each write,
+    /// flush and read, one sees the other. Flushing towards a dead rank
+    /// on a non-shared window reports [`Error::RankFailed`], as
+    /// completing operations at a failed process is impossible.
     pub fn flush(&self, target: u32) -> Result<()> {
         self.check_alive(target)?;
         fence(Ordering::SeqCst);
@@ -540,7 +573,9 @@ impl Window {
         Ok(())
     }
 
-    /// `MPI_Win_sync`: memory barrier for the unified window model.
+    /// `MPI_Win_sync`: memory barrier for the unified window model — a
+    /// sequentially consistent fence, the same ordering as
+    /// [`Window::flush`] without a target.
     pub fn sync(&self) {
         fence(Ordering::SeqCst);
         self.rec(RmaEvent::Sync);
@@ -569,7 +604,7 @@ impl Window {
     /// Comm rank currently holding `target`'s lock exclusively, if any.
     pub fn exclusive_holder(&self, target: u32) -> Result<Option<u32>> {
         self.region(target)?;
-        let h = self.state.holders[target as usize].load(Ordering::SeqCst);
+        let h = self.state.holders[target as usize].load(Ordering::Acquire);
         Ok(u32::try_from(h).ok())
     }
 
@@ -591,14 +626,16 @@ impl Window {
             .locks
             .get(target as usize)
             .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
-        let holder = self.state.holders[target as usize].load(Ordering::SeqCst);
+        let holder = self.state.holders[target as usize].load(Ordering::Acquire);
         let Ok(holder_rank) = u32::try_from(holder) else {
             return Ok(false); // not exclusively held
         };
         if !self.comm.is_failed(holder_rank) {
             return Ok(false); // holder alive: not ours to revoke
         }
-        // CAS elects a single repairer; the loser backs off.
+        // CAS elects a single repairer; the loser backs off. A
+        // read-modify-write acts on the slot's latest value, so a
+        // repairer whose acquire load above was stale can only lose.
         if self.state.holders[target as usize]
             .compare_exchange(holder, -1, Ordering::SeqCst, Ordering::SeqCst)
             .is_err()

@@ -6,10 +6,9 @@
 //! per-thread sequence number and looked up (or created by the first
 //! arriver) in a team-wide registry.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 pub(crate) struct Region {
     /// Next un-dispatched iteration (relative to the region's range).
@@ -53,13 +52,14 @@ pub(crate) struct RegionRegistry {
 
 impl RegionRegistry {
     pub fn get(&self, seq: u64) -> Arc<Region> {
-        Arc::clone(self.regions.lock().entry(seq).or_insert_with(|| Arc::new(Region::new())))
+        let mut regions = self.regions.lock().unwrap_or_else(PoisonError::into_inner);
+        Arc::clone(regions.entry(seq).or_insert_with(|| Arc::new(Region::new())))
     }
 
     /// The shared contribution vector of reduction construct `seq`,
     /// created by the first arriving thread.
     pub fn values<T: Send + 'static>(&self, seq: u64) -> Arc<Mutex<Vec<T>>> {
-        let mut map = self.values.lock();
+        let mut map = self.values.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = map.entry(seq).or_insert_with(|| Arc::new(Mutex::new(Vec::<T>::new())));
         Arc::clone(entry)
             .downcast::<Mutex<Vec<T>>>()
@@ -69,8 +69,8 @@ impl RegionRegistry {
     /// Drop a finished region's state (called after its barrier, by the
     /// master) to keep the registry small.
     pub fn retire(&self, seq: u64) {
-        self.regions.lock().remove(&seq);
-        self.values.lock().remove(&seq);
+        self.regions.lock().unwrap_or_else(PoisonError::into_inner).remove(&seq);
+        self.values.lock().unwrap_or_else(PoisonError::into_inner).remove(&seq);
     }
 }
 

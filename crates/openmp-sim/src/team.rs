@@ -3,10 +3,9 @@
 use crate::region::RegionRegistry;
 use crate::schedule::next_dispatch;
 use dls::openmp::{static_blocks, OmpSchedule};
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::Barrier;
+use std::sync::{Barrier, Mutex, PoisonError};
 
 /// A team size — `#pragma omp parallel num_threads(n)`.
 #[derive(Clone, Copy, Debug)]
@@ -90,7 +89,7 @@ impl TeamCtx<'_> {
 
     /// `#pragma omp critical`: run `f` under the team-wide mutex.
     pub fn critical<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _guard = self.shared.critical.lock();
+        let _guard = self.shared.critical.lock().unwrap_or_else(PoisonError::into_inner);
         f()
     }
 
@@ -200,10 +199,10 @@ impl TeamCtx<'_> {
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         let slot = self.shared.regions.values::<T>(seq);
-        slot.lock().push(value);
+        slot.lock().unwrap_or_else(PoisonError::into_inner).push(value);
         self.barrier();
         let folded = {
-            let v = slot.lock();
+            let v = slot.lock().unwrap_or_else(PoisonError::into_inner);
             let mut it = v.iter().cloned();
             let first = it.next().expect("at least one contribution");
             it.fold(first, &op)
@@ -301,7 +300,7 @@ mod tests {
         Team::new(8).parallel(|ctx| {
             for _ in 0..100 {
                 ctx.critical(|| {
-                    let mut c = counter.lock();
+                    let mut c = counter.lock().unwrap();
                     let v = *c;
                     // A non-atomic RMW: only safe under the critical lock.
                     std::hint::black_box(&v);
@@ -309,7 +308,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(*counter.lock(), 800);
+        assert_eq!(*counter.lock().unwrap(), 800);
     }
 
     #[test]
