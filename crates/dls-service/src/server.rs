@@ -482,11 +482,12 @@ impl State {
     /// Also the snapshot trigger: when enough records have accumulated,
     /// seal the segment, serialize live state, and install.
     ///
-    /// Returns `false` when the commit failed or the journal lock is
-    /// poisoned, and from then on for every loop shard (the failure is
-    /// sticky in [`Journal::commit`]): their records shared the failed
-    /// write, and a later commit of an empty buffer would report a
-    /// success it cannot vouch for.
+    /// Returns `false` when the commit or the snapshot's rotation
+    /// failed or the journal lock is poisoned, and from then on for
+    /// every loop shard (the failure is sticky in [`Journal::commit`]):
+    /// their records shared the failed write, and a later commit of an
+    /// empty buffer would report a success it cannot vouch for. A failed
+    /// snapshot *install* is not fatal: every segment is still on disk.
     #[must_use = "a failed commit must suppress the cycle's replies"]
     pub(crate) fn journal_commit(&self) -> bool {
         let Some(journal) = &self.journal else { return true };
@@ -521,9 +522,13 @@ impl State {
             self.last_snap_records.store(records, Ordering::Relaxed);
             match j.begin_snapshot() {
                 Ok(b) => b,
+                // The rotation commits the cycle's records first, and its
+                // failure is as sticky as a commit's.
                 Err(e) => {
-                    eprintln!("dls-service: snapshot rotation failed: {e}");
-                    return true;
+                    eprintln!("dls-service: snapshot rotation failed, draining: {e}");
+                    drop(j);
+                    self.request_shutdown();
+                    return false;
                 }
             }
             // Journal lock released here: serializing live state takes

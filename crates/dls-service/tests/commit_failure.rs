@@ -61,3 +61,27 @@ fn a_settlement_that_was_not_journaled_is_not_acked() {
     let reply = c.report_done(job, &leases);
     assert_fail_stop(reply, srv);
 }
+
+#[test]
+fn a_settlement_whose_snapshot_rotation_failed_is_not_acked() {
+    // Default 8 MiB segments: the cycle's commit appends to the open
+    // segment and succeeds; only the snapshot taken after every record
+    // has to create a file, and that is what fails.
+    let dir = tmpdir("snapshot");
+    let srv = Server::start_with_journal(
+        ServiceConfig::default(),
+        "127.0.0.1:0",
+        JournalOptions::new(&dir),
+        1,
+    )
+    .expect("bind journaled");
+    let mut c = Client::connect(srv.addr()).expect("connect");
+    let job = c.create_job(100, dls::Kind::SS, &[]).expect("create while the journal works");
+    let FetchReply::Chunks(chunks) = c.fetch(job, 0, 4).expect("fetch") else {
+        panic!("a fresh job grants chunks");
+    };
+    let leases: Vec<_> = chunks.iter().map(|c| c.lease).collect();
+    std::fs::remove_dir_all(&dir).expect("pull the journal directory away");
+    let reply = c.report_done(job, &leases);
+    assert_fail_stop(reply, srv);
+}

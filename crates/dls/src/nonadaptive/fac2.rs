@@ -23,9 +23,16 @@ pub struct Factoring2;
 impl Factoring2 {
     /// Chunk size at scheduling step `step` (pure replay).
     pub fn chunk_at_step(spec: &LoopSpec, step: u64) -> u64 {
+        Self::batch_at_step(spec, step).1
+    }
+
+    /// `(R, chunk)` of the batch holding `step`: the iterations left at
+    /// its start and the size of each of its `P` chunks. `O(batches)`,
+    /// which is `O(log n)`.
+    pub(crate) fn batch_at_step(spec: &LoopSpec, step: u64) -> (u64, u64) {
         let p = spec.p();
         let r = remainder_at_batch(spec.n_iters, p, step, |r| half_remainder_chunk(r, p));
-        half_remainder_chunk(r, p)
+        (r, half_remainder_chunk(r, p))
     }
 }
 

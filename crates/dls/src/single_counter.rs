@@ -9,27 +9,37 @@
 //! function of the step index — no lock, no master, one atomic.
 //!
 //! [`assignment`] is that pure function for every technique in this
-//! crate: the O(1) closed form the PDP paper derives where one exists
-//! ([`assignment_fast`]), else exact replay of the deterministic schedule.
+//! crate: the closed form the PDP paper derives where one exists
+//! ([`assignment_fast`]: O(1), or O(log n) batch by batch for FAC2),
+//! else exact replay of the deterministic schedule.
 //! [`assignment_from`] is the same function for a worker that keeps the
 //! state of its last draw and so never replays.
 
 use crate::chunk::{LoopSpec, SchedState};
-use crate::nonadaptive::FixedSizeChunking;
+use crate::nonadaptive::{Factoring2, FixedSizeChunking};
 use crate::sequence::ChunkSequence;
 use crate::technique::{ChunkCalculator, Technique, WorkerCtx};
 
-/// The O(1) closed form of the fixed-chunk techniques (STATIC, SS, FSC):
-/// the assignment of `step`, or outer `None` for any other technique.
+/// The closed form of the fixed-chunk techniques (STATIC, SS, FSC; O(1))
+/// and of FAC2 (O(batches) = O(log n)): the assignment of `step`, or
+/// outer `None` for any other technique.
 fn closed_form(technique: &Technique, spec: &LoopSpec, step: u64) -> Option<Option<(u64, u64)>> {
     let n = spec.n_iters;
-    let chunk = match technique {
-        Technique::Ss(_) => 1,
-        Technique::Static(_) => n.div_ceil(spec.p()).max(1),
-        Technique::Fsc(fsc) => FixedSizeChunking::resolved(fsc, spec).max(1),
+    // `step` is chunk `index` of equal `chunk`s laid end to end from `base`.
+    let (base, index, chunk) = match technique {
+        Technique::Ss(_) => (0, step, 1),
+        Technique::Static(_) => (0, step, n.div_ceil(spec.p()).max(1)),
+        Technique::Fsc(fsc) => (0, step, FixedSizeChunking::resolved(fsc, spec).max(1)),
+        // Every batch before `step`'s handed out `P` whole chunks, or the
+        // loop ended there and `R` is 0.
+        Technique::Fac2(_) => {
+            let (r, chunk) = Factoring2::batch_at_step(spec, step);
+            (n - r, step % spec.p(), chunk)
+        }
         _ => return None,
     };
-    let start = step.checked_mul(chunk).filter(|&start| start < n);
+    let start = index.checked_mul(chunk).and_then(|off| base.checked_add(off));
+    let start = start.filter(|&start| start < n);
     Some(start.map(|start| (start, chunk.min(n - start))))
 }
 
@@ -90,9 +100,10 @@ pub fn assignment_from(
     }
 }
 
-/// Closed-form assignment where one exists (STATIC, SS, FSC): `O(1)`,
-/// no replay. Returns `None` for techniques without a practical closed
-/// form — callers fall back to [`assignment`].
+/// Closed-form assignment where one exists: `O(1)` for STATIC, SS and
+/// FSC, `O(log n)` for FAC2, no step-by-step replay. Returns `None` for
+/// techniques without a practical closed form — callers fall back to
+/// [`assignment`].
 pub fn assignment_fast(technique: &Technique, spec: &LoopSpec, step: u64) -> Option<(u64, u64)> {
     closed_form(technique, spec, step).flatten()
 }
@@ -216,7 +227,39 @@ mod tests {
     fn fast_declines_dynamic_remainder_techniques() {
         let spec = LoopSpec::new(100, 4);
         assert!(assignment_fast(&Technique::gss(), &spec, 0).is_none());
-        assert!(assignment_fast(&Technique::fac2(), &spec, 0).is_none());
+        assert!(assignment_fast(&Technique::tss(), &spec, 0).is_none());
+    }
+
+    #[test]
+    fn fac2_closed_form_is_the_stepped_schedule() {
+        // The oracle is `ChunkSequence`, the stepping calculator: every
+        // step for the small loops, the first 10 000 and the last 1 000
+        // for the large ones, and `None` one step past the end.
+        let t = Technique::fac2();
+        for n in [1, 1_000, 1u64 << 40, u64::MAX - 1] {
+            for p in [1, 3, 1024] {
+                let spec = LoopSpec::new(n, p);
+                let check = |c: crate::Chunk| {
+                    let at = Some((c.start, c.len));
+                    assert_eq!(assignment_fast(&t, &spec, c.step), at, "n={n} p={p} {c:?}");
+                    assert_eq!(assignment(&t, &spec, c.step), at, "n={n} p={p} {c:?}");
+                };
+                let (mut steps, mut tail) = (0, std::collections::VecDeque::new());
+                for c in ChunkSequence::new(&spec, &t) {
+                    if n <= 1_000 || c.step < 10_000 {
+                        check(c);
+                    }
+                    tail.push_back(c);
+                    if tail.len() > 1_000 {
+                        tail.pop_front();
+                    }
+                    steps += 1;
+                }
+                tail.into_iter().for_each(check);
+                assert_eq!(assignment_fast(&t, &spec, steps), None, "n={n} p={p}");
+                assert_eq!(assignment(&t, &spec, steps), None, "n={n} p={p}");
+            }
+        }
     }
 
     #[test]

@@ -270,8 +270,8 @@ pub struct Journal {
     commits_since_sync: u32,
     flusher: Option<Flusher>,
     stats: JournalStats,
-    /// The first write, fsync or rotation error of a commit. Sticky:
-    /// see [`Journal::commit`].
+    /// The first write, fsync or rotation error of a commit or of a
+    /// snapshot's rotation. Sticky: see [`Journal::commit`].
     failed: Option<(io::ErrorKind, String)>,
 }
 
@@ -439,14 +439,20 @@ impl Journal {
     }
 
     fn commit_inner(&mut self, force_sync: bool) -> io::Result<()> {
+        self.sticky(|j| j.write_out(force_sync))
+    }
+
+    /// Run `io` unless an earlier one failed, and make its failure the
+    /// one every later call returns.
+    fn sticky(&mut self, io: impl FnOnce(&mut Self) -> io::Result<()>) -> io::Result<()> {
         if let Some((kind, msg)) = &self.failed {
             return Err(io::Error::new(*kind, msg.clone()));
         }
-        let written = self.write_out(force_sync);
-        if let Err(e) = &written {
+        let done = io(self);
+        if let Err(e) = &done {
             self.failed = Some((e.kind(), e.to_string()));
         }
-        written
+        done
     }
 
     fn write_out(&mut self, force_sync: bool) -> io::Result<()> {
@@ -522,9 +528,16 @@ impl Journal {
     /// record in segments `< S` (and harmlessly, perhaps a prefix of
     /// `S`). Call with no shard locks held; serialize the state
     /// afterwards, then [`Journal::install_snapshot`].
+    ///
+    /// A failed rotation is as sticky as a failed commit (see
+    /// [`Journal::commit`]): after a failed seal `fsync` the sealed
+    /// records may not be durable, and after a failed create there is
+    /// no next segment to append to.
     pub fn begin_snapshot(&mut self) -> io::Result<u64> {
-        self.commit_inner(true)?;
-        self.rotate()?;
+        self.sticky(|j| {
+            j.write_out(true)?;
+            j.rotate()
+        })?;
         Ok(self.seg_seq)
     }
 
@@ -718,6 +731,25 @@ mod tests {
         j.append(&JournalRecord::JobFinished { job: 1 });
         assert!(same(j.commit().expect_err("fail-stop, not fail-and-resume")));
         assert_eq!(j.stats().records, records);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_snapshot_rotation_is_sticky() {
+        let dir = tmpdir("snapsticky");
+        let (mut j, _) = Journal::open(opts(&dir)).unwrap();
+        // Default segments: only the snapshot's own rotation needs the
+        // directory.
+        fs::remove_dir_all(&dir).unwrap();
+        j.append(&JournalRecord::JobFinished { job: 0 });
+        let first = j.begin_snapshot().expect_err("the next segment cannot be created");
+        assert!(j.is_failed());
+        let same = |e: io::Error| (e.kind(), e.to_string()) == (first.kind(), first.to_string());
+        fs::create_dir_all(&dir).unwrap();
+        j.append(&JournalRecord::JobFinished { job: 1 });
+        assert!(same(j.commit().expect_err("no commit after a lost rotation")));
+        assert!(same(j.sync().expect_err("nor a drain")));
+        assert!(same(j.begin_snapshot().expect_err("nor another snapshot")));
         fs::remove_dir_all(&dir).unwrap();
     }
 

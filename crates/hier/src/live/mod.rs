@@ -18,9 +18,9 @@ pub use master_worker::{run_live_flat_master_worker, run_live_master_worker};
 pub use mpi_mpi::run_live_mpi_mpi;
 pub use mpi_omp::run_live_mpi_omp;
 pub use net::run_live_net;
+pub use run::Executed;
 
 use crate::config::{Approach, HierSpec};
-use crate::queue::SubChunk;
 use crate::stats::RunStats;
 use workloads::Workload;
 
@@ -98,8 +98,10 @@ pub struct LiveResult {
     /// Sum of `Workload::execute` over every executed iteration —
     /// equals the serial checksum iff execution was exactly-once.
     pub checksum: u64,
-    /// Every executed sub-chunk, tagged with its global worker id.
-    pub executed: Vec<(u32, SubChunk)>,
+    /// Every executed sub-chunk, tagged with its global worker id: the
+    /// workers' ledgers themselves, owned by the result and iterated
+    /// ledger by ledger (see [`Executed`] for the order).
+    pub executed: Executed,
     /// Per-worker timeline in wall-clock nanoseconds since the run
     /// started (empty unless [`LiveConfig::trace`]). Unlike the `sim`
     /// backend's virtual-time traces these are measurements, so they

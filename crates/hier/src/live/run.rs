@@ -11,6 +11,8 @@ use crate::stats::RunStats;
 use cluster_sim::trace::{SegmentKind, Trace};
 use mpisim::{RankWinStats, RmaRecord};
 use resilience::RecoveryEvent;
+use std::iter::{self, Copied, FlatMap, Repeat, Zip};
+use std::slice;
 use std::time::Instant;
 use workloads::Workload;
 
@@ -34,7 +36,8 @@ pub(super) struct Ledger {
     checksum: u64,
     iterations: u64,
     sub_chunks: u64,
-    /// In execution order; [`assemble`] tags each with `worker`.
+    /// In execution order; [`assemble`] moves it into the result's
+    /// [`Executed`] beside `worker`.
     executed: Vec<SubChunk>,
     trace: Trace,
     // The worker's wall clock, cut into back-to-back timeline segments.
@@ -162,14 +165,66 @@ impl Ledger {
     }
 }
 
+/// Every sub-chunk a live run executed, tagged with the global id of the
+/// worker that ran it: the workers' own ledgers, moved into the result
+/// by [`assemble`] and never copied.
+///
+/// Iteration order is ledger by ledger, in the order the executor
+/// handed its workers' records over, and within one ledger the order
+/// that worker executed them. Only the within-worker order means
+/// anything: live workers race, so there is no run-wide timeline to
+/// keep. `SimResult::executed` stays one flat `Vec` because a simulated
+/// run has one — the virtual-time event order, which `sim_golden` hashes.
+#[derive(Clone, Debug, Default)]
+pub struct Executed {
+    ledgers: Vec<(u32, Vec<SubChunk>)>,
+}
+
+type Tagged<'a> = Zip<Repeat<u32>, Copied<slice::Iter<'a, SubChunk>>>;
+
+/// The iterator of [`Executed::iter`].
+type Iter<'a> = FlatMap<
+    slice::Iter<'a, (u32, Vec<SubChunk>)>,
+    Tagged<'a>,
+    fn(&'a (u32, Vec<SubChunk>)) -> Tagged<'a>,
+>;
+
+fn tag((worker, subs): &(u32, Vec<SubChunk>)) -> Tagged<'_> {
+    iter::repeat(*worker).zip(subs.iter().copied())
+}
+
+impl Executed {
+    /// `(worker, sub_chunk)` pairs, ledger by ledger.
+    pub fn iter(&self) -> Iter<'_> {
+        self.ledgers.iter().flat_map(tag as fn(_) -> _)
+    }
+
+    /// Number of executed sub-chunks.
+    pub fn len(&self) -> usize {
+        self.ledgers.iter().map(|(_, subs)| subs.len()).sum()
+    }
+
+    /// True when no worker executed anything.
+    pub fn is_empty(&self) -> bool {
+        self.ledgers.iter().all(|(_, subs)| subs.is_empty())
+    }
+}
+
+impl<'a> IntoIterator for &'a Executed {
+    type Item = (u32, SubChunk);
+    type IntoIter = Iter<'a>;
+
+    fn into_iter(self) -> Iter<'a> {
+        self.iter()
+    }
+}
+
 /// Turn the workers' ledgers into the run's result: the one writer of
 /// [`RunStats`] and the one constructor of [`LiveResult`].
 pub(super) fn assemble(cfg: &LiveConfig, ledgers: Vec<Ledger>, rma: Vec<RmaRecord>) -> LiveResult {
     let total_workers = (cfg.nodes * cfg.workers_per_node) as usize;
     let mut stats = RunStats::new(total_workers, cfg.nodes as usize);
-    // One allocation of the final size: growing it ledger by ledger would
-    // fault the run's largest buffer in again at every doubling.
-    let mut executed = Vec::with_capacity(ledgers.iter().map(|l| l.executed.len()).sum());
+    let mut executed = Executed { ledgers: Vec::with_capacity(ledgers.len()) };
     let mut trace = if cfg.trace { Trace::recording() } else { Trace::disabled() };
     let mut recovery = Vec::new();
     let makespan_ns = ledgers.iter().map(|l| l.finish_ns).max().unwrap_or(0);
@@ -196,7 +251,7 @@ pub(super) fn assemble(cfg: &LiveConfig, ledgers: Vec<Ledger>, rma: Vec<RmaRecor
         stats.global_accesses += l.global_accesses;
         stats.total_iterations += l.iterations;
         stats.checksum = stats.checksum.wrapping_add(l.checksum);
-        executed.extend(l.executed.iter().map(|&sub| (l.worker, sub)));
+        executed.ledgers.push((l.worker, l.executed));
         for s in l.trace.segments() {
             trace.record(s.worker, s.start, s.end, s.kind);
         }
@@ -210,9 +265,80 @@ pub(super) fn assemble(cfg: &LiveConfig, ledgers: Vec<Ledger>, rma: Vec<RmaRecor
 
 #[cfg(test)]
 mod tests {
+    use super::{assemble, Executed, Ledger};
     use crate::config::{Approach, HierSpec};
     use crate::live::{run_live, serial_checksum, LiveConfig};
-    use workloads::Workload;
+    use crate::queue::{exactly_once, SubChunk};
+    use workloads::synthetic::Synthetic;
+    use workloads::{CostTable, Workload};
+
+    /// Three workers' ledgers over `0..30`, one of them empty, handed
+    /// over out of worker order.
+    fn ledgers() -> Vec<Ledger> {
+        let shares: [(u32, &[(u64, u64)]); 3] =
+            [(2, &[(0, 10), (25, 30)]), (0, &[]), (1, &[(10, 20), (20, 25)])];
+        shares
+            .iter()
+            .map(|&(worker, subs)| {
+                let mut l = Ledger::untimed(worker);
+                l.executed.extend(subs.iter().map(|&(start, end)| SubChunk { start, end }));
+                l
+            })
+            .collect()
+    }
+
+    fn cfg() -> LiveConfig {
+        LiveConfig::new(1, 3, HierSpec::new(dls::Kind::GSS, dls::Kind::SS), Approach::MpiMpi)
+    }
+
+    #[test]
+    fn assemble_moves_every_ledger_buffer_into_the_result() {
+        let ledgers = ledgers();
+        let buffers: Vec<_> = ledgers.iter().map(|l| (l.worker, l.executed.as_ptr())).collect();
+        let r = assemble(&cfg(), ledgers, Vec::new());
+        let kept: Vec<_> = r.executed.ledgers.iter().map(|(w, subs)| (*w, subs.as_ptr())).collect();
+        assert_eq!(kept, buffers, "a ledger was copied on its way into the result");
+    }
+
+    #[test]
+    fn iter_is_the_flat_tagging_of_the_ledgers() {
+        let ledgers = ledgers();
+        let flat: Vec<(u32, SubChunk)> = ledgers
+            .iter()
+            .flat_map(|l| l.executed.iter().map(move |&sub| (l.worker, sub)))
+            .collect();
+        let r = assemble(&cfg(), ledgers, Vec::new());
+        assert!(r.executed.iter().eq(flat.iter().copied()));
+        assert_eq!(r.executed.len(), flat.len());
+        exactly_once(&r.executed, 30).expect("the three ledgers partition 0..30");
+    }
+
+    #[test]
+    fn len_and_is_empty_count_sub_chunks_not_ledgers() {
+        assert_eq!(assemble(&cfg(), ledgers(), Vec::new()).executed.len(), 4);
+        let none = Executed::default();
+        assert_eq!((none.len(), none.is_empty(), none.iter().next()), (0, true, None));
+        let idle = assemble(&cfg(), (0..3).map(Ledger::untimed).collect(), Vec::new()).executed;
+        assert_eq!(idle.ledgers.len(), 3);
+        assert_eq!((idle.len(), idle.is_empty(), idle.iter().next()), (0, true, None));
+    }
+
+    #[test]
+    fn exactly_once_takes_a_sim_and_a_live_result_of_one_schedule() {
+        let w = Synthetic::uniform(500, 1, 100, 5);
+        let spec = HierSpec::new(dls::Kind::FAC2, dls::Kind::GSS);
+        let mut sim = crate::sim::SimConfig::new(
+            cluster_sim::SimTopology::new(2, 2),
+            cluster_sim::MachineParams::default(),
+            spec,
+            Approach::MpiMpi,
+        );
+        sim.record_chunks = true;
+        let sim = crate::sim::simulate(&sim, &CostTable::build(&w));
+        let live = run_live(&LiveConfig::new(2, 2, spec, Approach::MpiMpi), &w).expect("live run");
+        exactly_once(&sim.executed, w.n_iters()).expect("sim");
+        exactly_once(&live.executed, w.n_iters()).expect("live");
+    }
 
     /// Every iteration is worth `u64::MAX`: any two of them overflow.
     struct Saturated(u64);

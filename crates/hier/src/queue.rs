@@ -15,6 +15,7 @@
 //! a single slot.
 
 use dls::{ChunkCalculator, LoopSpec, SchedState, Technique};
+use std::borrow::Borrow;
 
 /// One deposited chunk with its intra-node scheduling progress.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,16 +74,21 @@ impl SubChunk {
     }
 }
 
-/// Check that a run's executed ledger (`LiveResult::executed`,
-/// `SimResult::executed`: sub-chunks tagged with the worker that ran
-/// them, in any order) covers `0..n` exactly once.
-pub fn exactly_once(
-    executed: &[(u32, SubChunk)],
-    n: u64,
-) -> Result<(), dls::verify::PartitionError> {
+/// Check that a run's executed ledger (`&LiveResult::executed`,
+/// `&SimResult::executed`, or any other source of sub-chunks tagged
+/// with the worker that ran them, in any order) covers `0..n` exactly
+/// once.
+pub fn exactly_once<I>(executed: I, n: u64) -> Result<(), dls::verify::PartitionError>
+where
+    I: IntoIterator,
+    I::Item: Borrow<(u32, SubChunk)>,
+{
     let chunks: Vec<dls::Chunk> = executed
-        .iter()
-        .map(|(_, s)| dls::Chunk { start: s.start, len: s.len(), step: 0 })
+        .into_iter()
+        .map(|e| {
+            let (_, s) = e.borrow();
+            dls::Chunk { start: s.start, len: s.len(), step: 0 }
+        })
         .collect();
     dls::verify::check_exactly_once(&chunks, n)
 }

@@ -43,7 +43,6 @@
 pub mod collectives;
 pub mod comm;
 pub mod error;
-pub mod group;
 pub mod message;
 pub mod rmalog;
 pub mod sync;
@@ -53,7 +52,6 @@ pub mod window;
 
 pub use comm::Comm;
 pub use error::{Error, Result};
-pub use group::Group;
 pub use rmalog::{AtomicOpKind, RmaEvent, RmaLog, RmaRecord};
 pub use sync::{LockStats, QueuedLock};
 pub use topology::Topology;

@@ -27,6 +27,7 @@ use hier::config::{Approach, GlobalQueueMode, HierSpec};
 use hier::live::{run_live, serial_checksum, LiveConfig};
 use hier::queue::SubChunk;
 use hier::sim::{simulate, Perturbation, SimConfig};
+use std::borrow::Borrow;
 use workloads::synthetic::Synthetic;
 use workloads::CostTable;
 
@@ -191,7 +192,11 @@ impl Summary {
 
 /// Verify a run's executed sub-chunk ledger is exactly a partition of
 /// `[0, n)` (no lost or doubled iterations).
-fn ledger_error(executed: &[(u32, SubChunk)], n: u64) -> Option<String> {
+fn ledger_error<I>(executed: I, n: u64) -> Option<String>
+where
+    I: IntoIterator,
+    I::Item: Borrow<(u32, SubChunk)>,
+{
     hier::queue::exactly_once(executed, n).err().map(|e| format!("ledger not a partition: {e:?}"))
 }
 
@@ -200,15 +205,18 @@ fn note(summary: &mut Summary, backend: Backend, spec: HierSpec, schedule: &str,
 }
 
 /// Check one run's artefacts (RMA log + ledger) into `summary`.
-fn check_run(
+fn check_run<I>(
     summary: &mut Summary,
     backend: Backend,
     spec: HierSpec,
     schedule: &str,
     rma: &[mpisim::RmaRecord],
-    executed: &[(u32, SubChunk)],
+    executed: I,
     n: u64,
-) {
+) where
+    I: IntoIterator,
+    I::Item: Borrow<(u32, SubChunk)>,
+{
     summary.runs += 1;
     summary.records += rma.len();
     if rma.is_empty() {
@@ -339,14 +347,14 @@ mod tests {
     #[test]
     fn ledger_checker_flags_gap_and_duplicate() {
         let lost = [(0, SubChunk { start: 0, end: 10 }), (1, SubChunk { start: 20, end: 40 })];
-        assert!(ledger_error(&lost, 40).is_some());
+        assert!(ledger_error(lost, 40).is_some());
         let dup = [
             (0, SubChunk { start: 0, end: 20 }),
             (1, SubChunk { start: 10, end: 20 }),
             (0, SubChunk { start: 20, end: 40 }),
         ];
-        assert!(ledger_error(&dup, 40).is_some());
+        assert!(ledger_error(dup, 40).is_some());
         let good = [(0, SubChunk { start: 20, end: 40 }), (1, SubChunk { start: 0, end: 20 })];
-        assert!(ledger_error(&good, 40).is_none());
+        assert!(ledger_error(good, 40).is_none());
     }
 }

@@ -6,6 +6,8 @@
 //! legitimately differ.)
 
 use hdls::prelude::*;
+use hier::queue::SubChunk;
+use std::borrow::Borrow;
 
 fn schedule(inter: Kind, intra: Kind, approach: Approach) -> HierSchedule {
     HierSchedule::builder()
@@ -18,13 +20,21 @@ fn schedule(inter: Kind, intra: Kind, approach: Approach) -> HierSchedule {
         .build()
 }
 
-fn coverage(chunks: &[(u32, hier::queue::SubChunk)], n: u64) {
+fn coverage(chunks: impl IntoIterator<Item = impl Borrow<(u32, SubChunk)>>, n: u64) {
     hier::queue::exactly_once(chunks, n).expect("exactly-once coverage");
 }
 
 /// The executed ranges in iteration order, whoever ran them.
-fn sorted_ranges(executed: Vec<(u32, hier::queue::SubChunk)>) -> Vec<(u64, u64)> {
-    let mut ranges: Vec<_> = executed.into_iter().map(|(_, s)| (s.start, s.end)).collect();
+fn sorted_ranges(
+    executed: impl IntoIterator<Item = impl Borrow<(u32, SubChunk)>>,
+) -> Vec<(u64, u64)> {
+    let mut ranges: Vec<_> = executed
+        .into_iter()
+        .map(|e| {
+            let (_, s) = e.borrow();
+            (s.start, s.end)
+        })
+        .collect();
     ranges.sort_unstable();
     ranges
 }
@@ -146,7 +156,7 @@ fn static_static_produces_identical_partitions() {
     let s = schedule(Kind::STATIC, Kind::STATIC, Approach::MpiMpi);
     let sim = s.simulate(&table);
     let live = s.run_live(&w);
-    assert_eq!(sorted_ranges(sim.executed), sorted_ranges(live.executed));
+    assert_eq!(sorted_ranges(&sim.executed), sorted_ranges(&live.executed));
 }
 
 #[test]
@@ -173,9 +183,9 @@ fn mpi_openmp_ranges_are_the_dls_sequence_on_both_backends() {
                 .iter()
                 .map(|c| (c.start, c.end()))
                 .collect();
-        assert_eq!(sorted_ranges(s.run_live(&w).executed), expected, "live, intra {intra}");
+        assert_eq!(sorted_ranges(&s.run_live(&w).executed), expected, "live, intra {intra}");
         let sim = s.simulate(&CostTable::build(&w));
-        assert_eq!(sorted_ranges(sim.executed), expected, "sim, intra {intra}");
+        assert_eq!(sorted_ranges(&sim.executed), expected, "sim, intra {intra}");
         expected.iter().map(|(lo, hi)| hi - lo).collect::<Vec<_>>()
     };
     for intra in ["STATIC", "SS", "GSS", "GSS:4", "FSC:8"] {
