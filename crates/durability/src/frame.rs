@@ -1,7 +1,7 @@
 //! On-disk record framing: `len u32 LE | crc32 u32 LE | payload`.
 //!
 //! Segments are append-only files that begin with an 8-byte magic
-//! (`DLSWAL01`) followed by the segment sequence number (`u64` LE).
+//! (`DLSWAL02`) followed by the segment sequence number (`u64` LE).
 //! After the header come zero or more framed records. The CRC covers
 //! the payload only; the length prefix is implicitly validated by the
 //! CRC check (a torn or garbled length either runs past the end of
@@ -13,8 +13,10 @@
 //! where the clean prefix ends, so the opener can truncate back to the
 //! last complete record instead of refusing to start.
 
-/// 8-byte magic at the start of every segment file.
-pub const SEGMENT_MAGIC: &[u8; 8] = b"DLSWAL01";
+/// 8-byte magic at the start of every segment file; the digit versions
+/// the record wire form. `DLSWAL01` segments carried fixed-width grants
+/// and settle lists and are refused like any other magic.
+pub const SEGMENT_MAGIC: &[u8; 8] = b"DLSWAL02";
 
 /// Fixed size of the segment header: magic + segment sequence number.
 pub const SEGMENT_HEADER_LEN: usize = 16;
@@ -83,10 +85,21 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
 
 /// Append one framed record to `out`.
 pub fn encode_record(payload: &[u8], out: &mut Vec<u8>) {
+    encode_record_with(out, |b| b.extend_from_slice(payload));
+}
+
+/// Append one framed record whose payload `write` appends to `out` in
+/// place: the header is filled in afterwards, so the payload is never
+/// staged and copied.
+pub fn encode_record_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
+    write(out);
+    let payload = &out[start + RECORD_HEADER_LEN..];
     debug_assert!(payload.len() as u64 <= MAX_RECORD_LEN as u64);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Build a segment header for segment `seq`.

@@ -28,6 +28,7 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, OnceLock};
 
 use crate::frame;
 use crate::record::JournalRecord;
@@ -215,6 +216,9 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// An I/O error as the journal keeps it: `io::Error` is not `Clone`.
+type Failure = (io::ErrorKind, String);
+
 /// Background fsync worker for [`SyncPolicy::EveryN`]: receives
 /// clones of the live segment's file handle and fsyncs them off the
 /// commit path, so the amortised policy never stalls the event loop.
@@ -224,11 +228,19 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
 struct Flusher {
     tx: Option<std::sync::mpsc::Sender<File>>,
     handle: Option<std::thread::JoinHandle<()>>,
+    /// The first failed fsync. A clone is a `dup` and shares the open
+    /// file description, and Linux reports a writeback error once per
+    /// description: after this one, a synchronous fsync on the
+    /// journal's own handle succeeds over the lost pages. The journal
+    /// adopts it as its own failure (see [`Journal::commit`]).
+    failed: Arc<OnceLock<Failure>>,
 }
 
 impl Flusher {
     fn spawn() -> Flusher {
         let (tx, rx) = std::sync::mpsc::channel::<File>();
+        let failed = Arc::new(OnceLock::new());
+        let slot = Arc::clone(&failed);
         let handle = std::thread::Builder::new()
             .name("wal-flusher".into())
             .spawn(move || {
@@ -236,11 +248,13 @@ impl Flusher {
                     // Coalesce any backlog: the newest handle's fsync
                     // covers everything the older sends asked for.
                     let file = rx.try_iter().last().unwrap_or(file);
-                    let _ = file.sync_data();
+                    if let Err(e) = file.sync_data() {
+                        let _ = slot.set((e.kind(), format!("background fsync: {e}")));
+                    }
                 }
             })
             .expect("spawn wal-flusher");
-        Flusher { tx: Some(tx), handle: Some(handle) }
+        Flusher { tx: Some(tx), handle: Some(handle), failed }
     }
 
     fn send(&self, file: File) -> Result<(), ()> {
@@ -265,14 +279,14 @@ pub struct Journal {
     seg_seq: u64,
     seg_len: u64,
     buf: Vec<u8>,
-    scratch: Vec<u8>,
     pending: u64,
     commits_since_sync: u32,
     flusher: Option<Flusher>,
     stats: JournalStats,
-    /// The first write, fsync or rotation error of a commit or of a
-    /// snapshot's rotation. Sticky: see [`Journal::commit`].
-    failed: Option<(io::ErrorKind, String)>,
+    /// The first write, fsync or rotation error of a commit, of a
+    /// snapshot's rotation or of the background flusher. Sticky: see
+    /// [`Journal::commit`].
+    failed: Option<Failure>,
 }
 
 impl Journal {
@@ -355,7 +369,6 @@ impl Journal {
             seg_seq,
             seg_len,
             buf: Vec::with_capacity(4096),
-            scratch: Vec::with_capacity(256),
             pending: 0,
             commits_since_sync: 0,
             flusher: None,
@@ -407,9 +420,7 @@ impl Journal {
     /// record becomes durable at the next [`Journal::commit`]
     /// according to the sync policy.
     pub fn append(&mut self, rec: &JournalRecord) {
-        self.scratch.clear();
-        rec.encode_into(&mut self.scratch);
-        frame::encode_record(&self.scratch, &mut self.buf);
+        frame::encode_record_with(&mut self.buf, |b| rec.encode_into(b));
         self.pending += 1;
     }
 
@@ -425,7 +436,8 @@ impl Journal {
     /// write and the buffer no longer says which records reached it,
     /// so this and every later commit (also through [`Journal::sync`]
     /// and [`Journal::begin_snapshot`]) return that first error again
-    /// and write nothing.
+    /// and write nothing. A failed background fsync of
+    /// [`SyncPolicy::EveryN`] counts the same from the next commit on.
     pub fn commit(&mut self) -> io::Result<()> {
         if self.buf.is_empty() && self.failed.is_none() {
             return Ok(());
@@ -445,6 +457,10 @@ impl Journal {
     /// Run `io` unless an earlier one failed, and make its failure the
     /// one every later call returns.
     fn sticky(&mut self, io: impl FnOnce(&mut Self) -> io::Result<()>) -> io::Result<()> {
+        if self.failed.is_none() {
+            // One atomic load: the flusher's slot, set at most once.
+            self.failed = self.flusher.as_ref().and_then(|f| f.failed.get().cloned());
+        }
         if let Some((kind, msg)) = &self.failed {
             return Err(io::Error::new(*kind, msg.clone()));
         }
@@ -629,6 +645,7 @@ mod tests {
     use super::*;
     use crate::record::GrantEntry;
     use dls::Kind;
+    use std::time::{Duration, Instant};
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir =
@@ -731,6 +748,30 @@ mod tests {
         j.append(&JournalRecord::JobFinished { job: 1 });
         assert!(same(j.commit().expect_err("fail-stop, not fail-and-resume")));
         assert_eq!(j.stats().records, records);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_failed_background_fsync_fails_the_journal() {
+        let dir = tmpdir("flusher");
+        let mut o = opts(&dir);
+        o.sync = SyncPolicy::EveryN(1); // every commit hands the flusher an fsync
+        let (mut j, _) = Journal::open(o).unwrap();
+        // Writes to /dev/null succeed and its fdatasync is EINVAL: only
+        // the flusher thread sees the failure.
+        j.file = OpenOptions::new().write(true).open("/dev/null").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let err = loop {
+            j.append(&JournalRecord::JobFinished { job: 0 });
+            if let Err(e) = j.commit() {
+                break e;
+            }
+            assert!(Instant::now() < deadline, "the lost fsync never failed a commit");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert!(err.to_string().contains("background fsync"), "{err}");
+        assert!(j.is_failed());
+        assert!(j.sync().is_err(), "no Drained stamp over a lost fsync");
         fs::remove_dir_all(&dir).unwrap();
     }
 

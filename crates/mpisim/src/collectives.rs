@@ -2,7 +2,7 @@
 //! messaging with reserved internal tags. Linear algorithms — adequate
 //! for a simulator whose largest world is a few hundred ranks.
 
-use crate::comm::{Comm, TAG_ALLTOALL, TAG_BCAST, TAG_GATHER, TAG_REDUCE, TAG_SCAN, TAG_SCATTER};
+use crate::comm::{Comm, TAG_ALLTOALL, TAG_BCAST, TAG_GATHER, TAG_SCAN, TAG_SCATTER};
 use crate::error::{Error, Result};
 
 impl Comm {
@@ -31,66 +31,6 @@ impl Comm {
         } else {
             let (_, _, v) = self.recv(Some(root), Some(TAG_BCAST))?;
             Ok(v)
-        }
-    }
-
-    /// `MPI_Reduce`: fold every rank's `value` with `op` at `root`
-    /// (rank order, left-to-right). Non-root ranks get `None`.
-    pub fn reduce<T: Send + 'static>(
-        &self,
-        root: u32,
-        value: T,
-        op: impl Fn(T, T) -> T,
-    ) -> Result<Option<T>> {
-        self.check_rank(root)?;
-        if self.rank() == root {
-            let mut acc: Option<T> = None;
-            for src in 0..self.size() {
-                let v = if src == root {
-                    // Move our own value in at our position without
-                    // requiring T: Clone.
-                    None
-                } else {
-                    let (_, _, v): (_, _, T) = self.recv(Some(src), Some(TAG_REDUCE))?;
-                    Some(v)
-                };
-                // Keep strict rank order: insert own value when src == root.
-                let next = match v {
-                    Some(v) => v,
-                    None => continue,
-                };
-                acc = Some(match acc {
-                    Some(a) => op(a, next),
-                    None => next,
-                });
-            }
-            // Fold our own value last of its position group; order of a
-            // commutative/associative op is unaffected. (MPI only
-            // guarantees a deterministic order for predefined ops.)
-            let result = match acc {
-                Some(a) => op(a, value),
-                None => value,
-            };
-            Ok(Some(result))
-        } else {
-            self.send(root, TAG_REDUCE, value)?;
-            Ok(None)
-        }
-    }
-
-    /// `MPI_Allreduce`: reduce at rank 0, then broadcast.
-    pub fn allreduce<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        op: impl Fn(T, T) -> T,
-    ) -> Result<T> {
-        let reduced = self.reduce(0, value, op)?;
-        match reduced {
-            Some(v) => self.bcast(0, v),
-            None => {
-                let (_, _, v) = self.recv(Some(0), Some(TAG_BCAST))?;
-                Ok(v)
-            }
         }
     }
 
@@ -163,29 +103,6 @@ impl Comm {
         Ok(acc)
     }
 
-    /// `MPI_Exscan` (exclusive prefix): rank `r > 0` returns
-    /// `Some(op(v_0, ..., v_{r-1}))`; rank 0 returns `None`.
-    pub fn exscan<T: Clone + Send + 'static>(
-        &self,
-        value: T,
-        op: impl Fn(T, T) -> T,
-    ) -> Result<Option<T>> {
-        let prev: Option<T> = if self.rank() == 0 {
-            None
-        } else {
-            let (_, _, p): (_, _, T) = self.recv(Some(self.rank() - 1), Some(TAG_SCAN))?;
-            Some(p)
-        };
-        if self.rank() + 1 < self.size() {
-            let next = match prev.clone() {
-                Some(p) => op(p, value),
-                None => value,
-            };
-            self.send(self.rank() + 1, TAG_SCAN, next)?;
-        }
-        Ok(prev)
-    }
-
     /// `MPI_Alltoall`: rank `r` provides `values[i]` for rank `i` and
     /// returns the values every rank provided for `r`, in rank order.
     pub fn alltoall<T: Send + 'static>(&self, values: Vec<T>) -> Result<Vec<T>> {
@@ -233,29 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_sums_at_root() {
-        let out = Universe::run(Topology::new(1, 5), |p| {
-            let w = p.world();
-            w.reduce(2, w.rank() as u64, |a, b| a + b).unwrap()
-        });
-        assert_eq!(out[2], Some(1 + 2 + 3 + 4));
-        for (i, v) in out.iter().enumerate() {
-            if i != 2 {
-                assert_eq!(*v, None);
-            }
-        }
-    }
-
-    #[test]
-    fn allreduce_max() {
-        let out = Universe::run(Topology::new(2, 3), |p| {
-            let w = p.world();
-            w.allreduce(w.rank() * 10, |a, b| a.max(b)).unwrap()
-        });
-        assert_eq!(out, vec![50; 6]);
-    }
-
-    #[test]
     fn gather_orders_by_rank() {
         let out = Universe::run(Topology::new(1, 4), |p| {
             let w = p.world();
@@ -296,15 +190,6 @@ mod tests {
             w.scan(w.rank() + 1, |a, b| a + b).unwrap()
         });
         assert_eq!(out, vec![1, 3, 6, 10, 15]);
-    }
-
-    #[test]
-    fn exscan_exclusive_prefix_sums() {
-        let out = Universe::run(Topology::new(1, 5), |p| {
-            let w = p.world();
-            w.exscan(w.rank() + 1, |a, b| a + b).unwrap()
-        });
-        assert_eq!(out, vec![None, Some(1), Some(3), Some(6), Some(10)]);
     }
 
     #[test]

@@ -9,7 +9,6 @@ use std::sync::{Arc, Barrier};
 
 pub(crate) const TAG_SPLIT: i32 = INTERNAL_TAG_BASE;
 pub(crate) const TAG_BCAST: i32 = INTERNAL_TAG_BASE + 1;
-pub(crate) const TAG_REDUCE: i32 = INTERNAL_TAG_BASE + 2;
 pub(crate) const TAG_GATHER: i32 = INTERNAL_TAG_BASE + 3;
 pub(crate) const TAG_SCATTER: i32 = INTERNAL_TAG_BASE + 4;
 pub(crate) const TAG_WIN: i32 = INTERNAL_TAG_BASE + 5;

@@ -9,25 +9,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn allreduce_sum_matches_reference(
-        nodes in 1u32..3,
-        rpn in 1u32..4,
-        values in prop::collection::vec(0i64..1000, 12),
-    ) {
-        let topo = Topology::new(nodes, rpn);
-        let n = topo.world_size() as usize;
-        let values = values[..n.min(values.len())].to_vec();
-        prop_assume!(values.len() == n);
-        let expected: i64 = values.iter().sum();
-        let vals = values.clone();
-        let out = Universe::run(topo, move |p| {
-            let w = p.world();
-            w.allreduce(vals[w.rank() as usize], |a, b| a + b).unwrap()
-        });
-        prop_assert!(out.into_iter().all(|v| v == expected));
-    }
-
-    #[test]
     fn bcast_from_any_root(nodes in 1u32..3, rpn in 1u32..4, root_seed in 0u32..100, payload in any::<u64>()) {
         let topo = Topology::new(nodes, rpn);
         let root = root_seed % topo.world_size();
