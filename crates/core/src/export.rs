@@ -545,8 +545,22 @@ fn fmt_f64(v: f64) -> String {
     }
 }
 
+/// `s` as the body of a JSON string (RFC 8259 §7): quote, backslash and
+/// every control character escaped.
 fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -593,6 +607,29 @@ mod tests {
         assert!(json.contains("\"lock_poll_histogram\": [1,0,0,1]"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    #[test]
+    fn control_characters_are_escaped_inside_strings() {
+        let (tr, stats) = sample();
+        let json = ActivityReport::build("a\tb\nc\u{1}", &tr, &stats, 2).to_json();
+        assert!(json.contains(r#""label": "a\tb\nc\u0001""#), "{json}");
+        // RFC 8259: no raw control character inside a string literal.
+        let (mut in_string, mut escaped) = (false, false);
+        for b in json.bytes() {
+            if in_string {
+                assert!(b >= 0x20, "raw control byte {b:#04x} in a string:\n{json}");
+                match (escaped, b) {
+                    (true, _) => escaped = false,
+                    (false, b'\\') => escaped = true,
+                    (false, b'"') => in_string = false,
+                    _ => {}
+                }
+            } else {
+                in_string = b == b'"';
+            }
+        }
+        assert!(!in_string);
     }
 
     #[test]

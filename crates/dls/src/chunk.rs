@@ -1,6 +1,7 @@
 //! Core data types shared by every technique: loop specification, shared
 //! scheduling state, and the chunk handed to a worker.
 
+use crate::technique::{ChunkCalculator, WorkerCtx};
 use std::fmt;
 
 /// A half-open range `[start, start + len)` of loop iterations assigned to
@@ -141,6 +142,23 @@ impl SchedState {
         self.step = self.step.saturating_add(1);
         self.scheduled = self.scheduled.saturating_add(len);
         Some(chunk)
+    }
+
+    /// One unweighted scheduling step of `calc`: size the chunk at this
+    /// state and [`take`](SchedState::take) it, or `None` once every
+    /// iteration is assigned. The step every single-queue schedule is
+    /// a loop over.
+    #[inline]
+    pub fn next_chunk<C: ChunkCalculator + ?Sized>(
+        &mut self,
+        spec: &LoopSpec,
+        calc: &C,
+    ) -> Option<Chunk> {
+        if self.exhausted(spec) {
+            return None;
+        }
+        let size = calc.chunk_size(spec, *self, WorkerCtx::default());
+        self.take(spec, size)
     }
 }
 

@@ -18,7 +18,7 @@
 use crate::chunk::{LoopSpec, SchedState};
 use crate::nonadaptive::{Factoring2, FixedSizeChunking};
 use crate::sequence::ChunkSequence;
-use crate::technique::{ChunkCalculator, Technique, WorkerCtx};
+use crate::technique::Technique;
 
 /// The closed form of the fixed-chunk techniques (STATIC, SS, FSC; O(1))
 /// and of FAC2 (O(batches) = O(log n)): the assignment of `step`, or
@@ -55,17 +55,9 @@ pub fn assignment(technique: &Technique, spec: &LoopSpec, step: u64) -> Option<(
     }
     let mut state = SchedState::START;
     for _ in 0..step {
-        if state.exhausted(spec) {
-            return None;
-        }
-        let size = technique.chunk_size(spec, state, WorkerCtx::default());
-        state.take(spec, size)?;
+        state.next_chunk(spec, technique)?;
     }
-    if state.exhausted(spec) {
-        return None;
-    }
-    let size = technique.chunk_size(spec, state, WorkerCtx::default());
-    let chunk = state.take(spec, size)?;
+    let chunk = state.next_chunk(spec, technique)?;
     Some((chunk.start, chunk.len))
 }
 
@@ -89,11 +81,7 @@ pub fn assignment_from(
         *cursor = SchedState::START;
     }
     loop {
-        if cursor.exhausted(spec) {
-            return None;
-        }
-        let size = technique.chunk_size(spec, *cursor, WorkerCtx::default());
-        let chunk = cursor.take(spec, size)?;
+        let chunk = cursor.next_chunk(spec, technique)?;
         if chunk.step == step {
             return Some((chunk.start, chunk.len));
         }

@@ -1,11 +1,10 @@
 //! The RMA window layout of the hierarchical protocols — the single
 //! source of truth for every slot index: the live executors
-//! ([`crate::live`]) address their windows with these constants, the
-//! virtual-time executors ([`crate::sim`]) synthesize access logs
-//! against them (`sim::RmaTape`), and external tooling replays
-//! abstract protocol traces against the same displacements (the
-//! `model-check` crate's counterexample replay, which names this
-//! module by its re-export `hier::sim::layout`).
+//! ([`crate::live`]) address their windows with these constants, and
+//! [`crate::protocol`]'s transaction shapes are written over them —
+//! the shapes the virtual-time executors put on their tapes and the
+//! `model-check` crate's explorer replays (it names this module by its
+//! re-export `hier::sim::layout`).
 //!
 //! Window 0 is the global queue; window `1 + node` is that node's
 //! shared-memory local queue. Displacements within each window are the

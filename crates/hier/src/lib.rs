@@ -39,6 +39,7 @@ pub mod adaptive;
 pub mod config;
 pub mod layout;
 pub mod live;
+pub mod protocol;
 pub mod queue;
 pub mod sim;
 pub mod stats;

@@ -8,8 +8,7 @@
 
 use crate::config::GlobalQueueMode;
 use crate::layout::{GSCHED, GSTEP};
-use dls::technique::WorkerCtx;
-use dls::{ChunkCalculator, LoopSpec, SchedState, Technique};
+use dls::{LoopSpec, SchedState, Technique};
 use dls_service::{Client, FetchReply, JobId};
 use mpisim::{Comm, LockKind, RankWinStats, RmaLog, RmaOp, Window};
 use std::sync::Mutex;
@@ -122,14 +121,12 @@ impl GlobalQueue<'_> {
                     step: win.get(0, GSTEP)? as u64,
                     scheduled: win.get(0, GSCHED)? as u64,
                 };
-                let fetched = if state.exhausted(spec) {
-                    Fetched::Done
-                } else {
-                    let size = inter.chunk_size(spec, state, WorkerCtx::default());
-                    let chunk = state.take(spec, size).expect("not exhausted");
+                let fetched = if let Some(chunk) = state.next_chunk(spec, inter) {
                     win.put(0, GSTEP, state.step as i64)?;
                     win.put(0, GSCHED, state.scheduled as i64)?;
                     Fetched::Chunk(chunk.start, chunk.end())
+                } else {
+                    Fetched::Done
                 };
                 win.unlock(LockKind::Exclusive, 0)?;
                 Ok(fetched)

@@ -19,8 +19,7 @@
 use super::run::{assemble, Ledger};
 use super::{LiveConfig, LiveResult};
 use crate::queue::{LocalQueue, SubChunk};
-use dls::technique::WorkerCtx;
-use dls::{ChunkCalculator, LoopSpec, SchedState};
+use dls::{LoopSpec, SchedState};
 use mpisim::{Comm, Topology, Universe};
 use workloads::Workload;
 
@@ -66,14 +65,10 @@ fn master_serve(world: &Comm, technique: &dls::Technique, spec: &LoopSpec, worke
     let mut terminated = 0u32;
     while terminated < workers {
         let (src, _, ()) = world.recv(None, Some(TAG_REQUEST)).expect("request");
-        let assignment: Assignment = if state.exhausted(spec) {
+        let assignment: Assignment = state.next_chunk(spec, technique).map(|c| (c.start, c.end()));
+        if assignment.is_none() {
             terminated += 1;
-            None
-        } else {
-            let size = technique.chunk_size(spec, state, WorkerCtx::default());
-            let chunk = state.take(spec, size).expect("not exhausted");
-            Some((chunk.start, chunk.end()))
-        };
+        }
         world.send(src, TAG_ASSIGN, assignment).expect("assign");
     }
 }

@@ -1,5 +1,10 @@
-//! The local work queue: pure state-machine logic shared by the
-//! thread-backed and virtual-time backends.
+//! The local work queue as a Rust value: the storage the virtual-time
+//! executors and the master-worker models keep a node's deposits in.
+//! What a sub-chunk *is* — the take, the empty probe, the deposit —
+//! is decided in [`crate::protocol`]; [`LocalQueue`] is one of its
+//! [`NodeQueue`](crate::protocol::NodeQueue)s (the `model-check`
+//! crate's compact node state is another), and the live MPI+MPI
+//! executor keeps the same fields in window slots instead.
 //!
 //! A node's local queue holds the chunks its workers fetched from the
 //! global queue but have not fully executed yet. Each deposited chunk
@@ -93,9 +98,9 @@ where
     dls::verify::check_exactly_once(&chunks, n)
 }
 
-/// The node-local work queue state machine. Both backends wrap this in
-/// their own storage/synchronisation (window slots + `MPI_Win_lock` in
-/// `live`, a [`cluster_sim::ContendedLock`]-guarded struct in `sim`).
+/// A node's deposits as a FIFO, guarded in `sim` by a
+/// [`cluster_sim::ContendedLock`]; its takes go through
+/// [`crate::protocol::take`].
 ///
 /// ```
 /// use hier::queue::LocalQueue;
@@ -138,35 +143,11 @@ impl LocalQueue {
         self.deposits += 1;
     }
 
-    /// Take the next sub-chunk using `intra` over a node of `p` workers,
-    /// or `None` when the queue is empty. The intra technique sees each
-    /// deposited chunk as a loop of `range.len()` iterations.
+    /// [`crate::protocol::take`] for an unweighted worker: the next
+    /// sub-chunk using `intra` over a node of `p` workers, or `None`
+    /// when the queue is empty.
     pub fn take_sub_chunk(&mut self, intra: &Technique, p: u32) -> Option<SubChunk> {
-        self.take_sub_chunk_for(intra, p, dls::technique::WorkerCtx::default())
-    }
-
-    /// Like [`LocalQueue::take_sub_chunk`] but with an explicit worker
-    /// context — weighted techniques (WF) scale the sub-chunk by
-    /// `ctx.weight`.
-    pub fn take_sub_chunk_for(
-        &mut self,
-        intra: &Technique,
-        p: u32,
-        ctx: dls::technique::WorkerCtx,
-    ) -> Option<SubChunk> {
-        // Drop exhausted ranges from the front.
-        while self.ranges.front().is_some_and(|r| r.is_empty()) {
-            self.ranges.pop_front();
-        }
-        let range = self.ranges.front_mut()?;
-        let spec = LoopSpec::new(range.len(), p);
-        let state = SchedState { step: range.step, scheduled: range.taken };
-        let size = intra.chunk_size(&spec, state, ctx).clamp(1, range.remaining());
-        let start = range.lo + range.taken;
-        range.taken += size;
-        range.step += 1;
-        self.sub_chunks += 1;
-        Some(SubChunk { start, end: start + size })
+        crate::protocol::take(self, intra, p, dls::technique::WorkerCtx::default())
     }
 
     /// Remove and return every not-yet-handed-out iteration range —
@@ -181,10 +162,31 @@ impl LocalQueue {
     }
 }
 
+impl crate::protocol::NodeQueue for LocalQueue {
+    fn front(&mut self) -> Option<QueuedRange> {
+        while self.ranges.front().is_some_and(|r| r.is_empty()) {
+            self.ranges.pop_front();
+        }
+        self.ranges.front().copied()
+    }
+
+    fn advance(&mut self, size: u64) {
+        let range = self.ranges.front_mut().expect("advance behind a front range");
+        range.taken += size;
+        range.step += 1;
+        self.sub_chunks += 1;
+    }
+
+    fn push(&mut self, lo: u64, hi: u64) {
+        self.deposit(lo, hi);
+    }
+}
+
 /// Sub-chunk size for a deposited chunk of `range_len` iterations over
-/// `p` workers at intra state `(step, taken)` — the raw form of
-/// [`LocalQueue::take_sub_chunk`] used where the queue lives in window
-/// slots rather than a Rust struct (the `live` backend).
+/// `p` workers at intra state `(step, taken)` — the arithmetic of
+/// [`crate::protocol::take`], also called directly where the queue
+/// lives in window slots rather than a Rust struct (the `live`
+/// backend).
 pub fn sub_chunk_size(intra: &Technique, range_len: u64, p: u32, step: u64, taken: u64) -> u64 {
     sub_chunk_size_for(intra, range_len, p, step, taken, dls::technique::WorkerCtx::default())
 }

@@ -117,28 +117,14 @@ impl Jitter {
     }
 }
 
-// The RMA operations the synthesized logs are made of (the live
-// executors' window layout is in `crate::layout`).
-pub(crate) const LOCK: mpisim::RmaEvent =
-    mpisim::RmaEvent::Lock { kind: mpisim::LockKind::Exclusive, target: 0 };
-pub(crate) const UNLOCK: mpisim::RmaEvent =
-    mpisim::RmaEvent::Unlock { kind: mpisim::LockKind::Exclusive, target: 0 };
-
-pub(crate) fn get(disp: usize) -> mpisim::RmaEvent {
-    mpisim::RmaEvent::Get { target: 0, disp, len: 1 }
-}
-
-pub(crate) fn put(disp: usize) -> mpisim::RmaEvent {
-    mpisim::RmaEvent::Put { target: 0, disp, len: 1 }
-}
-
 /// Deferred RMA log synthesis for the virtual-time executors: the sim
 /// backends model whole lock transactions as single events, so each
-/// transaction's operations are emitted as one block keyed by its
-/// virtual completion time, then globally ordered into an
-/// [`mpisim::RmaLog`] once the run ends. FCFS lock grants guarantee
-/// blocks of the same lock never share a key, so the synthesized log
-/// has the same epoch structure a live run would record.
+/// transaction's operations (the shapes in [`crate::protocol`]) are
+/// emitted as one block keyed by its virtual completion time, then
+/// globally ordered into an [`mpisim::RmaLog`] once the run ends. FCFS
+/// lock grants guarantee blocks of the same lock never share a key, so
+/// the synthesized log has the same epoch structure a live run would
+/// record.
 pub(crate) struct RmaTape {
     enabled: bool,
     counter: u64,
@@ -160,20 +146,6 @@ impl RmaTape {
             self.items.push((t, self.counter, win, rank, *ev));
             self.counter += 1;
         }
-    }
-
-    /// [`RmaTape::tx`] with the transaction split across two slices
-    /// (shared prologue + branch-specific tail).
-    pub(crate) fn tx_slice_then(
-        &mut self,
-        t: Time,
-        win: u64,
-        rank: u32,
-        head: &[mpisim::RmaEvent],
-        tail: &[mpisim::RmaEvent],
-    ) {
-        self.tx(t, win, rank, head);
-        self.tx(t, win, rank, tail);
     }
 
     /// Order every transaction by (virtual time, emission order) and

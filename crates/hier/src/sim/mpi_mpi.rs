@@ -13,20 +13,21 @@
 //!
 //! A worker terminates once the global queue is exhausted and its local
 //! queue is empty.
+//!
+//! Every decision inside a critical section — take, empty probe,
+//! deposit — is a [`crate::protocol`] call, and the RMA transaction
+//! written to the tape is the one that call names, so the synthesized
+//! log and a recorded live log describe the same protocol.
 
 use super::run::{Run, Step};
-use super::{get, put, SimConfig, SimResult, LOCK, UNLOCK};
+use super::{SimConfig, SimResult};
+use crate::layout::{node_win, GLOBAL_WIN};
+use crate::protocol::{self, Empty, Flags};
 use crate::queue::LocalQueue;
 use cluster_sim::trace::SegmentKind;
 use cluster_sim::{ContendedLock, Time};
-use mpisim::{AtomicOpKind, RmaEvent};
+use mpisim::RmaEvent;
 use workloads::CostTable;
-
-// The live executor's window layout, so the synthesized log and a
-// recorded live log describe the same protocol.
-use crate::layout::{
-    node_win, GLOBAL_DONE, GLOBAL_WIN, GSCHED, GSTEP, HI, LO, REFILLING, STEP, TAKEN,
-};
 
 enum Event {
     /// Worker is free: probe the local queue.
@@ -54,10 +55,8 @@ enum RecoverAction {
 struct NodeState {
     queue: LocalQueue,
     lock: ContendedLock,
-    /// A worker of this node is fetching from the global queue.
-    refilling: bool,
-    /// The global queue was observed exhausted by this node's refiller.
-    global_done: bool,
+    /// The node window's `refilling` / `global_done` flags.
+    flags: Flags,
     /// Adaptive weight history (AWF intra), when enabled.
     awf: Option<crate::adaptive::AwfHistory>,
 }
@@ -90,7 +89,7 @@ fn execute_sub(
         None => (cfg.spec.intra, cfg.weights.get(w as usize).copied().unwrap_or(1.0)),
     };
     let ctx = dls::technique::WorkerCtx { worker: local, weight };
-    let Some(sub) = node.queue.take_sub_chunk_for(&technique, wpn, ctx) else {
+    let Some(sub) = protocol::take(&mut node.queue, &technique, wpn, ctx) else {
         return false;
     };
     let cost = run.cost(w, grant_end, sub);
@@ -113,26 +112,8 @@ fn execute_sub(
     }
     run.compute(w, grant_end, cost, sub);
     run.stats.nodes[node_idx].sub_chunks += 1;
-    // The probe-and-take window transaction this grant modelled:
-    // one MPI_Win_lock / sync / read counters / advance counters /
-    // sync / unlock cycle on the node's shared window.
-    run.tape.tx(
-        grant_end,
-        node_win(node_idx),
-        w % wpn,
-        &[
-            LOCK,
-            RmaEvent::Sync,
-            get(LO),
-            get(HI),
-            get(STEP),
-            get(TAKEN),
-            put(STEP),
-            put(TAKEN),
-            RmaEvent::Sync,
-            UNLOCK,
-        ],
-    );
+    // The take this grant modelled; a worker that died above wrote none.
+    run.tape.tx(grant_end, node_win(node_idx), local, protocol::TAKE);
     let next_probe = grant_end + cost + run.jitter.delay(w);
     run.push(next_probe, Event::TryLocal(w));
     true
@@ -150,8 +131,7 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
         .map(|_| NodeState {
             queue: LocalQueue::new(),
             lock: ContendedLock::new(m.shm_poll_penalty_ns),
-            refilling: false,
-            global_done: false,
+            flags: Flags::default(),
             awf: cfg.awf.map(|v| crate::adaptive::AwfHistory::new(v, wpn)),
         })
         .collect();
@@ -165,23 +145,8 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
 
     if cfg.record_rma {
         for w in 0..total_workers {
-            let node_idx = (w / wpn) as usize;
-            run.tape.tx(
-                0,
-                GLOBAL_WIN,
-                w,
-                &[RmaEvent::Attach { shared: false, comm_size: total_workers }],
-            );
-            run.tape.tx(
-                0,
-                node_win(node_idx),
-                w % wpn,
-                &[RmaEvent::Attach { shared: true, comm_size: wpn }],
-            );
-            if single_atomic {
-                // The live executor's run-long passive epoch for bare
-                // fetch_and_op on the global counter.
-                run.tape.tx(0, GLOBAL_WIN, w, &[RmaEvent::LockAll]);
+            for (win, rank, ev) in protocol::attach(w, total_workers, wpn, single_atomic) {
+                run.tape.tx(0, win, rank, &[ev]);
             }
         }
     }
@@ -291,79 +256,48 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                 }
                 run.trace.record(w, t, grant.end, SegmentKind::Sched);
                 if !execute_sub(&mut run, node, w, grant.end, grant.end - t) {
-                    // An empty probe reads the queue counters and both
-                    // flags under the lock; becoming the refiller also
-                    // publishes the refilling flag before releasing.
-                    let probe = [
-                        LOCK,
-                        RmaEvent::Sync,
-                        get(LO),
-                        get(HI),
-                        get(STEP),
-                        get(TAKEN),
-                        get(GLOBAL_DONE),
-                        get(REFILLING),
-                    ];
-                    if node.global_done {
-                        run.tape.tx_slice_then(
-                            grant.end,
-                            node_win(node_idx),
-                            w % wpn,
-                            &probe,
-                            &[UNLOCK],
-                        );
-                        run.retire(w, grant.end);
-                    } else if !node.refilling
-                        && (cfg.refill == super::RefillPolicy::Fastest
-                            || run.dead[node_idx * wpn as usize..w as usize].iter().all(|&d| d))
-                    {
-                        // This worker takes the refill responsibility: under
-                        // the paper's policy because it is the fastest free
-                        // one; under the ablation because it is the node's
-                        // dedicated local master — its lowest live rank, so
-                        // the role fails over when the master dies.
-                        run.tape.tx_slice_then(
-                            grant.end,
-                            node_win(node_idx),
-                            w % wpn,
-                            &probe,
-                            &[put(REFILLING), RmaEvent::Sync, UNLOCK],
-                        );
-                        node.refilling = true;
-                        let mut depart =
-                            grant.end + m.net.latency_ns + cfg.faults.message_delay(w, grant.end);
-                        if plan_active {
-                            if let Some(dt) = cfg.faults.message_drop_at(w) {
-                                if !drop_used[w as usize] && grant.end >= dt {
-                                    // The fetch request vanishes on the
-                                    // wire; the refiller re-issues it
-                                    // after the lease timeout. A double
-                                    // fetch would be safe anyway — the
-                                    // global counter just hands out the
-                                    // next chunk.
-                                    drop_used[w as usize] = true;
-                                    depart += rp.lease_timeout_ns;
+                    // The refill responsibility goes to the fastest free
+                    // worker under the paper's policy, and under the
+                    // ablation to the node's dedicated local master — its
+                    // lowest live rank, so the role fails over when the
+                    // master dies.
+                    let may_refill = cfg.refill == super::RefillPolicy::Fastest
+                        || run.dead[node_idx * wpn as usize..w as usize].iter().all(|&d| d);
+                    let probe = protocol::empty_probe(&mut node.flags, may_refill);
+                    run.tape.tx(grant.end, node_win(node_idx), w % wpn, probe.tx());
+                    match probe {
+                        Empty::Retire => run.retire(w, grant.end),
+                        Empty::Refill => {
+                            let mut depart = grant.end
+                                + m.net.latency_ns
+                                + cfg.faults.message_delay(w, grant.end);
+                            if plan_active {
+                                if let Some(dt) = cfg.faults.message_drop_at(w) {
+                                    if !drop_used[w as usize] && grant.end >= dt {
+                                        // The fetch request vanishes on the
+                                        // wire; the refiller re-issues it
+                                        // after the lease timeout. A double
+                                        // fetch would be safe anyway — the
+                                        // global counter just hands out the
+                                        // next chunk.
+                                        drop_used[w as usize] = true;
+                                        depart += rp.lease_timeout_ns;
+                                    }
                                 }
                             }
+                            run.push(depart, Event::GlobalArrive(w));
                         }
-                        run.push(depart, Event::GlobalArrive(w));
-                    } else {
-                        // A peer's refill is in flight: re-probe shortly.
-                        run.tape.tx_slice_then(
-                            grant.end,
-                            node_win(node_idx),
-                            w % wpn,
-                            &probe,
-                            &[UNLOCK],
-                        );
-                        run.trace.record(
-                            w,
-                            grant.end,
-                            grant.end + m.shm_retry_ns,
-                            SegmentKind::Sync,
-                        );
-                        let retry = grant.end + m.shm_retry_ns + run.jitter.delay(w);
-                        run.push(retry, Event::TryLocal(w));
+                        Empty::PeerRefilling => {
+                            // A peer's refill is in flight: re-probe shortly.
+                            run.trace.record(
+                                w,
+                                grant.end,
+                                grant.end + m.shm_retry_ns,
+                                SegmentKind::Sync,
+                            );
+                            let retry = grant.end + m.shm_retry_ns + run.jitter.delay(w);
+                            run.push(retry, Event::TryLocal(w));
+                        }
                     }
                 }
             }
@@ -388,30 +322,8 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                 // The RMA transaction at the global queue's host, keyed
                 // by its serialized service completion so exclusive
                 // epochs of distinct fetches never overlap.
-                if single_atomic {
-                    run.tape.tx(
-                        served,
-                        GLOBAL_WIN,
-                        w,
-                        &[
-                            RmaEvent::Atomic {
-                                target: 0,
-                                disp: GSTEP,
-                                op: AtomicOpKind::FetchAndOp,
-                            },
-                            RmaEvent::Flush { target: 0 },
-                        ],
-                    );
-                } else if payload.is_none() {
-                    run.tape.tx(served, GLOBAL_WIN, w, &[LOCK, get(GSTEP), get(GSCHED), UNLOCK]);
-                } else {
-                    run.tape.tx(
-                        served,
-                        GLOBAL_WIN,
-                        w,
-                        &[LOCK, get(GSTEP), get(GSCHED), put(GSTEP), put(GSCHED), UNLOCK],
-                    );
-                }
+                let tx = protocol::global_fetch(cfg.global_mode, payload.is_some());
+                run.tape.tx(served, GLOBAL_WIN, w, tx);
                 if plan_active {
                     if let Some(k) = cfg.faults.crash_as_refiller_after(w) {
                         if run.stats.workers[w as usize].global_fetches >= u64::from(k) {
@@ -438,53 +350,26 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                     run.stats.nodes[node_idx].lock_contended += 1;
                 }
                 run.trace.record(w, t, grant.end, SegmentKind::Sched);
-                node.refilling = false;
-                match payload {
-                    Some((lo, hi)) => {
-                        run.tape.tx(
-                            grant.end,
-                            node_win(node_idx),
-                            w % wpn,
-                            &[
-                                LOCK,
-                                put(LO),
-                                put(HI),
-                                put(STEP),
-                                put(TAKEN),
-                                put(REFILLING),
-                                RmaEvent::Sync,
-                                UNLOCK,
-                            ],
-                        );
-                        node.queue.deposit(lo, hi);
-                        run.stats.nodes[node_idx].deposits += 1;
-                        let took = execute_sub(&mut run, node, w, grant.end, grant.end - t);
-                        assert!(took, "the deposit is in the queue");
-                    }
-                    None => {
-                        run.tape.tx(
-                            grant.end,
-                            node_win(node_idx),
-                            w % wpn,
-                            &[LOCK, put(GLOBAL_DONE), put(REFILLING), RmaEvent::Sync, UNLOCK],
-                        );
-                        node.global_done = true;
-                        // The refiller itself may still find leftovers
-                        // deposited by racing peers; re-probe once.
-                        if node.queue.is_empty() {
-                            run.retire(w, grant.end);
-                        } else {
-                            let probe = grant.end + run.jitter.delay(w);
-                            run.push(probe, Event::TryLocal(w));
-                        }
-                    }
+                let tx = protocol::deposit(&mut node.queue, &mut node.flags, payload);
+                run.tape.tx(grant.end, node_win(node_idx), w % wpn, tx);
+                if payload.is_some() {
+                    run.stats.nodes[node_idx].deposits += 1;
+                    let took = execute_sub(&mut run, node, w, grant.end, grant.end - t);
+                    assert!(took, "the deposit is in the queue");
+                } else if node.queue.is_empty() {
+                    run.retire(w, grant.end);
+                } else {
+                    // The refiller itself may still find leftovers
+                    // deposited by racing peers; re-probe once.
+                    let probe = grant.end + run.jitter.delay(w);
+                    run.push(probe, Event::TryLocal(w));
                 }
             }
             Event::Recover(action) => match action {
                 RecoverAction::ClearRefill { node: ni, from } => {
                     let node = &mut node_states[ni];
-                    if node.refilling {
-                        node.refilling = false;
+                    if node.flags.refilling {
+                        node.flags.refilling = false;
                         run.recovery.push(resilience::RecoveryEvent::RefillFailover {
                             node: ni as u32,
                             from,

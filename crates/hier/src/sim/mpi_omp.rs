@@ -8,8 +8,8 @@
 //! the paper's Figure 2 illustrates and its MPI+MPI approach removes.
 
 use super::run::{Run, Step};
-use super::{get, put, SimConfig, SimResult, LOCK, UNLOCK};
-use crate::layout::{GSCHED, GSTEP};
+use super::{SimConfig, SimResult};
+use crate::protocol::{GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ};
 use crate::queue::{LocalQueue, SubChunk};
 use cluster_sim::trace::SegmentKind;
 use cluster_sim::{Resource, Time};
@@ -100,17 +100,12 @@ pub fn simulate_mpi_omp(cfg: &SimConfig, table: &CostTable) -> SimResult {
         // Reclaimed ranges take priority over fresh global chunks.
         let reclaimed = reclaim_queue.pop();
         let Some((c_lo, c_hi)) = reclaimed.or_else(|| run.fetch(Some(master))) else {
-            run.tape.tx(served, 0, node, &[LOCK, get(GSTEP), get(GSCHED), UNLOCK]);
+            run.tape.tx(served, 0, node, GLOBAL_LOCKED_READ);
             team(node).for_each(|w| run.retire(w, fetched_at));
             continue;
         };
         if reclaimed.is_none() {
-            run.tape.tx(
-                served,
-                0,
-                node,
-                &[LOCK, get(GSTEP), get(GSCHED), put(GSTEP), put(GSCHED), UNLOCK],
-            );
+            run.tape.tx(served, 0, node, GLOBAL_LOCKED_ADVANCE);
         }
         run.stats.nodes[node as usize].deposits += 1;
 

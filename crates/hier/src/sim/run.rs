@@ -9,7 +9,7 @@ use crate::queue::{LocalQueue, SubChunk};
 use crate::stats::RunStats;
 use cluster_sim::trace::SegmentKind;
 use cluster_sim::{EventQueue, Resource, Time, Trace};
-use dls::{ChunkCalculator, LoopSpec, SchedState};
+use dls::{LoopSpec, SchedState};
 use resilience::{Lease, LeaseId, LeaseTable, RecoveryEvent};
 use workloads::CostTable;
 
@@ -98,15 +98,7 @@ impl<'a, E> Run<'a, E> {
     /// global queue, or `None` once the loop is fully scheduled. The
     /// chunk counts as a global fetch of `fetcher`.
     pub fn fetch(&mut self, fetcher: Option<u32>) -> Option<(u64, u64)> {
-        if self.global_state.exhausted(&self.inter_spec) {
-            return None;
-        }
-        let size = self.cfg.spec.inter.chunk_size(
-            &self.inter_spec,
-            self.global_state,
-            dls::technique::WorkerCtx::default(),
-        );
-        let chunk = self.global_state.take(&self.inter_spec, size).expect("not exhausted");
+        let chunk = self.global_state.next_chunk(&self.inter_spec, &self.cfg.spec.inter)?;
         if let Some(w) = fetcher {
             self.stats.workers[w as usize].global_fetches += 1;
         }

@@ -1,0 +1,109 @@
+//! The live MPI+MPI rank loop issues the transactions `hier::protocol`
+//! names. The virtual-time executor writes those shapes to its tape by
+//! construction; the live loop spells its window calls out one by one,
+//! so this is what keeps the two on one protocol: every (window, rank)
+//! stream of a recorded live log — and of the sim's synthesized log for
+//! the same run — parses as a word over the protocol's shapes.
+
+use cluster_sim::{MachineParams, SimTopology};
+use dls::Kind;
+use hier::live::{run_live_mpi_mpi, LiveConfig};
+use hier::protocol::{
+    DEPOSIT, DEPOSIT_DONE, GLOBAL_FAA, GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ, PROBE_REFILL,
+    PROBE_RELEASE, TAKE,
+};
+use hier::sim::{simulate_mpi_mpi, SimConfig};
+use hier::{Approach, GlobalQueueMode, HierSpec};
+use mpisim::{RmaEvent, RmaRecord};
+use std::collections::{BTreeMap, BTreeSet};
+use workloads::synthetic::Synthetic;
+use workloads::CostTable;
+
+const NODE_WORDS: [&[RmaEvent]; 5] = [TAKE, PROBE_RELEASE, PROBE_REFILL, DEPOSIT, DEPOSIT_DONE];
+
+/// Per (window, rank) in window order: whether the window is a node's
+/// shared one (from its `Attach`), and its events without the `Attach`
+/// and barrier notes.
+fn streams(rma: &[RmaRecord]) -> Vec<(bool, Vec<RmaEvent>)> {
+    let mut by: BTreeMap<(u64, u32), (Option<bool>, Vec<RmaEvent>)> = BTreeMap::new();
+    for r in rma {
+        let (shared, events) = by.entry((r.win, r.rank)).or_default();
+        match r.event {
+            RmaEvent::Attach { shared: s, .. } => *shared = Some(s),
+            RmaEvent::Barrier => {}
+            e => events.push(e),
+        }
+    }
+    by.into_values()
+        .map(|(shared, events)| (shared.expect("stream without Attach"), events))
+        .collect()
+}
+
+/// The indices into `words` whose concatenation is `events`, or `None`.
+/// No shape is a prefix of another, so the first match is the only one.
+fn parse(mut events: &[RmaEvent], words: &[&[RmaEvent]]) -> Option<Vec<usize>> {
+    let mut out = Vec::new();
+    while !events.is_empty() {
+        let i = words.iter().position(|w| events.starts_with(w))?;
+        events = &events[words[i].len()..];
+        out.push(i);
+    }
+    Some(out)
+}
+
+/// Check every stream of `rma` and return which node shapes occurred.
+fn check(rma: &[RmaRecord], mode: GlobalQueueMode, what: &str) -> BTreeSet<usize> {
+    let mut seen = BTreeSet::new();
+    for (shared, events) in streams(rma) {
+        if shared {
+            let words = parse(&events, &NODE_WORDS)
+                .unwrap_or_else(|| panic!("{what}: node stream is no protocol word: {events:?}"));
+            seen.extend(words);
+            continue;
+        }
+        let ok = match mode {
+            GlobalQueueMode::SingleAtomic => {
+                events.first() == Some(&RmaEvent::LockAll)
+                    && events.last() == Some(&RmaEvent::UnlockAll)
+                    && parse(&events[1..events.len() - 1], &[GLOBAL_FAA]).is_some()
+            }
+            GlobalQueueMode::LockedCounters => {
+                parse(&events, &[GLOBAL_LOCKED_READ, GLOBAL_LOCKED_ADVANCE]).is_some()
+            }
+        };
+        assert!(ok, "{what}: global stream is no protocol word: {events:?}");
+    }
+    seen
+}
+
+#[test]
+fn live_and_sim_logs_are_words_over_the_protocol_shapes() {
+    let (nodes, wpn, n) = (2, 3, 600);
+    let w = Synthetic::uniform(n, 1, 100, 3);
+    let table = CostTable::build(&w);
+    for (inter, intra) in [(Kind::GSS, Kind::SS), (Kind::STATIC, Kind::FAC2)] {
+        let spec = HierSpec::new(inter, intra);
+        for mode in [GlobalQueueMode::SingleAtomic, GlobalQueueMode::LockedCounters] {
+            let what = format!("{inter}+{intra} {mode:?}");
+            let mut live = LiveConfig::new(nodes, wpn, spec, Approach::MpiMpi);
+            live.global_mode = mode;
+            live.record_rma = true;
+            let r = run_live_mpi_mpi(&live, &w).expect("live run");
+            // Every node refills, takes, is marked done and has its ranks
+            // retire on an empty probe: each node shape occurs.
+            let all: BTreeSet<usize> = (0..NODE_WORDS.len()).collect();
+            assert_eq!(check(&r.rma, mode, &format!("live {what}")), all, "live {what}");
+
+            let mut sim = SimConfig::new(
+                SimTopology::new(nodes, wpn),
+                MachineParams::default(),
+                spec,
+                Approach::MpiMpi,
+            );
+            sim.global_mode = mode;
+            sim.record_rma = true;
+            let r = simulate_mpi_mpi(&sim, &table);
+            assert_eq!(check(&r.rma, mode, &format!("sim {what}")), all, "sim {what}");
+        }
+    }
+}

@@ -8,9 +8,10 @@
 //! configuration; this crate checks **all of them** at small scope:
 //!
 //! * [`model`] — the protocol as a compact transition system whose
-//!   chunk arithmetic is the real `dls` code, with seeded-broken
-//!   [`model::Variant`]s (unlocked refill, non-atomic FAA, lost
-//!   unlock) and a bounded crash adversary
+//!   critical sections are `hier::protocol`'s decisions and
+//!   transaction shapes (the ones the virtual-time executor runs), with
+//!   seeded-broken [`model::Variant`]s (unlocked refill, non-atomic
+//!   FAA, lost unlock) and a bounded crash adversary
 //!   ([`model::Config::with_crashes`]) against graded
 //!   [`model::Recovery`] levels — proving the lease protocol
 //!   necessary (lease-free recovery loses iterations) and sufficient

@@ -3,14 +3,18 @@
 //! Every MPI process is modelled as a small program counter ([`Pc`])
 //! over a compact, hashable [`State`]: the global queue's scheduling
 //! pair, one [`NodeSt`] per node (an FCFS lock, the `refilling` /
-//! `global_done` flags and a FIFO of deposited ranges mirroring
-//! [`hier::queue::LocalQueue`]), and two coverage bitmaps (`executed`,
-//! `deposited`) that turn exactly-once into a local check.
+//! `global_done` [`Flags`] and a [`Fifo`] of deposited ranges), and
+//! two coverage bitmaps (`executed`, `deposited`) that turn
+//! exactly-once into a local check.
 //!
-//! Chunk sizes are *not* re-modelled: transitions call the real
-//! [`dls`] chunk calculators (`Technique::chunk_size`, `SchedState::
-//! take`), so the model checks the protocol around the very arithmetic
-//! the executors run.
+//! The protocol is *not* re-modelled: every critical section calls
+//! [`hier::protocol`] — `take`, `empty_probe`, `deposit` — over the
+//! node's `Fifo` (a [`NodeQueue`] on `u8` fields), every global fetch
+//! is [`SchedState::next_chunk`], and the RMA events a transition
+//! synthesizes are the protocol's transaction shapes. The explorer
+//! therefore checks the decisions the virtual-time executor runs. The
+//! seeded bugs ([`Variant`]) are those same calls and shapes with their
+//! lock bracket dropped.
 //!
 //! ## Atomicity granularity
 //!
@@ -39,11 +43,11 @@
 //! its sufficiency at small scope.
 
 use dls::technique::WorkerCtx;
-use dls::{ChunkCalculator, Kind, LoopSpec, SchedState, Technique};
-use hier::sim::layout::{
-    node_win, GLOBAL_DONE, GLOBAL_WIN, GSCHED, GSTEP, HI, LO, REFILLING, STEP, TAKEN,
-};
-use mpisim::{AtomicOpKind, LockKind, RmaEvent};
+use dls::{Kind, LoopSpec, SchedState, Technique};
+use hier::protocol::{self, Empty, Flags, NodeQueue};
+use hier::queue::QueuedRange;
+use hier::sim::layout::{node_win, GLOBAL_WIN};
+use mpisim::RmaEvent;
 
 /// Most nodes a config may use (the paper-scale sweep needs 2).
 pub const MAX_NODES: usize = 2;
@@ -125,16 +129,61 @@ pub struct Range {
 }
 
 impl Range {
-    fn len(&self) -> u8 {
-        self.hi - self.lo
-    }
-
-    fn remaining(&self) -> u8 {
-        self.len() - self.taken
-    }
-
     fn is_empty(&self) -> bool {
-        self.taken >= self.len()
+        self.taken >= self.hi - self.lo
+    }
+}
+
+/// A node's deposited ranges: the model's [`hier::queue::LocalQueue`],
+/// handed to [`hier::protocol`] as its [`NodeQueue`]. Exhausted fronts
+/// are popped eagerly, so outside critical sections the front is never
+/// empty.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub struct Fifo {
+    /// The ranges, oldest first.
+    pub ranges: [Range; MAX_RANGES],
+    /// Number of live entries in `ranges` (slots past it stay zeroed so
+    /// equal states hash equally).
+    pub n_ranges: u8,
+}
+
+impl Fifo {
+    /// Pop exhausted ranges off the front (only the front can be
+    /// exhausted: ranges are consumed FIFO).
+    fn canon(&mut self) {
+        while self.n_ranges > 0 && self.ranges[0].is_empty() {
+            for i in 1..self.n_ranges as usize {
+                self.ranges[i - 1] = self.ranges[i];
+            }
+            self.n_ranges -= 1;
+            self.ranges[self.n_ranges as usize] = Range::default();
+        }
+    }
+}
+
+impl NodeQueue for Fifo {
+    fn front(&mut self) -> Option<QueuedRange> {
+        self.canon();
+        let r = self.ranges[0];
+        (self.n_ranges > 0).then(|| QueuedRange {
+            lo: r.lo.into(),
+            hi: r.hi.into(),
+            step: r.step.into(),
+            taken: r.taken.into(),
+        })
+    }
+
+    fn advance(&mut self, size: u64) {
+        let r = &mut self.ranges[0];
+        r.taken += u8c(size);
+        r.step += 1;
+        self.canon();
+    }
+
+    fn push(&mut self, lo: u64, hi: u64) {
+        assert!((self.n_ranges as usize) < MAX_RANGES, "range FIFO overflow (model bound)");
+        self.ranges[self.n_ranges as usize] = Range { lo: u8c(lo), hi: u8c(hi), step: 0, taken: 0 };
+        self.n_ranges += 1;
     }
 }
 
@@ -148,15 +197,10 @@ pub struct NodeSt {
     pub waiters: [u8; MAX_PROCS],
     /// Number of live entries in `waiters`.
     pub n_waiters: u8,
-    /// A rank of this node is fetching from the global queue.
-    pub refilling: bool,
-    /// The global queue was observed exhausted.
-    pub global_done: bool,
-    /// FIFO of deposited ranges (exhausted fronts are popped eagerly,
-    /// so outside critical sections the front is never empty).
-    pub ranges: [Range; MAX_RANGES],
-    /// Number of live entries in `ranges`.
-    pub n_ranges: u8,
+    /// The node window's `refilling` / `global_done` flags.
+    pub flags: Flags,
+    /// The deposited ranges.
+    pub queue: Fifo,
 }
 
 impl NodeSt {
@@ -165,29 +209,9 @@ impl NodeSt {
             holder: FREE,
             waiters: [0; MAX_PROCS],
             n_waiters: 0,
-            refilling: false,
-            global_done: false,
-            ranges: [Range::default(); MAX_RANGES],
-            n_ranges: 0,
+            flags: Flags::default(),
+            queue: Fifo::default(),
         }
-    }
-
-    /// Pop exhausted ranges off the front (only the front can be
-    /// exhausted: ranges are consumed FIFO).
-    fn canon(&mut self) {
-        while self.n_ranges > 0 && self.ranges[0].is_empty() {
-            for i in 1..self.n_ranges as usize {
-                self.ranges[i - 1] = self.ranges[i];
-            }
-            self.n_ranges -= 1;
-            self.ranges[self.n_ranges as usize] = Range::default();
-        }
-    }
-
-    fn push_range(&mut self, lo: u8, hi: u8) {
-        assert!((self.n_ranges as usize) < MAX_RANGES, "range FIFO overflow (model bound)");
-        self.ranges[self.n_ranges as usize] = Range { lo, hi, step: 0, taken: 0 };
-        self.n_ranges += 1;
     }
 
     fn push_waiter(&mut self, pid: u8) -> u8 {
@@ -485,20 +509,15 @@ pub struct Config {
     intra_t: Technique,
 }
 
-const EXCL: LockKind = LockKind::Exclusive;
-const LOCK: RmaEvent = RmaEvent::Lock { kind: EXCL, target: 0 };
-const UNLOCK: RmaEvent = RmaEvent::Unlock { kind: EXCL, target: 0 };
-
-fn get(disp: usize) -> RmaEvent {
-    RmaEvent::Get { target: 0, disp, len: 1 }
-}
-
-fn put(disp: usize) -> RmaEvent {
-    RmaEvent::Put { target: 0, disp, len: 1 }
-}
-
 fn u8c(x: u64) -> u8 {
     u8::try_from(x).expect("model value exceeds u8 (config bounds enforce n <= 24)")
+}
+
+/// Append transaction `tx`, issued by `rank` on window `win`, to `sink`.
+fn emit(sink: &mut Option<&mut EventSink>, win: u64, rank: u32, tx: &[RmaEvent]) {
+    if let Some(sink) = sink.as_deref_mut() {
+        sink.extend(tx.iter().map(|&e| (win, rank, e)));
+    }
 }
 
 impl Config {
@@ -704,85 +723,66 @@ impl Config {
         };
     }
 
-    /// Mark `[lo, hi)` executed, detecting double execution.
-    fn mark_executed(executed: &mut u32, lo: u8, hi: u8, pid: u8) -> Result<(), Violation> {
+    /// Set bits `[lo, hi)` of a coverage bitmap; `Err` names the first
+    /// iteration already set.
+    fn mark(bits: &mut u32, lo: u8, hi: u8) -> Result<(), u8> {
         for i in lo..hi {
             let bit = 1u32 << i;
-            if *executed & bit != 0 {
-                return Err(Violation::DoubleExecution { iter: i, pid });
+            if *bits & bit != 0 {
+                return Err(i);
             }
-            *executed |= bit;
+            *bits |= bit;
         }
         Ok(())
     }
 
-    /// Take a sub-chunk from the front range (caller guarantees the
-    /// queue is canonical and non-empty), emitting the executor's
-    /// probe-and-take window transaction. `unlock` is false only for
-    /// the [`Variant::LostUnlock`] bug.
-    fn take_front(
+    /// Mark `[lo, hi)` deposited, detecting a chunk handed out twice.
+    fn mark_deposited(deposited: &mut u32, lo: u8, hi: u8, pid: u8) -> Result<(), Violation> {
+        Self::mark(deposited, lo, hi).map_err(|_| Violation::DepositOverlap { lo, hi, pid })
+    }
+
+    /// Append `tx`, issued by `pid` on its node's window, to `sink`.
+    fn node_tx(&self, sink: &mut Option<&mut EventSink>, pid: u8, tx: &[RmaEvent]) {
+        let win = node_win(usize::from(self.node_of(pid)));
+        emit(sink, win, u32::from(self.local_of(pid)), tx);
+    }
+
+    /// `pid` takes its next sub-chunk through [`protocol::take`], issues
+    /// `tx` (a [`protocol::TAKE`], short of its unlock under
+    /// [`Variant::LostUnlock`]) and executes it; `None`, with nothing
+    /// issued, when the node's queue is drained.
+    fn take(
         &self,
         node: &mut NodeSt,
         executed: &mut u32,
         pid: u8,
         sink: &mut Option<&mut EventSink>,
-        unlock: bool,
-    ) -> Result<(u8, u8), Violation> {
-        let r = &mut node.ranges[0];
-        let spec = LoopSpec::new(u64::from(r.len()), u32::from(self.ranks_per_node));
-        let st = SchedState { step: u64::from(r.step), scheduled: u64::from(r.taken) };
+        tx: &[RmaEvent],
+    ) -> Result<Option<(u8, u8)>, Violation> {
         let ctx = WorkerCtx::worker(u32::from(self.local_of(pid)));
-        let size = u8c(self.intra_t.chunk_size(&spec, st, ctx).clamp(1, u64::from(r.remaining())));
-        let lo = r.lo + r.taken;
-        let hi = lo + size;
-        r.taken += size;
-        r.step += 1;
-        node.canon();
-        if let Some(sink) = sink.as_deref_mut() {
-            let win = node_win(usize::from(self.node_of(pid)));
-            let rank = u32::from(self.local_of(pid));
-            let mut tx = vec![
-                LOCK,
-                RmaEvent::Sync,
-                get(LO),
-                get(HI),
-                get(STEP),
-                get(TAKEN),
-                put(STEP),
-                put(TAKEN),
-                RmaEvent::Sync,
-            ];
-            if unlock {
-                tx.push(UNLOCK);
-            }
-            sink.extend(tx.into_iter().map(|e| (win, rank, e)));
-        }
-        Self::mark_executed(executed, lo, hi, pid)?;
-        Ok((lo, hi))
+        let p = u32::from(self.ranks_per_node);
+        let Some(sub) = protocol::take(&mut node.queue, &self.intra_t, p, ctx) else {
+            return Ok(None);
+        };
+        self.node_tx(sink, pid, tx);
+        let (lo, hi) = (u8c(sub.start), u8c(sub.end));
+        Self::mark(executed, lo, hi).map_err(|iter| Violation::DoubleExecution { iter, pid })?;
+        Ok(Some((lo, hi)))
     }
 
-    /// Emit an empty-probe read block (`probe` gets) plus a closing
-    /// slice, mirroring the executor's `tx_slice_then` calls.
-    fn emit_probe(&self, pid: u8, sink: &mut Option<&mut EventSink>, closing: &[RmaEvent]) {
-        if let Some(sink) = sink.as_deref_mut() {
-            let win = node_win(usize::from(self.node_of(pid)));
-            let rank = u32::from(self.local_of(pid));
-            for e in [
-                LOCK,
-                RmaEvent::Sync,
-                get(LO),
-                get(HI),
-                get(STEP),
-                get(TAKEN),
-                get(GLOBAL_DONE),
-                get(REFILLING),
-            ] {
-                sink.push((win, rank, e));
-            }
-            for &e in closing {
-                sink.push((win, rank, e));
-            }
-        }
+    /// One step of the inter technique from the global pair `st`, as
+    /// every executor's global queue takes it: advance `t`'s pair and
+    /// leave `pid` holding the chunk to deposit (or "exhausted").
+    /// Returns the chunk.
+    fn fetch(&self, t: &mut State, pid: u8, mut st: SchedState) -> Option<(u8, u8)> {
+        let chunk = st.next_chunk(&self.inter_spec(), &self.inter_t).map(|c| {
+            t.g_step = u8c(st.step);
+            t.g_sched = u8c(st.scheduled);
+            (u8c(c.start), u8c(c.end()))
+        });
+        let (lo, hi) = chunk.unwrap_or((NONE_PAYLOAD, NONE_PAYLOAD));
+        t.procs[pid as usize] = Pc::Deposit { lo, hi };
+        chunk
     }
 
     /// Apply `pid`'s (unique) enabled transition to `s`. Events the
@@ -861,31 +861,22 @@ impl Config {
 
             Pc::Probe => {
                 let node = &mut t.nodes[ni];
-                if self.variant == Variant::RefillWithoutLock && node.n_ranges == 0 {
-                    // The bug: the empty-queue/refill decision reads
-                    // the flags without taking the window lock.
-                    if let Some(sink) = sink.as_deref_mut() {
-                        let win = node_win(ni);
-                        let rank = u32::from(self.local_of(pid));
-                        for e in [
-                            get(LO),
-                            get(HI),
-                            get(STEP),
-                            get(TAKEN),
-                            get(GLOBAL_DONE),
-                            get(REFILLING),
-                        ] {
-                            sink.push((win, rank, e));
+                if self.variant == Variant::RefillWithoutLock && node.queue.n_ranges == 0 {
+                    // The bug: the empty probe's reads without its lock
+                    // and sync, and its decision made on a copy of the
+                    // flags — the `refilling` write is a later step.
+                    self.node_tx(&mut sink, pid, &protocol::PROBE_REFILL[2..8]);
+                    let mut seen = node.flags;
+                    match protocol::empty_probe(&mut seen, true) {
+                        Empty::Retire => {
+                            t.procs[pid as usize] = Pc::Done;
+                            Action::ObserveDone
                         }
-                    }
-                    if node.global_done {
-                        t.procs[pid as usize] = Pc::Done;
-                        Action::ObserveDone
-                    } else if node.refilling {
-                        Action::ObservePeer
-                    } else {
-                        t.procs[pid as usize] = Pc::ObservedEmpty;
-                        Action::ObserveEmpty
+                        Empty::PeerRefilling => Action::ObservePeer,
+                        Empty::Refill => {
+                            t.procs[pid as usize] = Pc::ObservedEmpty;
+                            Action::ObserveEmpty
+                        }
                     }
                 } else if node.holder == FREE {
                     debug_assert_eq!(node.n_waiters, 0, "free lock with waiters");
@@ -912,12 +903,15 @@ impl Config {
             Pc::CritProbe => {
                 let node = &mut t.nodes[ni];
                 debug_assert_eq!(node.holder, pid);
-                node.canon();
-                if node.n_ranges > 0 {
-                    let unlock = self.variant != Variant::LostUnlock;
-                    let (lo, hi) =
-                        self.take_front(node, &mut t.executed, pid, &mut sink, unlock)?;
-                    if unlock {
+                let lost_unlock = self.variant == Variant::LostUnlock;
+                let take = if lost_unlock {
+                    // The bug: the take's transaction without its unlock.
+                    &protocol::TAKE[..protocol::TAKE.len() - 1]
+                } else {
+                    protocol::TAKE
+                };
+                if let Some((lo, hi)) = self.take(node, &mut t.executed, pid, &mut sink, take)? {
+                    if !lost_unlock {
                         Self::release(node, &mut t.procs);
                     }
                     t.procs[pid as usize] = Pc::Probe;
@@ -928,117 +922,74 @@ impl Config {
                     // lease scan: re-deposit the dead owner's chunk
                     // and settle its lease. The prober keeps the lock
                     // and takes a sub-chunk on its next step.
-                    for i in lo..hi {
-                        let bit = 1u32 << i;
-                        if t.deposited & bit != 0 {
-                            return Err(Violation::DepositOverlap { lo, hi, pid });
-                        }
-                        t.deposited |= bit;
-                    }
-                    node.push_range(lo, hi);
-                    node.refilling = false;
+                    Self::mark_deposited(&mut t.deposited, lo, hi, pid)?;
+                    node.queue.push(lo.into(), hi.into());
+                    node.flags.refilling = false;
                     t.procs[owner as usize] = Pc::Crashed { lo: NONE_PAYLOAD, hi: NONE_PAYLOAD };
                     Action::Reclaim { owner, lo, hi }
-                } else if let Some(dead) = self.dead_refiller(&t.procs, ni, node.refilling) {
+                } else if let Some(dead) = self.dead_refiller(&t.procs, ni, node.flags.refilling) {
                     // Refill failover: the in-flight refill belongs to
                     // a corpse, so clear the flag and let the decision
                     // below re-elect on the next step.
-                    node.refilling = false;
+                    node.flags.refilling = false;
                     Action::RefillFailover { dead }
-                } else if node.global_done {
-                    self.emit_probe(pid, &mut sink, &[UNLOCK]);
-                    Self::release(node, &mut t.procs);
-                    t.procs[pid as usize] = Pc::Done;
-                    Action::ProbeDone
-                } else if !node.refilling {
-                    node.refilling = true;
-                    self.emit_probe(pid, &mut sink, &[put(REFILLING), RmaEvent::Sync, UNLOCK]);
-                    Self::release(node, &mut t.procs);
-                    t.procs[pid as usize] = Pc::Fetch;
-                    Action::BecomeRefiller
                 } else {
-                    self.emit_probe(pid, &mut sink, &[UNLOCK]);
+                    let probe = protocol::empty_probe(&mut node.flags, true);
+                    self.node_tx(&mut sink, pid, probe.tx());
                     Self::release(node, &mut t.procs);
-                    t.procs[pid as usize] = Pc::Probe;
-                    Action::PeerRefilling
+                    let (next, action) = match probe {
+                        Empty::Retire => (Pc::Done, Action::ProbeDone),
+                        Empty::Refill => (Pc::Fetch, Action::BecomeRefiller),
+                        Empty::PeerRefilling => (Pc::Probe, Action::PeerRefilling),
+                    };
+                    t.procs[pid as usize] = next;
+                    action
                 }
             }
 
             Pc::ObservedEmpty => {
                 let node = &mut t.nodes[ni];
-                if node.refilling {
+                if node.flags.refilling {
                     return Err(Violation::ConcurrentRefill { node: self.node_of(pid), pid });
                 }
-                if node.n_ranges > 0 {
+                if node.queue.n_ranges > 0 {
                     return Err(Violation::RefillWhileNonEmpty { node: self.node_of(pid), pid });
                 }
-                node.refilling = true;
-                if let Some(sink) = sink.as_deref_mut() {
-                    sink.push((node_win(ni), u32::from(self.local_of(pid)), put(REFILLING)));
-                }
+                // The unlocked probe's deferred `refilling` write.
+                node.flags.refilling = true;
+                self.node_tx(&mut sink, pid, &protocol::PROBE_REFILL[8..9]);
                 t.procs[pid as usize] = Pc::Fetch;
                 Action::CommitRefill
             }
 
+            Pc::Fetch if self.variant == Variant::NonAtomicFaa => {
+                // The bug: the locked advance's reads without its lock;
+                // the blind writes are the next step.
+                emit(&mut sink, GLOBAL_WIN, pid.into(), &protocol::GLOBAL_LOCKED_ADVANCE[1..3]);
+                t.procs[pid as usize] = Pc::FaaWrite { step: t.g_step, sched: t.g_sched };
+                Action::FaaRead
+            }
+
             Pc::Fetch => {
-                if self.variant == Variant::NonAtomicFaa {
-                    if let Some(sink) = sink.as_deref_mut() {
-                        sink.push((GLOBAL_WIN, u32::from(pid), get(GSTEP)));
-                        sink.push((GLOBAL_WIN, u32::from(pid), get(GSCHED)));
-                    }
-                    t.procs[pid as usize] = Pc::FaaWrite { step: t.g_step, sched: t.g_sched };
-                    Action::FaaRead
-                } else {
-                    if let Some(sink) = sink.as_deref_mut() {
-                        sink.push((
-                            GLOBAL_WIN,
-                            u32::from(pid),
-                            RmaEvent::Atomic {
-                                target: 0,
-                                disp: GSTEP,
-                                op: AtomicOpKind::FetchAndOp,
-                            },
-                        ));
-                        sink.push((GLOBAL_WIN, u32::from(pid), RmaEvent::Flush { target: 0 }));
-                    }
-                    let spec = self.inter_spec();
-                    let mut st =
-                        SchedState { step: u64::from(t.g_step), scheduled: u64::from(t.g_sched) };
-                    if st.exhausted(&spec) {
-                        t.procs[pid as usize] = Pc::Deposit { lo: NONE_PAYLOAD, hi: NONE_PAYLOAD };
-                        Action::FetchExhausted
-                    } else {
-                        let size = self.inter_t.chunk_size(&spec, st, WorkerCtx::default());
-                        let chunk = st.take(&spec, size).expect("not exhausted");
-                        t.g_step = u8c(st.step);
-                        t.g_sched = u8c(st.scheduled);
-                        let (lo, hi) = (u8c(chunk.start), u8c(chunk.end()));
-                        t.procs[pid as usize] = Pc::Deposit { lo, hi };
-                        Action::FetchChunk { lo, hi }
-                    }
+                emit(&mut sink, GLOBAL_WIN, pid.into(), protocol::GLOBAL_FAA);
+                let st = SchedState { step: t.g_step.into(), scheduled: t.g_sched.into() };
+                match self.fetch(&mut t, pid, st) {
+                    Some((lo, hi)) => Action::FetchChunk { lo, hi },
+                    None => Action::FetchExhausted,
                 }
             }
 
             Pc::FaaWrite { step, sched } => {
-                let spec = self.inter_spec();
-                let mut st = SchedState { step: u64::from(step), scheduled: u64::from(sched) };
-                if st.exhausted(&spec) {
-                    t.procs[pid as usize] = Pc::Deposit { lo: NONE_PAYLOAD, hi: NONE_PAYLOAD };
-                    Action::FaaWriteExhausted
-                } else {
-                    let size = self.inter_t.chunk_size(&spec, st, WorkerCtx::default());
-                    let chunk = st.take(&spec, size).expect("not exhausted");
-                    // The blind write: overwrites any advance a
-                    // concurrent fetcher made since the stale read.
-                    t.g_step = u8c(st.step);
-                    t.g_sched = u8c(st.scheduled);
-                    if let Some(sink) = sink.as_deref_mut() {
-                        sink.push((GLOBAL_WIN, u32::from(pid), put(GSTEP)));
-                        sink.push((GLOBAL_WIN, u32::from(pid), put(GSCHED)));
+                // The blind write: overwrites any advance a concurrent
+                // fetcher made since the stale read.
+                let st = SchedState { step: step.into(), scheduled: sched.into() };
+                match self.fetch(&mut t, pid, st) {
+                    Some((lo, hi)) => {
+                        let writes = &protocol::GLOBAL_LOCKED_ADVANCE[3..5];
+                        emit(&mut sink, GLOBAL_WIN, pid.into(), writes);
+                        Action::FaaWriteChunk { lo, hi }
                     }
-                    let (lo, hi) = (u8c(chunk.start), u8c(chunk.end()));
-                    t.procs[pid as usize] = Pc::Deposit { lo, hi };
-                    Action::FaaWriteChunk { lo, hi }
+                    None => Action::FaaWriteExhausted,
                 }
             }
 
@@ -1067,51 +1018,22 @@ impl Config {
             Pc::CritDeposit { lo, hi } => {
                 let node = &mut t.nodes[ni];
                 debug_assert_eq!(node.holder, pid);
-                node.refilling = false;
-                if lo == NONE_PAYLOAD {
-                    if let Some(sink) = sink.as_deref_mut() {
-                        let win = node_win(ni);
-                        let rank = u32::from(self.local_of(pid));
-                        for e in [LOCK, put(GLOBAL_DONE), put(REFILLING), RmaEvent::Sync, UNLOCK] {
-                            sink.push((win, rank, e));
-                        }
-                    }
-                    node.global_done = true;
-                    node.canon();
-                    let done = node.n_ranges == 0;
+                let chunk = (lo != NONE_PAYLOAD).then(|| (lo.into(), hi.into()));
+                let tx = protocol::deposit(&mut node.queue, &mut node.flags, chunk);
+                self.node_tx(&mut sink, pid, tx);
+                if chunk.is_none() {
+                    let done = node.queue.front().is_none();
                     Self::release(node, &mut t.procs);
                     t.procs[pid as usize] = if done { Pc::Done } else { Pc::Probe };
                     Action::DepositExhausted { done }
                 } else {
-                    if let Some(sink) = sink.as_deref_mut() {
-                        let win = node_win(ni);
-                        let rank = u32::from(self.local_of(pid));
-                        for e in [
-                            LOCK,
-                            put(LO),
-                            put(HI),
-                            put(STEP),
-                            put(TAKEN),
-                            put(REFILLING),
-                            RmaEvent::Sync,
-                            UNLOCK,
-                        ] {
-                            sink.push((win, rank, e));
-                        }
-                    }
-                    for i in lo..hi {
-                        let bit = 1u32 << i;
-                        if t.deposited & bit != 0 {
-                            return Err(Violation::DepositOverlap { lo, hi, pid });
-                        }
-                        t.deposited |= bit;
-                    }
-                    node.push_range(lo, hi);
+                    Self::mark_deposited(&mut t.deposited, lo, hi, pid)?;
                     // The refiller immediately takes its own first
                     // sub-chunk under the same lock grant (the
                     // executor's deposit path calls `execute_sub`).
-                    let (sub_lo, sub_hi) =
-                        self.take_front(node, &mut t.executed, pid, &mut sink, true)?;
+                    let (sub_lo, sub_hi) = self
+                        .take(node, &mut t.executed, pid, &mut sink, protocol::TAKE)?
+                        .expect("the deposit is in the queue");
                     Self::release(node, &mut t.procs);
                     t.procs[pid as usize] = Pc::Probe;
                     Action::DepositChunk { lo, hi, sub_lo, sub_hi }
@@ -1186,13 +1108,12 @@ mod tests {
 
     #[test]
     fn model_take_matches_local_queue() {
-        // The critical-section take must reproduce
-        // `LocalQueue::take_sub_chunk_for` exactly: same dls calls,
-        // same clamping, same FIFO handling.
+        // Both queues go through `protocol::take`; the model's `u8`
+        // `Fifo` must hand out exactly what `LocalQueue` does.
         for intra in Kind::PAPER {
             let c = Config::new(1, 3, 17, Kind::STATIC, intra);
             let mut s = c.initial();
-            s.nodes[0].push_range(0, 17);
+            s.nodes[0].queue.push(0, 17);
             s.deposited = (1 << 17) - 1;
             let mut q = hier::queue::LocalQueue::new();
             q.deposit(0, 17);
@@ -1210,9 +1131,8 @@ mod tests {
                 }
             }
             let mut queue_subs = Vec::new();
-            while let Some(sub) =
-                q.take_sub_chunk_for(&Technique::from_kind(intra), 3, WorkerCtx::worker(0))
-            {
+            let t = Technique::from_kind(intra);
+            while let Some(sub) = protocol::take(&mut q, &t, 3, WorkerCtx::worker(0)) {
                 queue_subs.push((sub.start, sub.end));
             }
             assert_eq!(model_subs, queue_subs, "{intra}");
@@ -1240,14 +1160,9 @@ mod tests {
             break;
         }
         let spec = LoopSpec::new(20, 2);
-        let t = Technique::tss();
-        let mut st = SchedState::START;
-        let mut expect = Vec::new();
-        while !st.exhausted(&spec) {
-            let size = t.chunk_size(&spec, st, WorkerCtx::default());
-            let ch = st.take(&spec, size).expect("not exhausted");
-            expect.push((ch.start, ch.end()));
-        }
+        let expect: Vec<_> = dls::sequence::ChunkSequence::new(&spec, &Technique::tss())
+            .map(|ch| (ch.start, ch.end()))
+            .collect();
         assert_eq!(fetched, expect);
     }
 

@@ -22,7 +22,7 @@
 //! [`Variant::LostUnlock`]: crate::model::Variant::LostUnlock
 
 use crate::model::{Action, Config, EventSink, State, Violation};
-use hier::sim::layout::{node_win, GLOBAL_WIN};
+use hier::sim::layout::GLOBAL_WIN;
 use mpisim::{RmaEvent, RmaLog};
 
 /// One rendered trace step.
@@ -124,10 +124,7 @@ pub fn replay(cfg: &Config, trace: &[u8]) -> Replay {
     // The executor's t=0 block: every worker attaches both windows
     // and opens its run-long lock_all epoch on the global window.
     for w in 0..total {
-        let ni = (w / rpn) as usize;
-        sink.push((GLOBAL_WIN, w, RmaEvent::Attach { shared: false, comm_size: total }));
-        sink.push((node_win(ni), w % rpn, RmaEvent::Attach { shared: true, comm_size: rpn }));
-        sink.push((GLOBAL_WIN, w, RmaEvent::LockAll));
+        sink.extend(hier::protocol::attach(w, total, rpn, true));
     }
 
     let mut s = cfg.initial();

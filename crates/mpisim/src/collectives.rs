@@ -2,7 +2,7 @@
 //! messaging with reserved internal tags. Linear algorithms — adequate
 //! for a simulator whose largest world is a few hundred ranks.
 
-use crate::comm::{Comm, TAG_ALLTOALL, TAG_BCAST, TAG_GATHER, TAG_SCAN, TAG_SCATTER};
+use crate::comm::{Comm, TAG_BCAST, TAG_GATHER, TAG_SCAN};
 use crate::error::{Error, Result};
 
 impl Comm {
@@ -66,28 +66,6 @@ impl Comm {
         }
     }
 
-    /// `MPI_Scatter`: root distributes `values[i]` to rank `i`.
-    pub fn scatter<T: Send + 'static>(&self, root: u32, values: Vec<T>) -> Result<T> {
-        self.check_rank(root)?;
-        if self.rank() == root {
-            if values.len() != self.size() as usize {
-                return Err(Error::RankOutOfRange { rank: values.len() as u32, size: self.size() });
-            }
-            let mut own: Option<T> = None;
-            for (dest, v) in values.into_iter().enumerate() {
-                if dest as u32 == root {
-                    own = Some(v);
-                } else {
-                    self.send(dest as u32, TAG_SCATTER, v)?;
-                }
-            }
-            Ok(own.expect("root position present"))
-        } else {
-            let (_, _, v) = self.recv(Some(root), Some(TAG_SCATTER))?;
-            Ok(v)
-        }
-    }
-
     /// `MPI_Scan` (inclusive prefix): rank `r` returns
     /// `op(v_0, ..., v_r)`. Linear chain.
     pub fn scan<T: Clone + Send + 'static>(&self, value: T, op: impl Fn(T, T) -> T) -> Result<T> {
@@ -101,31 +79,6 @@ impl Comm {
             self.send(self.rank() + 1, TAG_SCAN, acc.clone())?;
         }
         Ok(acc)
-    }
-
-    /// `MPI_Alltoall`: rank `r` provides `values[i]` for rank `i` and
-    /// returns the values every rank provided for `r`, in rank order.
-    pub fn alltoall<T: Send + 'static>(&self, values: Vec<T>) -> Result<Vec<T>> {
-        if values.len() != self.size() as usize {
-            return Err(Error::RankOutOfRange { rank: values.len() as u32, size: self.size() });
-        }
-        let mut own: Option<T> = None;
-        for (dest, v) in values.into_iter().enumerate() {
-            if dest as u32 == self.rank() {
-                own = Some(v);
-            } else {
-                self.send(dest as u32, TAG_ALLTOALL, v)?;
-            }
-        }
-        let mut out: Vec<Option<T>> = (0..self.size()).map(|_| None).collect();
-        out[self.rank() as usize] = own;
-        for src in 0..self.size() {
-            if src != self.rank() {
-                let (_, _, v): (_, _, T) = self.recv(Some(src), Some(TAG_ALLTOALL))?;
-                out[src as usize] = Some(v);
-            }
-        }
-        Ok(out.into_iter().map(|v| v.expect("all ranks contributed")).collect())
     }
 
     fn check_rank(&self, rank: u32) -> Result<()> {
@@ -167,51 +120,12 @@ mod tests {
     }
 
     #[test]
-    fn scatter_distributes() {
-        let out = Universe::run(Topology::new(1, 3), |p| {
-            let w = p.world();
-            let values = if w.rank() == 0 { vec![10, 20, 30] } else { Vec::new() };
-            w.scatter(0, values).unwrap()
-        });
-        assert_eq!(out, vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn scatter_wrong_len_errors() {
-        Universe::run(Topology::new(1, 1), |p| {
-            assert!(p.world().scatter(0, vec![1, 2]).is_err());
-        });
-    }
-
-    #[test]
     fn scan_inclusive_prefix_sums() {
         let out = Universe::run(Topology::new(1, 5), |p| {
             let w = p.world();
             w.scan(w.rank() + 1, |a, b| a + b).unwrap()
         });
         assert_eq!(out, vec![1, 3, 6, 10, 15]);
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let out = Universe::run(Topology::new(2, 2), |p| {
-            let w = p.world();
-            // Rank r sends r*10 + dest to each dest.
-            let values: Vec<u32> = (0..w.size()).map(|d| w.rank() * 10 + d).collect();
-            w.alltoall(values).unwrap()
-        });
-        // Rank r receives src*10 + r from each src.
-        for (r, row) in out.iter().enumerate() {
-            let expected: Vec<u32> = (0..4).map(|src| src * 10 + r as u32).collect();
-            assert_eq!(*row, expected);
-        }
-    }
-
-    #[test]
-    fn alltoall_wrong_len_errors() {
-        Universe::run(Topology::new(1, 1), |p| {
-            assert!(p.world().alltoall(vec![1, 2]).is_err());
-        });
     }
 
     #[test]
