@@ -29,11 +29,6 @@ impl AwfHistory {
         Self { variant, hist: vec![(0, 0); workers as usize] }
     }
 
-    /// The AWF variant in use.
-    pub fn variant(&self) -> AwfVariant {
-        self.variant
-    }
-
     /// Record a completed sub-chunk for `local` worker.
     pub fn record(&mut self, local: u32, iters: u64, compute_ns: u64, sched_ns: u64) {
         let time = if matches!(self.variant, AwfVariant::D | AwfVariant::E) {
@@ -50,11 +45,6 @@ impl AwfHistory {
     /// Current mean-normalised weight of `local` worker.
     pub fn weight(&self, local: u32) -> f64 {
         weights_from_hist(&self.hist).get(local as usize).copied().unwrap_or(1.0)
-    }
-
-    /// Raw history (for window serialization on the live backend).
-    pub fn raw(&self) -> &[(u64, u64)] {
-        &self.hist
     }
 }
 

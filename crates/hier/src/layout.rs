@@ -1,10 +1,9 @@
 //! The RMA window layout of the hierarchical protocols — the single
-//! source of truth for every slot index: the live executors
-//! ([`crate::live`]) address their windows with these constants, and
-//! [`crate::protocol`]'s transaction shapes are written over them —
-//! the shapes the virtual-time executors put on their tapes and the
-//! `model-check` crate's explorer replays (it names this module by its
-//! re-export `hier::sim::layout`).
+//! source of truth for every slot index. [`crate::protocol`]'s
+//! transaction shapes are written over these constants; the executors'
+//! logs and the `model-check` explorer (through the re-export
+//! `hier::sim::layout`) use them, and live only the node window's queue
+//! (`live::window_queue`) reads or writes the queue slots and flags.
 //!
 //! Window 0 is the global queue; window `1 + node` is that node's
 //! shared-memory local queue. Displacements within each window are the

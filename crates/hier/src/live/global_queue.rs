@@ -8,22 +8,11 @@
 
 use crate::config::GlobalQueueMode;
 use crate::layout::{GSCHED, GSTEP};
+use crate::protocol::Fetched;
 use dls::{LoopSpec, SchedState, Technique};
 use dls_service::{Client, FetchReply, JobId};
 use mpisim::{Comm, LockKind, RankWinStats, RmaLog, RmaOp, Window};
 use std::sync::Mutex;
-
-/// What one [`GlobalQueue::fetch`] obtained.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(super) enum Fetched {
-    /// The next inter-level chunk `[lo, hi)`.
-    Chunk(u64, u64),
-    /// Nothing to hand out now, but another node holds an unsettled
-    /// lease whose range may come back: poll again (service only).
-    Pending,
-    /// Every iteration is scheduled.
-    Done,
-}
 
 /// One rank's handle on the global work queue. The RMA realisations sit
 /// on a two-slot window exposed by world rank 0.

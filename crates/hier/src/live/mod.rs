@@ -13,6 +13,7 @@ mod mpi_mpi;
 mod mpi_omp;
 mod net;
 mod run;
+mod window_queue;
 
 pub use master_worker::{run_live_flat_master_worker, run_live_master_worker};
 pub use mpi_mpi::run_live_mpi_mpi;

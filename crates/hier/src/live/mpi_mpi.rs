@@ -11,14 +11,17 @@
 //!   `MPI_Win_lock(EXCLUSIVE)` + `MPI_Win_sync`.
 //! * A worker that drains the local queue and sees no refill in flight
 //!   sets the `refilling` flag and fetches the next chunk itself — the
-//!   fastest worker takes the responsibility; nobody blocks.
+//!   fastest worker takes the responsibility; nobody blocks. Each take,
+//!   empty probe and deposit is a [`crate::protocol`] call.
 
-use super::global_queue::{Fetched, GlobalQueue};
+use super::global_queue::GlobalQueue;
 use super::run::{assemble, Ledger};
+use super::window_queue::WindowQueue;
 use super::{LiveConfig, LiveResult};
-use crate::layout::{GLOBAL_DONE, HI, LO, REFILLING, STEP, TAKEN};
-use crate::queue::SubChunk;
+use crate::layout::TAKEN;
+use crate::protocol::{self, Empty, Fetched, Flags, NodeQueue};
 use cluster_sim::trace::SegmentKind;
+use dls::technique::WorkerCtx;
 use dls_service::{Client, JobId};
 use mpisim::{LockKind, RankWinStats, RmaLog, Topology, Universe, Window};
 use std::sync::Mutex;
@@ -30,70 +33,26 @@ use workloads::Workload;
 /// cumulative time in ns.
 const HIST_BASE: usize = TAKEN + 1;
 
-/// Start of the lease area: per local rank, four slots —
-/// `[lo, hi, epoch, heartbeat]`. An odd epoch means the range
-/// `[lo, hi)` is granted but not completed; the owner bumps it even on
-/// completion (settled at its next queue poll), a reclaimer bumps it
-/// even when re-depositing a dead owner's range. The heartbeat ticks on
-/// every queue poll — piggybacked liveness, no extra messages.
-fn lease_base(wpn: u32) -> usize {
-    HIST_BASE + 2 * wpn as usize
-}
-
 const LEASE_LO: usize = 0;
 const LEASE_HI: usize = 1;
 const LEASE_EPOCH: usize = 2;
 const HEARTBEAT: usize = 3;
 
+/// The lease area follows the history: per local rank, four slots —
+/// `[lo, hi, epoch, heartbeat]`. An odd epoch means the range
+/// `[lo, hi)` is granted but not completed; the owner bumps it even on
+/// completion (settled at its next queue poll), a reclaimer bumps it
+/// even when re-depositing a dead owner's range. The heartbeat ticks on
+/// every queue poll — piggybacked liveness, no extra messages.
 fn lease_slot(wpn: u32, local: u32, field: usize) -> usize {
-    lease_base(wpn) + 4 * local as usize + field
+    HIST_BASE + 2 * wpn as usize + 4 * local as usize + field
 }
 
-/// Which local rank currently holds the refill role (valid while
-/// `REFILLING == 1`); lets survivors detect a refiller that died
-/// between claiming the role and depositing.
+/// The last slot, after every lease: which local rank holds the refill
+/// role (valid while `REFILLING == 1`); lets survivors detect a
+/// refiller that died between claiming the role and depositing.
 fn refiller_slot(wpn: u32) -> usize {
-    lease_base(wpn) + 4 * wpn as usize
-}
-
-fn local_slots(wpn: u32) -> usize {
-    refiller_slot(wpn) + 1
-}
-
-/// Acquire the node-window lock. Fault-free runs use the blocking FIFO
-/// path untouched; under an active fault plan the acquisition is a
-/// bounded-poll loop so a lock abandoned by a dead holder is detected
-/// (after `detect_polls` failed attempts) and revoked via
-/// [`Window::repair_lock`]. Returns the dead holder's local rank when
-/// *this* call performed a repair.
-fn lock_queue(
-    win: &Window,
-    node_comm: &mpisim::Comm,
-    plan_active: bool,
-    detect_polls: u32,
-) -> mpisim::Result<Option<u32>> {
-    if !plan_active {
-        win.lock(LockKind::Exclusive, 0)?;
-        return Ok(None);
-    }
-    let mut repaired = None;
-    let mut polls = 0u32;
-    loop {
-        if win.try_lock_exclusive(0)? {
-            return Ok(repaired);
-        }
-        polls += 1;
-        if polls >= detect_polls {
-            polls = 0;
-            if let Some(h) = win.exclusive_holder(0)? {
-                if node_comm.is_failed(h) && win.repair_lock(0)? {
-                    repaired = Some(h);
-                }
-            }
-            std::thread::yield_now();
-        }
-        std::hint::spin_loop();
-    }
+    lease_slot(wpn, wpn, 0)
 }
 
 /// Run the MPI+MPI approach with real threads.
@@ -118,18 +77,12 @@ pub(super) fn run_ranks(
     let n = workload.n_iters();
     assert!(n <= i64::MAX as u64, "loop too large for i64 window slots");
     let inter_spec = dls::LoopSpec::new(n, cfg.nodes);
-    let wpn = cfg.workers_per_node;
-    let spec = cfg.spec;
-    let awf = cfg.awf;
-    let weights = cfg.weights.clone();
-    let global_mode = cfg.global_mode;
-    let do_trace = cfg.trace;
+    let (wpn, spec, awf, faults) = (cfg.workers_per_node, cfg.spec, cfg.awf, &cfg.faults);
     let rma_log = cfg.record_rma.then(RmaLog::new);
-    let log_for_ranks = rma_log.clone();
-    let faults = cfg.faults.clone();
+    let log = rma_log.as_ref();
     let epoch = Instant::now();
 
-    let outcomes = Universe::run(topology, move |p| -> mpisim::Result<Ledger> {
+    let outcomes = Universe::run(topology, |p| -> mpisim::Result<Ledger> {
         let world = p.world();
         let me = world.rank();
         let my_node = p.node_id();
@@ -137,20 +90,14 @@ pub(super) fn run_ranks(
             Some((agents, job)) => {
                 GlobalQueue::Service { agent: &agents[my_node as usize], job, node: my_node }
             }
-            None => GlobalQueue::open_rma(
-                world,
-                global_mode,
-                spec.inter,
-                inter_spec,
-                log_for_ranks.as_ref(),
-            )?,
+            None => GlobalQueue::open_rma(world, cfg.global_mode, spec.inter, inter_spec, log)?,
         };
         let node_comm = world.split_shared()?;
         let mut local_win = Window::allocate_shared(
             &node_comm,
-            if node_comm.rank() == 0 { local_slots(wpn) } else { 0 },
+            if node_comm.rank() == 0 { refiller_slot(wpn) + 1 } else { 0 },
         )?;
-        if let Some(log) = &log_for_ranks {
+        if let Some(log) = log {
             local_win.record_to(log);
         }
         world.barrier();
@@ -162,18 +109,43 @@ pub(super) fn run_ranks(
         let detect_polls = faults.recovery.detect_polls;
         let my_local = node_comm.rank();
         let world_of = |local: u32| my_node * wpn + local;
+        // Take the node-window lock. Fault-free runs use the blocking
+        // FIFO path untouched; under an active fault plan it is a
+        // bounded-poll loop, so a lock abandoned by a dead holder is
+        // detected (after `detect_polls` failed attempts), revoked via
+        // `Window::repair_lock` and the repair recorded in `out`.
+        let lock = |out: &mut Ledger| -> mpisim::Result<()> {
+            if !plan_active {
+                return local_win.lock(LockKind::Exclusive, 0);
+            }
+            let mut polls = 0u32;
+            loop {
+                if local_win.try_lock_exclusive(0)? {
+                    return Ok(());
+                }
+                polls += 1;
+                if polls >= detect_polls {
+                    polls = 0;
+                    if let Some(h) = local_win.exclusive_holder(0)? {
+                        if node_comm.is_failed(h) && local_win.repair_lock(0)? {
+                            out.lock_repaired(world_of(h));
+                        }
+                    }
+                    std::thread::yield_now();
+                }
+                std::hint::spin_loop();
+            }
+        };
+        let my_weight = cfg.weights.get(me as usize).copied().unwrap_or(1.0);
         let straggle = faults.straggle_factor(me, u64::MAX);
         // Mirror of my own LEASE_EPOCH slot — single-writer while alive.
         let mut my_epoch: i64 = 0;
-        let mut fetches_done: u32 = 0;
-        let timed = do_trace || awf.is_some() || straggle > 1.0;
-        let mut out = Ledger::new(me, Some(my_node), epoch, do_trace, timed);
+        let timed = cfg.trace || awf.is_some() || straggle > 1.0;
+        let mut out = Ledger::new(me, Some(my_node), epoch, cfg.trace, timed);
 
-        loop {
+        'poll: loop {
             // ---- probe the local queue under the window lock ----
-            if let Some(h) = lock_queue(&local_win, &node_comm, plan_active, detect_polls)? {
-                out.lock_repaired(world_of(h));
-            }
+            lock(&mut out)?;
             local_win.sync();
             if plan_active {
                 // Settle my previous grant (the sub-chunk it covered is
@@ -199,34 +171,25 @@ pub(super) fn run_ranks(
                     break;
                 }
             }
-            let lo = local_win.get(0, LO)? as u64;
-            let hi = local_win.get(0, HI)? as u64;
-            let step = local_win.get(0, STEP)? as u64;
-            let taken = local_win.get(0, TAKEN)? as u64;
-            let len = hi - lo;
-
-            if taken < len {
-                let local = node_comm.rank();
-                // Weight: learned from the shared history under AWF,
-                // configured statically otherwise. AWF replaces the
-                // intra technique with WF over the learned weights.
-                let (technique, weight) = if awf.is_some() {
-                    let mut hist: Vec<(u64, u64)> = Vec::with_capacity(wpn as usize);
-                    for r in 0..wpn as usize {
-                        let iters = local_win.get(0, HIST_BASE + 2 * r)? as u64;
-                        let time = local_win.get(0, HIST_BASE + 2 * r + 1)? as u64;
-                        hist.push((iters, time));
-                    }
-                    let w = crate::adaptive::weights_from_hist(&hist)[local as usize];
+            let mut q = WindowQueue::new(&local_win);
+            // Weight: learned from the shared history under AWF (read
+            // only when there is a range to weigh), configured
+            // statically otherwise. AWF replaces the intra technique
+            // with WF over the learned weights.
+            let (technique, weight) = match awf {
+                Some(_) if q.front()?.is_some() => {
+                    let slot = |i: usize| local_win.get(0, HIST_BASE + i).map(|v| v as u64);
+                    let hist = (0..wpn as usize)
+                        .map(|r| Ok((slot(2 * r)?, slot(2 * r + 1)?)))
+                        .collect::<mpisim::Result<Vec<_>>>()?;
+                    let w = crate::adaptive::weights_from_hist(&hist)[my_local as usize];
                     (dls::Technique::wf(), w)
-                } else {
-                    (spec.intra, weights.get(me as usize).copied().unwrap_or(1.0))
-                };
-                let ctx = dls::technique::WorkerCtx { worker: local, weight };
-                let size = crate::queue::sub_chunk_size_for(&technique, len, wpn, step, taken, ctx);
-                local_win.put(0, STEP, (step + 1) as i64)?;
-                local_win.put(0, TAKEN, (taken + size) as i64)?;
-                let sub = SubChunk { start: lo + taken, end: lo + taken + size };
+                }
+                _ => (spec.intra, my_weight),
+            };
+            let ctx = WorkerCtx { worker: my_local, weight };
+
+            if let Some(sub) = protocol::take(&mut q, &technique, wpn, ctx)? {
                 if plan_active {
                     // Record the grant as a lease *in the same critical
                     // section as the take*: if this rank dies before the
@@ -267,13 +230,13 @@ pub(super) fn run_ranks(
                     // Charge the measured kernel time to the shared
                     // history (AWF-C style: per chunk completion).
                     let elapsed = (finished - started).min(i64::MAX as u64) as i64;
-                    lock_queue(&local_win, &node_comm, plan_active, detect_polls)?;
+                    lock(&mut out)?;
                     // Unified-model visibility: sync before reading
                     // counters peers put under their own epochs (the
                     // rma-check MissingSync rule flags the read-modify-
                     // write below as stale without it).
                     local_win.sync();
-                    let i_slot = HIST_BASE + 2 * local as usize;
+                    let i_slot = HIST_BASE + 2 * my_local as usize;
                     let it = local_win.get(0, i_slot)?;
                     let tm = local_win.get(0, i_slot + 1)?;
                     local_win.put(0, i_slot, it + sub.len() as i64)?;
@@ -286,59 +249,35 @@ pub(super) fn run_ranks(
                 continue;
             }
 
-            let global_done = local_win.get(0, GLOBAL_DONE)? != 0;
-            let refilling = local_win.get(0, REFILLING)? != 0;
+            let mut flags = q.flags()?;
             if plan_active {
                 // Queue drained: scan peer leases for a range stranded
                 // by a dead owner before exiting, backing off, or
                 // refilling. The queue holds one range, so reclaim one
                 // lease per poll; the next poll picks up any others.
-                let mut reclaimed = false;
                 for r in (0..wpn).filter(|&r| r != my_local && node_comm.is_failed(r)) {
                     let e = local_win.get(0, lease_slot(wpn, r, LEASE_EPOCH))?;
                     if e % 2 == 1 {
-                        let rlo = local_win.get(0, lease_slot(wpn, r, LEASE_LO))?;
-                        let rhi = local_win.get(0, lease_slot(wpn, r, LEASE_HI))?;
-                        local_win.put(0, LO, rlo)?;
-                        local_win.put(0, HI, rhi)?;
-                        local_win.put(0, STEP, 0)?;
-                        local_win.put(0, TAKEN, 0)?;
+                        let rlo = local_win.get(0, lease_slot(wpn, r, LEASE_LO))? as u64;
+                        let rhi = local_win.get(0, lease_slot(wpn, r, LEASE_HI))? as u64;
+                        q.push(rlo, rhi)?;
                         local_win.put(0, lease_slot(wpn, r, LEASE_EPOCH), e + 1)?;
                         local_win.note_reclaim();
-                        out.reclaims += 1;
-                        out.deposits += 1;
-                        let at = out.now();
-                        out.recovery.push(resilience::RecoveryEvent::LeaseExpired {
-                            owner: world_of(r),
-                            lo: rlo as u64,
-                            hi: rhi as u64,
-                            at_ns: at,
-                        });
-                        out.recovery.push(resilience::RecoveryEvent::Reclaim {
-                            by: me,
-                            owner: world_of(r),
-                            lo: rlo as u64,
-                            hi: rhi as u64,
-                            at_ns: at,
-                        });
-                        reclaimed = true;
-                        break;
+                        out.reclaimed(world_of(r), rlo, rhi);
+                        local_win.sync();
+                        local_win.unlock(LockKind::Exclusive, 0)?;
+                        out.cut(SegmentKind::Sched);
+                        continue 'poll;
                     }
                 }
-                if reclaimed {
-                    local_win.sync();
-                    local_win.unlock(LockKind::Exclusive, 0)?;
-                    out.cut(SegmentKind::Sched);
-                    continue;
-                }
-                if refilling {
+                if flags.refilling {
                     // Refill in flight: if the rank that claimed the
                     // role died before depositing, fail the role over
                     // (its fetched chunk, if any, sits in its lease and
                     // was reclaimed by the scan above).
                     let rr = local_win.get(0, refiller_slot(wpn))? as u32;
                     if node_comm.is_failed(rr) {
-                        local_win.put(0, REFILLING, 0)?;
+                        q.write_flags(flags, Flags { refilling: false, ..flags })?;
                         local_win.sync();
                         local_win.unlock(LockKind::Exclusive, 0)?;
                         out.recovery.push(resilience::RecoveryEvent::RefillFailover {
@@ -351,22 +290,27 @@ pub(super) fn run_ranks(
                     }
                 }
             }
-            if global_done {
-                local_win.unlock(LockKind::Exclusive, 0)?;
-                out.cut(SegmentKind::Sched);
-                break;
+            let was = flags;
+            let probe = protocol::empty_probe(&mut flags, true);
+            q.write_flags(was, flags)?;
+            match probe {
+                Empty::Retire => {
+                    local_win.unlock(LockKind::Exclusive, 0)?;
+                    out.cut(SegmentKind::Sched);
+                    break;
+                }
+                Empty::PeerRefilling => {
+                    // A peer is refilling: back off briefly and re-probe.
+                    local_win.unlock(LockKind::Exclusive, 0)?;
+                    std::thread::yield_now();
+                    // A queue-empty observation while a peer refills is
+                    // peer waiting, not scheduling work of our own.
+                    out.cut(SegmentKind::Sync);
+                    continue;
+                }
+                // This worker becomes the refiller.
+                Empty::Refill => {}
             }
-            if refilling {
-                // A peer is refilling: back off briefly and re-probe.
-                local_win.unlock(LockKind::Exclusive, 0)?;
-                std::thread::yield_now();
-                // A queue-empty observation while a peer refills is peer
-                // waiting, not scheduling work of our own.
-                out.cut(SegmentKind::Sync);
-                continue;
-            }
-            // This worker becomes the refiller.
-            local_win.put(0, REFILLING, 1)?;
             if plan_active {
                 local_win.put(0, refiller_slot(wpn), i64::from(my_local))?;
             }
@@ -378,13 +322,15 @@ pub(super) fn run_ranks(
             let fetched = queue.fetch()?;
 
             if let (true, Fetched::Chunk(clo, chi)) = (plan_active, fetched) {
-                fetches_done += 1;
-                if faults.crash_as_refiller_after(me).is_some_and(|g| fetches_done >= g) {
+                if faults
+                    .crash_as_refiller_after(me)
+                    .is_some_and(|g| out.global_fetches + 1 >= u64::from(g))
+                {
                     // Die as the refiller: the global step is already
                     // consumed, so the fetched chunk exists only in this
                     // rank's lease. Publish it and stop — REFILLING
                     // stays set until a survivor fails the role over.
-                    lock_queue(&local_win, &node_comm, plan_active, detect_polls)?;
+                    lock(&mut out)?;
                     local_win.put(0, lease_slot(wpn, my_local, LEASE_LO), clo as i64)?;
                     local_win.put(0, lease_slot(wpn, my_local, LEASE_HI), chi as i64)?;
                     my_epoch += 1; // odd: active
@@ -398,31 +344,20 @@ pub(super) fn run_ranks(
             }
 
             // ---- deposit, mark the node done, or hand the role back ----
-            if let Some(h) = lock_queue(&local_win, &node_comm, plan_active, detect_polls)? {
-                out.lock_repaired(world_of(h));
+            lock(&mut out)?;
+            if let Fetched::Chunk(..) = fetched {
+                out.global_fetches += 1;
+                out.deposits += 1;
             }
-            match fetched {
-                Fetched::Chunk(clo, chi) => {
-                    out.global_fetches += 1;
-                    out.deposits += 1;
-                    local_win.put(0, LO, clo as i64)?;
-                    local_win.put(0, HI, chi as i64)?;
-                    local_win.put(0, STEP, 0)?;
-                    local_win.put(0, TAKEN, 0)?;
-                }
-                Fetched::Done => {
-                    local_win.put(0, GLOBAL_DONE, 1)?;
-                }
-                // Another node's unsettled lease may still come back as
-                // work: leave the queue as it is and only release the
-                // refill role.
-                Fetched::Pending => {}
-            }
-            local_win.put(0, REFILLING, 0)?;
+            let was = flags;
+            let mut q = WindowQueue::new(&local_win);
+            protocol::deposit(&mut q, &mut flags, fetched)?;
+            q.write_flags(was, flags)?;
             local_win.sync();
             local_win.unlock(LockKind::Exclusive, 0)?;
             if fetched == Fetched::Pending {
-                // Waiting on a peer node, like a refill in flight.
+                // Another node's unsettled lease may still come back as
+                // work: wait on that peer node, like a refill in flight.
                 std::thread::yield_now();
                 out.cut(SegmentKind::Sync);
             } else {

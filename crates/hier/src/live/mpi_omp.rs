@@ -17,10 +17,11 @@
 //! MPI+OpenMP panics with the same limitation message the paper gives
 //! for skipping those combinations.
 
-use super::global_queue::{Fetched, GlobalQueue};
+use super::global_queue::GlobalQueue;
 use super::run::{assemble, Ledger};
 use super::{LiveConfig, LiveResult};
 use crate::config::GlobalQueueMode;
+use crate::protocol::Fetched;
 use crate::queue::SubChunk;
 use cluster_sim::trace::SegmentKind;
 use dls::openmp::{omp_equivalent, OmpSchedule};

@@ -150,6 +150,15 @@ impl Ledger {
         });
     }
 
+    /// This worker re-deposited dead `owner`'s leased range `[lo, hi)`.
+    pub(super) fn reclaimed(&mut self, owner: u32, lo: u64, hi: u64) {
+        self.reclaims += 1;
+        self.deposits += 1;
+        let at_ns = self.now();
+        self.recovery.push(RecoveryEvent::LeaseExpired { owner, lo, hi, at_ns });
+        self.recovery.push(RecoveryEvent::Reclaim { by: self.worker, owner, lo, hi, at_ns });
+    }
+
     /// This worker dies now (fault injection).
     pub(super) fn crashed(&mut self, holding_lock: bool) {
         self.recovery.push(RecoveryEvent::Crash {

@@ -7,23 +7,24 @@
 //! retire, become the refiller, or back off behind a peer's refill. A
 //! refiller takes one chunk off the global queue (one
 //! `MPI_Fetch_and_op`, [`GLOBAL_FAA`], or both counters under an
-//! exclusive epoch) and, under the lock again, [`deposit`]s it or marks
-//! the node done. `take` and `empty_probe` are separate on purpose:
+//! exclusive epoch) and, under the lock again, [`deposit`]s what it
+//! [`Fetched`]. `take` and `empty_probe` are separate on purpose:
 //! recovery (lease reclaim, refill failover) sits between them.
 //!
-//! The virtual-time executor (`sim::mpi_mpi`) and the `model-check`
-//! crate's explorer both drive these functions and write these
-//! transaction shapes to their RMA logs; the live rank loop issues the
-//! same shapes through `mpisim` windows. Each slot is a
+//! All three MPI+MPI executors run these functions: the live rank loop
+//! over its node window's slots, the virtual-time executor over a
+//! `LocalQueue` and the `model-check` explorer over its compact state.
+//! The sim and the model write the returned shapes to their RMA logs;
+//! the live window records them as it issues them. Each slot is a
 //! [`crate::layout`] displacement.
 
 use crate::config::GlobalQueueMode;
 use crate::layout::{
     node_win, GLOBAL_DONE, GLOBAL_WIN, GSCHED, GSTEP, HI, LO, REFILLING, STEP, TAKEN,
 };
-use crate::queue::{sub_chunk_size_for, QueuedRange, SubChunk};
+use crate::queue::{QueuedRange, SubChunk};
 use dls::technique::WorkerCtx;
-use dls::Technique;
+use dls::{ChunkCalculator, LoopSpec, SchedState, Technique};
 use mpisim::{AtomicOpKind, LockKind, RmaEvent};
 
 const LOCK: RmaEvent = RmaEvent::Lock { kind: LockKind::Exclusive, target: 0 };
@@ -75,6 +76,9 @@ pub const DEPOSIT: &[RmaEvent] =
     &[LOCK, put(LO), put(HI), put(STEP), put(TAKEN), put(REFILLING), SYNC, UNLOCK];
 /// Node window: mark the global queue exhausted and clear `refilling`.
 pub const DEPOSIT_DONE: &[RmaEvent] = &[LOCK, put(GLOBAL_DONE), put(REFILLING), SYNC, UNLOCK];
+/// Node window: clear `refilling` with nothing deposited, because the
+/// global queue answered [`Fetched::Pending`].
+pub const RELEASE: &[RmaEvent] = &[LOCK, put(REFILLING), SYNC, UNLOCK];
 /// Global window: one `MPI_Fetch_and_op` on the step counter, flushed,
 /// inside the rank's run-long `lock_all` epoch.
 pub const GLOBAL_FAA: &[RmaEvent] = &[
@@ -122,14 +126,28 @@ pub fn attach(
 /// A node's local work queue as the protocol sees it: a FIFO of
 /// deposited ranges, each with its own intra-node scheduling state.
 pub trait NodeQueue {
+    /// A window's [`mpisim::Error`] live, `Infallible` in memory.
+    type Error;
     /// The front range that still has work, after dropping exhausted
     /// ones; `None` when the queue is drained.
-    fn front(&mut self) -> Option<QueuedRange>;
-    /// Hand out `size` more iterations of the front range: one intra
-    /// step (`step + 1`, `taken + size`).
-    fn advance(&mut self, size: u64);
+    fn front(&mut self) -> Result<Option<QueuedRange>, Self::Error>;
+    /// Store the front range's new intra state: `front` is what
+    /// [`NodeQueue::front`] returned, one step and one sub-chunk on.
+    fn advance(&mut self, front: QueuedRange) -> Result<(), Self::Error>;
     /// Deposit `[lo, hi)` behind what is queued.
-    fn push(&mut self, lo: u64, hi: u64);
+    fn push(&mut self, lo: u64, hi: u64) -> Result<(), Self::Error>;
+}
+
+/// What one refill obtained from the global queue.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fetched {
+    /// The next inter-level chunk `[lo, hi)`.
+    Chunk(u64, u64),
+    /// Nothing to hand out now, but another node holds an unsettled
+    /// lease whose range may come back: poll again (service only).
+    Pending,
+    /// Every iteration is scheduled.
+    Done,
 }
 
 /// A node window's two flags.
@@ -145,17 +163,31 @@ pub struct Flags {
 /// worker `ctx` of `p`, or `None` when the queue is drained. The intra
 /// technique sees each deposit as a fresh loop of its own length. A
 /// take is a [`TAKE`] transaction.
+#[inline]
 pub fn take<Q: NodeQueue + ?Sized>(
     q: &mut Q,
     technique: &Technique,
     p: u32,
     ctx: WorkerCtx,
-) -> Option<SubChunk> {
-    let r = q.front()?;
-    let size = sub_chunk_size_for(technique, r.len(), p, r.step, r.taken, ctx);
-    q.advance(size);
+) -> Result<Option<SubChunk>, Q::Error> {
+    let Some(mut r) = q.front()? else { return Ok(None) };
+    let size = sub_chunk_size_for(technique, &r, p, ctx);
     let start = r.lo + r.taken;
-    Some(SubChunk { start, end: start + size })
+    r.step += 1;
+    r.taken += size;
+    q.advance(r)?;
+    Ok(Some(SubChunk { start, end: start + size }))
+}
+
+/// Sub-chunk size for the deposited range `r` over `p` workers at its
+/// intra state; 0 for an exhausted range rather than an underflow.
+fn sub_chunk_size_for(intra: &Technique, r: &QueuedRange, p: u32, ctx: WorkerCtx) -> u64 {
+    let remaining = r.len().saturating_sub(r.taken);
+    if remaining == 0 {
+        return 0;
+    }
+    let state = SchedState { step: r.step, scheduled: r.taken };
+    intra.chunk_size(&LoopSpec::new(r.len(), p), state, ctx).clamp(1, remaining)
 }
 
 /// What a rank does after finding its node's queue drained.
@@ -195,25 +227,26 @@ pub fn empty_probe(flags: &mut Flags, may_refill: bool) -> Empty {
     }
 }
 
-/// The refiller's deposit: queue the fetched `chunk`, or mark the node
-/// done on `None`; either way the refill is over. Returns the
-/// node-window transaction ([`DEPOSIT`] or [`DEPOSIT_DONE`]).
+/// The refiller's deposit: queue a fetched chunk or mark the node done;
+/// either way the refill is over. Returns the node-window transaction
+/// ([`DEPOSIT`], [`DEPOSIT_DONE`] or [`RELEASE`]).
 pub fn deposit<Q: NodeQueue + ?Sized>(
     q: &mut Q,
     flags: &mut Flags,
-    chunk: Option<(u64, u64)>,
-) -> &'static [RmaEvent] {
+    fetched: Fetched,
+) -> Result<&'static [RmaEvent], Q::Error> {
     flags.refilling = false;
-    match chunk {
-        Some((lo, hi)) => {
-            q.push(lo, hi);
+    Ok(match fetched {
+        Fetched::Chunk(lo, hi) => {
+            q.push(lo, hi)?;
             DEPOSIT
         }
-        None => {
+        Fetched::Done => {
             flags.global_done = true;
             DEPOSIT_DONE
         }
-    }
+        Fetched::Pending => RELEASE,
+    })
 }
 
 #[cfg(test)]
@@ -230,7 +263,10 @@ mod tests {
         assert!(flags.refilling);
         assert_eq!(empty_probe(&mut flags, true), Empty::PeerRefilling);
         let mut q = LocalQueue::new();
-        assert_eq!(deposit(&mut q, &mut flags, None), DEPOSIT_DONE);
+        assert_eq!(deposit(&mut q, &mut flags, Fetched::Pending), Ok(RELEASE));
+        assert_eq!(flags, Flags::default());
+        assert_eq!(empty_probe(&mut flags, true), Empty::Refill);
+        assert_eq!(deposit(&mut q, &mut flags, Fetched::Done), Ok(DEPOSIT_DONE));
         assert_eq!(flags, Flags { refilling: false, global_done: true });
         assert_eq!(empty_probe(&mut flags, true), Empty::Retire);
     }
@@ -238,12 +274,31 @@ mod tests {
     #[test]
     fn deposit_then_take_hands_out_the_chunk() {
         let (mut q, mut flags) = (LocalQueue::new(), Flags { refilling: true, global_done: false });
-        assert_eq!(deposit(&mut q, &mut flags, Some((10, 14))), DEPOSIT);
+        assert_eq!(deposit(&mut q, &mut flags, Fetched::Chunk(10, 14)), Ok(DEPOSIT));
         assert!(!flags.refilling);
         let ss = Technique::ss();
         let subs: Vec<_> =
-            std::iter::from_fn(|| take(&mut q, &ss, 2, WorkerCtx::default())).collect();
+            std::iter::from_fn(|| take(&mut q, &ss, 2, WorkerCtx::default()).ok()?).collect();
         assert_eq!(subs.iter().map(|s| s.start).collect::<Vec<_>>(), [10, 11, 12, 13]);
         assert!(subs.iter().all(|s| s.len() == 1));
+    }
+
+    fn sub_chunk_size(intra: &Technique, range_len: u64, p: u32, step: u64, taken: u64) -> u64 {
+        let r = QueuedRange { lo: 0, hi: range_len, step, taken };
+        sub_chunk_size_for(intra, &r, p, WorkerCtx::default())
+    }
+
+    #[test]
+    fn sub_chunk_size_exhausted_range_returns_zero() {
+        // Regression: `taken >= range_len` used to underflow
+        // `range_len - taken` (debug panic) and feed `clamp(1, 0)`
+        // (release panic). An exhausted range must yield 0.
+        let t = Technique::ss();
+        assert_eq!(sub_chunk_size(&t, 100, 4, 100, 100), 0);
+        assert_eq!(sub_chunk_size(&t, 100, 4, 101, 150), 0);
+        assert_eq!(sub_chunk_size(&t, 0, 4, 0, 0), 0);
+        // A live range is unaffected.
+        assert_eq!(sub_chunk_size(&t, 100, 4, 0, 99), 1);
+        assert!(sub_chunk_size(&Technique::gss(), 100, 4, 0, 0) > 0);
     }
 }

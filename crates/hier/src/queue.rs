@@ -2,9 +2,8 @@
 //! executors and the master-worker models keep a node's deposits in.
 //! What a sub-chunk *is* — the take, the empty probe, the deposit —
 //! is decided in [`crate::protocol`]; [`LocalQueue`] is one of its
-//! [`NodeQueue`](crate::protocol::NodeQueue)s (the `model-check`
-//! crate's compact node state is another), and the live MPI+MPI
-//! executor keeps the same fields in window slots instead.
+//! [`NodeQueue`](crate::protocol::NodeQueue)s, beside the `model-check`
+//! crate's compact node state and the live executor's window slots.
 //!
 //! A node's local queue holds the chunks its workers fetched from the
 //! global queue but have not fully executed yet. Each deposited chunk
@@ -19,8 +18,9 @@
 //! each may fetch a chunk, so the queue is a FIFO of ranges rather than
 //! a single slot.
 
-use dls::{ChunkCalculator, LoopSpec, SchedState, Technique};
+use dls::Technique;
 use std::borrow::Borrow;
+use std::convert::Infallible;
 
 /// One deposited chunk with its intra-node scheduling progress.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -114,8 +114,6 @@ where
 #[derive(Clone, Debug, Default)]
 pub struct LocalQueue {
     ranges: std::collections::VecDeque<QueuedRange>,
-    /// Total sub-chunks handed out (intra-level scheduling steps).
-    pub sub_chunks: u64,
     /// Total chunks deposited.
     pub deposits: u64,
 }
@@ -147,7 +145,8 @@ impl LocalQueue {
     /// sub-chunk using `intra` over a node of `p` workers, or `None`
     /// when the queue is empty.
     pub fn take_sub_chunk(&mut self, intra: &Technique, p: u32) -> Option<SubChunk> {
-        crate::protocol::take(self, intra, p, dls::technique::WorkerCtx::default())
+        let Ok(sub) = crate::protocol::take(self, intra, p, dls::technique::WorkerCtx::default());
+        sub
     }
 
     /// Remove and return every not-yet-handed-out iteration range —
@@ -163,54 +162,24 @@ impl LocalQueue {
 }
 
 impl crate::protocol::NodeQueue for LocalQueue {
-    fn front(&mut self) -> Option<QueuedRange> {
+    type Error = Infallible;
+
+    fn front(&mut self) -> Result<Option<QueuedRange>, Infallible> {
         while self.ranges.front().is_some_and(|r| r.is_empty()) {
             self.ranges.pop_front();
         }
-        self.ranges.front().copied()
+        Ok(self.ranges.front().copied())
     }
 
-    fn advance(&mut self, size: u64) {
-        let range = self.ranges.front_mut().expect("advance behind a front range");
-        range.taken += size;
-        range.step += 1;
-        self.sub_chunks += 1;
+    fn advance(&mut self, front: QueuedRange) -> Result<(), Infallible> {
+        *self.ranges.front_mut().expect("advance behind a front range") = front;
+        Ok(())
     }
 
-    fn push(&mut self, lo: u64, hi: u64) {
+    fn push(&mut self, lo: u64, hi: u64) -> Result<(), Infallible> {
         self.deposit(lo, hi);
+        Ok(())
     }
-}
-
-/// Sub-chunk size for a deposited chunk of `range_len` iterations over
-/// `p` workers at intra state `(step, taken)` — the arithmetic of
-/// [`crate::protocol::take`], also called directly where the queue
-/// lives in window slots rather than a Rust struct (the `live`
-/// backend).
-pub fn sub_chunk_size(intra: &Technique, range_len: u64, p: u32, step: u64, taken: u64) -> u64 {
-    sub_chunk_size_for(intra, range_len, p, step, taken, dls::technique::WorkerCtx::default())
-}
-
-/// [`sub_chunk_size`] with an explicit worker context (weighted and
-/// adaptive techniques).
-pub fn sub_chunk_size_for(
-    intra: &Technique,
-    range_len: u64,
-    p: u32,
-    step: u64,
-    taken: u64,
-    ctx: dls::technique::WorkerCtx,
-) -> u64 {
-    // Callers may race past the end of a range (two workers observing the
-    // same slot before either CAS lands); an exhausted range yields 0
-    // rather than underflowing `range_len - taken`.
-    let remaining = range_len.saturating_sub(taken);
-    if remaining == 0 {
-        return 0;
-    }
-    let spec = LoopSpec::new(range_len, p);
-    let state = SchedState { step, scheduled: taken };
-    intra.chunk_size(&spec, state, ctx).clamp(1, remaining)
 }
 
 #[cfg(test)]
@@ -299,20 +268,6 @@ mod tests {
         let sizes: Vec<u64> =
             std::iter::from_fn(|| q.take_sub_chunk(&t, 2)).map(|s| s.len()).collect();
         assert_eq!(sizes, vec![5, 5, 5, 5]);
-    }
-
-    #[test]
-    fn sub_chunk_size_exhausted_range_returns_zero() {
-        // Regression: `taken >= range_len` used to underflow
-        // `range_len - taken` (debug panic) and feed `clamp(1, 0)`
-        // (release panic). An exhausted range must yield 0.
-        let t = Technique::ss();
-        assert_eq!(sub_chunk_size(&t, 100, 4, 100, 100), 0);
-        assert_eq!(sub_chunk_size(&t, 100, 4, 101, 150), 0);
-        assert_eq!(sub_chunk_size(&t, 0, 4, 0, 0), 0);
-        // A live range is unaffected.
-        assert_eq!(sub_chunk_size(&t, 100, 4, 0, 99), 1);
-        assert!(sub_chunk_size(&Technique::gss(), 100, 4, 0, 0) > 0);
     }
 
     #[test]

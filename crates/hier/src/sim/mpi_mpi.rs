@@ -22,7 +22,7 @@
 use super::run::{Run, Step};
 use super::{SimConfig, SimResult};
 use crate::layout::{node_win, GLOBAL_WIN};
-use crate::protocol::{self, Empty, Flags};
+use crate::protocol::{self, Empty, Fetched, Flags};
 use crate::queue::LocalQueue;
 use cluster_sim::trace::SegmentKind;
 use cluster_sim::{ContendedLock, Time};
@@ -89,9 +89,7 @@ fn execute_sub(
         None => (cfg.spec.intra, cfg.weights.get(w as usize).copied().unwrap_or(1.0)),
     };
     let ctx = dls::technique::WorkerCtx { worker: local, weight };
-    let Some(sub) = protocol::take(&mut node.queue, &technique, wpn, ctx) else {
-        return false;
-    };
+    let Ok(Some(sub)) = protocol::take(&mut node.queue, &technique, wpn, ctx) else { return false };
     let cost = run.cost(w, grant_end, sub);
     if let Some(ct) = cfg.faults.crash_at(w).filter(|&ct| ct < grant_end + cost) {
         // Took the sub-chunk under the lock, then died before
@@ -350,7 +348,8 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                     run.stats.nodes[node_idx].lock_contended += 1;
                 }
                 run.trace.record(w, t, grant.end, SegmentKind::Sched);
-                let tx = protocol::deposit(&mut node.queue, &mut node.flags, payload);
+                let fetched = payload.map_or(Fetched::Done, |(lo, hi)| Fetched::Chunk(lo, hi));
+                let Ok(tx) = protocol::deposit(&mut node.queue, &mut node.flags, fetched);
                 run.tape.tx(grant.end, node_win(node_idx), w % wpn, tx);
                 if payload.is_some() {
                     run.stats.nodes[node_idx].deposits += 1;

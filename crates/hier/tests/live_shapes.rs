@@ -1,16 +1,19 @@
-//! The live MPI+MPI rank loop issues the transactions `hier::protocol`
-//! names. The virtual-time executor writes those shapes to its tape by
-//! construction; the live loop spells its window calls out one by one,
-//! so this is what keeps the two on one protocol: every (window, rank)
-//! stream of a recorded live log — and of the sim's synthesized log for
-//! the same run — parses as a word over the protocol's shapes.
+//! Every MPI+MPI executor issues the transactions `hier::protocol`
+//! names. The virtual-time executor writes the shapes its protocol calls
+//! return to its tape; the live rank loop makes the same calls over its
+//! node window, which records each get and put as it is issued. This
+//! pins the two to one protocol, RMA order included: every (window,
+//! rank) stream of a recorded live log — over RMA windows or with the
+//! global queue behind a `dls-service` socket — and of the sim's
+//! synthesized log for the same run parses as a word over the shapes.
 
 use cluster_sim::{MachineParams, SimTopology};
 use dls::Kind;
-use hier::live::{run_live_mpi_mpi, LiveConfig};
+use dls_service::{Server, ServiceConfig};
+use hier::live::{run_live_mpi_mpi, run_live_net, LiveConfig};
 use hier::protocol::{
     DEPOSIT, DEPOSIT_DONE, GLOBAL_FAA, GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ, PROBE_REFILL,
-    PROBE_RELEASE, TAKE,
+    PROBE_RELEASE, RELEASE, TAKE,
 };
 use hier::sim::{simulate_mpi_mpi, SimConfig};
 use hier::{Approach, GlobalQueueMode, HierSpec};
@@ -106,4 +109,25 @@ fn live_and_sim_logs_are_words_over_the_protocol_shapes() {
             assert_eq!(check(&r.rma, mode, &format!("sim {what}")), all, "sim {what}");
         }
     }
+}
+
+#[test]
+fn net_backend_node_logs_are_words_over_the_protocol_shapes() {
+    let srv = Server::start(ServiceConfig::default(), "127.0.0.1:0").expect("bind");
+    let w = Synthetic::uniform(600, 1, 100, 3);
+    let mut cfg = LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+    cfg.record_rma = true;
+    let r = run_live_net(&cfg, &w, srv.addr()).expect("net run");
+    srv.shutdown();
+    // A service queue may answer `Pending`, whose refill ends in RELEASE.
+    let words: Vec<&[RmaEvent]> = NODE_WORDS.iter().copied().chain([RELEASE]).collect();
+    let mut seen = BTreeSet::new();
+    for (shared, events) in streams(&r.rma) {
+        assert!(shared, "the global queue is a socket, not a window: {events:?}");
+        let parsed = parse(&events, &words)
+            .unwrap_or_else(|| panic!("net: node stream is no protocol word: {events:?}"));
+        seen.extend(parsed);
+    }
+    let missing: Vec<usize> = (0..NODE_WORDS.len()).filter(|i| !seen.contains(i)).collect();
+    assert!(missing.is_empty(), "net: node shapes {missing:?} never occurred");
 }

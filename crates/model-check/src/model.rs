@@ -44,10 +44,11 @@
 
 use dls::technique::WorkerCtx;
 use dls::{Kind, LoopSpec, SchedState, Technique};
-use hier::protocol::{self, Empty, Flags, NodeQueue};
+use hier::protocol::{self, Empty, Fetched, Flags, NodeQueue};
 use hier::queue::QueuedRange;
 use hier::sim::layout::{node_win, GLOBAL_WIN};
 use mpisim::RmaEvent;
+use std::convert::Infallible;
 
 /// Most nodes a config may use (the paper-scale sweep needs 2).
 pub const MAX_NODES: usize = 2;
@@ -162,28 +163,32 @@ impl Fifo {
 }
 
 impl NodeQueue for Fifo {
-    fn front(&mut self) -> Option<QueuedRange> {
+    type Error = Infallible;
+
+    fn front(&mut self) -> Result<Option<QueuedRange>, Infallible> {
         self.canon();
         let r = self.ranges[0];
-        (self.n_ranges > 0).then(|| QueuedRange {
+        Ok((self.n_ranges > 0).then(|| QueuedRange {
             lo: r.lo.into(),
             hi: r.hi.into(),
             step: r.step.into(),
             taken: r.taken.into(),
-        })
+        }))
     }
 
-    fn advance(&mut self, size: u64) {
+    fn advance(&mut self, front: QueuedRange) -> Result<(), Infallible> {
         let r = &mut self.ranges[0];
-        r.taken += u8c(size);
-        r.step += 1;
+        r.taken = u8c(front.taken);
+        r.step = u8c(front.step);
         self.canon();
+        Ok(())
     }
 
-    fn push(&mut self, lo: u64, hi: u64) {
+    fn push(&mut self, lo: u64, hi: u64) -> Result<(), Infallible> {
         assert!((self.n_ranges as usize) < MAX_RANGES, "range FIFO overflow (model bound)");
         self.ranges[self.n_ranges as usize] = Range { lo: u8c(lo), hi: u8c(hi), step: 0, taken: 0 };
         self.n_ranges += 1;
+        Ok(())
     }
 }
 
@@ -761,7 +766,7 @@ impl Config {
     ) -> Result<Option<(u8, u8)>, Violation> {
         let ctx = WorkerCtx::worker(u32::from(self.local_of(pid)));
         let p = u32::from(self.ranks_per_node);
-        let Some(sub) = protocol::take(&mut node.queue, &self.intra_t, p, ctx) else {
+        let Ok(Some(sub)) = protocol::take(&mut node.queue, &self.intra_t, p, ctx) else {
             return Ok(None);
         };
         self.node_tx(sink, pid, tx);
@@ -923,7 +928,7 @@ impl Config {
                     // and settle its lease. The prober keeps the lock
                     // and takes a sub-chunk on its next step.
                     Self::mark_deposited(&mut t.deposited, lo, hi, pid)?;
-                    node.queue.push(lo.into(), hi.into());
+                    let Ok(()) = node.queue.push(lo.into(), hi.into());
                     node.flags.refilling = false;
                     t.procs[owner as usize] = Pc::Crashed { lo: NONE_PAYLOAD, hi: NONE_PAYLOAD };
                     Action::Reclaim { owner, lo, hi }
@@ -1019,10 +1024,11 @@ impl Config {
                 let node = &mut t.nodes[ni];
                 debug_assert_eq!(node.holder, pid);
                 let chunk = (lo != NONE_PAYLOAD).then(|| (lo.into(), hi.into()));
-                let tx = protocol::deposit(&mut node.queue, &mut node.flags, chunk);
+                let fetched = chunk.map_or(Fetched::Done, |(lo, hi)| Fetched::Chunk(lo, hi));
+                let Ok(tx) = protocol::deposit(&mut node.queue, &mut node.flags, fetched);
                 self.node_tx(&mut sink, pid, tx);
                 if chunk.is_none() {
-                    let done = node.queue.front().is_none();
+                    let done = node.queue.front() == Ok(None);
                     Self::release(node, &mut t.procs);
                     t.procs[pid as usize] = if done { Pc::Done } else { Pc::Probe };
                     Action::DepositExhausted { done }
@@ -1113,7 +1119,7 @@ mod tests {
         for intra in Kind::PAPER {
             let c = Config::new(1, 3, 17, Kind::STATIC, intra);
             let mut s = c.initial();
-            s.nodes[0].queue.push(0, 17);
+            let Ok(()) = s.nodes[0].queue.push(0, 17);
             s.deposited = (1 << 17) - 1;
             let mut q = hier::queue::LocalQueue::new();
             q.deposit(0, 17);
@@ -1132,7 +1138,7 @@ mod tests {
             }
             let mut queue_subs = Vec::new();
             let t = Technique::from_kind(intra);
-            while let Some(sub) = protocol::take(&mut q, &t, 3, WorkerCtx::worker(0)) {
+            while let Ok(Some(sub)) = protocol::take(&mut q, &t, 3, WorkerCtx::worker(0)) {
                 queue_subs.push((sub.start, sub.end));
             }
             assert_eq!(model_subs, queue_subs, "{intra}");

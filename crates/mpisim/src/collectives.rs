@@ -2,7 +2,7 @@
 //! messaging with reserved internal tags. Linear algorithms — adequate
 //! for a simulator whose largest world is a few hundred ranks.
 
-use crate::comm::{Comm, TAG_BCAST, TAG_GATHER, TAG_SCAN};
+use crate::comm::{Comm, TAG_BCAST, TAG_GATHER};
 use crate::error::{Error, Result};
 
 impl Comm {
@@ -66,21 +66,6 @@ impl Comm {
         }
     }
 
-    /// `MPI_Scan` (inclusive prefix): rank `r` returns
-    /// `op(v_0, ..., v_r)`. Linear chain.
-    pub fn scan<T: Clone + Send + 'static>(&self, value: T, op: impl Fn(T, T) -> T) -> Result<T> {
-        let acc = if self.rank() == 0 {
-            value
-        } else {
-            let (_, _, prev): (_, _, T) = self.recv(Some(self.rank() - 1), Some(TAG_SCAN))?;
-            op(prev, value)
-        };
-        if self.rank() + 1 < self.size() {
-            self.send(self.rank() + 1, TAG_SCAN, acc.clone())?;
-        }
-        Ok(acc)
-    }
-
     fn check_rank(&self, rank: u32) -> Result<()> {
         if rank >= self.size() {
             return Err(Error::RankOutOfRange { rank, size: self.size() });
@@ -117,25 +102,6 @@ mod tests {
         let out =
             Universe::run(Topology::new(1, 3), |p| p.world().allgather(p.world().rank()).unwrap());
         assert_eq!(out, vec![vec![0, 1, 2]; 3]);
-    }
-
-    #[test]
-    fn scan_inclusive_prefix_sums() {
-        let out = Universe::run(Topology::new(1, 5), |p| {
-            let w = p.world();
-            w.scan(w.rank() + 1, |a, b| a + b).unwrap()
-        });
-        assert_eq!(out, vec![1, 3, 6, 10, 15]);
-    }
-
-    #[test]
-    fn scan_with_non_commutative_op() {
-        // String concatenation: order must be rank order.
-        let out = Universe::run(Topology::new(1, 3), |p| {
-            let w = p.world();
-            w.scan(w.rank().to_string(), |a, b| a + &b).unwrap()
-        });
-        assert_eq!(out, vec!["0", "01", "012"]);
     }
 
     #[test]

@@ -11,7 +11,6 @@ pub(crate) const TAG_SPLIT: i32 = INTERNAL_TAG_BASE;
 pub(crate) const TAG_BCAST: i32 = INTERNAL_TAG_BASE + 1;
 pub(crate) const TAG_GATHER: i32 = INTERNAL_TAG_BASE + 3;
 pub(crate) const TAG_WIN: i32 = INTERNAL_TAG_BASE + 5;
-pub(crate) const TAG_SCAN: i32 = INTERNAL_TAG_BASE + 6;
 
 /// Shared state of one communicator: membership, mailboxes, barrier.
 pub(crate) struct CommState {

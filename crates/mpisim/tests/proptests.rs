@@ -32,24 +32,6 @@ proptest! {
     }
 
     #[test]
-    fn scan_matches_prefix_fold(rpn in 1u32..7, values in prop::collection::vec(-50i64..50, 6)) {
-        let topo = Topology::single_node(rpn);
-        let n = topo.world_size() as usize;
-        let values = values[..n.min(values.len())].to_vec();
-        prop_assume!(values.len() == n);
-        let vals = values.clone();
-        let out = Universe::run(topo, move |p| {
-            let w = p.world();
-            w.scan(vals[w.rank() as usize], |a, b| a + b).unwrap()
-        });
-        let mut acc = 0;
-        for (r, v) in values.iter().enumerate() {
-            acc += v;
-            prop_assert_eq!(out[r], acc);
-        }
-    }
-
-    #[test]
     fn fetch_and_op_mix_conserves_sum(rpn in 2u32..6, adds in prop::collection::vec(1i64..100, 5)) {
         let topo = Topology::single_node(rpn);
         let adds2 = adds.clone();

@@ -15,10 +15,13 @@
 //! asserted on every run; the *trigger actually fired* assertions
 //! retry a few times so one unlucky scheduling round does not fail CI.
 
+use dls::adaptive::AwfVariant;
 use dls::Kind;
 use hier::config::{Approach, HierSpec};
 use hier::live::{run_live_mpi_mpi, serial_checksum, LiveConfig, LiveResult};
+use mpisim::RmaEvent;
 use resilience::{FaultKind, FaultPlan, RecoveryEvent};
+use std::collections::HashSet;
 use workloads::synthetic::Synthetic;
 use workloads::Spin;
 
@@ -28,6 +31,14 @@ const N_ITERS: u64 = 400;
 const ATTEMPTS: u32 = 6;
 
 fn run(spec: HierSpec, plan: FaultPlan) -> (LiveResult, u64) {
+    run_with(spec, plan, |_| {})
+}
+
+fn run_with(
+    spec: HierSpec,
+    plan: FaultPlan,
+    configure: impl FnOnce(&mut LiveConfig),
+) -> (LiveResult, u64) {
     // Spin-burned microsecond kernels so scheduling is observable: a
     // free-running kernel lets one thread drain the loop before its
     // peers even start. The serial reference checksum comes from the
@@ -36,6 +47,7 @@ fn run(spec: HierSpec, plan: FaultPlan) -> (LiveResult, u64) {
     let serial = serial_checksum(&Synthetic::uniform(N_ITERS, 5_000, 40_000, 7));
     let mut cfg = LiveConfig::new(NODES, WPN, spec, Approach::MpiMpi);
     cfg.faults = plan;
+    configure(&mut cfg);
     (run_live_mpi_mpi(&cfg, &w).expect("live faulted run"), serial)
 }
 
@@ -44,6 +56,30 @@ fn check(r: &LiveResult, serial: u64, label: &str) {
     assert_eq!(r.stats.total_iterations, N_ITERS, "{label}: iterations lost or duplicated");
     hier::queue::exactly_once(&r.executed, N_ITERS)
         .unwrap_or_else(|e| panic!("{label}: exactly-once ledger failed: {e:?}"));
+}
+
+/// Lock repairs in a recorded run's log: the repairer closes the
+/// corpse's epoch with an `Unlock` of its own, outside any epoch it
+/// holds. Only the nodes' shared windows have a lock to repair.
+fn logged_repairs(r: &LiveResult) -> u64 {
+    let shared: HashSet<u64> = r
+        .rma
+        .iter()
+        .filter(|rec| matches!(rec.event, RmaEvent::Attach { shared: true, .. }))
+        .map(|rec| rec.win)
+        .collect();
+    let mut held = HashSet::new();
+    let mut repairs = 0;
+    for rec in r.rma.iter().filter(|rec| shared.contains(&rec.win)) {
+        match rec.event {
+            RmaEvent::Lock { .. } => {
+                held.insert((rec.win, rec.rank));
+            }
+            RmaEvent::Unlock { .. } if !held.remove(&(rec.win, rec.rank)) => repairs += 1,
+            _ => {}
+        }
+    }
+    repairs
 }
 
 /// Run until the injected crash actually fires (correctness asserted on
@@ -87,24 +123,48 @@ fn crash_after_take_is_reclaimed_exactly_once() {
 
 #[test]
 fn crash_holding_lock_is_detected_and_repaired() {
+    // Every fired crash is checked, not only the first: whichever of the
+    // rank loop's critical sections (probe, AWF history, deposit) finds
+    // the abandoned lock, the repair the window log shows is recorded.
+    // A crash after node 1's survivor retired leaves nothing to repair.
     let plan =
         FaultPlan::none().with(3, FaultKind::CrashHoldingLock { at_ns: 0, after_sub_chunks: 1 });
-    let r = run_until_crash(HierSpec::new(Kind::GSS, Kind::SS), &plan, "live holding-lock");
-    assert!(
-        r.recovery
-            .iter()
-            .any(|e| matches!(e, RecoveryEvent::Crash { rank: 3, holding_lock: true, .. })),
-        "holding-lock crash missing: {:?}",
-        r.recovery
-    );
-    assert!(
-        r.recovery.iter().any(|e| matches!(e, RecoveryEvent::LockRepair { dead_holder: 3, .. })),
-        "abandoned lock never repaired: {:?}",
-        r.recovery
-    );
-    // Rank 3 lives on node 1: the one revocation is counted there.
-    let revocations: Vec<u64> = r.stats.nodes.iter().map(|n| n.lock_revocations).collect();
-    assert_eq!(revocations, [0, 1]);
+    for awf in [None, Some(AwfVariant::C)] {
+        let (mut fired, mut repaired) = (0, 0);
+        for attempt in 0..24 {
+            let label = format!("live holding-lock, AWF {awf:?}, run {attempt}");
+            let (r, serial) = run_with(HierSpec::new(Kind::GSS, Kind::SS), plan.clone(), |cfg| {
+                cfg.awf = awf;
+                cfg.record_rma = true;
+            });
+            check(&r, serial, &label);
+            if !r.recovery.iter().any(|e| matches!(e, RecoveryEvent::Crash { .. })) {
+                continue;
+            }
+            fired += 1;
+            assert!(
+                r.recovery
+                    .iter()
+                    .any(|e| matches!(e, RecoveryEvent::Crash { rank: 3, holding_lock: true, .. })),
+                "{label}: holding-lock crash missing: {:?}",
+                r.recovery
+            );
+            let repairs = logged_repairs(&r);
+            assert!(repairs <= 1, "{label}: {repairs} repairs of one abandoned lock");
+            let recorded = r
+                .recovery
+                .iter()
+                .filter(|e| matches!(e, RecoveryEvent::LockRepair { dead_holder: 3, .. }))
+                .count();
+            assert_eq!(recorded as u64, repairs, "{label}: a lock repair went unrecorded");
+            // Rank 3 lives on node 1: its revocation is counted there.
+            let revocations: Vec<u64> = r.stats.nodes.iter().map(|n| n.lock_revocations).collect();
+            assert_eq!(revocations, [0, repairs], "{label}");
+            repaired += repairs;
+        }
+        assert!(fired >= 8, "AWF {awf:?}: the crash fired in only {fired} of 24 runs");
+        assert!(repaired * 2 >= fired, "AWF {awf:?}: {repaired} of {fired} crashes repaired");
+    }
 }
 
 #[test]
