@@ -23,11 +23,12 @@
 //! * [`replay`] — minimal counterexample traces re-emitted as the
 //!   executor's RMA access log (same [`hier::sim::layout`] windows
 //!   and displacements) and fed through `rma-check`;
-//! * [`switch`] — the AUTO mode's technique-switch adversary: DFS over
+//! * [`switch`] — the AUTO mode's technique-switch adversary, driving
+//!   the service's job kernel `durability::JobCore` itself: DFS over
 //!   every ladder choice at every batch boundary, a crash sweep over
-//!   every event placement (switch-then-crash included), and a
-//!   seeded-broken re-basing variant whose duplicate-execution
-//!   counterexample the checker must find.
+//!   every event placement (switch-then-crash included), and two
+//!   seeded-broken re-basings — the counters hidden from `switch` or
+//!   from `re_arm` — whose grant past `n` the checker must find.
 //!
 //! ```
 //! use dls::Kind;

@@ -14,10 +14,11 @@
 //!   [`dls::openmp::OmpSchedule`] clause (the type and its dispatch
 //!   sizes are `dls`'s, so a team and the `dls` calculators cannot
 //!   disagree about Table 1), implicit barrier, and an explicit
-//!   `nowait` variant.
-//! * [`TeamCtx::barrier`], [`TeamCtx::master`], [`TeamCtx::critical`],
-//!   [`TeamCtx::reduce`] — the synchronisation constructs hierarchical
-//!   DLS codes use.
+//!   `nowait` variant. A dynamic or guided region is retired at its
+//!   barrier, so a team that opens one construct per chunk keeps no
+//!   state per chunk.
+//! * [`TeamCtx::barrier`], [`TeamCtx::master`], [`TeamCtx::reduce`] —
+//!   the synchronisation constructs hierarchical DLS codes use.
 //!
 //! ```
 //! use dls::openmp::OmpSchedule;

@@ -44,7 +44,8 @@ impl Region {
 /// Team-wide registry mapping region sequence numbers to shared state.
 #[derive(Default)]
 pub(crate) struct RegionRegistry {
-    regions: Mutex<HashMap<u64, Arc<Region>>>,
+    /// Live regions by construct sequence number.
+    pub regions: Mutex<HashMap<u64, Arc<Region>>>,
     /// Auxiliary typed storage for reductions: one value vector per
     /// construct sequence number.
     values: Mutex<HashMap<u64, Arc<dyn std::any::Any + Send + Sync>>>,

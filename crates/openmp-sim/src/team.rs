@@ -5,7 +5,7 @@ use crate::schedule::next_dispatch;
 use dls::openmp::{static_blocks, OmpSchedule};
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::{Barrier, Mutex, PoisonError};
+use std::sync::{Barrier, PoisonError};
 
 /// A team size — `#pragma omp parallel num_threads(n)`.
 #[derive(Clone, Copy, Debug)]
@@ -17,7 +17,6 @@ pub struct Team {
 struct TeamShared {
     barrier: Barrier,
     regions: RegionRegistry,
-    critical: Mutex<()>,
 }
 
 /// Per-thread handle inside [`Team::parallel`].
@@ -47,7 +46,6 @@ impl Team {
         let shared = TeamShared {
             barrier: Barrier::new(self.threads as usize),
             regions: RegionRegistry::default(),
-            critical: Mutex::new(()),
         };
         let f = &f;
         let shared = &shared;
@@ -87,24 +85,19 @@ impl TeamCtx<'_> {
         (self.tid == 0).then(f)
     }
 
-    /// `#pragma omp critical`: run `f` under the team-wide mutex.
-    pub fn critical<T>(&self, f: impl FnOnce() -> T) -> T {
-        let _guard = self.shared.critical.lock().unwrap_or_else(PoisonError::into_inner);
-        f()
-    }
-
     /// `#pragma omp for schedule(...)`: distribute `range` over the
     /// team, call `body(i)` for each owned iteration, and cross the
     /// implicit end-of-region barrier.
     pub fn for_each(&self, range: Range<u64>, schedule: OmpSchedule, mut body: impl FnMut(u64)) {
-        self.for_each_nowait(range, schedule, &mut body);
-        self.barrier();
+        self.for_each_dispatch(range, schedule, |r| r.for_each(&mut body));
     }
 
     /// `#pragma omp for schedule(...) nowait`: as [`TeamCtx::for_each`]
     /// but without the end-of-region barrier — the construct whose
     /// implications the paper discusses at length. Returns the number
-    /// of iterations this thread executed.
+    /// of iterations this thread executed. Without the barrier no thread
+    /// knows when the others are done with the region, so it is never
+    /// retired: the registry keeps it for the team's lifetime.
     pub fn for_each_nowait(
         &self,
         range: Range<u64>,
@@ -128,13 +121,23 @@ impl TeamCtx<'_> {
         &self,
         range: Range<u64>,
         schedule: OmpSchedule,
-        mut body: impl FnMut(Range<u64>),
+        body: impl FnMut(Range<u64>),
     ) {
-        self.for_each_dispatch_nowait(range, schedule, &mut body);
+        let seq = self.seq.get();
+        self.for_each_dispatch_nowait(range, schedule, body);
         self.barrier();
+        // Every thread looked the region up before the barrier, so none
+        // can re-create it: retire it, or a team that opens one construct
+        // per chunk keeps one region per chunk. Static schedules never
+        // create one.
+        if self.tid == 0 && !matches!(schedule, OmpSchedule::Static { .. }) {
+            self.shared.regions.retire(seq);
+        }
     }
 
-    /// Dispatch-level worksharing without the end barrier.
+    /// Dispatch-level worksharing without the end barrier. A dynamic or
+    /// guided region stays in the registry for the team's lifetime, as
+    /// in [`TeamCtx::for_each_nowait`].
     pub fn for_each_dispatch_nowait(
         &self,
         range: Range<u64>,
@@ -159,37 +162,6 @@ impl TeamCtx<'_> {
                     body(range.start + lo..range.start + hi);
                 }
             }
-        }
-    }
-
-    /// `#pragma omp single`: the first thread to arrive executes `f`;
-    /// everyone crosses the implicit end barrier. Returns `Some` on the
-    /// executing thread.
-    pub fn single<T>(&self, f: impl FnOnce() -> T) -> Option<T> {
-        let seq = self.seq.get();
-        self.seq.set(seq + 1);
-        let region = self.shared.regions.get(seq);
-        let winner = region.claim(1, |_| 1).is_some();
-        let out = winner.then(f);
-        self.barrier();
-        if self.tid == 0 {
-            self.shared.regions.retire(seq);
-        }
-        out
-    }
-
-    /// `#pragma omp sections`: each closure in `sections` executes
-    /// exactly once, distributed over the team; implicit end barrier.
-    pub fn sections(&self, sections: &[&(dyn Fn() + Sync)]) {
-        let seq = self.seq.get();
-        self.seq.set(seq + 1);
-        let region = self.shared.regions.get(seq);
-        while let Some((lo, _)) = region.claim(sections.len() as u64, |_| 1) {
-            sections[lo as usize]();
-        }
-        self.barrier();
-        if self.tid == 0 {
-            self.shared.regions.retire(seq);
         }
     }
 
@@ -279,6 +251,22 @@ mod tests {
     }
 
     #[test]
+    fn worksharing_regions_are_retired_at_their_barrier() {
+        for schedule in
+            [OmpSchedule::dynamic1(), OmpSchedule::guided1(), OmpSchedule::static_block()]
+        {
+            let live = Team::new(4).parallel(|ctx| {
+                for _ in 0..1000 {
+                    ctx.for_each_dispatch(0..100, schedule, |_| {});
+                }
+                // Thread 0 retired every region it crossed a barrier of.
+                ctx.master(|| ctx.shared.regions.regions.lock().unwrap().len())
+            });
+            assert_eq!(live[0], Some(0), "{schedule:?}");
+        }
+    }
+
+    #[test]
     fn nowait_returns_executed_count() {
         let out = Team::new(4).parallel(|ctx| {
             let n = ctx.for_each_nowait(0..97, OmpSchedule::Dynamic { chunk: 5 }, |_| {});
@@ -292,23 +280,6 @@ mod tests {
     fn master_runs_on_thread_zero_only() {
         let out = Team::new(4).parallel(|ctx| ctx.master(|| ctx.thread_num()));
         assert_eq!(out, vec![Some(0), None, None, None]);
-    }
-
-    #[test]
-    fn critical_is_mutually_exclusive() {
-        let counter = Mutex::new(0u64);
-        Team::new(8).parallel(|ctx| {
-            for _ in 0..100 {
-                ctx.critical(|| {
-                    let mut c = counter.lock().unwrap();
-                    let v = *c;
-                    // A non-atomic RMW: only safe under the critical lock.
-                    std::hint::black_box(&v);
-                    *c = v + 1;
-                });
-            }
-        });
-        assert_eq!(*counter.lock().unwrap(), 800);
     }
 
     #[test]
@@ -328,43 +299,6 @@ mod tests {
             });
         });
         assert_eq!(sum.load(Ordering::SeqCst), 3);
-    }
-
-    #[test]
-    fn single_executes_once() {
-        let count = AtomicU64::new(0);
-        let winners = Team::new(6).parallel(|ctx| {
-            for _ in 0..10 {
-                ctx.single(|| {
-                    count.fetch_add(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert_eq!(count.load(Ordering::SeqCst), 10);
-        assert_eq!(winners.len(), 6);
-    }
-
-    #[test]
-    fn sections_each_run_once() {
-        let a = AtomicU64::new(0);
-        let b = AtomicU64::new(0);
-        let c = AtomicU64::new(0);
-        let fa = || {
-            a.fetch_add(1, Ordering::SeqCst);
-        };
-        let fb = || {
-            b.fetch_add(1, Ordering::SeqCst);
-        };
-        let fc = || {
-            c.fetch_add(1, Ordering::SeqCst);
-        };
-        Team::new(2).parallel(|ctx| {
-            ctx.sections(&[&fa, &fb, &fc]);
-        });
-        assert_eq!(
-            [a.load(Ordering::SeqCst), b.load(Ordering::SeqCst), c.load(Ordering::SeqCst)],
-            [1, 1, 1]
-        );
     }
 
     #[test]
