@@ -83,7 +83,8 @@ const fn crc32_tables() -> [[u32; 256]; 8] {
     tables
 }
 
-/// Append one framed record to `out`.
+/// Append one framed record to `out`. The payload is never empty: a
+/// zero length prefix is what [`scan`] reads as a zero-filled tail.
 pub fn encode_record(payload: &[u8], out: &mut Vec<u8>) {
     encode_record_with(out, |b| b.extend_from_slice(payload));
 }
@@ -96,7 +97,7 @@ pub fn encode_record_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
     write(out);
     let payload = &out[start + RECORD_HEADER_LEN..];
-    debug_assert!(payload.len() as u64 <= MAX_RECORD_LEN as u64);
+    debug_assert!((1..=MAX_RECORD_LEN as u64).contains(&(payload.len() as u64)));
     let (len, crc) = (payload.len() as u32, crc32(payload));
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     out[start + 4..start + RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
@@ -121,8 +122,8 @@ pub struct ScanResult<'a> {
     /// point when `torn` is true, the file length otherwise.
     pub clean_len: usize,
     /// True if trailing bytes after `clean_len` failed to parse
-    /// (short header, short payload, CRC mismatch, or oversized
-    /// length prefix).
+    /// (short header, short payload, CRC mismatch, or a zero or
+    /// oversized length prefix).
     pub torn: bool,
 }
 
@@ -182,7 +183,11 @@ pub fn scan(bytes: &[u8], expect_seq: Option<u64>) -> Result<ScanResult<'_>, Sca
         let len = u32::from_le_bytes(w);
         w.copy_from_slice(&bytes[off + 4..off + 8]);
         let crc = u32::from_le_bytes(w);
-        if len > MAX_RECORD_LEN {
+        // The encoder never writes an empty payload, and an all-zero
+        // header would pass the CRC check (`crc32(&[])` is 0): a
+        // zero-filled tail, as some filesystems leave after a power cut,
+        // is torn, not a run of empty records.
+        if len == 0 || len > MAX_RECORD_LEN {
             return Ok(ScanResult { seq, records, clean_len: off, torn: true });
         }
         let start = off + RECORD_HEADER_LEN;
@@ -246,15 +251,27 @@ mod tests {
     fn roundtrip_multiple_records() {
         let mut buf = segment_header(7).to_vec();
         encode_record(b"alpha", &mut buf);
-        encode_record(b"", &mut buf);
+        encode_record(b"b", &mut buf);
         encode_record(&[0xFFu8; 300], &mut buf);
         let res = scan(&buf, Some(7)).unwrap();
         assert!(!res.torn);
         assert_eq!(res.clean_len, buf.len());
         assert_eq!(res.records.len(), 3);
         assert_eq!(res.records[0], b"alpha");
-        assert_eq!(res.records[1], b"");
+        assert_eq!(res.records[1], b"b");
         assert_eq!(res.records[2], &[0xFFu8; 300][..]);
+    }
+
+    #[test]
+    fn zero_filled_tail_is_torn_not_empty_records() {
+        let mut buf = segment_header(2).to_vec();
+        encode_record(b"first", &mut buf);
+        let keep = buf.len();
+        buf.resize(keep + 4096, 0);
+        let res = scan(&buf, Some(2)).unwrap();
+        assert!(res.torn);
+        assert_eq!(res.clean_len, keep);
+        assert_eq!(res.records, vec![&b"first"[..]]);
     }
 
     #[test]

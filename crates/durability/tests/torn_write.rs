@@ -223,6 +223,87 @@ fn bit_flip_in_last_record_is_torn_tail_not_garbage_state() {
     let _ = fs::remove_dir_all(&scratch);
 }
 
+/// Where `dir`'s segments are, in sequence order.
+fn segments(dir: &Path) -> Vec<PathBuf> {
+    let mut segs: Vec<PathBuf> = fs::read_dir(dir)
+        .expect("read dir")
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("wal-")))
+        .collect();
+    segs.sort();
+    segs
+}
+
+/// Append 4 KiB of zeros to `path`: the tail some filesystems leave
+/// after a power cut, whose all-zero frame headers pass a CRC check
+/// (`crc32(&[])` is 0).
+fn append_zeros(path: &Path) {
+    let mut bytes = fs::read(path).expect("read segment");
+    bytes.resize(bytes.len() + 4096, 0);
+    fs::write(path, &bytes).expect("write zero-filled tail");
+}
+
+#[test]
+fn zero_filled_tail_is_truncated_to_the_last_record() {
+    let dir = tmpdir("zero-tail");
+    let seg = build_reference(&dir);
+    let (ends, records) = boundaries(&seg);
+    let victim = segments(&dir).remove(0);
+    append_zeros(&victim);
+
+    let expected = expected_after_cut(&ends, &records, seg.len());
+    let mut replayed = Journal::replay_dir(&dir).expect("replay a zero-filled tail");
+    replayed.epoch += 1;
+    replayed.drained = false;
+    assert_eq!(replayed.digest(), expected.digest(), "replay recovers every record");
+
+    let (journal, state) = Journal::open(JournalOptions::new(&dir)).expect("open");
+    drop(journal);
+    assert_eq!(state.digest(), expected.digest(), "open recovers every record");
+
+    // The zeros are gone: `open`'s ServerStart follows the last record.
+    let bytes = fs::read(&victim).expect("read recovered segment");
+    assert_eq!(&bytes[..seg.len()], &seg[..]);
+    let scanned = durability::frame::scan(&bytes, None).expect("scan");
+    assert!(!scanned.torn, "the zero-filled tail was truncated");
+    assert_eq!(scanned.records.len(), records.len() + 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn zero_filled_tail_in_a_sealed_segment_is_torn_middle() {
+    let dir = tmpdir("zero-sealed");
+    let mut opts = JournalOptions::new(&dir);
+    opts.segment_bytes = 64;
+    let (mut j, _) = Journal::open(opts).expect("fresh open");
+    for job in 0..6u64 {
+        j.append(&JournalRecord::JobCreated {
+            job,
+            n: 10,
+            kind: dls::Kind::SS.into(),
+            weights: vec![],
+        });
+        j.commit().expect("commit");
+    }
+    drop(j);
+    let segs = segments(&dir);
+    assert!(segs.len() >= 2, "rotation produced sealed segments");
+    append_zeros(&segs[0]);
+
+    for (what, result) in [
+        ("open", Journal::open(JournalOptions::new(&dir)).map(|(_, state)| state)),
+        ("replay_dir", Journal::replay_dir(&dir)),
+    ] {
+        match result {
+            Err(RecoverError::TornMiddle { path }) => assert_eq!(path, segs[0], "{what}"),
+            Ok(_) => panic!("{what}: zeros inside a sealed segment must not open cleanly"),
+            Err(e) => panic!("{what}: expected TornMiddle, got {e}"),
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn bit_flip_in_a_sealed_segment_is_a_typed_error_not_a_panic() {
     // In the final segment a CRC failure is indistinguishable from a
@@ -245,13 +326,7 @@ fn bit_flip_in_a_sealed_segment_is_a_typed_error_not_a_panic() {
     }
     drop(j);
 
-    let mut segs: Vec<PathBuf> = fs::read_dir(&dir)
-        .expect("read dir")
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.file_name().is_some_and(|n| n.to_string_lossy().starts_with("wal-")))
-        .collect();
-    segs.sort();
+    let segs = segments(&dir);
     assert!(segs.len() >= 2, "rotation produced sealed segments");
 
     // Flip one bit inside the first (sealed) segment's record payload.

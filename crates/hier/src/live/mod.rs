@@ -100,8 +100,9 @@ pub struct LiveResult {
     /// equals the serial checksum iff execution was exactly-once.
     pub checksum: u64,
     /// Every executed sub-chunk, tagged with its global worker id: the
-    /// workers' ledgers themselves, owned by the result and iterated
-    /// ledger by ledger (see [`Executed`] for the order).
+    /// workers' ledgers themselves, owned by the result, held as runs of
+    /// back-to-back sub-chunks and iterated ledger by ledger (see
+    /// [`Executed`] for the order).
     pub executed: Executed,
     /// Per-worker timeline in wall-clock nanoseconds since the run
     /// started (empty unless [`LiveConfig::trace`]). Unlike the `sim`

@@ -282,7 +282,7 @@ mod tests {
         let spec = HierSpec { inter: Technique::static_(), intra: "GSS:4".parse().unwrap() };
         let r = run_live_mpi_omp(&LiveConfig::new(1, 2, spec, Approach::MpiOpenMp), &w)
             .expect("live run");
-        let mut subs: Vec<SubChunk> = r.executed.iter().map(|(_, sub)| sub).collect();
+        let mut subs: Vec<_> = r.executed.iter().map(|(_, sub)| sub).collect();
         subs.sort_by_key(|sub| sub.start);
         assert_eq!(subs.iter().map(SubChunk::len).collect::<Vec<_>>(), [50, 25, 13, 6, 4, 2]);
     }

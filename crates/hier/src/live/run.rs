@@ -4,6 +4,13 @@
 //! own protocols (window lock, team barrier, request/assign) and write
 //! into a [`Ledger`]; [`assemble`] is the only place that reads one.
 //! The wall-clock mirror of `sim::run`.
+//!
+//! A ledger keeps what its worker executed as [`Runs`]: back-to-back
+//! sub-chunks of one length cost one entry between them, so a rank that
+//! drains a deposit one iteration at a time (the X+SS regime) records
+//! the deposit, not its iterations. A sequence that never merges — ranks
+//! of one node interleaving single iterations — costs 16 bytes per
+//! sub-chunk, as a flat list of them would.
 
 use super::{LiveConfig, LiveResult};
 use crate::queue::SubChunk;
@@ -11,7 +18,6 @@ use crate::stats::RunStats;
 use cluster_sim::trace::{SegmentKind, Trace};
 use mpisim::{RankWinStats, RmaRecord};
 use resilience::RecoveryEvent;
-use std::iter::{self, Copied, FlatMap, Repeat, Zip};
 use std::slice;
 use std::time::Instant;
 use workloads::Workload;
@@ -38,7 +44,7 @@ pub(super) struct Ledger {
     sub_chunks: u64,
     /// In execution order; [`assemble`] moves it into the result's
     /// [`Executed`] beside `worker`.
-    executed: Vec<SubChunk>,
+    executed: Runs,
     trace: Trace,
     // The worker's wall clock, cut into back-to-back timeline segments.
     // It is read once per segment boundary, and only when somebody uses
@@ -85,7 +91,7 @@ impl Ledger {
             checksum: 0,
             iterations: 0,
             sub_chunks: 0,
-            executed: Vec::new(),
+            executed: Runs::default(),
             trace: if traced { Trace::recording() } else { Trace::disabled() },
             epoch,
             timed,
@@ -174,9 +180,102 @@ impl Ledger {
     }
 }
 
+/// The first sub-chunk of a run, `start..start + len`; the run's other
+/// sub-chunks follow it back to back, each `len` long.
+#[derive(Clone, Copy, Debug)]
+struct Run {
+    start: u64,
+    len: u64,
+}
+
+/// One worker's executed sub-chunks in execution order, as runs of
+/// back-to-back sub-chunks of one length. A run costs its head, plus one
+/// `repeats` entry when it holds more than one sub-chunk: never more
+/// than 16 bytes per sub-chunk.
+#[derive(Clone, Debug, Default)]
+struct Runs {
+    heads: Vec<Run>,
+    /// `(index into heads, sub-chunks after the head)` of every run
+    /// longer than one, in head order.
+    repeats: Vec<(usize, u64)>,
+    /// One past the last iteration pushed.
+    end: u64,
+}
+
+impl Runs {
+    /// Record `sub` after everything pushed so far: it extends the last
+    /// run when it starts where that run ends and has its length.
+    #[inline]
+    fn push(&mut self, sub: SubChunk) {
+        let len = sub.len();
+        match self.heads.last() {
+            Some(run) if run.len == len && sub.start == self.end => {
+                let open = self.heads.len() - 1;
+                match self.repeats.last_mut() {
+                    Some((head, extra)) if *head == open => *extra += 1,
+                    _ => self.repeats.push((open, 1)),
+                }
+            }
+            _ => self.heads.push(Run { start: sub.start, len }),
+        }
+        self.end = sub.end;
+    }
+
+    fn len(&self) -> usize {
+        self.heads.len() + self.repeats.iter().map(|&(_, extra)| extra as usize).sum::<usize>()
+    }
+
+    fn iter(&self) -> Subs<'_> {
+        Subs { heads: self.heads.iter(), repeats: &self.repeats, ..Subs::default() }
+    }
+}
+
+/// The sub-chunks of one [`Runs`], run by run.
+#[derive(Clone, Debug, Default)]
+struct Subs<'a> {
+    heads: slice::Iter<'a, Run>,
+    /// The `repeats` entries not yet reached.
+    repeats: &'a [(usize, u64)],
+    /// Index of the next head.
+    head: usize,
+    /// The open run's next sub-chunk start, its length, and how many of
+    /// its sub-chunks are still to come.
+    start: u64,
+    len: u64,
+    left: u64,
+}
+
+impl Iterator for Subs<'_> {
+    type Item = SubChunk;
+
+    #[inline]
+    fn next(&mut self) -> Option<SubChunk> {
+        if self.left == 0 {
+            let run = self.heads.next()?;
+            self.left = 1;
+            if let [(head, extra), rest @ ..] = self.repeats {
+                if *head == self.head {
+                    self.left += extra;
+                    self.repeats = rest;
+                }
+            }
+            self.head += 1;
+            (self.start, self.len) = (run.start, run.len);
+        }
+        self.left -= 1;
+        // Every sub-chunk yielded was pushed, so its end does not overflow.
+        let sub = SubChunk { start: self.start, end: self.start + self.len };
+        self.start = sub.end;
+        Some(sub)
+    }
+}
+
 /// Every sub-chunk a live run executed, tagged with the global id of the
 /// worker that ran it: the workers' own ledgers, moved into the result
-/// by [`assemble`] and never copied.
+/// by [`assemble`] and never copied. Each ledger holds its sub-chunks as
+/// runs of back-to-back equal-length ones and expands them only when
+/// iterated, so a worker that executes a deposit one iteration at a time
+/// stores the deposit, not its iterations.
 ///
 /// Iteration order is ledger by ledger, in the order the executor
 /// handed its workers' records over, and within one ledger the order
@@ -186,36 +285,46 @@ impl Ledger {
 /// run has one — the virtual-time event order, which `sim_golden` hashes.
 #[derive(Clone, Debug, Default)]
 pub struct Executed {
-    ledgers: Vec<(u32, Vec<SubChunk>)>,
+    ledgers: Vec<(u32, Runs)>,
 }
 
-type Tagged<'a> = Zip<Repeat<u32>, Copied<slice::Iter<'a, SubChunk>>>;
-
 /// The iterator of [`Executed::iter`].
-type Iter<'a> = FlatMap<
-    slice::Iter<'a, (u32, Vec<SubChunk>)>,
-    Tagged<'a>,
-    fn(&'a (u32, Vec<SubChunk>)) -> Tagged<'a>,
->;
+#[derive(Clone, Debug)]
+pub struct Iter<'a> {
+    ledgers: slice::Iter<'a, (u32, Runs)>,
+    worker: u32,
+    subs: Subs<'a>,
+}
 
-fn tag((worker, subs): &(u32, Vec<SubChunk>)) -> Tagged<'_> {
-    iter::repeat(*worker).zip(subs.iter().copied())
+impl Iterator for Iter<'_> {
+    type Item = (u32, SubChunk);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, SubChunk)> {
+        loop {
+            if let Some(sub) = self.subs.next() {
+                return Some((self.worker, sub));
+            }
+            let (worker, runs) = self.ledgers.next()?;
+            (self.worker, self.subs) = (*worker, runs.iter());
+        }
+    }
 }
 
 impl Executed {
     /// `(worker, sub_chunk)` pairs, ledger by ledger.
     pub fn iter(&self) -> Iter<'_> {
-        self.ledgers.iter().flat_map(tag as fn(_) -> _)
+        Iter { ledgers: self.ledgers.iter(), worker: 0, subs: Subs::default() }
     }
 
     /// Number of executed sub-chunks.
     pub fn len(&self) -> usize {
-        self.ledgers.iter().map(|(_, subs)| subs.len()).sum()
+        self.ledgers.iter().map(|(_, runs)| runs.len()).sum()
     }
 
     /// True when no worker executed anything.
     pub fn is_empty(&self) -> bool {
-        self.ledgers.iter().all(|(_, subs)| subs.is_empty())
+        self.ledgers.iter().all(|(_, runs)| runs.heads.is_empty())
     }
 }
 
@@ -274,23 +383,28 @@ pub(super) fn assemble(cfg: &LiveConfig, ledgers: Vec<Ledger>, rma: Vec<RmaRecor
 
 #[cfg(test)]
 mod tests {
-    use super::{assemble, Executed, Ledger};
+    use super::{assemble, Executed, Ledger, Run, Runs};
     use crate::config::{Approach, HierSpec};
-    use crate::live::{run_live, serial_checksum, LiveConfig};
+    use crate::live::{assert_exact, run_live, serial_checksum, LiveConfig};
     use crate::queue::{exactly_once, SubChunk};
+    use proptest::prelude::*;
+    use std::mem::size_of;
     use workloads::synthetic::Synthetic;
     use workloads::{CostTable, Workload};
 
-    /// Three workers' ledgers over `0..30`, one of them empty, handed
-    /// over out of worker order.
+    /// Three workers' shares of `0..30`, one of them empty and one a
+    /// run of three sub-chunks, handed over out of worker order.
+    const SHARES: [(u32, &[(u64, u64)]); 3] =
+        [(2, &[(0, 10), (25, 30)]), (0, &[]), (1, &[(10, 15), (15, 20), (20, 25)])];
+
     fn ledgers() -> Vec<Ledger> {
-        let shares: [(u32, &[(u64, u64)]); 3] =
-            [(2, &[(0, 10), (25, 30)]), (0, &[]), (1, &[(10, 20), (20, 25)])];
-        shares
+        SHARES
             .iter()
             .map(|&(worker, subs)| {
                 let mut l = Ledger::untimed(worker);
-                l.executed.extend(subs.iter().map(|&(start, end)| SubChunk { start, end }));
+                for &(start, end) in subs {
+                    l.executed.push(SubChunk { start, end });
+                }
                 l
             })
             .collect()
@@ -300,31 +414,39 @@ mod tests {
         LiveConfig::new(1, 3, HierSpec::new(dls::Kind::GSS, dls::Kind::SS), Approach::MpiMpi)
     }
 
+    /// Where a ledger's two buffers live.
+    fn buffers(runs: &Runs) -> (*const Run, *const (usize, u64)) {
+        (runs.heads.as_ptr(), runs.repeats.as_ptr())
+    }
+
     #[test]
     fn assemble_moves_every_ledger_buffer_into_the_result() {
         let ledgers = ledgers();
-        let buffers: Vec<_> = ledgers.iter().map(|l| (l.worker, l.executed.as_ptr())).collect();
+        assert_eq!(ledgers[2].executed.repeats.len(), 1, "the fixture has a run to move");
+        let before: Vec<_> = ledgers.iter().map(|l| (l.worker, buffers(&l.executed))).collect();
         let r = assemble(&cfg(), ledgers, Vec::new());
-        let kept: Vec<_> = r.executed.ledgers.iter().map(|(w, subs)| (*w, subs.as_ptr())).collect();
-        assert_eq!(kept, buffers, "a ledger was copied on its way into the result");
+        let kept: Vec<_> = r.executed.ledgers.iter().map(|(w, runs)| (*w, buffers(runs))).collect();
+        assert_eq!(kept, before, "a ledger was copied on its way into the result");
     }
 
     #[test]
     fn iter_is_the_flat_tagging_of_the_ledgers() {
-        let ledgers = ledgers();
-        let flat: Vec<(u32, SubChunk)> = ledgers
+        let flat: Vec<(u32, SubChunk)> = SHARES
             .iter()
-            .flat_map(|l| l.executed.iter().map(move |&sub| (l.worker, sub)))
+            .flat_map(|&(w, subs)| {
+                subs.iter().map(move |&(start, end)| (w, SubChunk { start, end }))
+            })
             .collect();
-        let r = assemble(&cfg(), ledgers, Vec::new());
+        let r = assemble(&cfg(), ledgers(), Vec::new());
         assert!(r.executed.iter().eq(flat.iter().copied()));
+        assert!((&r.executed).into_iter().eq(flat.iter().copied()));
         assert_eq!(r.executed.len(), flat.len());
         exactly_once(&r.executed, 30).expect("the three ledgers partition 0..30");
     }
 
     #[test]
     fn len_and_is_empty_count_sub_chunks_not_ledgers() {
-        assert_eq!(assemble(&cfg(), ledgers(), Vec::new()).executed.len(), 4);
+        assert_eq!(assemble(&cfg(), ledgers(), Vec::new()).executed.len(), 5);
         let none = Executed::default();
         assert_eq!((none.len(), none.is_empty(), none.iter().next()), (0, true, None));
         let idle = assemble(&cfg(), (0..3).map(Ledger::untimed).collect(), Vec::new()).executed;
@@ -376,6 +498,68 @@ mod tests {
         for approach in [Approach::MpiMpi, Approach::MpiOpenMp] {
             let r = run_live(&LiveConfig::new(2, 2, spec, approach), &w).expect("live run");
             assert_eq!((r.checksum, r.stats.checksum), (serial, serial));
+        }
+    }
+
+    /// The sequence `steps` describes from `base`, each step relative to
+    /// the sub-chunk before it: `0` the next one of the same length, `1`
+    /// the next one `len` long, `2` one `len` long after a `gap`, `3`
+    /// the same one again, `4` an empty one where it ends. Ends saturate
+    /// at `u64::MAX`.
+    fn sequence(base: u64, steps: &[(u8, u64, u64)]) -> impl Iterator<Item = SubChunk> + '_ {
+        steps.iter().scan(SubChunk { start: base, end: base }, |prev, &(kind, len, gap)| {
+            let (start, len) = match kind {
+                0 => (prev.end, prev.len()),
+                1 => (prev.end, len),
+                2 => (prev.end.saturating_add(gap), len),
+                3 => (prev.start, prev.len()),
+                _ => (prev.end, 0),
+            };
+            *prev = SubChunk { start, end: start.saturating_add(len) };
+            Some(*prev)
+        })
+    }
+
+    /// The bytes `runs` keeps on the heap, counted by length.
+    fn heap_bytes(runs: &Runs) -> usize {
+        runs.heads.len() * size_of::<Run>() + runs.repeats.len() * size_of::<(usize, u64)>()
+    }
+
+    proptest! {
+        #[test]
+        fn runs_yield_every_push_in_order_within_16_bytes_each(
+            base in prop_oneof![Just(0u64), 0u64..1 << 40, Just(u64::MAX - 100), Just(u64::MAX - (3 << 32))],
+            steps in prop::collection::vec(
+                (0u8..5, prop_oneof![0u64..4, Just(1u64 << 32), (1u64 << 32)..1 << 33], 1u64..4),
+                0..64,
+            ),
+        ) {
+            let pushed: Vec<_> = sequence(base, &steps).collect();
+            let mut runs = Runs::default();
+            for &sub in &pushed {
+                runs.push(sub);
+            }
+            prop_assert!(runs.iter().eq(pushed.iter().copied()));
+            prop_assert_eq!(runs.len(), pushed.len());
+            prop_assert!(heap_bytes(&runs) <= 16 * pushed.len());
+        }
+    }
+
+    #[test]
+    fn a_gss_ss_two_by_one_run_holds_at_most_one_run_per_deposit() {
+        let w = Synthetic::constant(200_000, 0);
+        let spec = HierSpec::new(dls::Kind::GSS, dls::Kind::SS);
+        let r = run_live(&LiveConfig::new(2, 1, spec, Approach::MpiMpi), &w).expect("live run");
+        assert_exact(&r, serial_checksum(&w), w.n_iters());
+        for (worker, runs) in &r.executed.ledgers {
+            // One rank per node: worker `w` made every deposit of node `w`.
+            let deposits = r.stats.nodes[*worker as usize].deposits;
+            assert!(deposits > 0, "worker {worker} refilled its node");
+            assert!(
+                runs.heads.len() as u64 <= deposits,
+                "worker {worker}: {} runs for {deposits} deposits",
+                runs.heads.len()
+            );
         }
     }
 }

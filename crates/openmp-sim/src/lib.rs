@@ -17,8 +17,8 @@
 //!   `nowait` variant. A dynamic or guided region is retired at its
 //!   barrier, so a team that opens one construct per chunk keeps no
 //!   state per chunk.
-//! * [`TeamCtx::barrier`], [`TeamCtx::master`], [`TeamCtx::reduce`] —
-//!   the synchronisation constructs hierarchical DLS codes use.
+//! * [`TeamCtx::barrier`], [`TeamCtx::master`] — the synchronisation
+//!   constructs hierarchical DLS codes use.
 //!
 //! ```
 //! use dls::openmp::OmpSchedule;

@@ -46,9 +46,6 @@ impl Region {
 pub(crate) struct RegionRegistry {
     /// Live regions by construct sequence number.
     pub regions: Mutex<HashMap<u64, Arc<Region>>>,
-    /// Auxiliary typed storage for reductions: one value vector per
-    /// construct sequence number.
-    values: Mutex<HashMap<u64, Arc<dyn std::any::Any + Send + Sync>>>,
 }
 
 impl RegionRegistry {
@@ -57,21 +54,10 @@ impl RegionRegistry {
         Arc::clone(regions.entry(seq).or_insert_with(|| Arc::new(Region::new())))
     }
 
-    /// The shared contribution vector of reduction construct `seq`,
-    /// created by the first arriving thread.
-    pub fn values<T: Send + 'static>(&self, seq: u64) -> Arc<Mutex<Vec<T>>> {
-        let mut map = self.values.lock().unwrap_or_else(PoisonError::into_inner);
-        let entry = map.entry(seq).or_insert_with(|| Arc::new(Mutex::new(Vec::<T>::new())));
-        Arc::clone(entry)
-            .downcast::<Mutex<Vec<T>>>()
-            .expect("all threads must reduce with the same type")
-    }
-
     /// Drop a finished region's state (called after its barrier, by the
     /// master) to keep the registry small.
     pub fn retire(&self, seq: u64) {
         self.regions.lock().unwrap_or_else(PoisonError::into_inner).remove(&seq);
-        self.values.lock().unwrap_or_else(PoisonError::into_inner).remove(&seq);
     }
 }
 

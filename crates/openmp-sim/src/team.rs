@@ -5,7 +5,7 @@ use crate::schedule::next_dispatch;
 use dls::openmp::{static_blocks, OmpSchedule};
 use std::cell::Cell;
 use std::ops::Range;
-use std::sync::{Barrier, PoisonError};
+use std::sync::Barrier;
 
 /// A team size — `#pragma omp parallel num_threads(n)`.
 #[derive(Clone, Copy, Debug)]
@@ -164,29 +164,6 @@ impl TeamCtx<'_> {
             }
         }
     }
-
-    /// `reduction(op)`: combine every thread's `value` with `op`;
-    /// every thread returns the combined result. Implies barriers.
-    pub fn reduce<T: Clone + Send + Sync + 'static>(&self, value: T, op: impl Fn(T, T) -> T) -> T {
-        let seq = self.seq.get();
-        self.seq.set(seq + 1);
-        let slot = self.shared.regions.values::<T>(seq);
-        slot.lock().unwrap_or_else(PoisonError::into_inner).push(value);
-        self.barrier();
-        let folded = {
-            let v = slot.lock().unwrap_or_else(PoisonError::into_inner);
-            let mut it = v.iter().cloned();
-            let first = it.next().expect("at least one contribution");
-            it.fold(first, &op)
-        };
-        // Second barrier so the master retires the region only after
-        // every thread has read the folded value.
-        self.barrier();
-        if self.tid == 0 {
-            self.shared.regions.retire(seq);
-        }
-        folded
-    }
 }
 
 #[cfg(test)]
@@ -280,25 +257,6 @@ mod tests {
     fn master_runs_on_thread_zero_only() {
         let out = Team::new(4).parallel(|ctx| ctx.master(|| ctx.thread_num()));
         assert_eq!(out, vec![Some(0), None, None, None]);
-    }
-
-    #[test]
-    fn reduce_combines_all_contributions() {
-        let out =
-            Team::new(5).parallel(|ctx| ctx.reduce(u64::from(ctx.thread_num()) + 1, |a, b| a + b));
-        assert_eq!(out, vec![15; 5]);
-    }
-
-    #[test]
-    fn reduce_then_for_each_sequence() {
-        let sum = AtomicU64::new(0);
-        Team::new(3).parallel(|ctx| {
-            let total = ctx.reduce(1u64, |a, b| a + b);
-            ctx.for_each(0..total, OmpSchedule::guided1(), |_| {
-                sum.fetch_add(1, Ordering::SeqCst);
-            });
-        });
-        assert_eq!(sum.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -65,13 +65,4 @@ proptest! {
         });
         prop_assert_eq!(total.load(Ordering::SeqCst), lens.iter().sum::<u64>());
     }
-
-    #[test]
-    fn reduce_matches_fold(threads in 1u32..9, base in 0u64..1000) {
-        let out = Team::new(threads).parallel(|ctx| {
-            ctx.reduce(base + u64::from(ctx.thread_num()), |a, b| a.max(b))
-        });
-        let expected = base + u64::from(threads) - 1;
-        prop_assert!(out.into_iter().all(|v| v == expected));
-    }
 }
