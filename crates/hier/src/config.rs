@@ -50,6 +50,23 @@ pub enum GlobalQueueMode {
     LockedCounters,
 }
 
+/// How a live MPI+MPI run realises each node's local queue.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub enum NodeQueueMode {
+    /// Lock-free: one packed word ([`crate::protocol::counter::Word`])
+    /// beside the deposit's bounds, every access an MPI atomic inside a
+    /// run-long `lock_all`. A take reads the word and the bounds,
+    /// computes its sub-chunk from the step and compare-and-swaps the
+    /// step forward. Runs fall back to [`NodeQueueMode::Locked`] where
+    /// the take needs more than the step
+    /// ([`crate::protocol::counter::eligible`]).
+    #[default]
+    Counter,
+    /// The paper's protocol: every take, probe and deposit is one
+    /// `MPI_Win_lock(EXCLUSIVE)` epoch on the node window.
+    Locked,
+}
+
 /// A two-level scheduling combination, written `X+Y` in the paper:
 /// `X` at the inter-node level, `Y` at the intra-node level.
 #[derive(Clone, Copy, Debug)]

@@ -30,6 +30,14 @@ pub const TAKEN: usize = 5;
 pub const REFILLING: usize = 0;
 /// Local-queue flag: the global queue was observed exhausted.
 pub const GLOBAL_DONE: usize = 1;
+/// Local-queue slot of the lock-free realisation
+/// ([`crate::config::NodeQueueMode::Counter`]): the packed
+/// `(generation, refilling, global_done, step)` word of
+/// [`crate::protocol::counter::Word`], beside the deposit's `LO` and
+/// `HI`. It is `STEP`'s slot with the generation and both flags packed
+/// above the step, so `TAKEN` and the flag slots stay unused in that mode
+/// and the locked layout does not move.
+pub const WORD: usize = STEP;
 /// Global-queue slot: the latest inter-node scheduling step.
 pub const GSTEP: usize = 0;
 /// Global-queue slot: total iterations scheduled at the inter level.

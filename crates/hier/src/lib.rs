@@ -12,9 +12,11 @@
 //!
 //! * **MPI+MPI** ([`Approach::MpiMpi`]) — the proposed approach: the
 //!   local queue lives in an MPI-3 shared-memory window guarded by
-//!   `MPI_Win_lock`. *Any* worker that finds the queue empty refills it
-//!   from the global queue — the fastest worker takes the
-//!   responsibility, and nobody ever waits at a chunk boundary.
+//!   `MPI_Win_lock` (live runs take from it lock-free where the
+//!   arithmetic allows, [`NodeQueueMode`]). *Any* worker that finds the
+//!   queue empty refills it from the global queue — the fastest worker
+//!   takes the responsibility, and nobody ever waits at a chunk
+//!   boundary.
 //! * **MPI+OpenMP** ([`Approach::MpiOpenMp`]) — the baseline: one MPI
 //!   process per node obtains chunks; an OpenMP-style thread team
 //!   executes each chunk under `schedule(static|dynamic|guided)` with an
@@ -44,5 +46,5 @@ pub mod queue;
 pub mod sim;
 pub mod stats;
 
-pub use config::{Approach, GlobalQueueMode, HierSpec};
+pub use config::{Approach, GlobalQueueMode, HierSpec, NodeQueueMode};
 pub use stats::{NodeStats, RunStats, WorkerStats};

@@ -1,11 +1,18 @@
 //! Real-thread executors over the `mpisim` runtime.
 //!
-//! These run the *actual* protocols — MPI-3 shared-memory windows with
-//! `MPI_Win_lock` for the proposed approach, an OpenMP-style persistent
-//! thread team with implicit region barriers for the baseline — and the
-//! *actual* application kernels. They validate functional correctness
-//! (every iteration executed exactly once, checksums equal to a serial
-//! run); timing fidelity at scale is the `sim` backend's job.
+//! These run the *actual* protocols — MPI-3 shared-memory windows for
+//! the proposed approach, an OpenMP-style persistent thread team with
+//! implicit region barriers for the baseline — and the *actual*
+//! application kernels. They validate functional correctness (every
+//! iteration executed exactly once, checksums equal to a serial run);
+//! timing fidelity at scale is the `sim` backend's job.
+//!
+//! An MPI+MPI node queue is taken lock-free by default: one packed word
+//! advanced by `MPI_Compare_and_swap` inside a run-long
+//! `MPI_Win_lock_all` ([`crate::protocol::counter`]). The paper's
+//! `MPI_Win_lock(EXCLUSIVE)` queue, which the simulator models, runs
+//! under [`NodeQueueMode::Locked`], and wherever a take has to write more
+//! than the step (see [`LiveConfig::node_mode`]).
 
 mod global_queue;
 mod master_worker;
@@ -21,7 +28,8 @@ pub use mpi_omp::run_live_mpi_omp;
 pub use net::run_live_net;
 pub use run::Executed;
 
-use crate::config::{Approach, HierSpec};
+use crate::config::{Approach, HierSpec, NodeQueueMode};
+use crate::protocol::counter;
 use crate::stats::RunStats;
 use workloads::Workload;
 
@@ -47,6 +55,13 @@ pub struct LiveConfig {
     pub awf: Option<dls::adaptive::AwfVariant>,
     /// How the global queue is realised over RMA (MPI+MPI only).
     pub global_mode: crate::config::GlobalQueueMode,
+    /// How each node's local queue is realised (MPI+MPI only). Under
+    /// [`NodeQueueMode::Counter`] a run still keeps the lock where a
+    /// take needs more than the step: AWF (weighted sizes plus a history
+    /// written in the take's critical section), an active fault plan
+    /// (the take writes its lease there), non-unit weights, and intra
+    /// techniques or loop sizes [`counter::eligible`] refuses.
+    pub node_mode: NodeQueueMode,
     /// Record per-worker timeline segments (wall-clock, relative to the
     /// run's start) into [`LiveResult::trace`].
     pub trace: bool,
@@ -83,10 +98,26 @@ impl LiveConfig {
             weights: Vec::new(),
             awf: None,
             global_mode: crate::config::GlobalQueueMode::SingleAtomic,
+            node_mode: NodeQueueMode::Counter,
             trace: false,
             record_rma: false,
             faults: resilience::FaultPlan::none(),
             net_inter: None,
+        }
+    }
+
+    /// The node queue a loop of `n` iterations runs on: `node_mode`, or
+    /// the lock where [`LiveConfig::node_mode`] says a take needs it.
+    pub(crate) fn node_queue(&self, n: u64) -> NodeQueueMode {
+        let lock_free = self.node_mode == NodeQueueMode::Counter
+            && self.awf.is_none()
+            && !self.faults.is_active()
+            && self.weights.iter().all(|&w| w == 1.0)
+            && counter::eligible(&self.spec.intra, n);
+        if lock_free {
+            NodeQueueMode::Counter
+        } else {
+            NodeQueueMode::Locked
         }
     }
 }
@@ -142,4 +173,37 @@ fn assert_exact(r: &LiveResult, serial: u64, n: u64) {
     assert_eq!(r.checksum, serial, "checksum mismatch vs serial");
     assert_eq!(r.stats.total_iterations, n);
     crate::queue::exactly_once(&r.executed, n).expect("exactly-once");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dls::Kind;
+    use resilience::{FaultKind, FaultPlan};
+
+    #[test]
+    fn the_lock_stays_where_a_take_needs_more_than_the_step() {
+        let cfg = LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        // The packing limit: the largest eligible loop takes by CAS, the
+        // next one locks.
+        assert_eq!(cfg.node_queue(counter::FIELD_MAX), NodeQueueMode::Counter);
+        assert_eq!(cfg.node_queue(counter::FIELD_MAX + 1), NodeQueueMode::Locked);
+        let locked = |f: &dyn Fn(&mut LiveConfig)| {
+            let mut c = cfg.clone();
+            f(&mut c);
+            c.node_queue(1_000)
+        };
+        assert_eq!(locked(&|_| {}), NodeQueueMode::Counter);
+        assert_eq!(locked(&|c| c.node_mode = NodeQueueMode::Locked), NodeQueueMode::Locked);
+        assert_eq!(locked(&|c| c.awf = Some(dls::adaptive::AwfVariant::C)), NodeQueueMode::Locked);
+        let straggler = FaultPlan::none().with(1, FaultKind::Straggle { factor: 2.0, from_ns: 0 });
+        assert_eq!(locked(&|c| c.faults = straggler.clone()), NodeQueueMode::Locked);
+        assert_eq!(locked(&|c| c.weights = vec![1.0; 6]), NodeQueueMode::Counter);
+        assert_eq!(
+            locked(&|c| c.weights = vec![0.5, 1.5, 1.0, 1.0, 1.0, 1.0]),
+            NodeQueueMode::Locked
+        );
+        let wf = HierSpec::new(Kind::GSS, Kind::WF);
+        assert_eq!(locked(&|c| c.spec = wf), NodeQueueMode::Locked);
+    }
 }

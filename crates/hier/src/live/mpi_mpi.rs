@@ -6,20 +6,26 @@
 //!   [`GlobalQueue::fetch`]: an RMA window exposed by world rank 0, or
 //!   (for [`super::run_live_net`]) a `dls-service` job.
 //! * Each node's **local work queue** is an `MPI_Win_allocate_shared`
-//!   window on the node communicator holding
+//!   window on the node communicator. Lock-free
+//!   ([`NodeQueueMode::Counter`]) it is the packed word beside
+//!   `[lo, hi)`, read with `MPI_Fetch_and_op` and advanced with
+//!   `MPI_Compare_and_swap` inside a run-long `MPI_Win_lock_all`
+//!   ([`counter_loop`]). Locked it is
 //!   `[refilling, global_done, lo, hi, step, taken]`, updated under
-//!   `MPI_Win_lock(EXCLUSIVE)` + `MPI_Win_sync`.
+//!   `MPI_Win_lock(EXCLUSIVE)` + `MPI_Win_sync`, with AWF's history and
+//!   the fault plan's leases beside it.
 //! * A worker that drains the local queue and sees no refill in flight
-//!   sets the `refilling` flag and fetches the next chunk itself — the
-//!   fastest worker takes the responsibility; nobody blocks. Each take,
-//!   empty probe and deposit is a [`crate::protocol`] call.
+//!   claims the refill and fetches the next chunk itself — the fastest
+//!   worker takes the responsibility; nobody blocks. Each take, empty
+//!   probe and deposit is a [`crate::protocol`] call.
 
 use super::global_queue::GlobalQueue;
 use super::run::{assemble, Ledger};
-use super::window_queue::WindowQueue;
+use super::window_queue::{CounterQueue, WindowQueue};
 use super::{LiveConfig, LiveResult};
+use crate::config::NodeQueueMode;
 use crate::layout::TAKEN;
-use crate::protocol::{self, Empty, Fetched, Flags, NodeQueue};
+use crate::protocol::{self, counter, Empty, Fetched, Flags, NodeQueue};
 use cluster_sim::trace::SegmentKind;
 use dls::technique::WorkerCtx;
 use dls_service::{Client, JobId};
@@ -78,6 +84,7 @@ pub(super) fn run_ranks(
     assert!(n <= i64::MAX as u64, "loop too large for i64 window slots");
     let inter_spec = dls::LoopSpec::new(n, cfg.nodes);
     let (wpn, spec, awf, faults) = (cfg.workers_per_node, cfg.spec, cfg.awf, &cfg.faults);
+    let lock_free = cfg.node_queue(n) == NodeQueueMode::Counter;
     let rma_log = cfg.record_rma.then(RmaLog::new);
     let log = rma_log.as_ref();
     let epoch = Instant::now();
@@ -143,69 +150,210 @@ pub(super) fn run_ranks(
         let timed = cfg.trace || awf.is_some() || straggle > 1.0;
         let mut out = Ledger::new(me, Some(my_node), epoch, cfg.trace, timed);
 
-        'poll: loop {
-            // ---- probe the local queue under the window lock ----
-            lock(&mut out)?;
-            local_win.sync();
-            if plan_active {
-                // Settle my previous grant (the sub-chunk it covered is
-                // done — this poll is the completion acknowledgement)
-                // and tick the piggybacked heartbeat.
-                if my_epoch % 2 == 1 {
-                    my_epoch += 1;
-                    local_win.put(0, lease_slot(wpn, my_local, LEASE_EPOCH), my_epoch)?;
-                }
-                let hb_slot = lease_slot(wpn, my_local, HEARTBEAT);
-                let hb = local_win.get(0, hb_slot)?;
-                local_win.put(0, hb_slot, hb + 1)?;
-                if faults
-                    .crash_holding_lock_after(me)
-                    .is_some_and(|k| out.sub_chunks() >= u64::from(k))
-                {
-                    // Die inside the critical section: mark the failure
-                    // and leave without unlocking — survivors must
-                    // detect the abandoned grant and repair the lock.
-                    node_comm.mark_failed();
-                    local_win.sync();
-                    out.crashed(true);
-                    break;
-                }
-            }
-            let mut q = WindowQueue::new(&local_win);
-            // Weight: learned from the shared history under AWF (read
-            // only when there is a range to weigh), configured
-            // statically otherwise. AWF replaces the intra technique
-            // with WF over the learned weights.
-            let (technique, weight) = match awf {
-                Some(_) if q.front()?.is_some() => {
-                    let slot = |i: usize| local_win.get(0, HIST_BASE + i).map(|v| v as u64);
-                    let hist = (0..wpn as usize)
-                        .map(|r| Ok((slot(2 * r)?, slot(2 * r + 1)?)))
-                        .collect::<mpisim::Result<Vec<_>>>()?;
-                    let w = crate::adaptive::weights_from_hist(&hist)[my_local as usize];
-                    (dls::Technique::wf(), w)
-                }
-                _ => (spec.intra, my_weight),
-            };
-            let ctx = WorkerCtx { worker: my_local, weight };
-
-            if let Some(sub) = protocol::take(&mut q, &technique, wpn, ctx)? {
+        if lock_free {
+            local_win.lock_all();
+            counter_loop(
+                &CounterQueue::new(&local_win),
+                &queue,
+                &spec.intra,
+                wpn,
+                workload,
+                &mut out,
+            )?;
+            local_win.unlock_all()?;
+        } else {
+            'poll: loop {
+                // ---- probe the local queue under the window lock ----
+                lock(&mut out)?;
+                local_win.sync();
                 if plan_active {
-                    // Record the grant as a lease *in the same critical
-                    // section as the take*: if this rank dies before the
-                    // next poll settles it, the odd epoch plus the dead
-                    // flag tell survivors exactly which range was lost.
-                    local_win.put(0, lease_slot(wpn, my_local, LEASE_LO), sub.start as i64)?;
-                    local_win.put(0, lease_slot(wpn, my_local, LEASE_HI), sub.end as i64)?;
-                    my_epoch += 1; // odd: active
-                    local_win.put(0, lease_slot(wpn, my_local, LEASE_EPOCH), my_epoch)?;
+                    // Settle my previous grant (the sub-chunk it covered is
+                    // done — this poll is the completion acknowledgement)
+                    // and tick the piggybacked heartbeat.
+                    if my_epoch % 2 == 1 {
+                        my_epoch += 1;
+                        local_win.put(0, lease_slot(wpn, my_local, LEASE_EPOCH), my_epoch)?;
+                    }
+                    let hb_slot = lease_slot(wpn, my_local, HEARTBEAT);
+                    let hb = local_win.get(0, hb_slot)?;
+                    local_win.put(0, hb_slot, hb + 1)?;
                     if faults
-                        .crash_after_sub_chunks(me)
-                        .is_some_and(|k| out.sub_chunks() + 1 >= u64::from(k))
+                        .crash_holding_lock_after(me)
+                        .is_some_and(|k| out.sub_chunks() >= u64::from(k))
                     {
-                        // Die after taking, before executing: the queue
-                        // counters already account the range to this
-                        // rank, so only the lease can get it back.
+                        // Die inside the critical section: mark the failure
+                        // and leave without unlocking — survivors must
+                        // detect the abandoned grant and repair the lock.
+                        node_comm.mark_failed();
+                        local_win.sync();
+                        out.crashed(true);
+                        break;
+                    }
+                }
+                let mut q = WindowQueue::new(&local_win);
+                // Weight: learned from the shared history under AWF (read
+                // only when there is a range to weigh), configured
+                // statically otherwise. AWF replaces the intra technique
+                // with WF over the learned weights.
+                let (technique, weight) = match awf {
+                    Some(_) if q.front()?.is_some() => {
+                        let slot = |i: usize| local_win.get(0, HIST_BASE + i).map(|v| v as u64);
+                        let hist = (0..wpn as usize)
+                            .map(|r| Ok((slot(2 * r)?, slot(2 * r + 1)?)))
+                            .collect::<mpisim::Result<Vec<_>>>()?;
+                        let w = crate::adaptive::weights_from_hist(&hist)[my_local as usize];
+                        (dls::Technique::wf(), w)
+                    }
+                    _ => (spec.intra, my_weight),
+                };
+                let ctx = WorkerCtx { worker: my_local, weight };
+
+                if let Some(sub) = protocol::take(&mut q, &technique, wpn, ctx)? {
+                    if plan_active {
+                        // Record the grant as a lease *in the same critical
+                        // section as the take*: if this rank dies before the
+                        // next poll settles it, the odd epoch plus the dead
+                        // flag tell survivors exactly which range was lost.
+                        local_win.put(0, lease_slot(wpn, my_local, LEASE_LO), sub.start as i64)?;
+                        local_win.put(0, lease_slot(wpn, my_local, LEASE_HI), sub.end as i64)?;
+                        my_epoch += 1; // odd: active
+                        local_win.put(0, lease_slot(wpn, my_local, LEASE_EPOCH), my_epoch)?;
+                        if faults
+                            .crash_after_sub_chunks(me)
+                            .is_some_and(|k| out.sub_chunks() + 1 >= u64::from(k))
+                        {
+                            // Die after taking, before executing: the queue
+                            // counters already account the range to this
+                            // rank, so only the lease can get it back.
+                            node_comm.mark_failed();
+                            local_win.sync();
+                            local_win.unlock(LockKind::Exclusive, 0)?;
+                            out.crashed(false);
+                            break;
+                        }
+                    }
+                    local_win.sync();
+                    local_win.unlock(LockKind::Exclusive, 0)?;
+                    let started = out.cut(SegmentKind::Sched);
+                    out.execute(workload, sub);
+                    if straggle > 1.0 {
+                        // Injected straggler: stretch the kernel time to
+                        // `straggle`× by busy-waiting out the difference.
+                        let target = started + ((out.now() - started) as f64 * straggle) as u64;
+                        while out.now() < target {
+                            std::hint::spin_loop();
+                        }
+                    }
+                    let finished = out.cut(SegmentKind::Compute);
+                    if awf.is_some() {
+                        // Charge the measured kernel time to the shared
+                        // history (AWF-C style: per chunk completion).
+                        let elapsed = (finished - started).min(i64::MAX as u64) as i64;
+                        lock(&mut out)?;
+                        // Unified-model visibility: sync before reading
+                        // counters peers put under their own epochs (the
+                        // rma-check MissingSync rule flags the read-modify-
+                        // write below as stale without it).
+                        local_win.sync();
+                        let i_slot = HIST_BASE + 2 * my_local as usize;
+                        let it = local_win.get(0, i_slot)?;
+                        let tm = local_win.get(0, i_slot + 1)?;
+                        local_win.put(0, i_slot, it + sub.len() as i64)?;
+                        // Ensure a nonzero time so rates stay finite.
+                        local_win.put(0, i_slot + 1, tm + elapsed.max(1))?;
+                        local_win.sync();
+                        local_win.unlock(LockKind::Exclusive, 0)?;
+                        out.cut(SegmentKind::Sched);
+                    }
+                    continue;
+                }
+
+                let mut flags = q.flags()?;
+                if plan_active {
+                    // Queue drained: scan peer leases for a range stranded
+                    // by a dead owner before exiting, backing off, or
+                    // refilling. The queue holds one range, so reclaim one
+                    // lease per poll; the next poll picks up any others.
+                    for r in (0..wpn).filter(|&r| r != my_local && node_comm.is_failed(r)) {
+                        let e = local_win.get(0, lease_slot(wpn, r, LEASE_EPOCH))?;
+                        if e % 2 == 1 {
+                            let rlo = local_win.get(0, lease_slot(wpn, r, LEASE_LO))? as u64;
+                            let rhi = local_win.get(0, lease_slot(wpn, r, LEASE_HI))? as u64;
+                            q.push(rlo, rhi)?;
+                            local_win.put(0, lease_slot(wpn, r, LEASE_EPOCH), e + 1)?;
+                            local_win.note_reclaim();
+                            out.reclaimed(world_of(r), rlo, rhi);
+                            local_win.sync();
+                            local_win.unlock(LockKind::Exclusive, 0)?;
+                            out.cut(SegmentKind::Sched);
+                            continue 'poll;
+                        }
+                    }
+                    if flags.refilling {
+                        // Refill in flight: if the rank that claimed the
+                        // role died before depositing, fail the role over
+                        // (its fetched chunk, if any, sits in its lease and
+                        // was reclaimed by the scan above).
+                        let rr = local_win.get(0, refiller_slot(wpn))? as u32;
+                        if node_comm.is_failed(rr) {
+                            q.write_flags(flags, Flags { refilling: false, ..flags })?;
+                            local_win.sync();
+                            local_win.unlock(LockKind::Exclusive, 0)?;
+                            out.recovery.push(resilience::RecoveryEvent::RefillFailover {
+                                node: my_node,
+                                from: world_of(rr),
+                                at_ns: out.now(),
+                            });
+                            out.cut(SegmentKind::Sched);
+                            continue;
+                        }
+                    }
+                }
+                let was = flags;
+                let probe = protocol::empty_probe(&mut flags, true);
+                q.write_flags(was, flags)?;
+                match probe {
+                    Empty::Retire => {
+                        local_win.unlock(LockKind::Exclusive, 0)?;
+                        out.cut(SegmentKind::Sched);
+                        break;
+                    }
+                    Empty::PeerRefilling => {
+                        // A peer is refilling: back off briefly and re-probe.
+                        local_win.unlock(LockKind::Exclusive, 0)?;
+                        std::thread::yield_now();
+                        // A queue-empty observation while a peer refills is
+                        // peer waiting, not scheduling work of our own.
+                        out.cut(SegmentKind::Sync);
+                        continue;
+                    }
+                    // This worker becomes the refiller.
+                    Empty::Refill => {}
+                }
+                if plan_active {
+                    local_win.put(0, refiller_slot(wpn), i64::from(my_local))?;
+                }
+                local_win.sync();
+                local_win.unlock(LockKind::Exclusive, 0)?;
+
+                // ---- fetch a chunk from the global queue ----
+                out.global_accesses += 1;
+                let fetched = queue.fetch()?;
+
+                if let (true, Fetched::Chunk(clo, chi)) = (plan_active, fetched) {
+                    if faults
+                        .crash_as_refiller_after(me)
+                        .is_some_and(|g| out.global_fetches + 1 >= u64::from(g))
+                    {
+                        // Die as the refiller: the global step is already
+                        // consumed, so the fetched chunk exists only in this
+                        // rank's lease. Publish it and stop — REFILLING
+                        // stays set until a survivor fails the role over.
+                        lock(&mut out)?;
+                        local_win.put(0, lease_slot(wpn, my_local, LEASE_LO), clo as i64)?;
+                        local_win.put(0, lease_slot(wpn, my_local, LEASE_HI), chi as i64)?;
+                        my_epoch += 1; // odd: active
+                        local_win.put(0, lease_slot(wpn, my_local, LEASE_EPOCH), my_epoch)?;
                         node_comm.mark_failed();
                         local_win.sync();
                         local_win.unlock(LockKind::Exclusive, 0)?;
@@ -213,157 +361,29 @@ pub(super) fn run_ranks(
                         break;
                     }
                 }
+
+                // ---- deposit, mark the node done, or hand the role back ----
+                lock(&mut out)?;
+                if let Fetched::Chunk(..) = fetched {
+                    out.global_fetches += 1;
+                    out.deposits += 1;
+                }
+                let was = flags;
+                let mut q = WindowQueue::new(&local_win);
+                protocol::deposit(&mut q, &mut flags, fetched)?;
+                q.write_flags(was, flags)?;
                 local_win.sync();
                 local_win.unlock(LockKind::Exclusive, 0)?;
-                let started = out.cut(SegmentKind::Sched);
-                out.execute(workload, sub);
-                if straggle > 1.0 {
-                    // Injected straggler: stretch the kernel time to
-                    // `straggle`× by busy-waiting out the difference.
-                    let target = started + ((out.now() - started) as f64 * straggle) as u64;
-                    while out.now() < target {
-                        std::hint::spin_loop();
-                    }
-                }
-                let finished = out.cut(SegmentKind::Compute);
-                if awf.is_some() {
-                    // Charge the measured kernel time to the shared
-                    // history (AWF-C style: per chunk completion).
-                    let elapsed = (finished - started).min(i64::MAX as u64) as i64;
-                    lock(&mut out)?;
-                    // Unified-model visibility: sync before reading
-                    // counters peers put under their own epochs (the
-                    // rma-check MissingSync rule flags the read-modify-
-                    // write below as stale without it).
-                    local_win.sync();
-                    let i_slot = HIST_BASE + 2 * my_local as usize;
-                    let it = local_win.get(0, i_slot)?;
-                    let tm = local_win.get(0, i_slot + 1)?;
-                    local_win.put(0, i_slot, it + sub.len() as i64)?;
-                    // Ensure a nonzero time so rates stay finite.
-                    local_win.put(0, i_slot + 1, tm + elapsed.max(1))?;
-                    local_win.sync();
-                    local_win.unlock(LockKind::Exclusive, 0)?;
-                    out.cut(SegmentKind::Sched);
-                }
-                continue;
-            }
-
-            let mut flags = q.flags()?;
-            if plan_active {
-                // Queue drained: scan peer leases for a range stranded
-                // by a dead owner before exiting, backing off, or
-                // refilling. The queue holds one range, so reclaim one
-                // lease per poll; the next poll picks up any others.
-                for r in (0..wpn).filter(|&r| r != my_local && node_comm.is_failed(r)) {
-                    let e = local_win.get(0, lease_slot(wpn, r, LEASE_EPOCH))?;
-                    if e % 2 == 1 {
-                        let rlo = local_win.get(0, lease_slot(wpn, r, LEASE_LO))? as u64;
-                        let rhi = local_win.get(0, lease_slot(wpn, r, LEASE_HI))? as u64;
-                        q.push(rlo, rhi)?;
-                        local_win.put(0, lease_slot(wpn, r, LEASE_EPOCH), e + 1)?;
-                        local_win.note_reclaim();
-                        out.reclaimed(world_of(r), rlo, rhi);
-                        local_win.sync();
-                        local_win.unlock(LockKind::Exclusive, 0)?;
-                        out.cut(SegmentKind::Sched);
-                        continue 'poll;
-                    }
-                }
-                if flags.refilling {
-                    // Refill in flight: if the rank that claimed the
-                    // role died before depositing, fail the role over
-                    // (its fetched chunk, if any, sits in its lease and
-                    // was reclaimed by the scan above).
-                    let rr = local_win.get(0, refiller_slot(wpn))? as u32;
-                    if node_comm.is_failed(rr) {
-                        q.write_flags(flags, Flags { refilling: false, ..flags })?;
-                        local_win.sync();
-                        local_win.unlock(LockKind::Exclusive, 0)?;
-                        out.recovery.push(resilience::RecoveryEvent::RefillFailover {
-                            node: my_node,
-                            from: world_of(rr),
-                            at_ns: out.now(),
-                        });
-                        out.cut(SegmentKind::Sched);
-                        continue;
-                    }
-                }
-            }
-            let was = flags;
-            let probe = protocol::empty_probe(&mut flags, true);
-            q.write_flags(was, flags)?;
-            match probe {
-                Empty::Retire => {
-                    local_win.unlock(LockKind::Exclusive, 0)?;
-                    out.cut(SegmentKind::Sched);
-                    break;
-                }
-                Empty::PeerRefilling => {
-                    // A peer is refilling: back off briefly and re-probe.
-                    local_win.unlock(LockKind::Exclusive, 0)?;
+                if fetched == Fetched::Pending {
+                    // Another node's unsettled lease may still come back as
+                    // work: wait on that peer node, like a refill in flight.
                     std::thread::yield_now();
-                    // A queue-empty observation while a peer refills is
-                    // peer waiting, not scheduling work of our own.
                     out.cut(SegmentKind::Sync);
-                    continue;
+                } else {
+                    // The whole refill transaction (global fetch + deposit)
+                    // is scheduling overhead.
+                    out.cut(SegmentKind::Sched);
                 }
-                // This worker becomes the refiller.
-                Empty::Refill => {}
-            }
-            if plan_active {
-                local_win.put(0, refiller_slot(wpn), i64::from(my_local))?;
-            }
-            local_win.sync();
-            local_win.unlock(LockKind::Exclusive, 0)?;
-
-            // ---- fetch a chunk from the global queue ----
-            out.global_accesses += 1;
-            let fetched = queue.fetch()?;
-
-            if let (true, Fetched::Chunk(clo, chi)) = (plan_active, fetched) {
-                if faults
-                    .crash_as_refiller_after(me)
-                    .is_some_and(|g| out.global_fetches + 1 >= u64::from(g))
-                {
-                    // Die as the refiller: the global step is already
-                    // consumed, so the fetched chunk exists only in this
-                    // rank's lease. Publish it and stop — REFILLING
-                    // stays set until a survivor fails the role over.
-                    lock(&mut out)?;
-                    local_win.put(0, lease_slot(wpn, my_local, LEASE_LO), clo as i64)?;
-                    local_win.put(0, lease_slot(wpn, my_local, LEASE_HI), chi as i64)?;
-                    my_epoch += 1; // odd: active
-                    local_win.put(0, lease_slot(wpn, my_local, LEASE_EPOCH), my_epoch)?;
-                    node_comm.mark_failed();
-                    local_win.sync();
-                    local_win.unlock(LockKind::Exclusive, 0)?;
-                    out.crashed(false);
-                    break;
-                }
-            }
-
-            // ---- deposit, mark the node done, or hand the role back ----
-            lock(&mut out)?;
-            if let Fetched::Chunk(..) = fetched {
-                out.global_fetches += 1;
-                out.deposits += 1;
-            }
-            let was = flags;
-            let mut q = WindowQueue::new(&local_win);
-            protocol::deposit(&mut q, &mut flags, fetched)?;
-            q.write_flags(was, flags)?;
-            local_win.sync();
-            local_win.unlock(LockKind::Exclusive, 0)?;
-            if fetched == Fetched::Pending {
-                // Another node's unsettled lease may still come back as
-                // work: wait on that peer node, like a refill in flight.
-                std::thread::yield_now();
-                out.cut(SegmentKind::Sync);
-            } else {
-                // The whole refill transaction (global fetch + deposit)
-                // is scheduling overhead.
-                out.cut(SegmentKind::Sched);
             }
         }
 
@@ -395,6 +415,63 @@ pub(super) fn run_ranks(
     Ok(assemble(cfg, outcomes, rma))
 }
 
+/// One rank's loop over the lock-free node queue
+/// ([`protocol::counter`]): a take is three atomic reads and one
+/// compare-and-swap, and the rank whose claim seals a drained deposit
+/// refills it from the global queue. A CAS a peer beat re-reads and
+/// retries; the window counts it as a failed poll.
+fn counter_loop(
+    q: &CounterQueue<'_>,
+    queue: &GlobalQueue<'_>,
+    intra: &dls::Technique,
+    wpn: u32,
+    workload: &(dyn Workload + Sync),
+    out: &mut Ledger,
+) -> mpisim::Result<()> {
+    let mut cursor = counter::Cursor::default();
+    loop {
+        let word = q.word()?;
+        match counter::probe(word) {
+            None => {}
+            Some(Empty::PeerRefilling) => {
+                std::thread::yield_now();
+                out.cut(SegmentKind::Sync);
+                continue;
+            }
+            // Retire: the node is done.
+            Some(_) => {
+                out.cut(SegmentKind::Sched);
+                return Ok(());
+            }
+        }
+        let (lo, hi) = q.bounds()?;
+        let (sub, next) = counter::take(word, lo, hi, intra, wpn, &mut cursor);
+        if !q.commit(word, next)? {
+            continue;
+        }
+        if let Some(sub) = sub {
+            out.cut(SegmentKind::Sched);
+            out.execute(workload, sub);
+            out.cut(SegmentKind::Compute);
+            continue;
+        }
+        // This rank's claim sealed the drained deposit: it refills.
+        out.global_accesses += 1;
+        let fetched = queue.fetch()?;
+        if let Fetched::Chunk(..) = fetched {
+            out.global_fetches += 1;
+            out.deposits += 1;
+        }
+        q.publish(counter::deposit(next, fetched))?;
+        if fetched == Fetched::Pending {
+            std::thread::yield_now();
+            out.cut(SegmentKind::Sync);
+        } else {
+            out.cut(SegmentKind::Sched);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -403,19 +480,34 @@ mod tests {
     use dls::Kind;
     use workloads::synthetic::Synthetic;
 
-    fn run(spec: HierSpec, nodes: u32, wpn: u32, n: u64) -> (LiveResult, u64) {
+    const MODES: [NodeQueueMode; 2] = [NodeQueueMode::Counter, NodeQueueMode::Locked];
+
+    fn run_in(
+        mode: NodeQueueMode,
+        spec: HierSpec,
+        nodes: u32,
+        wpn: u32,
+        n: u64,
+    ) -> (LiveResult, u64) {
         let w = Synthetic::uniform(n, 1, 100, 3);
-        let cfg = LiveConfig::new(nodes, wpn, spec, Approach::MpiMpi);
+        let mut cfg = LiveConfig::new(nodes, wpn, spec, Approach::MpiMpi);
+        cfg.node_mode = mode;
         let serial = serial_checksum(&w);
         (run_live_mpi_mpi(&cfg, &w).expect("live run"), serial)
     }
 
+    fn run(spec: HierSpec, nodes: u32, wpn: u32, n: u64) -> (LiveResult, u64) {
+        run_in(NodeQueueMode::Counter, spec, nodes, wpn, n)
+    }
+
     #[test]
     fn all_paper_combinations_execute_exactly_once() {
-        for inter in [Kind::STATIC, Kind::GSS, Kind::TSS, Kind::FAC2] {
-            for intra in [Kind::STATIC, Kind::SS, Kind::GSS, Kind::TSS, Kind::FAC2] {
-                let (r, serial) = run(HierSpec::new(inter, intra), 2, 3, 600);
-                assert_exact(&r, serial, 600);
+        for mode in MODES {
+            for inter in [Kind::STATIC, Kind::GSS, Kind::TSS, Kind::FAC2] {
+                for intra in [Kind::STATIC, Kind::SS, Kind::GSS, Kind::TSS, Kind::FAC2] {
+                    let (r, serial) = run_in(mode, HierSpec::new(inter, intra), 2, 3, 600);
+                    assert_exact(&r, serial, 600);
+                }
             }
         }
     }
@@ -440,7 +532,7 @@ mod tests {
 
     #[test]
     fn lock_stats_populated() {
-        let (r, _) = run(HierSpec::new(Kind::GSS, Kind::SS), 2, 4, 500);
+        let (r, _) = run_in(NodeQueueMode::Locked, HierSpec::new(Kind::GSS, Kind::SS), 2, 4, 500);
         for node in &r.stats.nodes {
             assert!(node.lock_acquisitions > 0);
         }
@@ -451,6 +543,7 @@ mod tests {
         let w = Synthetic::uniform(600, 1, 100, 3);
         let mut cfg = LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
         cfg.trace = true;
+        cfg.node_mode = NodeQueueMode::Locked;
         let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
         assert!(!r.trace.segments().is_empty());
         let totals = r.trace.totals();
@@ -481,7 +574,7 @@ mod tests {
     fn untraced_run_still_times_its_lock_epochs() {
         // The rank loop reads no clock without a trace; the window's own
         // grant/release stamps must keep `lock_time_ns` alive.
-        let (r, _) = run(HierSpec::new(Kind::GSS, Kind::SS), 2, 2, 400);
+        let (r, _) = run_in(NodeQueueMode::Locked, HierSpec::new(Kind::GSS, Kind::SS), 2, 2, 400);
         assert!(r.trace.segments().is_empty());
         for ws in &r.stats.workers {
             assert!(ws.lock_time_ns > 0, "time-in-lock must accumulate untraced");
@@ -494,7 +587,8 @@ mod tests {
         // fetch to the last; that access epoch is not time in lock, or a
         // worker would report `nodes` x the run on top of its own epochs.
         let w = workloads::Spin(Synthetic::constant(40, 500_000));
-        let cfg = LiveConfig::new(2, 1, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        let mut cfg = LiveConfig::new(2, 1, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        cfg.node_mode = NodeQueueMode::Locked;
         assert_eq!(cfg.global_mode, GlobalQueueMode::SingleAtomic);
         let started = Instant::now();
         let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
@@ -517,12 +611,14 @@ mod tests {
 
     #[test]
     fn unblocked_run_reports_no_lock_polls() {
-        // One rank has nobody to wait for: not one failed poll, on
-        // either window.
-        let (r, serial) = run(HierSpec::new(Kind::GSS, Kind::SS), 1, 1, 400);
-        assert_exact(&r, serial, 400);
-        assert_eq!(r.stats.workers[0].lock_polls, 0);
-        assert_eq!((r.stats.nodes[0].lock_polls, r.stats.nodes[0].lock_contended), (0, 0));
+        // One rank has nobody to wait for: not one failed poll or lost
+        // compare-and-swap, on either window.
+        for mode in MODES {
+            let (r, serial) = run_in(mode, HierSpec::new(Kind::GSS, Kind::SS), 1, 1, 400);
+            assert_exact(&r, serial, 400);
+            assert_eq!(r.stats.workers[0].lock_polls, 0);
+            assert_eq!((r.stats.nodes[0].lock_polls, r.stats.nodes[0].lock_contended), (0, 0));
+        }
     }
 
     #[test]

@@ -1,12 +1,18 @@
 //! The node window as [`crate::protocol`]'s local queue, and the only
-//! code that reads or writes its slots and flags. A [`WindowQueue`] lives
-//! for one critical section: the first `front` reads the range, later
-//! calls reuse it, so each decision issues exactly its shape.
+//! code that reads or writes its slots and flags, locked or lock-free.
+//!
+//! A [`WindowQueue`] lives for one critical section of the locked queue:
+//! the first `front` reads the range, later calls reuse it, so each
+//! decision issues exactly its shape. A [`CounterQueue`] is the
+//! lock-free queue of [`crate::protocol::counter`]: the word and the
+//! bounds, every access one MPI atomic inside the rank's run-long
+//! `lock_all`, so it holds no state of its own.
 
-use crate::layout::{GLOBAL_DONE, HI, LO, REFILLING, STEP, TAKEN};
+use crate::layout::{GLOBAL_DONE, HI, LO, REFILLING, STEP, TAKEN, WORD};
+use crate::protocol::counter::{Publish, Word};
 use crate::protocol::{Flags, NodeQueue};
 use crate::queue::QueuedRange;
-use mpisim::{Result, Window};
+use mpisim::{Result, RmaOp, Window};
 
 /// A locked node window's queue: one range, read on first use.
 pub(super) struct WindowQueue<'w> {
@@ -70,5 +76,50 @@ impl NodeQueue for WindowQueue<'_> {
         self.win.put(0, TAKEN, 0)?;
         self.range = Some(QueuedRange::new(lo, hi));
         Ok(())
+    }
+}
+
+/// A node window's lock-free queue. Every call is atomics only; the
+/// caller holds the window's `lock_all` epoch.
+pub(super) struct CounterQueue<'w> {
+    win: &'w Window,
+}
+
+impl<'w> CounterQueue<'w> {
+    pub(super) fn new(win: &'w Window) -> Self {
+        Self { win }
+    }
+
+    fn read(&self, disp: usize) -> Result<i64> {
+        self.win.fetch_and_op(0, disp, 0, RmaOp::NoOp)
+    }
+
+    /// Read the word.
+    #[inline]
+    pub(super) fn word(&self) -> Result<Word> {
+        self.read(WORD).map(Word::unpack)
+    }
+
+    /// Read the deposit's bounds `(LO, HI)`, after the word.
+    #[inline]
+    pub(super) fn bounds(&self) -> Result<(u64, u64)> {
+        Ok((self.read(LO)? as u64, self.read(HI)? as u64))
+    }
+
+    /// Commit a take or a refill claim: compare-and-swap the word from
+    /// `was` to `now`, and say whether it was still `was`.
+    #[inline]
+    pub(super) fn commit(&self, was: Word, now: Word) -> Result<bool> {
+        let was = was.pack();
+        Ok(self.win.compare_and_swap(0, WORD, was, now.pack())? == was)
+    }
+
+    /// Write a refill's bounds, if any, then publish its word.
+    pub(super) fn publish(&self, p: Publish) -> Result<()> {
+        if let Some((lo, hi)) = p.bounds {
+            self.win.fetch_and_op(0, LO, lo as i64, RmaOp::Replace)?;
+            self.win.fetch_and_op(0, HI, hi as i64, RmaOp::Replace)?;
+        }
+        self.win.fetch_and_op(0, WORD, p.word.pack(), RmaOp::Replace).map(drop)
     }
 }

@@ -17,6 +17,15 @@
 //! The sim and the model write the returned shapes to their RMA logs;
 //! the live window records them as it issues them. Each slot is a
 //! [`crate::layout`] displacement.
+//!
+//! That is the paper's locked queue, which the simulator models and
+//! [`NodeQueueMode::Locked`](crate::config::NodeQueueMode::Locked)
+//! runs live. [`counter`] is the same queue without the lock — the
+//! same sub-chunks per deposit, taken by compare-and-swap on one packed
+//! word — which live runs use where the arithmetic allows and the model
+//! checker explores beside the locked one.
+
+pub mod counter;
 
 use crate::config::GlobalQueueMode;
 use crate::layout::{
@@ -150,7 +159,8 @@ pub enum Fetched {
     Done,
 }
 
-/// A node window's two flags.
+/// A node window's two flags (two slots locked, two bits of
+/// [`counter::Word`] lock-free).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct Flags {
     /// A rank of the node is fetching from the global queue.

@@ -13,10 +13,17 @@
 //! Two fields are asserted on their own at the bottom, because the PR
 //! that introduced this file fixes them: `RunStats::checksum` and
 //! `NodeStats::lock_revocations`.
+//!
+//! The MPI+MPI strings were pinned over the paper's locked node queue and
+//! stay pinned under `NodeQueueMode::Locked`. The lock-free default
+//! executes the same sub-chunks in the same order, so its strings differ
+//! only in the counters of the window it touches: `lock_acquisitions`
+//! (one `lock_all` instead of an epoch per decision), `rma_ops` (every
+//! node-window access is an atomic) and the `rma` record count.
 
 use dls::Kind;
 use dls_service::{Server, ServiceConfig};
-use hier::config::{Approach, GlobalQueueMode, HierSpec};
+use hier::config::{Approach, GlobalQueueMode, HierSpec, NodeQueueMode};
 use hier::live::{
     run_live_flat_master_worker, run_live_master_worker, run_live_mpi_mpi, run_live_mpi_omp,
     run_live_net, serial_checksum, LiveConfig, LiveResult,
@@ -76,43 +83,85 @@ fn render(r: &LiveResult) -> String {
     s
 }
 
-fn mpi_mpi(mode: GlobalQueueMode, faults: FaultPlan) -> LiveResult {
+fn mpi_mpi(mode: GlobalQueueMode, node: NodeQueueMode, faults: FaultPlan) -> LiveResult {
     let mut cfg = LiveConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
     cfg.global_mode = mode;
+    cfg.node_mode = node;
     cfg.faults = faults;
     run_live_mpi_mpi(&cfg, &workload()).expect("live run")
 }
 
 #[test]
 fn mpi_mpi_single_atomic() {
-    let r = mpi_mpi(GlobalQueueMode::SingleAtomic, FaultPlan::none());
+    let r = mpi_mpi(GlobalQueueMode::SingleAtomic, NodeQueueMode::Locked, FaultPlan::none());
     assert_eq!(r.checksum, serial_checksum(&workload()));
     assert_eq!(render(&r), MPI_MPI_SINGLE_ATOMIC);
 }
 
 #[test]
+fn mpi_mpi_single_atomic_lock_free() {
+    let r = mpi_mpi(GlobalQueueMode::SingleAtomic, NodeQueueMode::Counter, FaultPlan::none());
+    assert_eq!(render(&r), MPI_MPI_SINGLE_ATOMIC_LOCK_FREE);
+}
+
+#[test]
 fn mpi_mpi_locked_counters() {
-    let r = mpi_mpi(GlobalQueueMode::LockedCounters, FaultPlan::none());
+    let r = mpi_mpi(GlobalQueueMode::LockedCounters, NodeQueueMode::Locked, FaultPlan::none());
     assert_eq!(r.checksum, serial_checksum(&workload()));
     assert_eq!(render(&r), MPI_MPI_LOCKED_COUNTERS);
 }
 
+#[test]
+fn mpi_mpi_locked_counters_lock_free() {
+    let r = mpi_mpi(GlobalQueueMode::LockedCounters, NodeQueueMode::Counter, FaultPlan::none());
+    assert_eq!(render(&r), MPI_MPI_LOCKED_COUNTERS_LOCK_FREE);
+}
+
+/// The lock-free and the locked executors print the same executed and
+/// checksum lines: only the counters of the node window differ.
+#[test]
+fn lock_free_strings_differ_from_locked_only_in_counters() {
+    let pairs = [
+        (MPI_MPI_SINGLE_ATOMIC, MPI_MPI_SINGLE_ATOMIC_LOCK_FREE),
+        (MPI_MPI_LOCKED_COUNTERS, MPI_MPI_LOCKED_COUNTERS_LOCK_FREE),
+        (NET_SINGLE_RANK, NET_SINGLE_RANK_LOCK_FREE),
+        (MPI_MPI_TRACED_AND_RECORDED, MPI_MPI_TRACED_AND_RECORDED_LOCK_FREE),
+    ];
+    let counters = ["lock_acquisitions", "rma_ops", "rma"];
+    for (locked, lock_free) in pairs {
+        let locked = locked.split(['\n', ' ']);
+        let lock_free: Vec<&str> = lock_free.split(['\n', ' ']).collect();
+        let mut prev = "";
+        for (i, word) in locked.enumerate() {
+            if !counters.contains(&prev) {
+                assert_eq!(word, lock_free[i], "after {prev:?}");
+            }
+            prev = word;
+        }
+    }
+}
+
 /// The only worker dies with a sub-chunk taken and not executed; with
-/// nobody left to reclaim it the run ends short, and says so.
+/// nobody left to reclaim it the run ends short, and says so. An active
+/// fault plan keeps the lock whatever the configured node queue.
 #[test]
 fn mpi_mpi_lone_rank_crash_after_take() {
-    let plan = FaultPlan::none().with(0, FaultKind::Crash { at_ns: 0, after_sub_chunks: 3 });
-    let r = mpi_mpi(GlobalQueueMode::SingleAtomic, plan);
-    assert_eq!(render(&r), MPI_MPI_LONE_RANK_CRASH_AFTER_TAKE);
+    for node in [NodeQueueMode::Locked, NodeQueueMode::Counter] {
+        let plan = FaultPlan::none().with(0, FaultKind::Crash { at_ns: 0, after_sub_chunks: 3 });
+        let r = mpi_mpi(GlobalQueueMode::SingleAtomic, node, plan);
+        assert_eq!(render(&r), MPI_MPI_LONE_RANK_CRASH_AFTER_TAKE);
+    }
 }
 
 /// The only worker dies inside the window's critical section.
 #[test]
 fn mpi_mpi_lone_rank_crash_holding_lock() {
-    let plan =
-        FaultPlan::none().with(0, FaultKind::CrashHoldingLock { at_ns: 0, after_sub_chunks: 2 });
-    let r = mpi_mpi(GlobalQueueMode::SingleAtomic, plan);
-    assert_eq!(render(&r), MPI_MPI_LONE_RANK_CRASH_HOLDING_LOCK);
+    for node in [NodeQueueMode::Locked, NodeQueueMode::Counter] {
+        let plan = FaultPlan::none()
+            .with(0, FaultKind::CrashHoldingLock { at_ns: 0, after_sub_chunks: 2 });
+        let r = mpi_mpi(GlobalQueueMode::SingleAtomic, node, plan);
+        assert_eq!(render(&r), MPI_MPI_LONE_RANK_CRASH_HOLDING_LOCK);
+    }
 }
 
 #[test]
@@ -123,14 +172,25 @@ fn mpi_omp_team_of_one() {
     assert_eq!(render(&r), MPI_OMP_TEAM_OF_ONE);
 }
 
-#[test]
-fn net_single_rank() {
+fn net(node: NodeQueueMode) -> LiveResult {
     let srv = Server::start(ServiceConfig::default(), "127.0.0.1:0").expect("bind");
-    let cfg = LiveConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
+    let mut cfg = LiveConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
+    cfg.node_mode = node;
     let r = run_live_net(&cfg, &workload(), srv.addr()).expect("net run");
     srv.shutdown();
+    r
+}
+
+#[test]
+fn net_single_rank() {
+    let r = net(NodeQueueMode::Locked);
     assert_eq!(r.checksum, serial_checksum(&workload()));
     assert_eq!(render(&r), NET_SINGLE_RANK);
+}
+
+#[test]
+fn net_single_rank_lock_free() {
+    assert_eq!(render(&net(NodeQueueMode::Counter)), NET_SINGLE_RANK_LOCK_FREE);
 }
 
 #[test]
@@ -153,14 +213,25 @@ fn hierarchical_master_worker_one_local_master() {
 /// counters, and the number of log records of a one-rank run. (How
 /// many timeline segments survive depends on the clock: empty ones are
 /// dropped.)
-#[test]
-fn mpi_mpi_traced_and_recorded() {
+fn traced_and_recorded(node: NodeQueueMode) -> LiveResult {
     let mut cfg = LiveConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
     cfg.trace = true;
     cfg.record_rma = true;
+    cfg.node_mode = node;
     let r = run_live_mpi_mpi(&cfg, &workload()).expect("live run");
     assert!(r.trace.totals().compute > 0);
-    assert_eq!(render(&r), MPI_MPI_TRACED_AND_RECORDED);
+    r
+}
+
+#[test]
+fn mpi_mpi_traced_and_recorded() {
+    assert_eq!(render(&traced_and_recorded(NodeQueueMode::Locked)), MPI_MPI_TRACED_AND_RECORDED);
+}
+
+#[test]
+fn mpi_mpi_traced_and_recorded_lock_free() {
+    let r = traced_and_recorded(NodeQueueMode::Counter);
+    assert_eq!(render(&r), MPI_MPI_TRACED_AND_RECORDED_LOCK_FREE);
 }
 
 #[test]
@@ -190,6 +261,24 @@ checksum 1873
 total 40 global_accesses 7
 worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 0 reclaims 0
 node 0: deposits 6 sub_chunks 16 lock_acquisitions 31 lock_contended 0 lock_polls 0
+recovery
+rma 0";
+
+const MPI_MPI_SINGLE_ATOMIC_LOCK_FREE: &str = "\
+executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 0:29..30 0:30..33 0:33..34 0:34..35 0:35..37 0:37..38 0:38..39 0:39..40
+checksum 1873
+total 40 global_accesses 7
+worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 119 reclaims 0
+node 0: deposits 6 sub_chunks 16 lock_acquisitions 1 lock_contended 0 lock_polls 0
+recovery
+rma 0";
+
+const MPI_MPI_LOCKED_COUNTERS_LOCK_FREE: &str = "\
+executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 0:29..30 0:30..33 0:33..34 0:34..35 0:35..37 0:37..38 0:38..39 0:39..40
+checksum 1873
+total 40 global_accesses 7
+worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 112 reclaims 0
+node 0: deposits 6 sub_chunks 16 lock_acquisitions 1 lock_contended 0 lock_polls 0
 recovery
 rma 0";
 
@@ -229,6 +318,15 @@ node 0: deposits 6 sub_chunks 16 lock_acquisitions 31 lock_contended 0 lock_poll
 recovery
 rma 0";
 
+const NET_SINGLE_RANK_LOCK_FREE: &str = "\
+executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 0:29..30 0:30..33 0:33..34 0:34..35 0:35..37 0:37..38 0:38..39 0:39..40
+checksum 1873
+total 40 global_accesses 7
+worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 112 reclaims 0
+node 0: deposits 6 sub_chunks 16 lock_acquisitions 1 lock_contended 0 lock_polls 0
+recovery
+rma 0";
+
 const FLAT_MASTER_WORKER_ONE_WORKER: &str = "\
 executed 1:0..20 1:20..30 1:30..35 1:35..38 1:38..39 1:39..40
 checksum 1873
@@ -258,6 +356,15 @@ node 0: deposits 6 sub_chunks 16 lock_acquisitions 31 lock_contended 0 lock_poll
 recovery
 rma 321";
 
+const MPI_MPI_TRACED_AND_RECORDED_LOCK_FREE: &str = "\
+executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 0:29..30 0:30..33 0:33..34 0:34..35 0:35..37 0:37..38 0:38..39 0:39..40
+checksum 1873
+total 40 global_accesses 7
+worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 119 reclaims 0
+node 0: deposits 6 sub_chunks 16 lock_acquisitions 1 lock_contended 0 lock_polls 0
+recovery
+rma 136";
+
 const MPI_OMP_TRACED_AND_RECORDED: &str = "\
 executed 0:0..20 0:20..30 0:30..35 0:35..38 0:38..39 0:39..40
 checksum 1873
@@ -272,7 +379,7 @@ rma 42";
 /// `RunStats::checksum` is documented as the application checksum.
 #[test]
 fn run_stats_carry_the_checksum() {
-    let r = mpi_mpi(GlobalQueueMode::SingleAtomic, FaultPlan::none());
+    let r = mpi_mpi(GlobalQueueMode::SingleAtomic, NodeQueueMode::Locked, FaultPlan::none());
     // Before the fix: never written, 0.
     assert_eq!(r.stats.checksum, r.checksum);
     assert_eq!(r.stats.checksum, serial_checksum(&workload()));

@@ -6,23 +6,29 @@
 //! rank) stream of a recorded live log — over RMA windows or with the
 //! global queue behind a `dls-service` socket — and of the sim's
 //! synthesized log for the same run parses as a word over the shapes.
+//! The sim and the live `NodeQueueMode::Locked` streams are words over
+//! the locked queue's shapes; the live lock-free streams are `lock_all`,
+//! a word over `protocol::counter`'s shapes, `unlock_all`.
 
 use cluster_sim::{MachineParams, SimTopology};
 use dls::Kind;
 use dls_service::{Server, ServiceConfig};
 use hier::live::{run_live_mpi_mpi, run_live_net, LiveConfig};
 use hier::protocol::{
-    DEPOSIT, DEPOSIT_DONE, GLOBAL_FAA, GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ, PROBE_REFILL,
-    PROBE_RELEASE, RELEASE, TAKE,
+    counter, DEPOSIT, DEPOSIT_DONE, GLOBAL_FAA, GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ,
+    PROBE_REFILL, PROBE_RELEASE, RELEASE, TAKE,
 };
 use hier::sim::{simulate_mpi_mpi, SimConfig};
-use hier::{Approach, GlobalQueueMode, HierSpec};
+use hier::{Approach, GlobalQueueMode, HierSpec, NodeQueueMode};
 use mpisim::{RmaEvent, RmaRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::synthetic::Synthetic;
 use workloads::CostTable;
 
 const NODE_WORDS: [&[RmaEvent]; 5] = [TAKE, PROBE_RELEASE, PROBE_REFILL, DEPOSIT, DEPOSIT_DONE];
+/// The lock-free node shapes. `counter::PUBLISH` is `counter::PROBE`'s
+/// one atomic on the word, so it parses as that.
+const COUNTER_WORDS: [&[RmaEvent]; 3] = [counter::TAKE, counter::DEPOSIT, counter::PROBE];
 
 /// Per (window, rank) in window order: whether the window is a node's
 /// shared one (from its `Attach`), and its events without the `Attach`
@@ -43,7 +49,10 @@ fn streams(rma: &[RmaRecord]) -> Vec<(bool, Vec<RmaEvent>)> {
 }
 
 /// The indices into `words` whose concatenation is `events`, or `None`.
-/// No shape is a prefix of another, so the first match is the only one.
+/// Within each shape list no shape is a prefix of another — except
+/// `counter::PROBE`, a prefix of `counter::TAKE`, which is tried first:
+/// a PROBE is followed by a word read or nothing, never by TAKE's bounds
+/// reads and CAS — so the first match is the only one.
 fn parse(mut events: &[RmaEvent], words: &[&[RmaEvent]]) -> Option<Vec<usize>> {
     let mut out = Vec::new();
     while !events.is_empty() {
@@ -54,12 +63,34 @@ fn parse(mut events: &[RmaEvent], words: &[&[RmaEvent]]) -> Option<Vec<usize>> {
     Some(out)
 }
 
+/// Parse one node stream of a run whose node queue is `node`: the
+/// locked `words`, or `lock_all`, a word over [`COUNTER_WORDS`] and
+/// `unlock_all`. Returns which shapes occurred.
+fn parse_node(
+    events: &[RmaEvent],
+    node: NodeQueueMode,
+    words: &[&[RmaEvent]],
+) -> Option<Vec<usize>> {
+    match node {
+        NodeQueueMode::Locked => parse(events, words),
+        NodeQueueMode::Counter => match events {
+            [RmaEvent::LockAll, middle @ .., RmaEvent::UnlockAll] => parse(middle, &COUNTER_WORDS),
+            _ => None,
+        },
+    }
+}
+
 /// Check every stream of `rma` and return which node shapes occurred.
-fn check(rma: &[RmaRecord], mode: GlobalQueueMode, what: &str) -> BTreeSet<usize> {
+fn check(
+    rma: &[RmaRecord],
+    mode: GlobalQueueMode,
+    node: NodeQueueMode,
+    what: &str,
+) -> BTreeSet<usize> {
     let mut seen = BTreeSet::new();
     for (shared, events) in streams(rma) {
         if shared {
-            let words = parse(&events, &NODE_WORDS)
+            let words = parse_node(&events, node, &NODE_WORDS)
                 .unwrap_or_else(|| panic!("{what}: node stream is no protocol word: {events:?}"));
             seen.extend(words);
             continue;
@@ -88,14 +119,21 @@ fn live_and_sim_logs_are_words_over_the_protocol_shapes() {
         let spec = HierSpec::new(inter, intra);
         for mode in [GlobalQueueMode::SingleAtomic, GlobalQueueMode::LockedCounters] {
             let what = format!("{inter}+{intra} {mode:?}");
-            let mut live = LiveConfig::new(nodes, wpn, spec, Approach::MpiMpi);
-            live.global_mode = mode;
-            live.record_rma = true;
-            let r = run_live_mpi_mpi(&live, &w).expect("live run");
             // Every node refills, takes, is marked done and has its ranks
             // retire on an empty probe: each node shape occurs.
             let all: BTreeSet<usize> = (0..NODE_WORDS.len()).collect();
-            assert_eq!(check(&r.rma, mode, &format!("live {what}")), all, "live {what}");
+            let all_counter: BTreeSet<usize> = (0..COUNTER_WORDS.len()).collect();
+            for (node, all) in
+                [(NodeQueueMode::Locked, &all), (NodeQueueMode::Counter, &all_counter)]
+            {
+                let mut live = LiveConfig::new(nodes, wpn, spec, Approach::MpiMpi);
+                live.global_mode = mode;
+                live.node_mode = node;
+                live.record_rma = true;
+                let r = run_live_mpi_mpi(&live, &w).expect("live run");
+                let what = format!("live {what} {node:?}");
+                assert_eq!(&check(&r.rma, mode, node, &what), all, "{what}");
+            }
 
             let mut sim = SimConfig::new(
                 SimTopology::new(nodes, wpn),
@@ -106,7 +144,8 @@ fn live_and_sim_logs_are_words_over_the_protocol_shapes() {
             sim.global_mode = mode;
             sim.record_rma = true;
             let r = simulate_mpi_mpi(&sim, &table);
-            assert_eq!(check(&r.rma, mode, &format!("sim {what}")), all, "sim {what}");
+            let sim_what = format!("sim {what}");
+            assert_eq!(check(&r.rma, mode, NodeQueueMode::Locked, &sim_what), all, "{sim_what}");
         }
     }
 }
@@ -115,19 +154,26 @@ fn live_and_sim_logs_are_words_over_the_protocol_shapes() {
 fn net_backend_node_logs_are_words_over_the_protocol_shapes() {
     let srv = Server::start(ServiceConfig::default(), "127.0.0.1:0").expect("bind");
     let w = Synthetic::uniform(600, 1, 100, 3);
-    let mut cfg = LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
-    cfg.record_rma = true;
-    let r = run_live_net(&cfg, &w, srv.addr()).expect("net run");
-    srv.shutdown();
-    // A service queue may answer `Pending`, whose refill ends in RELEASE.
+    // A service queue may answer `Pending`, whose locked refill ends in
+    // RELEASE (lock-free: a PUBLISH, which parses as a PROBE).
     let words: Vec<&[RmaEvent]> = NODE_WORDS.iter().copied().chain([RELEASE]).collect();
-    let mut seen = BTreeSet::new();
-    for (shared, events) in streams(&r.rma) {
-        assert!(shared, "the global queue is a socket, not a window: {events:?}");
-        let parsed = parse(&events, &words)
-            .unwrap_or_else(|| panic!("net: node stream is no protocol word: {events:?}"));
-        seen.extend(parsed);
+    for (node, shapes) in
+        [(NodeQueueMode::Locked, NODE_WORDS.len()), (NodeQueueMode::Counter, COUNTER_WORDS.len())]
+    {
+        let mut cfg = LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        cfg.record_rma = true;
+        cfg.node_mode = node;
+        let r = run_live_net(&cfg, &w, srv.addr()).expect("net run");
+        let mut seen = BTreeSet::new();
+        for (shared, events) in streams(&r.rma) {
+            assert!(shared, "the global queue is a socket, not a window: {events:?}");
+            let parsed = parse_node(&events, node, &words).unwrap_or_else(|| {
+                panic!("net {node:?}: node stream is no protocol word: {events:?}")
+            });
+            seen.extend(parsed);
+        }
+        let missing: Vec<usize> = (0..shapes).filter(|i| !seen.contains(i)).collect();
+        assert!(missing.is_empty(), "net {node:?}: node shapes {missing:?} never occurred");
     }
-    let missing: Vec<usize> = (0..NODE_WORDS.len()).filter(|i| !seen.contains(i)).collect();
-    assert!(missing.is_empty(), "net: node shapes {missing:?} never occurred");
+    srv.shutdown();
 }

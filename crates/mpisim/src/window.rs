@@ -77,7 +77,10 @@ pub struct RankWinStats {
     /// or one `try_lock` failure) that found it unavailable or an earlier
     /// ticket still queued — this rank's share of the lock-attempt
     /// message traffic, counted as [`LockStats::polls`](crate::LockStats)
-    /// counts it.
+    /// counts it. A [`Window::compare_and_swap`] that found another
+    /// value than the one it compared against counts too: it is a
+    /// lock-free take that lost its race to a peer and must re-read and
+    /// retry, the lock-free queue's share of the same contention.
     pub failed_polls: u64,
     /// Nanoseconds this rank spent blocked *acquiring* window locks,
     /// from its first failed poll to the grant; an acquire that never
@@ -91,7 +94,8 @@ pub struct RankWinStats {
     /// but exclusive lockers and may span a whole run; it is never
     /// timed.
     pub lock_held_ns: u64,
-    /// RMA atomic operations issued (`MPI_Fetch_and_op`).
+    /// RMA atomic operations issued (`MPI_Fetch_and_op`,
+    /// `MPI_Compare_and_swap`).
     pub rma_atomic_ops: u64,
     /// `MPI_Put` operations issued (a multi-element put counts once).
     pub puts: u64,
@@ -477,6 +481,32 @@ impl Window {
         Ok(prev)
     }
 
+    /// `MPI_Compare_and_swap`: atomically replace the element at
+    /// (`target`, `disp`) with `value` if it equals `compare`, and return
+    /// the previous value either way; the swap happened iff that is
+    /// `compare`. Sequentially consistent like
+    /// [`Window::fetch_and_op`]. A failed compare counts as one failed
+    /// poll in [`Window::rank_stats`].
+    pub fn compare_and_swap(
+        &self,
+        target: u32,
+        disp: usize,
+        compare: i64,
+        value: i64,
+    ) -> Result<i64> {
+        self.check_alive(target)?;
+        let slot = self.slot(target, disp)?;
+        bump(&self.rank.rma_atomic_ops, 1);
+        self.rec(RmaEvent::Atomic { target, disp, op: AtomicOpKind::CompareAndSwap });
+        match slot.compare_exchange(compare, value, Ordering::SeqCst, Ordering::SeqCst) {
+            Ok(prev) => Ok(prev),
+            Err(prev) => {
+                bump(&self.rank.failed_polls, 1);
+                Ok(prev)
+            }
+        }
+    }
+
     /// `MPI_Get` of one element: an acquire load (see "Visibility" on
     /// [`Window`]).
     pub fn get(&self, target: u32, disp: usize) -> Result<i64> {
@@ -761,6 +791,51 @@ mod tests {
             assert_eq!(win.fetch_and_op(0, 0, -7, RmaOp::Replace).unwrap(), 50);
             assert_eq!(win.get(0, 0).unwrap(), -7);
         });
+    }
+
+    #[test]
+    fn compare_and_swap_swaps_only_on_a_match() {
+        Universe::run(Topology::new(1, 1), |p| {
+            let win = Window::allocate(p.world(), 1).unwrap();
+            win.put(0, 0, 10).unwrap();
+            // Success: the previous value is the one compared against.
+            assert_eq!(win.compare_and_swap(0, 0, 10, 11).unwrap(), 10);
+            assert_eq!(win.get(0, 0).unwrap(), 11);
+            assert_eq!(win.rank_stats().failed_polls, 0);
+            // Failure: the slot is left alone and its value returned.
+            assert_eq!(win.compare_and_swap(0, 0, 10, 12).unwrap(), 11);
+            assert_eq!(win.get(0, 0).unwrap(), 11);
+            let s = win.rank_stats();
+            assert_eq!((s.rma_atomic_ops, s.failed_polls), (2, 1));
+        });
+    }
+
+    #[test]
+    fn compare_and_swap_elects_one_winner_per_value() {
+        // Every rank tries to advance the counter from each value it
+        // reads: a value is claimed once, so the wins sum to the final
+        // count and the losses are the failed polls.
+        let out = Universe::run(Topology::new(1, 4), |p| {
+            let w = p.world();
+            let win = Window::allocate(w, if w.rank() == 0 { 1 } else { 0 }).unwrap();
+            let (mut wins, mut lost) = (0, 0);
+            loop {
+                let v = win.fetch_and_op(0, 0, 0, RmaOp::NoOp).unwrap();
+                if v >= 200 {
+                    break;
+                }
+                if win.compare_and_swap(0, 0, v, v + 1).unwrap() == v {
+                    wins += 1;
+                } else {
+                    lost += 1;
+                }
+            }
+            assert_eq!(win.rank_stats().failed_polls, lost);
+            w.barrier();
+            (wins, win.get(0, 0).unwrap())
+        });
+        assert_eq!(out.iter().map(|o| o.0).sum::<i64>(), 200);
+        assert!(out.iter().all(|o| o.1 == 200));
     }
 
     #[test]

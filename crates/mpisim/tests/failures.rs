@@ -29,6 +29,7 @@ fn post_crash_window_ops_return_rank_failed() {
                 win.fetch_and_op(1, 0, 1, mpisim::RmaOp::Sum),
                 Err(Error::RankFailed { rank: 1 })
             ));
+            assert!(matches!(win.compare_and_swap(1, 0, 0, 1), Err(Error::RankFailed { rank: 1 })));
             assert!(matches!(win.get(1, 0), Err(Error::RankFailed { rank: 1 })));
             assert!(matches!(win.put(1, 0, 3), Err(Error::RankFailed { rank: 1 })));
             // The survivor's own region is untouched by the peer death.

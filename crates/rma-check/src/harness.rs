@@ -23,7 +23,7 @@
 
 use crate::Report;
 use cluster_sim::{MachineParams, SimTopology};
-use hier::config::{Approach, GlobalQueueMode, HierSpec};
+use hier::config::{Approach, GlobalQueueMode, HierSpec, NodeQueueMode};
 use hier::live::{run_live, serial_checksum, LiveConfig};
 use hier::queue::SubChunk;
 use hier::sim::{simulate, Perturbation, SimConfig};
@@ -107,7 +107,8 @@ pub struct Exploration {
     /// Loop size of the synthetic workload.
     pub n_iters: u64,
     /// Seeds for [`Perturbation::Seeded`] (sim) or workload reseeding
-    /// (live); one run per seed per pair.
+    /// (live); one run per seed per pair, and live MPI+MPI one per seed
+    /// per pair per node queue.
     pub seeds: std::ops::Range<u64>,
     /// Upper bound on seeded jitter delays (virtual ns, sim only).
     pub max_jitter_ns: u64,
@@ -271,13 +272,24 @@ pub fn explore(backend: Backend, cfg: &Exploration) -> Summary {
             }
         }
     } else {
+        // Live MPI+MPI runs take from the node queue lock-free by
+        // default; every seed runs the paper's locked queue as well.
+        let node_modes: &[NodeQueueMode] = match backend.approach() {
+            Approach::MpiMpi => &[NodeQueueMode::Counter, NodeQueueMode::Locked],
+            Approach::MpiOpenMp => &[NodeQueueMode::Counter],
+        };
+        let runs = cfg.seeds.clone().flat_map(|seed| node_modes.iter().map(move |&m| (seed, m)));
         for spec in technique_pairs(backend) {
-            for seed in cfg.seeds.clone() {
-                let schedule = format!("seed {seed}");
+            for (seed, node_mode) in runs.clone() {
+                let schedule = match node_modes {
+                    [_, _] => format!("seed {seed} {node_mode:?}"),
+                    _ => format!("seed {seed}"),
+                };
                 let workload = Synthetic::uniform(cfg.n_iters, 1, 100, seed);
                 let mut live =
                     LiveConfig::new(cfg.nodes, cfg.workers_per_node, spec, backend.approach());
                 live.global_mode = cfg.global_mode;
+                live.node_mode = node_mode;
                 live.record_rma = true;
                 match run_live(&live, &workload) {
                     Ok(r) => {

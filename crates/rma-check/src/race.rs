@@ -333,6 +333,57 @@ mod tests {
         assert!(v.iter().all(|v| v.kind == ViolationKind::DataRace));
     }
 
+    /// A lock-free take on a node word: three atomic reads and a
+    /// compare-and-swap, every rank inside its run-long `lock_all`.
+    fn counter_take(log: &RmaLog, rank: u32, cas: bool) {
+        for disp in [2, 0, 1] {
+            log.push(0, rank, RmaEvent::Atomic { target: 0, disp, op: AtomicOpKind::FetchAndOp });
+        }
+        if cas {
+            log.push(
+                0,
+                rank,
+                RmaEvent::Atomic { target: 0, disp: 2, op: AtomicOpKind::CompareAndSwap },
+            );
+        } else {
+            log.push(0, rank, RmaEvent::Get { target: 0, disp: 2, len: 1 });
+            log.push(0, rank, RmaEvent::Put { target: 0, disp: 2, len: 1 });
+        }
+    }
+
+    #[test]
+    fn compare_and_swap_takes_under_lock_all_pass_every_rule() {
+        let log = RmaLog::new();
+        attach(&log, 2);
+        for r in 0..2 {
+            log.push(0, r, RmaEvent::LockAll);
+        }
+        for i in 0..6 {
+            counter_take(&log, i % 2, true);
+        }
+        for r in 0..2 {
+            log.push(0, r, RmaEvent::UnlockAll);
+        }
+        let report = crate::check(&log.records());
+        assert!(report.violations.is_empty(), "{}", report.render());
+    }
+
+    #[test]
+    fn compare_and_swap_as_get_and_put_races_with_atomics() {
+        let log = RmaLog::new();
+        attach(&log, 2);
+        for r in 0..2 {
+            log.push(0, r, RmaEvent::LockAll);
+        }
+        // Rank 1 "optimises" its CAS of the word into a plain get+put.
+        counter_take(&log, 0, true);
+        counter_take(&log, 1, false);
+        counter_take(&log, 0, true);
+        let v = check(&log);
+        assert!(!v.is_empty());
+        assert!(v.iter().all(|v| v.kind == ViolationKind::DataRace && v.detail.contains("disp 2")));
+    }
+
     #[test]
     fn barrier_orders_pre_and_post_accesses() {
         let log = RmaLog::new();

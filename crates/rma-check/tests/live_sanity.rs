@@ -1,18 +1,23 @@
 //! Quick live-backend cleanliness probe (superseded by sweep.rs).
 
-use hier::config::{Approach, HierSpec};
+use hier::config::{Approach, HierSpec, NodeQueueMode};
 use hier::live::{run_live_mpi_mpi, run_live_mpi_omp, LiveConfig};
 use workloads::synthetic::Synthetic;
 
+/// Both node queues: the lock-free default, whose every node-window
+/// access is an atomic under `lock_all`, and the paper's locked one.
 #[test]
 fn live_mpi_mpi_log_is_clean() {
     let w = Synthetic::uniform(400, 1, 100, 7);
-    let mut cfg =
-        LiveConfig::new(2, 3, HierSpec::new(dls::Kind::GSS, dls::Kind::SS), Approach::MpiMpi);
-    cfg.record_rma = true;
-    let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
-    let report = rma_check::check(&r.rma);
-    assert!(report.is_clean(), "{}", report.render());
+    for node_mode in [NodeQueueMode::Counter, NodeQueueMode::Locked] {
+        let mut cfg =
+            LiveConfig::new(2, 3, HierSpec::new(dls::Kind::GSS, dls::Kind::SS), Approach::MpiMpi);
+        cfg.node_mode = node_mode;
+        cfg.record_rma = true;
+        let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
+        let report = rma_check::check(&r.rma);
+        assert!(report.is_clean(), "{node_mode:?}: {}", report.render());
+    }
 }
 
 #[test]
