@@ -16,29 +16,6 @@
 //! seeded bugs ([`Variant`]) are those same calls and shapes with their
 //! lock bracket dropped.
 //!
-//! ## The lock-free node queue
-//!
-//! [`Config::with_node_mode`] with [`NodeQueueMode::Counter`] explores
-//! the live executors' default node queue instead,
-//! [`hier::protocol::counter`]: no window lock, one packed word beside
-//! the bounds. The word read, the bounds read, the CAS (a take or a
-//! refill claim), the bounds write and the publish are separate
-//! transitions, so takers interleave with a refill at every point the
-//! live rank loop can be preempted. Reading or writing `LO` and `HI` is
-//! one transition: a take commits only if the word it read is unchanged,
-//! and the bounds change only while the word is sealed, so a torn pair
-//! ends in a failed CAS either way. The decisions are
-//! `counter::{probe, take, deposit}` on the node's [`CounterSt`], and the
-//! two seeded variants ([`Variant::TakeByFaa`],
-//! [`Variant::PublishBeforeBounds`]) are the designs the CAS and the
-//! order of the publish rule out.
-//!
-//! The model keeps no generation. Live, the generation is what makes a
-//! read of an earlier deposit's word fail its CAS; here the transition
-//! that moves a word on replaces every rank's read of it by [`STALE`],
-//! which fails the same CAS, so storing the generation would only count
-//! each node's deposits and multiply the states by the splits.
-//!
 //! ## Atomicity granularity
 //!
 //! Lock-protected critical sections execute as one atomic transition
@@ -67,11 +44,9 @@
 
 use dls::technique::WorkerCtx;
 use dls::{Kind, LoopSpec, SchedState, Technique};
-use hier::protocol::counter::{self, Word};
 use hier::protocol::{self, Empty, Fetched, Flags, NodeQueue};
 use hier::queue::QueuedRange;
 use hier::sim::layout::{node_win, GLOBAL_WIN};
-use hier::NodeQueueMode;
 use mpisim::RmaEvent;
 use std::convert::Infallible;
 
@@ -138,22 +113,6 @@ pub enum Variant {
     /// A rank that takes a sub-chunk forgets `MPI_Win_unlock`: the
     /// local lock is never released again.
     LostUnlock,
-    /// Lock-free only: a take draws its step with one fetch-and-add on
-    /// the word instead of the bounds read and CAS, and reads the bounds
-    /// after it. A taker preempted between the two while peers drain and
-    /// refill runs its step over the next deposit's bounds.
-    TakeByFaa,
-    /// Lock-free only: the refiller publishes the next generation before
-    /// it writes the bounds, so a taker can pair the new step with the
-    /// drained deposit's bounds.
-    PublishBeforeBounds,
-}
-
-impl Variant {
-    /// Whether the variant seeds a bug into the lock-free queue.
-    pub fn lock_free(self) -> bool {
-        matches!(self, Variant::TakeByFaa | Variant::PublishBeforeBounds)
-    }
 }
 
 /// One deposited chunk with its intra-node scheduling progress — the
@@ -233,19 +192,6 @@ impl NodeQueue for Fifo {
     }
 }
 
-/// The lock-free queue's word and bounds at model scale; the word's two
-/// flags are [`NodeSt::flags`]. Zero, and never touched, in the locked
-/// protocol. The word's generation is not kept (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub struct CounterSt {
-    /// The word's step.
-    pub step: u8,
-    /// `LO`.
-    pub lo: u8,
-    /// `HI`.
-    pub hi: u8,
-}
-
 /// Per-node shared state: the FCFS window lock and the local queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct NodeSt {
@@ -260,8 +206,6 @@ pub struct NodeSt {
     pub flags: Flags,
     /// The deposited ranges.
     pub queue: Fifo,
-    /// The lock-free queue ([`NodeQueueMode::Counter`] only).
-    pub counter: CounterSt,
 }
 
 impl NodeSt {
@@ -272,19 +216,7 @@ impl NodeSt {
             n_waiters: 0,
             flags: Flags::default(),
             queue: Fifo::default(),
-            counter: CounterSt::default(),
         }
-    }
-
-    /// The lock-free queue's word, at generation 0.
-    fn word(&self) -> Word {
-        Word { generation: 0, flags: self.flags, step: self.counter.step.into() }
-    }
-
-    /// Store `word`'s flags and step as the lock-free queue's word.
-    fn set_word(&mut self, word: Word) {
-        self.flags = word.flags;
-        self.counter.step = u8c(word.step);
     }
 
     fn push_waiter(&mut self, pid: u8) -> u8 {
@@ -342,34 +274,6 @@ pub enum Pc {
     /// with no refill in flight — without the lock — and will commit
     /// to refilling next.
     ObservedEmpty,
-    /// Lock-free: read the word with both flags clear; about to read
-    /// the bounds.
-    Bounds {
-        /// The word's step, or [`STALE`].
-        step: u8,
-    },
-    /// Lock-free: read the word and then the bounds `[lo, hi)`; about
-    /// to compare-and-swap the word.
-    Cas {
-        /// The word's step, or [`STALE`] (and so are the bounds).
-        step: u8,
-        /// `LO` as read.
-        lo: u8,
-        /// `HI` as read.
-        hi: u8,
-    },
-    /// [`Variant::TakeByFaa`] only: read a clear word; about to draw a
-    /// step with a fetch-and-add.
-    Faa,
-    /// Lock-free: made the first of a fetched chunk's two writes (its
-    /// bounds; the next generation's word under
-    /// [`Variant::PublishBeforeBounds`]); about to make the other.
-    Publish {
-        /// Chunk start.
-        lo: u8,
-        /// Chunk end.
-        hi: u8,
-    },
     /// Crashed. Under [`Recovery::Leases`] a refiller that died
     /// between its global FAA and its deposit leaves the claimed
     /// chunk `[lo, hi)` behind as a readable lease; otherwise the
@@ -581,36 +485,6 @@ pub enum Action {
         /// Reclaimed chunk end.
         hi: u8,
     },
-    /// Lock-free: read a clear word.
-    ReadWord {
-        /// Its step.
-        step: u8,
-    },
-    /// Lock-free: read the bounds `[lo, hi)`.
-    ReadBounds {
-        /// `LO`.
-        lo: u8,
-        /// `HI`.
-        hi: u8,
-    },
-    /// Lock-free: a take's or a claim's CAS found the word moved on.
-    CasFailed,
-    /// [`Variant::TakeByFaa`]: drew step `step` with a fetch-and-add.
-    FaaDraw {
-        /// The drawn step.
-        step: u8,
-    },
-    /// Lock-free: wrote a fetched chunk's bounds `[lo, hi)`.
-    WriteBounds {
-        /// Chunk start.
-        lo: u8,
-        /// Chunk end.
-        hi: u8,
-    },
-    /// Lock-free: published the next generation at step 0.
-    PublishChunk,
-    /// Lock-free: published `global_done`.
-    PublishDone,
 }
 
 /// Events synthesized by a transition, in the executor's tape
@@ -636,20 +510,8 @@ pub struct Config {
     pub crash_budget: u8,
     /// How much of the recovery protocol is modelled.
     pub recovery: Recovery,
-    /// Which node queue: the paper's locked one (the default) or the
-    /// live executors' lock-free one.
-    pub node_mode: NodeQueueMode,
     inter_t: Technique,
     intra_t: Technique,
-}
-
-/// What a lock-free rank holds in place of a read of a word that has
-/// since moved on (no step reaches it: `n <= MAX_N`).
-pub const STALE: u8 = 0xFF;
-
-/// The lock-free queue's word at `step` with both flags clear.
-fn clear(step: u8) -> Word {
-    Word { generation: 0, flags: Flags::default(), step: step.into() }
 }
 
 fn u8c(x: u64) -> u8 {
@@ -682,40 +544,18 @@ impl Config {
             variant: Variant::Correct,
             crash_budget: 0,
             recovery: Recovery::None,
-            node_mode: NodeQueueMode::Locked,
             inter_t: Technique::from_kind(inter),
             intra_t: Technique::from_kind(intra),
         }
     }
 
-    /// Same configuration with a different [`Variant`] (choose the
-    /// node queue first: each variant seeds a bug into one of them).
+    /// Same configuration with a different [`Variant`].
     pub fn with_variant(mut self, variant: Variant) -> Self {
         assert!(
             self.crash_budget == 0 || variant == Variant::Correct,
             "crash modelling only composes with the correct variant"
         );
-        assert!(
-            variant == Variant::Correct
-                || variant.lock_free() == (self.node_mode == NodeQueueMode::Counter),
-            "{variant:?} seeds a bug into the other node queue"
-        );
         self.variant = variant;
-        self
-    }
-
-    /// Same configuration over the other node queue. The lock-free one
-    /// models no crashes (live runs under a fault plan keep the lock)
-    /// and needs an intra technique that
-    /// [`counter::takes_by_step`].
-    pub fn with_node_mode(mut self, node_mode: NodeQueueMode) -> Self {
-        assert!(self.variant == Variant::Correct, "choose the node queue before the variant");
-        assert!(
-            node_mode == NodeQueueMode::Locked
-                || (self.crash_budget == 0 && counter::takes_by_step(&self.intra_t)),
-            "the lock-free queue takes by step and models no crashes"
-        );
-        self.node_mode = node_mode;
         self
     }
 
@@ -724,7 +564,6 @@ impl Config {
     /// adversary on top).
     pub fn with_crashes(mut self, budget: u8) -> Self {
         assert!(self.variant == Variant::Correct, "crash modelling requires the correct variant");
-        assert!(self.node_mode == NodeQueueMode::Locked, "the lock-free queue models no crashes");
         assert!(budget >= 1, "a zero crash budget is the default");
         self.crash_budget = budget;
         self
@@ -951,17 +790,6 @@ impl Config {
         chunk
     }
 
-    /// `pid`'s global fetch: one atomic transition, as every executor's
-    /// global queue takes it.
-    fn global_fetch(&self, t: &mut State, pid: u8, sink: &mut Option<&mut EventSink>) -> Action {
-        emit(sink, GLOBAL_WIN, pid.into(), protocol::GLOBAL_FAA);
-        let st = SchedState { step: t.g_step.into(), scheduled: t.g_sched.into() };
-        match self.fetch(t, pid, st) {
-            Some((lo, hi)) => Action::FetchChunk { lo, hi },
-            None => Action::FetchExhausted,
-        }
-    }
-
     /// Apply `pid`'s (unique) enabled transition to `s`. Events the
     /// real executor would issue are appended to `sink` when given.
     ///
@@ -1000,9 +828,6 @@ impl Config {
             t.crashes_used += 1;
             t.procs[victim as usize] = Pc::Crashed { lo, hi };
             return Ok((t, Action::Crash { victim, holding_lock }));
-        }
-        if self.node_mode == NodeQueueMode::Counter {
-            return self.step_lock_free(t, pid, sink);
         }
         let ni = usize::from(self.node_of(pid));
         let pc = t.procs[pid as usize];
@@ -1150,7 +975,14 @@ impl Config {
                 Action::FaaRead
             }
 
-            Pc::Fetch => self.global_fetch(&mut t, pid, &mut sink),
+            Pc::Fetch => {
+                emit(&mut sink, GLOBAL_WIN, pid.into(), protocol::GLOBAL_FAA);
+                let st = SchedState { step: t.g_step.into(), scheduled: t.g_sched.into() };
+                match self.fetch(&mut t, pid, st) {
+                    Some((lo, hi)) => Action::FetchChunk { lo, hi },
+                    None => Action::FetchExhausted,
+                }
+            }
 
             Pc::FaaWrite { step, sched } => {
                 // The blind write: overwrites any advance a concurrent
@@ -1213,173 +1045,8 @@ impl Config {
                     Action::DepositChunk { lo, hi, sub_lo, sub_hi }
                 }
             }
-
-            other => unreachable!("{other:?} in the locked queue"),
         };
         Ok((t, action))
-    }
-
-    /// [`Config::step`] over the lock-free node queue: every transition
-    /// is one access of the live rank loop's
-    /// `counter::{probe, take, deposit}` sequence, issued on the node's
-    /// [`CounterSt`] and emitted as its slice of the `counter` shapes.
-    fn step_lock_free(
-        &self,
-        mut t: State,
-        pid: u8,
-        mut sink: Option<&mut EventSink>,
-    ) -> Result<(State, Action), Violation> {
-        let ni = usize::from(self.node_of(pid));
-        let p = u32::from(self.ranks_per_node);
-        let pc = t.procs[pid as usize];
-        let action = match pc {
-            // The word read, or under `TakeByFaa` the blind draw: a
-            // fetch-and-add whose old word is the taker's.
-            Pc::Probe | Pc::Faa => {
-                self.node_tx(&mut sink, pid, counter::PROBE);
-                let node = &mut t.nodes[ni];
-                let word = node.word();
-                if pc == Pc::Faa {
-                    node.counter.step += 1;
-                }
-                let step = u8c(word.step);
-                let (next, action) = match counter::probe(word) {
-                    Some(Empty::PeerRefilling) => (Pc::Probe, Action::PeerRefilling),
-                    Some(_) => (Pc::Done, Action::ProbeDone),
-                    None if pc == Pc::Faa => (Pc::Bounds { step }, Action::FaaDraw { step }),
-                    None if self.variant == Variant::TakeByFaa => {
-                        (Pc::Faa, Action::ReadWord { step })
-                    }
-                    None => (Pc::Bounds { step }, Action::ReadWord { step }),
-                };
-                t.procs[pid as usize] = next;
-                action
-            }
-
-            Pc::Bounds { step } => {
-                self.node_tx(&mut sink, pid, &counter::TAKE[1..3]);
-                let CounterSt { lo, hi, .. } = t.nodes[ni].counter;
-                // A doomed taker's bounds are as stale as its word.
-                let (lo, hi) = if step == STALE { (STALE, STALE) } else { (lo, hi) };
-                t.procs[pid as usize] = Pc::Cas { step, lo, hi };
-                if self.variant == Variant::TakeByFaa {
-                    // The bug: the drawn step is this taker's, over
-                    // whatever deposit the bounds now hold.
-                    let word = clear(step);
-                    let mut cursor = counter::Cursor::default();
-                    let (lo, hi) = (lo.into(), hi.into());
-                    if let (Some(sub), _) =
-                        counter::take(word, lo, hi, &self.intra_t, p, &mut cursor)
-                    {
-                        let (lo, hi) = (u8c(sub.start), u8c(sub.end));
-                        Self::mark(&mut t.executed, lo, hi)
-                            .map_err(|iter| Violation::DoubleExecution { iter, pid })?;
-                        t.procs[pid as usize] = Pc::Probe;
-                        return Ok((t, Action::TakeSub { lo, hi }));
-                    }
-                    // Drained: claim the word the draw left behind.
-                    t.procs[pid as usize] = Pc::Cas { step: step + 1, lo: u8c(lo), hi: u8c(hi) };
-                }
-                Action::ReadBounds { lo, hi }
-            }
-
-            Pc::Cas { step, lo, hi } => {
-                self.node_tx(&mut sink, pid, &counter::TAKE[3..]);
-                let word = clear(step);
-                let mut cursor = counter::Cursor::default();
-                let (sub, next) =
-                    counter::take(word, lo.into(), hi.into(), &self.intra_t, p, &mut cursor);
-                let node = &mut t.nodes[ni];
-                t.procs[pid as usize] = Pc::Probe;
-                if node.word() != word {
-                    Action::CasFailed
-                } else {
-                    node.set_word(next);
-                    match sub {
-                        Some(sub) => {
-                            let (lo, hi) = (u8c(sub.start), u8c(sub.end));
-                            Self::mark(&mut t.executed, lo, hi)
-                                .map_err(|iter| Violation::DoubleExecution { iter, pid })?;
-                            Action::TakeSub { lo, hi }
-                        }
-                        None => {
-                            if self.variant == Variant::Correct {
-                                // Nothing reads the sealed deposit's step
-                                // or bounds again (every read of its word
-                                // was just forgotten, and the refill
-                                // overwrites them), so merge the states
-                                // that differ only there. The seeded
-                                // variants read exactly those.
-                                node.counter = CounterSt::default();
-                            }
-                            t.procs[pid as usize] = Pc::Fetch;
-                            Action::BecomeRefiller
-                        }
-                    }
-                }
-            }
-
-            Pc::Fetch => self.global_fetch(&mut t, pid, &mut sink),
-
-            // Only the refiller writes a sealed word, so the node's word
-            // is the one its claim sealed.
-            Pc::Deposit { lo, .. } if lo == NONE_PAYLOAD => {
-                self.node_tx(&mut sink, pid, counter::PUBLISH);
-                let node = &mut t.nodes[ni];
-                node.set_word(counter::deposit(node.word(), Fetched::Done).word);
-                t.procs[pid as usize] = Pc::Probe;
-                Action::PublishDone
-            }
-
-            // A chunk's two writes: the bounds, then the word that
-            // publishes them; the seeded bug publishes first.
-            Pc::Deposit { lo, hi } | Pc::Publish { lo, hi } => {
-                let first = matches!(pc, Pc::Deposit { .. });
-                t.procs[pid as usize] = if first { Pc::Publish { lo, hi } } else { Pc::Probe };
-                let node = &mut t.nodes[ni];
-                if first != (self.variant == Variant::PublishBeforeBounds) {
-                    self.node_tx(&mut sink, pid, &counter::DEPOSIT[..2]);
-                    Self::mark_deposited(&mut t.deposited, lo, hi, pid)?;
-                    (node.counter.lo, node.counter.hi) = (lo, hi);
-                    Action::WriteBounds { lo, hi }
-                } else {
-                    self.node_tx(&mut sink, pid, &counter::DEPOSIT[2..]);
-                    let chunk = Fetched::Chunk(lo.into(), hi.into());
-                    node.set_word(counter::deposit(node.word(), chunk).word);
-                    Action::PublishChunk
-                }
-            }
-
-            other => unreachable!("{other:?} in the lock-free queue"),
-        };
-        self.forget_doomed_reads(&mut t, ni);
-        Ok((t, action))
-    }
-
-    /// Replace what node `ni`'s ranks read of a word that has moved on by
-    /// [`STALE`]. Live, the word never returns to an earlier value (its
-    /// generation), so such a rank's CAS fails whatever it read — and a
-    /// taker that has read the word only, `Bounds`, is as doomed (but not
-    /// a `TakeByFaa` taker, whose drawn step is its own). States that
-    /// differ only in what a doomed rank read then coincide.
-    fn forget_doomed_reads(&self, t: &mut State, ni: usize) {
-        let word = t.nodes[ni].word();
-        let rpn = usize::from(self.ranks_per_node);
-        for pc in &mut t.procs[ni * rpn..(ni + 1) * rpn] {
-            match *pc {
-                Pc::Cas { step, .. } if step != STALE && clear(step) != word => {
-                    *pc = Pc::Cas { step: STALE, lo: STALE, hi: STALE };
-                }
-                Pc::Bounds { step }
-                    if step != STALE
-                        && self.variant != Variant::TakeByFaa
-                        && clear(step) != word =>
-                {
-                    *pc = Pc::Bounds { step: STALE };
-                }
-                _ => {}
-            }
-        }
     }
 
     /// Terminal-state coverage check: if every process is `Done` (or

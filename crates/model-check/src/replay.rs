@@ -22,8 +22,7 @@
 //! [`Variant::LostUnlock`]: crate::model::Variant::LostUnlock
 
 use crate::model::{Action, Config, EventSink, State, Violation};
-use hier::sim::layout::{node_win, GLOBAL_WIN};
-use hier::NodeQueueMode;
+use hier::sim::layout::GLOBAL_WIN;
 use mpisim::{RmaEvent, RmaLog};
 
 /// One rendered trace step.
@@ -111,13 +110,6 @@ fn describe(a: Action) -> String {
         Action::Reclaim { owner, lo, hi } => {
             format!("reclaim dead p{owner}'s lease [{lo}, {hi})")
         }
-        Action::ReadWord { step } => format!("read the word: step {step}"),
-        Action::ReadBounds { lo, hi } => format!("read the bounds [{lo}, {hi})"),
-        Action::CasFailed => "CAS failed: the word moved on".into(),
-        Action::FaaDraw { step } => format!("BROKEN FAA take: drew step {step}"),
-        Action::WriteBounds { lo, hi } => format!("write the bounds [{lo}, {hi})"),
-        Action::PublishChunk => "publish the next generation at step 0".into(),
-        Action::PublishDone => "publish global-done".into(),
     }
 }
 
@@ -130,15 +122,9 @@ pub fn replay(cfg: &Config, trace: &[u8]) -> Replay {
     let total = u32::from(cfg.n_procs());
     let rpn = u32::from(cfg.ranks_per_node);
     // The executor's t=0 block: every worker attaches both windows
-    // and opens its run-long lock_all epoch on the global window, and
-    // on its node's window when the node queue is lock-free.
-    let lock_free = cfg.node_mode == NodeQueueMode::Counter;
-    let node_of = |w: u32| node_win((w / rpn) as usize);
+    // and opens its run-long lock_all epoch on the global window.
     for w in 0..total {
         sink.extend(hier::protocol::attach(w, total, rpn, true));
-        if lock_free {
-            sink.push((node_of(w), w % rpn, RmaEvent::LockAll));
-        }
     }
 
     let mut s = cfg.initial();
@@ -161,9 +147,6 @@ pub fn replay(cfg: &Config, trace: &[u8]) -> Replay {
     // worker finishes); a leaked *node* lock stays leaked.
     for w in 0..total {
         sink.push((GLOBAL_WIN, w, RmaEvent::UnlockAll));
-        if lock_free {
-            sink.push((node_of(w), w % rpn, RmaEvent::UnlockAll));
-        }
     }
 
     let log = RmaLog::new();

@@ -25,7 +25,7 @@
 //!
 //! The executors in `hier` consume these types; the end-to-end chaos
 //! sweep in `tests/` closes the loop by checking every faulted run
-//! against the exactly-once ledger from `dls::verify` / `rma-check`.
+//! against `hier::queue::exactly_once`, the `dls::verify` ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
