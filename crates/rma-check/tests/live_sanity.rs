@@ -1,9 +1,8 @@
 //! Recorded live logs pass `rma_check::check`: MPI+MPI with both node
 //! queues, with the locked-counters global queue and with AWF, and
 //! MPI+OpenMP. In the mutation census (DESIGN §11) it catches rows L1
-//! and G1 deterministically, the same rows the interleaving sweep
-//! catches on the live backends; `live_shapes` and `live_golden` catch
-//! both as well.
+//! and G1 deterministically; the interleaving sweep, `live_shapes` and
+//! `live_golden` catch both as well.
 
 use hier::config::{Approach, HierSpec, NodeQueueMode};
 use hier::live::{run_live_mpi_mpi, run_live_mpi_omp, LiveConfig};
