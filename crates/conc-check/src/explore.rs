@@ -5,83 +5,40 @@
 //! decision vector (which thread stepped at each contended point, which
 //! store each stale-capable load observed). The explorer re-runs the
 //! model with a replayed prefix and one decision flipped, walking the
-//! whole decision tree depth-first. Two prunings keep that tractable:
+//! whole decision tree depth-first.
 //!
-//! * **Sleep sets** (a classic partial-order reduction): once the
-//!   subtree starting with thread `t` has been fully explored from a
-//!   state, sibling branches need not re-run `t` from that state until
-//!   a *dependent* transition (same object, at least one write)
-//!   invalidates the equivalence. Sound for safety properties: every
-//!   Mazurkiewicz trace keeps at least one representative.
-//! * **Preemption bounding** with iterative deepening: explore all
-//!   schedules with at most `k` preemptions before trying `k + 1`.
-//!   Real concurrency bugs overwhelmingly need 1–2 preemptions, and
-//!   the first counterexample found this way is preemption-minimal —
-//!   the shortest story a human has to read.
-//!
-//! The two are not combined: a preemption bound truncates subtrees,
-//! which would make sleep-set inheritance unsound, so setting
-//! `preemption_bound` disables sleep sets automatically.
+//! **Sleep sets** (a classic partial-order reduction) keep that
+//! tractable: once the subtree starting with thread `t` has been fully
+//! explored from a state, sibling branches need not re-run `t` from
+//! that state until a *dependent* transition (same object, at least one
+//! write) invalidates the equivalence. Sound for safety properties:
+//! every Mazurkiewicz trace keeps at least one representative.
 
-use crate::sched::{DecisionRec, DepInfo, ExecConfig, Execution, Step, Tid, ViolationKind};
+use crate::sched::{DecisionRec, DepInfo, Execution, Step, Tid, ViolationKind};
 use std::sync::Arc;
 
-/// Exploration limits and semantics knobs.
-#[derive(Clone, Debug)]
-pub struct Config {
-    /// Hard cap on executed schedules; exceeding it yields a result
-    /// with `complete == false` rather than running forever.
-    pub max_schedules: usize,
-    /// Per-run visible-op cap (a run past it is reported as
-    /// [`ViolationKind::TooManySteps`]).
-    pub max_steps: usize,
-    /// Explore only schedules with at most this many preemptions
-    /// (disables sleep sets). `None` = unbounded.
-    pub preemption_bound: Option<usize>,
-    /// Sleep-set partial-order reduction (ignored when a preemption
-    /// bound is set).
-    pub sleep_sets: bool,
-    /// How many stores back a `Relaxed`/`Acquire` load may observe.
-    pub stale_window: usize,
-}
-
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            max_schedules: 200_000,
-            max_steps: 2_000,
-            preemption_bound: None,
-            sleep_sets: true,
-            stale_window: 2,
-        }
-    }
-}
+/// Hard cap on executed schedules; exceeding it yields a pass with
+/// `complete == false` rather than running forever.
+const MAX_SCHEDULES: usize = 200_000;
 
 /// Statistics from a completed (or capped) exploration.
 #[derive(Clone, Debug)]
 pub struct Stats {
     /// Schedules executed.
     pub schedules: usize,
-    /// Whether the decision tree was exhausted (false = `max_schedules`
-    /// hit; the pass is then only a bounded smoke result).
+    /// Whether the decision tree was exhausted (false = the schedule
+    /// cap was hit; the pass is then only a bounded smoke result).
     pub complete: bool,
-    /// Whether any branch was skipped because of the preemption bound.
-    pub bound_hit: bool,
 }
 
-/// A failing schedule, replayable via [`replay`].
+/// A failing schedule.
 #[derive(Clone, Debug)]
 pub struct Counterexample {
-    /// What went wrong.
-    pub kind: ViolationKind,
+    kind: ViolationKind,
     /// The failing schedule's visible ops, in execution order.
-    pub trace: Vec<Step>,
-    /// Decision vector reproducing the failure deterministically.
-    pub choices: Vec<usize>,
-    /// Preemptions in the failing schedule.
-    pub preemptions: usize,
+    trace: Vec<Step>,
     /// Schedules executed before the failure was found.
-    pub schedules: usize,
+    schedules: usize,
 }
 
 impl std::fmt::Display for Counterexample {
@@ -91,11 +48,7 @@ impl std::fmt::Display for Counterexample {
             ViolationKind::Deadlock => writeln!(f, "deadlock: all live threads blocked")?,
             ViolationKind::TooManySteps => writeln!(f, "run exceeded the step limit")?,
         }
-        writeln!(
-            f,
-            "schedule ({} preemptions, found after {} schedules):",
-            self.preemptions, self.schedules
-        )?;
+        writeln!(f, "schedule (found after {} schedules):", self.schedules)?;
         for (i, s) in self.trace.iter().enumerate() {
             writeln!(f, "  {i:3}  {s}")?;
         }
@@ -112,32 +65,6 @@ pub enum Outcome {
     Fail(Counterexample),
 }
 
-impl Outcome {
-    /// Whether the exploration passed.
-    pub fn is_pass(&self) -> bool {
-        matches!(self, Outcome::Pass(_))
-    }
-
-    /// The counterexample, if the exploration failed.
-    pub fn counterexample(&self) -> Option<&Counterexample> {
-        match self {
-            Outcome::Pass(_) => None,
-            Outcome::Fail(cx) => Some(cx),
-        }
-    }
-
-    /// Unwrap a failure (panics with the counterexample rendered when
-    /// the exploration passed — for tests that expect a bug).
-    pub fn expect_fail(&self, what: &str) -> &Counterexample {
-        match self {
-            Outcome::Fail(cx) => cx,
-            Outcome::Pass(st) => {
-                panic!("expected {what} to fail, but {} schedules passed", st.schedules)
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // DFS frames
 // ---------------------------------------------------------------------------
@@ -145,7 +72,6 @@ impl Outcome {
 enum Frame {
     Sched {
         enabled: Vec<(Tid, DepInfo)>,
-        prev: Option<Tid>,
         at_step: usize,
         /// Index currently being explored.
         chosen: usize,
@@ -153,8 +79,6 @@ enum Frame {
         explored: Vec<bool>,
         /// Sleep set (inherited + accumulated), by `enabled` index.
         sleep: Vec<bool>,
-        /// Preemptions on the path strictly above this decision.
-        preemptions_before: usize,
     },
     Value {
         arity: usize,
@@ -171,63 +95,31 @@ impl Frame {
     }
 }
 
-fn is_preempt(enabled: &[(Tid, DepInfo)], prev: Option<Tid>, idx: usize) -> bool {
-    match prev {
-        Some(p) => enabled.iter().any(|&(t, _)| t == p) && enabled[idx].0 != p,
-        None => false,
-    }
-}
-
-/// Explore every schedule of `model` under `cfg`.
-pub fn explore<F>(cfg: &Config, model: F) -> Outcome
+/// Exhaustive check of every schedule of `model`, with sleep-set
+/// reduction.
+pub fn check<F>(model: F) -> Outcome
 where
     F: Fn() + Send + Sync + 'static,
 {
-    explore_arc(cfg, Arc::new(model))
+    explore(Arc::new(model), true)
 }
 
-fn run_once(
-    cfg: &Config,
-    model: &Arc<dyn Fn() + Send + Sync>,
-    replay: Vec<usize>,
-) -> crate::sched::RunResult {
-    let exec = Execution::new(
-        replay,
-        ExecConfig { max_steps: cfg.max_steps, stale_window: cfg.stale_window },
-    );
-    exec.run(Arc::clone(model))
-}
-
-fn explore_arc(cfg: &Config, model: Arc<dyn Fn() + Send + Sync>) -> Outcome {
-    let sleep_on = cfg.sleep_sets && cfg.preemption_bound.is_none();
+/// The DFS. `sleep_sets: false` is the unpruned reference search that
+/// the tests compare the reduction against.
+fn explore(model: Arc<dyn Fn() + Send + Sync>, sleep_sets: bool) -> Outcome {
     let mut stack: Vec<Frame> = Vec::new();
     let mut schedules = 0usize;
-    let mut bound_hit = false;
 
     loop {
         let replay: Vec<usize> = stack.iter().map(Frame::chosen).collect();
-        let result = run_once(cfg, &model, replay);
+        let result = Execution::new(replay).run(Arc::clone(&model));
         schedules += 1;
 
         if let Some(v) = result.violation {
-            return Outcome::Fail(Counterexample {
-                kind: v.kind,
-                trace: v.trace,
-                choices: result
-                    .decisions
-                    .iter()
-                    .map(|d| match d {
-                        DecisionRec::Sched { chosen, .. } | DecisionRec::Value { chosen, .. } => {
-                            *chosen
-                        }
-                    })
-                    .collect(),
-                preemptions: result.preemptions,
-                schedules,
-            });
+            return Outcome::Fail(Counterexample { kind: v.kind, trace: v.trace, schedules });
         }
-        if schedules >= cfg.max_schedules {
-            return Outcome::Pass(Stats { schedules, complete: false, bound_hit });
+        if schedules >= MAX_SCHEDULES {
+            return Outcome::Pass(Stats { schedules, complete: false });
         }
 
         // Extend the stack with the decisions this run took beyond the
@@ -239,29 +131,20 @@ fn explore_arc(cfg: &Config, model: Arc<dyn Fn() + Send + Sync>) -> Outcome {
                     explored[*chosen] = true;
                     Frame::Value { arity: *arity, chosen: *chosen, explored }
                 }
-                DecisionRec::Sched { enabled, chosen, prev, at_step, .. } => {
+                DecisionRec::Sched { enabled, chosen, at_step } => {
                     let mut explored = vec![false; enabled.len()];
                     explored[*chosen] = true;
                     let mut sleep = vec![false; enabled.len()];
-                    let mut preemptions_before = 0;
                     // Nearest Sched ancestor (Value frames sit inside
                     // transitions and are transparent here).
                     let parent = stack[..pos].iter().rev().find_map(|f| match f {
-                        Frame::Sched {
-                            enabled,
-                            prev,
-                            at_step,
-                            chosen,
-                            sleep,
-                            preemptions_before,
-                            ..
-                        } => Some((enabled, *prev, *at_step, *chosen, sleep, *preemptions_before)),
+                        Frame::Sched { enabled, at_step, chosen, sleep, .. } => {
+                            Some((enabled, *at_step, *chosen, sleep))
+                        }
                         Frame::Value { .. } => None,
                     });
-                    if let Some((p_enabled, p_prev, p_step, p_chosen, p_sleep, p_before)) = parent {
+                    if let Some((p_enabled, p_step, p_chosen, p_sleep)) = parent {
                         let (p_tid, p_dep) = p_enabled[p_chosen];
-                        preemptions_before =
-                            p_before + usize::from(is_preempt(p_enabled, p_prev, p_chosen));
                         // Sleep inheritance is only sound across a
                         // single transition: require that every step
                         // between the two decisions was executed by the
@@ -270,7 +153,7 @@ fn explore_arc(cfg: &Config, model: Arc<dyn Fn() + Send + Sync>) -> Outcome {
                         // dependent with a sleeping op).
                         let single_transition =
                             result.trace[p_step..*at_step].iter().all(|s| s.tid == p_tid);
-                        if sleep_on && single_transition {
+                        if sleep_sets && single_transition {
                             for (u_idx, &(u_tid, u_dep)) in enabled.iter().enumerate() {
                                 if u_tid == p_tid {
                                     continue;
@@ -287,12 +170,10 @@ fn explore_arc(cfg: &Config, model: Arc<dyn Fn() + Send + Sync>) -> Outcome {
                     }
                     Frame::Sched {
                         enabled: enabled.clone(),
-                        prev: *prev,
                         at_step: *at_step,
                         chosen: *chosen,
                         explored,
                         sleep,
-                        preemptions_before,
                     }
                 }
             };
@@ -310,32 +191,16 @@ fn explore_arc(cfg: &Config, model: Arc<dyn Fn() + Send + Sync>) -> Outcome {
                         *chosen = c;
                     })
                 }
-                Frame::Sched {
-                    enabled, prev, chosen, explored, sleep, preemptions_before, ..
-                } => {
+                Frame::Sched { enabled, chosen, explored, sleep, .. } => {
                     // The just-finished subtree's thread goes to sleep
                     // for the remaining siblings.
                     sleep[*chosen] = true;
-                    let mut found = None;
-                    for c in 0..enabled.len() {
-                        if explored[c] || (sleep_on && sleep[c]) {
-                            continue;
-                        }
-                        if let Some(bound) = cfg.preemption_bound {
-                            if *preemptions_before + usize::from(is_preempt(enabled, *prev, c))
-                                > bound
-                            {
-                                bound_hit = true;
-                                continue;
-                            }
-                        }
-                        found = Some(c);
-                        break;
-                    }
-                    found.map(|c| {
-                        explored[c] = true;
-                        *chosen = c;
-                    })
+                    (0..enabled.len()).find(|&c| !(explored[c] || (sleep_sets && sleep[c]))).map(
+                        |c| {
+                            explored[c] = true;
+                            *chosen = c;
+                        },
+                    )
                 }
             };
             if next.is_some() {
@@ -344,90 +209,164 @@ fn explore_arc(cfg: &Config, model: Arc<dyn Fn() + Send + Sync>) -> Outcome {
             stack.pop();
         };
         if !advanced {
-            return Outcome::Pass(Stats { schedules, complete: true, bound_hit });
+            return Outcome::Pass(Stats { schedules, complete: true });
         }
     }
 }
 
-/// Re-run `model` pinned to a recorded decision vector; returns the
-/// violation (if it still occurs) and the trace.
-pub fn replay<F>(cfg: &Config, model: F, choices: &[usize]) -> (Option<ViolationKind>, Vec<Step>)
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    let model: Arc<dyn Fn() + Send + Sync> = Arc::new(model);
-    let result = run_once(cfg, &model, choices.to_vec());
-    match result.violation {
-        Some(v) => (Some(v.kind), v.trace),
-        None => (None, result.trace),
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use crate::sync::Mutex;
+    use crate::thread;
+    use std::collections::BTreeSet;
+    use std::sync::Mutex as StdMutex;
 
-/// Exhaustive check with sleep-set reduction: the default for proving a
-/// model clean.
-pub fn check<F>(model: F) -> Outcome
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    explore(&Config::default(), model)
-}
-
-/// Iterative-deepening search returning a *preemption-minimal*
-/// counterexample: all schedules with `k` preemptions are explored
-/// before any with `k + 1`, so a failure at bound `k` is as simple as
-/// the bug gets. Falls back to a full sleep-set exploration if the
-/// bound ladder exhausts without covering the space.
-pub fn check_minimal<F>(cfg: &Config, model: F) -> Outcome
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    let model: Arc<dyn Fn() + Send + Sync> = Arc::new(model);
-    let mut total = 0usize;
-    const MAX_BOUND: usize = 8;
-    for bound in 0..=MAX_BOUND {
-        let mut c = cfg.clone();
-        c.preemption_bound = Some(bound);
-        c.max_schedules = cfg.max_schedules.saturating_sub(total).max(1);
-        match explore_arc(&c, Arc::clone(&model)) {
-            Outcome::Fail(mut cx) => {
-                cx.schedules += total;
-                return Outcome::Fail(cx);
-            }
+    fn counterexample(outcome: Outcome, what: &str) -> Counterexample {
+        match outcome {
+            Outcome::Fail(cx) => cx,
             Outcome::Pass(st) => {
-                total += st.schedules;
-                if !st.bound_hit {
-                    // No branch was cut by the bound: the space is
-                    // exhausted.
-                    return Outcome::Pass(Stats {
-                        schedules: total,
-                        complete: st.complete,
-                        bound_hit: false,
-                    });
-                }
-                if !st.complete {
-                    return Outcome::Pass(Stats {
-                        schedules: total,
-                        complete: false,
-                        bound_hit: true,
-                    });
-                }
+                panic!("expected {what} to fail, but {} schedules passed", st.schedules)
             }
         }
     }
-    // Ladder exhausted (a model needing > MAX_BOUND preemptions to
-    // cover): fall back to the sleep-set exploration.
-    let mut c = cfg.clone();
-    c.preemption_bound = None;
-    c.max_schedules = cfg.max_schedules.saturating_sub(total).max(1);
-    match explore_arc(&c, model) {
-        Outcome::Fail(mut cx) => {
-            cx.schedules += total;
-            Outcome::Fail(cx)
+
+    /// Inside a model: two threads race for one slot, and each returns
+    /// the count it saw before its increment, or `None` if refused.
+    /// `cas` takes the slot in one `fetch_update`; otherwise a load is
+    /// followed by a `fetch_add`, and both threads can pass the check
+    /// before either adds.
+    fn race(cas: bool) -> [Option<u64>; 2] {
+        let active = Arc::new(AtomicU64::new(0));
+        let racers = [(); 2].map(|()| {
+            let active = Arc::clone(&active);
+            thread::spawn(move || {
+                if cas {
+                    active
+                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| {
+                            (c < 1).then_some(c + 1)
+                        })
+                        .ok()
+                } else if active.load(Ordering::SeqCst) < 1 {
+                    Some(active.fetch_add(1, Ordering::SeqCst))
+                } else {
+                    None
+                }
+            })
+        });
+        racers.map(|r| r.join().expect("racer panicked"))
+    }
+
+    #[test]
+    fn deadlocks_are_reported_with_a_trace() {
+        // ABBA lock ordering: the checker must call it out as a
+        // deadlock, not hang.
+        let outcome = check(|| {
+            let a = Arc::new(Mutex::new(0u32));
+            let b = Arc::new(Mutex::new(0u32));
+            let t1 = {
+                let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+                thread::spawn(move || {
+                    let ga = a.lock().unwrap();
+                    let gb = b.lock().unwrap();
+                    drop((ga, gb));
+                })
+            };
+            let t2 = {
+                let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+                thread::spawn(move || {
+                    let gb = b.lock().unwrap();
+                    let ga = a.lock().unwrap();
+                    drop((gb, ga));
+                })
+            };
+            let _ = t1.join();
+            let _ = t2.join();
+        });
+        let cx = counterexample(outcome, "ABBA deadlock");
+        assert_eq!(cx.kind, ViolationKind::Deadlock, "expected a deadlock:\n{cx}");
+        assert!(!cx.trace.is_empty(), "deadlock reported without a trace");
+    }
+
+    #[test]
+    fn relaxed_shutdown_flag_goes_stale() {
+        // An all-`Relaxed` flag-then-data publish: seeing the second
+        // store does not make the first visible, so the reader may see
+        // the announcement and a stale flag. No preemption is needed,
+        // only a stale read.
+        let outcome = check(|| {
+            let draining = Arc::new(AtomicBool::new(false));
+            let closed = Arc::new(AtomicBool::new(false));
+            let controller = {
+                let (draining, closed) = (Arc::clone(&draining), Arc::clone(&closed));
+                thread::spawn(move || {
+                    draining.store(true, Ordering::Relaxed);
+                    closed.store(true, Ordering::Relaxed);
+                })
+            };
+            let worker = {
+                let (draining, closed) = (Arc::clone(&draining), Arc::clone(&closed));
+                thread::spawn(move || {
+                    if closed.load(Ordering::Relaxed) {
+                        assert!(draining.load(Ordering::Relaxed), "drain flag reads stale");
+                    }
+                })
+            };
+            controller.join().expect("controller");
+            worker.join().expect("worker");
+        });
+        let cx = counterexample(outcome, "relaxed drain flag");
+        assert_eq!(cx.kind, ViolationKind::Property("drain flag reads stale".into()), "{cx}");
+        assert!(
+            cx.trace.iter().any(|s| s.text.contains("stale")),
+            "trace does not surface the stale load:\n{cx}"
+        );
+    }
+
+    #[test]
+    fn sleep_sets_agree_with_full_exploration() {
+        // Verdicts: the check-then-act counter fails and the CAS counter
+        // passes, with and without the reduction.
+        let capped = |cas: bool| -> Arc<dyn Fn() + Send + Sync> {
+            Arc::new(move || {
+                let admitted = race(cas).iter().flatten().count();
+                assert!(admitted <= 1, "admission cap breached");
+            })
+        };
+        for sleep_sets in [false, true] {
+            let cx = counterexample(explore(capped(false), sleep_sets), "check-then-act");
+            assert_eq!(cx.kind, ViolationKind::Property("admission cap breached".into()), "{cx}");
+            if let Outcome::Fail(cx) = explore(capped(true), sleep_sets) {
+                panic!("the CAS counter failed (sleep sets {sleep_sets}):\n{cx}");
+            }
         }
-        Outcome::Pass(st) => Outcome::Pass(Stats {
-            schedules: total + st.schedules,
-            complete: st.complete,
-            bound_hit: false,
-        }),
+        // Stronger: every result the full search reaches, the pruned one
+        // reaches too, and in fewer schedules. An unsound reduction
+        // loses the breach `[Some(0), Some(1)]` here; a disabled one
+        // runs as many schedules as the full search.
+        for cas in [false, true] {
+            let [full, pruned] = [false, true].map(|sleep_sets| {
+                let seen: Arc<StdMutex<BTreeSet<[Option<u64>; 2]>>> = Arc::default();
+                let record = Arc::clone(&seen);
+                let model = Arc::new(move || {
+                    let results = race(cas);
+                    record.lock().expect("results").insert(results);
+                });
+                match explore(model, sleep_sets) {
+                    Outcome::Pass(st) if st.complete => {
+                        (st.schedules, std::mem::take(&mut *seen.lock().expect("results")))
+                    }
+                    other => panic!("recording the results did not exhaust: {other:?}"),
+                }
+            });
+            assert_eq!(pruned.1, full.1, "sleep sets changed the reachable results (cas {cas})");
+            assert!(
+                pruned.0 < full.0,
+                "sleep sets ran {} schedules, the full search {} (cas {cas})",
+                pruned.0,
+                full.0
+            );
+        }
     }
 }

@@ -1,49 +1,26 @@
 //! # conc-check — deterministic concurrency checking for `dls-service`
 //!
 //! A loom-style model checker built from scratch (no external crates)
-//! for the concurrent core of the `dls-service` chunk scheduler:
+//! for the concurrent core of the `dls-service` chunk scheduler. Its
+//! one user is `dls-service`'s `conc_models`, which runs the real
+//! server `State` through it:
 //!
 //! * [`sync`] — instrumented `AtomicU64`/`AtomicBool`/`Mutex`/`Condvar`
-//!   that `dls-service` swaps in under `--cfg conc_check`. Every
+//!   that `dls-service` swaps in under its `conc-check` feature. Every
 //!   visible operation yields to a deterministic scheduler; outside a
 //!   model run they degrade to plain `std::sync`.
 //! * [`thread`] — model-thread spawning ([`thread::spawn`] +
 //!   [`thread::JoinHandle`]).
-//! * [`explore`] — the schedule explorer: stateless DFS over every
+//! * [`check`] — the schedule explorer: stateless DFS over every
 //!   scheduling and stale-read decision, with sleep-set partial-order
-//!   reduction and preemption-bounded iterative deepening for
-//!   preemption-minimal counterexamples.
-//! * [`history`] / [`linearize`] — concurrent operation recording and a
-//!   Wing–Gong linearizability checker validating recorded
-//!   fetch/report/reclaim histories against the sequential dls
-//!   calculator spec.
-//! * [`models`] — bounded models of the real server paths (admission
-//!   CAS vs racing accepts, burst fetch/report under a shard lock,
-//!   lease reclaim vs concurrent fetch, drain flag vs in-flight ops),
-//!   each with seeded-broken variants that must produce pinned
-//!   counterexamples.
+//!   reduction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod explore;
-pub mod history;
-pub mod linearize;
-pub mod models;
-pub(crate) mod sched;
-pub mod spec;
+mod explore;
+mod sched;
 pub mod sync;
 pub mod thread;
 
-pub use explore::{check, check_minimal, explore, replay, Config, Counterexample, Outcome, Stats};
-pub use sched::{Step, ViolationKind};
-
-/// Record a marker line in the current model run's trace (no-op outside
-/// a run) so counterexamples read as protocol stories.
-pub fn annotate(text: &str) {
-    sched::with_ctx(|c| {
-        if let Some((exec, me)) = c {
-            exec.annotate(*me, text.to_string());
-        }
-    });
-}
+pub use explore::{check, Counterexample, Outcome, Stats};

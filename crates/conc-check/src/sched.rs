@@ -10,8 +10,7 @@
 //! decides — which thread steps next, which store a `Relaxed` load
 //! observes — is recorded as a [`DecisionRec`], and a recorded decision
 //! vector replays the exact execution, which is what lets the explorer
-//! backtrack depth-first through the schedule space and re-run minimal
-//! counterexamples deterministically.
+//! backtrack depth-first through the schedule space.
 //!
 //! Memory-ordering model (a deliberately bounded subset of C11, the
 //! loom approach scaled to what `dls-service` uses):
@@ -26,8 +25,8 @@
 //! * an `Acquire`/`Relaxed` load may read any store newer than both the
 //!   newest store that happens-before it and the newest store this
 //!   thread has already observed (per-thread coherence floor), bounded
-//!   by a configurable staleness window — each extra candidate is a
-//!   branch point the explorer enumerates;
+//!   by a staleness window of [`STALE_WINDOW`] stores — each extra
+//!   candidate is a branch point the explorer enumerates;
 //! * `Release` stores carry the writer's vector clock; an acquiring
 //!   read of a release store joins it (happens-before edges); mutexes
 //!   carry a clock the same way.
@@ -45,14 +44,21 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 
 /// Model-thread identifier (dense, 0 = the model's root closure).
-pub type Tid = usize;
+pub(crate) type Tid = usize;
 
 /// Panic payload used to unwind model threads when a run is aborted
 /// (violation found or replay finished); never reported as a failure.
-pub(crate) struct Aborted;
+struct Aborted;
 
 /// Hard cap on model threads per run (models are meant to be tiny).
 const MAX_THREADS: usize = 16;
+
+/// Per-run visible-op cap; a run past it is reported as
+/// [`ViolationKind::TooManySteps`].
+const MAX_STEPS: usize = 2_000;
+
+/// How many stores back a `Relaxed`/`Acquire` load may observe.
+const STALE_WINDOW: usize = 2;
 
 // ---------------------------------------------------------------------------
 // Decisions, traces, violations
@@ -90,9 +96,6 @@ pub(crate) enum DecisionRec {
         enabled: Vec<(Tid, DepInfo)>,
         /// Index into `enabled`.
         chosen: usize,
-        /// Thread that ran the previous transition (preemption-cost
-        /// accounting for the explorer's untried alternatives).
-        prev: Option<Tid>,
         /// Trace length when the decision was taken (lets the explorer
         /// see which threads executed between two decision points).
         at_step: usize,
@@ -109,10 +112,11 @@ pub(crate) enum DecisionRec {
 
 /// One executed visible op, for counterexample traces.
 #[derive(Clone, Debug)]
-pub struct Step {
+pub(crate) struct Step {
     /// Thread that performed the op.
     pub tid: Tid,
-    /// Human-readable description ("lock(shard)", "load conns_active -> 3").
+    /// Human-readable description ("lock #2", "load #0 -> 3"; `#n` is
+    /// the object's registration order in the run).
     pub text: String,
 }
 
@@ -124,12 +128,12 @@ impl std::fmt::Display for Step {
 
 /// Why a run failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ViolationKind {
+pub(crate) enum ViolationKind {
     /// A model assertion fired (message captured from the panic).
     Property(String),
     /// No thread was enabled while some had not finished.
     Deadlock,
-    /// The run exceeded `max_steps` — a livelocked or unbounded model.
+    /// The run exceeded [`MAX_STEPS`] — a livelocked or unbounded model.
     TooManySteps,
 }
 
@@ -144,7 +148,6 @@ pub(crate) struct RunResult {
     pub decisions: Vec<DecisionRec>,
     pub trace: Vec<Step>,
     pub violation: Option<Violation>,
-    pub preemptions: usize,
 }
 
 // ---------------------------------------------------------------------------
@@ -175,7 +178,6 @@ struct AtomicStore {
 }
 
 struct AtomicObj {
-    name: String,
     /// Modification order, oldest first. Never empty (holds the init).
     stores: Vec<AtomicStore>,
     /// Per-thread index of the newest store already observed
@@ -184,21 +186,16 @@ struct AtomicObj {
 }
 
 struct LockObj {
-    name: String,
     held_by: Option<Tid>,
     /// Clock released with the lock (happens-before through critical
     /// sections).
     clock: VClock,
 }
 
-struct CvObj {
-    name: String,
-}
-
 enum Obj {
     Atomic(AtomicObj),
     Lock(LockObj),
-    Cv(CvObj),
+    Cv,
 }
 
 // ---------------------------------------------------------------------------
@@ -245,12 +242,6 @@ struct ThreadSlot {
 // Execution
 // ---------------------------------------------------------------------------
 
-pub(crate) struct ExecConfig {
-    pub max_steps: usize,
-    /// How many stores back a stale-capable load may reach.
-    pub stale_window: usize,
-}
-
 struct ExecState {
     threads: Vec<ThreadSlot>,
     objs: Vec<Obj>,
@@ -260,7 +251,6 @@ struct ExecState {
     replay: VecDeque<usize>,
     decisions: Vec<DecisionRec>,
     trace: Vec<Step>,
-    preemptions: usize,
     violation: Option<Violation>,
     abort: bool,
     done: bool,
@@ -271,7 +261,6 @@ struct ExecState {
 pub(crate) struct Execution {
     m: Mutex<ExecState>,
     cv: Condvar,
-    cfg: ExecConfig,
 }
 
 thread_local! {
@@ -294,7 +283,7 @@ fn in_model() -> bool {
 /// panics quiet: every counterexample the explorer finds is a panic
 /// first, and printing thousands of backtraces during a search would
 /// drown the real report.
-pub(crate) fn install_quiet_hook() {
+fn install_quiet_hook() {
     static HOOK: Once = Once::new();
     HOOK.call_once(|| {
         let prev = panic::take_hook();
@@ -323,7 +312,7 @@ fn panic_msg(payload: &(dyn Any + Send)) -> String {
 }
 
 impl Execution {
-    pub(crate) fn new(replay: Vec<usize>, cfg: ExecConfig) -> Arc<Execution> {
+    pub(crate) fn new(replay: Vec<usize>) -> Arc<Execution> {
         Arc::new(Execution {
             m: Mutex::new(ExecState {
                 threads: Vec::new(),
@@ -334,13 +323,11 @@ impl Execution {
                 replay: replay.into(),
                 decisions: Vec::new(),
                 trace: Vec::new(),
-                preemptions: 0,
                 violation: None,
                 abort: false,
                 done: false,
             }),
             cv: Condvar::new(),
-            cfg,
         })
     }
 
@@ -363,7 +350,6 @@ impl Execution {
             decisions: std::mem::take(&mut st.decisions),
             trace: std::mem::take(&mut st.trace),
             violation: st.violation.clone(),
-            preemptions: st.preemptions,
         }
     }
 
@@ -379,7 +365,7 @@ impl Execution {
             None => Vec::new(),
         };
         let end_obj = st.objs.len();
-        st.objs.push(Obj::Cv(CvObj { name: format!("T{tid}-end") }));
+        st.objs.push(Obj::Cv);
         st.threads.push(ThreadSlot {
             parked: Some(Pending {
                 kind: PendingKind::Start,
@@ -499,20 +485,12 @@ impl Execution {
                 .and_then(|prev| enabled.iter().position(|&(t, _)| t == prev))
                 .unwrap_or(0)
         };
-        let preempt = match st.last_scheduled {
-            Some(prev) => enabled.iter().any(|&(t, _)| t == prev) && enabled[chosen_idx].0 != prev,
-            None => false,
-        };
         if enabled.len() > 1 {
             st.decisions.push(DecisionRec::Sched {
                 enabled: enabled.clone(),
                 chosen: chosen_idx,
-                prev: st.last_scheduled,
                 at_step: st.trace.len(),
             });
-        }
-        if preempt {
-            st.preemptions += 1;
         }
         let tid = enabled[chosen_idx].0;
         st.last_scheduled = Some(tid);
@@ -542,7 +520,7 @@ impl Execution {
         &self,
         me: Tid,
         pending: Pending,
-        effect: impl FnOnce(&Execution, &mut ExecState) -> R,
+        effect: impl FnOnce(&mut ExecState) -> R,
     ) -> R {
         {
             let mut st = lock_recover(&self.m);
@@ -550,7 +528,7 @@ impl Execution {
                 drop(st);
                 panic::panic_any(Aborted);
             }
-            if st.trace.len() >= self.cfg.max_steps {
+            if st.trace.len() >= MAX_STEPS {
                 st.violation =
                     Some(Violation { kind: ViolationKind::TooManySteps, trace: st.trace.clone() });
                 st.abort = true;
@@ -569,7 +547,7 @@ impl Execution {
             st.threads[me].clock.resize(me + 1, 0);
         }
         st.threads[me].clock[me] += 1;
-        effect(self, &mut st)
+        effect(&mut st)
     }
 
     fn thread_finished(self: &Arc<Self>, me: Tid, panic_message: Option<String>) {
@@ -619,28 +597,27 @@ impl Execution {
 
     // ---- object registration ---------------------------------------------
 
-    pub(crate) fn register_atomic(&self, name: String, init: u64) -> usize {
+    pub(crate) fn register_atomic(&self, init: u64) -> usize {
         let mut st = lock_recover(&self.m);
         let id = st.objs.len();
         st.objs.push(Obj::Atomic(AtomicObj {
-            name,
             stores: vec![AtomicStore { val: init, writer: 0, writer_time: 0, release: None }],
             seen: Vec::new(),
         }));
         id
     }
 
-    pub(crate) fn register_lock(&self, name: String) -> usize {
+    pub(crate) fn register_lock(&self) -> usize {
         let mut st = lock_recover(&self.m);
         let id = st.objs.len();
-        st.objs.push(Obj::Lock(LockObj { name, held_by: None, clock: Vec::new() }));
+        st.objs.push(Obj::Lock(LockObj { held_by: None, clock: Vec::new() }));
         id
     }
 
-    pub(crate) fn register_cv(&self, name: String) -> usize {
+    pub(crate) fn register_cv(&self) -> usize {
         let mut st = lock_recover(&self.m);
         let id = st.objs.len();
-        st.objs.push(Obj::Cv(CvObj { name }));
+        st.objs.push(Obj::Cv);
         id
     }
 
@@ -664,8 +641,7 @@ impl Execution {
     pub(crate) fn atomic_load(&self, me: Tid, id: usize, ord: Ordering) -> u64 {
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(id), write: false } };
-        let stale_window = self.cfg.stale_window;
-        self.visible_op(me, pending, move |_exec, st| {
+        self.visible_op(me, pending, move |st| {
             let my_clock = st.threads[me].clock.clone();
             let a = Self::atomic_mut(st, id);
             let len = a.stores.len();
@@ -677,7 +653,7 @@ impl Execution {
             //    the load (write-read coherence),
             //  - nothing older than what this thread already read
             //    (read-read coherence),
-            //  - nothing outside the configured staleness window.
+            //  - nothing outside the staleness window.
             let mut floor = a.seen[me];
             for (i, s) in a.stores.iter().enumerate().rev() {
                 let seen_of_writer = my_clock.get(s.writer).copied().unwrap_or(0);
@@ -686,32 +662,28 @@ impl Execution {
                     break;
                 }
             }
-            floor = floor.max((len - 1).saturating_sub(stale_window));
+            floor = floor.max((len - 1).saturating_sub(STALE_WINDOW));
             let idx = if ord == Ordering::SeqCst || floor == len - 1 {
                 len - 1
             } else {
-                let arity = len - floor;
-                let name = a.name.clone();
-                let choice = Self::choose_inner(st, arity);
-                let a = Self::atomicmut_reborrow(st, id);
+                let choice = Self::choose_inner(st, len - floor);
                 let idx = floor + choice;
                 if idx != len - 1 {
-                    let val = a.stores[idx].val;
+                    let val = Self::atomic_mut(st, id).stores[idx].val;
                     Self::push_step(
                         st,
                         me,
-                        format!("load {name} -> {val} (stale: {} newer)", len - 1 - idx),
+                        format!("load #{id} -> {val} (stale: {} newer)", len - 1 - idx),
                     );
                 }
                 idx
             };
-            let a = Self::atomicmut_reborrow(st, id);
+            let a = Self::atomic_mut(st, id);
             a.seen[me] = idx;
             let val = a.stores[idx].val;
-            let name = a.name.clone();
             let release = a.stores[idx].release.clone();
             if idx == a.stores.len() - 1 {
-                Self::push_step(st, me, format!("load {name} -> {val}"));
+                Self::push_step(st, me, format!("load #{id} -> {val}"));
             }
             if Self::is_acquire(ord) {
                 if let Some(rc) = release {
@@ -722,16 +694,10 @@ impl Execution {
         })
     }
 
-    // `atomic_mut` reborrow helper for use after `choose_inner` (which
-    // needs `&mut ExecState` itself).
-    fn atomicmut_reborrow(st: &mut ExecState, id: usize) -> &mut AtomicObj {
-        Self::atomic_mut(st, id)
-    }
-
     pub(crate) fn atomic_store(&self, me: Tid, id: usize, val: u64, ord: Ordering) {
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(id), write: true } };
-        self.visible_op(me, pending, move |_exec, st| {
+        self.visible_op(me, pending, move |st| {
             let clock = st.threads[me].clock.clone();
             let time = clock[me];
             let release = Self::is_release(ord).then(|| clock.clone());
@@ -742,15 +708,14 @@ impl Execution {
                 a.seen.resize(me + 1, 0);
             }
             a.seen[me] = idx;
-            let name = a.name.clone();
-            Self::push_step(st, me, format!("store {name} = {val}"));
+            Self::push_step(st, me, format!("store #{id} = {val}"));
         })
     }
 
     /// Atomic read-modify-write: always reads the newest store in
     /// modification order (the C11 RMW guarantee), writes back whatever
     /// `f` returns. `f` returning `None` makes it a failed
-    /// `compare_exchange`/`fetch_update` (a pure read).
+    /// `fetch_update` (a pure read).
     pub(crate) fn atomic_rmw(
         &self,
         me: Tid,
@@ -761,7 +726,7 @@ impl Execution {
     ) -> (u64, bool) {
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(id), write: true } };
-        self.visible_op(me, pending, move |_exec, st| {
+        self.visible_op(me, pending, move |st| {
             let clock = st.threads[me].clock.clone();
             let time = clock[me];
             let a = Self::atomic_mut(st, id);
@@ -769,7 +734,6 @@ impl Execution {
             let old_release = a.stores.last().expect("init store").release.clone();
             let new = f(old);
             let wrote = new.is_some();
-            let name = a.name.clone();
             if let Some(new) = new {
                 let release = Self::is_release(ord).then(|| clock.clone());
                 a.stores.push(AtomicStore { val: new, writer: me, writer_time: time, release });
@@ -778,14 +742,13 @@ impl Execution {
                     a.seen.resize(me + 1, 0);
                 }
                 a.seen[me] = idx;
-                Self::push_step(st, me, format!("{label} {name}: {old} -> {new}"));
+                Self::push_step(st, me, format!("{label} #{id}: {old} -> {new}"));
             } else {
-                let a = Self::atomicmut_reborrow(st, id);
                 if a.seen.len() <= me {
                     a.seen.resize(me + 1, 0);
                 }
                 a.seen[me] = a.stores.len() - 1;
-                Self::push_step(st, me, format!("{label} {name}: {old} (no write)"));
+                Self::push_step(st, me, format!("{label} #{id}: {old} (no write)"));
             }
             if Self::is_acquire(ord) {
                 if let Some(rc) = old_release {
@@ -803,19 +766,19 @@ impl Execution {
             kind: PendingKind::LockAcquire(id),
             dep: DepInfo { obj: Some(id), write: true },
         };
-        self.visible_op(me, pending, move |_exec, st| {
-            let (name, clock) = match &mut st.objs[id] {
+        self.visible_op(me, pending, move |st| {
+            let clock = match &mut st.objs[id] {
                 Obj::Lock(lk) => {
                     // Enabledness guaranteed the lock was free when this
                     // thread was scheduled, and nothing ran since.
                     assert!(lk.held_by.is_none(), "scheduled a lock acquire on a held lock");
                     lk.held_by = Some(me);
-                    (lk.name.clone(), lk.clock.clone())
+                    lk.clock.clone()
                 }
                 _ => unreachable!("lock id points at a non-lock"),
             };
             clock_join(&mut st.threads[me].clock, &clock);
-            Self::push_step(st, me, format!("lock {name}"));
+            Self::push_step(st, me, format!("lock #{id}"));
         })
     }
 
@@ -833,18 +796,17 @@ impl Execution {
         }
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(id), write: true } };
-        self.visible_op(me, pending, move |_exec, st| {
+        self.visible_op(me, pending, move |st| {
             let my_clock = st.threads[me].clock.clone();
-            let name = match &mut st.objs[id] {
+            match &mut st.objs[id] {
                 Obj::Lock(lk) => {
                     debug_assert_eq!(lk.held_by, Some(me), "unlock by non-holder");
                     lk.held_by = None;
                     lk.clock = my_clock;
-                    lk.name.clone()
                 }
                 _ => unreachable!("lock id points at a non-lock"),
-            };
-            Self::push_step(st, me, format!("unlock {name}"));
+            }
+            Self::push_step(st, me, format!("unlock #{id}"));
         })
     }
 
@@ -859,7 +821,7 @@ impl Execution {
         // other threads); the parked half below depends on the cv.
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(lock), write: true } };
-        self.visible_op(me, pending, move |_exec, st| {
+        self.visible_op(me, pending, move |st| {
             let my_clock = st.threads[me].clock.clone();
             match &mut st.objs[lock] {
                 Obj::Lock(lk) => {
@@ -870,11 +832,7 @@ impl Execution {
                 _ => unreachable!("cv wait on a non-lock"),
             }
             st.threads[me].cv_notified = false;
-            let name = match &st.objs[cv] {
-                Obj::Cv(c) => c.name.clone(),
-                _ => unreachable!("cv id points at a non-cv"),
-            };
-            Self::push_step(st, me, format!("wait {name}"));
+            Self::push_step(st, me, format!("wait #{cv}"));
         });
         // Park until notified or (if allowed) timed out, as one
         // scheduling decision.
@@ -882,7 +840,7 @@ impl Execution {
             kind: PendingKind::CvWake { cv, timeout_ok },
             dep: DepInfo { obj: Some(cv), write: false },
         };
-        let notified = self.visible_op(me, pending, move |_exec, st| {
+        let notified = self.visible_op(me, pending, move |st| {
             let n = st.threads[me].cv_notified;
             st.threads[me].cv_notified = false;
             Self::push_step(st, me, format!("wake ({})", if n { "notified" } else { "timeout" }));
@@ -895,11 +853,7 @@ impl Execution {
     pub(crate) fn cv_notify_all(&self, me: Tid, cv: usize) {
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(cv), write: true } };
-        self.visible_op(me, pending, move |_exec, st| {
-            let name = match &st.objs[cv] {
-                Obj::Cv(c) => c.name.clone(),
-                _ => unreachable!("cv id points at a non-cv"),
-            };
+        self.visible_op(me, pending, move |st| {
             for t in &mut st.threads {
                 if let Some(p) = &t.parked {
                     if let PendingKind::CvWake { cv: waiting_on, .. } = p.kind {
@@ -909,7 +863,7 @@ impl Execution {
                     }
                 }
             }
-            Self::push_step(st, me, format!("notify_all {name}"));
+            Self::push_step(st, me, format!("notify_all #{cv}"));
         })
     }
 
@@ -918,11 +872,11 @@ impl Execution {
     /// Final visible op of every model thread: flips the thread's
     /// end-object so joins become enabled through a recorded, dependent
     /// transition.
-    pub(crate) fn finish_op(&self, me: Tid) {
+    fn finish_op(&self, me: Tid) {
         let end_obj = lock_recover(&self.m).threads[me].end_obj;
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(end_obj), write: true } };
-        self.visible_op(me, pending, move |_exec, st| {
+        self.visible_op(me, pending, move |st| {
             Self::push_step(st, me, "finish".to_string());
         })
     }
@@ -933,21 +887,12 @@ impl Execution {
             kind: PendingKind::Join(target),
             dep: DepInfo { obj: Some(end_obj), write: false },
         };
-        self.visible_op(me, pending, move |_exec, st| {
+        self.visible_op(me, pending, move |st| {
             // Join edge: everything the child did happens-before the
             // joiner's continuation.
             let child = st.threads[target].final_clock.clone().unwrap_or_default();
             clock_join(&mut st.threads[me].clock, &child);
             Self::push_step(st, me, format!("join T{target}"));
         })
-    }
-
-    /// Record an annotation step in the trace (model-level markers so
-    /// counterexamples read as protocol stories, not just atomics).
-    pub(crate) fn annotate(&self, me: Tid, text: String) {
-        let mut st = lock_recover(&self.m);
-        if !st.abort {
-            Self::push_step(&mut st, me, text);
-        }
     }
 }

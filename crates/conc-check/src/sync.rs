@@ -9,10 +9,13 @@
 //! `Condvar` waits model timeouts and spurious wakeups as explorable
 //! transitions.
 //!
-//! Outside a model run — e.g. `dls-service` compiled with `--cfg
-//! conc_check` but executed as a normal server — every primitive
-//! degrades to its plain `std::sync` equivalent, so the instrumented
-//! build still works end to end.
+//! Outside a model run — e.g. `dls-service` built with its `conc-check`
+//! feature but executed as a normal server — every primitive degrades
+//! to its plain `std::sync` equivalent, so the instrumented build still
+//! works end to end.
+//!
+//! Only what `dls-service` calls is here; a primitive or method the
+//! server starts to use is added in both halves of its facade.
 
 use crate::sched::{with_ctx, Execution, Tid};
 use std::sync::OnceLock;
@@ -24,19 +27,11 @@ fn ctx() -> Option<(Arc<Execution>, Tid)> {
     with_ctx(|c| c.map(|(e, t)| (Arc::clone(e), *t)))
 }
 
-/// Result of a timed condvar wait (mirrors
-/// `std::sync::WaitTimeoutResult`, which has no public constructor).
+/// Result of a timed condvar wait. It stands in for
+/// `std::sync::WaitTimeoutResult` (which has no public constructor) and
+/// carries nothing: the server does not ask why a wait ended.
 #[derive(Clone, Copy, Debug)]
-pub struct WaitTimeoutResult {
-    timed_out: bool,
-}
-
-impl WaitTimeoutResult {
-    /// Whether the wait ended by timeout rather than notification.
-    pub fn timed_out(&self) -> bool {
-        self.timed_out
-    }
-}
+pub struct WaitTimeoutResult;
 
 // ---------------------------------------------------------------------------
 // Atomics
@@ -48,34 +43,20 @@ pub mod atomic {
     pub use std::sync::atomic::Ordering;
 
     /// Instrumented `AtomicU64`.
-    #[derive(Debug, Default)]
+    #[derive(Debug)]
     pub struct AtomicU64 {
         real: std::sync::atomic::AtomicU64,
         vid: OnceLock<usize>,
-        name: OnceLock<String>,
     }
 
     impl AtomicU64 {
         /// New atomic with `init` as the initial store.
         pub fn new(init: u64) -> AtomicU64 {
-            AtomicU64 {
-                real: std::sync::atomic::AtomicU64::new(init),
-                vid: OnceLock::new(),
-                name: OnceLock::new(),
-            }
-        }
-
-        /// Attach a display name used in counterexample traces.
-        pub fn named(self, name: &str) -> AtomicU64 {
-            let _ = self.name.set(name.to_string());
-            self
+            AtomicU64 { real: std::sync::atomic::AtomicU64::new(init), vid: OnceLock::new() }
         }
 
         fn vid(&self, exec: &Execution) -> usize {
-            *self.vid.get_or_init(|| {
-                let name = self.name.get().cloned().unwrap_or_default();
-                exec.register_atomic(name, self.real.load(Ordering::Relaxed))
-            })
+            *self.vid.get_or_init(|| exec.register_atomic(self.real.load(Ordering::Relaxed)))
         }
 
         /// Atomic load honouring `ord` (non-SeqCst loads may observe
@@ -159,32 +140,10 @@ pub mod atomic {
                 None => self.real.fetch_update(set_order, fetch_order, f),
             }
         }
-
-        /// Compare-and-exchange; `Ok(prev)` on success.
-        pub fn compare_exchange(
-            &self,
-            expect: u64,
-            new: u64,
-            success: Ordering,
-            failure: Ordering,
-        ) -> Result<u64, u64> {
-            match ctx() {
-                Some(_) => {
-                    let (old, wrote) =
-                        self.rmw(success, "compare_exchange", |o| (o == expect).then_some(new));
-                    if wrote {
-                        Ok(old)
-                    } else {
-                        Err(old)
-                    }
-                }
-                None => self.real.compare_exchange(expect, new, success, failure),
-            }
-        }
     }
 
     /// Instrumented `AtomicBool` (modelled as a 0/1 `AtomicU64`).
-    #[derive(Debug, Default)]
+    #[derive(Debug)]
     pub struct AtomicBool {
         inner: AtomicU64,
     }
@@ -195,11 +154,6 @@ pub mod atomic {
             AtomicBool { inner: AtomicU64::new(u64::from(init)) }
         }
 
-        /// Attach a display name used in counterexample traces.
-        pub fn named(self, name: &str) -> AtomicBool {
-            AtomicBool { inner: self.inner.named(name) }
-        }
-
         /// Atomic load honouring `ord`.
         pub fn load(&self, ord: Ordering) -> bool {
             self.inner.load(ord) != 0
@@ -208,14 +162,6 @@ pub mod atomic {
         /// Atomic store.
         pub fn store(&self, val: bool, ord: Ordering) {
             self.inner.store(u64::from(val), ord)
-        }
-
-        /// Atomic swap; returns the previous value.
-        pub fn swap(&self, val: bool, ord: Ordering) -> bool {
-            match ctx() {
-                Some(_) => self.inner.rmw(ord, "swap", |_| Some(u64::from(val))).0 != 0,
-                None => self.inner.real.swap(u64::from(val), ord) != 0,
-            }
         }
     }
 }
@@ -228,11 +174,10 @@ pub mod atomic {
 /// decision and can never deadlock silently (an all-blocked state is
 /// reported with a trace); data is still carried by an inner
 /// `std::sync::Mutex`, which the virtual protocol keeps uncontended.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Mutex<T> {
     inner: std::sync::Mutex<T>,
     vid: OnceLock<usize>,
-    name: OnceLock<String>,
 }
 
 /// RAII guard for [`Mutex`]; releases the virtual lock on drop.
@@ -247,20 +192,11 @@ pub struct MutexGuard<'a, T> {
 impl<T> Mutex<T> {
     /// New mutex owning `value`.
     pub fn new(value: T) -> Mutex<T> {
-        Mutex { inner: std::sync::Mutex::new(value), vid: OnceLock::new(), name: OnceLock::new() }
-    }
-
-    /// Attach a display name used in counterexample traces.
-    pub fn named(self, name: &str) -> Mutex<T> {
-        let _ = self.name.set(name.to_string());
-        self
+        Mutex { inner: std::sync::Mutex::new(value), vid: OnceLock::new() }
     }
 
     fn vid(&self, exec: &Execution) -> usize {
-        *self.vid.get_or_init(|| {
-            let name = self.name.get().cloned().unwrap_or_default();
-            exec.register_lock(name)
-        })
+        *self.vid.get_or_init(|| exec.register_lock())
     }
 
     fn std_lock(&self) -> std::sync::MutexGuard<'_, T> {
@@ -323,26 +259,16 @@ impl<T> Drop for MutexGuard<'_, T> {
 pub struct Condvar {
     inner: std::sync::Condvar,
     vid: OnceLock<usize>,
-    name: OnceLock<String>,
 }
 
 impl Condvar {
     /// New condvar.
     pub fn new() -> Condvar {
-        Condvar { inner: std::sync::Condvar::new(), vid: OnceLock::new(), name: OnceLock::new() }
-    }
-
-    /// Attach a display name used in counterexample traces.
-    pub fn named(self, name: &str) -> Condvar {
-        let _ = self.name.set(name.to_string());
-        self
+        Condvar { inner: std::sync::Condvar::new(), vid: OnceLock::new() }
     }
 
     fn vid(&self, exec: &Execution) -> usize {
-        *self.vid.get_or_init(|| {
-            let name = self.name.get().cloned().unwrap_or_default();
-            exec.register_cv(name)
-        })
+        *self.vid.get_or_init(|| exec.register_cv())
     }
 
     /// Wait until `condition` returns false or the timeout fires.
@@ -364,7 +290,7 @@ impl Condvar {
                 let cv = self.vid(&exec);
                 loop {
                     if !condition(&mut guard) {
-                        return Ok((guard, WaitTimeoutResult { timed_out: false }));
+                        return Ok((guard, WaitTimeoutResult));
                     }
                     // Drop the real guard, park virtually (release +
                     // wait + virtual reacquire), then re-take the real
@@ -373,19 +299,18 @@ impl Condvar {
                     let notified = exec.cv_wait(me, cv, lock_vid, true);
                     guard.inner = Some(guard.mutex.std_lock());
                     if !notified {
-                        let timed_out = condition(&mut guard);
-                        return Ok((guard, WaitTimeoutResult { timed_out }));
+                        return Ok((guard, WaitTimeoutResult));
                     }
                 }
             }
             None => {
                 let inner = guard.inner.take().expect("guard already released");
-                let (g, r) = match self.inner.wait_timeout_while(inner, dur, |t| condition(t)) {
-                    Ok((g, r)) => (g, r),
+                let (g, _) = match self.inner.wait_timeout_while(inner, dur, |t| condition(t)) {
+                    Ok(woken) => woken,
                     Err(p) => p.into_inner(),
                 };
                 guard.inner = Some(g);
-                Ok((guard, WaitTimeoutResult { timed_out: r.timed_out() }))
+                Ok((guard, WaitTimeoutResult))
             }
         }
     }
@@ -397,11 +322,5 @@ impl Condvar {
             exec.cv_notify_all(me, cv);
         }
         self.inner.notify_all();
-    }
-
-    /// Wake one waiter. Modelled conservatively as `notify_all` (the
-    /// waiters racing for the lock afterwards is already explored).
-    pub fn notify_one(&self) {
-        self.notify_all()
     }
 }

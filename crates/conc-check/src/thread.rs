@@ -2,59 +2,46 @@
 //!
 //! Inside a model run, [`spawn`] creates a scheduler-managed thread:
 //! it parks until the explorer schedules it, and every visible op it
-//! performs is a decision point. Outside a run (the plain-`std`
-//! fallback used when `dls-service` is compiled with `--cfg
-//! conc_check` but executed normally), it degrades to
-//! `std::thread::spawn`.
+//! performs is a decision point.
 
 use crate::sched::{with_ctx, Execution, Tid};
 use std::sync::{Arc, Mutex};
 
-enum Inner<T> {
-    Model { exec: Arc<Execution>, tid: Tid, result: Arc<Mutex<Option<T>>> },
-    Os(std::thread::JoinHandle<T>),
-}
-
-/// Handle to a spawned model (or fallback OS) thread.
+/// Handle to a spawned model thread.
 pub struct JoinHandle<T> {
-    inner: Inner<T>,
+    exec: Arc<Execution>,
+    tid: Tid,
+    result: Arc<Mutex<Option<T>>>,
 }
 
 impl<T> JoinHandle<T> {
     pub(crate) fn new(exec: Arc<Execution>, tid: Tid, result: Arc<Mutex<Option<T>>>) -> Self {
-        JoinHandle { inner: Inner::Model { exec, tid, result } }
+        JoinHandle { exec, tid, result }
     }
 
-    /// Wait for the thread to finish and return its result. Inside a
-    /// model this is a visible (blocking) op: the joiner is disabled
-    /// until the joinee's final `finish` op has run.
+    /// Wait for the thread to finish and return its result. This is a
+    /// visible (blocking) op: the joiner is disabled until the
+    /// joinee's final `finish` op has run.
     pub fn join(self) -> std::thread::Result<T> {
-        match self.inner {
-            Inner::Model { exec, tid, result } => {
-                let me = with_ctx(|c| c.map(|(_, t)| *t)).expect("join outside a model run");
-                exec.join_thread(me, tid);
-                let out = result.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
-                match out {
-                    Some(v) => Ok(v),
-                    // The joinee panicked (its result was never stored);
-                    // the violation is already recorded by the harness.
-                    None => Err(Box::new("model thread panicked")),
-                }
-            }
-            Inner::Os(h) => h.join(),
+        let me = with_ctx(|c| c.map(|(_, t)| *t)).expect("join outside a model run");
+        self.exec.join_thread(me, self.tid);
+        let out = self.result.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
+        match out {
+            Some(v) => Ok(v),
+            // The joinee panicked (its result was never stored); the
+            // violation is already recorded by the harness.
+            None => Err(Box::new("model thread panicked")),
         }
     }
 }
 
-/// Spawn a thread: scheduler-managed inside a model run, plain
-/// `std::thread::spawn` otherwise.
+/// Spawn a scheduler-managed thread. Only valid inside a model run:
+/// the models are the only code that spawns through this module.
 pub fn spawn<T, F>(f: F) -> JoinHandle<T>
 where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    match with_ctx(|c| c.map(|(e, _)| Arc::clone(e))) {
-        Some(exec) => exec.spawn_model(f),
-        None => JoinHandle { inner: Inner::Os(std::thread::spawn(f)) },
-    }
+    let exec = with_ctx(|c| c.map(|(e, _)| Arc::clone(e))).expect("spawn outside a model run");
+    exec.spawn_model(f)
 }

@@ -210,38 +210,21 @@ impl LoopShard {
         let state = &self.state;
         let _ = stream.set_nonblocking(true);
         let _ = stream.set_nodelay(true);
-        let max = u64::from(state.cfg.max_connections);
-        // Admission is one CAS: concurrent accepts across shards can
-        // never push the active count past the limit (the old
-        // load-then-increment let them).
-        let admitted = state
-            .conns_active
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| (c < max).then_some(c + 1));
-        let prev = match admitted {
-            Ok(prev) => prev,
-            Err(_) => {
-                // Best-effort rejection: one non-blocking write, then
-                // close. A rejected client that never reads cannot
-                // stall admission.
-                let resp = Response::Error {
-                    code: ErrorCode::Busy,
-                    detail: format!("connection limit {} reached", state.cfg.max_connections),
-                };
-                let mut stream = stream;
-                let mut reply = Vec::new();
-                resp.frame_into(&mut reply);
-                let _ = stream.write(&reply);
-                let _ = stream.shutdown(SockShutdown::Both);
-                return;
-            }
-        };
-        // Relaxed is enough for both: `fetch_max` is an RMW, so it
-        // compares against the *latest* peak in modification order and
-        // can never lose a concurrent maximum (a load/compare/store
-        // version could — both seeded and caught by the conc-check
-        // `LoadStorePeak` model). `conns_total` is a pure stat counter.
-        state.conns_peak.fetch_max(prev + 1, Ordering::Relaxed);
-        state.conns_total.fetch_add(1, Ordering::Relaxed);
+        if !state.admit_conn() {
+            // Best-effort rejection: one non-blocking write, then
+            // close. A rejected client that never reads cannot stall
+            // admission.
+            let resp = Response::Error {
+                code: ErrorCode::Busy,
+                detail: format!("connection limit {} reached", state.cfg.max_connections),
+            };
+            let mut stream = stream;
+            let mut reply = Vec::new();
+            resp.frame_into(&mut reply);
+            let _ = stream.write(&reply);
+            let _ = stream.shutdown(SockShutdown::Both);
+            return;
+        }
         let id = state.next_conn.fetch_add(1, Ordering::SeqCst);
 
         let slot = match self.free.pop() {

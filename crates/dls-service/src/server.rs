@@ -332,17 +332,17 @@ pub(crate) struct State {
     // RMW (`fetch_add`/`fetch_sub`/`fetch_max`/`fetch_update`), and an
     // RMW always reads the *latest* value in the atomic's modification
     // order regardless of its `Ordering` — so `Relaxed` updates never
-    // lose a count (verified exhaustively by the `conc-check`
-    // admission model). `Relaxed` is about visibility to *other*
+    // lose a count (`conc_models` runs `admit_conn` under every
+    // schedule). `Relaxed` is about visibility to *other*
     // memory, which none of these counters guard. The two sites with a
     // hard cross-thread invariant — the `conns_active` admission CAS
     // and the `jobs_live` cap CAS — use `SeqCst` anyway so the cap
     // check is also ordered against the `shutdown` flag.
     pub(crate) conns_active: AtomicU64,
-    pub(crate) conns_total: AtomicU64,
+    conns_total: AtomicU64,
     /// High-water mark of concurrently admitted connections — observes
     /// that CAS admission never overshoots `max_connections`.
-    pub(crate) conns_peak: AtomicU64,
+    conns_peak: AtomicU64,
     fetches: AtomicU64,
     chunks_granted: AtomicU64,
     reclaims: AtomicU64,
@@ -744,8 +744,8 @@ impl State {
         // load-then-add pair had a lost-update window: two creates
         // racing on separate event-loop shards could both pass the
         // check and overshoot `max_jobs` (the same check-then-act shape
-        // as the old connection-admission bug; pinned by the
-        // `conc-check` admission model and the cap model below).
+        // as the old connection-admission bug; pinned by the cap model
+        // in `conc_models` below).
         // The cap is on unfinished jobs: the slot is given back where
         // `report` sees the job complete, and an empty loop, born
         // finished, takes none.
@@ -903,6 +903,27 @@ impl State {
         resp
     }
 
+    /// The accept path's counter step: admit one connection against
+    /// `max_connections`, or refuse it. Admission is one CAS, so
+    /// concurrent accepts on separate loop shards can never push the
+    /// active count past the limit (a load-then-increment pair would).
+    /// Relaxed is enough for the other two: `fetch_max` is an RMW, so
+    /// it compares against the *latest* peak in modification order and
+    /// cannot lose a concurrent maximum (a load/compare/store could),
+    /// and `conns_total` is a pure stat counter.
+    pub(crate) fn admit_conn(&self) -> bool {
+        let max = u64::from(self.cfg.max_connections);
+        let Ok(prev) = self
+            .conns_active
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |c| (c < max).then_some(c + 1))
+        else {
+            return false;
+        };
+        self.conns_peak.fetch_max(prev + 1, Ordering::Relaxed);
+        self.conns_total.fetch_add(1, Ordering::Relaxed);
+        true
+    }
+
     /// A connection died or closed: reclaim its unsettled leases in
     /// every job it was granted any from, exactly once each.
     pub(crate) fn disconnect(&self, peer: &Peer) {
@@ -1047,7 +1068,7 @@ impl Server {
     }
 }
 
-#[cfg(all(test, not(conc_check)))]
+#[cfg(all(test, not(feature = "conc-check")))]
 mod tests {
     use super::*;
 
@@ -1080,9 +1101,9 @@ mod tests {
 
 // Interleaving models that drive the *real* `State` — not a
 // re-implementation — through the conc-check explorer. Compiled only by
-// the dedicated checking build:
-// `RUSTFLAGS="--cfg conc_check" cargo test -p dls-service --features conc-check`.
-#[cfg(all(test, conc_check))]
+// the instrumented build:
+// `cargo test -p dls-service --features conc-check --lib conc_models`.
+#[cfg(all(test, feature = "conc-check"))]
 mod conc_models {
     use super::*;
     use conc_check::{check, Outcome};
@@ -1152,6 +1173,31 @@ mod conc_models {
             assert_eq!(created, 1, "cap 1, two racing creates: exactly one may win");
         });
         assert_pass("create_job cap", &outcome);
+    }
+
+    /// Three accepts racing for two connection slots through the accept
+    /// path's own counter step: exactly two are admitted on *every*
+    /// schedule, and the peak records both. (Admission as load, then
+    /// `fetch_add`, fails this model; so does the peak as load, then
+    /// `store`.)
+    #[test]
+    fn admit_conn_cap_and_peak_are_exact_under_every_schedule() {
+        let outcome = check(move || {
+            let cfg = ServiceConfig { max_connections: 2, shards: 1, ..Default::default() };
+            let state = tiny_state(cfg);
+            let handles: Vec<_> = (0..3)
+                .map(|_| {
+                    let st = Arc::clone(&state);
+                    conc_check::thread::spawn(move || st.admit_conn())
+                })
+                .collect();
+            let admitted =
+                handles.into_iter().map(|h| h.join()).filter(|r| matches!(r, Ok(true))).count();
+            assert_eq!(admitted, 2, "cap 2, three racing accepts: exactly two may enter");
+            assert_eq!(state.conns_active.load(Ordering::SeqCst), 2);
+            assert_eq!(state.conns_peak.load(Ordering::SeqCst), 2, "conns_peak lost an update");
+        });
+        assert_pass("admit_conn", &outcome);
     }
 
     /// Two workers fetching from one real job, each in a serve pass of

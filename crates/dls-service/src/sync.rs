@@ -4,11 +4,11 @@
 //! the counter atomics, the shutdown condvar — is imported through this
 //! module rather than from `std::sync` directly. In a normal build the
 //! re-exports below compile to *exactly* `std::sync` (zero-cost: they
-//! are `pub use` aliases, not wrappers). Under `--cfg conc_check` the
-//! same names resolve to the instrumented virtual primitives from the
-//! `conc-check` crate, so the identical server code can be driven
-//! through the deterministic interleaving explorer and the
-//! linearizability checker without a single source change.
+//! are `pub use` aliases, not wrappers). Under the `conc-check` feature
+//! the same names resolve to the instrumented virtual primitives from
+//! the `conc-check` crate, so the identical server code can be driven
+//! through the deterministic interleaving explorer without a single
+//! source change.
 //!
 //! Rules of the facade:
 //! * server/event-loop code must not name `std::sync` primitives
@@ -17,18 +17,18 @@
 //! * only the primitives the core actually uses are re-exported — if a
 //!   new one is needed, add it here in both halves.
 
-#[cfg(not(conc_check))]
+#[cfg(not(feature = "conc-check"))]
 pub use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-#[cfg(not(conc_check))]
+#[cfg(not(feature = "conc-check"))]
 pub mod atomic {
     pub use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 }
 
-#[cfg(conc_check)]
+#[cfg(feature = "conc-check")]
 pub use conc_check::sync::{Arc, Condvar, Mutex, MutexGuard};
 
-#[cfg(conc_check)]
+#[cfg(feature = "conc-check")]
 pub mod atomic {
     pub use conc_check::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 }

@@ -12,8 +12,7 @@
 //! * [`RecoveredState`](crate::RecoveredState) folds
 //!   [`JobCore::apply`] over the journal — the record *is* the event —
 //!   and snapshots are [`JobCore::serialize_into`] of the live kernel;
-//! * `conc-check` uses it as the sequential specification, and the
-//!   crash adversary drives it directly;
+//! * the crash adversary drives it directly;
 //! * `model_check::switch`, the technique-switch adversary, explores it
 //!   as an unweighted AUTO job: every grant, settle, switch and
 //!   `re_arm` of its DFS and crash sweep is a call on this type.
