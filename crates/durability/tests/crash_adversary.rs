@@ -10,10 +10,9 @@
 //! barrier: a settle is acked to its worker only once its `Settled`
 //! record is durable, so a crash-truncated journal never strands an
 //! acked range. The seeded-broken variant severs exactly that link —
-//! it acks settles but "forgets" to journal them (the service-level
-//! analogue of the `LostIterations` refiller bug the model checker
-//! pins) — and is pinned to its counterexample: recovery re-arms the
-//! already-acked lease and the range is executed and acked **twice**.
+//! it acks settles but "forgets" to journal them — and is pinned to its
+//! counterexample: recovery re-arms the already-acked lease and the
+//! range is executed and acked **twice**.
 //!
 //! Swept for every technique the service journals chunk watermarks
 //! for: {SS, GSS, TSS, FAC2}, all with leases.
@@ -218,9 +217,7 @@ fn seeded_settle_skip_is_pinned_to_double_execution() {
         // Crash immediately after the first settle ack. Its record was
         // never journaled, so recovery sees an *active* lease, re-arms
         // the range, and the resumed campaign executes and acks it a
-        // second time — the durability analogue of the model checker's
-        // LostIterations counterexample, surfacing as a linearizability
-        // violation of the acked history.
+        // second time: the acked ranges cover it with multiplicity two.
         let first_settle =
             steps.iter().position(|s| s.ack.is_some()).expect("campaign settles something");
         let k = first_settle + 1;

@@ -1,8 +1,7 @@
 //! The RMA window layout of the hierarchical protocols — the single
 //! source of truth for every slot index. [`crate::protocol`]'s
 //! transaction shapes are written over these constants; the executors'
-//! logs and the `model-check` explorer (through the re-export
-//! `hier::sim::layout`) use them, and live only the node window's queue
+//! logs use them, and live only the node window's queue
 //! (`live::window_queue`) reads or writes the queue slots and flags.
 //!
 //! Window 0 is the global queue; window `1 + node` is that node's

@@ -39,7 +39,7 @@
 
 pub mod adaptive;
 pub mod config;
-pub mod layout;
+pub(crate) mod layout;
 pub mod live;
 pub mod protocol;
 pub mod queue;

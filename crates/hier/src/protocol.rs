@@ -11,19 +11,17 @@
 //! [`Fetched`]. `take` and `empty_probe` are separate on purpose:
 //! recovery (lease reclaim, refill failover) sits between them.
 //!
-//! All three MPI+MPI executors run these functions: the live rank loop
-//! over its node window's slots, the virtual-time executor over a
-//! `LocalQueue` and the `model-check` explorer over its compact state.
-//! The sim and the model write the returned shapes to their RMA logs;
-//! the live window records them as it issues them. Each slot is a
-//! [`crate::layout`] displacement.
+//! Both MPI+MPI executors run these functions: the live rank loop over
+//! its node window's slots and the virtual-time executor over a
+//! `LocalQueue`. The sim writes the returned shapes to its RMA log; the
+//! live window records them as it issues them. Each slot is a
+//! displacement of the crate's window layout.
 //!
 //! That is the paper's locked queue, which the simulator models and
 //! [`NodeQueueMode::Locked`](crate::config::NodeQueueMode::Locked)
 //! runs live. [`counter`] is the same queue without the lock — the
 //! same sub-chunks per deposit, taken by compare-and-swap on one packed
-//! word — which live runs use where the arithmetic allows and the model
-//! checker explores beside the locked one.
+//! word — which live runs use where the arithmetic allows.
 
 pub mod counter;
 

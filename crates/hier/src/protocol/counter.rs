@@ -5,7 +5,7 @@
 //! The locked queue keeps `(lo, hi, step, taken)` and two flags, and a
 //! take rewrites `step` and `taken` inside an exclusive epoch. Here the
 //! deposit's bounds sit in `LO` / `HI` and everything that changes is one
-//! [`Word`] in slot [`WORD`]: the deposit's generation, the `refilling`
+//! [`Word`] in slot `WORD`: the deposit's generation, the `refilling`
 //! and `global_done` flags, and the step. The intra technique sees each
 //! deposit as a fresh loop of its own length, as in [`super::take`], so
 //! a sub-chunk is a pure function of `(hi - lo, p, step)`: a taker reads
@@ -35,8 +35,9 @@
 //! before the taker knows which deposit it belongs to: a taker preempted
 //! between its FAA and its bounds read, while peers drain and refill,
 //! either executes the step over the new deposit's bounds or loses it.
-//! A CAS in the same place just fails. `model-check` pins both the FAA
-//! take and a publish that precedes the bounds as seeded variants.
+//! A CAS in the same place just fails. For the same reason the
+//! publish comes after the bounds write: a word published first lets a
+//! taker pair the new generation with the old bounds.
 
 use super::{Empty, Fetched, Flags};
 use crate::layout::{HI, LO, WORD};

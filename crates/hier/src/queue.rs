@@ -2,8 +2,8 @@
 //! executors and the master-worker models keep a node's deposits in.
 //! What a sub-chunk *is* — the take, the empty probe, the deposit —
 //! is decided in [`crate::protocol`]; [`LocalQueue`] is one of its
-//! [`NodeQueue`](crate::protocol::NodeQueue)s, beside the `model-check`
-//! crate's compact node state and the live executor's window slots.
+//! [`NodeQueue`](crate::protocol::NodeQueue)s, beside the live
+//! executor's window slots.
 //!
 //! A node's local queue holds the chunks its workers fetched from the
 //! global queue but have not fully executed yet. Each deposited chunk

@@ -21,7 +21,6 @@ mod mpi_mpi;
 mod mpi_omp;
 mod run;
 
-pub use crate::layout;
 pub use master_worker::{simulate_flat_master_worker, simulate_master_worker};
 pub use mpi_mpi::simulate_mpi_mpi;
 pub use mpi_omp::simulate_mpi_omp;

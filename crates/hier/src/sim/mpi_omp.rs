@@ -39,7 +39,8 @@ pub fn simulate_mpi_omp(cfg: &SimConfig, table: &CostTable) -> SimResult {
     // kills its whole node — the OpenMP team dies with the MPI process
     // — so a node is down as soon as one of its threads is dead.
     // Crashes take effect at protocol-step boundaries (fetch, deposit,
-    // end of region), the same discretization the model checker uses.
+    // end of region), as `resilience::FaultKind::Crash` specifies for
+    // every virtual-time executor.
     let plan_active = cfg.faults.is_active();
     let mut reclaim_queue: Vec<(u64, u64)> = Vec::new();
     let team = |node: u32| node * threads..(node + 1) * threads;

@@ -7,9 +7,10 @@
 //! earlier ticket has been admitted. A reader queued behind a writer
 //! waits for that writer even while other readers hold the lock, so a
 //! writer can be bypassed by at most the readers that arrived before it.
-//! This is the FCFS discipline whose bounded-bypass property the
-//! `model-check` crate verifies over the hierarchical queue protocol
-//! (`wait_bound = ranks_per_node - 1`).
+//! Arrival order is pinned by `tests::{fifo_grant_order,
+//! reader_queued_behind_writer_waits, trylock_cannot_barge_past_queue}`
+//! and, across the park path, by `lock_handoff`'s
+//! `parked_waiters_are_woken_in_ticket_order`.
 //!
 //! The lock is three atomic words — `next_ticket`, `now_serving` and a
 //! `holders` word (an exclusive hold or a shared count) — so an
