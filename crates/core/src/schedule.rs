@@ -95,7 +95,7 @@ impl HierSchedule {
     ///
     /// Panics if the runtime fails to allocate windows or an RMA op
     /// errors — use [`hier::live::run_live`] directly for a fallible
-    /// variant (or to record an RMA log for `rma-check`).
+    /// variant (or to record an RMA log).
     pub fn run_live(&self, workload: &(dyn Workload + Sync)) -> LiveResult {
         run_live(&self.live_config(), workload).expect("live run failed")
     }

@@ -66,8 +66,8 @@ pub struct LiveConfig {
     /// run's start) into [`LiveResult::trace`].
     pub trace: bool,
     /// Record every passive-target RMA operation (locks, syncs, puts,
-    /// gets, atomics) into [`LiveResult::rma`] for `rma-check`'s
-    /// epoch-discipline and happens-before analyses.
+    /// gets, atomics) into [`LiveResult::rma`] for the shape and golden
+    /// tests.
     pub record_rma: bool,
     /// Injected failures (MPI+MPI only: the baseline's fork-join team
     /// has no per-thread recovery story — a crashed team member would
@@ -142,7 +142,7 @@ pub struct LiveResult {
     /// reproducible makespans.
     pub trace: cluster_sim::Trace,
     /// The full RMA access log of the run (empty unless
-    /// [`LiveConfig::record_rma`]), ready for `rma_check::check`.
+    /// [`LiveConfig::record_rma`]), for the shape and golden tests.
     pub rma: Vec<mpisim::RmaRecord>,
     /// Detection and repair actions taken during the run (empty unless
     /// [`LiveConfig::faults`] injected something), time-ordered.

@@ -251,9 +251,10 @@ pub(super) fn run_ranks(
                         let elapsed = (finished - started).min(i64::MAX as u64) as i64;
                         lock(&mut out)?;
                         // Unified-model visibility: sync before reading
-                        // counters peers put under their own epochs (the
-                        // rma-check MissingSync rule flags the read-modify-
-                        // write below as stale without it).
+                        // counters peers put under their own epochs, or the
+                        // read-modify-write below may start from a stale
+                        // value. Pinned by the unit test
+                        // `awf_history_update_is_a_synced_read_modify_write`.
                         local_win.sync();
                         let i_slot = HIST_BASE + 2 * my_local as usize;
                         let it = local_win.get(0, i_slot)?;
@@ -644,5 +645,58 @@ mod tests {
         assert!(r.rma.len() > 50, "only {} records", r.rma.len());
         let wins: std::collections::HashSet<u64> = r.rma.iter().map(|rec| rec.win).collect();
         assert_eq!(wins.len(), 3, "global + one shared window per node");
+    }
+
+    #[test]
+    fn awf_history_update_is_a_synced_read_modify_write() {
+        // Every epoch that charges a rank's AWF history is one synced
+        // read-modify-write of that rank's two slots: the leading `sync`
+        // makes peers' earlier puts visible before the gets.
+        use mpisim::RmaEvent::{self, Attach, Get, Lock, Put, Sync, Unlock};
+        let w = Synthetic::uniform(600, 1, 100, 3);
+        let wpn = 3;
+        let mut cfg = LiveConfig::new(2, wpn, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        cfg.node_mode = NodeQueueMode::Locked;
+        cfg.awf = Some(dls::adaptive::AwfVariant::C);
+        cfg.record_rma = true;
+        let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
+        let node_wins: std::collections::BTreeSet<u64> = r
+            .rma
+            .iter()
+            .filter(|rec| matches!(rec.event, Attach { shared: true, .. }))
+            .map(|rec| rec.win)
+            .collect();
+        assert_eq!(node_wins.len(), 2);
+        let history = HIST_BASE..HIST_BASE + 2 * wpn as usize;
+        let puts_history = |e: &RmaEvent| matches!(e, Put { disp, .. } if history.contains(disp));
+        let ex = LockKind::Exclusive;
+        let mut charges = 0;
+        for win in &node_wins {
+            for rank in 0..wpn {
+                let i = HIST_BASE + 2 * rank as usize;
+                let want = [
+                    Lock { kind: ex, target: 0 },
+                    Sync,
+                    Get { target: 0, disp: i, len: 1 },
+                    Get { target: 0, disp: i + 1, len: 1 },
+                    Put { target: 0, disp: i, len: 1 },
+                    Put { target: 0, disp: i + 1, len: 1 },
+                    Sync,
+                    Unlock { kind: ex, target: 0 },
+                ];
+                let mut epoch = Vec::new();
+                for rec in r.rma.iter().filter(|rec| rec.win == *win && rec.rank == rank) {
+                    if matches!(rec.event, Lock { .. }) {
+                        epoch.clear();
+                    }
+                    epoch.push(rec.event);
+                    if matches!(rec.event, Unlock { .. }) && epoch.iter().any(puts_history) {
+                        assert_eq!(epoch, want, "win {win} rank {rank}");
+                        charges += 1;
+                    }
+                }
+            }
+        }
+        assert!(charges > 0, "no epoch charged the AWF history");
     }
 }

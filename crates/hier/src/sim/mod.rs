@@ -205,7 +205,7 @@ pub struct SimConfig {
     pub perturb: Perturbation,
     /// Synthesize the RMA access log the modelled protocol would
     /// produce (lock/sync/get/put/atomic per transaction) into
-    /// [`SimResult::rma`] for `rma-check`.
+    /// [`SimResult::rma`] for the shape and golden tests.
     pub record_rma: bool,
     /// Injected failures (rank crashes, stragglers, message faults) and
     /// the recovery-protocol timeouts. [`resilience::FaultPlan::none`]
@@ -286,7 +286,7 @@ pub struct SimResult {
     /// `SimConfig::record_chunks`).
     pub executed: Vec<(u32, SubChunk)>,
     /// Synthesized RMA access log of the modelled protocol (empty
-    /// unless `SimConfig::record_rma`), ready for `rma_check::check`.
+    /// unless `SimConfig::record_rma`), for the shape and golden tests.
     pub rma: Vec<mpisim::RmaRecord>,
     /// Detection and repair actions taken during the run (empty unless
     /// `SimConfig::faults` is active): crashes, lease expiries,

@@ -1,5 +1,5 @@
-//! RMA access logging — the raw material of the `rma-check` crate's
-//! epoch-discipline and happens-before analyses.
+//! RMA access logging: the record of every passive-target operation a
+//! run issued, which the executors' shape and golden tests read.
 //!
 //! A [`Window`](crate::Window) put into recording mode with
 //! [`Window::record_to`](crate::Window::record_to) appends one
@@ -10,14 +10,18 @@
 //! number drawn from one atomic counter, so logs from every rank of
 //! every window interleave into a single totally-ordered trace.
 //!
-//! Sequencing discipline (what makes the log checkable):
+//! Sequencing discipline:
 //!
 //! * lock events are stamped **after** the lock is granted;
 //! * unlock events are stamped **before** the lock is released;
 //!
-//! so for a correctly-synchronized run the `[lock.seq, unlock.seq]`
-//! intervals of an exclusive lock never overlap another rank's interval
-//! on the same target — exactly the invariant the checker verifies.
+//! so the `[lock.seq, unlock.seq]` intervals of an exclusive lock never
+//! overlap another rank's interval on the same target: in the global
+//! order every access sits inside the epoch that covered it. The
+//! `hier` shape tests rely on that when they split each (window, rank)
+//! stream into whole protocol transactions, and the live chaos tests
+//! when they tell a survivor's repair `Unlock` of a dead holder's lock
+//! from the end of the survivor's own epoch.
 //!
 //! Recording is per handle: each rank attaches its own handle, which is
 //! what backends do when their config asks for an RMA log.
@@ -40,7 +44,7 @@ pub enum AtomicOpKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RmaEvent {
     /// Emitted once per rank when its handle enters recording mode;
-    /// declares the window's shape to the checker.
+    /// declares the window's shape to readers of the log.
     Attach {
         /// Window created with `MPI_Win_allocate_shared`.
         shared: bool,
@@ -142,8 +146,9 @@ impl RmaLog {
 
     /// Append an event for (`win`, `rank`), stamping the next global
     /// sequence number. Used by instrumented [`Window`](crate::Window)
-    /// handles; applications normally never call this directly, but
-    /// tests may, to hand-build protocol traces.
+    /// handles, which push a lock after its grant and an unlock before
+    /// its release (see the module docs), and by the virtual-time
+    /// executors to stamp the log they synthesize in that same order.
     pub fn push(&self, win: u64, rank: u32, event: RmaEvent) {
         let seq = self.inner.seq.fetch_add(1, Ordering::SeqCst);
         let record = RmaRecord { win, rank, seq, event };

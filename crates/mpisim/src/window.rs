@@ -329,9 +329,9 @@ impl Window {
     }
 
     /// Report an application-level barrier over the window's
-    /// communicator to the RMA log (no-op when not recording). The
-    /// checker treats it as a collective synchronization point; call it
-    /// right after `comm().barrier()`.
+    /// communicator to the RMA log (no-op when not recording), marking
+    /// a collective synchronization point; call it right after
+    /// `comm().barrier()`.
     pub fn note_barrier(&self) {
         self.rec(RmaEvent::Barrier);
     }
@@ -434,7 +434,7 @@ impl Window {
             .get(target as usize)
             .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })?;
         // Stamped before the release (even if the release turns out to
-        // be mismatched — the checker wants to see the attempt).
+        // be mismatched — the log shows the attempt).
         self.rec(RmaEvent::Unlock { kind, target });
         if !self.rank.holds(target as usize) {
             // Not this handle's epoch: the lock, and whoever does hold

@@ -1,8 +1,8 @@
 //! Negative-path tests for `mpisim::Window`: misuse must surface as
 //! structured `Err` values a caller can match on, never as panics —
 //! that is what lets the live executors propagate window failures out
-//! of worker closures, and what `rma-check`'s broken variants rely on
-//! to keep running after the refused operation.
+//! of worker closures, and what lets a caller keep running after the
+//! refused operation.
 
 use mpisim::{Error, LockKind, Topology, Universe, Window};
 
