@@ -240,7 +240,8 @@ fn run_trace_export(dir: &std::path::Path, quick: bool) {
             let activity = dir.join(format!("activity_{slug}.json"));
             std::fs::write(&activity, report.to_json()).expect("write activity json");
             let chrome = dir.join(format!("chrome_{slug}.json"));
-            std::fs::write(&chrome, chrome_trace(&r.trace, wpn)).expect("write chrome trace");
+            std::fs::write(&chrome, chrome_trace(&r.trace, wpn, &[], &[]))
+                .expect("write chrome trace");
             let polls: u64 = report.workers.iter().map(|w| w.lock_polls).sum();
             println!(
                 "  {label:<22} makespan {:>7.3}ms  compute-cov {:.3}  failed lock polls {:>6}  \

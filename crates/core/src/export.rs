@@ -1,33 +1,20 @@
-//! Observability exports: per-worker activity reports as JSON and
-//! chrome://tracing event files.
+//! Observability exports, both JSON written by [`dls_service::json`]:
 //!
-//! Both backends can record a [`cluster_sim::Trace`] (virtual time in
-//! the simulator, wall-clock time in the live executors) and per-worker
-//! lock/RMA counters in [`hier::stats::RunStats`]. This module turns
-//! those into two machine-readable artefacts:
-//!
-//! * [`ActivityReport`] — per-worker [`ActivityTotals`] plus the lock
-//!   counters behind the paper's `X+SS` pathology, the compute-time
-//!   load-imbalance metrics (max/mean − 1 and the coefficient of
-//!   variation), and a log2 histogram of per-worker failed lock polls,
-//!   serialised with [`ActivityReport::to_json`].
+//! * [`ActivityReport`] — what the paper's Figures 2/3 break down per
+//!   worker: [`ActivityTotals`] from a [`cluster_sim::Trace`] (virtual
+//!   or wall-clock time), the lock/RMA counters of
+//!   [`hier::stats::RunStats`] behind the `X+SS` pathology, compute-time
+//!   imbalance and c.o.v., a log2 histogram of failed lock polls, and
+//!   the run's recovery and tuner-decision timelines.
+//!   [`service_report`] fills one from a `dls-service` snapshot.
 //! * [`chrome_trace`] — the same timeline as a chrome://tracing /
-//!   Perfetto-compatible JSON event array (`ph: "X"` complete events,
-//!   one track per worker, grouped by node).
-//!
-//! Faulted runs additionally carry a recovery timeline
-//! ([`resilience::RecoveryEvent`]): attach it to a report with
-//! [`ActivityReport::with_recovery`] and overlay it on a timeline with
-//! [`chrome_trace_with_recovery`] (`ph: "i"` instant markers).
-//!
-//! AUTO-mode `dls-service` campaigns additionally carry the tuner's
-//! decision timeline ([`dls::Decision`]): [`service_report`] collects
-//! it from the snapshot, [`ActivityReport::with_decisions`] attaches
-//! one explicitly, and [`chrome_trace_with_decisions`] overlays the
-//! switches on a dedicated track.
+//!   Perfetto event array: one track per worker, grouped by node, with
+//!   recovery events and tuner decisions overlaid as instants.
 
 use cluster_sim::trace::{ActivityTotals, SegmentKind, Trace};
-use dls_service::StatsSnapshot;
+use dls_service::protocol::{decision_fields, journal_fields};
+use dls_service::{json, json_fields};
+use dls_service::{JournalTotals, StatsSnapshot};
 use hier::stats::RunStats;
 use resilience::RecoveryEvent;
 
@@ -74,28 +61,6 @@ pub struct NodeActivity {
     pub lock_revocations: u64,
 }
 
-/// Durability counters of a journaled `dls-service` run, re-exported
-/// through the same report pipeline (zeroed/absent for in-memory runs
-/// and for the simulator backends, which have no journal).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ServiceJournal {
-    /// True when the server ran with `--journal-dir`.
-    pub enabled: bool,
-    /// Server epoch (increments on every journaled restart).
-    pub epoch: u32,
-    /// Records group-committed this incarnation.
-    pub records: u64,
-    /// Journal bytes written this incarnation.
-    pub bytes: u64,
-    /// Fsyncs issued this incarnation — `records / fsyncs` is the
-    /// group-commit amortisation the BENCH_9 gate measures.
-    pub fsyncs: u64,
-    /// Snapshots installed this incarnation.
-    pub snapshots: u64,
-    /// Live segment files at snapshot time.
-    pub segments: u64,
-}
-
 /// Everything the paper's Figures 2/3 break down per worker, in one
 /// exportable structure.
 #[derive(Clone, Debug, Default)]
@@ -121,10 +86,10 @@ pub struct ActivityReport {
     /// reclaims, failovers, lock repairs), time-ordered. Empty for
     /// fault-free runs. Attach with [`ActivityReport::with_recovery`].
     pub recovery: Vec<RecoveryEvent>,
-    /// Journal counters when the run was a journaled `dls-service`
-    /// campaign ([`service_report`] fills this from the snapshot);
-    /// `None` for backends without a durability layer.
-    pub journal: Option<ServiceJournal>,
+    /// Journal counters when the run was a `dls-service` campaign
+    /// ([`service_report`] copies the snapshot's); `None` for backends
+    /// without a durability layer.
+    pub journal: Option<JournalTotals>,
     /// Tuner decision timeline of an AUTO-mode campaign, dense by
     /// `seq` ([`service_report`] collects it across the snapshot's
     /// jobs in job order; attach one explicitly with
@@ -133,27 +98,31 @@ pub struct ActivityReport {
     pub decisions: Vec<dls::Decision>,
 }
 
-/// Place `value` in its log2 bucket (0 for zero, `i` for
-/// `2^(i-1) <= value < 2^i`).
-fn log2_bucket(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros() as usize
-    }
-}
-
 /// Log2 histogram over `values` (see [`ActivityReport::lock_poll_histogram`]).
 pub fn log2_histogram(values: impl IntoIterator<Item = u64>) -> Vec<u64> {
     let mut buckets = Vec::new();
     for v in values {
-        let b = log2_bucket(v);
+        // 0 for zero, `i` for `2^(i-1) <= v < 2^i`.
+        let b = (u64::BITS - v.leading_zeros()) as usize;
         if buckets.len() <= b {
             buckets.resize(b + 1, 0);
         }
         buckets[b] += 1;
     }
     buckets
+}
+
+/// Load imbalance of per-worker `values`: `(max/mean - 1, population
+/// standard deviation / mean)`, both 0.0 when the mean is 0.
+fn imbalance_and_cov(values: impl Iterator<Item = u64>) -> (f64, f64) {
+    let values: Vec<f64> = values.map(|v| v as f64).collect();
+    let mean = values.iter().sum::<f64>() / values.len().max(1) as f64;
+    if mean <= 0.0 {
+        return (0.0, 0.0);
+    }
+    let max = values.iter().copied().fold(0.0, f64::max);
+    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
+    (max / mean - 1.0, var.sqrt() / mean)
 }
 
 impl ActivityReport {
@@ -190,30 +159,17 @@ impl ActivityReport {
                 lock_revocations: n.lock_revocations,
             })
             .collect();
-        let compute: Vec<f64> = worker_rows.iter().map(|w| w.totals.compute as f64).collect();
-        let mean = if compute.is_empty() {
-            0.0
-        } else {
-            compute.iter().sum::<f64>() / compute.len() as f64
-        };
-        let compute_cov = if mean > 0.0 {
-            let var =
-                compute.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / compute.len() as f64;
-            var.sqrt() / mean
-        } else {
-            0.0
-        };
+        let (compute_imbalance, compute_cov) =
+            imbalance_and_cov(worker_rows.iter().map(|w| w.totals.compute));
         ActivityReport {
             label: label.to_string(),
             makespan_ns: trace.makespan(),
-            compute_imbalance: trace.compute_imbalance(workers),
+            compute_imbalance,
             compute_cov,
             lock_poll_histogram: log2_histogram(worker_rows.iter().map(|w| w.lock_polls)),
             workers: worker_rows,
             nodes: node_rows,
-            recovery: Vec::new(),
-            journal: None,
-            decisions: Vec::new(),
+            ..ActivityReport::default()
         }
     }
 
@@ -235,90 +191,32 @@ impl ActivityReport {
 
     /// Serialise as a self-contained JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"label\": \"{}\",\n", escape(&self.label)));
-        out.push_str(&format!("  \"makespan_ns\": {},\n", self.makespan_ns));
-        out.push_str(&format!("  \"compute_imbalance\": {},\n", fmt_f64(self.compute_imbalance)));
-        out.push_str(&format!("  \"compute_cov\": {},\n", fmt_f64(self.compute_cov)));
-        out.push_str("  \"workers\": [\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"worker\": {}, \"compute_ns\": {}, \"sched_ns\": {}, \
-                 \"sync_ns\": {}, \"idle_ns\": {}, \"iterations\": {}, \
-                 \"sub_chunks\": {}, \"global_fetches\": {}, \"lock_polls\": {}, \
-                 \"lock_time_ns\": {}, \"rma_ops\": {}, \"reclaims\": {}}}{}\n",
-                w.worker,
-                w.totals.compute,
-                w.totals.sched,
-                w.totals.sync,
-                w.totals.idle,
-                w.iterations,
-                w.sub_chunks,
-                w.global_fetches,
-                w.lock_polls,
-                w.lock_time_ns,
-                w.rma_ops,
-                w.reclaims,
-                comma(i, self.workers.len())
-            ));
-        }
-        out.push_str("  ],\n  \"nodes\": [\n");
-        for (i, n) in self.nodes.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"node\": {}, \"deposits\": {}, \"sub_chunks\": {}, \
-                 \"lock_acquisitions\": {}, \"lock_contended\": {}, \
-                 \"lock_polls\": {}, \"lock_revocations\": {}}}{}\n",
-                n.node,
-                n.deposits,
-                n.sub_chunks,
-                n.lock_acquisitions,
-                n.lock_contended,
-                n.lock_polls,
-                n.lock_revocations,
-                comma(i, self.nodes.len())
-            ));
-        }
-        out.push_str("  ],\n  \"lock_poll_histogram\": [");
-        for (i, b) in self.lock_poll_histogram.iter().enumerate() {
-            out.push_str(&format!("{}{}", b, comma(i, self.lock_poll_histogram.len())));
-        }
-        out.push_str("],\n  \"recovery\": [\n");
-        for (i, e) in self.recovery.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"at_ns\": {}, \"rank\": {}, \"kind\": \"{}\", \"detail\": \"{}\"}}{}\n",
-                e.at_ns(),
-                e.rank(),
-                e.label(),
-                escape(&e.to_string()),
-                comma(i, self.recovery.len())
-            ));
-        }
-        out.push_str("  ],\n  \"decisions\": [\n");
-        for (i, d) in self.decisions.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"seq\": {}, \"step\": {}, \"scheduled\": {}, \"from\": \"{}\", \
-                 \"to\": \"{}\", \"reason\": \"{}\"}}{}\n",
-                d.seq,
-                d.step,
-                d.scheduled,
-                d.from.name(),
-                d.to.name(),
-                d.reason.name(),
-                comma(i, self.decisions.len())
-            ));
-        }
-        match &self.journal {
-            None => out.push_str("  ]\n}\n"),
-            Some(j) => {
-                out.push_str("  ],\n");
-                out.push_str(&format!(
-                    "  \"journal\": {{\"enabled\": {}, \"epoch\": {}, \"records\": {}, \
-                     \"bytes\": {}, \"fsyncs\": {}, \"snapshots\": {}, \"segments\": {}}}\n}}\n",
-                    j.enabled, j.epoch, j.records, j.bytes, j.fsyncs, j.snapshots, j.segments
-                ));
+        json::object(|o| {
+            o.field("label", self.label.as_str());
+            json_fields!(o, self; makespan_ns, compute_imbalance, compute_cov);
+            o.rows("workers", &self.workers, |o, w| {
+                let t = &w.totals;
+                o.field("worker", w.worker).field("compute_ns", t.compute);
+                o.field("sched_ns", t.sched).field("sync_ns", t.sync).field("idle_ns", t.idle);
+                json_fields!(o, w; iterations, sub_chunks, global_fetches, lock_polls,
+                    lock_time_ns, rma_ops, reclaims);
+            });
+            o.rows("nodes", &self.nodes, |o, n| {
+                json_fields!(o, n; node, deposits, sub_chunks, lock_acquisitions, lock_contended,
+                    lock_polls, lock_revocations);
+            });
+            o.array("lock_poll_histogram", |a| {
+                self.lock_poll_histogram.iter().for_each(|&b| a.value(b));
+            });
+            o.rows("recovery", &self.recovery, |o, e| {
+                o.field("at_ns", e.at_ns()).field("rank", e.rank()).field("kind", e.label());
+                o.field("detail", e.to_string().as_str());
+            });
+            o.rows("decisions", &self.decisions, decision_fields);
+            if let Some(j) = &self.journal {
+                o.object("journal", |o| journal_fields(o, j));
             }
-        }
-        out
+        })
     }
 }
 
@@ -346,14 +244,11 @@ pub fn service_report(label: &str, snap: &StatsSnapshot) -> ActivityReport {
             } else {
                 c.worker
             },
-            totals: ActivityTotals::default(),
             iterations: c.iterations,
             sub_chunks: c.chunks,
             global_fetches: c.fetches,
-            lock_polls: 0,
-            lock_time_ns: 0,
             rma_ops: c.requests,
-            reclaims: 0,
+            ..WorkerActivity::default()
         })
         .collect();
     let nodes: Vec<NodeActivity> = snap
@@ -369,198 +264,72 @@ pub fn service_report(label: &str, snap: &StatsSnapshot) -> ActivityReport {
             lock_revocations: j.leases_reclaimed,
         })
         .collect();
-    let iters: Vec<f64> = workers.iter().map(|w| w.iterations as f64).collect();
-    let mean = if iters.is_empty() { 0.0 } else { iters.iter().sum::<f64>() / iters.len() as f64 };
-    let (imbalance, cov) = if mean > 0.0 {
-        let max = iters.iter().cloned().fold(0.0f64, f64::max);
-        let var = iters.iter().map(|c| (c - mean).powi(2)).sum::<f64>() / iters.len() as f64;
-        (max / mean - 1.0, var.sqrt() / mean)
-    } else {
-        (0.0, 0.0)
-    };
+    let (compute_imbalance, compute_cov) = imbalance_and_cov(workers.iter().map(|w| w.iterations));
     ActivityReport {
         label: label.to_string(),
         makespan_ns: snap.uptime_ns,
-        compute_imbalance: imbalance,
-        compute_cov: cov,
+        compute_imbalance,
+        compute_cov,
         workers,
         nodes,
-        lock_poll_histogram: Vec::new(),
-        recovery: Vec::new(),
-        journal: Some(ServiceJournal {
-            enabled: snap.journal.enabled,
-            epoch: snap.journal.epoch,
-            records: snap.journal.journal_records,
-            bytes: snap.journal.journal_bytes,
-            fsyncs: snap.journal.fsyncs,
-            snapshots: snap.journal.snapshots,
-            segments: snap.journal.segments,
-        }),
+        journal: Some(snap.journal),
         decisions: snap.jobs.iter().flat_map(|j| j.decisions.iter().copied()).collect(),
+        ..ActivityReport::default()
     }
 }
 
-/// Serialise a trace as a chrome://tracing (about://tracing, Perfetto)
-/// JSON array of complete (`"ph": "X"`) events: one event per segment,
-/// timestamps and durations in microseconds, `pid` = node (from
-/// `workers_per_node`), `tid` = global worker id.
-pub fn chrome_trace(trace: &Trace, workers_per_node: u32) -> String {
-    let wpn = workers_per_node.max(1);
-    let mut out = String::from("[\n");
-    let segments = trace.segments();
-    for (i, s) in segments.iter().enumerate() {
-        let name = match s.kind {
-            SegmentKind::Compute => "compute",
-            SegmentKind::Sched => "sched",
-            SegmentKind::Sync => "sync",
-            SegmentKind::Idle => "idle",
-        };
-        out.push_str(&format!(
-            "{{\"name\": \"{}\", \"cat\": \"{}\", \"ph\": \"X\", \"ts\": {}, \
-             \"dur\": {}, \"pid\": {}, \"tid\": {}}}{}\n",
-            name,
-            name,
-            fmt_f64(s.start as f64 / 1e3),
-            fmt_f64(s.duration() as f64 / 1e3),
-            s.worker / wpn,
-            s.worker,
-            comma(i, segments.len())
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Like [`chrome_trace`], with a run's recovery timeline overlaid as
-/// Perfetto *instant* events (`"ph": "i"`, thread scope): a marker on
-/// the victim's track for crashes and lease expiries, on the acting
-/// survivor's track for reclaims, failovers and lock repairs — so the
-/// timeline shows who reclaimed what, when, amid the activity
-/// segments.
-pub fn chrome_trace_with_recovery(
+/// A chrome://tracing (Perfetto) JSON event array, in one pass:
+///
+/// * a complete event (`"ph":"X"`) per segment, times in µs, `pid` =
+///   node (from `workers_per_node`), `tid` = global worker id;
+/// * a thread instant (`"ph":"i"`, `"s":"t"`) per `recovery` event, on
+///   the victim's track for crashes and lease expiries and on the acting
+///   survivor's for reclaims, failovers and lock repairs;
+/// * a process instant (`"s":"p"`) per tuner decision on its own track
+///   (`pid = u32::MAX`) whose time axis is the **iteration domain**:
+///   decisions carry counters, not clocks, so each sits at
+///   `ts = scheduled` ("switched from X to Y after Z iterations").
+pub fn chrome_trace(
     trace: &Trace,
     workers_per_node: u32,
     recovery: &[RecoveryEvent],
-) -> String {
-    let wpn = workers_per_node.max(1);
-    let mut out = chrome_trace(trace, workers_per_node);
-    if recovery.is_empty() {
-        return out;
-    }
-    // Splice the instant events into the existing JSON array.
-    let tail = out.rfind("]\n").unwrap_or(out.len());
-    out.truncate(tail);
-    if trace.segments().is_empty() {
-        // No trailing comma to add after an empty segment list.
-    } else {
-        // The last segment line has no trailing comma; add one.
-        let last_line = out.trim_end().len();
-        out.truncate(last_line);
-        out.push_str(",\n");
-    }
-    for (i, e) in recovery.iter().enumerate() {
-        out.push_str(&format!(
-            "{{\"name\": \"{}\", \"cat\": \"recovery\", \"ph\": \"i\", \"s\": \"t\", \
-             \"ts\": {}, \"pid\": {}, \"tid\": {}, \
-             \"args\": {{\"detail\": \"{}\"}}}}{}\n",
-            e.label(),
-            fmt_f64(e.at_ns() as f64 / 1e3),
-            e.rank() / wpn,
-            e.rank(),
-            escape(&e.to_string()),
-            comma(i, recovery.len())
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Like [`chrome_trace`], with a tuner decision timeline overlaid as
-/// Perfetto *instant* events (`"ph": "i"`, process scope) on a
-/// dedicated track (`pid = u32::MAX`, shown as its own group above the
-/// worker lanes). Decisions are journaled with the job's counters, not
-/// wall clocks, so the track's time axis is the **iteration domain**:
-/// each marker sits at `ts = scheduled` (iterations handed out when
-/// the switch happened), with the counter pair and both techniques in
-/// `args`. Read it as "the job switched from X to Y after Z
-/// iterations", not as a wall-clock instant.
-pub fn chrome_trace_with_decisions(
-    trace: &Trace,
-    workers_per_node: u32,
     decisions: &[dls::Decision],
 ) -> String {
-    let mut out = chrome_trace(trace, workers_per_node);
-    if decisions.is_empty() {
-        return out;
-    }
-    // Splice the instant events into the existing JSON array.
-    let tail = out.rfind("]\n").unwrap_or(out.len());
-    out.truncate(tail);
-    if !trace.segments().is_empty() {
-        // The last segment line has no trailing comma; add one.
-        let last_line = out.trim_end().len();
-        out.truncate(last_line);
-        out.push_str(",\n");
-    }
-    for (i, d) in decisions.iter().enumerate() {
-        out.push_str(&format!(
-            "{{\"name\": \"switch {}->{}\", \"cat\": \"tuner\", \"ph\": \"i\", \"s\": \"p\", \
-             \"ts\": {}, \"pid\": {}, \"tid\": 0, \
-             \"args\": {{\"seq\": {}, \"step\": {}, \"scheduled\": {}, \"reason\": \"{}\"}}}}{}\n",
-            d.from.name(),
-            d.to.name(),
-            d.scheduled,
-            u32::MAX,
-            d.seq,
-            d.step,
-            d.scheduled,
-            d.reason.name(),
-            comma(i, decisions.len())
-        ));
-    }
-    out.push_str("]\n");
-    out
-}
-
-fn comma(i: usize, len: usize) -> &'static str {
-    if i + 1 < len {
-        ","
-    } else {
-        ""
-    }
-}
-
-/// A float literal that is always valid JSON (no NaN/inf, always a
-/// fractional part so readers parse it as a number, not an integer).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
+    let wpn = workers_per_node.max(1);
+    json::array(|a| {
+        for s in trace.segments() {
+            let name = match s.kind {
+                SegmentKind::Compute => "compute",
+                SegmentKind::Sched => "sched",
+                SegmentKind::Sync => "sync",
+                SegmentKind::Idle => "idle",
+            };
+            a.object(|o| {
+                o.field("name", name).field("cat", name).field("ph", "X");
+                o.field("ts", s.start as f64 / 1e3).field("dur", s.duration() as f64 / 1e3);
+                o.field("pid", s.worker / wpn).field("tid", s.worker);
+            });
         }
-    } else {
-        "0.0".to_string()
-    }
-}
-
-/// `s` as the body of a JSON string (RFC 8259 §7): quote, backslash and
-/// every control character escaped.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-            c => out.push(c),
+        for e in recovery {
+            a.object(|o| {
+                o.field("name", e.label()).field("cat", "recovery");
+                o.field("ph", "i").field("s", "t").field("ts", e.at_ns() as f64 / 1e3);
+                o.field("pid", e.rank() / wpn).field("tid", e.rank()).object("args", |o| {
+                    o.field("detail", e.to_string().as_str());
+                });
+            });
         }
-    }
-    out
+        for d in decisions {
+            a.object(|o| {
+                o.field("name", format!("switch {}->{}", d.from.name(), d.to.name()).as_str());
+                o.field("cat", "tuner").field("ph", "i").field("s", "p").field("ts", d.scheduled);
+                o.field("pid", u32::MAX).field("tid", 0u32).object("args", |o| {
+                    json_fields!(o, d; seq, step, scheduled);
+                    o.field("reason", d.reason.name());
+                });
+            });
+        }
+    })
 }
 
 #[cfg(test)]
@@ -602,47 +371,24 @@ mod tests {
     fn json_is_well_formed() {
         let (tr, stats) = sample();
         let json = ActivityReport::build("a \"quoted\" label", &tr, &stats, 2).to_json();
-        assert!(json.contains("\"label\": \"a \\\"quoted\\\" label\""));
-        assert!(json.contains("\"lock_polls\": 5"));
-        assert!(json.contains("\"lock_poll_histogram\": [1,0,0,1]"));
+        assert!(json.contains("\"label\":\"a \\\"quoted\\\" label\""));
+        assert!(json.contains("\"lock_polls\":5"));
+        assert!(json.contains("\"lock_poll_histogram\":[1,0,0,1]"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
-    fn control_characters_are_escaped_inside_strings() {
-        let (tr, stats) = sample();
-        let json = ActivityReport::build("a\tb\nc\u{1}", &tr, &stats, 2).to_json();
-        assert!(json.contains(r#""label": "a\tb\nc\u0001""#), "{json}");
-        // RFC 8259: no raw control character inside a string literal.
-        let (mut in_string, mut escaped) = (false, false);
-        for b in json.bytes() {
-            if in_string {
-                assert!(b >= 0x20, "raw control byte {b:#04x} in a string:\n{json}");
-                match (escaped, b) {
-                    (true, _) => escaped = false,
-                    (false, b'\\') => escaped = true,
-                    (false, b'"') => in_string = false,
-                    _ => {}
-                }
-            } else {
-                in_string = b == b'"';
-            }
-        }
-        assert!(!in_string);
-    }
-
-    #[test]
     fn chrome_trace_emits_one_event_per_segment() {
         let (tr, _) = sample();
-        let out = chrome_trace(&tr, 1);
+        let out = chrome_trace(&tr, 1, &[], &[]);
         assert!(out.trim_start().starts_with('['));
         assert!(out.trim_end().ends_with(']'));
-        assert_eq!(out.matches("\"ph\": \"X\"").count(), tr.segments().len());
+        assert_eq!(out.matches("\"ph\":\"X\"").count(), tr.segments().len());
         // Worker 1 on 1 worker/node is pid 1.
-        assert!(out.contains("\"pid\": 1, \"tid\": 1"));
+        assert!(out.contains("\"pid\":1,\"tid\":1"));
         // 100 ns -> 0.1 us.
-        assert!(out.contains("\"ts\": 0.1"));
+        assert!(out.contains("\"ts\":0.1"));
         assert_eq!(out.matches('{').count(), out.matches('}').count());
     }
 
@@ -665,10 +411,10 @@ mod tests {
         assert_eq!(r.workers[0].reclaims, 1);
         assert_eq!(r.nodes[0].lock_revocations, 1);
         let json = r.to_json();
-        assert!(json.contains("\"kind\": \"crash-holding-lock\""));
-        assert!(json.contains("\"kind\": \"lock-repair\""));
-        assert!(json.contains("\"reclaims\": 1"));
-        assert!(json.contains("\"lock_revocations\": 1"));
+        assert!(json.contains("\"kind\":\"crash-holding-lock\""));
+        assert!(json.contains("\"kind\":\"lock-repair\""));
+        assert!(json.contains("\"reclaims\":1"));
+        assert!(json.contains("\"lock_revocations\":1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
@@ -680,16 +426,16 @@ mod tests {
             RecoveryEvent::Crash { rank: 1, at_ns: 50, holding_lock: false },
             RecoveryEvent::Reclaim { by: 0, owner: 1, lo: 4, hi: 8, at_ns: 110 },
         ];
-        let out = chrome_trace_with_recovery(&tr, 1, &events);
-        assert_eq!(out.matches("\"ph\": \"X\"").count(), tr.segments().len());
-        assert_eq!(out.matches("\"ph\": \"i\"").count(), 2);
-        assert!(out.contains("\"name\": \"reclaim\""));
+        let out = chrome_trace(&tr, 1, &events, &[]);
+        assert_eq!(out.matches("\"ph\":\"X\"").count(), tr.segments().len());
+        assert_eq!(out.matches("\"ph\":\"i\"").count(), 2);
+        assert!(out.contains("\"name\":\"reclaim\""));
         // The reclaim marker sits on the reclaimer's track.
-        assert!(out.contains("\"ph\": \"i\", \"s\": \"t\", \"ts\": 0.11, \"pid\": 0, \"tid\": 0"));
+        assert!(out.contains("\"ph\":\"i\",\"s\":\"t\",\"ts\":0.11,\"pid\":0,\"tid\":0"));
         assert_eq!(out.matches('{').count(), out.matches('}').count());
         assert_eq!(out.matches('[').count(), out.matches(']').count());
-        // Without events the output is exactly the plain trace.
-        assert_eq!(chrome_trace_with_recovery(&tr, 1, &[]), chrome_trace(&tr, 1));
+        // The overlay only appends: the segment events come first, unchanged.
+        assert!(out.starts_with(chrome_trace(&tr, 1, &[], &[]).trim_end_matches(']')));
     }
 
     #[test]
@@ -743,13 +489,13 @@ mod tests {
         let j = r.journal.expect("service reports carry journal stats");
         assert!(j.enabled);
         assert_eq!(j.epoch, 2);
-        assert_eq!(j.records, 40);
+        assert_eq!(j.journal_records, 40);
         assert_eq!(j.fsyncs, 5);
         let json = r.to_json();
-        assert!(json.contains("\"label\": \"net GSS\""));
+        assert!(json.contains("\"label\":\"net GSS\""));
         assert!(json.contains(
-            "\"journal\": {\"enabled\": true, \"epoch\": 2, \"records\": 40, \
-             \"bytes\": 1024, \"fsyncs\": 5, \"snapshots\": 1, \"segments\": 2}"
+            "\"journal\":{\"enabled\":true,\"epoch\":2,\"journal_records\":40,\
+             \"journal_bytes\":1024,\"fsyncs\":5,\"snapshots\":1,\"segments\":2}"
         ));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
@@ -783,10 +529,10 @@ mod tests {
         assert_eq!(r.decisions.len(), 2);
         let json = r.to_json();
         assert!(json.contains(
-            "{\"seq\": 0, \"step\": 8, \"scheduled\": 8, \"from\": \"SS\", \
-             \"to\": \"GSS\", \"reason\": \"overhead\"}"
+            "{\"seq\":0,\"step\":8,\"scheduled\":8,\"from\":\"SS\",\
+             \"to\":\"GSS\",\"reason\":\"overhead\"}"
         ));
-        assert!(json.contains("\"to\": \"AF\", \"reason\": \"imbalance\""));
+        assert!(json.contains("\"to\":\"AF\",\"reason\":\"imbalance\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
@@ -804,30 +550,42 @@ mod tests {
         let r = service_report("net AUTO", &snap);
         assert_eq!(r.decisions, decisions());
         let json = r.to_json();
-        assert!(json.contains("\"decisions\": [\n    {\"seq\": 0"));
+        assert!(json.contains("\"decisions\":[{\"seq\":0"));
     }
 
     #[test]
     fn chrome_trace_overlays_decision_instants() {
         let (tr, _) = sample();
-        let out = chrome_trace_with_decisions(&tr, 1, &decisions());
-        assert_eq!(out.matches("\"ph\": \"X\"").count(), tr.segments().len());
-        assert_eq!(out.matches("\"ph\": \"i\"").count(), 2);
-        assert!(out.contains("\"name\": \"switch SS->GSS\""));
-        assert!(out.contains("\"cat\": \"tuner\""));
+        let out = chrome_trace(&tr, 1, &[], &decisions());
+        assert_eq!(out.matches("\"ph\":\"X\"").count(), tr.segments().len());
+        assert_eq!(out.matches("\"ph\":\"i\"").count(), 2);
+        assert!(out.contains("\"name\":\"switch SS->GSS\""));
+        assert!(out.contains("\"cat\":\"tuner\""));
         // The tuner track is its own process group, iteration-domain ts.
-        assert!(out.contains(&format!("\"ts\": 350, \"pid\": {}, \"tid\": 0", u32::MAX)));
-        assert!(out.contains("\"reason\": \"imbalance\""));
+        assert!(out.contains(&format!("\"ts\":350,\"pid\":{},\"tid\":0", u32::MAX)));
+        assert!(out.contains("\"reason\":\"imbalance\""));
         assert_eq!(out.matches('{').count(), out.matches('}').count());
         assert_eq!(out.matches('[').count(), out.matches(']').count());
-        // Without decisions the output is exactly the plain trace.
-        assert_eq!(chrome_trace_with_decisions(&tr, 1, &[]), chrome_trace(&tr, 1));
+        // The overlay only appends: the segment events come first, unchanged.
+        assert!(out.starts_with(chrome_trace(&tr, 1, &[], &[]).trim_end_matches(']')));
     }
 
     #[test]
-    fn floats_always_json_numbers() {
-        assert_eq!(fmt_f64(0.25), "0.25");
-        assert_eq!(fmt_f64(3.0), "3.0");
-        assert_eq!(fmt_f64(f64::NAN), "0.0");
+    fn chrome_trace_overlays_recovery_and_decisions_in_one_array() {
+        let (tr, _) = sample();
+        let events = [RecoveryEvent::Crash { rank: 1, at_ns: 50, holding_lock: false }];
+        let out = chrome_trace(&tr, 1, &events, &decisions());
+        assert!(out.starts_with('[') && out.ends_with(']'));
+        assert_eq!(out.matches("\"ph\":\"X\"").count(), tr.segments().len());
+        assert_eq!(out.matches("\"s\":\"t\"").count(), 1);
+        assert_eq!(out.matches("\"s\":\"p\"").count(), 2);
+        // Segments, then the recovery instant, then the decisions.
+        let at = |needle: &str| out.find(needle).expect(needle);
+        assert!(at("\"ph\":\"X\"") < at("\"cat\":\"recovery\""));
+        assert!(at("\"cat\":\"recovery\"") < at("\"cat\":\"tuner\""));
+        assert!(out.contains("},{\"name\":\"crash\""), "{out}");
+        assert!(out.contains("}},{\"name\":\"switch SS->GSS\""), "{out}");
+        assert_eq!(out.matches('{').count(), out.matches('}').count());
+        assert_eq!(out.matches('[').count(), out.matches(']').count());
     }
 }

@@ -80,10 +80,7 @@ pub use schedule::{HierSchedule, HierScheduleBuilder};
 
 /// Everything needed for typical use.
 pub mod prelude {
-    pub use crate::export::{
-        chrome_trace, chrome_trace_with_decisions, chrome_trace_with_recovery, service_report,
-        ActivityReport,
-    };
+    pub use crate::export::{chrome_trace, service_report, ActivityReport};
     pub use crate::figures::{self, FigurePoint};
     pub use crate::report::ScalingStudy;
     pub use crate::schedule::{HierSchedule, HierScheduleBuilder};

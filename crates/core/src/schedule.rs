@@ -32,7 +32,23 @@ impl HierSchedule {
     /// Start building a schedule (defaults: `GSS+GSS`, MPI+MPI, 4 nodes
     /// x 16 workers, default machine parameters).
     pub fn builder() -> HierScheduleBuilder {
-        HierScheduleBuilder::default()
+        HierScheduleBuilder(HierSchedule {
+            spec: HierSpec { inter: Technique::gss(), intra: Technique::gss() },
+            approach: Approach::MpiMpi,
+            nodes: 4,
+            workers_per_node: 16,
+            machine: MachineParams::default(),
+            trace: false,
+            record_chunks: false,
+            slowdown: Vec::new(),
+            refill: hier::sim::RefillPolicy::Fastest,
+            omp_nowait: false,
+            weights: Vec::new(),
+            awf: None,
+            global_mode: hier::GlobalQueueMode::SingleAtomic,
+            faults: resilience::FaultPlan::none(),
+            net_inter: None,
+        })
     }
 
     /// The `X+Y` combination.
@@ -148,137 +164,97 @@ impl HierSchedule {
     }
 }
 
-/// Builder for [`HierSchedule`].
+/// Builder for [`HierSchedule`]: each setter edits the schedule it wraps.
 #[derive(Clone, Debug)]
-pub struct HierScheduleBuilder {
-    inter: Technique,
-    intra: Technique,
-    approach: Approach,
-    nodes: u32,
-    workers_per_node: u32,
-    machine: MachineParams,
-    trace: bool,
-    record_chunks: bool,
-    slowdown: Vec<f64>,
-    refill: hier::sim::RefillPolicy,
-    omp_nowait: bool,
-    weights: Vec<f64>,
-    awf: Option<dls::adaptive::AwfVariant>,
-    global_mode: hier::GlobalQueueMode,
-    faults: resilience::FaultPlan,
-    net_inter: Option<dls::SchedKind>,
-}
-
-impl Default for HierScheduleBuilder {
-    fn default() -> Self {
-        Self {
-            inter: Technique::gss(),
-            intra: Technique::gss(),
-            approach: Approach::MpiMpi,
-            nodes: 4,
-            workers_per_node: 16,
-            machine: MachineParams::default(),
-            trace: false,
-            record_chunks: false,
-            slowdown: Vec::new(),
-            refill: hier::sim::RefillPolicy::Fastest,
-            omp_nowait: false,
-            weights: Vec::new(),
-            awf: None,
-            global_mode: hier::GlobalQueueMode::SingleAtomic,
-            faults: resilience::FaultPlan::none(),
-            net_inter: None,
-        }
-    }
-}
+pub struct HierScheduleBuilder(HierSchedule);
 
 impl HierScheduleBuilder {
     /// Inter-node technique by kind (default parameters).
     pub fn inter(mut self, kind: Kind) -> Self {
-        self.inter = Technique::from_kind(kind);
+        self.0.spec.inter = Technique::from_kind(kind);
         self
     }
 
     /// Inter-node technique with explicit parameters.
     pub fn inter_technique(mut self, t: Technique) -> Self {
-        self.inter = t;
+        self.0.spec.inter = t;
         self
     }
 
     /// Intra-node technique by kind (default parameters).
     pub fn intra(mut self, kind: Kind) -> Self {
-        self.intra = Technique::from_kind(kind);
+        self.0.spec.intra = Technique::from_kind(kind);
         self
     }
 
     /// Intra-node technique with explicit parameters.
     pub fn intra_technique(mut self, t: Technique) -> Self {
-        self.intra = t;
+        self.0.spec.intra = t;
         self
     }
 
     /// MPI+MPI (proposed) or MPI+OpenMP (baseline).
     pub fn approach(mut self, a: Approach) -> Self {
-        self.approach = a;
+        self.0.approach = a;
         self
     }
 
     /// Number of compute nodes.
     pub fn nodes(mut self, n: u32) -> Self {
         assert!(n > 0, "need at least one node");
-        self.nodes = n;
+        self.0.nodes = n;
         self
     }
 
     /// Workers per node (ranks or team threads).
     pub fn workers_per_node(mut self, w: u32) -> Self {
         assert!(w > 0, "need at least one worker per node");
-        self.workers_per_node = w;
+        self.0.workers_per_node = w;
         self
     }
 
     /// Virtual-time cost constants.
     pub fn machine(mut self, m: MachineParams) -> Self {
-        self.machine = m;
+        self.0.machine = m;
         self
     }
 
     /// Record per-worker timeline segments in `simulate` (virtual
     /// time) and `run_live` (wall-clock time).
     pub fn trace(mut self, on: bool) -> Self {
-        self.trace = on;
+        self.0.trace = on;
         self
     }
 
     /// Record executed sub-chunks in `simulate`.
     pub fn record_chunks(mut self, on: bool) -> Self {
-        self.record_chunks = on;
+        self.0.record_chunks = on;
         self
     }
 
     /// Per-worker slowdown multipliers (failure injection).
     pub fn slowdown(mut self, s: Vec<f64>) -> Self {
-        self.slowdown = s;
+        self.0.slowdown = s;
         self
     }
 
     /// Local-queue refill policy for MPI+MPI `simulate` runs.
     pub fn refill(mut self, policy: hier::sim::RefillPolicy) -> Self {
-        self.refill = policy;
+        self.0.refill = policy;
         self
     }
 
     /// Model OpenMP's `nowait` clause for MPI+OpenMP `simulate` runs
     /// (the paper's future work).
     pub fn omp_nowait(mut self, on: bool) -> Self {
-        self.omp_nowait = on;
+        self.0.omp_nowait = on;
         self
     }
 
     /// Static mean-normalised per-worker weights for weighted
     /// techniques (WF), indexed by global worker id.
     pub fn weights(mut self, w: Vec<f64>) -> Self {
-        self.weights = w;
+        self.0.weights = w;
         self
     }
 
@@ -287,7 +263,7 @@ impl HierScheduleBuilder {
     /// measured worker rates (extension beyond the paper's four
     /// techniques).
     pub fn awf(mut self, variant: dls::adaptive::AwfVariant) -> Self {
-        self.awf = Some(variant);
+        self.0.awf = Some(variant);
         self
     }
 
@@ -295,7 +271,7 @@ impl HierScheduleBuilder {
     /// single-atomic distributed chunk calculation (default) or
     /// lock-guarded counters.
     pub fn global_queue(mut self, mode: hier::GlobalQueueMode) -> Self {
-        self.global_mode = mode;
+        self.0.global_mode = mode;
         self
     }
 
@@ -307,7 +283,7 @@ impl HierScheduleBuilder {
     /// which therefore have no in-process `Technique` equivalent.
     /// `simulate` and the RMA-backed live runs ignore it.
     pub fn net_inter(mut self, kind: impl Into<dls::SchedKind>) -> Self {
-        self.net_inter = Some(kind.into());
+        self.0.net_inter = Some(kind.into());
         self
     }
 
@@ -317,29 +293,13 @@ impl HierScheduleBuilder {
     /// recovery events land in the result's `recovery` timeline. The
     /// default inert plan changes nothing.
     pub fn faults(mut self, plan: resilience::FaultPlan) -> Self {
-        self.faults = plan;
+        self.0.faults = plan;
         self
     }
 
     /// Finish building.
     pub fn build(self) -> HierSchedule {
-        HierSchedule {
-            spec: HierSpec { inter: self.inter, intra: self.intra },
-            approach: self.approach,
-            nodes: self.nodes,
-            workers_per_node: self.workers_per_node,
-            machine: self.machine,
-            trace: self.trace,
-            record_chunks: self.record_chunks,
-            slowdown: self.slowdown,
-            refill: self.refill,
-            omp_nowait: self.omp_nowait,
-            weights: self.weights,
-            awf: self.awf,
-            global_mode: self.global_mode,
-            faults: self.faults,
-            net_inter: self.net_inter,
-        }
+        self.0
     }
 }
 

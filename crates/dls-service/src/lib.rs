@@ -25,6 +25,8 @@
 //!   held job-table lock.
 //! * [`client`] — a blocking client plus the [`client::drive_job`] /
 //!   [`client::drive_job_batched`] worker loops.
+//! * [`json`] — the workspace's one JSON writer (the `STATS` document
+//!   here, `hdls::export`'s report and Chrome trace).
 //!
 //! With a journal directory ([`server::Server::start_with_journal`],
 //! `dls-serverd --journal-dir`) the server is **restart-survivable**:
@@ -63,6 +65,7 @@
 
 pub mod client;
 mod event_loop;
+pub mod json;
 mod machine;
 mod poller;
 pub mod protocol;

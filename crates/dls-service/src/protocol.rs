@@ -36,6 +36,7 @@
 //! STATS job row carry the active technique plus the ordered list of
 //! [`Decision`]s an AUTO job has taken.
 
+use crate::{json, json_fields};
 use dls::switchable::{Decision, SchedKind, SwitchReason};
 
 /// Protocol version carried in every frame. Bump on any wire change.
@@ -480,104 +481,41 @@ impl StatsSnapshot {
     /// Compact JSON rendering (the artefact `dls-serverd` prints on
     /// graceful exit).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        let t = &self.totals;
-        s.push_str(&format!(
-            "{{\"uptime_ns\":{},\"shutting_down\":{},\"totals\":{{\"fetches\":{},\
-             \"chunks_granted\":{},\"reclaims\":{},\"empty_polls\":{},\"jobs_created\":{},\
-             \"jobs_active\":{},\"conns_active\":{},\"conns_total\":{},\"bytes_in\":{},\
-             \"bytes_out\":{}}},",
-            self.uptime_ns,
-            self.shutting_down,
-            t.fetches,
-            t.chunks_granted,
-            t.reclaims,
-            t.empty_polls,
-            t.jobs_created,
-            t.jobs_active,
-            t.conns_active,
-            t.conns_total,
-            t.bytes_in,
-            t.bytes_out,
-        ));
-        let jn = &self.journal;
-        s.push_str(&format!(
-            "\"journal\":{{\"enabled\":{},\"epoch\":{},\"journal_records\":{},\
-             \"journal_bytes\":{},\"fsyncs\":{},\"snapshots\":{},\"segments\":{}}},\"jobs\":[",
-            jn.enabled,
-            jn.epoch,
-            jn.journal_records,
-            jn.journal_bytes,
-            jn.fsyncs,
-            jn.snapshots,
-            jn.segments,
-        ));
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"job\":{},\"n\":{},\"step\":{},\"scheduled\":{},\"completed\":{},\
-                 \"done\":{},\"fetches\":{},\"chunks_granted\":{},\"reclaims\":{},\
-                 \"empty_polls\":{},\"leases_granted\":{},\"leases_completed\":{},\
-                 \"leases_reclaimed\":{},\"kind\":\"{}\",\"mode\":\"{}\",\"switches\":{},\
-                 \"decisions\":[",
-                j.job,
-                j.n,
-                j.step,
-                j.scheduled,
-                j.completed,
-                j.done,
-                j.fetches,
-                j.chunks_granted,
-                j.reclaims,
-                j.empty_polls,
-                j.leases_granted,
-                j.leases_completed,
-                j.leases_reclaimed,
-                j.kind.map_or("?", |k| k.name()),
-                j.mode.map_or("?", |k| k.name()),
-                j.decisions.len(),
-            ));
-            for (k, d) in j.decisions.iter().enumerate() {
-                if k > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!(
-                    "{{\"seq\":{},\"step\":{},\"scheduled\":{},\"from\":\"{}\",\
-                     \"to\":\"{}\",\"reason\":\"{}\"}}",
-                    d.seq,
-                    d.step,
-                    d.scheduled,
-                    d.from.name(),
-                    d.to.name(),
-                    d.reason.name(),
-                ));
-            }
-            s.push_str("]}");
-        }
-        s.push_str("],\"conns\":[");
-        for (i, c) in self.conns.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"conn\":{},\"worker\":{},\"bytes_in\":{},\"bytes_out\":{},\"requests\":{},\
-                 \"fetches\":{},\"chunks\":{},\"iterations\":{},\"open\":{}}}",
-                c.conn,
-                c.worker,
-                c.bytes_in,
-                c.bytes_out,
-                c.requests,
-                c.fetches,
-                c.chunks,
-                c.iterations,
-                c.open,
-            ));
-        }
-        s.push_str("]}");
-        s
+        json::object(|o| {
+            json_fields!(o, self; uptime_ns, shutting_down);
+            o.object("totals", |o| {
+                json_fields!(o, &self.totals; fetches, chunks_granted, reclaims, empty_polls,
+                    jobs_created, jobs_active, conns_active, conns_total, bytes_in, bytes_out);
+            });
+            o.object("journal", |o| journal_fields(o, &self.journal));
+            o.rows("jobs", &self.jobs, |o, j| {
+                json_fields!(o, j; job, n, step, scheduled, completed, done, fetches,
+                    chunks_granted, reclaims, empty_polls, leases_granted, leases_completed,
+                    leases_reclaimed);
+                o.field("kind", j.kind.map_or("?", |k| k.name()));
+                o.field("mode", j.mode.map_or("?", |k| k.name()));
+                o.field("switches", j.decisions.len());
+                o.rows("decisions", &j.decisions, decision_fields);
+            });
+            o.rows("conns", &self.conns, |o, c| {
+                json_fields!(o, c; conn, worker, bytes_in, bytes_out, requests, fetches, chunks,
+                    iterations, open);
+            });
+        })
     }
+}
+
+/// Journal counters as the members of a JSON object: STATS' `journal`,
+/// and `hdls::export::ActivityReport`'s.
+pub fn journal_fields(o: &mut json::Object<'_>, j: &JournalTotals) {
+    json_fields!(o, j; enabled, epoch, journal_records, journal_bytes, fsyncs, snapshots, segments);
+}
+
+/// One tuner [`Decision`] as the members of a JSON object: the rows of
+/// STATS' and `hdls::export::ActivityReport`'s `decisions`.
+pub fn decision_fields(o: &mut json::Object<'_>, d: &Decision) {
+    json_fields!(o, d; seq, step, scheduled);
+    o.field("from", d.from.name()).field("to", d.to.name()).field("reason", d.reason.name());
 }
 
 // ---------------------------------------------------------------------------
@@ -1257,5 +1195,97 @@ mod tests {
         assert!(s.contains("\"journal_records\":0"));
         assert!(s.contains("\"fsyncs\":0"));
         assert!(s.contains("\"snapshots\":0"));
+    }
+
+    #[test]
+    fn populated_snapshot_json_writes_every_key_once() {
+        let snap = StatsSnapshot {
+            uptime_ns: 1_001,
+            shutting_down: true,
+            totals: ServiceTotals {
+                fetches: 1_002,
+                chunks_granted: 1_003,
+                reclaims: 1_004,
+                empty_polls: 1_005,
+                jobs_created: 1_006,
+                jobs_active: 1_007,
+                conns_active: 1_008,
+                conns_total: 1_009,
+                bytes_in: 1_010,
+                bytes_out: 1_011,
+            },
+            journal: JournalTotals {
+                enabled: true,
+                epoch: 1_012,
+                journal_records: 1_013,
+                journal_bytes: 1_014,
+                fsyncs: 1_015,
+                snapshots: 1_016,
+                segments: 1_017,
+            },
+            jobs: vec![JobSnapshot {
+                job: 1_018,
+                n: 1_019,
+                step: 1_020,
+                scheduled: 1_021,
+                completed: 1_022,
+                done: false,
+                fetches: 1_023,
+                chunks_granted: 1_024,
+                reclaims: 1_025,
+                empty_polls: 1_026,
+                leases_granted: 1_027,
+                leases_completed: 1_028,
+                leases_reclaimed: 1_029,
+                kind: Some(SchedKind::Af),
+                mode: Some(SchedKind::Auto),
+                decisions: vec![decision(0), decision(1)],
+            }],
+            conns: vec![
+                ConnSnapshot {
+                    conn: 1_030,
+                    worker: 1_031,
+                    bytes_in: 1_032,
+                    bytes_out: 1_033,
+                    requests: 1_034,
+                    fetches: 1_035,
+                    chunks: 1_036,
+                    iterations: 1_037,
+                    open: true,
+                },
+                ConnSnapshot { conn: 1_038, worker: u32::MAX, open: false, ..Default::default() },
+            ],
+        };
+        let json = snap.to_json();
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"uptime_ns":1001,"shutting_down":true,"#,
+                r#""totals":{"fetches":1002,"chunks_granted":1003,"reclaims":1004,"#,
+                r#""empty_polls":1005,"jobs_created":1006,"jobs_active":1007,"conns_active":1008,"#,
+                r#""conns_total":1009,"bytes_in":1010,"bytes_out":1011},"#,
+                r#""journal":{"enabled":true,"epoch":1012,"journal_records":1013,"#,
+                r#""journal_bytes":1014,"fsyncs":1015,"snapshots":1016,"segments":1017},"#,
+                r#""jobs":[{"job":1018,"n":1019,"step":1020,"scheduled":1021,"completed":1022,"#,
+                r#""done":false,"fetches":1023,"chunks_granted":1024,"reclaims":1025,"#,
+                r#""empty_polls":1026,"leases_granted":1027,"leases_completed":1028,"#,
+                r#""leases_reclaimed":1029,"kind":"AF","mode":"AUTO","switches":2,"decisions":["#,
+                r#"{"seq":0,"step":10,"scheduled":0,"from":"SS","to":"AF","reason":"imbalance"},"#,
+                r#"{"seq":1,"step":11,"scheduled":100,"from":"SS","to":"AF","reason":"imbalance"}]}],"#,
+                r#""conns":[{"conn":1030,"worker":1031,"bytes_in":1032,"bytes_out":1033,"#,
+                r#""requests":1034,"fetches":1035,"chunks":1036,"iterations":1037,"open":true},"#,
+                r#"{"conn":1038,"worker":4294967295,"bytes_in":0,"bytes_out":0,"requests":0,"#,
+                r#""fetches":0,"chunks":0,"iterations":0,"open":false}]}"#,
+            )
+        );
+        // Every key once with its value: the distinct counters show up once each.
+        for v in 1_001..=1_038 {
+            assert_eq!(
+                json.matches(&format!(":{v},")).count() + json.matches(&format!(":{v}}}")).count(),
+                1
+            );
+        }
+        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 }

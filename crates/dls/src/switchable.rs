@@ -25,8 +25,9 @@
 //! `n - scheduled` iterations, and every size it produces is clamped to
 //! the true remainder by the caller exactly as before. Chunk *placement*
 //! (`start = scheduled`) stays a pure function of the global counters,
-//! so coverage is exactly-once across any switch sequence — the model
-//! checker's switch adversary proves this exhaustively.
+//! so coverage is exactly-once across any switch sequence
+//! (`switch_ladder_walk_covers_loop` and
+//! `exactly_once_across_switches_every_concrete_kind` below).
 //!
 //! [`switch`]: SwitchableScheduler::switch
 

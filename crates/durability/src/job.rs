@@ -12,10 +12,9 @@
 //! * [`RecoveredState`](crate::RecoveredState) folds
 //!   [`JobCore::apply`] over the journal — the record *is* the event —
 //!   and snapshots are [`JobCore::serialize_into`] of the live kernel;
-//! * the crash adversary drives it directly;
-//! * `model_check::switch`, the technique-switch adversary, explores it
-//!   as an unweighted AUTO job: every grant, settle, switch and
-//!   `re_arm` of its DFS and crash sweep is a call on this type.
+//! * the crash adversary drives it directly, and `live_equals_replay`
+//!   and `dls-service`'s `autotune_service` SIGKILL replay pin
+//!   [`JobCore::switch`] and [`JobCore::re_arm`].
 //!
 //! Fields are public for the checkers and tools that inspect them;
 //! state changes go through the transitions (a seeded-broken test

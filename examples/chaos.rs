@@ -51,7 +51,7 @@ fn main() {
     // The recovery events overlay the Perfetto timeline as instant
     // markers ("ph": "i") on the victim's and the reclaimer's tracks.
     // Pass a directory argument to write the trace for ui.perfetto.dev.
-    let trace_json = chrome_trace_with_recovery(&crashed.trace, 4, &crashed.recovery);
+    let trace_json = chrome_trace(&crashed.trace, 4, &crashed.recovery, &[]);
     if let Some(dir) = std::env::args().nth(1) {
         let path = std::path::Path::new(&dir).join("chaos_trace.json");
         std::fs::write(&path, &trace_json).expect("write chrome trace");

@@ -71,7 +71,7 @@ fn main() {
             let json_path = dir.join(format!("figure{fig}_activity.json"));
             std::fs::write(&json_path, report.to_json()).expect("write activity json");
             let chrome_path = dir.join(format!("figure{fig}_chrome.json"));
-            std::fs::write(&chrome_path, hdls::export::chrome_trace(&r.trace, 8))
+            std::fs::write(&chrome_path, hdls::export::chrome_trace(&r.trace, 8, &[], &[]))
                 .expect("write chrome trace");
             println!(
                 "  wrote {} and {} (compute c.o.v. {:.3})",

@@ -90,9 +90,9 @@ fn activity_report_reflects_the_simulated_run() {
     let buckets: u64 = report.lock_poll_histogram.iter().sum();
     assert_eq!(buckets, 16, "each worker lands in exactly one bucket");
     let json = report.to_json();
-    assert!(json.contains("\"label\": \"GSS+SS (MPI+MPI)\""));
-    let chrome = chrome_trace(&r.trace, 8);
-    assert_eq!(chrome.matches("\"ph\": \"X\"").count(), r.trace.segments().len());
+    assert!(json.contains("\"label\":\"GSS+SS (MPI+MPI)\""));
+    let chrome = chrome_trace(&r.trace, 8, &[], &[]);
+    assert_eq!(chrome.matches("\"ph\":\"X\"").count(), r.trace.segments().len());
 }
 
 #[test]
