@@ -258,19 +258,6 @@ impl Trace {
         svg.push_str("</svg>");
         svg
     }
-
-    /// Load imbalance of the compute time across `workers`:
-    /// `max/mean - 1` (0.0 = perfectly balanced).
-    pub fn compute_imbalance(&self, workers: u32) -> f64 {
-        let totals: Vec<Time> = (0..workers).map(|w| self.worker_totals(w).compute).collect();
-        let max = totals.iter().copied().max().unwrap_or(0);
-        let sum: Time = totals.iter().sum();
-        if sum == 0 || workers == 0 {
-            return 0.0;
-        }
-        let mean = sum as f64 / f64::from(workers);
-        max as f64 / mean - 1.0
-    }
 }
 
 #[cfg(test)]
@@ -360,16 +347,6 @@ mod tests {
         assert_eq!(svg.matches("<rect").count(), 5);
         assert!(svg.contains("#4caf50"));
         assert!(svg.contains("#9e9e9e"));
-    }
-
-    #[test]
-    fn compute_imbalance_metric() {
-        let mut tr = Trace::recording();
-        tr.record(0, 0, 100, SegmentKind::Compute);
-        tr.record(1, 0, 50, SegmentKind::Compute);
-        // mean 75, max 100 -> 1/3 imbalance.
-        assert!((tr.compute_imbalance(2) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(Trace::recording().compute_imbalance(4), 0.0);
     }
 
     #[test]

@@ -7,11 +7,12 @@
 //!
 //! x86 cannot reorder a release store or an acquire load the way the
 //! language allows, so most tests here pin behaviour, not orderings.
-//! `put_sync_get_never_lets_both_ranks_read_the_old_value` is different:
-//! with the fence in `sync` weakened to `AcqRel` a store buffer shows
-//! "both read early" on x86 within the first rounds of a `--release`
-//! run (a debug build puts enough code between the store and the load
-//! to hide it — CI runs both).
+//! The two `put_sync_get_*` store-buffering tests are different: with
+//! the fence in `sync` weakened to `AcqRel` or deleted, a store buffer
+//! shows "both read early" on x86 within the first rounds of a
+//! `--release` run (a debug build puts enough code between the store
+//! and the load to hide it — CI runs both). The two-window one failed
+//! every run with the fence deleted on 2 vCPUs.
 
 use mpisim::{LockKind, QueuedLock, RmaOp, Topology, Universe, Window};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -115,6 +116,37 @@ fn put_sync_get_never_lets_both_ranks_read_the_old_value() {
             })
             .collect();
         win.unlock_all().unwrap();
+        seen
+    });
+    for (round, (a, b)) in (1..=ROUNDS).zip(seen[0].iter().zip(&seen[1])) {
+        assert!(*a >= round || *b >= round, "round {round}: both ranks read early ({a}, {b})");
+    }
+}
+
+#[test]
+fn put_sync_get_over_two_windows_never_lets_both_ranks_read_the_old_value() {
+    // The same store-buffering litmus with each rank's slot in a window
+    // of its own, so the two slots share no cache line: a rank's put
+    // then waits in its store buffer for the line the other rank just
+    // read, and "both read early" shows several times as often as with
+    // one window once `sync`'s fence is gone.
+    let seen = Universe::run(Topology::new(1, 2), |p| {
+        let w = p.world();
+        let wins = [0, 1].map(|_| Window::allocate_shared(w, usize::from(w.rank() == 0)).unwrap());
+        let (mine, theirs) = (&wins[w.rank() as usize], &wins[1 - w.rank() as usize]);
+        mine.lock_all();
+        theirs.lock_all();
+        let seen: Vec<i64> = (1..=ROUNDS)
+            .map(|round| {
+                mine.put(0, 0, round).unwrap();
+                mine.sync();
+                let saw = theirs.get(0, 0).unwrap();
+                spin_until(|| theirs.get(0, 0).unwrap() >= round);
+                saw
+            })
+            .collect();
+        mine.unlock_all().unwrap();
+        theirs.unlock_all().unwrap();
         seen
     });
     for (round, (a, b)) in (1..=ROUNDS).zip(seen[0].iter().zip(&seen[1])) {

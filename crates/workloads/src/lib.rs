@@ -18,7 +18,11 @@
 //! and correctness tests) and an *exact virtual cost* per iteration
 //! ([`Workload::cost`], used by the discrete-event simulator). The
 //! virtual cost is derived from the real operation count of the same
-//! kernel, so both backends schedule identical irregularity profiles.
+//! kernel, so both backends schedule identical irregularity profiles:
+//! Mandelbrot's from the escape count, PSIA's from the kernel's own
+//! count of the points an image bins ([`psia::image::contributing`],
+//! the support test [`psia::image::spin_image`] bins by), taken without
+//! building the image.
 //!
 //! [`synthetic`] adds distribution-shaped workloads (constant, uniform,
 //! gaussian, exponential, bimodal, linear ramps) for tests, property

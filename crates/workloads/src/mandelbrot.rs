@@ -184,13 +184,16 @@ impl Workload for Mandelbrot {
     /// `z`), so a core runs it at a fraction of its floating-point
     /// throughput; independent pixels fill the gaps. Every pixel still
     /// sees exactly the operations of [`Mandelbrot::escape_iterations`],
-    /// in the same order, so the counts are the same.
+    /// in the same order, so the counts are the same. A pixel still
+    /// bounded after [`LANE_STEPS`] leaves the lanes for
+    /// [`Mandelbrot::finish`], which stops early once its orbit repeats.
     fn costs(&self) -> Vec<u64> {
         let n = self.n_iters();
         if n < LANES as u64 {
             return (0..n).map(|i| self.cost(i)).collect();
         }
         let cost_of = |it: u32| self.ns_base + u64::from(it) * self.ns_per_iter;
+        let cap = self.max_iter.min(LANE_STEPS);
         let mut out = vec![0u64; n as usize];
 
         // The traversal maps contiguous runs of iterations onto
@@ -224,12 +227,14 @@ impl Workload for Mandelbrot {
             for lane in &mut lanes {
                 lane.zr2 = lane.zr * lane.zr;
                 lane.zi2 = lane.zi * lane.zi;
-                finished |= lane.finished(self.max_iter);
+                finished |= lane.finished(cap);
             }
             if finished {
                 for lane in &mut lanes {
-                    if lane.finished(self.max_iter) {
-                        out[lane.i as usize] = cost_of(lane.it);
+                    if lane.finished(cap) {
+                        let bounded = lane.it < self.max_iter && !lane.escaped();
+                        let it = if bounded { self.finish(lane) } else { lane.it };
+                        out[lane.i as usize] = cost_of(it);
                         let Some(fresh) = feed() else {
                             // Nothing left to refill with: the pixels
                             // still in flight start over below.
@@ -257,6 +262,46 @@ impl Workload for Mandelbrot {
 /// Pixels [`Mandelbrot::costs`] keeps in flight.
 const LANES: usize = 4;
 
+/// Steps a pixel takes in [`Mandelbrot::costs`]' lanes before
+/// [`Mandelbrot::finish`] takes it over. Few pixels run this long, and
+/// most of those are inside the set, where the orbit settles into a
+/// cycle that Brent's method finds in a few thousand steps.
+const LANE_STEPS: u32 = 2048;
+
+impl Mandelbrot {
+    /// Escape iterations of the pixel `lane` holds, continued from its
+    /// `lane.it` steps with the operations of
+    /// [`Mandelbrot::escape_iterations`]. Brent's cycle detection
+    /// compares `z` bit for bit with a saved `z`, re-saved after
+    /// doubling gaps: an orbit that returns to a bitwise-equal `z` goes
+    /// on repeating points that passed the escape test, so it never
+    /// escapes and the pixel runs to `max_iter`.
+    fn finish(&self, lane: &Lane) -> u32 {
+        let (mut zr, mut zi, mut it) = (lane.zr, lane.zi, lane.it);
+        let mut saved = (zr.to_bits(), zi.to_bits());
+        let (mut gap, mut since) = (1u64, 0u64);
+        while it < self.max_iter {
+            let zr2 = zr * zr;
+            let zi2 = zi * zi;
+            if zr2 + zi2 > 4.0 {
+                break;
+            }
+            zi = 2.0 * zr * zi + lane.ci;
+            zr = zr2 - zi2 + lane.cr;
+            it += 1;
+            let now = (zr.to_bits(), zi.to_bits());
+            if now == saved {
+                return self.max_iter;
+            }
+            since += 1;
+            if since == gap {
+                (saved, gap, since) = (now, 2 * gap, 0);
+            }
+        }
+        it
+    }
+}
+
 /// One pixel in flight: iteration `i` at point `c`, `it` steps in, with
 /// the squares the escape test and the next step share.
 #[derive(Clone, Copy, Default)]
@@ -276,8 +321,13 @@ impl Lane {
         Self { i, cr, ci, ..Self::default() }
     }
 
-    fn finished(&self, max_iter: u32) -> bool {
-        self.it >= max_iter || self.zr2 + self.zi2 > 4.0
+    fn escaped(&self) -> bool {
+        self.zr2 + self.zi2 > 4.0
+    }
+
+    /// Done with the lanes: at `cap` steps or escaped.
+    fn finished(&self, cap: u32) -> bool {
+        self.it >= cap || self.escaped()
     }
 }
 

@@ -40,45 +40,82 @@ impl SpinImage {
     }
 }
 
+/// The support of a spin image: which cloud points the image of an
+/// oriented point bins. [`spin_image`] and [`contributing`] run its one
+/// test.
+struct Support {
+    alpha_max: f64,
+    beta_max: f64,
+    cos: f64,
+}
+
+impl Support {
+    fn new(params: &SpinImageParams) -> Self {
+        let w = params.image_width as f64;
+        Self {
+            alpha_max: w * params.bin_size,
+            beta_max: (w / 2.0) * params.bin_size,
+            cos: params.support_angle_cos,
+        }
+    }
+
+    /// Whether the point `x` with normal `nx` falls inside the support
+    /// of the oriented point `(p, n)`, with its `(alpha, beta)` (see
+    /// [`spin_image`]). A point is outside when its normal fails the
+    /// support-angle filter, `alpha^2` is negative (numerical noise),
+    /// `alpha >= W*bin` or `|beta| >= (W/2)*bin`. The conditions are
+    /// joined with the non-short-circuit `|`, so the test compiles
+    /// without a branch (a branch per condition made the count about
+    /// 2x slower).
+    #[inline]
+    fn test(&self, p: [f64; 3], n: [f64; 3], x: [f64; 3], nx: [f64; 3]) -> (bool, f64, f64) {
+        let cos = n[0] * nx[0] + n[1] * nx[1] + n[2] * nx[2];
+        let d = [x[0] - p[0], x[1] - p[1], x[2] - p[2]];
+        let beta = n[0] * d[0] + n[1] * d[1] + n[2] * d[2];
+        let dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
+        let alpha2 = dist2 - beta * beta;
+        let alpha = alpha2.sqrt();
+        let outside = (cos < self.cos)
+            | (alpha2 < 0.0)
+            | (alpha >= self.alpha_max)
+            | (beta.abs() >= self.beta_max);
+        (!outside, alpha, beta)
+    }
+
+    /// How many of `points`/`normals` fall inside the support of
+    /// `(p, n)`.
+    fn count(&self, p: [f64; 3], n: [f64; 3], points: &[[f64; 3]], normals: &[[f64; 3]]) -> u64 {
+        points.iter().zip(normals).map(|(&x, &nx)| u64::from(self.test(p, n, x, nx).0)).sum()
+    }
+}
+
 /// Generate the spin image of oriented point `idx`.
 ///
 /// For every other point `x`, with `p` the oriented point and `n` its
 /// normal: `beta = n . (x - p)` (elevation along the normal) and
-/// `alpha = sqrt(|x - p|^2 - beta^2)` (radial distance). Points with
-/// `0 <= alpha < W*bin` and `|beta| < (W/2)*bin` are accumulated
-/// bilinearly into the `W x W` histogram.
+/// `alpha = sqrt(|x - p|^2 - beta^2)` (radial distance). Points whose
+/// normal is within the support angle, with `0 <= alpha < W*bin` and
+/// `|beta| < (W/2)*bin`, are accumulated bilinearly into the `W x W`
+/// histogram.
 pub fn spin_image(cloud: &PointCloud, idx: usize, params: &SpinImageParams) -> SpinImage {
     let w = params.image_width;
     let mut bins = vec![0.0f32; w * w];
     let p = cloud.points[idx];
     let n = cloud.normals[idx];
-    let alpha_max = w as f64 * params.bin_size;
-    let beta_max = (w as f64 / 2.0) * params.bin_size;
+    let support = Support::new(params);
     let mut contributing = 0u64;
 
     for j in 0..cloud.len() {
         if j == idx {
             continue;
         }
-        // Support-angle filter.
-        let nj = cloud.normals[j];
-        if n[0] * nj[0] + n[1] * nj[1] + n[2] * nj[2] < params.support_angle_cos {
-            continue;
-        }
-        let d = [cloud.points[j][0] - p[0], cloud.points[j][1] - p[1], cloud.points[j][2] - p[2]];
-        let beta = n[0] * d[0] + n[1] * d[1] + n[2] * d[2];
-        let dist2 = d[0] * d[0] + d[1] * d[1] + d[2] * d[2];
-        let alpha2 = dist2 - beta * beta;
-        if alpha2 < 0.0 {
-            continue; // numerical noise
-        }
-        let alpha = alpha2.sqrt();
-        if alpha >= alpha_max || beta.abs() >= beta_max {
+        let (inside, alpha, beta) = support.test(p, n, cloud.points[j], cloud.normals[j]);
+        if !inside {
             continue;
         }
         // Continuous bin coordinates; beta = 0 maps to the vertical centre.
         let a = alpha / params.bin_size;
-        let b = (beta_max - beta) / params.bin_size;
+        let b = (support.beta_max - beta) / params.bin_size;
         let ai = (a.floor() as usize).min(w - 1);
         let bi = (b.floor() as usize).min(w - 1);
         let fa = (a - ai as f64).clamp(0.0, 1.0);
@@ -97,6 +134,17 @@ pub fn spin_image(cloud: &PointCloud, idx: usize, params: &SpinImageParams) -> S
     }
 
     SpinImage { bins, width: w, contributing }
+}
+
+/// [`SpinImage::contributing`] of oriented point `idx` without building
+/// the image: how many other cloud points pass the support test
+/// [`spin_image`] bins by.
+pub fn contributing(cloud: &PointCloud, idx: usize, params: &SpinImageParams) -> u64 {
+    let support = Support::new(params);
+    let (points, normals) = (&cloud.points, &cloud.normals);
+    let (p, n) = (points[idx], normals[idx]);
+    support.count(p, n, &points[..idx], &normals[..idx])
+        + support.count(p, n, &points[idx + 1..], &normals[idx + 1..])
 }
 
 #[cfg(test)]

@@ -1,7 +1,11 @@
 //! Property tests for the workloads: determinism, cost/execute
-//! consistency, traversal bijectivity, and stream semantics.
+//! consistency, traversal bijectivity, stream semantics, and the cost
+//! tables' fast paths against the kernels they stand for.
 
 use proptest::prelude::*;
+use std::sync::OnceLock;
+use workloads::psia::cloud::PointCloud;
+use workloads::psia::image::{contributing, spin_image, SpinImageParams};
 use workloads::synthetic::Synthetic;
 use workloads::{CostTable, Mandelbrot, Psia, PsiaStream, Traversal, Workload};
 
@@ -120,5 +124,149 @@ fn mandelbrot_quick_costs_match_the_scalar_kernel() {
     assert_eq!(table.n_iters(), m.n_iters());
     for (i, &c) in table.costs().iter().enumerate() {
         assert_eq!(c, m.cost(i as u64), "iteration {i}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    // The support count against the image's own `contributing`, at every
+    // point of small sphere, torus and clustered clouds. Copying points
+    // over others makes duplicates (alpha = beta = 0 pairs); a cosine of
+    // exactly 1 keeps only normals whose dot product rounds to 1.
+    #[test]
+    fn psia_count_matches_the_spin_image(
+        shape in 0u8..3,
+        n in 1usize..48,
+        seed in any::<u64>(),
+        copies in prop::collection::vec((any::<u32>(), any::<u32>()), 0..6),
+        image_width in 1usize..33,
+        bin_size in prop_oneof![0.001f64..0.05, 0.05f64..0.5],
+        support_angle_cos in prop_oneof![Just(-1.0f64), Just(1.0f64), -1.0f64..1.0],
+    ) {
+        let mut cloud = match shape {
+            0 => PointCloud::sphere(n, seed),
+            1 => PointCloud::torus(n, 1.0, 0.3, seed),
+            _ => PointCloud::clustered(n, 1 + seed as usize % 4, seed),
+        };
+        for (from, to) in copies {
+            let (from, to) = (from as usize % n, to as usize % n);
+            cloud.points[to] = cloud.points[from];
+            cloud.normals[to] = cloud.normals[from];
+        }
+        let params = SpinImageParams { image_width, bin_size, support_angle_cos };
+        for idx in 0..n {
+            prop_assert_eq!(
+                contributing(&cloud, idx, &params),
+                spin_image(&cloud, idx, &params).contributing
+            );
+        }
+    }
+}
+
+/// `contributing` of every point of `Psia::single_object()`, from the
+/// full spin images: the oracle the cost's count must equal.
+fn single_object_images() -> &'static [u64] {
+    static IMAGES: OnceLock<Vec<u64>> = OnceLock::new();
+    IMAGES.get_or_init(|| {
+        let p = Psia::single_object();
+        (0..p.n_iters()).map(|i| p.image(i).contributing).collect()
+    })
+}
+
+/// A point's cost as `Psia::cost` defines it, from the image's count.
+fn cost_from_image(p: &Psia, binned: u64) -> u64 {
+    p.ns_base + p.ns_scan * p.n_iters() + p.ns_accum * binned
+}
+
+#[test]
+fn psia_costs_count_what_the_images_bin_at_all_4096_points() {
+    let p = Psia::single_object();
+    let images = single_object_images();
+    assert_eq!(images.len(), 4096);
+    for (i, &binned) in images.iter().enumerate() {
+        assert_eq!(contributing(p.cloud(), i, p.params()), binned, "point {i}");
+        assert_eq!(p.cost(i as u64), cost_from_image(&p, binned), "point {i}");
+    }
+}
+
+/// The stream the quick figure sweeps build (16x the per-point cost over
+/// 96 frames, +-10 % jitter): every one of its 393,216 costs against the
+/// per-point costs of the images, jittered as `PsiaStream::cost` does.
+#[test]
+fn psia_quick_stream_costs_come_from_the_images() {
+    let mut base = Psia::single_object();
+    base.ns_scan *= 16;
+    base.ns_accum *= 16;
+    let point_costs: Vec<u64> =
+        single_object_images().iter().map(|&binned| cost_from_image(&base, binned)).collect();
+    let stream = PsiaStream::new(base, 96, 0.1);
+    let table = CostTable::build(&stream);
+    assert_eq!(table.n_iters(), 96 * 4096);
+    for (i, &c) in table.costs().iter().enumerate() {
+        let i = i as u64;
+        // splitmix64-style hash -> [0.9, 1.1], as `PsiaStream` jitters.
+        let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z ^= z >> 31;
+        let jitter = 1.0 + 0.1 * (2.0 * ((z >> 11) as f64 / (1u64 << 53) as f64) - 1.0);
+        let raw = point_costs[(i % 4096) as usize] as f64;
+        assert_eq!(c, (raw * jitter).round().max(1.0) as u64, "iteration {i}");
+    }
+}
+
+/// A window just off the real axis around the cusp of the main
+/// cardioid at `c = 1/4`. Left of the cusp the pixels are interior, the
+/// deeper ones settling on a cycle the table's tail detects and the
+/// ones nearest the cusp converging too slowly to repeat bit for bit
+/// within `max_iter`; right of it they escape after about
+/// `pi / sqrt(Re c - 1/4)` steps, 2,000-6,000 for the closest.
+fn cusp(width: u32, height: u32, re_min: f64, im_half: f64, max_iter: u32) -> Mandelbrot {
+    Mandelbrot {
+        width,
+        height,
+        max_iter,
+        re: (re_min, 0.250_003),
+        im: (-im_half, im_half),
+        traversal: Traversal::RowMajor,
+        ..Mandelbrot::tiny()
+    }
+}
+
+/// `max_iter` above the steps a pixel takes in the lanes: the table's
+/// tail and its cycle test against the scalar kernel, on a window where
+/// pixels escape after the lanes hand them over and others never do.
+#[test]
+fn mandelbrot_costs_past_the_lanes_match_the_scalar_kernel() {
+    let m = cusp(32, 5, 0.249_95, 1e-9, 6_000);
+    let escapes: Vec<u32> = (0..m.n_iters()).map(|i| m.escape_iterations(i)).collect();
+    let interior = escapes.iter().filter(|&&it| it == m.max_iter).count();
+    let slow = escapes.iter().filter(|&&it| (2_049..m.max_iter).contains(&it)).count();
+    assert!(interior >= 100 && slow >= 5, "{interior} interior and {slow} slow pixels");
+    let scalar: Vec<u64> = (0..m.n_iters()).map(|i| m.cost(i)).collect();
+    assert_eq!(m.costs(), scalar);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn mandelbrot_tail_matches_the_scalar_kernel(
+        width in 1u32..33,
+        height in 1u32..6,
+        re_min in 0.2499f64..0.24999,
+        im_half in prop_oneof![Just(1.0f64), 1e-9f64..1e-7],
+        max_iter in 2_040u32..6_000,
+        tile in prop::sample::select(vec![0u32, 2, 4]),
+    ) {
+        let mut m = cusp(width, height, re_min, im_half, max_iter);
+        // One row with `im_half` 1 lies on the real axis itself.
+        if im_half == 1.0 {
+            m.height = 1;
+        }
+        if tile > 0 && m.n_iters() % u64::from(tile) == 0 {
+            m.traversal = Traversal::TiledShuffle { tile };
+        }
+        let scalar: Vec<u64> = (0..m.n_iters()).map(|i| m.cost(i)).collect();
+        prop_assert_eq!(m.costs(), scalar);
     }
 }
