@@ -12,7 +12,7 @@
 //!   recovery events and tuner decisions overlaid as instants.
 
 use cluster_sim::trace::{ActivityTotals, SegmentKind, Trace};
-use dls_service::protocol::{decision_fields, journal_fields};
+use dls_service::protocol::decision_fields;
 use dls_service::{json, json_fields};
 use dls_service::{JournalTotals, StatsSnapshot};
 use hier::stats::RunStats;
@@ -214,7 +214,7 @@ impl ActivityReport {
             });
             o.rows("decisions", &self.decisions, decision_fields);
             if let Some(j) = &self.journal {
-                o.object("journal", |o| journal_fields(o, j));
+                o.object("journal", |o| j.json_fields(o));
             }
         })
     }

@@ -37,7 +37,8 @@
 //! [`Decision`]s an AUTO job has taken.
 
 use crate::{json, json_fields};
-use dls::switchable::{Decision, SchedKind, SwitchReason};
+use dls::switchable::{Decision, SchedKind};
+use durability::codec::{self, Malformed, Reader, Writer};
 
 /// Protocol version carried in every frame. Bump on any wire change.
 pub const VERSION: u8 = 3;
@@ -285,32 +286,54 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// ---------------------------------------------------------------------------
-// Technique kinds and tuner decisions on the wire.
-//
-// The technique byte is [`SchedKind::to_byte`] — the canonical map
-// shared with the durability journal (pure kinds 0–9 exactly as in
-// protocol v2, adaptive 10–14, AUTO 15). A [`Decision`] travels as 27
-// bytes: seq u32, step u64, scheduled u64, from u8, to u8, reason u8.
-
-fn write_decision(w: &mut Writer<'_>, d: &Decision) {
-    w.u32(d.seq);
-    w.u64(d.step);
-    w.u64(d.scheduled);
-    w.u8(d.from.to_byte());
-    w.u8(d.to.to_byte());
-    w.u8(d.reason.to_byte());
+impl From<Malformed> for DecodeError {
+    fn from(m: Malformed) -> Self {
+        DecodeError::Malformed(m.0)
+    }
 }
 
-fn read_decision(r: &mut Reader<'_>) -> Result<Decision, DecodeError> {
-    let seq = r.u32()?;
-    let step = r.u64()?;
-    let scheduled = r.u64()?;
-    let from = SchedKind::from_byte(r.u8()?).ok_or(DecodeError::Malformed("decision from-kind"))?;
-    let to = SchedKind::from_byte(r.u8()?).ok_or(DecodeError::Malformed("decision to-kind"))?;
-    let reason =
-        SwitchReason::from_byte(r.u8()?).ok_or(DecodeError::Malformed("decision reason"))?;
-    Ok(Decision { seq, step, scheduled, from, to, reason })
+// ---------------------------------------------------------------------------
+// Wire forms.
+//
+// Every field goes through `durability::codec`, the byte codec the
+// journal and the snapshot image use too: the technique byte is
+// [`SchedKind::to_byte`] (pure kinds 0–9 exactly as in protocol v2,
+// adaptive 10–14, AUTO 15) and a [`Decision`] is the codec's 23-byte
+// form.
+
+/// A value with one wire form: a STATS field or row, or a tuner
+/// decision list.
+trait Wire: Sized {
+    fn put(&self, w: &mut Writer<'_>);
+    fn get(r: &mut Reader<'_>) -> codec::Result<Self>;
+}
+
+macro_rules! wire_as_codec {
+    ($($ty:ty => $method:ident),+) => {$(
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer<'_>) {
+                w.$method(*self);
+            }
+            fn get(r: &mut Reader<'_>) -> codec::Result<Self> {
+                r.$method()
+            }
+        }
+    )+};
+}
+wire_as_codec!(u32 => u32, u64 => u64, bool => bool, Decision => decision);
+
+/// `u8::MAX` is the wire sentinel for an absent kind (defaulted
+/// snapshot rows); everything else must name a real [`SchedKind`].
+impl Wire for Option<SchedKind> {
+    fn put(&self, w: &mut Writer<'_>) {
+        w.u8(self.map_or(u8::MAX, SchedKind::to_byte));
+    }
+    fn get(r: &mut Reader<'_>) -> codec::Result<Self> {
+        match r.rest().first() {
+            Some(&u8::MAX) => r.u8().map(|_| None),
+            _ => r.kind().map(Some),
+        }
+    }
 }
 
 /// The rows a `u16` count can announce: the last `u16::MAX` of `rows`.
@@ -320,30 +343,44 @@ fn newest<T>(rows: &[T]) -> &[T] {
     &rows[rows.len().saturating_sub(usize::from(u16::MAX))..]
 }
 
-fn write_decisions(w: &mut Writer<'_>, decisions: &[Decision]) {
-    w.u16(decisions.len() as u16);
-    for d in decisions {
-        write_decision(w, d);
+/// A list: a `u16` count, then the [`newest`] rows.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, w: &mut Writer<'_>) {
+        let rows = newest(self);
+        w.u16(rows.len() as u16);
+        rows.iter().for_each(|row| row.put(w));
+    }
+    fn get(r: &mut Reader<'_>) -> codec::Result<Self> {
+        let count = r.u16()?;
+        r.items(count.into(), 1, T::get)
     }
 }
 
-fn read_decisions(r: &mut Reader<'_>) -> Result<Vec<Decision>, DecodeError> {
-    let count = r.u16()? as usize;
-    let mut decisions = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        decisions.push(read_decision(r)?);
-    }
-    Ok(decisions)
-}
-
-/// `u8::MAX` is the wire sentinel for an absent kind (defaulted
-/// snapshot rows); everything else must name a real [`SchedKind`].
-fn read_opt_kind(r: &mut Reader<'_>) -> Result<Option<SchedKind>, DecodeError> {
-    let b = r.u8()?;
-    if b == u8::MAX {
-        return Ok(None);
-    }
-    SchedKind::from_byte(b).map(Some).ok_or(DecodeError::Malformed("unknown technique"))
+/// A STATS struct's wire layout: its fields in wire order, the one list
+/// both the encoder and the decoder walk. The decoder builds the struct
+/// from it, so a field missing from the list does not compile. `+ json`
+/// also writes the struct's JSON members from it, for the structs whose
+/// JSON keys come in wire order.
+macro_rules! layout {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl Wire for $ty {
+            fn put(&self, w: &mut Writer<'_>) {
+                $(self.$field.put(w);)+
+            }
+            fn get(r: &mut Reader<'_>) -> codec::Result<Self> {
+                Ok($ty { $($field: Wire::get(r)?),+ })
+            }
+        }
+    };
+    ($ty:ident { $($field:ident),+ $(,)? } + json) => {
+        layout!($ty { $($field),+ });
+        impl $ty {
+            /// The fields as the members of a JSON object, in wire order.
+            pub fn json_fields(&self, o: &mut json::Object<'_>) {
+                json_fields!(o, self; $($field),+);
+            }
+        }
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -477,17 +514,31 @@ pub struct StatsSnapshot {
     pub conns: Vec<ConnSnapshot>,
 }
 
+layout! { StatsSnapshot { uptime_ns, shutting_down, totals, journal, jobs, conns } }
+layout! { ServiceTotals {
+    fetches, chunks_granted, reclaims, empty_polls, jobs_created, jobs_active, conns_active,
+    conns_total, bytes_in, bytes_out,
+} + json }
+layout! { JournalTotals {
+    enabled, epoch, journal_records, journal_bytes, fsyncs, snapshots, segments,
+} + json }
+// `done` follows `completed` in the JSON, so the JSON list is its own.
+layout! { JobSnapshot {
+    job, n, step, scheduled, completed, fetches, chunks_granted, reclaims, empty_polls,
+    leases_granted, leases_completed, leases_reclaimed, done, kind, mode, decisions,
+} }
+layout! { ConnSnapshot {
+    conn, worker, bytes_in, bytes_out, requests, fetches, chunks, iterations, open,
+} + json }
+
 impl StatsSnapshot {
     /// Compact JSON rendering (the artefact `dls-serverd` prints on
     /// graceful exit).
     pub fn to_json(&self) -> String {
         json::object(|o| {
             json_fields!(o, self; uptime_ns, shutting_down);
-            o.object("totals", |o| {
-                json_fields!(o, &self.totals; fetches, chunks_granted, reclaims, empty_polls,
-                    jobs_created, jobs_active, conns_active, conns_total, bytes_in, bytes_out);
-            });
-            o.object("journal", |o| journal_fields(o, &self.journal));
+            o.object("totals", |o| self.totals.json_fields(o));
+            o.object("journal", |o| self.journal.json_fields(o));
             o.rows("jobs", &self.jobs, |o, j| {
                 json_fields!(o, j; job, n, step, scheduled, completed, done, fetches,
                     chunks_granted, reclaims, empty_polls, leases_granted, leases_completed,
@@ -497,18 +548,9 @@ impl StatsSnapshot {
                 o.field("switches", j.decisions.len());
                 o.rows("decisions", &j.decisions, decision_fields);
             });
-            o.rows("conns", &self.conns, |o, c| {
-                json_fields!(o, c; conn, worker, bytes_in, bytes_out, requests, fetches, chunks,
-                    iterations, open);
-            });
+            o.rows("conns", &self.conns, |o, c| c.json_fields(o));
         })
     }
-}
-
-/// Journal counters as the members of a JSON object: STATS' `journal`,
-/// and `hdls::export::ActivityReport`'s.
-pub fn journal_fields(o: &mut json::Object<'_>, j: &JournalTotals) {
-    json_fields!(o, j; enabled, epoch, journal_records, journal_bytes, fsyncs, snapshots, segments);
 }
 
 /// One tuner [`Decision`] as the members of a JSON object: the rows of
@@ -521,96 +563,25 @@ pub fn decision_fields(o: &mut json::Object<'_>, d: &Decision) {
 // ---------------------------------------------------------------------------
 // Encoding.
 
-/// Appends one payload (version + tag + body) to a buffer it borrows:
-/// a fresh `Vec` for `encode()`, a connection's write buffer for the
-/// server's replies.
-struct Writer<'a> {
-    buf: &'a mut Vec<u8>,
+/// Start a payload on the end of `buf` — a fresh `Vec` for `encode()`,
+/// a connection's write buffer for the server's replies: the version
+/// byte, then `tag`.
+fn payload(buf: &mut Vec<u8>, tag: u8) -> Writer<'_> {
+    buf.reserve(32);
+    let mut w = Writer::new(buf);
+    w.u8(VERSION).u8(tag);
+    w
 }
 
-impl<'a> Writer<'a> {
-    fn new(buf: &'a mut Vec<u8>, tag: u8) -> Self {
-        buf.reserve(32);
-        buf.push(VERSION);
-        buf.push(tag);
-        Writer { buf }
+/// A payload's cursor past its version byte, and its tag.
+fn open(payload: &[u8]) -> Result<(Reader<'_>, u8), DecodeError> {
+    let mut r = Reader::new(payload);
+    let version = r.u8()?;
+    if version != VERSION {
+        return Err(DecodeError::Version(version));
     }
-
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    fn bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::Malformed("length overflow"))?;
-        if end > self.buf.len() {
-            return Err(DecodeError::Malformed("body shorter than declared"));
-        }
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, DecodeError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    fn done(&self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(DecodeError::Malformed("trailing bytes"))
-        }
-    }
+    let tag = r.u8()?;
+    Ok((r, tag))
 }
 
 impl Request {
@@ -619,74 +590,53 @@ impl Request {
         let mut buf = Vec::new();
         match self {
             Request::CreateJob { n, kind, weights } => {
-                let mut w = Writer::new(&mut buf, T_CREATE_JOB);
-                w.u64(*n);
-                w.u8(kind.to_byte());
-                w.u16(weights.len() as u16);
+                let w = &mut payload(&mut buf, T_CREATE_JOB);
+                w.u64(*n).kind(*kind).u16(weights.len() as u16);
                 for &wt in weights {
                     w.f64(wt);
                 }
             }
             Request::FetchChunk { job, worker, batch } => {
-                let mut w = Writer::new(&mut buf, T_FETCH_CHUNK);
-                w.u64(*job);
-                w.u32(*worker);
-                w.u32(*batch);
+                payload(&mut buf, T_FETCH_CHUNK).u64(*job).u32(*worker).u32(*batch);
             }
             Request::ReportDone { job, leases, epoch } => {
                 buf.reserve(16 + 8 * leases.len());
-                let mut w = Writer::new(&mut buf, T_REPORT_DONE);
-                w.u64(*job);
-                w.u32(*epoch);
-                w.u16(leases.len() as u16);
+                let w = &mut payload(&mut buf, T_REPORT_DONE);
+                w.u64(*job).u32(*epoch).u16(leases.len() as u16);
                 for &l in leases {
                     w.u64(l);
                 }
             }
-            Request::Heartbeat { worker } => Writer::new(&mut buf, T_HEARTBEAT).u32(*worker),
+            Request::Heartbeat { worker } => {
+                payload(&mut buf, T_HEARTBEAT).u32(*worker);
+            }
             Request::Stats => {
-                Writer::new(&mut buf, T_STATS);
+                payload(&mut buf, T_STATS);
             }
             Request::Shutdown => {
-                Writer::new(&mut buf, T_SHUTDOWN);
+                payload(&mut buf, T_SHUTDOWN);
             }
-            Request::ResumeJob { job } => Writer::new(&mut buf, T_RESUME_JOB).u64(*job),
+            Request::ResumeJob { job } => {
+                payload(&mut buf, T_RESUME_JOB).u64(*job);
+            }
         }
         buf
     }
 
     /// Parse one frame payload.
     pub fn decode(payload: &[u8]) -> Result<Request, DecodeError> {
-        let mut r = Reader::new(payload);
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(DecodeError::Version(version));
-        }
-        let tag = r.u8()?;
+        let (mut r, tag) = open(payload)?;
         let req = match tag {
             T_CREATE_JOB => {
-                let n = r.u64()?;
-                let kind = SchedKind::from_byte(r.u8()?)
-                    .ok_or(DecodeError::Malformed("unknown technique"))?;
-                let count = r.u16()? as usize;
-                let mut weights = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    weights.push(r.f64()?);
-                }
-                Request::CreateJob { n, kind, weights }
+                let (n, kind, count) = (r.u64()?, r.kind()?, r.u16()?);
+                Request::CreateJob { n, kind, weights: r.items(count.into(), 8, Reader::f64)? }
             }
             T_FETCH_CHUNK => {
                 Request::FetchChunk { job: r.u64()?, worker: r.u32()?, batch: r.u32()? }
             }
             T_REPORT_DONE => {
-                let job = r.u64()?;
-                let epoch = r.u32()?;
-                let count = r.u16()? as usize;
-                let mut leases = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    leases.push(r.u64()?);
-                }
-                Request::ReportDone { job, leases, epoch }
+                let (job, epoch, count) = (r.u64()?, r.u32()?, r.u16()?);
+                Request::ReportDone { job, leases: r.items(count.into(), 8, Reader::u64)?, epoch }
             }
             T_HEARTBEAT => Request::Heartbeat { worker: r.u32()? },
             T_STATS => Request::Stats,
@@ -732,9 +682,8 @@ pub(crate) fn write_chunks(
     rows: impl ExactSizeIterator<Item = [u64; 3]>,
 ) {
     buf.reserve(CHUNKS_HEADER + CHUNK_ROW * rows.len());
-    let mut w = Writer::new(buf, T_CHUNKS);
-    w.u32(epoch);
-    w.u16(rows.len() as u16);
+    let w = &mut payload(buf, T_CHUNKS);
+    w.u32(epoch).u16(rows.len() as u16);
     for row in rows {
         for v in row {
             w.u64(v);
@@ -757,194 +706,48 @@ impl Response {
 
     fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
-            Response::JobCreated { job } => Writer::new(buf, T_JOB_CREATED).u64(*job),
+            Response::JobCreated { job } => {
+                payload(buf, T_JOB_CREATED).u64(*job);
+            }
             Response::Chunks { chunks, epoch } => {
                 write_chunks(buf, *epoch, chunks.iter().map(|c| [c.lease, c.lo, c.hi]));
             }
             Response::Ack => {
-                Writer::new(buf, T_ACK);
+                payload(buf, T_ACK);
             }
-            Response::Snapshot(s) => {
-                let mut w = Writer::new(buf, T_SNAPSHOT);
-                w.u64(s.uptime_ns);
-                w.u8(u8::from(s.shutting_down));
-                let t = &s.totals;
-                for v in [
-                    t.fetches,
-                    t.chunks_granted,
-                    t.reclaims,
-                    t.empty_polls,
-                    t.jobs_created,
-                    t.jobs_active,
-                    t.conns_active,
-                    t.conns_total,
-                    t.bytes_in,
-                    t.bytes_out,
-                ] {
-                    w.u64(v);
-                }
-                let jn = &s.journal;
-                w.u8(u8::from(jn.enabled));
-                w.u32(jn.epoch);
-                for v in
-                    [jn.journal_records, jn.journal_bytes, jn.fsyncs, jn.snapshots, jn.segments]
-                {
-                    w.u64(v);
-                }
-                let jobs = newest(&s.jobs);
-                w.u16(jobs.len() as u16);
-                for j in jobs {
-                    for v in [
-                        j.job,
-                        j.n,
-                        j.step,
-                        j.scheduled,
-                        j.completed,
-                        j.fetches,
-                        j.chunks_granted,
-                        j.reclaims,
-                        j.empty_polls,
-                        j.leases_granted,
-                        j.leases_completed,
-                        j.leases_reclaimed,
-                    ] {
-                        w.u64(v);
-                    }
-                    w.u8(u8::from(j.done));
-                    w.u8(j.kind.map_or(u8::MAX, SchedKind::to_byte));
-                    w.u8(j.mode.map_or(u8::MAX, SchedKind::to_byte));
-                    write_decisions(&mut w, &j.decisions);
-                }
-                let conns = newest(&s.conns);
-                w.u16(conns.len() as u16);
-                for c in conns {
-                    w.u64(c.conn);
-                    w.u32(c.worker);
-                    for v in
-                        [c.bytes_in, c.bytes_out, c.requests, c.fetches, c.chunks, c.iterations]
-                    {
-                        w.u64(v);
-                    }
-                    w.u8(u8::from(c.open));
-                }
-            }
+            Response::Snapshot(s) => s.put(&mut payload(buf, T_SNAPSHOT)),
             Response::Error { code, detail } => {
-                let mut w = Writer::new(buf, T_ERROR);
-                w.u8(*code as u8);
-                let bytes = detail.as_bytes();
-                let len = bytes.len().min(u16::MAX as usize);
-                w.u16(len as u16);
-                w.bytes(&bytes[..len]);
+                let detail = &detail.as_bytes()[..detail.len().min(usize::from(u16::MAX))];
+                payload(buf, T_ERROR).u8(*code as u8).u16(detail.len() as u16).bytes(detail);
             }
             Response::JobEpoch { job, epoch, n, scheduled, completed, done, kind, decisions } => {
-                let mut w = Writer::new(buf, T_JOB_EPOCH);
-                w.u64(*job);
-                w.u32(*epoch);
-                w.u64(*n);
-                w.u64(*scheduled);
-                w.u64(*completed);
-                w.u8(u8::from(*done));
-                w.u8(kind.to_byte());
-                write_decisions(&mut w, decisions);
+                let w = &mut payload(buf, T_JOB_EPOCH);
+                w.u64(*job).u32(*epoch).u64(*n).u64(*scheduled).u64(*completed);
+                w.bool(*done).kind(*kind);
+                decisions.put(w);
             }
         }
     }
 
     /// Parse one frame payload.
     pub fn decode(payload: &[u8]) -> Result<Response, DecodeError> {
-        let mut r = Reader::new(payload);
-        let version = r.u8()?;
-        if version != VERSION {
-            return Err(DecodeError::Version(version));
-        }
-        let tag = r.u8()?;
+        let (mut r, tag) = open(payload)?;
         let resp = match tag {
             T_JOB_CREATED => Response::JobCreated { job: r.u64()? },
             T_CHUNKS => {
-                let epoch = r.u32()?;
-                let count = r.u16()? as usize;
-                let mut chunks = Vec::with_capacity(count.min(4096));
-                for _ in 0..count {
-                    chunks.push(GrantedChunk { lease: r.u64()?, lo: r.u64()?, hi: r.u64()? });
-                }
+                let (epoch, count) = (r.u32()?, r.u16()?);
+                let chunks = r.items(count.into(), CHUNK_ROW, |r| {
+                    Ok(GrantedChunk { lease: r.u64()?, lo: r.u64()?, hi: r.u64()? })
+                })?;
                 Response::Chunks { chunks, epoch }
             }
             T_ACK => Response::Ack,
-            T_SNAPSHOT => {
-                let uptime_ns = r.u64()?;
-                let shutting_down = r.u8()? != 0;
-                let totals = ServiceTotals {
-                    fetches: r.u64()?,
-                    chunks_granted: r.u64()?,
-                    reclaims: r.u64()?,
-                    empty_polls: r.u64()?,
-                    jobs_created: r.u64()?,
-                    jobs_active: r.u64()?,
-                    conns_active: r.u64()?,
-                    conns_total: r.u64()?,
-                    bytes_in: r.u64()?,
-                    bytes_out: r.u64()?,
-                };
-                let journal = JournalTotals {
-                    enabled: r.u8()? != 0,
-                    epoch: r.u32()?,
-                    journal_records: r.u64()?,
-                    journal_bytes: r.u64()?,
-                    fsyncs: r.u64()?,
-                    snapshots: r.u64()?,
-                    segments: r.u64()?,
-                };
-                let n_jobs = r.u16()? as usize;
-                let mut jobs = Vec::with_capacity(n_jobs.min(4096));
-                for _ in 0..n_jobs {
-                    jobs.push(JobSnapshot {
-                        job: r.u64()?,
-                        n: r.u64()?,
-                        step: r.u64()?,
-                        scheduled: r.u64()?,
-                        completed: r.u64()?,
-                        fetches: r.u64()?,
-                        chunks_granted: r.u64()?,
-                        reclaims: r.u64()?,
-                        empty_polls: r.u64()?,
-                        leases_granted: r.u64()?,
-                        leases_completed: r.u64()?,
-                        leases_reclaimed: r.u64()?,
-                        done: r.u8()? != 0,
-                        kind: read_opt_kind(&mut r)?,
-                        mode: read_opt_kind(&mut r)?,
-                        decisions: read_decisions(&mut r)?,
-                    });
-                }
-                let n_conns = r.u16()? as usize;
-                let mut conns = Vec::with_capacity(n_conns.min(4096));
-                for _ in 0..n_conns {
-                    conns.push(ConnSnapshot {
-                        conn: r.u64()?,
-                        worker: r.u32()?,
-                        bytes_in: r.u64()?,
-                        bytes_out: r.u64()?,
-                        requests: r.u64()?,
-                        fetches: r.u64()?,
-                        chunks: r.u64()?,
-                        iterations: r.u64()?,
-                        open: r.u8()? != 0,
-                    });
-                }
-                Response::Snapshot(StatsSnapshot {
-                    uptime_ns,
-                    shutting_down,
-                    totals,
-                    journal,
-                    jobs,
-                    conns,
-                })
-            }
+            T_SNAPSHOT => Response::Snapshot(Wire::get(&mut r)?),
             T_ERROR => {
                 let code =
                     ErrorCode::from_u8(r.u8()?).ok_or(DecodeError::Malformed("error code"))?;
-                let len = r.u16()? as usize;
-                let detail = String::from_utf8_lossy(r.take(len)?).into_owned();
+                let len = r.u16()?;
+                let detail = String::from_utf8_lossy(r.take(len.into())?).into_owned();
                 Response::Error { code, detail }
             }
             T_JOB_EPOCH => Response::JobEpoch {
@@ -953,10 +756,9 @@ impl Response {
                 n: r.u64()?,
                 scheduled: r.u64()?,
                 completed: r.u64()?,
-                done: r.u8()? != 0,
-                kind: SchedKind::from_byte(r.u8()?)
-                    .ok_or(DecodeError::Malformed("unknown technique"))?,
-                decisions: read_decisions(&mut r)?,
+                done: r.bool()?,
+                kind: r.kind()?,
+                decisions: Wire::get(&mut r)?,
             },
             other => return Err(DecodeError::Tag(other)),
         };
@@ -976,6 +778,7 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dls::switchable::SwitchReason;
     use dls::Kind;
 
     fn roundtrip_req(req: Request) {

@@ -27,7 +27,8 @@ use dls::technique::WorkerCtx;
 use dls::{LoopSpec, SchedState};
 use resilience::lease::{Lease, LeaseError, LeaseId, LeaseTable};
 
-use crate::record::{encode_decision, GrantEntry, JournalRecord, Reader};
+use crate::codec::{self, Malformed, Reader, Writer, DECISION_LEN};
+use crate::record::{GrantEntry, JournalRecord};
 use crate::replay::ReplayError;
 
 /// What one [`JobCore::settle`] credited, and the measurement the
@@ -286,54 +287,39 @@ impl JobCore {
     /// Append the canonical little-endian image of this job — one job
     /// entry of a snapshot body, minus its id.
     pub fn serialize_into(&self, b: &mut Vec<u8>) {
-        b.extend_from_slice(&self.n.to_le_bytes());
-        b.push(self.mode.to_byte());
-        b.extend_from_slice(&(self.weights.len() as u32).to_le_bytes());
-        for w in &self.weights {
-            b.extend_from_slice(&w.to_bits().to_le_bytes());
+        let w = &mut Writer::new(b);
+        w.u64(self.n).kind(self.mode).u32(self.weights.len() as u32);
+        for &x in &self.weights {
+            w.f64(x);
         }
-        b.extend_from_slice(&self.step.to_le_bytes());
-        b.extend_from_slice(&self.scheduled.to_le_bytes());
-        b.extend_from_slice(&self.completed.to_le_bytes());
-        b.push(self.done as u8);
-        b.extend_from_slice(&(self.reclaim_pool.len() as u64).to_le_bytes());
+        w.u64(self.step).u64(self.scheduled).u64(self.completed).bool(self.done);
+        w.u64(self.reclaim_pool.len() as u64);
         for &(lo, hi) in &self.reclaim_pool {
-            b.extend_from_slice(&lo.to_le_bytes());
-            b.extend_from_slice(&hi.to_le_bytes());
+            w.u64(lo).u64(hi);
         }
-        b.extend_from_slice(&(self.decisions.len() as u32).to_le_bytes());
-        for d in &self.decisions {
-            encode_decision(b, d);
+        w.u32(self.decisions.len() as u32);
+        for &d in &self.decisions {
+            w.decision(d);
         }
         self.leases.serialize_into(b);
     }
 
     /// Inverse of [`JobCore::serialize_into`], reading at the cursor.
-    /// `None` on malformed input — including the mode byte `0xFF` that
-    /// older images used for "no technique": a job always has one.
-    pub(crate) fn deserialize(r: &mut Reader<'_>) -> Option<Self> {
-        let n = r.u64()?;
-        let mode = SchedKind::from_byte(r.u8()?)?;
-        let wcount = r.count(8)?;
-        let mut weights = Vec::with_capacity(wcount);
-        for _ in 0..wcount {
-            weights.push(r.f64()?);
-        }
-        let mut job = JobCore::new(n, mode, weights);
-        job.step = r.u64()?;
-        job.scheduled = r.u64()?;
-        job.completed = r.u64()?;
-        job.done |= r.u8()? != 0;
-        for _ in 0..r.count64(16)? {
-            job.reclaim_pool.push_back((r.u64()?, r.u64()?));
-        }
-        for _ in 0..r.count(27)? {
-            job.decisions.push(r.decision()?);
-        }
-        let (leases, used) = LeaseTable::deserialize(&r.bytes[r.off..])?;
-        r.off += used;
+    /// Malformed input — including the mode byte `0xFF` that older
+    /// images used for "no technique": a job always has one.
+    pub(crate) fn deserialize(r: &mut Reader<'_>) -> codec::Result<Self> {
+        let (n, mode, count) = (r.u64()?, r.kind()?, r.u32()?);
+        let mut job = JobCore::new(n, mode, r.items(count.into(), 8, Reader::f64)?);
+        (job.step, job.scheduled, job.completed) = (r.u64()?, r.u64()?, r.u64()?);
+        job.done |= r.bool()?;
+        let count = r.u64()?;
+        job.reclaim_pool = r.items(count, 16, |r| Ok((r.u64()?, r.u64()?)))?.into();
+        let count = r.u32()?;
+        job.decisions = r.items(count.into(), DECISION_LEN, Reader::decision)?;
+        let (leases, used) = LeaseTable::deserialize(r.rest()).ok_or(Malformed("lease table"))?;
+        r.take(used)?;
         job.leases = leases;
         job.rebase();
-        Some(job)
+        Ok(job)
     }
 }

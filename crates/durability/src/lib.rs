@@ -45,6 +45,7 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
+pub mod codec;
 pub mod frame;
 pub mod job;
 pub mod journal;

@@ -38,7 +38,9 @@
 //! size) and its `Settled` 21, 6.4 bytes per chunk; v1's fixed 29-byte
 //! `GrantEntry` made it 269 + 85, 44.25 per chunk.
 
-use dls::switchable::{Decision, SchedKind, SwitchReason};
+use dls::switchable::{Decision, SchedKind};
+
+use crate::codec::{self, Malformed, Reader, Writer};
 
 /// One grant inside a [`JournalRecord::Granted`] burst.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -146,111 +148,6 @@ const POOL: u8 = 4;
 const EXPLICIT: u8 = 8;
 const SHAPE_BITS: u8 = LEASES | WORKERS | POOL | EXPLICIT;
 
-/// Bounds-checked cursor shared by the record decoder and the
-/// snapshot-image decoder.
-pub(crate) struct Reader<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) off: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn u8(&mut self) -> Option<u8> {
-        let b = *self.bytes.get(self.off)?;
-        self.off += 1;
-        Some(b)
-    }
-
-    pub(crate) fn u32(&mut self) -> Option<u32> {
-        let s = self.bytes.get(self.off..self.off + 4)?;
-        self.off += 4;
-        Some(u32::from_le_bytes(s.try_into().ok()?))
-    }
-
-    pub(crate) fn u64(&mut self) -> Option<u64> {
-        let s = self.bytes.get(self.off..self.off + 8)?;
-        self.off += 8;
-        Some(u64::from_le_bytes(s.try_into().ok()?))
-    }
-
-    pub(crate) fn f64(&mut self) -> Option<f64> {
-        self.u64().map(f64::from_bits)
-    }
-
-    /// One LEB128 varint in its shortest form: a value past 64 bits or
-    /// a redundant trailing zero byte is malformed.
-    fn varint(&mut self) -> Option<u64> {
-        let first = self.u8()?;
-        if first < 0x80 {
-            return Some(u64::from(first));
-        }
-        let (mut v, mut shift) = (u64::from(first & 0x7F), 7);
-        loop {
-            let byte = self.u8()?;
-            if shift == 63 && byte > 1 {
-                return None;
-            }
-            v |= u64::from(byte & 0x7F) << shift;
-            if byte < 0x80 {
-                return (byte != 0).then_some(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn varint_u32(&mut self) -> Option<u32> {
-        u32::try_from(self.varint()?).ok()
-    }
-
-    /// A count that the remaining bytes could plausibly hold, given a
-    /// minimum per-element size — rejects garbage counts before any
-    /// allocation.
-    pub(crate) fn count(&mut self, min_elem: usize) -> Option<usize> {
-        let c = self.u32()? as usize;
-        self.fits(c, min_elem)
-    }
-
-    /// [`Reader::count`] for the image fields that carry a 64-bit count.
-    pub(crate) fn count64(&mut self, min_elem: usize) -> Option<usize> {
-        let c = usize::try_from(self.u64()?).ok()?;
-        self.fits(c, min_elem)
-    }
-
-    /// [`Reader::count`] for the varint counts of the compact records,
-    /// whose elements take at least a byte.
-    fn varint_count(&mut self) -> Option<usize> {
-        let c = usize::try_from(self.varint()?).ok()?;
-        self.fits(c, 1)
-    }
-
-    fn fits(&self, c: usize, min_elem: usize) -> Option<usize> {
-        (c <= (self.bytes.len() - self.off) / min_elem.max(1)).then_some(c)
-    }
-
-    /// One [`Decision`] in its 27-byte form (see [`encode_decision`]).
-    pub(crate) fn decision(&mut self) -> Option<Decision> {
-        Some(Decision {
-            seq: self.u32()?,
-            step: self.u64()?,
-            scheduled: self.u64()?,
-            from: SchedKind::from_byte(self.u8()?)?,
-            to: SchedKind::from_byte(self.u8()?)?,
-            reason: SwitchReason::from_byte(self.u8()?)?,
-        })
-    }
-
-    pub(crate) fn done(self) -> Option<()> {
-        (self.off == self.bytes.len()).then_some(())
-    }
-}
-
-fn put_varint(b: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        b.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    b.push(v as u8);
-}
-
 /// The zig-zag form of the wrapping difference `got - want`: a small
 /// step either way is a small varint.
 fn zigzag(got: u64, want: u64) -> u64 {
@@ -274,40 +171,32 @@ impl JournalRecord {
     /// hot-path variant: the journal encodes each record straight into
     /// its commit buffer.
     pub fn encode_into(&self, b: &mut Vec<u8>) {
+        let w = &mut Writer::new(b);
         match self {
             JournalRecord::ServerStart { epoch } => {
-                b.push(T_SERVER_START);
-                b.extend_from_slice(&epoch.to_le_bytes());
+                w.u8(T_SERVER_START).u32(*epoch);
             }
             JournalRecord::JobCreated { job, n, kind, weights } => {
-                b.push(T_JOB_CREATED);
-                b.extend_from_slice(&job.to_le_bytes());
-                b.extend_from_slice(&n.to_le_bytes());
-                b.push(kind.to_byte());
-                b.extend_from_slice(&(weights.len() as u32).to_le_bytes());
-                for w in weights {
-                    b.extend_from_slice(&w.to_bits().to_le_bytes());
+                w.u8(T_JOB_CREATED).u64(*job).u64(*n).kind(*kind).u32(weights.len() as u32);
+                for &x in weights {
+                    w.f64(x);
                 }
             }
             JournalRecord::Granted { job, step, scheduled, grants } => {
                 encode_grants(b, *job, *step, *scheduled, grants);
             }
-            JournalRecord::Settled { job, leases } => encode_lease_list(b, T_SETTLED, *job, leases),
+            JournalRecord::Settled { job, leases } => encode_lease_list(w, T_SETTLED, *job, leases),
             JournalRecord::Reclaimed { job, leases } => {
-                encode_lease_list(b, T_RECLAIMED, *job, leases)
+                encode_lease_list(w, T_RECLAIMED, *job, leases)
             }
             JournalRecord::JobFinished { job } => {
-                b.push(T_JOB_FINISHED);
-                b.extend_from_slice(&job.to_le_bytes());
+                w.u8(T_JOB_FINISHED).u64(*job);
             }
             JournalRecord::Drained { epoch } => {
-                b.push(T_DRAINED);
-                b.extend_from_slice(&epoch.to_le_bytes());
+                w.u8(T_DRAINED).u32(*epoch);
             }
             JournalRecord::TechniqueSwitched { job, decision } => {
-                b.push(T_TECHNIQUE_SWITCHED);
-                b.extend_from_slice(&job.to_le_bytes());
-                encode_decision(b, decision);
+                w.u8(T_TECHNIQUE_SWITCHED).u64(*job).decision(*decision);
             }
         }
     }
@@ -316,51 +205,40 @@ impl JournalRecord {
     /// payload (unknown tag or shape bit, truncation, an over-long
     /// varint, trailing bytes).
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader { bytes, off: 0 };
-        let rec = match r.u8()? {
+        let mut r = Reader::new(bytes);
+        let rec = Self::read(&mut r).and_then(|rec| r.done().map(|()| rec));
+        rec.ok()
+    }
+
+    fn read(r: &mut Reader<'_>) -> codec::Result<Self> {
+        Ok(match r.u8()? {
             T_SERVER_START => JournalRecord::ServerStart { epoch: r.u32()? },
             T_JOB_CREATED => {
-                let job = r.u64()?;
-                let n = r.u64()?;
-                let kind = SchedKind::from_byte(r.u8()?)?;
-                let count = r.count(8)?;
-                let mut weights = Vec::with_capacity(count);
-                for _ in 0..count {
-                    weights.push(r.f64()?);
+                let (job, n, kind, count) = (r.u64()?, r.u64()?, r.kind()?, r.u32()?);
+                JournalRecord::JobCreated {
+                    job,
+                    n,
+                    kind,
+                    weights: r.items(count.into(), 8, Reader::f64)?,
                 }
-                JournalRecord::JobCreated { job, n, kind, weights }
             }
-            T_GRANTED => decode_grants(&mut r)?,
+            T_GRANTED => decode_grants(r)?,
             T_SETTLED => {
-                let (job, leases) = decode_lease_list(&mut r)?;
+                let (job, leases) = decode_lease_list(r)?;
                 JournalRecord::Settled { job, leases }
             }
             T_RECLAIMED => {
-                let (job, leases) = decode_lease_list(&mut r)?;
+                let (job, leases) = decode_lease_list(r)?;
                 JournalRecord::Reclaimed { job, leases }
             }
             T_JOB_FINISHED => JournalRecord::JobFinished { job: r.u64()? },
             T_DRAINED => JournalRecord::Drained { epoch: r.u32()? },
             T_TECHNIQUE_SWITCHED => {
-                let job = r.u64()?;
-                JournalRecord::TechniqueSwitched { job, decision: r.decision()? }
+                JournalRecord::TechniqueSwitched { job: r.u64()?, decision: r.decision()? }
             }
-            _ => return None,
-        };
-        r.done()?;
-        Some(rec)
+            _ => return Err(Malformed("unknown record tag")),
+        })
     }
-}
-
-/// The 27-byte decision form shared by `TechniqueSwitched` records and
-/// the snapshot image: `seq, step, scheduled, from, to, reason`.
-pub(crate) fn encode_decision(b: &mut Vec<u8>, d: &Decision) {
-    b.extend_from_slice(&d.seq.to_le_bytes());
-    b.extend_from_slice(&d.step.to_le_bytes());
-    b.extend_from_slice(&d.scheduled.to_le_bytes());
-    b.push(d.from.to_byte());
-    b.push(d.to.to_byte());
-    b.push(d.reason.to_byte());
 }
 
 /// Which optional per-grant fields a burst needs (see the module docs).
@@ -390,20 +268,17 @@ fn shape(scheduled: u64, grants: &[GrantEntry]) -> u8 {
 }
 
 fn encode_grants(b: &mut Vec<u8>, job: u64, step: u64, scheduled: u64, grants: &[GrantEntry]) {
-    b.push(T_GRANTED);
-    put_varint(b, job);
-    put_varint(b, step);
-    put_varint(b, scheduled);
-    put_varint(b, grants.len() as u64);
+    let w = &mut Writer::new(b);
+    w.u8(T_GRANTED).varint(job).varint(step).varint(scheduled).varint(grants.len() as u64);
     if grants.is_empty() {
         return;
     }
     // Guess shape 0, the burst `JobCore::fetch` produces: only a burst
     // that turns out not to be one pays for `shape` and a second pass.
     let start = b.len();
-    if put_grants(b, 0, scheduled, grants) != 0 {
+    if put_grants(&mut Writer::new(b), 0, scheduled, grants) != 0 {
         b.truncate(start);
-        put_grants(b, shape(scheduled, grants), scheduled, grants);
+        put_grants(&mut Writer::new(b), shape(scheduled, grants), scheduled, grants);
     }
 }
 
@@ -412,12 +287,11 @@ fn encode_grants(b: &mut Vec<u8>, job: u64, step: u64, scheduled: u64, grants: &
 /// a chain of ranges from the first `lo` to `scheduled`. Inlined so the
 /// guessing pass is compiled for shape 0 with its branches folded.
 #[inline(always)]
-fn put_grants(b: &mut Vec<u8>, shape: u8, scheduled: u64, grants: &[GrantEntry]) -> u64 {
+fn put_grants(w: &mut Writer<'_>, shape: u8, scheduled: u64, grants: &[GrantEntry]) -> u64 {
     let first = &grants[0];
-    b.push(shape);
-    put_varint(b, first.lease);
+    w.u8(shape).varint(first.lease);
     if shape & WORKERS == 0 {
-        put_varint(b, u64::from(first.worker));
+        w.varint(u64::from(first.worker));
     }
     let (mut odd, mut end, mut want) = (0, first.lo, first.lease);
     for g in grants {
@@ -427,95 +301,96 @@ fn put_grants(b: &mut Vec<u8>, shape: u8, scheduled: u64, grants: &[GrantEntry])
             | (g.lo ^ end)
             | u64::from(g.lo > g.hi);
         if shape & LEASES != 0 {
-            put_varint(b, zigzag(g.lease, want));
+            w.varint(zigzag(g.lease, want));
         }
         (want, end) = (g.lease.wrapping_add(1), g.hi);
         if shape & WORKERS != 0 {
-            put_varint(b, u64::from(g.worker));
+            w.varint(u64::from(g.worker));
         }
         if shape & POOL != 0 {
-            b.push(g.from_pool as u8);
+            w.bool(g.from_pool);
         }
         if g.from_pool || shape & EXPLICIT != 0 {
-            put_varint(b, g.lo);
+            w.varint(g.lo);
         }
-        put_varint(b, g.hi.wrapping_sub(g.lo));
+        w.varint(g.hi.wrapping_sub(g.lo));
     }
     odd | (end ^ scheduled)
 }
 
-fn decode_grants(r: &mut Reader<'_>) -> Option<JournalRecord> {
-    let job = r.varint()?;
-    let step = r.varint()?;
-    let scheduled = r.varint()?;
-    let count = r.varint_count()?;
-    let mut grants = Vec::with_capacity(count);
-    if count > 0 {
-        let shape = r.u8()?;
-        if shape & !SHAPE_BITS != 0 {
-            return None;
+fn decode_grants(r: &mut Reader<'_>) -> codec::Result<JournalRecord> {
+    let (job, step, scheduled, count) = (r.varint()?, r.varint()?, r.varint()?, r.varint()?);
+    if count == 0 {
+        return Ok(JournalRecord::Granted { job, step, scheduled, grants: Vec::new() });
+    }
+    let shape = r.u8()?;
+    if shape & !SHAPE_BITS != 0 {
+        return Err(Malformed("unknown grant shape bit"));
+    }
+    let mut want = r.varint()?;
+    let worker = if shape & WORKERS == 0 { r.varint_u32()? } else { 0 };
+    // Total size of the grants whose `lo` the chain re-derives.
+    let mut chained = 0u64;
+    let mut grants = r.items(count, 1, |r| {
+        let lease = if shape & LEASES != 0 { unzigzag(r.varint()?, want) } else { want };
+        want = lease.wrapping_add(1);
+        let worker = if shape & WORKERS != 0 { r.varint_u32()? } else { worker };
+        let from_pool = shape & POOL != 0
+            && match r.u8()? {
+                0 => false,
+                1 => true,
+                _ => return Err(Malformed("from_pool is neither 0 nor 1")),
+            };
+        let explicit = from_pool || shape & EXPLICIT != 0;
+        let lo = if explicit { r.varint()? } else { 0 };
+        let size = r.varint()?;
+        if !explicit {
+            chained = chained.checked_add(size).ok_or(OVERRUN)?;
         }
-        let mut want = r.varint()?;
-        let worker = if shape & WORKERS == 0 { r.varint_u32()? } else { 0 };
-        // Total size of the grants whose `lo` the chain re-derives.
-        let mut chained = 0u64;
-        for _ in 0..count {
-            let lease = if shape & LEASES != 0 { unzigzag(r.varint()?, want) } else { want };
-            want = lease.wrapping_add(1);
-            let worker = if shape & WORKERS != 0 { r.varint_u32()? } else { worker };
-            let from_pool = shape & POOL != 0 && r.u8().filter(|&b| b <= 1)? == 1;
-            let explicit = from_pool || shape & EXPLICIT != 0;
-            let lo = if explicit { r.varint()? } else { 0 };
-            let size = r.varint()?;
-            if !explicit {
-                chained = chained.checked_add(size)?;
-            }
-            grants.push(GrantEntry { lease, worker, lo, hi: lo.wrapping_add(size), from_pool });
-        }
-        if shape & EXPLICIT == 0 {
-            // The fresh chain ends at `scheduled`: lay it out forwards
-            // from where it must start. Sums stay below `scheduled`.
-            let mut lo = scheduled.checked_sub(chained)?;
-            for g in grants.iter_mut().filter(|g| !g.from_pool) {
-                (g.lo, g.hi) = (lo, lo + g.hi);
-                lo = g.hi;
-            }
+        Ok(GrantEntry { lease, worker, lo, hi: lo.wrapping_add(size), from_pool })
+    })?;
+    if shape & EXPLICIT == 0 {
+        // The fresh chain ends at `scheduled`: lay it out forwards
+        // from where it must start. Sums stay below `scheduled`.
+        let mut lo = scheduled.checked_sub(chained).ok_or(OVERRUN)?;
+        for g in grants.iter_mut().filter(|g| !g.from_pool) {
+            (g.lo, g.hi) = (lo, lo + g.hi);
+            lo = g.hi;
         }
     }
-    Some(JournalRecord::Granted { job, step, scheduled, grants })
+    Ok(JournalRecord::Granted { job, step, scheduled, grants })
 }
 
-fn encode_lease_list(b: &mut Vec<u8>, tag: u8, job: u64, leases: &[u64]) {
-    b.push(tag);
-    put_varint(b, job);
-    put_varint(b, leases.len() as u64);
+/// A fresh chain longer than the `scheduled` it must end at.
+const OVERRUN: Malformed = Malformed("fresh grants past scheduled");
+
+fn encode_lease_list(w: &mut Writer<'_>, tag: u8, job: u64, leases: &[u64]) {
+    w.u8(tag).varint(job).varint(leases.len() as u64);
     let Some((&first, rest)) = leases.split_first() else { return };
-    put_varint(b, first);
+    w.varint(first);
     let mut want = first.wrapping_add(1);
     for &l in rest {
-        put_varint(b, zigzag(l, want));
+        w.varint(zigzag(l, want));
         want = l.wrapping_add(1);
     }
 }
 
-fn decode_lease_list(r: &mut Reader<'_>) -> Option<(u64, Vec<u64>)> {
-    let job = r.varint()?;
-    let count = r.varint_count()?;
-    let mut leases = Vec::with_capacity(count);
-    if count > 0 {
-        let mut prev = r.varint()?;
-        leases.push(prev);
-        for _ in 1..count {
-            prev = unzigzag(r.varint()?, prev.wrapping_add(1));
-            leases.push(prev);
-        }
-    }
-    Some((job, leases))
+fn decode_lease_list(r: &mut Reader<'_>) -> codec::Result<(u64, Vec<u64>)> {
+    let (job, count) = (r.varint()?, r.varint()?);
+    let mut want = None;
+    let leases = r.items(count, 1, |r| {
+        let l = r.varint()?;
+        let l = want.map_or(l, |want| unzigzag(l, want));
+        want = Some(l.wrapping_add(1));
+        Ok(l)
+    })?;
+    Ok((job, leases))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dls::switchable::SwitchReason;
 
     fn samples() -> Vec<JournalRecord> {
         vec![
@@ -629,12 +504,12 @@ mod tests {
     #[test]
     fn varints_are_shortest_form_and_64_bit() {
         let read = |bytes: &[u8]| {
-            let mut r = Reader { bytes, off: 0 };
-            r.varint().filter(|_| r.off == bytes.len())
+            let mut r = Reader::new(bytes);
+            r.varint().ok().filter(|_| r.done().is_ok())
         };
         for v in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
             let mut b = Vec::new();
-            put_varint(&mut b, v);
+            Writer::new(&mut b).varint(v);
             assert_eq!(read(&b), Some(v), "{v}");
         }
         assert_eq!(read(&[0x80, 0x00]), None, "redundant zero byte");

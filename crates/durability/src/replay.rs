@@ -23,8 +23,9 @@
 
 use std::collections::BTreeMap;
 
+use crate::codec::{self, Reader, Writer};
 use crate::job::JobCore;
-use crate::record::{JournalRecord, Reader};
+use crate::record::JournalRecord;
 
 /// A record that cannot be applied to the current state — always
 /// corruption or a journaling bug, never a normal outcome.
@@ -147,17 +148,14 @@ impl RecoveredState {
     /// Inverse of [`RecoveredState::serialize`]. `None` on malformed
     /// input.
     pub fn deserialize(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader { bytes, off: 0 };
-        let epoch = r.u32()?;
-        let drained = r.u8()? != 0;
-        let jobs_created = r.u64()?;
-        let mut jobs = BTreeMap::new();
-        for _ in 0..r.count64(8)? {
-            let id = r.u64()?;
-            jobs.insert(id, JobCore::deserialize(&mut r)?);
-        }
+        Self::read(&mut Reader::new(bytes)).ok()
+    }
+
+    fn read(r: &mut Reader<'_>) -> codec::Result<Self> {
+        let (epoch, drained, jobs_created, count) = (r.u32()?, r.bool()?, r.u64()?, r.u64()?);
+        let jobs = r.items(count, 8, |r| Ok((r.u64()?, JobCore::deserialize(r)?)))?;
         r.done()?;
-        Some(Self { epoch, jobs, jobs_created, drained })
+        Ok(Self { epoch, jobs: jobs.into_iter().collect(), jobs_created, drained })
     }
 
     /// FNV-1a over the canonical serialization — a cheap, stable
@@ -190,16 +188,14 @@ impl ImageWriter {
     /// Start an image with the given header fields.
     pub fn new(epoch: u32, drained: bool, jobs_created: u64) -> Self {
         let mut buf = Vec::with_capacity(64);
-        buf.extend_from_slice(&epoch.to_le_bytes());
-        buf.push(drained as u8);
-        buf.extend_from_slice(&jobs_created.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes()); // job count, patched by `finish`
+        // The job count is patched by `finish`.
+        Writer::new(&mut buf).u32(epoch).bool(drained).u64(jobs_created).u64(0);
         ImageWriter { buf, jobs: 0 }
     }
 
     /// Append one job.
     pub fn job(&mut self, id: u64, job: &JobCore) {
-        self.buf.extend_from_slice(&id.to_le_bytes());
+        Writer::new(&mut self.buf).u64(id);
         job.serialize_into(&mut self.buf);
         self.jobs += 1;
     }
@@ -332,6 +328,19 @@ mod tests {
         assert_eq!(st.re_arm(), 0, "second re-arm is a no-op");
     }
 
+    /// A decision is 23 bytes. Counting 27 a decision refused the image
+    /// of a last job with nine or more decisions and no unsettled lease.
+    #[test]
+    fn a_long_decision_history_reads_back() {
+        let mut st = apply_all(&small_run()[..2]);
+        for seq in 0..20 {
+            let decision = Decision { seq, ..decision(0) };
+            st.apply(&JournalRecord::TechniqueSwitched { job: 0, decision }).unwrap();
+        }
+        let bytes = st.serialize();
+        assert_eq!(RecoveredState::deserialize(&bytes).map(|back| back.serialize()), Some(bytes));
+    }
+
     #[test]
     fn serialization_roundtrip() {
         let mut st = apply_all(&small_run());
@@ -371,17 +380,17 @@ mod tests {
 
         // The ledger closes the job entry. Of three leases granted only
         // the unsettled one has a row; the other two are the counters.
-        let mut r = Reader { bytes: &bytes, off: bytes.len() - (4 * 8 + 36) };
-        assert_eq!(r.u64(), Some(3), "granted");
-        assert_eq!(r.u64(), Some(1), "completed");
-        assert_eq!(r.u64(), Some(1), "reclaimed");
-        assert_eq!(r.u64(), Some(1), "unsettled rows");
-        assert_eq!(r.u64(), Some(2), "id");
-        assert_eq!(r.u32(), Some(3), "owner");
-        assert_eq!(r.u64(), Some(1), "lo");
-        assert_eq!(r.u64(), Some(2), "hi");
-        assert_eq!(r.u64(), Some(0), "granted_ns (replayed grants are stamped 0)");
-        assert_eq!(r.done(), Some(()));
+        let mut r = Reader::new(&bytes[bytes.len() - (4 * 8 + 36)..]);
+        assert_eq!(r.u64(), Ok(3), "granted");
+        assert_eq!(r.u64(), Ok(1), "completed");
+        assert_eq!(r.u64(), Ok(1), "reclaimed");
+        assert_eq!(r.u64(), Ok(1), "unsettled rows");
+        assert_eq!(r.u64(), Ok(2), "id");
+        assert_eq!(r.u32(), Ok(3), "owner");
+        assert_eq!(r.u64(), Ok(1), "lo");
+        assert_eq!(r.u64(), Ok(2), "hi");
+        assert_eq!(r.u64(), Ok(0), "granted_ns (replayed grants are stamped 0)");
+        assert_eq!(r.done(), Ok(()));
     }
 
     #[test]
