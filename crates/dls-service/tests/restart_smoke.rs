@@ -39,7 +39,8 @@ fn spawn_journaled_server(
         .args(["--addr-file", addr_file.to_str().expect("utf8 addr file")])
         .args(["--snapshot-every", "256"]) // exercise snapshots mid-campaign
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        // Inherited: a restart that fails to recover says why.
+        .stderr(Stdio::inherit())
         .spawn()
         .expect("spawn dls-serverd");
     let mut stdout = BufReader::new(child.stdout.take().expect("server stdout"));

@@ -111,6 +111,16 @@ pub fn segment_header(seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
     h
 }
 
+/// True when `bytes` are a segment cut inside its own header: a proper
+/// prefix of [`segment_header`]`(seq)`, or nothing but zero bytes. A
+/// rotation creates the file before it writes the header, so a kill
+/// between the two — or a power cut before the header reached the
+/// disk — leaves one. Only the last segment can be in that state.
+pub fn torn_header(bytes: &[u8], seq: u64) -> bool {
+    bytes.len() < SEGMENT_HEADER_LEN && segment_header(seq).starts_with(bytes)
+        || bytes.iter().all(|&b| b == 0)
+}
+
 /// Outcome of scanning one segment's bytes.
 #[derive(Debug)]
 pub struct ScanResult<'a> {

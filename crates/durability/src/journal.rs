@@ -319,6 +319,15 @@ impl Journal {
         for (idx, (seq, path)) in segments.iter().enumerate() {
             let mut bytes = Vec::new();
             File::open(path)?.read_to_end(&mut bytes)?;
+            if idx == last_idx && frame::torn_header(&bytes, *seq) {
+                // Killed inside a rotation: write the header it lacks.
+                let mut f = OpenOptions::new().write(true).open(path)?;
+                f.set_len(0)?;
+                f.write_all(&frame::segment_header(*seq))?;
+                f.sync_all()?;
+                tail = Some((*seq, frame::SEGMENT_HEADER_LEN as u64));
+                continue;
+            }
             let scanned = frame::scan(&bytes, Some(*seq)).map_err(|e| {
                 RecoverError::BadSegment { path: path.clone(), reason: e.to_string() }
             })?;
@@ -401,6 +410,9 @@ impl Journal {
         for (idx, (seq, path)) in segments.iter().enumerate() {
             let mut bytes = Vec::new();
             File::open(path)?.read_to_end(&mut bytes)?;
+            if idx == last_idx && frame::torn_header(&bytes, *seq) {
+                continue; // killed inside a rotation: an empty segment
+            }
             let scanned = frame::scan(&bytes, Some(*seq)).map_err(|e| {
                 RecoverError::BadSegment { path: path.clone(), reason: e.to_string() }
             })?;

@@ -346,3 +346,70 @@ fn bit_flip_in_a_sealed_segment_is_a_typed_error_not_a_panic() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// A rotation creates `wal-<seq+1>.log` and then writes its header. A
+/// kill between the two leaves the last segment shorter than its
+/// header, and a power cut before the header reached the disk leaves it
+/// zero-filled. Either way it is an empty torn tail: `replay_dir` reads
+/// it as empty, and `open` writes the header and journals on.
+#[test]
+fn a_last_segment_cut_inside_its_header_is_an_empty_tail() {
+    const SEG_HDR: usize = durability::frame::SEGMENT_HEADER_LEN;
+    let refdir = tmpdir("hdr-ref");
+    let seg = build_reference(&refdir);
+    let (ends, records) = boundaries(&seg);
+    let expected = expected_after_cut(&ends, &records, seg.len());
+    let first = segments(&refdir).remove(0);
+    let header = durability::frame::segment_header(2);
+
+    let scratch = tmpdir("hdr-matrix");
+    let cuts = (0..SEG_HDR).map(|cut| header[..cut].to_vec());
+    for (case, torn) in cuts.chain([vec![0; SEG_HDR], vec![0; 4096]]).enumerate() {
+        fs::create_dir_all(&scratch).expect("mkdir");
+        fs::copy(&first, scratch.join(first.file_name().expect("name"))).expect("copy");
+        let second = scratch.join(format!("wal-{:020}.log", 2));
+        fs::write(&second, &torn).expect("write torn header");
+
+        let mut replayed = Journal::replay_dir(&scratch)
+            .unwrap_or_else(|e| panic!("case {case}: replay_dir failed: {e}"));
+        (replayed.epoch, replayed.drained) = (replayed.epoch + 1, false);
+        assert_eq!(replayed.digest(), expected.digest(), "case {case}: replay_dir");
+
+        let (journal, state) = Journal::open(JournalOptions::new(&scratch))
+            .unwrap_or_else(|e| panic!("case {case}: open failed: {e}"));
+        drop(journal);
+        assert_eq!(state.digest(), expected.digest(), "case {case}: open");
+        // The header is whole again, and `open`'s ServerStart follows it.
+        let bytes = fs::read(&second).expect("read repaired segment");
+        let scanned = durability::frame::scan(&bytes, Some(2)).expect("scan repaired segment");
+        assert!(!scanned.torn, "case {case}");
+        assert_eq!(
+            scanned.records.iter().map(|p| JournalRecord::decode(p)).collect::<Vec<_>>(),
+            [Some(JournalRecord::ServerStart { epoch: 2 })],
+            "case {case}"
+        );
+        let _ = fs::remove_dir_all(&scratch);
+    }
+    let _ = fs::remove_dir_all(&refdir);
+}
+
+#[test]
+fn a_short_header_before_the_last_segment_is_a_bad_segment() {
+    let dir = tmpdir("hdr-sealed");
+    build_reference(&dir);
+    let first = segments(&dir).remove(0);
+    fs::write(dir.join(format!("wal-{:020}.log", 2)), durability::frame::segment_header(2))
+        .expect("write a second segment");
+    fs::write(&first, &durability::frame::segment_header(1)[..7]).expect("cut the first");
+    for (what, result) in [
+        ("replay_dir", Journal::replay_dir(&dir)),
+        ("open", Journal::open(JournalOptions::new(&dir)).map(|(_, state)| state)),
+    ] {
+        match result {
+            Err(RecoverError::BadSegment { path, .. }) => assert_eq!(path, first, "{what}"),
+            Ok(_) => panic!("{what}: a short sealed segment must not open cleanly"),
+            Err(e) => panic!("{what}: expected BadSegment, got {e}"),
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
