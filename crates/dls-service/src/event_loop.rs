@@ -53,6 +53,11 @@ use crate::sync::Arc;
 use std::io::{ErrorKind, Write};
 use std::net::{Shutdown as SockShutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
+use std::time::Duration;
+
+/// Readiness-poll tick: bounds drain latency and how often batched
+/// counters are committed.
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Token reserved for the shard's accept socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -115,7 +120,6 @@ impl LoopShard {
 
     /// Run until the drain completes.
     pub(crate) fn run(&mut self) {
-        let poll_interval = self.state.cfg.poll_interval;
         loop {
             let draining = self.state.shutdown.load(Ordering::SeqCst);
             if draining {
@@ -123,7 +127,7 @@ impl LoopShard {
                     self.poller.deregister(listener.as_raw_fd());
                 }
             }
-            if self.poller.wait(&mut self.events, poll_interval).is_err() {
+            if self.poller.wait(&mut self.events, POLL_INTERVAL).is_err() {
                 // A failed wait is unrecoverable for this shard only if
                 // it repeats; yield briefly and retry.
                 std::thread::yield_now();

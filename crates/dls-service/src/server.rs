@@ -75,9 +75,6 @@ pub struct ServiceConfig {
     /// Event-loop shards: threads multiplexing the connections. Each
     /// owns a share of the accept socket.
     pub event_loops: u32,
-    /// Readiness-poll tick; bounds drain latency and how often batched
-    /// counters are committed.
-    pub poll_interval: Duration,
     /// Override the AUTO tuner's assumed per-fetch overhead `h` in
     /// nanoseconds (`None` uses the `autotune` default). Raising it
     /// biases the tuner toward coarser techniques — and pins its
@@ -96,7 +93,6 @@ impl Default for ServiceConfig {
             max_frame: crate::protocol::MAX_FRAME,
             shards: 8,
             event_loops: 2,
-            poll_interval: Duration::from_millis(20),
             tuner_overhead_ns: None,
         }
     }

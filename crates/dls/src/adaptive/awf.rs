@@ -14,7 +14,7 @@
 //! * **AWF-E**: like -C, including the scheduling overhead.
 
 use crate::chunk::{Chunk, LoopSpec, SchedState};
-use crate::weighted::normalize_weights;
+use crate::weighted::rate_weights;
 
 /// Which AWF refinement to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -153,22 +153,10 @@ impl AwfScheduler {
         }
     }
 
-    /// Recompute weights from the measured iteration rates: a worker's
-    /// raw score is `iters / time` (higher is faster); workers without
-    /// measurements keep the mean rate.
+    /// Recompute weights from the measured iteration rates
+    /// ([`rate_weights`]).
     fn refresh_weights(&mut self) {
-        let rates: Vec<f64> = self
-            .hist
-            .iter()
-            .map(|h| if h.time > 0.0 && h.iters > 0 { h.iters as f64 / h.time } else { 0.0 })
-            .collect();
-        let measured: Vec<f64> = rates.iter().copied().filter(|r| *r > 0.0).collect();
-        if measured.is_empty() {
-            return;
-        }
-        let mean_rate = measured.iter().sum::<f64>() / measured.len() as f64;
-        let scores: Vec<f64> = rates.iter().map(|&r| if r > 0.0 { r } else { mean_rate }).collect();
-        self.weights = normalize_weights(&scores);
+        self.weights = rate_weights(self.hist.iter().map(|h| (h.iters, h.time)));
     }
 
     /// True when every iteration has been assigned.

@@ -47,10 +47,39 @@ pub fn normalize_weights(scores: &[f64]) -> Vec<f64> {
     cleaned.iter().map(|s| s / mean).collect()
 }
 
+/// AWF's weight rule: from each worker's measured `(iterations, time)`,
+/// its rate `iterations / time` is its score, a worker without a
+/// measurement scores the mean rate of those with one, and the scores
+/// are normalised ([`normalize_weights`]). No measurement at all gives
+/// unit weights.
+pub fn rate_weights(hist: impl IntoIterator<Item = (u64, f64)>) -> Vec<f64> {
+    let rates: Vec<f64> = hist
+        .into_iter()
+        .map(|(iters, time)| if time > 0.0 && iters > 0 { iters as f64 / time } else { 0.0 })
+        .collect();
+    let measured = rates.iter().filter(|r| **r > 0.0);
+    let count = measured.clone().count();
+    if count == 0 {
+        return vec![1.0; rates.len()];
+    }
+    let mean = measured.sum::<f64>() / count as f64;
+    let scores: Vec<f64> = rates.iter().map(|&r| if r > 0.0 { r } else { mean }).collect();
+    normalize_weights(&scores)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::technique::Technique;
+
+    #[test]
+    fn rate_weights_give_the_unmeasured_the_mean_rate() {
+        assert_eq!(rate_weights([(0, 0.0), (5, 0.0), (0, 3.0)]), vec![1.0; 3]);
+        // Rates 2 and 1; the unmeasured third scores their mean, 1.5.
+        let w = rate_weights([(4, 2.0), (2, 2.0), (0, 0.0)]);
+        assert_eq!(w, normalize_weights(&[2.0, 1.0, 1.5]));
+        assert_eq!(w, [2.0 / 1.5, 1.0 / 1.5, 1.0]);
+    }
 
     #[test]
     fn unit_weight_equals_fac2() {

@@ -14,7 +14,7 @@
 //! the scheduling time to the worker.
 
 use dls::adaptive::AwfVariant;
-use dls::weighted::normalize_weights;
+use dls::weighted::rate_weights;
 
 /// Per-worker measurement history of one node: `(iterations, time_ns)`.
 #[derive(Clone, Debug)]
@@ -44,24 +44,9 @@ impl AwfHistory {
 
     /// Current mean-normalised weight of `local` worker.
     pub fn weight(&self, local: u32) -> f64 {
-        weights_from_hist(&self.hist).get(local as usize).copied().unwrap_or(1.0)
+        let hist = self.hist.iter().map(|&(iters, time)| (iters, time as f64));
+        rate_weights(hist).get(local as usize).copied().unwrap_or(1.0)
     }
-}
-
-/// Mean-normalised weights from `(iterations, time)` histories. Workers
-/// without measurements get the mean rate (weight 1 before any data).
-pub fn weights_from_hist(hist: &[(u64, u64)]) -> Vec<f64> {
-    let rates: Vec<f64> = hist
-        .iter()
-        .map(|&(iters, time)| if time > 0 && iters > 0 { iters as f64 / time as f64 } else { 0.0 })
-        .collect();
-    let measured: Vec<f64> = rates.iter().copied().filter(|r| *r > 0.0).collect();
-    if measured.is_empty() {
-        return vec![1.0; hist.len()];
-    }
-    let mean = measured.iter().sum::<f64>() / measured.len() as f64;
-    let scores: Vec<f64> = rates.iter().map(|&r| if r > 0.0 { r } else { mean }).collect();
-    normalize_weights(&scores)
 }
 
 #[cfg(test)]

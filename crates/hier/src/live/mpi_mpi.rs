@@ -42,16 +42,16 @@ const HIST_BASE: usize = TAKEN + 1;
 const LEASE_LO: usize = 0;
 const LEASE_HI: usize = 1;
 const LEASE_EPOCH: usize = 2;
-const HEARTBEAT: usize = 3;
 
-/// The lease area follows the history: per local rank, four slots —
-/// `[lo, hi, epoch, heartbeat]`. An odd epoch means the range
-/// `[lo, hi)` is granted but not completed; the owner bumps it even on
-/// completion (settled at its next queue poll), a reclaimer bumps it
-/// even when re-depositing a dead owner's range. The heartbeat ticks on
-/// every queue poll — piggybacked liveness, no extra messages.
+/// The lease area follows the history: per local rank, three slots —
+/// `[lo, hi, epoch]`. An odd epoch means the range `[lo, hi)` is
+/// granted but not completed; the owner bumps it even on completion
+/// (settled at its next queue poll), a reclaimer bumps it even when
+/// re-depositing a dead owner's range. Liveness is not kept here: a
+/// rank is dead when the node communicator marks it failed, and a lock
+/// holder is presumed dead after `detect_polls` failed tries.
 fn lease_slot(wpn: u32, local: u32, field: usize) -> usize {
-    HIST_BASE + 2 * wpn as usize + 4 * local as usize + field
+    HIST_BASE + 2 * wpn as usize + 3 * local as usize + field
 }
 
 /// The last slot, after every lease: which local rank holds the refill
@@ -168,15 +168,11 @@ pub(super) fn run_ranks(
                 local_win.sync();
                 if plan_active {
                     // Settle my previous grant (the sub-chunk it covered is
-                    // done — this poll is the completion acknowledgement)
-                    // and tick the piggybacked heartbeat.
+                    // done — this poll is the completion acknowledgement).
                     if my_epoch % 2 == 1 {
                         my_epoch += 1;
                         local_win.put(0, lease_slot(wpn, my_local, LEASE_EPOCH), my_epoch)?;
                     }
-                    let hb_slot = lease_slot(wpn, my_local, HEARTBEAT);
-                    let hb = local_win.get(0, hb_slot)?;
-                    local_win.put(0, hb_slot, hb + 1)?;
                     if faults
                         .crash_holding_lock_after(me)
                         .is_some_and(|k| out.sub_chunks() >= u64::from(k))
@@ -199,9 +195,9 @@ pub(super) fn run_ranks(
                     Some(_) if q.front()?.is_some() => {
                         let slot = |i: usize| local_win.get(0, HIST_BASE + i).map(|v| v as u64);
                         let hist = (0..wpn as usize)
-                            .map(|r| Ok((slot(2 * r)?, slot(2 * r + 1)?)))
+                            .map(|r| Ok((slot(2 * r)?, slot(2 * r + 1)? as f64)))
                             .collect::<mpisim::Result<Vec<_>>>()?;
-                        let w = crate::adaptive::weights_from_hist(&hist)[my_local as usize];
+                        let w = dls::weighted::rate_weights(hist)[my_local as usize];
                         (dls::Technique::wf(), w)
                     }
                     _ => (spec.intra, my_weight),

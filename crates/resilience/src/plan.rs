@@ -20,9 +20,9 @@ pub struct RecoveryParams {
     /// not released within this bound the holder is presumed dead and
     /// the FIFO ticket lock is revoked/repaired.
     pub lock_grant_timeout_ns: Time,
-    /// Real-thread executors have no virtual clock; a peer is presumed
-    /// dead after this many consecutive polls observe a stale heartbeat
-    /// (or failed `try_lock` attempts against a held lock).
+    /// Real-thread executors have no virtual clock: a lock holder is
+    /// presumed dead after this many consecutive failed `try_lock`
+    /// attempts, if the node communicator also marks it failed.
     pub detect_polls: u32,
 }
 

@@ -1,7 +1,7 @@
 //! Chaos sweep over the *real-thread* MPI+MPI executor: rank crashes
 //! (plain, holding-lock, as-refiller) injected into actual threads over
 //! `mpisim` windows. Recovery here is the real protocol — leases in the
-//! shared window, heartbeats piggybacked on queue polls, bounded-poll
+//! shared window, failure marks on the node communicator, bounded-poll
 //! lock repair, refill failover — not a virtual-time model of it.
 //!
 //! World rank 0 hosts the global-queue window and is modelled reliable
