@@ -214,19 +214,24 @@ impl<'a> Reader<'a> {
         })
     }
 
-    /// `count` items read by `item`. A count the remaining bytes cannot
-    /// hold at `min_size` bytes an item is refused before anything is
-    /// allocated for it.
+    /// `count` as a `usize`, if the remaining bytes can hold that many
+    /// items of at least `min_size` bytes: a garbage count is refused
+    /// before anything is allocated for it.
+    pub fn count(&self, count: u64, min_size: usize) -> Result<usize> {
+        usize::try_from(count)
+            .ok()
+            .filter(|&c| c <= self.rest().len() / min_size.max(1))
+            .ok_or(SHORT)
+    }
+
+    /// [`Reader::count`] items read by `item`.
     pub fn items<T>(
         &mut self,
         count: u64,
         min_size: usize,
         mut item: impl FnMut(&mut Self) -> Result<T>,
     ) -> Result<Vec<T>> {
-        let count = usize::try_from(count).map_err(|_| SHORT)?;
-        if count > self.rest().len() / min_size.max(1) {
-            return Err(SHORT);
-        }
+        let count = self.count(count, min_size)?;
         let mut out = Vec::with_capacity(count);
         for _ in 0..count {
             out.push(item(self)?);

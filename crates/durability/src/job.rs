@@ -305,8 +305,8 @@ impl JobCore {
     }
 
     /// Inverse of [`JobCore::serialize_into`], reading at the cursor.
-    /// Malformed input — including the mode byte `0xFF` that older
-    /// images used for "no technique": a job always has one.
+    /// Fails on malformed input, including the mode byte `0xFF` that
+    /// older images used for "no technique": a job always has one.
     pub(crate) fn deserialize(r: &mut Reader<'_>) -> codec::Result<Self> {
         let (n, mode, count) = (r.u64()?, r.kind()?, r.u32()?);
         let mut job = JobCore::new(n, mode, r.items(count.into(), 8, Reader::f64)?);

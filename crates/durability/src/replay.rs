@@ -153,9 +153,12 @@ impl RecoveredState {
 
     fn read(r: &mut Reader<'_>) -> codec::Result<Self> {
         let (epoch, drained, jobs_created, count) = (r.u32()?, r.bool()?, r.u64()?, r.u64()?);
-        let jobs = r.items(count, 8, |r| Ok((r.u64()?, JobCore::deserialize(r)?)))?;
+        let mut jobs = BTreeMap::new();
+        for _ in 0..r.count(count, 8)? {
+            jobs.insert(r.u64()?, JobCore::deserialize(r)?);
+        }
         r.done()?;
-        Ok(Self { epoch, jobs: jobs.into_iter().collect(), jobs_created, drained })
+        Ok(Self { epoch, jobs, jobs_created, drained })
     }
 
     /// FNV-1a over the canonical serialization — a cheap, stable
