@@ -205,13 +205,11 @@ impl JournalRecord {
     /// payload (unknown tag or shape bit, truncation, an over-long
     /// varint, trailing bytes).
     pub fn decode(bytes: &[u8]) -> Option<Self> {
-        let mut r = Reader::new(bytes);
-        let rec = Self::read(&mut r).and_then(|rec| r.done().map(|()| rec));
-        rec.ok()
+        Self::read(&mut Reader::new(bytes)).ok()
     }
 
     fn read(r: &mut Reader<'_>) -> codec::Result<Self> {
-        Ok(match r.u8()? {
+        let rec = match r.u8()? {
             T_SERVER_START => JournalRecord::ServerStart { epoch: r.u32()? },
             T_JOB_CREATED => {
                 let (job, n, kind, count) = (r.u64()?, r.u64()?, r.kind()?, r.u32()?);
@@ -237,7 +235,9 @@ impl JournalRecord {
                 JournalRecord::TechniqueSwitched { job: r.u64()?, decision: r.decision()? }
             }
             _ => return Err(Malformed("unknown record tag")),
-        })
+        };
+        r.done()?;
+        Ok(rec)
     }
 }
 
