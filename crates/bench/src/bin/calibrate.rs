@@ -7,10 +7,13 @@
 
 use hdls::prelude::*;
 
-fn block_ratio(costs: &[u64], blocks: usize) -> f64 {
-    let n = costs.len();
+fn block_ratio(table: &CostTable, blocks: u64) -> f64 {
+    let n = table.n_iters();
     let block = n.div_ceil(blocks);
-    let sums: Vec<u64> = costs.chunks(block).map(|c| c.iter().sum()).collect();
+    let sums: Vec<u64> = (0..n)
+        .step_by(block as usize)
+        .map(|lo| table.range_cost(lo, (lo + block).min(n)))
+        .collect();
     let max = *sums.iter().max().unwrap() as f64;
     let mean = sums.iter().sum::<u64>() as f64 / sums.len() as f64;
     max / mean
@@ -27,7 +30,7 @@ fn report(name: &str, table: &CostTable) {
         s.imbalance_factor()
     );
     for blocks in [32, 64, 256, 1024, 4096] {
-        println!("  blocks={blocks:<5} max/mean={:.2}", block_ratio(table.costs(), blocks));
+        println!("  blocks={blocks:<5} max/mean={:.2}", block_ratio(table, blocks));
     }
 }
 

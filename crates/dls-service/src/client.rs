@@ -7,7 +7,7 @@
 //! per worker gets crash recovery for free.
 
 use crate::protocol::{
-    frame, ErrorCode, GrantedChunk, JobId, LeaseId, Request, Response, StatsSnapshot,
+    frame, ErrorCode, GrantedChunk, JobId, LeaseId, Request, Response, StatsSnapshot, MAX_COUNT,
 };
 use dls::switchable::{Decision, SchedKind};
 use std::io::{self, Read, Write};
@@ -30,6 +30,14 @@ pub enum ClientError {
     },
     /// The server answered with a response of the wrong shape.
     Unexpected(&'static str),
+    /// The call carries more items than one request frame can count
+    /// ([`MAX_COUNT`]); nothing was sent.
+    TooMany {
+        /// What the call carries too many of.
+        what: &'static str,
+        /// How many it carries.
+        count: usize,
+    },
 }
 
 impl std::fmt::Display for ClientError {
@@ -39,6 +47,9 @@ impl std::fmt::Display for ClientError {
             ClientError::Protocol(e) => write!(f, "protocol: {e}"),
             ClientError::Server { code, detail } => write!(f, "server error {code}: {detail}"),
             ClientError::Unexpected(what) => write!(f, "unexpected response, wanted {what}"),
+            ClientError::TooMany { what, count } => {
+                write!(f, "{count} {what}: one request carries at most {MAX_COUNT}")
+            }
         }
     }
 }
@@ -203,6 +214,9 @@ impl Client {
         kind: impl Into<SchedKind>,
         weights: &[f64],
     ) -> Result<JobId> {
+        if weights.len() > MAX_COUNT {
+            return Err(ClientError::TooMany { what: "weights", count: weights.len() });
+        }
         let kind = kind.into();
         match self.call(&Request::CreateJob { n, kind, weights: weights.to_vec() })? {
             Response::JobCreated { job } => Ok(job),
@@ -234,9 +248,21 @@ impl Client {
     /// last observed server epoch; a journaled server that restarted
     /// since the leases were granted answers
     /// [`ErrorCode::StaleEpoch`] instead of double-counting them.
+    ///
+    /// More than [`MAX_COUNT`] leases go in several requests, in order.
+    /// The first refusal stops the rest, as the server stops at the
+    /// first lease it refuses within one request.
     pub fn report_done(&mut self, job: JobId, leases: &[LeaseId]) -> Result<()> {
-        let epoch = self.epoch;
-        Self::expect_ack(self.call(&Request::ReportDone { job, leases: leases.to_vec(), epoch })?)
+        let mut rest = leases;
+        loop {
+            let (part, tail) = rest.split_at(rest.len().min(MAX_COUNT));
+            let req = Request::ReportDone { job, leases: part.to_vec(), epoch: self.epoch };
+            Self::expect_ack(self.call(&req)?)?;
+            if tail.is_empty() {
+                return Ok(());
+            }
+            rest = tail;
+        }
     }
 
     /// Ask a journaled server whether `job` survived its restart, and

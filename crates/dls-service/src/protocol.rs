@@ -48,6 +48,11 @@ pub const VERSION: u8 = 3;
 /// length prefix cannot make the server allocate unbounded memory.
 pub const MAX_FRAME: u32 = 256 * 1024;
 
+/// Most weights a `CreateJob` and most leases a `ReportDone` can carry:
+/// what their `u16` count announces. [`crate::Client`] refuses more
+/// weights and splits more leases.
+pub const MAX_COUNT: usize = u16::MAX as usize;
+
 // Request tags.
 const T_CREATE_JOB: u8 = 1;
 const T_FETCH_CHUNK: u8 = 2;
@@ -591,7 +596,7 @@ impl Request {
         match self {
             Request::CreateJob { n, kind, weights } => {
                 let w = &mut payload(&mut buf, T_CREATE_JOB);
-                w.u64(*n).kind(*kind).u16(weights.len() as u16);
+                w.u64(*n).kind(*kind).u16(count(weights.len()));
                 for &wt in weights {
                     w.f64(wt);
                 }
@@ -602,7 +607,7 @@ impl Request {
             Request::ReportDone { job, leases, epoch } => {
                 buf.reserve(16 + 8 * leases.len());
                 let w = &mut payload(&mut buf, T_REPORT_DONE);
-                w.u64(*job).u32(*epoch).u16(leases.len() as u16);
+                w.u64(*job).u32(*epoch).u16(count(leases.len()));
                 for &l in leases {
                     w.u64(l);
                 }
@@ -627,17 +632,14 @@ impl Request {
     pub fn decode(payload: &[u8]) -> Result<Request, DecodeError> {
         let (mut r, tag) = open(payload)?;
         let req = match tag {
-            T_CREATE_JOB => {
-                let (n, kind, count) = (r.u64()?, r.kind()?, r.u16()?);
-                Request::CreateJob { n, kind, weights: r.items(count.into(), 8, Reader::f64)? }
-            }
+            // The count-prefixed bodies are read out of line, by a
+            // cursor of their own, so this one stays in registers for
+            // the hot `FetchChunk`.
+            T_CREATE_JOB => return decode_create_job(r.rest()),
             T_FETCH_CHUNK => {
                 Request::FetchChunk { job: r.u64()?, worker: r.u32()?, batch: r.u32()? }
             }
-            T_REPORT_DONE => {
-                let (job, epoch, count) = (r.u64()?, r.u32()?, r.u16()?);
-                Request::ReportDone { job, leases: r.items(count.into(), 8, Reader::u64)?, epoch }
-            }
+            T_REPORT_DONE => return decode_report_done(r.rest()),
             T_HEARTBEAT => Request::Heartbeat { worker: r.u32()? },
             T_STATS => Request::Stats,
             T_SHUTDOWN => Request::Shutdown,
@@ -647,6 +649,31 @@ impl Request {
         r.done()?;
         Ok(req)
     }
+}
+
+/// A request's item count as its `u16`.
+fn count(len: usize) -> u16 {
+    u16::try_from(len).expect("at most MAX_COUNT items in one request")
+}
+
+#[cold]
+#[inline(never)]
+fn decode_create_job(body: &[u8]) -> Result<Request, DecodeError> {
+    let mut r = Reader::new(body);
+    let (n, kind, count) = (r.u64()?, r.kind()?, r.u16()?);
+    let weights = r.items(count.into(), 8, Reader::f64)?;
+    r.done()?;
+    Ok(Request::CreateJob { n, kind, weights })
+}
+
+#[cold]
+#[inline(never)]
+fn decode_report_done(body: &[u8]) -> Result<Request, DecodeError> {
+    let mut r = Reader::new(body);
+    let (job, epoch, count) = (r.u64()?, r.u32()?, r.u16()?);
+    let leases = r.items(count.into(), 8, Reader::u64)?;
+    r.done()?;
+    Ok(Request::ReportDone { job, leases, epoch })
 }
 
 /// Encoded size of one `Chunks` row: lease, lo, hi.

@@ -140,7 +140,9 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    #[inline]
+    // Always inlined: an out-of-line copy takes the cursor's address,
+    // which keeps every caller's cursor in memory.
+    #[inline(always)]
     fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
         let (head, _) = self.rest().split_first_chunk::<N>().ok_or(SHORT)?;
         self.off += N;

@@ -47,6 +47,7 @@ pub use phased::PhasedSpin;
 pub use psia::{Psia, PsiaStream};
 pub use spin::Spin;
 pub use stats::WorkloadStats;
+use std::collections::BTreeMap;
 
 /// A parallel loop whose iterations are independent, with a real
 /// computation and an exact virtual cost per iteration.
@@ -66,12 +67,47 @@ pub trait Workload: Send + Sync {
     /// the kernel's real operation count.
     fn cost(&self, i: u64) -> u64;
 
-    /// [`Workload::cost`] of every iteration, in iteration order — what
-    /// [`CostTable::build`] stores. A workload overrides it when it can
+    /// [`Workload::cost`] of every iteration, each [`CostSink::put`]
+    /// once, in any order — what [`CostTable::build`] stores. A workload overrides it when it can
     /// produce the whole table faster than one `cost` call at a time;
     /// the values must be the same.
-    fn costs(&self) -> Vec<u64> {
-        (0..self.n_iters()).map(|i| self.cost(i)).collect()
+    fn costs(&self, sink: &mut CostSink) {
+        for i in 0..self.n_iters() {
+            sink.put(i, self.cost(i));
+        }
+    }
+}
+
+/// The narrow slot of a cost that does not fit below it: its exact
+/// value is in [`CostSink`]'s side map.
+const WIDE: u32 = u32::MAX;
+
+/// A [`CostTable`]'s storage, filled by [`Workload::costs`]: four bytes
+/// per iteration. A cost of `u32::MAX` or more keeps that sentinel in
+/// its slot and its exact value in a side map, so every `u64` cost
+/// round-trips; the figure workloads' costs stay 60x below it and never
+/// touch the map.
+pub struct CostSink {
+    narrow: Vec<u32>,
+    wide: BTreeMap<u64, u64>,
+}
+
+impl CostSink {
+    /// Store `cost` as iteration `i`'s.
+    // Out of line: inlined, it slowed `Mandelbrot::costs`' lane loop by
+    // ~6 % (DESIGN, "What the sim hot path costs").
+    #[inline(never)]
+    pub fn put(&mut self, i: u64, cost: u64) {
+        match u32::try_from(cost) {
+            Ok(c) if c != WIDE => self.narrow[i as usize] = c,
+            _ => self.put_wide(i, cost),
+        }
+    }
+
+    #[cold]
+    fn put_wide(&mut self, i: u64, cost: u64) {
+        self.narrow[i as usize] = WIDE;
+        self.wide.insert(i, cost);
     }
 }
 
@@ -80,25 +116,38 @@ pub trait Workload: Send + Sync {
 /// workload and share it across the dozens of simulator runs of a
 /// figure sweep.
 pub struct CostTable {
-    costs: Vec<u64>,
+    costs: CostSink,
     name: &'static str,
 }
 
 impl CostTable {
     /// Precompute all iteration costs of `w`.
     pub fn build(w: &dyn Workload) -> Self {
-        Self { costs: w.costs(), name: w.name() }
+        let n = usize::try_from(w.n_iters()).expect("a cost table fits in memory");
+        let mut costs = CostSink { narrow: vec![0; n], wide: BTreeMap::new() };
+        w.costs(&mut costs);
+        Self { costs, name: w.name() }
     }
 
     /// Cost of iteration `i`.
     #[inline]
     pub fn cost(&self, i: u64) -> u64 {
-        self.costs[i as usize]
+        self.widen(i, self.costs.narrow[i as usize])
+    }
+
+    /// The cost a narrow slot `c` of iteration `i` stands for.
+    #[inline]
+    fn widen(&self, i: u64, c: u32) -> u64 {
+        if c == WIDE {
+            self.costs.wide[&i]
+        } else {
+            u64::from(c)
+        }
     }
 
     /// Number of iterations.
     pub fn n_iters(&self) -> u64 {
-        self.costs.len() as u64
+        self.costs.narrow.len() as u64
     }
 
     /// Workload name the table was built from.
@@ -107,18 +156,26 @@ impl CostTable {
     }
 
     /// Sum of costs over `[start, end)` — the compute time of a chunk.
+    /// Each wide cost is summed as its sentinel and then topped up, so the
+    /// sum overflows exactly when the costs' own sum does.
+    #[inline]
     pub fn range_cost(&self, start: u64, end: u64) -> u64 {
-        self.costs[start as usize..end as usize].iter().sum()
+        let narrow: u64 =
+            self.costs.narrow[start as usize..end as usize].iter().map(|&c| u64::from(c)).sum();
+        if self.costs.wide.is_empty() {
+            return narrow;
+        }
+        self.costs.wide.range(start..end).fold(narrow, |sum, (_, &c)| sum + (c - u64::from(WIDE)))
     }
 
-    /// All costs.
-    pub fn costs(&self) -> &[u64] {
-        &self.costs
+    /// Every cost, in iteration order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u64> + Clone + '_ {
+        self.costs.narrow.iter().enumerate().map(|(i, &c)| self.widen(i as u64, c))
     }
 
     /// Statistical summary of the iteration costs.
     pub fn stats(&self) -> WorkloadStats {
-        WorkloadStats::from_costs(&self.costs)
+        WorkloadStats::from_costs(self.iter())
     }
 
     /// A `dls::LoopSpec` for this workload over `p` workers, with the

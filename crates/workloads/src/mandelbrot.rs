@@ -2,7 +2,7 @@
 //! of one pixel. The classic DLS stress test — the paper selects it
 //! "due to high algorithmic load imbalance".
 
-use crate::Workload;
+use crate::{CostSink, Workload};
 
 /// How loop-iteration indices map onto image pixels.
 ///
@@ -187,14 +187,14 @@ impl Workload for Mandelbrot {
     /// in the same order, so the counts are the same. A pixel still
     /// bounded after [`LANE_STEPS`] leaves the lanes for
     /// [`Mandelbrot::finish`], which stops early once its orbit repeats.
-    fn costs(&self) -> Vec<u64> {
+    fn costs(&self, sink: &mut CostSink) {
         let n = self.n_iters();
         if n < LANES as u64 {
-            return (0..n).map(|i| self.cost(i)).collect();
+            (0..n).for_each(|i| sink.put(i, self.cost(i)));
+            return;
         }
         let cost_of = |it: u32| self.ns_base + u64::from(it) * self.ns_per_iter;
         let cap = self.max_iter.min(LANE_STEPS);
-        let mut out = vec![0u64; n as usize];
 
         // The traversal maps contiguous runs of iterations onto
         // contiguous pixels: one `pixel_of` per run, not per pixel.
@@ -234,7 +234,7 @@ impl Workload for Mandelbrot {
                     if lane.finished(cap) {
                         let bounded = lane.it < self.max_iter && !lane.escaped();
                         let it = if bounded { self.finish(lane) } else { lane.it };
-                        out[lane.i as usize] = cost_of(it);
+                        sink.put(lane.i, cost_of(it));
                         let Some(fresh) = feed() else {
                             // Nothing left to refill with: the pixels
                             // still in flight start over below.
@@ -253,9 +253,8 @@ impl Workload for Mandelbrot {
             }
         }
         for i in lanes.iter().map(|lane| lane.i).filter(|&i| i < n) {
-            out[i as usize] = self.cost(i);
+            sink.put(i, self.cost(i));
         }
-        out
     }
 }
 

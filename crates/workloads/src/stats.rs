@@ -20,22 +20,28 @@ pub struct WorkloadStats {
 }
 
 impl WorkloadStats {
-    /// Compute statistics from raw costs.
-    pub fn from_costs(costs: &[u64]) -> Self {
+    /// Compute statistics from raw costs, read in order once per
+    /// statistic.
+    pub fn from_costs<I>(costs: I) -> Self
+    where
+        I: IntoIterator<Item = u64>,
+        I::IntoIter: ExactSizeIterator + Clone,
+    {
+        let costs = costs.into_iter();
         let n = costs.len() as u64;
         if n == 0 {
             return Self { n: 0, total: 0, mean: 0.0, sigma: 0.0, max: 0, min: 0 };
         }
-        let total: u64 = costs.iter().sum();
+        let total: u64 = costs.clone().sum();
         let mean = total as f64 / n as f64;
-        let var = costs.iter().map(|&c| (c as f64 - mean).powi(2)).sum::<f64>() / n as f64;
+        let var = costs.clone().map(|c| (c as f64 - mean).powi(2)).sum::<f64>() / n as f64;
         Self {
             n,
             total,
             mean,
             sigma: var.sqrt(),
-            max: costs.iter().copied().max().unwrap_or(0),
-            min: costs.iter().copied().min().unwrap_or(0),
+            max: costs.clone().max().unwrap_or(0),
+            min: costs.min().unwrap_or(0),
         }
     }
 
@@ -66,7 +72,7 @@ mod tests {
 
     #[test]
     fn constant_costs_have_zero_sigma() {
-        let s = WorkloadStats::from_costs(&[5, 5, 5, 5]);
+        let s = WorkloadStats::from_costs([5, 5, 5, 5]);
         assert_eq!(s.mean, 5.0);
         assert_eq!(s.sigma, 0.0);
         assert_eq!(s.cov(), 0.0);
@@ -75,7 +81,7 @@ mod tests {
 
     #[test]
     fn known_distribution() {
-        let s = WorkloadStats::from_costs(&[2, 4, 4, 4, 5, 5, 7, 9]);
+        let s = WorkloadStats::from_costs([2, 4, 4, 4, 5, 5, 7, 9]);
         assert_eq!(s.mean, 5.0);
         assert_eq!(s.sigma, 2.0); // classic example
         assert_eq!(s.total, 40);
@@ -84,7 +90,7 @@ mod tests {
 
     #[test]
     fn empty_is_all_zero() {
-        let s = WorkloadStats::from_costs(&[]);
+        let s = WorkloadStats::from_costs([]);
         assert_eq!(s.n, 0);
         assert_eq!(s.cov(), 0.0);
     }

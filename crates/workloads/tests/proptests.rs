@@ -7,7 +7,9 @@ use std::sync::OnceLock;
 use workloads::psia::cloud::PointCloud;
 use workloads::psia::image::{contributing, spin_image, SpinImageParams};
 use workloads::synthetic::Synthetic;
-use workloads::{CostTable, Mandelbrot, Psia, PsiaStream, Traversal, Workload};
+use workloads::{
+    CostSink, CostTable, Mandelbrot, Psia, PsiaStream, Traversal, Workload, WorkloadStats,
+};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -111,8 +113,13 @@ proptest! {
             ..Mandelbrot::tiny()
         };
         let scalar: Vec<u64> = (0..m.n_iters()).map(|i| m.cost(i)).collect();
-        prop_assert_eq!(m.costs(), scalar);
+        prop_assert_eq!(table_costs(&m), scalar);
     }
+}
+
+/// Every cost of `w`'s table, as its `Workload::costs` put them.
+fn table_costs(w: &dyn Workload) -> Vec<u64> {
+    CostTable::build(w).iter().collect()
 }
 
 /// The instance the figure sweeps and the benchmark build: every one of
@@ -122,7 +129,7 @@ fn mandelbrot_quick_costs_match_the_scalar_kernel() {
     let m = Mandelbrot::quick();
     let table = CostTable::build(&m);
     assert_eq!(table.n_iters(), m.n_iters());
-    for (i, &c) in table.costs().iter().enumerate() {
+    for (i, c) in table.iter().enumerate() {
         assert_eq!(c, m.cost(i as u64), "iteration {i}");
     }
 }
@@ -203,7 +210,7 @@ fn psia_quick_stream_costs_come_from_the_images() {
     let stream = PsiaStream::new(base, 96, 0.1);
     let table = CostTable::build(&stream);
     assert_eq!(table.n_iters(), 96 * 4096);
-    for (i, &c) in table.costs().iter().enumerate() {
+    for (i, c) in table.iter().enumerate() {
         let i = i as u64;
         // splitmix64-style hash -> [0.9, 1.1], as `PsiaStream` jitters.
         let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -243,7 +250,7 @@ fn mandelbrot_costs_past_the_lanes_match_the_scalar_kernel() {
     let slow = escapes.iter().filter(|&&it| (2_049..m.max_iter).contains(&it)).count();
     assert!(interior >= 100 && slow >= 5, "{interior} interior and {slow} slow pixels");
     let scalar: Vec<u64> = (0..m.n_iters()).map(|i| m.cost(i)).collect();
-    assert_eq!(m.costs(), scalar);
+    assert_eq!(table_costs(&m), scalar);
 }
 
 proptest! {
@@ -263,10 +270,89 @@ proptest! {
         if im_half == 1.0 {
             m.height = 1;
         }
-        if tile > 0 && m.n_iters() % u64::from(tile) == 0 {
+        if tile > 0 && m.n_iters().is_multiple_of(u64::from(tile)) {
             m.traversal = Traversal::TiledShuffle { tile };
         }
         let scalar: Vec<u64> = (0..m.n_iters()).map(|i| m.cost(i)).collect();
-        prop_assert_eq!(m.costs(), scalar);
+        prop_assert_eq!(table_costs(&m), scalar);
+    }
+}
+
+/// A loop whose costs are listed, put into the table in reverse order.
+struct Listed(Vec<u64>);
+
+impl Workload for Listed {
+    fn n_iters(&self) -> u64 {
+        self.0.len() as u64
+    }
+
+    fn name(&self) -> &'static str {
+        "Listed"
+    }
+
+    fn execute(&self, i: u64) -> u64 {
+        self.cost(i)
+    }
+
+    fn cost(&self, i: u64) -> u64 {
+        self.0[i as usize]
+    }
+
+    fn costs(&self, sink: &mut CostSink) {
+        for (i, &c) in self.0.iter().enumerate().rev() {
+            sink.put(i as u64, c);
+        }
+    }
+}
+
+/// A cost on either side of the table's four-byte slot: its edges, the
+/// largest a loop of `n` can sum without overflow and just below it,
+/// and anything in between, capped so that `n` of them still sum.
+fn straddling(pick: u8, r: u64, n: u64) -> u64 {
+    let edge = u64::from(u32::MAX);
+    let top = u64::MAX / n;
+    let c = match pick % 8 {
+        0 => edge - 1,
+        1 => edge,
+        2 => edge + 1,
+        3 => top,
+        4 => top - r % 1024,
+        5 => r % edge,
+        6 => r % top,
+        _ => 0,
+    };
+    c.min(top)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    // Four bytes a slot, and no cost clamped: every cost, every range
+    // sum and the statistics of a loop whose costs straddle 2^32 come
+    // back exactly as the `u64` costs give them.
+    #[test]
+    fn costs_past_four_bytes_round_trip(
+        picks in prop::collection::vec((any::<u8>(), any::<u64>()), 1..48),
+    ) {
+        let n = picks.len() as u64;
+        let costs: Vec<u64> = picks.iter().map(|&(pick, r)| straddling(pick, r, n)).collect();
+        let w = Listed(costs.clone());
+        let t = CostTable::build(&w);
+        prop_assert_eq!(t.n_iters(), n);
+        for (i, &c) in costs.iter().enumerate() {
+            prop_assert_eq!(t.cost(i as u64), c);
+        }
+        prop_assert_eq!(t.iter().collect::<Vec<_>>(), costs.clone());
+        for start in 0..=n {
+            for end in start..=n {
+                let sum: u64 = costs[start as usize..end as usize].iter().sum();
+                prop_assert_eq!(t.range_cost(start, end), sum);
+            }
+        }
+        let (got, want) = (t.stats(), WorkloadStats::from_costs(costs.iter().copied()));
+        prop_assert_eq!(
+            (got.n, got.total, got.mean.to_bits(), got.sigma.to_bits(), got.max, got.min),
+            (want.n, want.total, want.mean.to_bits(), want.sigma.to_bits(), want.max, want.min)
+        );
     }
 }
