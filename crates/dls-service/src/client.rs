@@ -7,7 +7,7 @@
 //! per worker gets crash recovery for free.
 
 use crate::protocol::{
-    frame, ErrorCode, GrantedChunk, JobId, LeaseId, Request, Response, StatsSnapshot, MAX_COUNT,
+    frame, ErrorCode, GrantedChunk, JobId, LeaseId, Request, Response, StatsSnapshot, MAX_ITEMS,
 };
 use dls::switchable::{Decision, SchedKind};
 use std::io::{self, Read, Write};
@@ -30,8 +30,8 @@ pub enum ClientError {
     },
     /// The server answered with a response of the wrong shape.
     Unexpected(&'static str),
-    /// The call carries more items than one request frame can count
-    /// ([`MAX_COUNT`]); nothing was sent.
+    /// The call carries more items than one request may
+    /// ([`MAX_ITEMS`]); nothing was sent.
     TooMany {
         /// What the call carries too many of.
         what: &'static str,
@@ -48,7 +48,7 @@ impl std::fmt::Display for ClientError {
             ClientError::Server { code, detail } => write!(f, "server error {code}: {detail}"),
             ClientError::Unexpected(what) => write!(f, "unexpected response, wanted {what}"),
             ClientError::TooMany { what, count } => {
-                write!(f, "{count} {what}: one request carries at most {MAX_COUNT}")
+                write!(f, "{count} {what}: one request carries at most {MAX_ITEMS}")
             }
         }
     }
@@ -207,14 +207,15 @@ impl Client {
     /// Register a job of `n` iterations scheduled by `kind` (any
     /// [`dls::Kind`] converts, so `create_job(n, Kind::SS, &[])` and
     /// `create_job(n, SchedKind::Auto, &[])` both work); `weights` may
-    /// be empty for unit weights.
+    /// be empty for unit weights. More than [`MAX_ITEMS`] weights are
+    /// refused with [`ClientError::TooMany`]; nothing is sent.
     pub fn create_job(
         &mut self,
         n: u64,
         kind: impl Into<SchedKind>,
         weights: &[f64],
     ) -> Result<JobId> {
-        if weights.len() > MAX_COUNT {
+        if weights.len() > MAX_ITEMS {
             return Err(ClientError::TooMany { what: "weights", count: weights.len() });
         }
         let kind = kind.into();
@@ -248,21 +249,14 @@ impl Client {
     /// last observed server epoch; a journaled server that restarted
     /// since the leases were granted answers
     /// [`ErrorCode::StaleEpoch`] instead of double-counting them.
-    ///
-    /// More than [`MAX_COUNT`] leases go in several requests, in order.
-    /// The first refusal stops the rest, as the server stops at the
-    /// first lease it refuses within one request.
+    /// More than [`MAX_ITEMS`] leases are refused with
+    /// [`ClientError::TooMany`]; nothing is sent.
     pub fn report_done(&mut self, job: JobId, leases: &[LeaseId]) -> Result<()> {
-        let mut rest = leases;
-        loop {
-            let (part, tail) = rest.split_at(rest.len().min(MAX_COUNT));
-            let req = Request::ReportDone { job, leases: part.to_vec(), epoch: self.epoch };
-            Self::expect_ack(self.call(&req)?)?;
-            if tail.is_empty() {
-                return Ok(());
-            }
-            rest = tail;
+        if leases.len() > MAX_ITEMS {
+            return Err(ClientError::TooMany { what: "leases", count: leases.len() });
         }
+        let epoch = self.epoch;
+        Self::expect_ack(self.call(&Request::ReportDone { job, leases: leases.to_vec(), epoch })?)
     }
 
     /// Ask a journaled server whether `job` survived its restart, and

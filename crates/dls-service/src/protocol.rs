@@ -48,10 +48,12 @@ pub const VERSION: u8 = 3;
 /// length prefix cannot make the server allocate unbounded memory.
 pub const MAX_FRAME: u32 = 256 * 1024;
 
-/// Most weights a `CreateJob` and most leases a `ReportDone` can carry:
-/// what their `u16` count announces. [`crate::Client`] refuses more
-/// weights and splits more leases.
-pub const MAX_COUNT: usize = u16::MAX as usize;
+/// Most weights a `CreateJob` and most leases a `ReportDone` carry: 8
+/// bytes an item behind `ReportDone`'s 16-byte header, within a default
+/// [`MAX_FRAME`], so a server with the default frame bound reads them.
+/// [`crate::Client`] refuses more.
+pub const MAX_ITEMS: usize = (MAX_FRAME as usize - 16) / 8;
+const _: () = assert!(MAX_ITEMS <= u16::MAX as usize, "a request counts its items in a u16");
 
 // Request tags.
 const T_CREATE_JOB: u8 = 1;
@@ -653,7 +655,7 @@ impl Request {
 
 /// A request's item count as its `u16`.
 fn count(len: usize) -> u16 {
-    u16::try_from(len).expect("at most MAX_COUNT items in one request")
+    u16::try_from(len).expect("a request counts at most u16::MAX items")
 }
 
 #[cold]

@@ -9,15 +9,13 @@
 
 use super::run::{Run, Step};
 use super::{SimConfig, SimResult};
-use crate::protocol::{self, NodeQueue, GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ};
-use crate::queue::{QueuedRange, SubChunk};
+use crate::protocol::{GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ};
+use crate::queue::{LocalQueue, SubChunk};
 use cluster_sim::trace::SegmentKind;
 use cluster_sim::{Resource, Time};
 use dls::openmp::static_blocks;
-use dls::technique::WorkerCtx;
 use dls::ChunkCalculator;
 use mpisim::RmaEvent;
-use std::convert::Infallible;
 use workloads::CostTable;
 
 enum Event {
@@ -187,7 +185,8 @@ fn run_team(run: &mut Run<Event>, node: u32, lo: u64, hi: u64, start: Time) -> V
     // combinations that tests exercise directly, any dynamic technique):
     // threads pull sub-chunks from a shared dispatcher; each dispatch is
     // one atomic in the OpenMP runtime, serialized per node.
-    let mut region = Region(QueuedRange::new(lo, hi));
+    let mut queue = LocalQueue::new();
+    queue.deposit(lo, hi);
     let mut dispatcher = Resource::new();
     // Perturbation staggers each thread's arrival at the dispatcher,
     // reshuffling which thread wins each pull.
@@ -195,18 +194,16 @@ fn run_team(run: &mut Run<Event>, node: u32, lo: u64, hi: u64, start: Time) -> V
         (0..threads).map(|i| start + run.jitter.delay(node * threads + i)).collect();
     loop {
         // The earliest-free thread grabs the next sub-chunk; among
-        // equals, the lowest thread id. Which thread that is changes
-        // at random, so the scan selects rather than branches.
+        // equals, the lowest thread id.
         let (mut i, mut earliest) = (0, clocks[0]);
         for (j, &c) in clocks.iter().enumerate() {
-            let earlier = c < earliest;
-            i = std::hint::select_unpredictable(earlier, j, i);
-            earliest = std::hint::select_unpredictable(earlier, c, earliest);
+            if c < earliest {
+                (i, earliest) = (j, c);
+            }
         }
         let w = node * threads + i as u32;
         let (_, dispatched) = dispatcher.request(earliest, m.omp_dispatch_ns);
-        let Ok(Some(sub)) = protocol::take(&mut region, intra, threads, WorkerCtx::default())
-        else {
+        let Some(sub) = queue.take_sub_chunk(intra, threads) else {
             break;
         };
         run.trace.record(w, earliest, dispatched, SegmentKind::Sched);
@@ -216,29 +213,6 @@ fn run_team(run: &mut Run<Event>, node: u32, lo: u64, hi: u64, start: Time) -> V
         clocks[i] = dispatched + cost;
     }
     clocks
-}
-
-/// A worksharing region's one deposit: the node queue the team's takes
-/// go through, without the FIFO a node queue of several deposits needs.
-struct Region(QueuedRange);
-
-impl NodeQueue for Region {
-    type Error = Infallible;
-
-    fn front(&mut self) -> Result<Option<QueuedRange>, Infallible> {
-        Ok((!self.0.is_empty()).then_some(self.0))
-    }
-
-    fn advance(&mut self, front: QueuedRange) -> Result<(), Infallible> {
-        self.0 = front;
-        Ok(())
-    }
-
-    fn push(&mut self, lo: u64, hi: u64) -> Result<(), Infallible> {
-        debug_assert!(self.0.is_empty(), "a region holds one deposit");
-        self.0 = QueuedRange::new(lo, hi);
-        Ok(())
-    }
 }
 
 #[cfg(test)]

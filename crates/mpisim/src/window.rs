@@ -181,7 +181,7 @@ impl RankLocal {
             bump(&self.lock_wait_ns, since.elapsed().as_nanos() as u64);
         }
         let sampled = n >= EXACT_EPOCHS;
-        let slot = if timed && (!sampled || n.is_multiple_of(SAMPLE_EVERY)) {
+        let slot = if timed && (!sampled || n % SAMPLE_EVERY == 0) {
             let at = self.base.elapsed().as_nanos() as u64;
             (at + 1) << 1 | u64::from(sampled)
         } else {

@@ -33,7 +33,7 @@ fn spin_until(mut ready: impl FnMut() -> bool) {
     let mut polls = 0u32;
     while !ready() {
         polls += 1;
-        if polls.is_multiple_of(64) {
+        if polls % 64 == 0 {
             thread::yield_now();
         } else {
             std::hint::spin_loop();

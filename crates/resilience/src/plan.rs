@@ -162,13 +162,13 @@ impl FaultPlan {
         // hold work, so there is something to lose and reclaim.
         let at_ns = 20_000 + splitmix64(&mut s) % 180_000;
         let after_sub_chunks = 1 + (splitmix64(&mut s) % 4) as u32;
-        let kind = if splitmix64(&mut s).is_multiple_of(3) {
+        let kind = if splitmix64(&mut s) % 3 == 0 {
             FaultKind::CrashHoldingLock { at_ns, after_sub_chunks }
         } else {
             FaultKind::Crash { at_ns, after_sub_chunks }
         };
         plan = plan.with(crash_rank, kind);
-        if ranks > 1 && splitmix64(&mut s).is_multiple_of(2) {
+        if ranks > 1 && splitmix64(&mut s) % 2 == 0 {
             let mut r = (splitmix64(&mut s) % u64::from(ranks)) as u32;
             if r == crash_rank {
                 r = (r + 1) % ranks;
@@ -176,13 +176,13 @@ impl FaultPlan {
             let factor = 2.0 + (splitmix64(&mut s) % 5) as f64;
             plan = plan.with(r, FaultKind::Straggle { factor, from_ns: 0 });
         }
-        if ranks > 1 && splitmix64(&mut s).is_multiple_of(3) {
+        if ranks > 1 && splitmix64(&mut s) % 3 == 0 {
             let mut r = (splitmix64(&mut s) % u64::from(ranks)) as u32;
             if r == crash_rank {
                 r = (r + 1) % ranks;
             }
             let at = splitmix64(&mut s) % 100_000;
-            let kind = if splitmix64(&mut s).is_multiple_of(2) {
+            let kind = if splitmix64(&mut s) % 2 == 0 {
                 FaultKind::MessageDrop { at_ns: at }
             } else {
                 FaultKind::MessageDelay { extra_ns: 2_000, from_ns: at }

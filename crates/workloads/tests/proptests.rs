@@ -270,7 +270,7 @@ proptest! {
         if im_half == 1.0 {
             m.height = 1;
         }
-        if tile > 0 && m.n_iters().is_multiple_of(u64::from(tile)) {
+        if tile > 0 && m.n_iters() % u64::from(tile) == 0 {
             m.traversal = Traversal::TiledShuffle { tile };
         }
         let scalar: Vec<u64> = (0..m.n_iters()).map(|i| m.cost(i)).collect();
