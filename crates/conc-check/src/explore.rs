@@ -2,10 +2,9 @@
 //! nondeterministic decision a model run can take.
 //!
 //! Each run of a model under [`crate::sched::Execution`] records its
-//! decision vector (which thread stepped at each contended point, which
-//! store each stale-capable load observed). The explorer re-runs the
-//! model with a replayed prefix and one decision flipped, walking the
-//! whole decision tree depth-first.
+//! decision vector (which thread stepped at each contended point). The
+//! explorer re-runs the model with a replayed prefix and one decision
+//! flipped, walking the whole decision tree depth-first.
 //!
 //! **Sleep sets** (a classic partial-order reduction) keep that
 //! tractable: once the subtree starting with thread `t` has been fully
@@ -69,30 +68,15 @@ pub enum Outcome {
 // DFS frames
 // ---------------------------------------------------------------------------
 
-enum Frame {
-    Sched {
-        enabled: Vec<(Tid, DepInfo)>,
-        at_step: usize,
-        /// Index currently being explored.
-        chosen: usize,
-        /// Alternatives already descended into.
-        explored: Vec<bool>,
-        /// Sleep set (inherited + accumulated), by `enabled` index.
-        sleep: Vec<bool>,
-    },
-    Value {
-        arity: usize,
-        chosen: usize,
-        explored: Vec<bool>,
-    },
-}
-
-impl Frame {
-    fn chosen(&self) -> usize {
-        match self {
-            Frame::Sched { chosen, .. } | Frame::Value { chosen, .. } => *chosen,
-        }
-    }
+struct Frame {
+    enabled: Vec<(Tid, DepInfo)>,
+    at_step: usize,
+    /// Index currently being explored.
+    chosen: usize,
+    /// Alternatives already descended into.
+    explored: Vec<bool>,
+    /// Sleep set (inherited + accumulated), by `enabled` index.
+    sleep: Vec<bool>,
 }
 
 /// Exhaustive check of every schedule of `model`, with sleep-set
@@ -111,7 +95,7 @@ fn explore(model: Arc<dyn Fn() + Send + Sync>, sleep_sets: bool) -> Outcome {
     let mut schedules = 0usize;
 
     loop {
-        let replay: Vec<usize> = stack.iter().map(Frame::chosen).collect();
+        let replay: Vec<usize> = stack.iter().map(|f| f.chosen).collect();
         let result = Execution::new(replay).run(Arc::clone(&model));
         schedules += 1;
 
@@ -124,86 +108,57 @@ fn explore(model: Arc<dyn Fn() + Send + Sync>, sleep_sets: bool) -> Outcome {
 
         // Extend the stack with the decisions this run took beyond the
         // replayed prefix, inheriting sleep sets frame to frame.
-        for (pos, dec) in result.decisions.iter().enumerate().skip(stack.len()) {
-            let frame = match dec {
-                DecisionRec::Value { arity, chosen } => {
-                    let mut explored = vec![false; *arity];
-                    explored[*chosen] = true;
-                    Frame::Value { arity: *arity, chosen: *chosen, explored }
-                }
-                DecisionRec::Sched { enabled, chosen, at_step } => {
-                    let mut explored = vec![false; enabled.len()];
-                    explored[*chosen] = true;
-                    let mut sleep = vec![false; enabled.len()];
-                    // Nearest Sched ancestor (Value frames sit inside
-                    // transitions and are transparent here).
-                    let parent = stack[..pos].iter().rev().find_map(|f| match f {
-                        Frame::Sched { enabled, at_step, chosen, sleep, .. } => {
-                            Some((enabled, *at_step, *chosen, sleep))
+        for DecisionRec { enabled, chosen, at_step } in result.decisions.iter().skip(stack.len()) {
+            let mut explored = vec![false; enabled.len()];
+            explored[*chosen] = true;
+            let mut sleep = vec![false; enabled.len()];
+            if let Some(parent) = stack.last() {
+                let (p_tid, p_dep) = parent.enabled[parent.chosen];
+                // Sleep inheritance is only sound across a single
+                // transition: require that every step between the two
+                // decisions was executed by the parent's chosen thread
+                // (otherwise an unrecorded intermediate transition might
+                // be dependent with a sleeping op).
+                let single_transition =
+                    result.trace[parent.at_step..*at_step].iter().all(|s| s.tid == p_tid);
+                if sleep_sets && single_transition {
+                    for (u_idx, &(u_tid, u_dep)) in enabled.iter().enumerate() {
+                        if u_tid == p_tid {
+                            continue;
                         }
-                        Frame::Value { .. } => None,
-                    });
-                    if let Some((p_enabled, p_step, p_chosen, p_sleep)) = parent {
-                        let (p_tid, p_dep) = p_enabled[p_chosen];
-                        // Sleep inheritance is only sound across a
-                        // single transition: require that every step
-                        // between the two decisions was executed by the
-                        // parent's chosen thread (otherwise an
-                        // unrecorded intermediate transition might be
-                        // dependent with a sleeping op).
-                        let single_transition =
-                            result.trace[p_step..*at_step].iter().all(|s| s.tid == p_tid);
-                        if sleep_sets && single_transition {
-                            for (u_idx, &(u_tid, u_dep)) in enabled.iter().enumerate() {
-                                if u_tid == p_tid {
-                                    continue;
-                                }
-                                let was_asleep = p_enabled
-                                    .iter()
-                                    .position(|&(t, _)| t == u_tid)
-                                    .is_some_and(|i| p_sleep[i] && p_enabled[i].1 == u_dep);
-                                if was_asleep && !u_dep.dependent(&p_dep) {
-                                    sleep[u_idx] = true;
-                                }
-                            }
+                        let was_asleep = parent
+                            .enabled
+                            .iter()
+                            .position(|&(t, _)| t == u_tid)
+                            .is_some_and(|i| parent.sleep[i] && parent.enabled[i].1 == u_dep);
+                        if was_asleep && !u_dep.dependent(&p_dep) {
+                            sleep[u_idx] = true;
                         }
                     }
-                    Frame::Sched {
-                        enabled: enabled.clone(),
-                        at_step: *at_step,
-                        chosen: *chosen,
-                        explored,
-                        sleep,
-                    }
                 }
-            };
-            stack.push(frame);
+            }
+            stack.push(Frame {
+                enabled: enabled.clone(),
+                at_step: *at_step,
+                chosen: *chosen,
+                explored,
+                sleep,
+            });
         }
 
         // Backtrack: advance the deepest frame with an untried,
         // unpruned alternative; pop frames that are exhausted.
         let advanced = loop {
-            let Some(top) = stack.last_mut() else { break false };
-            let next = match top {
-                Frame::Value { arity, chosen, explored } => {
-                    (0..*arity).find(|&c| !explored[c]).map(|c| {
-                        explored[c] = true;
-                        *chosen = c;
-                    })
-                }
-                Frame::Sched { enabled, chosen, explored, sleep, .. } => {
-                    // The just-finished subtree's thread goes to sleep
-                    // for the remaining siblings.
-                    sleep[*chosen] = true;
-                    (0..enabled.len()).find(|&c| !(explored[c] || (sleep_sets && sleep[c]))).map(
-                        |c| {
-                            explored[c] = true;
-                            *chosen = c;
-                        },
-                    )
-                }
+            let Some(Frame { enabled, chosen, explored, sleep, .. }) = stack.last_mut() else {
+                break false;
             };
-            if next.is_some() {
+            // The just-finished subtree's thread goes to sleep for the
+            // remaining siblings.
+            sleep[*chosen] = true;
+            let next = (0..enabled.len()).find(|&c| !(explored[c] || (sleep_sets && sleep[c])));
+            if let Some(c) = next {
+                explored[c] = true;
+                *chosen = c;
                 break true;
             }
             stack.pop();
@@ -217,7 +172,7 @@ fn explore(model: Arc<dyn Fn() + Send + Sync>, sleep_sets: bool) -> Outcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use crate::sync::atomic::{AtomicU64, Ordering};
     use crate::sync::Mutex;
     use crate::thread;
     use std::collections::BTreeSet;
@@ -287,41 +242,6 @@ mod tests {
         let cx = counterexample(outcome, "ABBA deadlock");
         assert_eq!(cx.kind, ViolationKind::Deadlock, "expected a deadlock:\n{cx}");
         assert!(!cx.trace.is_empty(), "deadlock reported without a trace");
-    }
-
-    #[test]
-    fn relaxed_shutdown_flag_goes_stale() {
-        // An all-`Relaxed` flag-then-data publish: seeing the second
-        // store does not make the first visible, so the reader may see
-        // the announcement and a stale flag. No preemption is needed,
-        // only a stale read.
-        let outcome = check(|| {
-            let draining = Arc::new(AtomicBool::new(false));
-            let closed = Arc::new(AtomicBool::new(false));
-            let controller = {
-                let (draining, closed) = (Arc::clone(&draining), Arc::clone(&closed));
-                thread::spawn(move || {
-                    draining.store(true, Ordering::Relaxed);
-                    closed.store(true, Ordering::Relaxed);
-                })
-            };
-            let worker = {
-                let (draining, closed) = (Arc::clone(&draining), Arc::clone(&closed));
-                thread::spawn(move || {
-                    if closed.load(Ordering::Relaxed) {
-                        assert!(draining.load(Ordering::Relaxed), "drain flag reads stale");
-                    }
-                })
-            };
-            controller.join().expect("controller");
-            worker.join().expect("worker");
-        });
-        let cx = counterexample(outcome, "relaxed drain flag");
-        assert_eq!(cx.kind, ViolationKind::Property("drain flag reads stale".into()), "{cx}");
-        assert!(
-            cx.trace.iter().any(|s| s.text.contains("stale")),
-            "trace does not surface the stale load:\n{cx}"
-        );
     }
 
     #[test]

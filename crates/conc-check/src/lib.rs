@@ -12,8 +12,7 @@
 //! * [`thread`] — model-thread spawning ([`thread::spawn`] +
 //!   [`thread::JoinHandle`]).
 //! * [`check`] — the schedule explorer: stateless DFS over every
-//!   scheduling and stale-read decision, with sleep-set partial-order
-//!   reduction.
+//!   scheduling decision, with sleep-set partial-order reduction.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

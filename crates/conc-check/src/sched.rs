@@ -6,41 +6,21 @@
 //! real OS thread, but only one ever runs at a time: a baton is passed
 //! at every *visible operation* (atomic load/store/RMW, lock
 //! acquire/release, condvar wait/notify, join), so one execution is a
-//! total order of visible ops chosen by the explorer. Everything a run
-//! decides — which thread steps next, which store a `Relaxed` load
-//! observes — is recorded as a [`DecisionRec`], and a recorded decision
-//! vector replays the exact execution, which is what lets the explorer
-//! backtrack depth-first through the schedule space.
+//! total order of visible ops chosen by the explorer. Every choice of
+//! the next thread is recorded as a [`DecisionRec`], and a recorded
+//! decision vector replays the exact execution, which is what lets the
+//! explorer backtrack depth-first through the schedule space.
 //!
-//! Memory-ordering model (a deliberately bounded subset of C11, the
-//! loom approach scaled to what `dls-service` uses):
-//!
-//! * every atomic carries its full modification order (a store list);
-//! * an RMW always reads the *latest* store — C11 guarantees RMWs read
-//!   the last value in modification order, which is exactly why
-//!   `fetch_add`/`fetch_max` counters never lose updates even when
-//!   `Relaxed`;
-//! * a `SeqCst` load reads the latest store (the scheduler's execution
-//!   order is the SC total order);
-//! * an `Acquire`/`Relaxed` load may read any store newer than both the
-//!   newest store that happens-before it and the newest store this
-//!   thread has already observed (per-thread coherence floor), bounded
-//!   by a staleness window of [`STALE_WINDOW`] stores — each extra
-//!   candidate is a branch point the explorer enumerates;
-//! * `Release` stores carry the writer's vector clock; an acquiring
-//!   read of a release store joins it (happens-before edges); mutexes
-//!   carry a clock the same way.
-//!
-//! The model is *sound for the protocols checked here* (it can only
-//! miss weak behaviours, never invent impossible ones): it
-//! under-approximates staleness (bounded window, no IRIW-style
-//! SC-fence subtleties) and never reorders a thread's own operations.
+//! The memory model is sequential consistency: every load and every
+//! read-modify-write reads the latest store, whatever its declared
+//! `Ordering`. The races the models look for are check-then-act races
+//! over interleavings, which SC exposes; a weak-memory behaviour (a
+//! `Relaxed` load reading a stale store) is out of scope.
 
 use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, Once};
 
 /// Model-thread identifier (dense, 0 = the model's root closure).
@@ -56,9 +36,6 @@ const MAX_THREADS: usize = 16;
 /// Per-run visible-op cap; a run past it is reported as
 /// [`ViolationKind::TooManySteps`].
 const MAX_STEPS: usize = 2_000;
-
-/// How many stores back a `Relaxed`/`Acquire` load may observe.
-const STALE_WINDOW: usize = 2;
 
 // ---------------------------------------------------------------------------
 // Decisions, traces, violations
@@ -86,28 +63,18 @@ impl DepInfo {
     }
 }
 
-/// One nondeterministic decision taken during a run.
+/// Which thread performs its pending op next: the one nondeterministic
+/// decision of a run. Only recorded when more than one thread was
+/// enabled.
 #[derive(Clone, Debug)]
-pub(crate) enum DecisionRec {
-    /// Which thread performs its pending op next. Only recorded when
-    /// more than one thread was enabled.
-    Sched {
-        /// Enabled threads, ascending tid, with their pending op info.
-        enabled: Vec<(Tid, DepInfo)>,
-        /// Index into `enabled`.
-        chosen: usize,
-        /// Trace length when the decision was taken (lets the explorer
-        /// see which threads executed between two decision points).
-        at_step: usize,
-    },
-    /// Which of `arity` legal stores a stale-capable load observed.
-    /// `chosen == arity - 1` is the newest (SC-consistent) store.
-    Value {
-        /// Number of legal candidate stores.
-        arity: usize,
-        /// Index into the candidate list (oldest first).
-        chosen: usize,
-    },
+pub(crate) struct DecisionRec {
+    /// Enabled threads, ascending tid, with their pending op info.
+    pub enabled: Vec<(Tid, DepInfo)>,
+    /// Index into `enabled`.
+    pub chosen: usize,
+    /// Trace length when the decision was taken (lets the explorer see
+    /// which threads executed between two decision points).
+    pub at_step: usize,
 }
 
 /// One executed visible op, for counterexample traces.
@@ -154,47 +121,11 @@ pub(crate) struct RunResult {
 // Shared objects
 // ---------------------------------------------------------------------------
 
-type VClock = Vec<u64>;
-
-fn clock_join(into: &mut VClock, from: &VClock) {
-    if into.len() < from.len() {
-        into.resize(from.len(), 0);
-    }
-    for (i, &v) in from.iter().enumerate() {
-        if into[i] < v {
-            into[i] = v;
-        }
-    }
-}
-
-#[derive(Clone, Debug)]
-struct AtomicStore {
-    val: u64,
-    writer: Tid,
-    /// Writer's clock component at the store (happens-before test).
-    writer_time: u64,
-    /// Full clock carried when the store had release semantics.
-    release: Option<VClock>,
-}
-
-struct AtomicObj {
-    /// Modification order, oldest first. Never empty (holds the init).
-    stores: Vec<AtomicStore>,
-    /// Per-thread index of the newest store already observed
-    /// (read-read coherence floor).
-    seen: Vec<usize>,
-}
-
-struct LockObj {
-    held_by: Option<Tid>,
-    /// Clock released with the lock (happens-before through critical
-    /// sections).
-    clock: VClock,
-}
-
 enum Obj {
-    Atomic(AtomicObj),
-    Lock(LockObj),
+    /// An atomic's current value.
+    Atomic(u64),
+    /// A lock and its holder.
+    Lock(Option<Tid>),
     Cv,
 }
 
@@ -230,8 +161,6 @@ struct ThreadSlot {
     finished: bool,
     /// Set while parked in a condvar wait and a notify arrived.
     cv_notified: bool,
-    clock: VClock,
-    final_clock: Option<VClock>,
     /// Synthetic object representing this thread's completion, so the
     /// sleep-set pruner sees a `join` and the joinee's final `finish`
     /// op as dependent (a join's enabledness flips when it runs).
@@ -335,7 +264,7 @@ impl Execution {
     /// execution to completion (all threads finished or aborted).
     pub(crate) fn run(self: &Arc<Self>, model: Arc<dyn Fn() + Send + Sync>) -> RunResult {
         install_quiet_hook();
-        let root = self.add_thread(None);
+        let root = self.add_thread();
         debug_assert_eq!(root, 0);
         {
             let mut st = lock_recover(&self.m);
@@ -353,17 +282,10 @@ impl Execution {
         }
     }
 
-    fn add_thread(self: &Arc<Self>, parent: Option<Tid>) -> Tid {
+    fn add_thread(self: &Arc<Self>) -> Tid {
         let mut st = lock_recover(&self.m);
         let tid = st.threads.len();
         assert!(tid < MAX_THREADS, "model spawned more than {MAX_THREADS} threads");
-        let clock = match parent {
-            // Spawn edge: the child starts with (a bumped copy of) the
-            // parent's clock, so everything the parent did
-            // happens-before the child.
-            Some(p) => st.threads[p].clock.clone(),
-            None => Vec::new(),
-        };
         let end_obj = st.objs.len();
         st.objs.push(Obj::Cv);
         st.threads.push(ThreadSlot {
@@ -373,8 +295,6 @@ impl Execution {
             }),
             finished: false,
             cv_notified: false,
-            clock,
-            final_clock: None,
             end_obj,
         });
         st.live += 1;
@@ -387,8 +307,7 @@ impl Execution {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let me = with_ctx(|c| c.map(|(_, tid)| *tid)).expect("spawn outside a model run");
-        let tid = self.add_thread(Some(me));
+        let tid = self.add_thread();
         let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
         let slot = Arc::clone(&result);
         self.start_os_thread(tid, move || {
@@ -436,7 +355,7 @@ impl Execution {
             let runnable = match p.kind {
                 PendingKind::Start | PendingKind::Op => true,
                 PendingKind::LockAcquire(l) => match &st.objs[l] {
-                    Obj::Lock(lk) => lk.held_by.is_none(),
+                    Obj::Lock(held_by) => held_by.is_none(),
                     _ => unreachable!("lock id points at a non-lock"),
                 },
                 PendingKind::Join(target) => st.threads[target].finished,
@@ -486,7 +405,7 @@ impl Execution {
                 .unwrap_or(0)
         };
         if enabled.len() > 1 {
-            st.decisions.push(DecisionRec::Sched {
+            st.decisions.push(DecisionRec {
                 enabled: enabled.clone(),
                 chosen: chosen_idx,
                 at_step: st.trace.len(),
@@ -541,13 +460,7 @@ impl Execution {
             self.schedule(&mut st);
         }
         self.wait_for_baton(me);
-        let mut st = lock_recover(&self.m);
-        // Each visible op advances the thread's clock component.
-        if st.threads[me].clock.len() <= me {
-            st.threads[me].clock.resize(me + 1, 0);
-        }
-        st.threads[me].clock[me] += 1;
-        effect(&mut st)
+        effect(&mut lock_recover(&self.m))
     }
 
     fn thread_finished(self: &Arc<Self>, me: Tid, panic_message: Option<String>) {
@@ -559,8 +472,6 @@ impl Execution {
                 st.abort = true;
             }
         }
-        let clock = st.threads[me].clock.clone();
-        st.threads[me].final_clock = Some(clock);
         st.threads[me].finished = true;
         st.threads[me].parked = None;
         st.live -= 1;
@@ -573,24 +484,6 @@ impl Execution {
         self.cv.notify_all();
     }
 
-    /// Record a value decision (which of `arity` candidates a stale
-    /// load observes). Runs inside a visible op's effect.
-    fn choose_inner(st: &mut ExecState, arity: usize) -> usize {
-        if arity <= 1 {
-            return 0;
-        }
-        let chosen = match st.replay.pop_front() {
-            Some(forced) => {
-                assert!(forced < arity, "replay divergence: value {forced} of {arity}");
-                forced
-            }
-            // Default: the newest store (the SC-consistent execution).
-            None => arity - 1,
-        };
-        st.decisions.push(DecisionRec::Value { arity, chosen });
-        chosen
-    }
-
     fn push_step(st: &mut ExecState, tid: Tid, text: String) {
         st.trace.push(Step { tid, text });
     }
@@ -600,17 +493,14 @@ impl Execution {
     pub(crate) fn register_atomic(&self, init: u64) -> usize {
         let mut st = lock_recover(&self.m);
         let id = st.objs.len();
-        st.objs.push(Obj::Atomic(AtomicObj {
-            stores: vec![AtomicStore { val: init, writer: 0, writer_time: 0, release: None }],
-            seen: Vec::new(),
-        }));
+        st.objs.push(Obj::Atomic(init));
         id
     }
 
     pub(crate) fn register_lock(&self) -> usize {
         let mut st = lock_recover(&self.m);
         let id = st.objs.len();
-        st.objs.push(Obj::Lock(LockObj { held_by: None, clock: Vec::new() }));
+        st.objs.push(Obj::Lock(None));
         id
     }
 
@@ -623,139 +513,54 @@ impl Execution {
 
     // ---- atomics ----------------------------------------------------------
 
-    fn atomic_mut(st: &mut ExecState, id: usize) -> &mut AtomicObj {
+    fn atomic_mut(st: &mut ExecState, id: usize) -> &mut u64 {
         match &mut st.objs[id] {
-            Obj::Atomic(a) => a,
+            Obj::Atomic(val) => val,
             _ => unreachable!("atomic id points at a non-atomic"),
         }
     }
 
-    fn is_acquire(ord: Ordering) -> bool {
-        matches!(ord, Ordering::Acquire | Ordering::AcqRel | Ordering::SeqCst)
-    }
-
-    fn is_release(ord: Ordering) -> bool {
-        matches!(ord, Ordering::Release | Ordering::AcqRel | Ordering::SeqCst)
-    }
-
-    pub(crate) fn atomic_load(&self, me: Tid, id: usize, ord: Ordering) -> u64 {
+    pub(crate) fn atomic_load(&self, me: Tid, id: usize) -> u64 {
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(id), write: false } };
         self.visible_op(me, pending, move |st| {
-            let my_clock = st.threads[me].clock.clone();
-            let a = Self::atomic_mut(st, id);
-            let len = a.stores.len();
-            if a.seen.len() <= me {
-                a.seen.resize(me + 1, 0);
-            }
-            // Oldest store this load may legally observe:
-            //  - nothing older than the newest store that happens-before
-            //    the load (write-read coherence),
-            //  - nothing older than what this thread already read
-            //    (read-read coherence),
-            //  - nothing outside the staleness window.
-            let mut floor = a.seen[me];
-            for (i, s) in a.stores.iter().enumerate().rev() {
-                let seen_of_writer = my_clock.get(s.writer).copied().unwrap_or(0);
-                if seen_of_writer >= s.writer_time {
-                    floor = floor.max(i);
-                    break;
-                }
-            }
-            floor = floor.max((len - 1).saturating_sub(STALE_WINDOW));
-            let idx = if ord == Ordering::SeqCst || floor == len - 1 {
-                len - 1
-            } else {
-                let choice = Self::choose_inner(st, len - floor);
-                let idx = floor + choice;
-                if idx != len - 1 {
-                    let val = Self::atomic_mut(st, id).stores[idx].val;
-                    Self::push_step(
-                        st,
-                        me,
-                        format!("load #{id} -> {val} (stale: {} newer)", len - 1 - idx),
-                    );
-                }
-                idx
-            };
-            let a = Self::atomic_mut(st, id);
-            a.seen[me] = idx;
-            let val = a.stores[idx].val;
-            let release = a.stores[idx].release.clone();
-            if idx == a.stores.len() - 1 {
-                Self::push_step(st, me, format!("load #{id} -> {val}"));
-            }
-            if Self::is_acquire(ord) {
-                if let Some(rc) = release {
-                    clock_join(&mut st.threads[me].clock, &rc);
-                }
-            }
+            let val = *Self::atomic_mut(st, id);
+            Self::push_step(st, me, format!("load #{id} -> {val}"));
             val
         })
     }
 
-    pub(crate) fn atomic_store(&self, me: Tid, id: usize, val: u64, ord: Ordering) {
+    pub(crate) fn atomic_store(&self, me: Tid, id: usize, val: u64) {
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(id), write: true } };
         self.visible_op(me, pending, move |st| {
-            let clock = st.threads[me].clock.clone();
-            let time = clock[me];
-            let release = Self::is_release(ord).then(|| clock.clone());
-            let a = Self::atomic_mut(st, id);
-            a.stores.push(AtomicStore { val, writer: me, writer_time: time, release });
-            let idx = a.stores.len() - 1;
-            if a.seen.len() <= me {
-                a.seen.resize(me + 1, 0);
-            }
-            a.seen[me] = idx;
+            *Self::atomic_mut(st, id) = val;
             Self::push_step(st, me, format!("store #{id} = {val}"));
         })
     }
 
-    /// Atomic read-modify-write: always reads the newest store in
-    /// modification order (the C11 RMW guarantee), writes back whatever
-    /// `f` returns. `f` returning `None` makes it a failed
-    /// `fetch_update` (a pure read).
+    /// Atomic read-modify-write: reads the current value and writes
+    /// back whatever `f` returns. `f` returning `None` makes it a
+    /// failed `fetch_update` (a pure read).
     pub(crate) fn atomic_rmw(
         &self,
         me: Tid,
         id: usize,
-        ord: Ordering,
         label: &'static str,
         f: impl FnOnce(u64) -> Option<u64>,
     ) -> (u64, bool) {
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(id), write: true } };
         self.visible_op(me, pending, move |st| {
-            let clock = st.threads[me].clock.clone();
-            let time = clock[me];
-            let a = Self::atomic_mut(st, id);
-            let old = a.stores.last().expect("init store").val;
-            let old_release = a.stores.last().expect("init store").release.clone();
+            let old = *Self::atomic_mut(st, id);
             let new = f(old);
-            let wrote = new.is_some();
             if let Some(new) = new {
-                let release = Self::is_release(ord).then(|| clock.clone());
-                a.stores.push(AtomicStore { val: new, writer: me, writer_time: time, release });
-                let idx = a.stores.len() - 1;
-                if a.seen.len() <= me {
-                    a.seen.resize(me + 1, 0);
-                }
-                a.seen[me] = idx;
+                *Self::atomic_mut(st, id) = new;
                 Self::push_step(st, me, format!("{label} #{id}: {old} -> {new}"));
             } else {
-                if a.seen.len() <= me {
-                    a.seen.resize(me + 1, 0);
-                }
-                a.seen[me] = a.stores.len() - 1;
                 Self::push_step(st, me, format!("{label} #{id}: {old} (no write)"));
             }
-            if Self::is_acquire(ord) {
-                if let Some(rc) = old_release {
-                    clock_join(&mut st.threads[me].clock, &rc);
-                }
-            }
-            (old, wrote)
+            (old, new.is_some())
         })
     }
 
@@ -767,17 +572,15 @@ impl Execution {
             dep: DepInfo { obj: Some(id), write: true },
         };
         self.visible_op(me, pending, move |st| {
-            let clock = match &mut st.objs[id] {
-                Obj::Lock(lk) => {
+            match &mut st.objs[id] {
+                Obj::Lock(held_by) => {
                     // Enabledness guaranteed the lock was free when this
                     // thread was scheduled, and nothing ran since.
-                    assert!(lk.held_by.is_none(), "scheduled a lock acquire on a held lock");
-                    lk.held_by = Some(me);
-                    lk.clock.clone()
+                    assert!(held_by.is_none(), "scheduled a lock acquire on a held lock");
+                    *held_by = Some(me);
                 }
                 _ => unreachable!("lock id points at a non-lock"),
-            };
-            clock_join(&mut st.threads[me].clock, &clock);
+            }
             Self::push_step(st, me, format!("lock #{id}"));
         })
     }
@@ -788,8 +591,8 @@ impl Execution {
         {
             let mut st = lock_recover(&self.m);
             if st.abort {
-                if let Obj::Lock(lk) = &mut st.objs[id] {
-                    lk.held_by = None;
+                if let Obj::Lock(held_by) = &mut st.objs[id] {
+                    *held_by = None;
                 }
                 return;
             }
@@ -797,12 +600,10 @@ impl Execution {
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(id), write: true } };
         self.visible_op(me, pending, move |st| {
-            let my_clock = st.threads[me].clock.clone();
             match &mut st.objs[id] {
-                Obj::Lock(lk) => {
-                    debug_assert_eq!(lk.held_by, Some(me), "unlock by non-holder");
-                    lk.held_by = None;
-                    lk.clock = my_clock;
+                Obj::Lock(held_by) => {
+                    debug_assert_eq!(*held_by, Some(me), "unlock by non-holder");
+                    *held_by = None;
                 }
                 _ => unreachable!("lock id points at a non-lock"),
             }
@@ -822,12 +623,10 @@ impl Execution {
         let pending =
             Pending { kind: PendingKind::Op, dep: DepInfo { obj: Some(lock), write: true } };
         self.visible_op(me, pending, move |st| {
-            let my_clock = st.threads[me].clock.clone();
             match &mut st.objs[lock] {
-                Obj::Lock(lk) => {
-                    debug_assert_eq!(lk.held_by, Some(me));
-                    lk.held_by = None;
-                    lk.clock = my_clock;
+                Obj::Lock(held_by) => {
+                    debug_assert_eq!(*held_by, Some(me));
+                    *held_by = None;
                 }
                 _ => unreachable!("cv wait on a non-lock"),
             }
@@ -888,10 +687,6 @@ impl Execution {
             dep: DepInfo { obj: Some(end_obj), write: false },
         };
         self.visible_op(me, pending, move |st| {
-            // Join edge: everything the child did happens-before the
-            // joiner's continuation.
-            let child = st.threads[target].final_clock.clone().unwrap_or_default();
-            clock_join(&mut st.threads[me].clock, &child);
             Self::push_step(st, me, format!("join T{target}"));
         })
     }

@@ -2,9 +2,9 @@
 //! `dls-service` core uses.
 //!
 //! Inside a model run every operation is a visible op of the
-//! deterministic scheduler ([`crate::sched`]): loads/stores/RMWs honour
-//! their declared [`atomic::Ordering`] (a `Relaxed` load is a branch
-//! point that may observe stale stores), `Mutex` acquisition blocks
+//! deterministic scheduler ([`crate::sched`]): loads, stores and RMWs
+//! are sequentially consistent whatever their declared
+//! [`atomic::Ordering`], `Mutex` acquisition blocks
 //! virtually (the scheduler never runs a thread into a held lock), and
 //! `Condvar` waits model timeouts and spurious wakeups as explorable
 //! transitions.
@@ -59,13 +59,12 @@ pub mod atomic {
             *self.vid.get_or_init(|| exec.register_atomic(self.real.load(Ordering::Relaxed)))
         }
 
-        /// Atomic load honouring `ord` (non-SeqCst loads may observe
-        /// stale stores inside a model).
+        /// Atomic load (the latest store, inside a model).
         pub fn load(&self, ord: Ordering) -> u64 {
             match ctx() {
                 Some((exec, me)) => {
                     let id = self.vid(&exec);
-                    exec.atomic_load(me, id, ord)
+                    exec.atomic_load(me, id)
                 }
                 None => self.real.load(ord),
             }
@@ -76,27 +75,22 @@ pub mod atomic {
             match ctx() {
                 Some((exec, me)) => {
                     let id = self.vid(&exec);
-                    exec.atomic_store(me, id, val, ord);
+                    exec.atomic_store(me, id, val);
                 }
                 None => self.real.store(val, ord),
             }
         }
 
-        fn rmw(
-            &self,
-            ord: Ordering,
-            label: &'static str,
-            f: impl FnOnce(u64) -> Option<u64>,
-        ) -> (u64, bool) {
+        fn rmw(&self, label: &'static str, f: impl FnOnce(u64) -> Option<u64>) -> (u64, bool) {
             let (exec, me) = ctx().expect("rmw fallback handled by callers");
             let id = self.vid(&exec);
-            exec.atomic_rmw(me, id, ord, label, f)
+            exec.atomic_rmw(me, id, label, f)
         }
 
         /// Atomic add; returns the previous value.
         pub fn fetch_add(&self, v: u64, ord: Ordering) -> u64 {
             match ctx() {
-                Some(_) => self.rmw(ord, "fetch_add", |old| Some(old.wrapping_add(v))).0,
+                Some(_) => self.rmw("fetch_add", |old| Some(old.wrapping_add(v))).0,
                 None => self.real.fetch_add(v, ord),
             }
         }
@@ -104,7 +98,7 @@ pub mod atomic {
         /// Atomic subtract; returns the previous value.
         pub fn fetch_sub(&self, v: u64, ord: Ordering) -> u64 {
             match ctx() {
-                Some(_) => self.rmw(ord, "fetch_sub", |old| Some(old.wrapping_sub(v))).0,
+                Some(_) => self.rmw("fetch_sub", |old| Some(old.wrapping_sub(v))).0,
                 None => self.real.fetch_sub(v, ord),
             }
         }
@@ -112,7 +106,7 @@ pub mod atomic {
         /// Atomic max; returns the previous value.
         pub fn fetch_max(&self, v: u64, ord: Ordering) -> u64 {
             match ctx() {
-                Some(_) => self.rmw(ord, "fetch_max", |old| Some(old.max(v))).0,
+                Some(_) => self.rmw("fetch_max", |old| Some(old.max(v))).0,
                 None => self.real.fetch_max(v, ord),
             }
         }
@@ -127,10 +121,10 @@ pub mod atomic {
         ) -> Result<u64, u64> {
             match ctx() {
                 // Under the scheduler an RMW is one visible op reading
-                // the newest store, so a single application of `f`
+                // the current value, so a single application of `f`
                 // decides success or failure.
                 Some(_) => {
-                    let (old, wrote) = self.rmw(set_order, "fetch_update", &mut f);
+                    let (old, wrote) = self.rmw("fetch_update", &mut f);
                     if wrote {
                         Ok(old)
                     } else {
@@ -154,7 +148,7 @@ pub mod atomic {
             AtomicBool { inner: AtomicU64::new(u64::from(init)) }
         }
 
-        /// Atomic load honouring `ord`.
+        /// Atomic load.
         pub fn load(&self, ord: Ordering) -> bool {
             self.inner.load(ord) != 0
         }

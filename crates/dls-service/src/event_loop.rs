@@ -45,7 +45,7 @@
 
 use crate::machine::{ConnMachine, FramePeek};
 use crate::poller::{Event, Interest, Poller};
-use crate::protocol::{ErrorCode, Request, Response, VERSION};
+use crate::protocol::{ErrorCode, Request, Response, MAX_FRAME, VERSION};
 use crate::ring::READ_CHUNK;
 use crate::server::{CycleTally, Peer, State};
 use crate::sync::atomic::Ordering;
@@ -292,7 +292,7 @@ impl LoopShard {
         }
         // Extract every complete frame, preserving arrival order.
         while !entry.machine.close_after_flush {
-            let op = match entry.machine.peek_frame(self.state.cfg.max_frame) {
+            let op = match entry.machine.peek_frame() {
                 FramePeek::Incomplete => break,
                 FramePeek::BadLength(len) => {
                     // The stream cannot be resynchronised: answer, then
@@ -300,10 +300,7 @@ impl LoopShard {
                     entry.machine.close_after_flush = true;
                     let resp = Response::Error {
                         code: ErrorCode::FrameTooLarge,
-                        detail: format!(
-                            "frame length {len} outside 1..={}",
-                            self.state.cfg.max_frame
-                        ),
+                        detail: format!("frame length {len} outside 1..={MAX_FRAME}"),
                     };
                     self.ops.push((slot, OpKind::Reply { resp, close: true }));
                     break;

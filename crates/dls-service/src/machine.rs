@@ -9,6 +9,7 @@
 //! exactly at the 4-byte length boundary, many frames coalesced into
 //! one read) without a socket in sight.
 
+use crate::protocol::MAX_FRAME;
 use crate::ring::RingBuf;
 
 /// What the front of the receive buffer holds.
@@ -17,7 +18,7 @@ pub(crate) enum FramePeek<'a> {
     /// A complete frame's payload (version + tag + body), decodable in
     /// place — call [`ConnMachine::consume_frame`] once done with it.
     Payload(&'a [u8]),
-    /// A length prefix of zero or above `max_frame`: a framing
+    /// A length prefix of zero or above [`MAX_FRAME`]: a framing
     /// violation; the stream cannot be resynchronised.
     BadLength(u32),
     /// No complete frame buffered yet.
@@ -63,13 +64,13 @@ impl ConnMachine {
     }
 
     /// Inspect the front of the receive buffer.
-    pub(crate) fn peek_frame(&self, max_frame: u32) -> FramePeek<'_> {
+    pub(crate) fn peek_frame(&self) -> FramePeek<'_> {
         let live = self.rx.as_slice();
         if live.len() < 4 {
             return FramePeek::Incomplete;
         }
         let len = u32::from_le_bytes([live[0], live[1], live[2], live[3]]);
-        if len == 0 || len > max_frame {
+        if len == 0 || len > MAX_FRAME {
             return FramePeek::BadLength(len);
         }
         let total = 4 + len as usize;
@@ -128,7 +129,7 @@ impl ConnMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{frame, ErrorCode, Request, Response, MAX_FRAME};
+    use crate::protocol::{frame, ErrorCode, Request, Response};
 
     fn fetch_frame() -> Vec<u8> {
         frame(&Request::FetchChunk { job: 1, worker: 2, batch: 3 }.encode())
@@ -138,7 +139,7 @@ mod tests {
     fn drain_requests(m: &mut ConnMachine) -> Vec<Request> {
         let mut out = Vec::new();
         loop {
-            let decoded = match m.peek_frame(MAX_FRAME) {
+            let decoded = match m.peek_frame() {
                 FramePeek::Payload(p) => Request::decode(p).expect("decode"),
                 FramePeek::Incomplete => break,
                 FramePeek::BadLength(len) => panic!("unexpected bad length {len}"),
@@ -155,9 +156,9 @@ mod tests {
         let mut m = ConnMachine::new();
         // Three readiness events deliver the frame in ragged pieces.
         m.ingest(&wire[..3]); // not even a full length prefix
-        assert_eq!(m.peek_frame(MAX_FRAME), FramePeek::Incomplete);
+        assert_eq!(m.peek_frame(), FramePeek::Incomplete);
         m.ingest(&wire[3..7]); // prefix complete, body partial
-        assert_eq!(m.peek_frame(MAX_FRAME), FramePeek::Incomplete);
+        assert_eq!(m.peek_frame(), FramePeek::Incomplete);
         m.ingest(&wire[7..]);
         assert_eq!(
             drain_requests(&mut m),
@@ -172,7 +173,7 @@ mod tests {
         let mut m = ConnMachine::new();
         // First event ends exactly after the 4-byte length prefix.
         m.ingest(&wire[..4]);
-        assert_eq!(m.peek_frame(MAX_FRAME), FramePeek::Incomplete);
+        assert_eq!(m.peek_frame(), FramePeek::Incomplete);
         m.ingest(&wire[4..]);
         assert_eq!(
             drain_requests(&mut m),
@@ -211,11 +212,11 @@ mod tests {
     fn zero_and_oversized_lengths_are_violations() {
         let mut m = ConnMachine::new();
         m.ingest(&0u32.to_le_bytes());
-        assert_eq!(m.peek_frame(MAX_FRAME), FramePeek::BadLength(0));
+        assert_eq!(m.peek_frame(), FramePeek::BadLength(0));
 
         let mut m = ConnMachine::new();
         m.ingest(&(MAX_FRAME + 1).to_le_bytes());
-        assert_eq!(m.peek_frame(MAX_FRAME), FramePeek::BadLength(MAX_FRAME + 1));
+        assert_eq!(m.peek_frame(), FramePeek::BadLength(MAX_FRAME + 1));
     }
 
     /// Replies framed in place behind a partially flushed one: the

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! `len` counts the payload (version byte + tag byte + body) and must
-//! be in `1..=max_frame`; a zero or oversized length is a framing
+//! be in `1..=MAX_FRAME`; a zero or oversized length is a framing
 //! violation the server answers with [`ErrorCode::FrameTooLarge`]
 //! before closing the connection (the stream cannot be resynchronised).
 //! All integers are little-endian; `f64` travels as its IEEE-754 bit
@@ -207,7 +207,7 @@ pub enum ErrorCode {
     BadVersion = 1,
     /// Unknown tag or malformed body.
     BadMessage = 2,
-    /// Frame length prefix of 0 or above the server's `max_frame`.
+    /// Frame length prefix of 0 or above [`MAX_FRAME`].
     FrameTooLarge = 3,
     /// `FetchChunk.batch` exceeds the server's `max_batch`.
     BatchTooLarge = 4,
@@ -684,13 +684,12 @@ const CHUNK_ROW: usize = 24;
 /// epoch, row count.
 const CHUNKS_HEADER: usize = 2 + 4 + 2;
 
-/// The most rows one `Chunks` frame can carry under `max_frame`: what
-/// its `u16` count can announce and what fits in the payload. A server
-/// must not grant more leases per fetch than it can name in the reply.
-pub(crate) fn max_chunks_per_frame(max_frame: u32) -> u32 {
-    let fit = (max_frame as usize).saturating_sub(CHUNKS_HEADER) / CHUNK_ROW;
-    fit.min(usize::from(u16::MAX)) as u32
-}
+/// The most rows one `Chunks` frame can carry under [`MAX_FRAME`]. A
+/// server must not grant more leases per fetch than it can name in the
+/// reply.
+pub(crate) const MAX_CHUNKS_PER_FRAME: u32 =
+    ((MAX_FRAME as usize - CHUNKS_HEADER) / CHUNK_ROW) as u32;
+const _: () = assert!(MAX_CHUNKS_PER_FRAME <= u16::MAX as u32, "a reply counts its rows in a u16");
 
 /// Append one complete frame to `out`: the length prefix is patched in
 /// after `payload` has written the payload behind it, so a reply is
@@ -902,7 +901,7 @@ mod tests {
     /// and the row bound is exactly where the frame stops fitting.
     #[test]
     fn chunks_framed_from_rows_are_the_response_bytes_up_to_the_frame_bound() {
-        let fit = max_chunks_per_frame(MAX_FRAME) as u64;
+        let fit = u64::from(MAX_CHUNKS_PER_FRAME);
         assert_eq!(fit, 10_922);
         for rows in [0, 1, 64, fit, fit + 1] {
             let chunks: Vec<GrantedChunk> =
@@ -914,8 +913,6 @@ mod tests {
             assert_eq!(direct, frame(&Response::Chunks { chunks, epoch: 3 }.encode()));
             assert_eq!(direct.len() - 4 <= MAX_FRAME as usize, rows <= fit, "{rows} rows");
         }
-        assert_eq!(max_chunks_per_frame(u32::MAX), u32::from(u16::MAX), "the count is a u16");
-        assert_eq!(max_chunks_per_frame(7), 0);
     }
 
     #[test]

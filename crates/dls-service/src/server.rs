@@ -39,8 +39,8 @@
 
 use crate::event_loop::LoopShard;
 use crate::protocol::{
-    framed, max_chunks_per_frame, write_chunks, ConnSnapshot, ErrorCode, JobSnapshot,
-    JournalTotals, Request, Response, ServiceTotals, StatsSnapshot,
+    framed, write_chunks, ConnSnapshot, ErrorCode, JobSnapshot, JournalTotals, Request, Response,
+    ServiceTotals, StatsSnapshot, MAX_CHUNKS_PER_FRAME,
 };
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use crate::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -61,15 +61,13 @@ pub struct ServiceConfig {
     /// [`ErrorCode::Busy`] and close.
     pub max_connections: u32,
     /// Largest `FetchChunk.batch` honoured — bounded besides by what
-    /// one `Chunks` frame can carry under `max_frame`.
+    /// one `Chunks` frame can carry under `protocol::MAX_FRAME`.
     pub max_batch: u32,
     /// Largest unsettled-lease count per `(job, worker)` — a worker
     /// must report before it can hoard more chunks.
     pub worker_quota: u32,
     /// Unfinished jobs the table will hold at once.
     pub max_jobs: u32,
-    /// Largest accepted frame payload.
-    pub max_frame: u32,
     /// Job-table shards (reduces cross-job lock contention).
     pub shards: u32,
     /// Event-loop shards: threads multiplexing the connections. Each
@@ -90,7 +88,6 @@ impl Default for ServiceConfig {
             max_batch: 64,
             worker_quota: 256,
             max_jobs: 1024,
-            max_frame: crate::protocol::MAX_FRAME,
             shards: 8,
             event_loops: 2,
             tuner_overhead_ns: None,
@@ -369,7 +366,7 @@ impl State {
         let shards = cfg.shards.max(1);
         // A fetch may grant no more leases than one `Chunks` frame can
         // name; beyond that the limit answers `BatchTooLarge`.
-        cfg.max_batch = cfg.max_batch.min(max_chunks_per_frame(cfg.max_frame));
+        cfg.max_batch = cfg.max_batch.min(MAX_CHUNKS_PER_FRAME);
         State {
             cfg,
             epoch: Instant::now(),

@@ -16,8 +16,9 @@
 //!   the fault plan's leases beside it.
 //! * A worker that drains the local queue and sees no refill in flight
 //!   claims the refill and fetches the next chunk itself — the fastest
-//!   worker takes the responsibility; nobody blocks. Each take, empty
-//!   probe and deposit is a [`crate::protocol`] call.
+//!   worker takes the responsibility; nobody blocks. It deposits the
+//!   chunk and takes its first sub-chunk under one grant. Each take,
+//!   empty probe and deposit is a [`crate::protocol`] call.
 
 use super::global_queue::GlobalQueue;
 use super::run::{assemble, Ledger};
@@ -162,11 +163,48 @@ pub(super) fn run_ranks(
             )?;
             local_win.unlock_all()?;
         } else {
+            // The refiller's fetch, deposited under its next grant, and
+            // the flags as its claim left them.
+            let mut holding: Option<Fetched> = None;
+            let mut flags = Flags::default();
             'poll: loop {
-                // ---- probe the local queue under the window lock ----
                 lock(&mut out)?;
                 local_win.sync();
-                if plan_active {
+                let mut q = WindowQueue::new(&local_win);
+                if let Some(fetched) = holding.take() {
+                    // ---- deposit, mark the node done, or hand the role back ----
+                    if let Fetched::Chunk(..) = fetched {
+                        out.global_fetches += 1;
+                        out.deposits += 1;
+                    }
+                    let was = flags;
+                    protocol::deposit(&mut q, &mut flags, fetched)?;
+                    q.write_flags(was, flags)?;
+                    if !matches!(fetched, Fetched::Chunk(..)) {
+                        local_win.sync();
+                        local_win.unlock(LockKind::Exclusive, 0)?;
+                        if fetched == Fetched::Pending {
+                            // Another node's unsettled lease may still come
+                            // back as work: wait on that peer node, like a
+                            // refill in flight.
+                            std::thread::yield_now();
+                            out.cut(SegmentKind::Sync);
+                            continue;
+                        }
+                        // The whole refill (global fetch + deposit) is
+                        // scheduling overhead. Fault-free, the queue is
+                        // drained: nobody else deposits while this rank
+                        // refills. Under a fault plan a survivor may have
+                        // re-deposited a dead peer's lease, or one may
+                        // still be due: the next probe scans for it.
+                        out.cut(SegmentKind::Sched);
+                        if plan_active {
+                            continue;
+                        }
+                        break;
+                    }
+                    // A chunk: take its first sub-chunk under this grant.
+                } else if plan_active {
                     // Settle my previous grant (the sub-chunk it covered is
                     // done — this poll is the completion acknowledgement).
                     if my_epoch % 2 == 1 {
@@ -186,7 +224,6 @@ pub(super) fn run_ranks(
                         break;
                     }
                 }
-                let mut q = WindowQueue::new(&local_win);
                 // Weight: learned from the shared history under AWF (read
                 // only when there is a range to weigh), configured
                 // statically otherwise. AWF replaces the intra technique
@@ -265,7 +302,7 @@ pub(super) fn run_ranks(
                     continue;
                 }
 
-                let mut flags = q.flags()?;
+                flags = q.flags()?;
                 if plan_active {
                     // Queue drained: scan peer leases for a range stranded
                     // by a dead owner before exiting, backing off, or
@@ -358,29 +395,7 @@ pub(super) fn run_ranks(
                         break;
                     }
                 }
-
-                // ---- deposit, mark the node done, or hand the role back ----
-                lock(&mut out)?;
-                if let Fetched::Chunk(..) = fetched {
-                    out.global_fetches += 1;
-                    out.deposits += 1;
-                }
-                let was = flags;
-                let mut q = WindowQueue::new(&local_win);
-                protocol::deposit(&mut q, &mut flags, fetched)?;
-                q.write_flags(was, flags)?;
-                local_win.sync();
-                local_win.unlock(LockKind::Exclusive, 0)?;
-                if fetched == Fetched::Pending {
-                    // Another node's unsettled lease may still come back as
-                    // work: wait on that peer node, like a refill in flight.
-                    std::thread::yield_now();
-                    out.cut(SegmentKind::Sync);
-                } else {
-                    // The whole refill transaction (global fetch + deposit)
-                    // is scheduling overhead.
-                    out.cut(SegmentKind::Sched);
-                }
+                holding = Some(fetched);
             }
         }
 

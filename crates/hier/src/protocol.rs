@@ -8,8 +8,12 @@
 //! refiller takes one chunk off the global queue (one
 //! `MPI_Fetch_and_op`, [`GLOBAL_FAA`], or both counters under an
 //! exclusive epoch) and, under the lock again, [`deposit`]s what it
-//! [`Fetched`]. `take` and `empty_probe` are separate on purpose:
-//! recovery (lease reclaim, refill failover) sits between them.
+//! [`Fetched`]. The hand-off happens under that one grant: a refiller
+//! that deposits a chunk takes its first sub-chunk in the same epoch
+//! ([`DEPOSIT_TAKE`]), and one that marks the node done on a drained
+//! queue retires without another. `take` and `empty_probe` are separate
+//! on purpose: recovery (lease reclaim, refill failover) sits between
+//! them.
 //!
 //! Both MPI+MPI executors run these functions: the live rank loop over
 //! its node window's slots and the virtual-time executor over a
@@ -77,15 +81,27 @@ pub const PROBE_REFILL: &[RmaEvent] = &[
     SYNC,
     UNLOCK,
 ];
-/// Node window: write a fetched chunk as the fresh range and clear
-/// `refilling`.
-pub const DEPOSIT: &[RmaEvent] =
-    &[LOCK, put(LO), put(HI), put(STEP), put(TAKEN), put(REFILLING), SYNC, UNLOCK];
+/// Node window: write a fetched chunk as the fresh range, clear
+/// `refilling`, and take the range's first sub-chunk (the range is the
+/// one just written, so nothing is read back).
+pub const DEPOSIT_TAKE: &[RmaEvent] = &[
+    LOCK,
+    SYNC,
+    put(LO),
+    put(HI),
+    put(STEP),
+    put(TAKEN),
+    put(REFILLING),
+    put(STEP),
+    put(TAKEN),
+    SYNC,
+    UNLOCK,
+];
 /// Node window: mark the global queue exhausted and clear `refilling`.
-pub const DEPOSIT_DONE: &[RmaEvent] = &[LOCK, put(GLOBAL_DONE), put(REFILLING), SYNC, UNLOCK];
+pub const DEPOSIT_DONE: &[RmaEvent] = &[LOCK, SYNC, put(GLOBAL_DONE), put(REFILLING), SYNC, UNLOCK];
 /// Node window: clear `refilling` with nothing deposited, because the
 /// global queue answered [`Fetched::Pending`].
-pub const RELEASE: &[RmaEvent] = &[LOCK, put(REFILLING), SYNC, UNLOCK];
+pub const RELEASE: &[RmaEvent] = &[LOCK, SYNC, put(REFILLING), SYNC, UNLOCK];
 /// Global window: one `MPI_Fetch_and_op` on the step counter, flushed,
 /// inside the rank's run-long `lock_all` epoch.
 pub const GLOBAL_FAA: &[RmaEvent] = &[
@@ -236,8 +252,9 @@ pub fn empty_probe(flags: &mut Flags, may_refill: bool) -> Empty {
 }
 
 /// The refiller's deposit: queue a fetched chunk or mark the node done;
-/// either way the refill is over. Returns the node-window transaction
-/// ([`DEPOSIT`], [`DEPOSIT_DONE`] or [`RELEASE`]).
+/// either way the refill is over. Returns the node-window transaction:
+/// [`DEPOSIT_TAKE`] (the refiller [`take`]s the chunk's first sub-chunk
+/// before it releases the lock), [`DEPOSIT_DONE`] or [`RELEASE`].
 pub fn deposit<Q: NodeQueue + ?Sized>(
     q: &mut Q,
     flags: &mut Flags,
@@ -247,7 +264,7 @@ pub fn deposit<Q: NodeQueue + ?Sized>(
     Ok(match fetched {
         Fetched::Chunk(lo, hi) => {
             q.push(lo, hi)?;
-            DEPOSIT
+            DEPOSIT_TAKE
         }
         Fetched::Done => {
             flags.global_done = true;
@@ -282,7 +299,7 @@ mod tests {
     #[test]
     fn deposit_then_take_hands_out_the_chunk() {
         let (mut q, mut flags) = (LocalQueue::new(), Flags { refilling: true, global_done: false });
-        assert_eq!(deposit(&mut q, &mut flags, Fetched::Chunk(10, 14)), Ok(DEPOSIT));
+        assert_eq!(deposit(&mut q, &mut flags, Fetched::Chunk(10, 14)), Ok(DEPOSIT_TAKE));
         assert!(!flags.refilling);
         let ss = Technique::ss();
         let subs: Vec<_> =

@@ -47,11 +47,6 @@ impl QueuedRange {
         self.hi - self.lo
     }
 
-    /// Iterations not yet handed out.
-    pub fn remaining(&self) -> u64 {
-        self.len() - self.taken
-    }
-
     /// True when fully handed out.
     pub fn is_empty(&self) -> bool {
         self.taken >= self.len()
@@ -114,8 +109,6 @@ where
 #[derive(Clone, Debug, Default)]
 pub struct LocalQueue {
     ranges: std::collections::VecDeque<QueuedRange>,
-    /// Total chunks deposited.
-    pub deposits: u64,
 }
 
 impl LocalQueue {
@@ -129,16 +122,10 @@ impl LocalQueue {
         self.ranges.iter().all(|r| r.is_empty())
     }
 
-    /// Iterations currently queued and not handed out.
-    pub fn remaining(&self) -> u64 {
-        self.ranges.iter().map(|r| r.remaining()).sum()
-    }
-
     /// Deposit a chunk fetched from the global queue.
     pub fn deposit(&mut self, lo: u64, hi: u64) {
         debug_assert!(lo < hi, "empty deposit");
         self.ranges.push_back(QueuedRange::new(lo, hi));
-        self.deposits += 1;
     }
 
     /// [`crate::protocol::take`] for an unweighted worker: the next
@@ -243,7 +230,6 @@ mod tests {
         expected.sort_unstable();
         covered.sort_unstable();
         assert_eq!(covered, expected);
-        assert_eq!(q.deposits, 2);
     }
 
     #[test]
@@ -279,14 +265,5 @@ mod tests {
         assert_eq!(q.drain_remaining(), vec![(5, 10), (50, 60)]);
         assert!(q.is_empty());
         assert_eq!(q.drain_remaining(), Vec::new());
-    }
-
-    #[test]
-    fn remaining_tracks_progress() {
-        let mut q = LocalQueue::new();
-        q.deposit(0, 8);
-        assert_eq!(q.remaining(), 8);
-        q.take_sub_chunk(&Technique::static_(), 4).unwrap();
-        assert_eq!(q.remaining(), 6);
     }
 }

@@ -6,7 +6,8 @@
 //! *and no refill in flight* marks itself the refiller — "the fastest
 //! MPI process always takes this responsibility" — fetches a chunk from
 //! the global queue (a passive-target RMA transaction, serialized at the
-//! target by a [`Resource`]) and deposits it locally. Workers that find
+//! target by a [`Resource`]) and deposits it locally, taking its first
+//! sub-chunk under the same lock grant. Workers that find
 //! the queue empty while a peer's refill is in flight re-probe after a
 //! short back-off instead of blocking — nobody ever waits at a chunk
 //! boundary (the paper's Figure 3 scenario).
@@ -68,16 +69,18 @@ fn clear_refill(node: usize, from: u32) -> Event {
 }
 
 /// Worker `w` takes a sub-chunk from its node's queue under the lock
-/// grant ending at `grant_end`, executes it, and probes again after the
-/// compute burst; `false`, and nothing done, when the queue is empty.
-/// `sched_ns` is the scheduling time the worker spent obtaining the
-/// sub-chunk (charged to its AWF history under the -D/-E variants).
+/// grant ending at `grant_end`, whose transaction is `tx`, executes it,
+/// and probes again after the compute burst; `false`, and nothing done,
+/// when the queue is empty. `sched_ns` is the scheduling time the
+/// worker spent obtaining the sub-chunk (charged to its AWF history
+/// under the -D/-E variants).
 fn execute_sub(
     run: &mut Run<Event>,
     node: &mut NodeState,
     w: u32,
     grant_end: Time,
     sched_ns: Time,
+    tx: &'static [RmaEvent],
 ) -> bool {
     let cfg = run.cfg;
     let wpn = cfg.topology.workers_per_node;
@@ -90,6 +93,7 @@ fn execute_sub(
     };
     let ctx = dls::technique::WorkerCtx { worker: local, weight };
     let Ok(Some(sub)) = protocol::take(&mut node.queue, &technique, wpn, ctx) else { return false };
+    run.tape.tx(grant_end, node_win(node_idx), local, tx);
     let cost = run.cost(w, grant_end, sub);
     if let Some(ct) = cfg.faults.crash_at(w).filter(|&ct| ct < grant_end + cost) {
         // Took the sub-chunk under the lock, then died before
@@ -110,8 +114,6 @@ fn execute_sub(
     }
     run.compute(w, grant_end, cost, sub);
     run.stats.nodes[node_idx].sub_chunks += 1;
-    // The take this grant modelled; a worker that died above wrote none.
-    run.tape.tx(grant_end, node_win(node_idx), local, protocol::TAKE);
     let next_probe = grant_end + cost + run.jitter.delay(w);
     run.push(next_probe, Event::TryLocal(w));
     true
@@ -253,7 +255,7 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                     run.stats.nodes[node_idx].lock_contended += 1;
                 }
                 run.trace.record(w, t, grant.end, SegmentKind::Sched);
-                if !execute_sub(&mut run, node, w, grant.end, grant.end - t) {
+                if !execute_sub(&mut run, node, w, grant.end, grant.end - t, protocol::TAKE) {
                     // The refill responsibility goes to the fastest free
                     // worker under the paper's policy, and under the
                     // ablation to the node's dedicated local master — its
@@ -350,12 +352,16 @@ pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
                 run.trace.record(w, t, grant.end, SegmentKind::Sched);
                 let fetched = payload.map_or(Fetched::Done, |(lo, hi)| Fetched::Chunk(lo, hi));
                 let Ok(tx) = protocol::deposit(&mut node.queue, &mut node.flags, fetched);
-                run.tape.tx(grant.end, node_win(node_idx), w % wpn, tx);
                 if payload.is_some() {
+                    // The refiller takes the deposit's first sub-chunk
+                    // under this grant.
                     run.stats.nodes[node_idx].deposits += 1;
-                    let took = execute_sub(&mut run, node, w, grant.end, grant.end - t);
+                    let took = execute_sub(&mut run, node, w, grant.end, grant.end - t, tx);
                     assert!(took, "the deposit is in the queue");
-                } else if node.queue.is_empty() {
+                    continue;
+                }
+                run.tape.tx(grant.end, node_win(node_idx), w % wpn, tx);
+                if node.queue.is_empty() {
                     run.retire(w, grant.end);
                 } else {
                     // The refiller itself may still find leftovers

@@ -251,7 +251,7 @@ executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 
 checksum 1873
 total 40 global_accesses 7
 worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 7 reclaims 0
-node 0: deposits 6 sub_chunks 16 lock_acquisitions 31 lock_contended 0 lock_polls 0
+node 0: deposits 6 sub_chunks 16 lock_acquisitions 24 lock_contended 0 lock_polls 0
 recovery
 rma 0";
 
@@ -260,7 +260,7 @@ executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 
 checksum 1873
 total 40 global_accesses 7
 worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 0 reclaims 0
-node 0: deposits 6 sub_chunks 16 lock_acquisitions 31 lock_contended 0 lock_polls 0
+node 0: deposits 6 sub_chunks 16 lock_acquisitions 24 lock_contended 0 lock_polls 0
 recovery
 rma 0";
 
@@ -287,7 +287,7 @@ executed 0:0..10 0:10..15
 checksum 747
 total 15 global_accesses 1
 worker 0: iterations 15 sub_chunks 2 global_fetches 1 lock_polls 0 rma_ops 1 reclaims 0
-node 0: deposits 1 sub_chunks 2 lock_acquisitions 5 lock_contended 0 lock_polls 0
+node 0: deposits 1 sub_chunks 2 lock_acquisitions 4 lock_contended 0 lock_polls 0
 recovery Crash
 rma 0";
 
@@ -296,7 +296,7 @@ executed 0:0..10 0:10..15
 checksum 747
 total 15 global_accesses 1
 worker 0: iterations 15 sub_chunks 2 global_fetches 1 lock_polls 0 rma_ops 1 reclaims 0
-node 0: deposits 1 sub_chunks 2 lock_acquisitions 5 lock_contended 0 lock_polls 0
+node 0: deposits 1 sub_chunks 2 lock_acquisitions 4 lock_contended 0 lock_polls 0
 recovery CrashHoldingLock
 rma 0";
 
@@ -314,7 +314,7 @@ executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 
 checksum 1873
 total 40 global_accesses 7
 worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 0 reclaims 0
-node 0: deposits 6 sub_chunks 16 lock_acquisitions 31 lock_contended 0 lock_polls 0
+node 0: deposits 6 sub_chunks 16 lock_acquisitions 24 lock_contended 0 lock_polls 0
 recovery
 rma 0";
 
@@ -352,9 +352,9 @@ executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 
 checksum 1873
 total 40 global_accesses 7
 worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 7 reclaims 0
-node 0: deposits 6 sub_chunks 16 lock_acquisitions 31 lock_contended 0 lock_polls 0
+node 0: deposits 6 sub_chunks 16 lock_acquisitions 24 lock_contended 0 lock_polls 0
 recovery
-rma 321";
+rma 271";
 
 const MPI_MPI_TRACED_AND_RECORDED_LOCK_FREE: &str = "\
 executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 0:29..30 0:30..33 0:33..34 0:34..35 0:35..37 0:37..38 0:38..39 0:39..40

@@ -15,7 +15,7 @@ use dls::Kind;
 use dls_service::{Server, ServiceConfig};
 use hier::live::{run_live_mpi_mpi, run_live_net, LiveConfig};
 use hier::protocol::{
-    counter, DEPOSIT, DEPOSIT_DONE, GLOBAL_FAA, GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ,
+    counter, DEPOSIT_DONE, DEPOSIT_TAKE, GLOBAL_FAA, GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ,
     PROBE_REFILL, PROBE_RELEASE, RELEASE, TAKE,
 };
 use hier::sim::{simulate_mpi_mpi, SimConfig};
@@ -25,7 +25,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use workloads::synthetic::Synthetic;
 use workloads::CostTable;
 
-const NODE_WORDS: [&[RmaEvent]; 5] = [TAKE, PROBE_RELEASE, PROBE_REFILL, DEPOSIT, DEPOSIT_DONE];
+const NODE_WORDS: [&[RmaEvent]; 5] =
+    [TAKE, PROBE_RELEASE, PROBE_REFILL, DEPOSIT_TAKE, DEPOSIT_DONE];
 /// The lock-free node shapes. `counter::PUBLISH` is `counter::PROBE`'s
 /// one atomic on the word, so it parses as that.
 const COUNTER_WORDS: [&[RmaEvent]; 3] = [counter::TAKE, counter::DEPOSIT, counter::PROBE];
@@ -176,4 +177,65 @@ fn net_backend_node_logs_are_words_over_the_protocol_shapes() {
         assert!(missing.is_empty(), "net {node:?}: node shapes {missing:?} never occurred");
     }
     srv.shutdown();
+}
+
+/// The refiller's hand-off, read off a recorded log without the shape
+/// constants: each node-window epoch that deposits a chunk (puts `LO`)
+/// also takes from it (a second put of `TAKEN`, after the deposit's
+/// reset), and the epoch that marks the node done (puts `GLOBAL_DONE`)
+/// is its rank's last. Every sub-chunk a rank executed is one taking
+/// epoch of its stream.
+#[test]
+fn the_refiller_takes_under_its_deposit_grant_and_retires_under_done() {
+    // The locked node window's slots (`hier::layout`).
+    const GLOBAL_DONE: usize = 1;
+    const LO: usize = 2;
+    const TAKEN: usize = 5;
+    let w = Synthetic::constant(20_000, 0);
+    let mut cfg = LiveConfig::new(1, 4, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+    cfg.node_mode = NodeQueueMode::Locked;
+    cfg.record_rma = true;
+    let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
+    let puts = |epoch: &[RmaEvent], slot: usize| {
+        epoch.iter().filter(|e| matches!(e, RmaEvent::Put { disp, .. } if *disp == slot)).count()
+    };
+    let mut by_rank: BTreeMap<u32, Vec<RmaEvent>> = BTreeMap::new();
+    let mut node_win = None;
+    for rec in &r.rma {
+        if let RmaEvent::Attach { shared: true, .. } = rec.event {
+            node_win = Some(rec.win);
+        }
+        if Some(rec.win) == node_win
+            && !matches!(rec.event, RmaEvent::Attach { .. } | RmaEvent::Barrier)
+        {
+            by_rank.entry(rec.rank).or_default().push(rec.event);
+        }
+    }
+    assert_eq!(by_rank.len(), 4);
+    let (mut deposits, mut done) = (0, 0);
+    for (rank, events) in &by_rank {
+        let epochs: Vec<&[RmaEvent]> =
+            events.split_inclusive(|e| matches!(e, RmaEvent::Unlock { .. })).collect();
+        let mut takes = 0;
+        for (i, epoch) in epochs.iter().enumerate() {
+            let deposited = puts(epoch, LO);
+            assert!(deposited <= 1, "rank {rank}: {epoch:?}");
+            takes += puts(epoch, TAKEN) - deposited;
+            if deposited == 1 {
+                deposits += 1;
+                assert_eq!(
+                    puts(epoch, TAKEN),
+                    2,
+                    "rank {rank} deposited without taking: {epoch:?}"
+                );
+            }
+            if puts(epoch, GLOBAL_DONE) == 1 {
+                done += 1;
+                assert_eq!(i + 1, epochs.len(), "rank {rank} locked again after its Done deposit");
+            }
+        }
+        let executed = r.executed.iter().filter(|(w, _)| w == rank).count();
+        assert_eq!(takes, executed, "rank {rank}: taking epochs vs executed sub-chunks");
+    }
+    assert_eq!((deposits, done), (1, 1), "GSS over one node: one chunk, then Done");
 }
