@@ -1,75 +1,45 @@
 //! The [`HierSchedule`] builder — the main entry point of the library.
 
-use cluster_sim::{MachineParams, SimTopology};
+use cluster_sim::MachineParams;
 use dls::{Kind, Technique};
-use hier::live::{run_live, LiveConfig, LiveResult};
-use hier::sim::{simulate, SimConfig, SimResult};
-use hier::{Approach, HierSpec};
+use hier::live::{run_live, LiveResult};
+use hier::sim::{simulate, SimResult};
+use hier::{Approach, HierSpec, RunConfig};
 use workloads::{CostTable, Workload};
 
 /// A fully-specified hierarchical schedule: techniques, approach,
-/// cluster shape and cost model. Build with [`HierSchedule::builder`].
+/// cluster shape and cost model — one [`RunConfig`], run by either
+/// backend. Build with [`HierSchedule::builder`].
 #[derive(Clone, Debug)]
-pub struct HierSchedule {
-    spec: HierSpec,
-    approach: Approach,
-    nodes: u32,
-    workers_per_node: u32,
-    machine: MachineParams,
-    trace: bool,
-    record_chunks: bool,
-    slowdown: Vec<f64>,
-    refill: hier::sim::RefillPolicy,
-    omp_nowait: bool,
-    weights: Vec<f64>,
-    awf: Option<dls::adaptive::AwfVariant>,
-    global_mode: hier::GlobalQueueMode,
-    faults: resilience::FaultPlan,
-    net_inter: Option<dls::SchedKind>,
-}
+pub struct HierSchedule(RunConfig);
 
 impl HierSchedule {
     /// Start building a schedule (defaults: `GSS+GSS`, MPI+MPI, 4 nodes
     /// x 16 workers, default machine parameters).
     pub fn builder() -> HierScheduleBuilder {
-        HierScheduleBuilder(HierSchedule {
-            spec: HierSpec { inter: Technique::gss(), intra: Technique::gss() },
-            approach: Approach::MpiMpi,
-            nodes: 4,
-            workers_per_node: 16,
-            machine: MachineParams::default(),
-            trace: false,
-            record_chunks: false,
-            slowdown: Vec::new(),
-            refill: hier::sim::RefillPolicy::Fastest,
-            omp_nowait: false,
-            weights: Vec::new(),
-            awf: None,
-            global_mode: hier::GlobalQueueMode::SingleAtomic,
-            faults: resilience::FaultPlan::none(),
-            net_inter: None,
-        })
+        let spec = HierSpec { inter: Technique::gss(), intra: Technique::gss() };
+        HierScheduleBuilder(RunConfig::new(4, 16, spec, Approach::MpiMpi))
     }
 
     /// The `X+Y` combination.
     pub fn spec(&self) -> HierSpec {
-        self.spec
+        self.0.spec
     }
 
     /// The intra-node implementation.
     pub fn approach(&self) -> Approach {
-        self.approach
+        self.0.approach
     }
 
     /// `(nodes, workers_per_node)`.
     pub fn shape(&self) -> (u32, u32) {
-        (self.nodes, self.workers_per_node)
+        (self.0.topology.nodes, self.0.topology.workers_per_node)
     }
 
     /// Run in virtual time against a precomputed cost table.
     /// Deterministic; models the full cluster of this schedule.
     pub fn simulate(&self, table: &CostTable) -> SimResult {
-        simulate(&self.sim_config(), table)
+        simulate(&self.0, table)
     }
 
     /// Run in virtual time under the *hierarchical master-worker*
@@ -77,7 +47,7 @@ impl HierSchedule {
     /// global and per-node masters serve chunk requests over messages
     /// instead of shared queues.
     pub fn simulate_master_worker(&self, table: &CostTable) -> SimResult {
-        hier::sim::simulate_master_worker(&self.sim_config(), table)
+        hier::sim::simulate_master_worker(&self.0, table)
     }
 
     /// Run in virtual time under the *flat* master-worker model
@@ -85,26 +55,7 @@ impl HierSchedule {
     /// global master — the configuration whose master bottleneck
     /// motivated hierarchical DLS in the first place.
     pub fn simulate_flat_master_worker(&self, table: &CostTable) -> SimResult {
-        hier::sim::simulate_flat_master_worker(&self.sim_config(), table)
-    }
-
-    fn sim_config(&self) -> SimConfig {
-        let mut cfg = SimConfig::new(
-            SimTopology::new(self.nodes, self.workers_per_node),
-            self.machine,
-            self.spec,
-            self.approach,
-        );
-        cfg.trace = self.trace;
-        cfg.record_chunks = self.record_chunks;
-        cfg.slowdown = self.slowdown.clone();
-        cfg.refill = self.refill;
-        cfg.omp_nowait = self.omp_nowait;
-        cfg.weights = self.weights.clone();
-        cfg.awf = self.awf;
-        cfg.global_mode = self.global_mode;
-        cfg.faults = self.faults.clone();
-        cfg
+        hier::sim::simulate_flat_master_worker(&self.0, table)
     }
 
     /// Run for real on OS threads, executing the workload's kernel.
@@ -113,7 +64,7 @@ impl HierSchedule {
     /// errors — use [`hier::live::run_live`] directly for a fallible
     /// variant (or to record an RMA log).
     pub fn run_live(&self, workload: &(dyn Workload + Sync)) -> LiveResult {
-        run_live(&self.live_config(), workload).expect("live run failed")
+        run_live(&self.0, workload).expect("live run failed")
     }
 
     /// Run for real with the **global queue behind TCP**: self-hosts a
@@ -134,7 +85,7 @@ impl HierSchedule {
         let server =
             dls_service::Server::start(dls_service::ServiceConfig::default(), "127.0.0.1:0")
                 .expect("self-hosted dls-service failed to bind");
-        let result = hier::live::run_live_net(&self.live_config(), workload, server.addr())
+        let result = hier::live::run_live_net(&self.0, workload, server.addr())
             .expect("live net run failed");
         (result, server.shutdown())
     }
@@ -143,30 +94,20 @@ impl HierSchedule {
     /// global master at rank 0, working local masters, two-sided
     /// messaging).
     pub fn run_live_master_worker(&self, workload: &(dyn Workload + Sync)) -> LiveResult {
-        hier::live::run_live_master_worker(&self.live_config(), workload)
+        hier::live::run_live_master_worker(&self.0, workload)
     }
 
     /// Run the flat master-worker model for real (every worker requests
     /// directly from the dedicated master at rank 0).
     pub fn run_live_flat_master_worker(&self, workload: &(dyn Workload + Sync)) -> LiveResult {
-        hier::live::run_live_flat_master_worker(&self.live_config(), workload)
-    }
-
-    fn live_config(&self) -> LiveConfig {
-        let mut cfg = LiveConfig::new(self.nodes, self.workers_per_node, self.spec, self.approach);
-        cfg.weights = self.weights.clone();
-        cfg.awf = self.awf;
-        cfg.global_mode = self.global_mode;
-        cfg.trace = self.trace;
-        cfg.faults = self.faults.clone();
-        cfg.net_inter = self.net_inter;
-        cfg
+        hier::live::run_live_flat_master_worker(&self.0, workload)
     }
 }
 
-/// Builder for [`HierSchedule`]: each setter edits the schedule it wraps.
+/// Builder for [`HierSchedule`]: each setter edits the run
+/// configuration it wraps.
 #[derive(Clone, Debug)]
-pub struct HierScheduleBuilder(HierSchedule);
+pub struct HierScheduleBuilder(RunConfig);
 
 impl HierScheduleBuilder {
     /// Inter-node technique by kind (default parameters).
@@ -202,14 +143,14 @@ impl HierScheduleBuilder {
     /// Number of compute nodes.
     pub fn nodes(mut self, n: u32) -> Self {
         assert!(n > 0, "need at least one node");
-        self.0.nodes = n;
+        self.0.topology.nodes = n;
         self
     }
 
     /// Workers per node (ranks or team threads).
     pub fn workers_per_node(mut self, w: u32) -> Self {
         assert!(w > 0, "need at least one worker per node");
-        self.0.workers_per_node = w;
+        self.0.topology.workers_per_node = w;
         self
     }
 
@@ -299,7 +240,7 @@ impl HierScheduleBuilder {
 
     /// Finish building.
     pub fn build(self) -> HierSchedule {
-        self.0
+        HierSchedule(self.0)
     }
 }
 

@@ -17,24 +17,19 @@ use crate::technique::{ChunkCalculator, WorkerCtx};
 /// If the statistical parameters are degenerate (`sigma = 0`, `h = 0`, or
 /// `P = 1`) the formula is undefined; we fall back to `ceil(N / (k * P))`
 /// with `k = 8` sub-chunks per worker, a common engineering default.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct FixedSizeChunking {
     /// Explicit chunk size, overriding the formula entirely.
     pub explicit: Option<u64>,
-    /// Fallback sub-chunks per worker when the formula is undefined.
-    pub fallback_k: u64,
 }
 
-impl Default for FixedSizeChunking {
-    fn default() -> Self {
-        Self { explicit: None, fallback_k: 8 }
-    }
-}
+/// Fallback sub-chunks per worker when the formula is undefined.
+const FALLBACK_K: u64 = 8;
 
 impl FixedSizeChunking {
     /// Fixed chunking with an explicit chunk size.
     pub fn with_chunk(chunk: u64) -> Self {
-        Self { explicit: Some(chunk.max(1)), fallback_k: 8 }
+        Self { explicit: Some(chunk.max(1)) }
     }
 
     /// The resolved chunk size for a given loop.
@@ -54,9 +49,8 @@ impl FixedSizeChunking {
             let chunk = raw.ceil() as u64;
             chunk.clamp(1, spec.n_iters.max(1))
         } else {
-            // fallback_k is caller-controlled, so k * P may exceed u64;
-            // a saturated divisor just floors the chunk at 1.
-            div_ceil(spec.n_iters, self.fallback_k.max(1).saturating_mul(spec.p())).max(1)
+            // P < 2^32, so k * P never saturates.
+            div_ceil(spec.n_iters, FALLBACK_K.saturating_mul(spec.p())).max(1)
         }
     }
 }

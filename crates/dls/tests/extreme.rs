@@ -126,6 +126,32 @@ fn tfss_chunk_exceeding_i64_does_not_wrap() {
 }
 
 #[test]
+fn tss_and_tfss_above_two_to_the_53() {
+    // Past 2^53 the f64 interpolation no longer holds F exactly: the
+    // first TSS size is F rounded to a double. The trapezoid ends at
+    // L = 1, so the iterations the rounding leaves over go out one at a
+    // time: 14 steps where S = 12 were planned.
+    let n = (1u64 << 60) + 3;
+    let spec = LoopSpec::new(n, 3);
+    assert_eq!(Trapezoid::default().params(&spec).first, 192_153_584_101_141_164);
+    let lens =
+        |t: &Technique| -> Vec<u64> { ChunkSequence::new(&spec, t).map(|c| c.len).collect() };
+    let tss = lens(&Technique::tss());
+    assert_eq!(
+        tss[..3],
+        [192_153_584_101_141_152, 174_685_076_455_582_880, 157_216_568_810_024_576]
+    );
+    assert_eq!(tss.len(), 14);
+    assert_eq!(tss[10..], [17_468_507_645_558_304, 1, 1, 1]);
+    let tfss = lens(&Technique::tfss());
+    assert_eq!(tfss[..3], [174_685_076_455_582_880; 3]);
+    assert_eq!((*tfss.last().unwrap(), tfss.len()), (17_468_507_645_558_275, 12));
+    for s in [&tss, &tfss] {
+        assert_eq!(s.iter().sum::<u64>(), n);
+    }
+}
+
+#[test]
 fn awf_variants_survive_extreme_n() {
     for n in EXTREME_N {
         for p in WORKERS {

@@ -34,6 +34,40 @@ fn tss_tzen_ni_defaults_n1000_p4() {
 }
 
 #[test]
+fn tss_and_tfss_with_a_fractional_delta_n1000_p3() {
+    // F = ceil(1000/6) = 167, L = 1, S = ceil(2000/168) = 12,
+    // delta = 166/11 ~= 15.09: floor(F - s * delta) drops 16, then 15s.
+    assert_eq!(
+        sizes(1000, 3, &Technique::tss()),
+        vec![167, 151, 136, 121, 106, 91, 76, 61, 46, 31, 14]
+    );
+    // TFSS: P = 3 chunks per batch, each the mean of the next three TSS
+    // sizes; the last batch is cut by the loop's end.
+    assert_eq!(
+        sizes(1000, 3, &Technique::tfss()),
+        vec![151, 151, 151, 106, 106, 106, 61, 61, 61, 16, 16, 14]
+    );
+}
+
+#[test]
+fn tss_and_tfss_with_a_fractional_delta_n1e6_p16() {
+    // F = ceil(10^6/32) = 31250, L = 1, S = ceil(2*10^6/31251) = 64,
+    // delta = 31249/63 ~= 496.016: the steps alternate 497 and 496.
+    assert_eq!(
+        sizes(1_000_000, 16, &Technique::tss()),
+        vec![
+            31250, 30753, 30257, 29761, 29265, 28769, 28273, 27777, 27281, 26785, 26289, 25793,
+            25297, 24801, 24305, 23809, 23313, 22817, 22321, 21825, 21329, 20833, 20337, 19841,
+            19345, 18849, 18353, 17857, 17361, 16865, 16369, 15873, 15377, 14881, 14385, 13889,
+            13393, 12897, 12401, 11905, 11409, 10913, 10417, 9921, 9425, 8929, 8433, 7937, 7441,
+            6945, 6449, 5953, 5457, 4961, 4465, 3969, 3473, 2977, 2481, 1985, 1489, 993, 497
+        ]
+    );
+    let batches: Vec<u64> = [27529, 19593, 11657, 3721].iter().flat_map(|&b| [b; 16]).collect();
+    assert_eq!(sizes(1_000_000, 16, &Technique::tfss()), batches);
+}
+
+#[test]
 fn fac2_power_of_two_batches() {
     assert_eq!(
         sizes(1024, 4, &Technique::fac2())[..12],

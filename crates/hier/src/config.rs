@@ -1,8 +1,12 @@
 //! Configuration of a hierarchical run: which technique at which level,
-//! executed with which approach.
+//! executed with which approach, on which cluster shape.
 
+use crate::protocol::counter;
+use crate::sim::{Perturbation, RefillPolicy};
+use cluster_sim::{MachineParams, SimTopology, Time};
 use dls::openmp::omp_equivalent;
 use dls::{ChunkCalculator, Kind, Technique};
+use resilience::FaultPlan;
 use std::fmt;
 
 /// Which implementation executes the intra-node level.
@@ -101,6 +105,166 @@ impl HierSpec {
 impl fmt::Display for HierSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.label())
+    }
+}
+
+/// One run of a hierarchical loop: the shape, the `X+Y` combination
+/// and the approach the paper varies, plus the options of the two
+/// backends that run it — [`crate::sim`] in virtual time,
+/// [`crate::live`] on threads. Each field says which backend reads it;
+/// the other ignores it.
+#[derive(Clone, Debug)]
+pub struct RunConfig {
+    /// Cluster shape: compute nodes × workers per node, the workers
+    /// being MPI ranks (MPI+MPI) or team threads (MPI+OpenMP). Both
+    /// backends.
+    pub topology: SimTopology,
+    /// The `X+Y` scheduling combination. Both backends.
+    pub spec: HierSpec,
+    /// Which implementation of the intra-node level. Both backends.
+    pub approach: Approach,
+    /// Static per-worker weights for weighted techniques (WF): indexed
+    /// by global worker id, mean-normalised. Empty means unit weights.
+    /// Both backends.
+    pub weights: Vec<f64>,
+    /// Adaptive weighted factoring at the intra-node level (MPI+MPI
+    /// only): when set, sub-chunks are WF-sized with weights learned
+    /// from measured worker rates. Both backends; live keeps the rate
+    /// history in the node's shared window next to the queue counters.
+    pub awf: Option<dls::adaptive::AwfVariant>,
+    /// How the global queue is realised over RMA (MPI+MPI only). Both
+    /// backends.
+    pub global_mode: GlobalQueueMode,
+    /// Record per-worker timeline segments into the result's `trace`:
+    /// virtual time in the simulator (Figures 2/3), wall-clock time
+    /// since the run started live. Both backends.
+    pub trace: bool,
+    /// Record the RMA access log into the result's `rma` for the shape
+    /// and golden tests. Both backends: live records every
+    /// passive-target operation (locks, syncs, puts, gets, atomics); the
+    /// simulator synthesizes the log the modelled protocol would produce,
+    /// one block per transaction.
+    pub record_rma: bool,
+    /// Injected failures (rank crashes, stragglers, message faults) and
+    /// the recovery-protocol timeouts. [`FaultPlan::none`] (the default)
+    /// leaves every executor bit-for-bit identical to the fault-free
+    /// run. The simulator injects them under every execution model.
+    /// Live injects them under MPI+MPI only: the baseline's fork-join
+    /// team has no per-thread recovery story — a crashed team member
+    /// would hang the region barrier, which is exactly the resilience
+    /// argument for the shared-window approach. Live crash triggers
+    /// count sub-chunks (`after_sub_chunks` / `after_global_fetches`);
+    /// stragglers slow the kernel by busy-waiting.
+    pub faults: FaultPlan,
+    /// Cost constants. Simulator only.
+    pub machine: MachineParams,
+    /// Record every executed sub-chunk into the result's `executed`
+    /// (for exactly-once verification). Simulator only: live runs
+    /// always keep their ledgers.
+    pub record_chunks: bool,
+    /// Per-worker speed multipliers for failure injection / systemic
+    /// imbalance: iteration costs on worker `w` are scaled by
+    /// `slowdown[w]`. Empty means all 1.0. Simulator only.
+    pub slowdown: Vec<f64>,
+    /// Who refills the local queue. Simulator only (MPI+MPI).
+    pub refill: RefillPolicy,
+    /// Model the `nowait` clause for MPI+OpenMP (the paper's future
+    /// work): no end-of-region barrier; threads dispatch through the
+    /// OpenMP runtime's atomic and any thread may fetch the next chunk
+    /// (which requires `MPI_THREAD_MULTIPLE`). Implemented as the
+    /// MPI+MPI protocol with the window lock replaced by an OpenMP
+    /// dispatch. Simulator only.
+    pub omp_nowait: bool,
+    /// Deterministic schedule perturbation for interleaving
+    /// exploration ([`Perturbation::None`] reproduces the unperturbed
+    /// run exactly). Simulator only.
+    pub perturb: Perturbation,
+    /// How each node's local queue is realised (live MPI+MPI only; the
+    /// simulator models the locked queue). Under
+    /// [`NodeQueueMode::Counter`] a run still keeps the lock where a
+    /// take needs more than the step: AWF (weighted sizes plus a history
+    /// written in the take's critical section), an active fault plan
+    /// (the take writes its lease there), non-unit weights, and intra
+    /// techniques or loop sizes [`counter::eligible`] refuses.
+    pub node_mode: NodeQueueMode,
+    /// Override the technique the **net backend** asks the
+    /// `dls-service` global queue to use (`CreateJob`'s kind). `None`
+    /// sends `spec.inter`'s kind. This is how the inter level runs the
+    /// adaptive techniques (`AF`, `AWF-*`) or the self-switching
+    /// `AUTO` mode, which size chunks from server-side measurements
+    /// and have no pure in-process `Technique` equivalent. The
+    /// simulator and the other live backends ignore it.
+    pub net_inter: Option<dls::SchedKind>,
+}
+
+impl RunConfig {
+    /// A `nodes` × `workers_per_node` run with default machine
+    /// parameters, unit weights, no adaptivity, no faults and nothing
+    /// recorded.
+    pub fn new(nodes: u32, workers_per_node: u32, spec: HierSpec, approach: Approach) -> Self {
+        Self {
+            topology: SimTopology::new(nodes, workers_per_node),
+            spec,
+            approach,
+            weights: Vec::new(),
+            awf: None,
+            global_mode: GlobalQueueMode::SingleAtomic,
+            trace: false,
+            record_rma: false,
+            faults: FaultPlan::none(),
+            machine: MachineParams::default(),
+            record_chunks: false,
+            slowdown: Vec::new(),
+            refill: RefillPolicy::Fastest,
+            omp_nowait: false,
+            perturb: Perturbation::None,
+            node_mode: NodeQueueMode::Counter,
+            net_inter: None,
+        }
+    }
+
+    /// The node queue a live loop of `n` iterations runs on:
+    /// `node_mode`, or the lock where [`RunConfig::node_mode`] says a
+    /// take needs it.
+    pub(crate) fn node_queue(&self, n: u64) -> NodeQueueMode {
+        let lock_free = self.node_mode == NodeQueueMode::Counter
+            && self.awf.is_none()
+            && !self.faults.is_active()
+            && self.weights.iter().all(|&w| w == 1.0)
+            && counter::eligible(&self.spec.intra, n);
+        if lock_free {
+            NodeQueueMode::Counter
+        } else {
+            NodeQueueMode::Locked
+        }
+    }
+
+    pub(crate) fn scaled_cost(&self, worker: u32, raw: u64) -> Time {
+        match self.slowdown.get(worker as usize) {
+            Some(&f) if f != 1.0 => (raw as f64 * f).round().max(1.0) as Time,
+            _ => raw,
+        }
+    }
+
+    /// [`RunConfig::scaled_cost`] further scaled by any straggler fault
+    /// active on `worker` at virtual time `now`.
+    pub(crate) fn cost_at(&self, worker: u32, now: Time, raw: u64) -> Time {
+        let base = self.scaled_cost(worker, raw);
+        let f = self.faults.straggle_factor(worker, now);
+        if f == 1.0 {
+            base
+        } else {
+            (base as f64 * f).round().max(1.0) as Time
+        }
+    }
+
+    /// Earliest crash fault of either kind on `worker`, for executors
+    /// whose workers hold no window lock to die in.
+    pub(crate) fn crash_time(&self, worker: u32) -> Option<Time> {
+        match (self.faults.crash_at(worker), self.faults.crash_holding_lock_at(worker)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 }
 

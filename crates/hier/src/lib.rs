@@ -46,5 +46,5 @@ pub mod queue;
 pub mod sim;
 pub mod stats;
 
-pub use config::{Approach, GlobalQueueMode, HierSpec, NodeQueueMode};
+pub use config::{Approach, GlobalQueueMode, HierSpec, NodeQueueMode, RunConfig};
 pub use stats::{NodeStats, RunStats, WorkerStats};

@@ -17,7 +17,7 @@
 //! for itself.
 
 use super::run::{assemble, Ledger};
-use super::{LiveConfig, LiveResult};
+use super::{LiveResult, RunConfig};
 use crate::queue::{LocalQueue, SubChunk};
 use dls::{LoopSpec, SchedState};
 use mpisim::{Comm, Topology, Universe};
@@ -35,10 +35,10 @@ type Assignment = Option<(u64, u64)>;
 /// launched, so the worker count is one less than the other executors —
 /// the dedicated master is exactly the resource this model burns.
 pub fn run_live_flat_master_worker(
-    cfg: &LiveConfig,
+    cfg: &RunConfig,
     workload: &(dyn Workload + Sync),
 ) -> LiveResult {
-    let topology = Topology::new(cfg.nodes, cfg.workers_per_node);
+    let topology = Topology::new(cfg.topology.nodes, cfg.topology.workers_per_node);
     let n = workload.n_iters();
     let total = topology.world_size();
     assert!(total >= 2, "flat master-worker needs at least one worker");
@@ -93,17 +93,17 @@ fn worker_loop(world: &Comm, master: u32, workload: &dyn Workload) -> Ledger {
 /// first rank is a working local master that owns the node queue and
 /// serves its node's other ranks; plain workers request from their
 /// local master.
-pub fn run_live_master_worker(cfg: &LiveConfig, workload: &(dyn Workload + Sync)) -> LiveResult {
-    let topology = Topology::new(cfg.nodes, cfg.workers_per_node);
+pub fn run_live_master_worker(cfg: &RunConfig, workload: &(dyn Workload + Sync)) -> LiveResult {
+    let topology = Topology::new(cfg.topology.nodes, cfg.topology.workers_per_node);
     let n = workload.n_iters();
-    let wpn = cfg.workers_per_node;
+    let wpn = cfg.topology.workers_per_node;
     assert!(
         wpn >= 2,
         "hierarchical master-worker needs >= 2 ranks per node (node 0 \
          hosts the dedicated global master)"
     );
     let spec = cfg.spec;
-    let inter_spec = LoopSpec::new(n, cfg.nodes);
+    let inter_spec = LoopSpec::new(n, cfg.topology.nodes);
 
     let outcomes = Universe::run(topology, move |p| {
         let world = p.world();
@@ -111,7 +111,7 @@ pub fn run_live_master_worker(cfg: &LiveConfig, workload: &(dyn Workload + Sync)
         if me == 0 {
             // Global master: serve the local masters. Each node sends
             // exactly one final request that returns None.
-            master_serve(world, &spec.inter, &inter_spec, cfg.nodes);
+            master_serve(world, &spec.inter, &inter_spec, cfg.topology.nodes);
             Ledger::untimed(0)
         } else if p.local_rank() == local_master_rank(p.node_id()) {
             local_master_loop(world, p.node_id(), wpn, &spec.intra, workload)
@@ -207,7 +207,7 @@ mod tests {
     fn flat_master_worker_exactly_once() {
         for tech in [Kind::SS, Kind::GSS, Kind::FAC2] {
             let w = Synthetic::uniform(700, 1, 80, 4);
-            let cfg = LiveConfig::new(2, 3, HierSpec::new(tech, tech), Approach::MpiMpi);
+            let cfg = RunConfig::new(2, 3, HierSpec::new(tech, tech), Approach::MpiMpi);
             let serial = serial_checksum(&w);
             let r = run_live_flat_master_worker(&cfg, &w);
             assert_exact(&r, serial, 700);
@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn flat_master_does_not_compute() {
         let w = Synthetic::constant(500, 10);
-        let cfg = LiveConfig::new(2, 2, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
+        let cfg = RunConfig::new(2, 2, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
         let r = run_live_flat_master_worker(&cfg, &w);
         assert_eq!(r.stats.workers[0].iterations, 0, "rank 0 is dedicated");
         assert_eq!(r.stats.total_iterations, 500);
@@ -229,7 +229,7 @@ mod tests {
             [(Kind::GSS, Kind::STATIC), (Kind::FAC2, Kind::SS), (Kind::TSS, Kind::GSS)]
         {
             let w = Synthetic::uniform(900, 1, 80, 8);
-            let cfg = LiveConfig::new(2, 3, HierSpec::new(inter, intra), Approach::MpiMpi);
+            let cfg = RunConfig::new(2, 3, HierSpec::new(inter, intra), Approach::MpiMpi);
             let serial = serial_checksum(&w);
             let r = run_live_master_worker(&cfg, &w);
             assert_exact(&r, serial, 900);
@@ -239,7 +239,7 @@ mod tests {
     #[test]
     fn hierarchical_global_master_dedicated_local_masters_work() {
         let w = Synthetic::constant(1_200, 10);
-        let cfg = LiveConfig::new(3, 3, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
+        let cfg = RunConfig::new(3, 3, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
         let r = run_live_master_worker(&cfg, &w);
         assert_eq!(r.stats.workers[0].iterations, 0, "global master is dedicated");
         // Local masters (rank 1 on node 0; ranks 3 and 6 otherwise) do
@@ -256,14 +256,14 @@ mod tests {
     #[should_panic(expected = ">= 2 ranks per node")]
     fn hierarchical_rejects_single_rank_nodes() {
         let w = Synthetic::constant(10, 1);
-        let cfg = LiveConfig::new(2, 1, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
+        let cfg = RunConfig::new(2, 1, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
         run_live_master_worker(&cfg, &w);
     }
 
     #[test]
     fn single_node_flat() {
         let w = Synthetic::uniform(300, 1, 50, 5);
-        let cfg = LiveConfig::new(1, 4, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
+        let cfg = RunConfig::new(1, 4, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
         let serial = serial_checksum(&w);
         let r = run_live_flat_master_worker(&cfg, &w);
         assert_exact(&r, serial, 300);

@@ -23,7 +23,7 @@
 use super::global_queue::GlobalQueue;
 use super::run::{assemble, Ledger};
 use super::window_queue::{CounterQueue, WindowQueue};
-use super::{LiveConfig, LiveResult};
+use super::{LiveResult, RunConfig};
 use crate::config::NodeQueueMode;
 use crate::layout::TAKEN;
 use crate::protocol::{self, counter, Empty, Fetched, Flags, NodeQueue};
@@ -66,7 +66,7 @@ fn refiller_slot(wpn: u32) -> usize {
 ///
 /// Allocation or RMA failures from any rank surface as `Err`.
 pub fn run_live_mpi_mpi(
-    cfg: &LiveConfig,
+    cfg: &RunConfig,
     workload: &(dyn Workload + Sync),
 ) -> mpisim::Result<LiveResult> {
     run_ranks(cfg, workload, None)
@@ -76,15 +76,15 @@ pub fn run_live_mpi_mpi(
 /// `cfg.global_mode` names, or the `service` job (one agent connection
 /// per node) when the caller brings one.
 pub(super) fn run_ranks(
-    cfg: &LiveConfig,
+    cfg: &RunConfig,
     workload: &(dyn Workload + Sync),
     service: Option<(&[Mutex<Client>], JobId)>,
 ) -> mpisim::Result<LiveResult> {
-    let topology = Topology::new(cfg.nodes, cfg.workers_per_node);
+    let topology = Topology::new(cfg.topology.nodes, cfg.topology.workers_per_node);
     let n = workload.n_iters();
     assert!(n <= i64::MAX as u64, "loop too large for i64 window slots");
-    let inter_spec = dls::LoopSpec::new(n, cfg.nodes);
-    let (wpn, spec, awf, faults) = (cfg.workers_per_node, cfg.spec, cfg.awf, &cfg.faults);
+    let inter_spec = dls::LoopSpec::new(n, cfg.topology.nodes);
+    let (wpn, spec, awf, faults) = (cfg.topology.workers_per_node, cfg.spec, cfg.awf, &cfg.faults);
     let lock_free = cfg.node_queue(n) == NodeQueueMode::Counter;
     let rma_log = cfg.record_rma.then(RmaLog::new);
     let log = rma_log.as_ref();
@@ -502,7 +502,7 @@ mod tests {
         n: u64,
     ) -> (LiveResult, u64) {
         let w = Synthetic::uniform(n, 1, 100, 3);
-        let mut cfg = LiveConfig::new(nodes, wpn, spec, Approach::MpiMpi);
+        let mut cfg = RunConfig::new(nodes, wpn, spec, Approach::MpiMpi);
         cfg.node_mode = mode;
         let serial = serial_checksum(&w);
         (run_live_mpi_mpi(&cfg, &w).expect("live run"), serial)
@@ -553,7 +553,7 @@ mod tests {
     #[test]
     fn trace_and_window_counters_recorded() {
         let w = Synthetic::uniform(600, 1, 100, 3);
-        let mut cfg = LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        let mut cfg = RunConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
         cfg.trace = true;
         cfg.node_mode = NodeQueueMode::Locked;
         let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
@@ -599,7 +599,7 @@ mod tests {
         // fetch to the last; that access epoch is not time in lock, or a
         // worker would report `nodes` x the run on top of its own epochs.
         let w = workloads::Spin(Synthetic::constant(40, 500_000));
-        let mut cfg = LiveConfig::new(2, 1, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        let mut cfg = RunConfig::new(2, 1, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
         cfg.node_mode = NodeQueueMode::Locked;
         assert_eq!(cfg.global_mode, GlobalQueueMode::SingleAtomic);
         let started = Instant::now();
@@ -636,7 +636,7 @@ mod tests {
     #[test]
     fn every_worker_participates_on_balanced_load() {
         let w = Synthetic::constant(2000, 20_000); // ~20us per iteration
-        let cfg = LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        let cfg = RunConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
         let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
         assert_eq!(r.stats.total_iterations, 2000);
     }
@@ -644,7 +644,7 @@ mod tests {
     #[test]
     fn rma_log_disabled_by_default_and_recorded_on_request() {
         let w = Synthetic::uniform(300, 1, 100, 3);
-        let cfg = LiveConfig::new(2, 2, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        let cfg = RunConfig::new(2, 2, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
         let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
         assert!(r.rma.is_empty());
 
@@ -666,7 +666,7 @@ mod tests {
         use mpisim::RmaEvent::{self, Attach, Get, Lock, Put, Sync, Unlock};
         let w = Synthetic::uniform(600, 1, 100, 3);
         let wpn = 3;
-        let mut cfg = LiveConfig::new(2, wpn, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        let mut cfg = RunConfig::new(2, wpn, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
         cfg.node_mode = NodeQueueMode::Locked;
         cfg.awf = Some(dls::adaptive::AwfVariant::C);
         cfg.record_rma = true;

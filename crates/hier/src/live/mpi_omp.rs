@@ -19,7 +19,7 @@
 
 use super::global_queue::GlobalQueue;
 use super::run::{assemble, Ledger};
-use super::{LiveConfig, LiveResult};
+use super::{LiveResult, RunConfig};
 use crate::config::GlobalQueueMode;
 use crate::protocol::Fetched;
 use crate::queue::SubChunk;
@@ -48,16 +48,16 @@ fn omp_schedule(intra: &dls::Technique) -> OmpSchedule {
 /// Allocation or RMA failures from any node's master thread surface as
 /// `Err`.
 pub fn run_live_mpi_omp(
-    cfg: &LiveConfig,
+    cfg: &RunConfig,
     workload: &(dyn Workload + Sync),
 ) -> mpisim::Result<LiveResult> {
     // One MPI process per node; the team provides the node's parallelism.
-    let topology = Topology::new(cfg.nodes, 1);
+    let topology = Topology::new(cfg.topology.nodes, 1);
     let n = workload.n_iters();
     assert!(n <= i64::MAX as u64, "loop too large for i64 window slots");
-    let inter_spec = dls::LoopSpec::new(n, cfg.nodes);
+    let inter_spec = dls::LoopSpec::new(n, cfg.topology.nodes);
     let schedule = omp_schedule(&cfg.spec.intra);
-    let team_size = cfg.workers_per_node;
+    let team_size = cfg.topology.workers_per_node;
     let spec = cfg.spec;
     let do_trace = cfg.trace;
     let rma_log = cfg.record_rma.then(RmaLog::new);
@@ -173,7 +173,7 @@ mod tests {
 
     fn run(spec: HierSpec, nodes: u32, wpn: u32, n: u64) -> (LiveResult, u64) {
         let w = Synthetic::uniform(n, 1, 100, 3);
-        let cfg = LiveConfig::new(nodes, wpn, spec, Approach::MpiOpenMp);
+        let cfg = RunConfig::new(nodes, wpn, spec, Approach::MpiOpenMp);
         let serial = serial_checksum(&w);
         (run_live_mpi_omp(&cfg, &w).expect("live run"), serial)
     }
@@ -233,8 +233,7 @@ mod tests {
     #[test]
     fn trace_covers_every_team_thread() {
         let w = Synthetic::uniform(600, 1, 100, 3);
-        let mut cfg =
-            LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiOpenMp);
+        let mut cfg = RunConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiOpenMp);
         cfg.trace = true;
         let r = run_live_mpi_omp(&cfg, &w).expect("live run");
         let totals = r.trace.totals();
@@ -270,7 +269,7 @@ mod tests {
     #[should_panic(expected = "Intel OpenMP runtime only supports")]
     fn unsupported_intra_technique_rejected() {
         let w = Synthetic::constant(10, 1);
-        let cfg = LiveConfig::new(1, 2, HierSpec::new(Kind::GSS, Kind::TSS), Approach::MpiOpenMp);
+        let cfg = RunConfig::new(1, 2, HierSpec::new(Kind::GSS, Kind::TSS), Approach::MpiOpenMp);
         let _ = run_live_mpi_omp(&cfg, &w);
     }
 
@@ -280,7 +279,7 @@ mod tests {
         // region of 100 over 2 threads, no dispatch below 4 but the tail.
         let w = Synthetic::constant(100, 1);
         let spec = HierSpec { inter: Technique::static_(), intra: "GSS:4".parse().unwrap() };
-        let r = run_live_mpi_omp(&LiveConfig::new(1, 2, spec, Approach::MpiOpenMp), &w)
+        let r = run_live_mpi_omp(&RunConfig::new(1, 2, spec, Approach::MpiOpenMp), &w)
             .expect("live run");
         let mut subs: Vec<_> = r.executed.iter().map(|(_, sub)| sub).collect();
         subs.sort_by_key(|sub| sub.start);
@@ -301,8 +300,7 @@ mod tests {
     #[test]
     fn rma_log_records_master_protocol() {
         let w = Synthetic::uniform(400, 1, 100, 3);
-        let mut cfg =
-            LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiOpenMp);
+        let mut cfg = RunConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiOpenMp);
         cfg.record_rma = true;
         let r = run_live_mpi_omp(&cfg, &w).expect("live run");
         assert!(!r.rma.is_empty());

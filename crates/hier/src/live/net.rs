@@ -17,7 +17,7 @@
 //! — multi-process recovery is exercised by the `net-worker` smoke
 //! tests in `dls-service`).
 
-use super::{LiveConfig, LiveResult};
+use super::{LiveResult, RunConfig};
 use dls_service::Client;
 use std::net::SocketAddr;
 use std::sync::Mutex;
@@ -38,7 +38,7 @@ use workloads::Workload;
 /// lease recovery path is exercised end-to-end by the `dls-service`
 /// smoke tests.
 pub fn run_live_net(
-    cfg: &LiveConfig,
+    cfg: &RunConfig,
     workload: &(dyn Workload + Sync),
     addr: SocketAddr,
 ) -> mpisim::Result<LiveResult> {
@@ -53,12 +53,12 @@ pub fn run_live_net(
         .create_job(
             workload.n_iters(),
             inter_kind,
-            &node_weights(&cfg.weights, cfg.nodes, cfg.workers_per_node),
+            &node_weights(&cfg.weights, cfg.topology.nodes, cfg.topology.workers_per_node),
         )
         .expect("create job");
     // A bounded reply wait per agent call: a wedged server surfaces as
     // a typed TimedOut error instead of hanging every rank on the node.
-    let agents: Vec<Mutex<Client>> = (0..cfg.nodes)
+    let agents: Vec<Mutex<Client>> = (0..cfg.topology.nodes)
         .map(|_| {
             let mut agent = Client::connect(addr).expect("connect node agent");
             agent
@@ -100,7 +100,7 @@ mod tests {
     fn run(spec: HierSpec, nodes: u32, wpn: u32, n: u64) -> (LiveResult, u64) {
         let srv = Server::start(ServiceConfig::default(), "127.0.0.1:0").expect("bind");
         let w = Synthetic::uniform(n, 1, 100, 3);
-        let cfg = LiveConfig::new(nodes, wpn, spec, Approach::MpiMpi);
+        let cfg = RunConfig::new(nodes, wpn, spec, Approach::MpiMpi);
         let serial = serial_checksum(&w);
         let r = run_live_net(&cfg, &w, srv.addr()).expect("net run");
         let snap = srv.shutdown();
@@ -138,7 +138,7 @@ mod tests {
     fn one_agent_connection_per_node() {
         let srv = Server::start(ServiceConfig::default(), "127.0.0.1:0").expect("bind");
         let w = Synthetic::uniform(300, 1, 100, 3);
-        let cfg = LiveConfig::new(3, 2, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        let cfg = RunConfig::new(3, 2, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
         let r = run_live_net(&cfg, &w, srv.addr()).expect("net run");
         let snap = srv.shutdown();
         // 1 setup connection + one agent per node, all closed now.
@@ -154,7 +154,7 @@ mod tests {
     fn trace_records_compute_and_sched() {
         let srv = Server::start(ServiceConfig::default(), "127.0.0.1:0").expect("bind");
         let w = Synthetic::uniform(400, 1, 100, 3);
-        let mut cfg = LiveConfig::new(2, 2, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        let mut cfg = RunConfig::new(2, 2, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
         cfg.trace = true;
         let r = run_live_net(&cfg, &w, srv.addr()).expect("net run");
         srv.shutdown();

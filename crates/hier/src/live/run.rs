@@ -12,7 +12,7 @@
 //! of one node interleaving single iterations — costs 16 bytes per
 //! sub-chunk, as a flat list of them would.
 
-use super::{LiveConfig, LiveResult};
+use super::{LiveResult, RunConfig};
 use crate::queue::SubChunk;
 use crate::stats::RunStats;
 use cluster_sim::trace::{SegmentKind, Trace};
@@ -339,9 +339,9 @@ impl<'a> IntoIterator for &'a Executed {
 
 /// Turn the workers' ledgers into the run's result: the one writer of
 /// [`RunStats`] and the one constructor of [`LiveResult`].
-pub(super) fn assemble(cfg: &LiveConfig, ledgers: Vec<Ledger>, rma: Vec<RmaRecord>) -> LiveResult {
-    let total_workers = (cfg.nodes * cfg.workers_per_node) as usize;
-    let mut stats = RunStats::new(total_workers, cfg.nodes as usize);
+pub(super) fn assemble(cfg: &RunConfig, ledgers: Vec<Ledger>, rma: Vec<RmaRecord>) -> LiveResult {
+    let total_workers = cfg.topology.total_workers() as usize;
+    let mut stats = RunStats::new(total_workers, cfg.topology.nodes as usize);
     let mut executed = Executed { ledgers: Vec::with_capacity(ledgers.len()) };
     let mut trace = if cfg.trace { Trace::recording() } else { Trace::disabled() };
     let mut recovery = Vec::new();
@@ -385,7 +385,7 @@ pub(super) fn assemble(cfg: &LiveConfig, ledgers: Vec<Ledger>, rma: Vec<RmaRecor
 mod tests {
     use super::{assemble, Executed, Ledger, Run, Runs};
     use crate::config::{Approach, HierSpec};
-    use crate::live::{assert_exact, run_live, serial_checksum, LiveConfig};
+    use crate::live::{assert_exact, run_live, serial_checksum, RunConfig};
     use crate::queue::{exactly_once, SubChunk};
     use proptest::prelude::*;
     use std::mem::size_of;
@@ -410,8 +410,8 @@ mod tests {
             .collect()
     }
 
-    fn cfg() -> LiveConfig {
-        LiveConfig::new(1, 3, HierSpec::new(dls::Kind::GSS, dls::Kind::SS), Approach::MpiMpi)
+    fn cfg() -> RunConfig {
+        RunConfig::new(1, 3, HierSpec::new(dls::Kind::GSS, dls::Kind::SS), Approach::MpiMpi)
     }
 
     /// Where a ledger's two buffers live.
@@ -458,15 +458,10 @@ mod tests {
     fn exactly_once_takes_a_sim_and_a_live_result_of_one_schedule() {
         let w = Synthetic::uniform(500, 1, 100, 5);
         let spec = HierSpec::new(dls::Kind::FAC2, dls::Kind::GSS);
-        let mut sim = crate::sim::SimConfig::new(
-            cluster_sim::SimTopology::new(2, 2),
-            cluster_sim::MachineParams::default(),
-            spec,
-            Approach::MpiMpi,
-        );
-        sim.record_chunks = true;
-        let sim = crate::sim::simulate(&sim, &CostTable::build(&w));
-        let live = run_live(&LiveConfig::new(2, 2, spec, Approach::MpiMpi), &w).expect("live run");
+        let mut cfg = RunConfig::new(2, 2, spec, Approach::MpiMpi);
+        cfg.record_chunks = true;
+        let sim = crate::sim::simulate(&cfg, &CostTable::build(&w));
+        let live = run_live(&cfg, &w).expect("live run");
         exactly_once(&sim.executed, w.n_iters()).expect("sim");
         exactly_once(&live.executed, w.n_iters()).expect("live");
     }
@@ -496,7 +491,7 @@ mod tests {
         assert_eq!(serial, u64::MAX.wrapping_mul(50));
         let spec = HierSpec::new(dls::Kind::GSS, dls::Kind::SS);
         for approach in [Approach::MpiMpi, Approach::MpiOpenMp] {
-            let r = run_live(&LiveConfig::new(2, 2, spec, approach), &w).expect("live run");
+            let r = run_live(&RunConfig::new(2, 2, spec, approach), &w).expect("live run");
             assert_eq!((r.checksum, r.stats.checksum), (serial, serial));
         }
     }
@@ -549,7 +544,7 @@ mod tests {
     fn a_gss_ss_two_by_one_run_holds_at_most_one_run_per_deposit() {
         let w = Synthetic::constant(200_000, 0);
         let spec = HierSpec::new(dls::Kind::GSS, dls::Kind::SS);
-        let r = run_live(&LiveConfig::new(2, 1, spec, Approach::MpiMpi), &w).expect("live run");
+        let r = run_live(&RunConfig::new(2, 1, spec, Approach::MpiMpi), &w).expect("live run");
         assert_exact(&r, serial_checksum(&w), w.n_iters());
         for (worker, runs) in &r.executed.ledgers {
             // One rank per node: worker `w` made every deposit of node `w`.

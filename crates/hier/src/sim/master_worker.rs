@@ -19,7 +19,7 @@
 //! paper's shared work queues remove.
 
 use super::run::{Run, Step};
-use super::{SimConfig, SimResult};
+use super::{RunConfig, SimResult};
 use crate::queue::{LocalQueue, SubChunk};
 use cluster_sim::trace::SegmentKind;
 use cluster_sim::{Resource, Time};
@@ -50,16 +50,16 @@ struct MasterState {
 
 /// Run the flat (single-master) model: chunk calculus at the global
 /// master with the *inter* technique over all workers.
-pub fn simulate_flat_master_worker(cfg: &SimConfig, table: &CostTable) -> SimResult {
+pub fn simulate_flat_master_worker(cfg: &RunConfig, table: &CostTable) -> SimResult {
     simulate_master_worker_inner(cfg, table, true)
 }
 
 /// Run the hierarchical master-worker model (HDSS style).
-pub fn simulate_master_worker(cfg: &SimConfig, table: &CostTable) -> SimResult {
+pub fn simulate_master_worker(cfg: &RunConfig, table: &CostTable) -> SimResult {
     simulate_master_worker_inner(cfg, table, false)
 }
 
-fn simulate_master_worker_inner(cfg: &SimConfig, table: &CostTable, flat: bool) -> SimResult {
+fn simulate_master_worker_inner(cfg: &RunConfig, table: &CostTable, flat: bool) -> SimResult {
     let nodes = cfg.topology.nodes;
     let wpn = cfg.topology.workers_per_node;
     let total_workers = cfg.topology.total_workers();
@@ -291,17 +291,13 @@ mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
     use crate::sim::assert_covers;
-    use cluster_sim::{MachineParams, SimTopology};
+    use cluster_sim::MachineParams;
     use dls::Kind;
     use workloads::synthetic::Synthetic;
 
-    fn cfg(spec: HierSpec, nodes: u32, wpn: u32) -> SimConfig {
-        let mut c = SimConfig::new(
-            SimTopology::new(nodes, wpn),
-            MachineParams::default(),
-            spec,
-            Approach::MpiMpi, // unused by these executors
-        );
+    fn cfg(spec: HierSpec, nodes: u32, wpn: u32) -> RunConfig {
+        // The approach is unused by these executors.
+        let mut c = RunConfig::new(nodes, wpn, spec, Approach::MpiMpi);
         c.record_chunks = true;
         c
     }

@@ -39,10 +39,10 @@ pub enum RefillPolicy {
     Dedicated,
 }
 
-use crate::config::{Approach, HierSpec};
+use crate::config::{Approach, RunConfig};
 use crate::queue::SubChunk;
 use crate::stats::RunStats;
-use cluster_sim::{MachineParams, SimTopology, Time, Trace};
+use cluster_sim::{Time, Trace};
 use workloads::CostTable;
 
 /// Schedule perturbation for interleaving exploration: deterministic
@@ -162,114 +162,6 @@ impl RmaTape {
     }
 }
 
-/// Configuration of one virtual-time run.
-#[derive(Clone)]
-pub struct SimConfig {
-    /// Cluster shape.
-    pub topology: SimTopology,
-    /// Cost constants.
-    pub machine: MachineParams,
-    /// The `X+Y` scheduling combination.
-    pub spec: HierSpec,
-    /// Which implementation of the intra-node level.
-    pub approach: Approach,
-    /// Record per-worker timeline segments (Figures 2/3).
-    pub trace: bool,
-    /// Record every executed sub-chunk (for exactly-once verification).
-    pub record_chunks: bool,
-    /// Per-worker speed multipliers for failure injection / systemic
-    /// imbalance: iteration costs on worker `w` are scaled by
-    /// `slowdown[w]`. Empty means all 1.0.
-    pub slowdown: Vec<f64>,
-    /// Who refills the local queue (MPI+MPI only).
-    pub refill: RefillPolicy,
-    /// How the global queue is realised over RMA (MPI+MPI only).
-    pub global_mode: crate::config::GlobalQueueMode,
-    /// Static per-worker weights for weighted techniques (WF): indexed
-    /// by global worker id, mean-normalised. Empty means unit weights.
-    pub weights: Vec<f64>,
-    /// Adaptive weighted factoring at the intra-node level (MPI+MPI
-    /// only): when set, the intra technique's sub-chunk is scaled by
-    /// weights learned from measured worker rates.
-    pub awf: Option<dls::adaptive::AwfVariant>,
-    /// Model the `nowait` clause for MPI+OpenMP (the paper's future
-    /// work): no end-of-region barrier; threads dispatch through the
-    /// OpenMP runtime's atomic and any thread may fetch the next chunk
-    /// (which requires `MPI_THREAD_MULTIPLE`). Implemented as the
-    /// MPI+MPI protocol with the window lock replaced by an OpenMP
-    /// dispatch.
-    pub omp_nowait: bool,
-    /// Deterministic schedule perturbation for interleaving
-    /// exploration ([`Perturbation::None`] reproduces the unperturbed
-    /// run exactly).
-    pub perturb: Perturbation,
-    /// Synthesize the RMA access log the modelled protocol would
-    /// produce (lock/sync/get/put/atomic per transaction) into
-    /// [`SimResult::rma`] for the shape and golden tests.
-    pub record_rma: bool,
-    /// Injected failures (rank crashes, stragglers, message faults) and
-    /// the recovery-protocol timeouts. [`resilience::FaultPlan::none`]
-    /// (the default) leaves every executor bit-for-bit identical to the
-    /// fault-free run.
-    pub faults: resilience::FaultPlan,
-}
-
-impl SimConfig {
-    /// A run with tracing and chunk recording off.
-    pub fn new(
-        topology: SimTopology,
-        machine: MachineParams,
-        spec: HierSpec,
-        approach: Approach,
-    ) -> Self {
-        Self {
-            topology,
-            machine,
-            spec,
-            approach,
-            trace: false,
-            record_chunks: false,
-            slowdown: Vec::new(),
-            refill: RefillPolicy::Fastest,
-            global_mode: crate::config::GlobalQueueMode::SingleAtomic,
-            weights: Vec::new(),
-            awf: None,
-            omp_nowait: false,
-            perturb: Perturbation::default(),
-            record_rma: false,
-            faults: resilience::FaultPlan::none(),
-        }
-    }
-
-    pub(crate) fn scaled_cost(&self, worker: u32, raw: u64) -> Time {
-        match self.slowdown.get(worker as usize) {
-            Some(&f) if f != 1.0 => (raw as f64 * f).round().max(1.0) as Time,
-            _ => raw,
-        }
-    }
-
-    /// [`SimConfig::scaled_cost`] further scaled by any straggler fault
-    /// active on `worker` at virtual time `now`.
-    pub(crate) fn cost_at(&self, worker: u32, now: Time, raw: u64) -> Time {
-        let base = self.scaled_cost(worker, raw);
-        let f = self.faults.straggle_factor(worker, now);
-        if f == 1.0 {
-            base
-        } else {
-            (base as f64 * f).round().max(1.0) as Time
-        }
-    }
-
-    /// Earliest crash fault of either kind on `worker`, for executors
-    /// whose workers hold no window lock to die in.
-    pub(crate) fn crash_time(&self, worker: u32) -> Option<Time> {
-        match (self.faults.crash_at(worker), self.faults.crash_holding_lock_at(worker)) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-}
-
 /// Result of one virtual-time run.
 #[derive(Clone, Debug)]
 pub struct SimResult {
@@ -277,19 +169,19 @@ pub struct SimResult {
     pub makespan: Time,
     /// Counters.
     pub stats: RunStats,
-    /// Timeline (empty unless `SimConfig::trace`).
+    /// Timeline (empty unless `RunConfig::trace`).
     pub trace: Trace,
     /// Total lock-polling penalty accumulated at local-queue locks
     /// (MPI+MPI only; the Fig. 4 `X+SS` pathology).
     pub lock_poll_penalty: Time,
     /// Executed sub-chunks per worker (empty unless
-    /// `SimConfig::record_chunks`).
+    /// `RunConfig::record_chunks`).
     pub executed: Vec<(u32, SubChunk)>,
     /// Synthesized RMA access log of the modelled protocol (empty
-    /// unless `SimConfig::record_rma`), for the shape and golden tests.
+    /// unless `RunConfig::record_rma`), for the shape and golden tests.
     pub rma: Vec<mpisim::RmaRecord>,
     /// Detection and repair actions taken during the run (empty unless
-    /// `SimConfig::faults` is active): crashes, lease expiries,
+    /// `RunConfig::faults` is active): crashes, lease expiries,
     /// reclaims, refill failovers, lock repairs — time-ordered.
     pub recovery: Vec<resilience::RecoveryEvent>,
 }
@@ -302,7 +194,7 @@ impl SimResult {
 }
 
 /// Run one virtual-time experiment, dispatching on the approach.
-pub fn simulate(cfg: &SimConfig, table: &CostTable) -> SimResult {
+pub fn simulate(cfg: &RunConfig, table: &CostTable) -> SimResult {
     match cfg.approach {
         Approach::MpiMpi => simulate_mpi_mpi(cfg, table),
         Approach::MpiOpenMp if cfg.omp_nowait => simulate_mpi_omp_nowait(cfg, table),
@@ -314,7 +206,7 @@ pub fn simulate(cfg: &SimConfig, table: &CostTable) -> SimResult {
 /// protocol (no end-of-region barrier, fastest-thread refill), but the
 /// local dispatch costs one OpenMP runtime atomic instead of an
 /// `MPI_Win_lock` cycle and suffers no lock polling.
-pub fn simulate_mpi_omp_nowait(cfg: &SimConfig, table: &CostTable) -> SimResult {
+pub fn simulate_mpi_omp_nowait(cfg: &RunConfig, table: &CostTable) -> SimResult {
     let mut nowait_cfg = cfg.clone();
     nowait_cfg.machine.shm_lock_hold_ns = cfg.machine.omp_dispatch_ns;
     nowait_cfg.machine.shm_poll_penalty_ns = 0;
@@ -332,7 +224,7 @@ fn assert_covers(r: &SimResult, n: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster_sim::SimTopology;
+    use crate::config::HierSpec;
     use dls::Kind;
     use workloads::synthetic::Synthetic;
 
@@ -344,12 +236,7 @@ mod tests {
         let w = Synthetic::bimodal(20_000, 50_000, 5_000_000, 3, 7);
         let table = CostTable::build(&w);
         let run = |approach, nowait| {
-            let mut cfg = SimConfig::new(
-                SimTopology::new(2, 8),
-                MachineParams::default(),
-                HierSpec::new(Kind::GSS, Kind::STATIC),
-                approach,
-            );
+            let mut cfg = RunConfig::new(2, 8, HierSpec::new(Kind::GSS, Kind::STATIC), approach);
             cfg.omp_nowait = nowait;
             simulate(&cfg, &table)
         };
@@ -377,12 +264,7 @@ mod tests {
     fn nowait_flag_ignored_for_mpi_mpi() {
         let w = Synthetic::constant(2_000, 1_000);
         let table = CostTable::build(&w);
-        let mut cfg = SimConfig::new(
-            SimTopology::new(2, 4),
-            MachineParams::default(),
-            HierSpec::new(Kind::GSS, Kind::GSS),
-            Approach::MpiMpi,
-        );
+        let mut cfg = RunConfig::new(2, 4, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
         let plain = simulate(&cfg, &table).makespan;
         cfg.omp_nowait = true;
         assert_eq!(simulate(&cfg, &table).makespan, plain);

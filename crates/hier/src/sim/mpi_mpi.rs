@@ -21,7 +21,7 @@
 //! log and a recorded live log describe the same protocol.
 
 use super::run::{Run, Step};
-use super::{SimConfig, SimResult};
+use super::{RunConfig, SimResult};
 use crate::layout::{node_win, GLOBAL_WIN};
 use crate::protocol::{self, Empty, Fetched, Flags};
 use crate::queue::LocalQueue;
@@ -120,7 +120,7 @@ fn execute_sub(
 }
 
 /// Run the MPI+MPI approach in virtual time.
-pub fn simulate_mpi_mpi(cfg: &SimConfig, table: &CostTable) -> SimResult {
+pub fn simulate_mpi_mpi(cfg: &RunConfig, table: &CostTable) -> SimResult {
     let nodes = cfg.topology.nodes;
     let wpn = cfg.topology.workers_per_node;
     let total_workers = cfg.topology.total_workers();
@@ -423,19 +423,13 @@ mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
     use crate::sim::assert_covers;
-    use cluster_sim::{MachineParams, SimTopology};
     use dls::Kind;
     use workloads::synthetic::Synthetic;
 
     fn run(spec: HierSpec, nodes: u32, wpn: u32, n: u64) -> SimResult {
         let w = Synthetic::uniform(n, 50, 500, 7);
         let table = CostTable::build(&w);
-        let mut cfg = SimConfig::new(
-            SimTopology::new(nodes, wpn),
-            MachineParams::default(),
-            spec,
-            Approach::MpiMpi,
-        );
+        let mut cfg = RunConfig::new(nodes, wpn, spec, Approach::MpiMpi);
         cfg.record_chunks = true;
         simulate_mpi_mpi(&cfg, &table)
     }
@@ -514,12 +508,7 @@ mod tests {
         // lock never equalises the workers by itself.
         let w = Synthetic::constant(4000, 50_000);
         let table = CostTable::build(&w);
-        let mut cfg = SimConfig::new(
-            SimTopology::new(1, 4),
-            MachineParams::default(),
-            HierSpec::new(Kind::GSS, Kind::SS),
-            Approach::MpiMpi,
-        );
+        let mut cfg = RunConfig::new(1, 4, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
         cfg.slowdown = vec![4.0, 1.0, 1.0, 1.0]; // worker 0 is 4x slower
         let r = simulate_mpi_mpi(&cfg, &table);
         assert_eq!(r.stats.total_iterations, 4000);
@@ -534,12 +523,7 @@ mod tests {
     fn trace_records_when_enabled() {
         let w = Synthetic::constant(200, 100);
         let table = CostTable::build(&w);
-        let mut cfg = SimConfig::new(
-            SimTopology::new(1, 2),
-            MachineParams::default(),
-            HierSpec::new(Kind::GSS, Kind::GSS),
-            Approach::MpiMpi,
-        );
+        let mut cfg = RunConfig::new(1, 2, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
         cfg.trace = true;
         let r = simulate_mpi_mpi(&cfg, &table);
         assert!(!r.trace.segments().is_empty());

@@ -8,7 +8,7 @@
 //! the paper's Figure 2 illustrates and its MPI+MPI approach removes.
 
 use super::run::{Run, Step};
-use super::{SimConfig, SimResult};
+use super::{RunConfig, SimResult};
 use crate::protocol::{GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ};
 use crate::queue::{LocalQueue, SubChunk};
 use cluster_sim::trace::SegmentKind;
@@ -25,7 +25,7 @@ enum Event {
 }
 
 /// Run the MPI+OpenMP approach in virtual time.
-pub fn simulate_mpi_omp(cfg: &SimConfig, table: &CostTable) -> SimResult {
+pub fn simulate_mpi_omp(cfg: &RunConfig, table: &CostTable) -> SimResult {
     let nodes = cfg.topology.nodes;
     let threads = cfg.topology.workers_per_node;
     let m = &cfg.machine;
@@ -220,19 +220,13 @@ mod tests {
     use super::*;
     use crate::config::{Approach, HierSpec};
     use crate::sim::assert_covers;
-    use cluster_sim::{MachineParams, SimTopology};
     use dls::Kind;
     use workloads::synthetic::Synthetic;
 
     fn run(spec: HierSpec, nodes: u32, wpn: u32, n: u64) -> SimResult {
         let w = Synthetic::uniform(n, 50, 500, 7);
         let table = CostTable::build(&w);
-        let mut cfg = SimConfig::new(
-            SimTopology::new(nodes, wpn),
-            MachineParams::default(),
-            spec,
-            Approach::MpiOpenMp,
-        );
+        let mut cfg = RunConfig::new(nodes, wpn, spec, Approach::MpiOpenMp);
         cfg.record_chunks = true;
         simulate_mpi_omp(&cfg, &table)
     }
@@ -273,12 +267,8 @@ mod tests {
         // end-of-chunk barrier (the paper's Figure 2).
         let w = Synthetic::linear_increasing(2000, 10, 2000);
         let table = CostTable::build(&w);
-        let mut cfg = SimConfig::new(
-            SimTopology::new(2, 4),
-            MachineParams::default(),
-            HierSpec::new(Kind::GSS, Kind::STATIC),
-            Approach::MpiOpenMp,
-        );
+        let mut cfg =
+            RunConfig::new(2, 4, HierSpec::new(Kind::GSS, Kind::STATIC), Approach::MpiOpenMp);
         cfg.trace = true;
         let r = simulate_mpi_omp(&cfg, &table);
         let totals = r.trace.totals();

@@ -4,7 +4,7 @@
 //! once. The executors keep their own events and loops and call
 //! [`Run`].
 
-use super::{Jitter, RmaTape, SimConfig, SimResult};
+use super::{Jitter, RmaTape, RunConfig, SimResult};
 use crate::queue::{LocalQueue, SubChunk};
 use crate::stats::RunStats;
 use cluster_sim::trace::SegmentKind;
@@ -25,7 +25,7 @@ pub(super) enum Step<E> {
 
 /// One virtual-time run in progress, over an executor with events `E`.
 pub(super) struct Run<'a, E> {
-    pub cfg: &'a SimConfig,
+    pub cfg: &'a RunConfig,
     table: &'a CostTable,
     // The modelled global work queue: the scheduling state, the loop it
     // is sized for, and the host that serializes accesses to it.
@@ -53,7 +53,7 @@ impl<'a, E> Run<'a, E> {
     /// A fresh run whose global queue schedules the loop over `p`
     /// requesters: the nodes, or every worker in the flat
     /// master-worker model.
-    pub fn new(cfg: &'a SimConfig, table: &'a CostTable, p: u32) -> Self {
+    pub fn new(cfg: &'a RunConfig, table: &'a CostTable, p: u32) -> Self {
         let workers = cfg.topology.total_workers();
         Self {
             cfg,

@@ -6,8 +6,8 @@
 use dls::sequence::ChunkSequence;
 use dls::{Kind, LoopSpec};
 use dls_service::{Server, ServiceConfig};
-use hier::live::{run_live_mpi_mpi, run_live_net, LiveConfig, LiveResult};
-use hier::{Approach, GlobalQueueMode, HierSpec};
+use hier::live::{run_live_mpi_mpi, run_live_net, LiveResult};
+use hier::{Approach, GlobalQueueMode, HierSpec, RunConfig};
 use workloads::synthetic::Synthetic;
 
 #[test]
@@ -25,7 +25,7 @@ fn live_global_queue_realisations_share_one_chunk_sequence() {
         let expected: Vec<(u64, u64)> = ChunkSequence::new(&LoopSpec::new(n, 1), &spec.inter)
             .map(|c| (c.start, c.end()))
             .collect();
-        let mut cfg = LiveConfig::new(1, 1, spec, Approach::MpiMpi);
+        let mut cfg = RunConfig::new(1, 1, spec, Approach::MpiMpi);
         for mode in [GlobalQueueMode::SingleAtomic, GlobalQueueMode::LockedCounters] {
             cfg.global_mode = mode;
             let r = run_live_mpi_mpi(&cfg, &w).expect("live run");

@@ -23,10 +23,10 @@
 
 use dls::Kind;
 use dls_service::{Server, ServiceConfig};
-use hier::config::{Approach, GlobalQueueMode, HierSpec, NodeQueueMode};
+use hier::config::{Approach, GlobalQueueMode, HierSpec, NodeQueueMode, RunConfig};
 use hier::live::{
     run_live_flat_master_worker, run_live_master_worker, run_live_mpi_mpi, run_live_mpi_omp,
-    run_live_net, serial_checksum, LiveConfig, LiveResult,
+    run_live_net, serial_checksum, LiveResult,
 };
 use resilience::{FaultKind, FaultPlan, RecoveryEvent};
 use std::fmt::Write;
@@ -84,7 +84,7 @@ fn render(r: &LiveResult) -> String {
 }
 
 fn mpi_mpi(mode: GlobalQueueMode, node: NodeQueueMode, faults: FaultPlan) -> LiveResult {
-    let mut cfg = LiveConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
+    let mut cfg = RunConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
     cfg.global_mode = mode;
     cfg.node_mode = node;
     cfg.faults = faults;
@@ -166,7 +166,7 @@ fn mpi_mpi_lone_rank_crash_holding_lock() {
 
 #[test]
 fn mpi_omp_team_of_one() {
-    let cfg = LiveConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::GSS), Approach::MpiOpenMp);
+    let cfg = RunConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::GSS), Approach::MpiOpenMp);
     let r = run_live_mpi_omp(&cfg, &workload()).expect("live run");
     assert_eq!(r.checksum, serial_checksum(&workload()));
     assert_eq!(render(&r), MPI_OMP_TEAM_OF_ONE);
@@ -174,7 +174,7 @@ fn mpi_omp_team_of_one() {
 
 fn net(node: NodeQueueMode) -> LiveResult {
     let srv = Server::start(ServiceConfig::default(), "127.0.0.1:0").expect("bind");
-    let mut cfg = LiveConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
+    let mut cfg = RunConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
     cfg.node_mode = node;
     let r = run_live_net(&cfg, &workload(), srv.addr()).expect("net run");
     srv.shutdown();
@@ -195,7 +195,7 @@ fn net_single_rank_lock_free() {
 
 #[test]
 fn flat_master_worker_one_worker() {
-    let cfg = LiveConfig::new(1, 2, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
+    let cfg = RunConfig::new(1, 2, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
     let r = run_live_flat_master_worker(&cfg, &workload());
     assert_eq!(r.checksum, serial_checksum(&workload()));
     assert_eq!(render(&r), FLAT_MASTER_WORKER_ONE_WORKER);
@@ -203,7 +203,7 @@ fn flat_master_worker_one_worker() {
 
 #[test]
 fn hierarchical_master_worker_one_local_master() {
-    let cfg = LiveConfig::new(1, 2, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
+    let cfg = RunConfig::new(1, 2, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
     let r = run_live_master_worker(&cfg, &workload());
     assert_eq!(r.checksum, serial_checksum(&workload()));
     assert_eq!(render(&r), HIERARCHICAL_MASTER_WORKER_ONE_LOCAL_MASTER);
@@ -214,7 +214,7 @@ fn hierarchical_master_worker_one_local_master() {
 /// many timeline segments survive depends on the clock: empty ones are
 /// dropped.)
 fn traced_and_recorded(node: NodeQueueMode) -> LiveResult {
-    let mut cfg = LiveConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
+    let mut cfg = RunConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::FAC2), Approach::MpiMpi);
     cfg.trace = true;
     cfg.record_rma = true;
     cfg.node_mode = node;
@@ -236,7 +236,7 @@ fn mpi_mpi_traced_and_recorded_lock_free() {
 
 #[test]
 fn mpi_omp_traced_and_recorded() {
-    let mut cfg = LiveConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::GSS), Approach::MpiOpenMp);
+    let mut cfg = RunConfig::new(1, 1, HierSpec::new(Kind::FAC2, Kind::GSS), Approach::MpiOpenMp);
     cfg.trace = true;
     cfg.record_rma = true;
     let r = run_live_mpi_omp(&cfg, &workload()).expect("live run");
@@ -391,7 +391,7 @@ fn run_stats_carry_the_checksum() {
 #[test]
 fn a_repaired_lock_is_a_revocation_on_its_node() {
     let w = Spin(Synthetic::uniform(200, 5_000, 40_000, 7));
-    let mut cfg = LiveConfig::new(1, 2, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+    let mut cfg = RunConfig::new(1, 2, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
     cfg.faults =
         FaultPlan::none().with(1, FaultKind::CrashHoldingLock { at_ns: 0, after_sub_chunks: 1 });
     for _ in 0..6 {

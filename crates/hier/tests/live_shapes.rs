@@ -10,16 +10,15 @@
 //! the locked queue's shapes; the live lock-free streams are `lock_all`,
 //! a word over `protocol::counter`'s shapes, `unlock_all`.
 
-use cluster_sim::{MachineParams, SimTopology};
 use dls::Kind;
 use dls_service::{Server, ServiceConfig};
-use hier::live::{run_live_mpi_mpi, run_live_net, LiveConfig};
+use hier::live::{run_live_mpi_mpi, run_live_net};
 use hier::protocol::{
     counter, DEPOSIT_DONE, DEPOSIT_TAKE, GLOBAL_FAA, GLOBAL_LOCKED_ADVANCE, GLOBAL_LOCKED_READ,
     PROBE_REFILL, PROBE_RELEASE, RELEASE, TAKE,
 };
-use hier::sim::{simulate_mpi_mpi, SimConfig};
-use hier::{Approach, GlobalQueueMode, HierSpec, NodeQueueMode};
+use hier::sim::simulate_mpi_mpi;
+use hier::{Approach, GlobalQueueMode, HierSpec, NodeQueueMode, RunConfig};
 use mpisim::{RmaEvent, RmaRecord};
 use std::collections::{BTreeMap, BTreeSet};
 use workloads::synthetic::Synthetic;
@@ -124,27 +123,19 @@ fn live_and_sim_logs_are_words_over_the_protocol_shapes() {
             // retire on an empty probe: each node shape occurs.
             let all: BTreeSet<usize> = (0..NODE_WORDS.len()).collect();
             let all_counter: BTreeSet<usize> = (0..COUNTER_WORDS.len()).collect();
+            let mut cfg = RunConfig::new(nodes, wpn, spec, Approach::MpiMpi);
+            cfg.global_mode = mode;
+            cfg.record_rma = true;
             for (node, all) in
                 [(NodeQueueMode::Locked, &all), (NodeQueueMode::Counter, &all_counter)]
             {
-                let mut live = LiveConfig::new(nodes, wpn, spec, Approach::MpiMpi);
-                live.global_mode = mode;
-                live.node_mode = node;
-                live.record_rma = true;
-                let r = run_live_mpi_mpi(&live, &w).expect("live run");
+                cfg.node_mode = node;
+                let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
                 let what = format!("live {what} {node:?}");
                 assert_eq!(&check(&r.rma, mode, node, &what), all, "{what}");
             }
 
-            let mut sim = SimConfig::new(
-                SimTopology::new(nodes, wpn),
-                MachineParams::default(),
-                spec,
-                Approach::MpiMpi,
-            );
-            sim.global_mode = mode;
-            sim.record_rma = true;
-            let r = simulate_mpi_mpi(&sim, &table);
+            let r = simulate_mpi_mpi(&cfg, &table);
             let sim_what = format!("sim {what}");
             assert_eq!(check(&r.rma, mode, NodeQueueMode::Locked, &sim_what), all, "{sim_what}");
         }
@@ -161,7 +152,7 @@ fn net_backend_node_logs_are_words_over_the_protocol_shapes() {
     for (node, shapes) in
         [(NodeQueueMode::Locked, NODE_WORDS.len()), (NodeQueueMode::Counter, COUNTER_WORDS.len())]
     {
-        let mut cfg = LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+        let mut cfg = RunConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
         cfg.record_rma = true;
         cfg.node_mode = node;
         let r = run_live_net(&cfg, &w, srv.addr()).expect("net run");
@@ -192,7 +183,7 @@ fn the_refiller_takes_under_its_deposit_grant_and_retires_under_done() {
     const LO: usize = 2;
     const TAKEN: usize = 5;
     let w = Synthetic::constant(20_000, 0);
-    let mut cfg = LiveConfig::new(1, 4, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
+    let mut cfg = RunConfig::new(1, 4, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
     cfg.node_mode = NodeQueueMode::Locked;
     cfg.record_rma = true;
     let r = run_live_mpi_mpi(&cfg, &w).expect("live run");

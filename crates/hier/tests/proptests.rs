@@ -3,11 +3,10 @@
 //! iteration must execute exactly once on the virtual-time backend, and
 //! the local queue must partition every deposit.
 
-use cluster_sim::{MachineParams, SimTopology};
 use dls::{Kind, Technique};
 use hier::queue::{exactly_once, LocalQueue};
-use hier::sim::{simulate, SimConfig};
-use hier::{Approach, HierSpec};
+use hier::sim::simulate;
+use hier::{Approach, HierSpec, RunConfig};
 use proptest::prelude::*;
 use workloads::synthetic::Synthetic;
 use workloads::{CostTable, Workload};
@@ -32,12 +31,7 @@ proptest! {
         let w = Synthetic::uniform(n, 10, 500, seed);
         let table = CostTable::build(&w);
         let approach = if approach_mpi { Approach::MpiMpi } else { Approach::MpiOpenMp };
-        let mut cfg = SimConfig::new(
-            SimTopology::new(nodes, wpn),
-            MachineParams::default(),
-            HierSpec::new(inter, intra),
-            approach,
-        );
+        let mut cfg = RunConfig::new(nodes, wpn, HierSpec::new(inter, intra), approach);
         cfg.record_chunks = true;
         let r = simulate(&cfg, &table);
         prop_assert_eq!(
@@ -66,12 +60,7 @@ proptest! {
         let table = CostTable::build(&w);
         let total: u64 = (0..n).map(|i| w.cost(i)).sum();
         let max_iter = (0..n).map(|i| w.cost(i)).max().unwrap();
-        let cfg = SimConfig::new(
-            SimTopology::new(nodes, wpn),
-            MachineParams::default(),
-            HierSpec::new(Kind::GSS, Kind::GSS),
-            Approach::MpiMpi,
-        );
+        let cfg = RunConfig::new(nodes, wpn, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
         let r = simulate(&cfg, &table);
         let workers = u64::from(nodes * wpn);
         prop_assert!(r.makespan >= total / workers);
@@ -86,12 +75,7 @@ proptest! {
     ) {
         let w = Synthetic::uniform(n, 5, 100, 42);
         let table = CostTable::build(&w);
-        let cfg = SimConfig::new(
-            SimTopology::new(3, 3),
-            MachineParams::default(),
-            HierSpec::new(inter, intra),
-            Approach::MpiMpi,
-        );
+        let cfg = RunConfig::new(3, 3, HierSpec::new(inter, intra), Approach::MpiMpi);
         let a = simulate(&cfg, &table);
         let b = simulate(&cfg, &table);
         prop_assert_eq!(a.makespan, b.makespan);
@@ -129,12 +113,7 @@ proptest! {
         let w = Synthetic::constant(n, 1_000);
         let table = CostTable::build(&w);
         let run = |slow: Vec<f64>| {
-            let mut cfg = SimConfig::new(
-                SimTopology::new(2, 2),
-                MachineParams::default(),
-                HierSpec::new(Kind::GSS, Kind::GSS),
-                Approach::MpiMpi,
-            );
+            let mut cfg = RunConfig::new(2, 2, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
             cfg.slowdown = slow;
             simulate(&cfg, &table).makespan
         };

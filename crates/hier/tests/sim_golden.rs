@@ -15,13 +15,12 @@
 //! is intended, say so in the PR and re-pin; if not, it is a bug.
 
 use cluster_sim::trace::SegmentKind;
-use cluster_sim::{MachineParams, SimTopology};
 use dls::adaptive::AwfVariant;
 use dls::Kind;
-use hier::config::{Approach, GlobalQueueMode, HierSpec};
+use hier::config::{Approach, GlobalQueueMode, HierSpec, RunConfig};
 use hier::sim::{
     simulate, simulate_flat_master_worker, simulate_master_worker, Perturbation, RefillPolicy,
-    SimConfig, SimResult,
+    SimResult,
 };
 use mpisim::{AtomicOpKind, LockKind, RmaEvent};
 use resilience::{FaultKind, FaultPlan, RecoveryEvent};
@@ -191,7 +190,7 @@ fn fault_plans() -> Vec<FaultPlan> {
 
 /// One digest over the whole sweep for one entry point: `tweak` selects
 /// the configuration, `run` the executor.
-fn sweep(tweak: impl Fn(&mut SimConfig), run: impl Fn(&SimConfig, &CostTable) -> SimResult) -> u64 {
+fn sweep(tweak: impl Fn(&mut RunConfig), run: impl Fn(&RunConfig, &CostTable) -> SimResult) -> u64 {
     let table = CostTable::build(&Synthetic::uniform(N_ITERS, 2_000, 20_000, 11));
     let perturbations = perturbations();
     let plans = fault_plans();
@@ -200,12 +199,8 @@ fn sweep(tweak: impl Fn(&mut SimConfig), run: impl Fn(&SimConfig, &CostTable) ->
         for intra in KINDS {
             for perturb in &perturbations {
                 for plan in &plans {
-                    let mut cfg = SimConfig::new(
-                        SimTopology::new(NODES, WPN),
-                        MachineParams::default(),
-                        HierSpec::new(inter, intra),
-                        Approach::MpiMpi,
-                    );
+                    let mut cfg =
+                        RunConfig::new(NODES, WPN, HierSpec::new(inter, intra), Approach::MpiMpi);
                     cfg.trace = true;
                     cfg.record_chunks = true;
                     cfg.record_rma = true;

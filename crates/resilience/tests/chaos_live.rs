@@ -17,8 +17,8 @@
 
 use dls::adaptive::AwfVariant;
 use dls::Kind;
-use hier::config::{Approach, HierSpec};
-use hier::live::{run_live_mpi_mpi, serial_checksum, LiveConfig, LiveResult};
+use hier::config::{Approach, HierSpec, RunConfig};
+use hier::live::{run_live_mpi_mpi, serial_checksum, LiveResult};
 use mpisim::RmaEvent;
 use resilience::{FaultKind, FaultPlan, RecoveryEvent};
 use std::collections::HashSet;
@@ -37,7 +37,7 @@ fn run(spec: HierSpec, plan: FaultPlan) -> (LiveResult, u64) {
 fn run_with(
     spec: HierSpec,
     plan: FaultPlan,
-    configure: impl FnOnce(&mut LiveConfig),
+    configure: impl FnOnce(&mut RunConfig),
 ) -> (LiveResult, u64) {
     // Spin-burned microsecond kernels so scheduling is observable: a
     // free-running kernel lets one thread drain the loop before its
@@ -45,7 +45,7 @@ fn run_with(
     // un-burned inner workload (same checksum, no wasted wall-clock).
     let w = Spin(Synthetic::uniform(N_ITERS, 5_000, 40_000, 7));
     let serial = serial_checksum(&Synthetic::uniform(N_ITERS, 5_000, 40_000, 7));
-    let mut cfg = LiveConfig::new(NODES, WPN, spec, Approach::MpiMpi);
+    let mut cfg = RunConfig::new(NODES, WPN, spec, Approach::MpiMpi);
     cfg.faults = plan;
     configure(&mut cfg);
     (run_live_mpi_mpi(&cfg, &w).expect("live faulted run"), serial)

@@ -9,12 +9,10 @@
 //! leases; (c) attribute every reclaim to a surviving rank in the
 //! recovery trace.
 
-use cluster_sim::{MachineParams, SimTopology};
+use cluster_sim::SimTopology;
 use dls::Kind;
-use hier::config::{Approach, GlobalQueueMode, HierSpec};
-use hier::sim::{
-    simulate, simulate_flat_master_worker, simulate_master_worker, SimConfig, SimResult,
-};
+use hier::config::{Approach, GlobalQueueMode, HierSpec, RunConfig};
+use hier::sim::{simulate, simulate_flat_master_worker, simulate_master_worker, SimResult};
 use resilience::{FaultPlan, RecoveryEvent};
 use workloads::synthetic::Synthetic;
 use workloads::CostTable;
@@ -30,9 +28,8 @@ fn table() -> CostTable {
     CostTable::build(&Synthetic::uniform(N_ITERS, 2_000, 20_000, 11))
 }
 
-fn base_cfg(spec: HierSpec, approach: Approach, plan: FaultPlan) -> SimConfig {
-    let mut cfg =
-        SimConfig::new(SimTopology::new(NODES, WPN), MachineParams::default(), spec, approach);
+fn base_cfg(spec: HierSpec, approach: Approach, plan: FaultPlan) -> RunConfig {
+    let mut cfg = RunConfig::new(NODES, WPN, spec, approach);
     cfg.record_chunks = true;
     cfg.faults = plan;
     cfg

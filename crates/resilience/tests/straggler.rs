@@ -5,10 +5,9 @@
 //! dynamic techniques route work away from the slow rank, the static
 //! pre-partition cannot.
 
-use cluster_sim::{MachineParams, SimTopology};
 use dls::Kind;
-use hier::config::{Approach, HierSpec};
-use hier::sim::{simulate, SimConfig};
+use hier::config::{Approach, HierSpec, RunConfig};
+use hier::sim::simulate;
 use resilience::FaultPlan;
 use workloads::synthetic::Synthetic;
 use workloads::CostTable;
@@ -19,12 +18,7 @@ const N_ITERS: u64 = 800;
 /// scheduling (not lock service) decides the outcome.
 fn makespan(approach: Approach, kind: Kind, plan: FaultPlan) -> u64 {
     let table = CostTable::build(&Synthetic::constant(N_ITERS, 50_000));
-    let mut cfg = SimConfig::new(
-        SimTopology::new(2, 4),
-        MachineParams::default(),
-        HierSpec::new(kind, kind),
-        approach,
-    );
+    let mut cfg = RunConfig::new(2, 4, HierSpec::new(kind, kind), approach);
     cfg.faults = plan;
     simulate(&cfg, &table).makespan
 }

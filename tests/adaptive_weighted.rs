@@ -148,8 +148,7 @@ fn awf_live_exactly_once() {
 fn wf_live_exactly_once_with_weights() {
     let w = Synthetic::uniform(1_500, 10, 100, 2);
     let serial = serial_checksum(&w);
-    let mut cfg =
-        hier::live::LiveConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::WF), Approach::MpiMpi);
+    let mut cfg = hier::RunConfig::new(2, 3, HierSpec::new(Kind::GSS, Kind::WF), Approach::MpiMpi);
     cfg.weights = dls::weighted::normalize_weights(&[2.0, 1.0, 0.5, 2.0, 1.0, 0.5]);
     let r = hier::live::run_live(&cfg, &w).expect("live run");
     assert_eq!(r.checksum, serial);
