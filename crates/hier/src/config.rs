@@ -59,9 +59,10 @@ pub enum GlobalQueueMode {
 pub enum NodeQueueMode {
     /// Lock-free: one packed word ([`crate::protocol::counter::Word`])
     /// beside the deposit's bounds, every access an MPI atomic inside a
-    /// run-long `lock_all`. A take reads the word and the bounds,
-    /// computes its sub-chunk from the step and compare-and-swaps the
-    /// step forward. Runs fall back to [`NodeQueueMode::Locked`] where
+    /// run-long `lock_all`. A take knows the word and the bounds (read,
+    /// or cached by the rank since its last CAS), computes its sub-chunk
+    /// from the step and compare-and-swaps the step forward: one atomic
+    /// when uncontended. Runs fall back to [`NodeQueueMode::Locked`] where
     /// the take needs more than the step
     /// ([`crate::protocol::counter::eligible`]).
     #[default]

@@ -428,10 +428,13 @@ pub(super) fn run_ranks(
 }
 
 /// One rank's loop over the lock-free node queue
-/// ([`protocol::counter`]): a take is three atomic reads and one
-/// compare-and-swap, and the rank whose claim seals a drained deposit
-/// refills it from the global queue. A CAS a peer beat re-reads and
-/// retries; the window counts it as a failed poll.
+/// ([`protocol::counter`]): a take is one compare-and-swap, preceded by a
+/// read of the word when the rank expects none (its first take, and
+/// after a yield or a publish) and by reads of the bounds when its
+/// cursor has not certified the word's generation. The rank whose claim
+/// seals a drained deposit refills it from the global queue. A CAS a
+/// peer beat returns the word it found, which the retry takes against;
+/// the window counts it as a failed poll.
 fn counter_loop(
     q: &CounterQueue<'_>,
     queue: &GlobalQueue<'_>,
@@ -442,10 +445,14 @@ fn counter_loop(
 ) -> mpisim::Result<()> {
     let mut cursor = counter::Cursor::default();
     loop {
-        let word = q.word()?;
+        let word = match cursor.expected() {
+            Some(word) => word,
+            None => q.word()?,
+        };
         match counter::probe(word) {
             None => {}
             Some(Empty::PeerRefilling) => {
+                cursor.forget();
                 std::thread::yield_now();
                 out.cut(SegmentKind::Sync);
                 continue;
@@ -456,11 +463,16 @@ fn counter_loop(
                 return Ok(());
             }
         }
-        let (lo, hi) = q.bounds()?;
-        let (sub, next) = counter::take(word, lo, hi, intra, wpn, &mut cursor);
-        if !q.commit(word, next)? {
+        let bounds = match cursor.bounds(word) {
+            Some(bounds) => bounds,
+            None => q.bounds()?,
+        };
+        let (sub, next) = counter::take(word, bounds.0, bounds.1, intra, wpn, &mut cursor);
+        if let Err(seen) = q.commit(word, next)? {
+            cursor.failed(seen);
             continue;
         }
+        cursor.committed(next, bounds);
         if let Some(sub) = sub {
             out.cut(SegmentKind::Sched);
             out.execute(workload, sub);
@@ -474,7 +486,9 @@ fn counter_loop(
             out.global_fetches += 1;
             out.deposits += 1;
         }
-        q.publish(counter::deposit(next, fetched))?;
+        let publish = counter::deposit(next, fetched);
+        q.publish(publish)?;
+        cursor.published(publish);
         if fetched == Fetched::Pending {
             std::thread::yield_now();
             out.cut(SegmentKind::Sync);

@@ -6,7 +6,8 @@
 //! decision issues exactly its shape. A [`CounterQueue`] is the
 //! lock-free queue of [`crate::protocol::counter`]: the word and the
 //! bounds, every access one MPI atomic inside the rank's run-long
-//! `lock_all`, so it holds no state of its own.
+//! `lock_all`. It holds no state of its own; what a rank caches of the
+//! queue is its `counter::Cursor`.
 
 use crate::layout::{GLOBAL_DONE, HI, LO, REFILLING, STEP, TAKEN, WORD};
 use crate::protocol::counter::{Publish, Word};
@@ -107,11 +108,12 @@ impl<'w> CounterQueue<'w> {
     }
 
     /// Commit a take or a refill claim: compare-and-swap the word from
-    /// `was` to `now`, and say whether it was still `was`.
+    /// `was` to `now`. `Err` carries the word found instead of `was`.
     #[inline]
-    pub(super) fn commit(&self, was: Word, now: Word) -> Result<bool> {
+    pub(super) fn commit(&self, was: Word, now: Word) -> Result<std::result::Result<(), Word>> {
         let was = was.pack();
-        Ok(self.win.compare_and_swap(0, WORD, was, now.pack())? == was)
+        let found = self.win.compare_and_swap(0, WORD, was, now.pack())?;
+        Ok(if found == was { Ok(()) } else { Err(Word::unpack(found)) })
     }
 
     /// Write a refill's bounds, if any, then publish its word.

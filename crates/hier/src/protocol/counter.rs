@@ -8,14 +8,19 @@
 //! [`Word`] in slot `WORD`: the deposit's generation, the `refilling`
 //! and `global_done` flags, and the step. The intra technique sees each
 //! deposit as a fresh loop of its own length, as in [`super::take`], so
-//! a sub-chunk is a pure function of `(hi - lo, p, step)`: a taker reads
+//! a sub-chunk is a pure function of `(hi - lo, p, step)`: a taker knows
 //! the word and the bounds, computes its sub-chunk and compare-and-swaps
 //! `step → step + 1`. Every access is an MPI atomic (`fetch_and_op` with
 //! `NoOp` or `Replace`, or `compare_and_swap`) inside the rank's
 //! run-long `lock_all`; no exclusive epoch is opened on the node window.
 //!
-//! * **Take.** [`probe`] the word, read `LO` and `HI`, [`take`], CAS. A
-//!   failed CAS re-reads and retries.
+//! * **Take.** Know the word, [`probe`] it, know the bounds, [`take`],
+//!   CAS. A rank's [`Cursor`] saves both reads where it can: the word it
+//!   expects is the one its last CAS wrote or found, and the bounds of a
+//!   generation it has certified are cached. So a take is
+//!   `[WORD read]? [LO, HI reads]? WORD CAS`, and in the steady state
+//!   the CAS alone ([`TAKE_CAS`]). A failed CAS returns the word it
+//!   found, and the retry takes against that.
 //! * **Seal.** A taker that finds the deposit drained CASes the word to
 //!   `refilling` instead: the refill claim. No CAS succeeds against a
 //!   refilling word, so while the refiller rewrites `LO` / `HI` no take
@@ -24,12 +29,32 @@
 //!   publishes `(generation + 1, step 0)`; a `Done` fetch publishes
 //!   `global_done`, a `Pending` one clears `refilling`.
 //!
-//! A take commits only if the word it read is still there. The bounds
-//! change only under a seal, and a seal ends with a new generation
-//! published (or, for `Pending`, with the same drained word, which no
-//! take commits against), so a committed take read the bounds of its own
-//! generation, even if its `LO` and `HI` reads were torn. That needs the
-//! generation not to wrap within a run, hence [`eligible`]'s bound.
+//! A take commits only if the word it compared against is still there.
+//! The bounds change only under a seal, and a seal ends with a new
+//! generation published (or, for `Pending`, with the same drained word,
+//! which no take commits against), so a committed take read the bounds of
+//! its own generation, even if its `LO` and `HI` reads were torn. That
+//! needs the generation not to wrap within a run, hence [`eligible`]'s
+//! bound. The cursor's two caches keep that argument:
+//!
+//! * **A generation's bounds never change.** `LO` / `HI` are rewritten
+//!   only for the next generation, so bounds certified for generation
+//!   `g` stay `g`'s for the run. Two things certify them: a committed CAS
+//!   against a word of `g` (its bounds reads were `g`'s, by the argument
+//!   above), and the refiller's own publish of `g` (it wrote them). A
+//!   word of another generation gets no cached bounds: the rank reads
+//!   `LO` and `HI` again.
+//! * **A CAS that succeeds against an expected word is a take that read
+//!   that word.** The slot held the word at the CAS, and the sub-chunk is
+//!   a pure function of the word and its generation's bounds. Where the
+//!   expectation came from (a read, the rank's own last CAS, a failed
+//!   CAS) only decides how often the CAS fails, never what a committed
+//!   one means.
+//! * **A failed CAS is a read.** It returns the slot's value at that
+//!   instant, as a `NoOp` `fetch_and_op` would, so bounds read after it
+//!   pair with it exactly as they would with a read. It certifies
+//!   nothing: a lost race says nothing about the bounds it was computed
+//!   from.
 //!
 //! **Why a CAS and not a fetch-and-add on the step.** An FAA draws a step
 //! before the taker knows which deposit it belongs to: a taker preempted
@@ -56,8 +81,21 @@ const HI_FAO: RmaEvent = atomic(HI, AtomicOpKind::FetchAndOp);
 const WORD_CAS: RmaEvent = atomic(WORD, AtomicOpKind::CompareAndSwap);
 
 /// Node window: read the word, `LO` and `HI`, then CAS the word — a
-/// take, a refill claim, or either one's lost race.
+/// take, a refill claim, or either one's lost race, by a rank that
+/// expects no word and holds no bounds for the one it reads.
 pub const TAKE: &[RmaEvent] = &[WORD_FAO, LO_FAO, HI_FAO, WORD_CAS];
+/// Node window: read the word, then CAS it — a [`TAKE`] whose bounds the
+/// rank has certified (after its own publish, or a yield within a
+/// generation it took from).
+pub const TAKE_WORD: &[RmaEvent] = &[WORD_FAO, WORD_CAS];
+/// Node window: read `LO` and `HI`, then CAS the word — a [`TAKE`]
+/// against the word a failed CAS found, of a generation the rank has not
+/// certified.
+pub const TAKE_BOUNDS: &[RmaEvent] = &[LO_FAO, HI_FAO, WORD_CAS];
+/// Node window: CAS the word — a [`TAKE`] against the word the rank's
+/// last CAS wrote or found, with its generation's bounds certified. The
+/// steady-state take.
+pub const TAKE_CAS: &[RmaEvent] = &[WORD_CAS];
 /// Node window: read the word and find a peer's refill in flight, or the
 /// node done.
 pub const PROBE: &[RmaEvent] = &[WORD_FAO];
@@ -142,21 +180,82 @@ pub fn probe(word: Word) -> Option<Empty> {
     }
 }
 
-/// One rank's calculator state within the deposit it last took from, so
-/// that GSS and TSS advance from their previous step rather than replay
-/// from step 0. Only a cache: [`take`] returns the same sub-chunk from
-/// any cursor.
+/// One rank's caches of the queue: within the generation it last took
+/// from, its calculator state, so that GSS and TSS advance from their
+/// previous step rather than replay from step 0, and the generation's
+/// bounds once certified; and the word it expects in the slot. Only
+/// caches: [`take`] returns the same sub-chunk from any cursor, and a
+/// wrong expectation costs a failed CAS (the module doc has the
+/// argument).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Cursor {
     generation: u64,
     state: SchedState,
+    /// `generation`'s bounds, once a committed CAS or the rank's own
+    /// publish certified them.
+    bounds: Option<(u64, u64)>,
+    /// The `next` of the rank's last committed CAS, or the word its last
+    /// failed CAS found; `None` at the start and after a yield or a
+    /// publish.
+    expected: Option<Word>,
 }
 
-/// The take decision over `word` (read with both flags clear) and the
-/// bounds `[lo, hi)` read after it, for worker count `p`: the sub-chunk
-/// at `word.step` and the word to CAS in, `step + 1`; or, when the
-/// deposit is drained, `None` and the sealed word, the refill claim.
-/// The CAS of either is the last event of a [`TAKE`]. The sub-chunk is
+impl Cursor {
+    /// The word to take against without reading the slot, if any.
+    #[inline]
+    pub fn expected(&self) -> Option<Word> {
+        self.expected
+    }
+
+    /// The certified bounds of `word`'s generation, if this cursor holds
+    /// them; `None` means read `LO` and `HI`.
+    #[inline]
+    pub fn bounds(&self, word: Word) -> Option<(u64, u64)> {
+        self.bounds.filter(|_| self.generation == word.generation)
+    }
+
+    /// The CAS of a [`take`] over `bounds` committed `next`: certify the
+    /// bounds for the generation taken from, and expect `next`.
+    #[inline]
+    pub fn committed(&mut self, next: Word, bounds: (u64, u64)) {
+        debug_assert_eq!(self.generation, next.generation, "take() sets the generation");
+        self.bounds = Some(bounds);
+        self.expected = Some(next);
+    }
+
+    /// The CAS found `seen` instead: expect it, certify nothing.
+    #[inline]
+    pub fn failed(&mut self, seen: Word) {
+        self.expected = Some(seen);
+    }
+
+    /// The rank yielded: its expectation is stale, read the word again.
+    pub fn forget(&mut self) {
+        self.expected = None;
+    }
+
+    /// The rank published `p`: read the word again, and certify a fetched
+    /// chunk's bounds for the generation `p` starts.
+    pub fn published(&mut self, p: Publish) {
+        self.expected = None;
+        if let Some(bounds) = p.bounds {
+            *self = Cursor {
+                generation: p.word.generation,
+                state: SchedState::START,
+                bounds: Some(bounds),
+                expected: None,
+            };
+        }
+    }
+}
+
+/// The take decision over `word` (known with both flags clear) and the
+/// bounds `[lo, hi)` of its generation, certified or read after it, for
+/// worker count `p`: the sub-chunk at `word.step` and the word to CAS
+/// in, `step + 1`; or, when the deposit is drained, `None` and the
+/// sealed word, the refill claim. The CAS of either is the last event of
+/// a [`TAKE`] or its shorter forms. A word of a generation the cursor
+/// has not seen drops the cursor's caches. The sub-chunk is
 /// `dls::single_counter::assignment_from`'s: the closed form for STATIC,
 /// SS, FSC and FAC2, the cursor for GSS and TSS.
 #[inline]
@@ -169,7 +268,7 @@ pub fn take(
     cursor: &mut Cursor,
 ) -> (Option<SubChunk>, Word) {
     if cursor.generation != word.generation {
-        *cursor = Cursor { generation: word.generation, state: SchedState::START };
+        *cursor = Cursor { generation: word.generation, ..Cursor::default() };
     }
     // A torn read (`hi < lo`) ends in a failed CAS whatever it computes.
     let spec = LoopSpec::new(hi.saturating_sub(lo), p);
@@ -222,7 +321,8 @@ mod tests {
         [Kind::STATIC, Kind::SS, Kind::FSC, Kind::FAC2, Kind::GSS, Kind::TSS];
 
     /// The counter takes of one deposit `[lo, lo + len)` through the
-    /// packed slot value, from `step` until drained or `limit` takes.
+    /// packed slot value, from `step` until drained or `limit` takes, as
+    /// a lone rank makes them: after the first, from its cursor's caches.
     fn counter_subs(
         t: &Technique,
         lo: u64,
@@ -234,9 +334,11 @@ mod tests {
         let mut raw = Word { generation: FIELD_MAX, flags: Flags::default(), step }.pack();
         let (mut cursor, mut out) = (Cursor::default(), Vec::new());
         while (out.len() as u64) < limit {
-            let word = Word::unpack(raw);
-            assert_eq!(probe(word), None);
-            let (sub, next) = take(word, lo, lo + len, t, p, &mut cursor);
+            let word = cursor.expected().unwrap_or(Word::unpack(raw));
+            assert_eq!((word.pack(), probe(word)), (raw, None));
+            let bounds = cursor.bounds(word).unwrap_or((lo, lo + len));
+            let (sub, next) = take(word, bounds.0, bounds.1, t, p, &mut cursor);
+            cursor.committed(next, bounds);
             raw = next.pack();
             match sub {
                 Some(sub) => out.push(sub),
@@ -353,5 +455,74 @@ mod tests {
         assert_eq!((sub, next.step), (Some(SubChunk { start: 10, end: 11 }), 1));
         let done = deposit(sealed, Fetched::Done);
         assert_eq!(probe(done.word), Some(Empty::Retire));
+    }
+
+    fn word(generation: u64, step: u64) -> Word {
+        Word { generation, flags: Flags::default(), step }
+    }
+
+    #[test]
+    fn cached_bounds_serve_only_their_certified_generation() {
+        let (t, mut cursor) = (Technique::ss(), Cursor::default());
+        let w = word(3, 0);
+        assert_eq!((cursor.bounds(w), cursor.expected()), (None, None));
+        let (_, next) = take(w, 10, 20, &t, 2, &mut cursor);
+        cursor.committed(next, (10, 20));
+        assert_eq!(cursor.expected(), Some(next));
+        // Any word of generation 3, the committed one or a later step.
+        assert_eq!(cursor.bounds(next), Some((10, 20)));
+        assert_eq!(cursor.bounds(word(3, 9)), Some((10, 20)));
+        for g in [2, 4] {
+            assert_eq!(cursor.bounds(word(g, 1)), None, "generation {g}");
+        }
+    }
+
+    #[test]
+    fn a_failed_cas_certifies_nothing() {
+        let (t, mut cursor) = (Technique::ss(), Cursor::default());
+        let w = word(3, 0);
+        let (_, _lost) = take(w, 10, 20, &t, 2, &mut cursor);
+        let seen = word(3, 1);
+        cursor.failed(seen);
+        assert_eq!(cursor.expected(), Some(seen));
+        assert_eq!((cursor.bounds(w), cursor.bounds(seen)), (None, None));
+        // A later commit certifies, and a failure after it keeps what it
+        // certified but expects what it found.
+        let (_, next) = take(seen, 10, 20, &t, 2, &mut cursor);
+        cursor.committed(next, (10, 20));
+        let sealed = Word { flags: Flags { refilling: true, global_done: false }, ..word(3, 7) };
+        cursor.failed(sealed);
+        assert_eq!((cursor.expected(), cursor.bounds(sealed)), (Some(sealed), Some((10, 20))));
+        cursor.forget();
+        assert_eq!(cursor.expected(), None);
+    }
+
+    #[test]
+    fn a_new_generation_drops_both_caches() {
+        let (t, mut cursor) = (Technique::gss(), Cursor::default());
+        let (_, next) = take(word(3, 0), 10, 20, &t, 2, &mut cursor);
+        cursor.committed(next, (10, 20));
+        // A word of generation 4 from a read or a lost CAS: the bounds of
+        // 3 do not serve it, and taking against it forgets them and the
+        // expectation.
+        let w = word(4, 0);
+        assert_eq!(cursor.bounds(w), None);
+        let (sub, _) = take(w, 30, 50, &t, 2, &mut cursor);
+        assert_eq!(sub, Some(SubChunk { start: 30, end: 40 }));
+        assert_eq!((cursor.bounds(w), cursor.bounds(next), cursor.expected()), (None, None, None));
+        // The refiller's publish: its own bounds certify the generation it
+        // starts, and the word is read again.
+        let (_, next) = take(w, 30, 50, &t, 2, &mut cursor);
+        cursor.committed(next, (30, 50));
+        let p = deposit(next, Fetched::Chunk(60, 64));
+        cursor.published(p);
+        assert_eq!(cursor.expected(), None);
+        assert_eq!((cursor.bounds(p.word), cursor.bounds(w)), (Some((60, 64)), None));
+        let (sub, _) = take(p.word, 60, 64, &t, 2, &mut cursor);
+        assert_eq!(sub, Some(SubChunk { start: 60, end: 62 }), "the calculator restarts too");
+        // `Pending` and `Done` start no generation: the bounds stay.
+        let mut kept = cursor;
+        kept.published(deposit(word(5, 3), Fetched::Pending));
+        assert_eq!((kept.expected(), kept.bounds(word(5, 3))), (None, Some((60, 64))));
     }
 }

@@ -12,6 +12,9 @@ pub struct WorkerStats {
     pub global_fetches: u64,
     /// Failed lock-poll attempts this worker made at RMA window locks
     /// (live backends only; the sim backends account polling per node).
+    /// On the lock-free node queue a failed poll is a compare-and-swap
+    /// that found another word than the one it expected, whether the
+    /// rank had read that word or its own last CAS had seen it.
     pub lock_polls: u64,
     /// Wall-clock nanoseconds this worker spent blocked acquiring or
     /// holding RMA window locks (live backends only): the wait is
@@ -20,8 +23,8 @@ pub struct WorkerStats {
     /// The run-long `lock_all` access epoch of the atomic global queue
     /// is not in it.
     pub lock_time_ns: u64,
-    /// RMA atomic operations (`MPI_Fetch_and_op`) this worker issued
-    /// (live backends only).
+    /// RMA atomic operations (`MPI_Fetch_and_op`,
+    /// `MPI_Compare_and_swap`) this worker issued (live backends only).
     pub rma_ops: u64,
     /// Recovery actions this worker performed on behalf of dead peers:
     /// expired leases reclaimed plus window locks repaired.

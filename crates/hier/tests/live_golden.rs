@@ -268,7 +268,7 @@ const MPI_MPI_SINGLE_ATOMIC_LOCK_FREE: &str = "\
 executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 0:29..30 0:30..33 0:33..34 0:34..35 0:35..37 0:37..38 0:38..39 0:39..40
 checksum 1873
 total 40 global_accesses 7
-worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 119 reclaims 0
+worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 59 reclaims 0
 node 0: deposits 6 sub_chunks 16 lock_acquisitions 1 lock_contended 0 lock_polls 0
 recovery
 rma 0";
@@ -277,7 +277,7 @@ const MPI_MPI_LOCKED_COUNTERS_LOCK_FREE: &str = "\
 executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 0:29..30 0:30..33 0:33..34 0:34..35 0:35..37 0:37..38 0:38..39 0:39..40
 checksum 1873
 total 40 global_accesses 7
-worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 112 reclaims 0
+worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 52 reclaims 0
 node 0: deposits 6 sub_chunks 16 lock_acquisitions 1 lock_contended 0 lock_polls 0
 recovery
 rma 0";
@@ -322,7 +322,7 @@ const NET_SINGLE_RANK_LOCK_FREE: &str = "\
 executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 0:29..30 0:30..33 0:33..34 0:34..35 0:35..37 0:37..38 0:38..39 0:39..40
 checksum 1873
 total 40 global_accesses 7
-worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 112 reclaims 0
+worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 52 reclaims 0
 node 0: deposits 6 sub_chunks 16 lock_acquisitions 1 lock_contended 0 lock_polls 0
 recovery
 rma 0";
@@ -360,10 +360,10 @@ const MPI_MPI_TRACED_AND_RECORDED_LOCK_FREE: &str = "\
 executed 0:0..10 0:10..15 0:15..18 0:18..19 0:19..20 0:20..25 0:25..28 0:28..29 0:29..30 0:30..33 0:33..34 0:34..35 0:35..37 0:37..38 0:38..39 0:39..40
 checksum 1873
 total 40 global_accesses 7
-worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 119 reclaims 0
+worker 0: iterations 40 sub_chunks 16 global_fetches 6 lock_polls 0 rma_ops 59 reclaims 0
 node 0: deposits 6 sub_chunks 16 lock_acquisitions 1 lock_contended 0 lock_polls 0
 recovery
-rma 136";
+rma 76";
 
 const MPI_OMP_TRACED_AND_RECORDED: &str = "\
 executed 0:0..20 0:20..30 0:30..35 0:35..38 0:38..39 0:39..40

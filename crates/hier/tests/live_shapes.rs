@@ -26,9 +26,21 @@ use workloads::CostTable;
 
 const NODE_WORDS: [&[RmaEvent]; 5] =
     [TAKE, PROBE_RELEASE, PROBE_REFILL, DEPOSIT_TAKE, DEPOSIT_DONE];
-/// The lock-free node shapes. `counter::PUBLISH` is `counter::PROBE`'s
-/// one atomic on the word, so it parses as that.
-const COUNTER_WORDS: [&[RmaEvent]; 3] = [counter::TAKE, counter::DEPOSIT, counter::PROBE];
+/// The lock-free node shapes: a take is `[WORD read]? [LO, HI reads]?
+/// WORD CAS`, the four forms first. `counter::PUBLISH` is
+/// `counter::PROBE`'s one atomic on the word, so it parses as that.
+const COUNTER_WORDS: [&[RmaEvent]; 6] = [
+    counter::TAKE,
+    counter::TAKE_WORD,
+    counter::TAKE_BOUNDS,
+    counter::TAKE_CAS,
+    counter::DEPOSIT,
+    counter::PROBE,
+];
+/// The index of `counter::TAKE_BOUNDS` in [`COUNTER_WORDS`]: a take
+/// against the word a lost CAS found, of a generation the rank has not
+/// certified. Only a race makes one, so no run is sure to show it.
+const RACED_TAKE: usize = 2;
 
 /// Per (window, rank) in window order: whether the window is a node's
 /// shared one (from its `Attach`), and its events without the `Attach`
@@ -50,9 +62,13 @@ fn streams(rma: &[RmaRecord]) -> Vec<(bool, Vec<RmaEvent>)> {
 
 /// The indices into `words` whose concatenation is `events`, or `None`.
 /// Within each shape list no shape is a prefix of another — except
-/// `counter::PROBE`, a prefix of `counter::TAKE`, which is tried first:
-/// a PROBE is followed by a word read or nothing, never by TAKE's bounds
-/// reads and CAS — so the first match is the only one.
+/// `counter::PROBE` (one word read), a prefix of `counter::TAKE` and
+/// `counter::TAKE_WORD`, which are tried first. The first match is the
+/// only one because of what may follow a PROBE or a PUBLISH: the rank
+/// expects no word after either (it yielded, retired or published), so
+/// the next event is its word read or nothing — never a bounds read or
+/// a CAS, which would make the word read a take's. And a CAS-only or
+/// bounds-first take follows a CAS only, never a word read.
 fn parse(mut events: &[RmaEvent], words: &[&[RmaEvent]]) -> Option<Vec<usize>> {
     let mut out = Vec::new();
     while !events.is_empty() {
@@ -120,7 +136,8 @@ fn live_and_sim_logs_are_words_over_the_protocol_shapes() {
         for mode in [GlobalQueueMode::SingleAtomic, GlobalQueueMode::LockedCounters] {
             let what = format!("{inter}+{intra} {mode:?}");
             // Every node refills, takes, is marked done and has its ranks
-            // retire on an empty probe: each node shape occurs.
+            // retire on an empty probe: each node shape occurs (a lost
+            // race's bounds-first take may).
             let all: BTreeSet<usize> = (0..NODE_WORDS.len()).collect();
             let all_counter: BTreeSet<usize> = (0..COUNTER_WORDS.len()).collect();
             let mut cfg = RunConfig::new(nodes, wpn, spec, Approach::MpiMpi);
@@ -132,7 +149,11 @@ fn live_and_sim_logs_are_words_over_the_protocol_shapes() {
                 cfg.node_mode = node;
                 let r = run_live_mpi_mpi(&cfg, &w).expect("live run");
                 let what = format!("live {what} {node:?}");
-                assert_eq!(&check(&r.rma, mode, node, &what), all, "{what}");
+                let mut seen = check(&r.rma, mode, node, &what);
+                if node == NodeQueueMode::Counter {
+                    seen.insert(RACED_TAKE);
+                }
+                assert_eq!(&seen, all, "{what}");
             }
 
             let r = simulate_mpi_mpi(&cfg, &table);
@@ -164,7 +185,8 @@ fn net_backend_node_logs_are_words_over_the_protocol_shapes() {
             });
             seen.extend(parsed);
         }
-        let missing: Vec<usize> = (0..shapes).filter(|i| !seen.contains(i)).collect();
+        let raced = |i: &usize| node == NodeQueueMode::Counter && *i == RACED_TAKE;
+        let missing: Vec<usize> = (0..shapes).filter(|i| !seen.contains(i) && !raced(i)).collect();
         assert!(missing.is_empty(), "net {node:?}: node shapes {missing:?} never occurred");
     }
     srv.shutdown();

@@ -431,8 +431,13 @@ mod tests {
         let lock = Arc::new(QueuedLock::new());
         lock.lock_exclusive();
         let l2 = Arc::clone(&lock);
+        // The writer holds the lock, once granted, until the trylock has
+        // been tried: otherwise it may take and release it first, and the
+        // trylock would rightly succeed on a free lock.
+        let (tried, wait) = std::sync::mpsc::channel::<()>();
         let t = thread::spawn(move || {
             l2.lock_exclusive();
+            wait.recv().unwrap();
             l2.unlock_exclusive();
         });
         while lock.waiters() == 0 {
@@ -442,6 +447,7 @@ mod tests {
         // the trylock must not jump the line.
         lock.unlock_exclusive();
         assert!(!lock.try_lock_exclusive());
+        tried.send(()).unwrap();
         t.join().unwrap();
         // Queue drained: now it succeeds.
         lock.lock_exclusive();

@@ -79,8 +79,10 @@ pub struct RankWinStats {
     /// message traffic, counted as [`LockStats::polls`](crate::LockStats)
     /// counts it. A [`Window::compare_and_swap`] that found another
     /// value than the one it compared against counts too: it is a
-    /// lock-free take that lost its race to a peer and must re-read and
-    /// retry, the lock-free queue's share of the same contention.
+    /// lock-free take that lost its race to a peer and must retry
+    /// against the value found, the lock-free queue's share of the same
+    /// contention. It counts the same whether the compared value came
+    /// from a read or from the caller's own last compare-and-swap.
     pub failed_polls: u64,
     /// Nanoseconds this rank spent blocked *acquiring* window locks,
     /// from its first failed poll to the grant; an acquire that never
