@@ -20,8 +20,8 @@ pub struct WorkloadStats {
 }
 
 impl WorkloadStats {
-    /// Compute statistics from raw costs, read in order once per
-    /// statistic.
+    /// Compute statistics from raw costs, read in order twice: once for
+    /// the total and the extremes, once for the variance.
     pub fn from_costs<I>(costs: I) -> Self
     where
         I: IntoIterator<Item = u64>,
@@ -32,17 +32,12 @@ impl WorkloadStats {
         if n == 0 {
             return Self { n: 0, total: 0, mean: 0.0, sigma: 0.0, max: 0, min: 0 };
         }
-        let total: u64 = costs.clone().sum();
+        let (total, max, min) = costs
+            .clone()
+            .fold((0u64, 0, u64::MAX), |(t, max, min), c| (t + c, max.max(c), min.min(c)));
         let mean = total as f64 / n as f64;
-        let var = costs.clone().map(|c| (c as f64 - mean).powi(2)).sum::<f64>() / n as f64;
-        Self {
-            n,
-            total,
-            mean,
-            sigma: var.sqrt(),
-            max: costs.clone().max().unwrap_or(0),
-            min: costs.min().unwrap_or(0),
-        }
+        let var = costs.map(|c| (c as f64 - mean).powi(2)).sum::<f64>() / n as f64;
+        Self { n, total, mean, sigma: var.sqrt(), max, min }
     }
 
     /// Coefficient of variation `sigma / mean` — the scale-free

@@ -122,16 +122,31 @@ fn table_costs(w: &dyn Workload) -> Vec<u64> {
     CostTable::build(w).iter().collect()
 }
 
+/// `Mandelbrot::quick()`'s table, built once per test binary.
+fn quick_mandelbrot() -> &'static CostTable {
+    static TABLE: OnceLock<CostTable> = OnceLock::new();
+    TABLE.get_or_init(|| CostTable::build(&Mandelbrot::quick()))
+}
+
 /// The instance the figure sweeps and the benchmark build: every one of
 /// its 786 432 costs, lanes against the scalar kernel.
 #[test]
 fn mandelbrot_quick_costs_match_the_scalar_kernel() {
     let m = Mandelbrot::quick();
-    let table = CostTable::build(&m);
+    let table = quick_mandelbrot();
     assert_eq!(table.n_iters(), m.n_iters());
     for (i, c) in table.iter().enumerate() {
         assert_eq!(c, m.cost(i as u64), "iteration {i}");
     }
+}
+
+/// Its costs are `12,200 + 450 k` with every `k` below 0xFFFF, so the
+/// table keeps two bytes an iteration and nothing on the side.
+#[test]
+fn quick_mandelbrot_packs_completely() {
+    let table = quick_mandelbrot();
+    assert_eq!(table.bytes_per_iteration(), 2);
+    assert_eq!(table.side_costs().len(), 0);
 }
 
 proptest! {
@@ -197,18 +212,30 @@ fn psia_costs_count_what_the_images_bin_at_all_4096_points() {
     }
 }
 
-/// The stream the quick figure sweeps build (16x the per-point cost over
-/// 96 frames, +-10 % jitter): every one of its 393,216 costs against the
-/// per-point costs of the images, jittered as `PsiaStream::cost` does.
-#[test]
-fn psia_quick_stream_costs_come_from_the_images() {
+/// The scene of the stream the quick figure sweeps build: 16x the
+/// per-point cost.
+fn quick_psia_base() -> Psia {
     let mut base = Psia::single_object();
     base.ns_scan *= 16;
     base.ns_accum *= 16;
+    base
+}
+
+/// The quick stream's table (96 frames, +-10 % jitter), built once per
+/// test binary.
+fn quick_psia() -> &'static CostTable {
+    static TABLE: OnceLock<CostTable> = OnceLock::new();
+    TABLE.get_or_init(|| CostTable::build(&PsiaStream::new(quick_psia_base(), 96, 0.1)))
+}
+
+/// Every one of the quick stream's 393,216 costs against the per-point
+/// costs of the images, jittered as `PsiaStream::cost` does.
+#[test]
+fn psia_quick_stream_costs_come_from_the_images() {
+    let base = quick_psia_base();
     let point_costs: Vec<u64> =
         single_object_images().iter().map(|&binned| cost_from_image(&base, binned)).collect();
-    let stream = PsiaStream::new(base, 96, 0.1);
-    let table = CostTable::build(&stream);
+    let table = quick_psia();
     assert_eq!(table.n_iters(), 96 * 4096);
     for (i, c) in table.iter().enumerate() {
         let i = i as u64;
@@ -218,6 +245,40 @@ fn psia_quick_stream_costs_come_from_the_images() {
         let jitter = 1.0 + 0.1 * (2.0 * ((z >> 11) as f64 / (1u64 << 53) as f64) - 1.0);
         let raw = point_costs[(i % 4096) as usize] as f64;
         assert_eq!(c, (raw * jitter).round().max(1.0) as u64, "iteration {i}");
+    }
+}
+
+/// The jitter puts the quick stream's costs on no grid coarser than
+/// 1 ns, and they span 838,161 ns: most would not fit two bytes, so the
+/// table keeps four.
+#[test]
+fn quick_psia_stays_at_four_bytes() {
+    let table = quick_psia();
+    assert_eq!(table.bytes_per_iteration(), 4);
+    assert_eq!(table.side_costs().len(), 0);
+}
+
+/// The paper-scale tables, too slow for a debug build: CI runs this in
+/// release with `--include-ignored`. Both pack; Mandelbrot's 3,176
+/// pixels whose escape count lies 0xFFFF or more above the least keep
+/// their costs on the side. Every side cost, and every 97th cost, is
+/// the scalar kernel's.
+#[test]
+#[ignore = "paper scale: run in release with --include-ignored"]
+fn paper_tables_pack_to_two_bytes() {
+    let mandelbrot = Mandelbrot::paper();
+    let psia = PsiaStream::paper();
+    for (w, side) in [(&mandelbrot as &dyn Workload, 3_176), (&psia, 0)] {
+        let table = CostTable::build(w);
+        assert_eq!(table.bytes_per_iteration(), 2, "{}", w.name());
+        assert_eq!(table.side_costs().len(), side, "{}", w.name());
+        for (i, c) in table.side_costs() {
+            let want = w.cost(i);
+            assert_eq!((table.cost(i), c), (want, want), "{} iteration {i}", w.name());
+        }
+        for i in (0..w.n_iters()).step_by(97) {
+            assert_eq!(table.cost(i), w.cost(i), "{} iteration {i}", w.name());
+        }
     }
 }
 
@@ -348,6 +409,79 @@ proptest! {
                 let sum: u64 = costs[start as usize..end as usize].iter().sum();
                 prop_assert_eq!(t.range_cost(start, end), sum);
             }
+        }
+        let (got, want) = (t.stats(), WorkloadStats::from_costs(costs.iter().copied()));
+        prop_assert_eq!(
+            (got.n, got.total, got.mean.to_bits(), got.sigma.to_bits(), got.max, got.min),
+            (want.n, want.total, want.mean.to_bits(), want.sigma.to_bits(), want.max, want.min)
+        );
+    }
+}
+
+/// A slot on a cost grid: at, just below and just above the two-byte
+/// sentinel 0xFFFF, far above it, or anywhere below it; `r` picks where.
+fn grid_slot(pick: u8, r: u64) -> u64 {
+    match pick % 16 {
+        0 => 0xFFFE,
+        1 => 0xFFFF,
+        2 => 0x1_0000,
+        3 => 0x1_0000 + r % (1 << 20),
+        4 => 0,
+        _ => r % 0xFFFF,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // Costs `base + step · k`: the table packs them to two bytes where
+    // few `k` reach 0xFFFF, keeping those on the side, and whatever it
+    // keeps, every cost, range sum and statistic equals the plain `u64`
+    // costs'. The bases and steps put some costs past 2^32; `same` makes
+    // every cost equal.
+    #[test]
+    fn grid_costs_round_trip(
+        base in prop_oneof![Just(0u64), 1u64..100_000, Just(u64::from(u32::MAX) - 3), Just(1u64 << 40)],
+        step in prop_oneof![Just(1u64), Just(2), Just(450), 1u64..5_000, Just(1u64 << 32)],
+        slots in prop::collection::vec((any::<u8>(), any::<u64>()), 0..300),
+        odd in any::<bool>(),
+        same in any::<bool>(),
+        ranges in prop::collection::vec((any::<u16>(), any::<u16>()), 64),
+    ) {
+        // n = 0, 1, 2 and odd lengths all come up.
+        let mut slots = slots;
+        if odd && slots.len() % 2 == 0 && !slots.is_empty() {
+            slots.pop();
+        }
+        let mut ks: Vec<u64> = slots.iter().map(|&(pick, r)| grid_slot(pick, r)).collect();
+        if same {
+            let k = ks.first().copied().unwrap_or(0);
+            ks.iter_mut().for_each(|x| *x = k);
+        }
+        let costs: Vec<u64> = ks.iter().map(|k| base + step * k).collect();
+        let n = costs.len() as u64;
+        let t = CostTable::build(&Listed(costs.clone()));
+        prop_assert_eq!(t.n_iters(), n);
+        if n > 0 && ks.iter().all(|&k| k < 0xFFFF) {
+            prop_assert_eq!(t.bytes_per_iteration(), 2);
+            prop_assert_eq!(t.side_costs().len(), 0);
+        }
+        for (i, c) in t.side_costs() {
+            prop_assert_eq!(c, costs[i as usize]);
+        }
+        for (i, &c) in costs.iter().enumerate() {
+            prop_assert_eq!(t.cost(i as u64), c);
+            prop_assert_eq!(t.range_cost(i as u64, i as u64 + 1), c);
+        }
+        prop_assert_eq!(t.iter().collect::<Vec<_>>(), costs.clone());
+        let ends = [(0, n), (0, 0), (n, n)];
+        let random = ranges.iter().map(|&(a, b)| {
+            let (a, b) = (u64::from(a) % (n + 1), u64::from(b) % (n + 1));
+            (a.min(b), a.max(b))
+        });
+        for (start, end) in ends.into_iter().chain(random) {
+            let sum: u64 = costs[start as usize..end as usize].iter().sum();
+            prop_assert_eq!(t.range_cost(start, end), sum, "range {}..{}", start, end);
         }
         let (got, want) = (t.stats(), WorkloadStats::from_costs(costs.iter().copied()));
         prop_assert_eq!(
