@@ -147,21 +147,6 @@ impl JobStats {
         self.window_iter.cov()
     }
 
-    /// Coefficient of variation *across workers* of the lifetime mean
-    /// per-iteration latency: heterogeneity of the fleet.
-    pub fn worker_cov(&self) -> f64 {
-        let means: Vec<f64> =
-            self.per_worker.iter().filter(|w| w.count() > 0).map(Welford::mean).collect();
-        if means.len() < 2 {
-            return 0.0;
-        }
-        let mut agg = Welford::default();
-        for m in means {
-            agg.push(m);
-        }
-        agg.cov()
-    }
-
     /// Straggler skew: slowest worker's mean per-iteration latency over
     /// the across-worker mean (1.0 = perfectly balanced; needs at least
     /// two measured workers to be meaningful).
@@ -233,7 +218,6 @@ mod tests {
             s.observe(ChunkSample { worker: w, len: u64::MAX, latency_ns: u64::MAX });
         }
         assert!(s.mean_chunk_latency_ns().is_finite());
-        assert!(s.worker_cov().is_finite());
         assert!(s.straggler_skew().is_finite());
         assert_eq!(s.chunks(), 4);
         assert_eq!(s.iters(), u64::MAX, "iteration counter saturates, not wraps");
@@ -258,7 +242,6 @@ mod tests {
         }
         // Means: 100,100,100,400 -> mean 175, max 400 -> skew ~2.29.
         assert!((s.straggler_skew() - 400.0 / 175.0).abs() < 1e-9);
-        assert!(s.worker_cov() > 0.5);
     }
 
     #[test]
@@ -268,7 +251,6 @@ mod tests {
             s.observe(ChunkSample { worker: w, len: 5, latency_ns: 500 });
         }
         assert!((s.straggler_skew() - 1.0).abs() < 1e-9);
-        assert_eq!(s.worker_cov(), 0.0);
     }
 
     #[test]
@@ -277,7 +259,6 @@ mod tests {
         assert_eq!(s.straggler_skew(), 1.0);
         s.observe(ChunkSample { worker: 2, len: 1, latency_ns: 10 });
         assert_eq!(s.straggler_skew(), 1.0);
-        assert_eq!(s.worker_cov(), 0.0);
     }
 
     #[test]

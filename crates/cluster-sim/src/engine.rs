@@ -69,11 +69,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time(), e.event))
     }
 
-    /// Timestamp of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(Entry::time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -116,11 +111,12 @@ mod tests {
     fn peek_and_len() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.push(7, ());
         q.push(3, ());
-        assert_eq!(q.peek_time(), Some(3));
+        assert!(!q.is_empty());
         assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((3, ())));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! explicitly and deterministically:
 //!
 //! * per-iteration compute cost (supplied by the `workloads` crate),
-//! * network round-trips for global-queue RMA operations
-//!   ([`net::NetworkModel`]),
+//! * network latency of global-queue RMA operations
+//!   ([`machine::MachineParams::net_latency_ns`]),
 //! * serialization at contended resources — the global work queue, the
 //!   node-local work queue, an OpenMP dispatcher ([`resource::Resource`]),
 //! * the `MPI_Win_lock` lock-polling penalty that grows with the number
@@ -33,7 +33,6 @@
 pub mod engine;
 pub mod lock;
 pub mod machine;
-pub mod net;
 pub mod resource;
 pub mod time;
 pub mod trace;
@@ -41,7 +40,6 @@ pub mod trace;
 pub use engine::EventQueue;
 pub use lock::{ContendedLock, LockGrant};
 pub use machine::{MachineParams, SimTopology};
-pub use net::NetworkModel;
 pub use resource::Resource;
 pub use time::Time;
 pub use trace::{Segment, SegmentKind, Trace};

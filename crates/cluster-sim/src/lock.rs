@@ -34,11 +34,9 @@ pub struct ContendedLock {
     /// acquisition (models lock-attempt message storms).
     pub poll_penalty: Time,
     free_at: Time,
-    /// `(arrive, end)` of recent grants, pruned lazily; used to compute
-    /// the queue depth seen by a new arrival.
-    recent: std::collections::VecDeque<(Time, Time)>,
-    acquisitions: u64,
-    contended: u64,
+    /// Ends of recent grants, pruned lazily; used to compute the queue
+    /// depth seen by a new arrival.
+    recent: std::collections::VecDeque<Time>,
     polls: u64,
     total_penalty: Time,
     revocations: u64,
@@ -51,8 +49,6 @@ impl ContendedLock {
             poll_penalty,
             free_at: 0,
             recent: std::collections::VecDeque::new(),
-            acquisitions: 0,
-            contended: 0,
             polls: 0,
             total_penalty: 0,
             revocations: 0,
@@ -64,7 +60,7 @@ impl ContendedLock {
     /// `MPI_Win_lock`). Returns the grant interval including penalties.
     pub fn acquire(&mut self, arrive: Time, hold: Time) -> LockGrant {
         // Queue depth = earlier grants still unfinished when we arrive.
-        while let Some(&(_, end)) = self.recent.front() {
+        while let Some(&end) = self.recent.front() {
             if end <= arrive {
                 self.recent.pop_front();
             } else {
@@ -76,24 +72,10 @@ impl ContendedLock {
         let start = arrive.max(self.free_at);
         let end = start + hold + penalty;
         self.free_at = end;
-        self.recent.push_back((arrive, end));
-        self.acquisitions += 1;
-        if queued_ahead > 0 {
-            self.contended += 1;
-            self.polls += queued_ahead;
-            self.total_penalty += penalty;
-        }
+        self.recent.push_back(end);
+        self.polls += queued_ahead;
+        self.total_penalty += penalty;
         LockGrant { start, end, queued_ahead }
-    }
-
-    /// Total acquisitions.
-    pub fn acquisitions(&self) -> u64 {
-        self.acquisitions
-    }
-
-    /// Acquisitions that found at least one request queued ahead.
-    pub fn contended(&self) -> u64 {
-        self.contended
     }
 
     /// Total failed lock-poll attempts: the sum of queue depths seen by
@@ -123,9 +105,9 @@ impl ContendedLock {
     pub fn seize_until(&mut self, until: Time) {
         if until > self.free_at {
             if let Some(back) = self.recent.back_mut() {
-                back.1 = until;
+                *back = until;
             } else {
-                self.recent.push_back((until, until));
+                self.recent.push_back(until);
             }
             self.free_at = until;
         }
@@ -147,7 +129,7 @@ mod tests {
         let mut l = ContendedLock::new(100);
         let g = l.acquire(1000, 50);
         assert_eq!(g, LockGrant { start: 1000, end: 1050, queued_ahead: 0 });
-        assert_eq!(l.contended(), 0);
+        assert_eq!(l.polls(), 0);
     }
 
     #[test]
@@ -161,7 +143,6 @@ mod tests {
         let g2 = l.acquire(20, 50); // 2 ahead -> +200
         assert_eq!(g2.queued_ahead, 2);
         assert_eq!(g2.end, 200 + 50 + 200);
-        assert_eq!(l.contended(), 2);
         assert_eq!(l.polls(), 3);
         assert_eq!(l.total_penalty(), 300);
     }

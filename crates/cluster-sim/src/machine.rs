@@ -13,7 +13,6 @@
 //!   grows with the team size and, more importantly, whose *idle time*
 //!   depends on the imbalance of the chunk being executed.
 
-use crate::net::NetworkModel;
 use crate::time::Time;
 
 /// Cluster shape for a virtual-time experiment.
@@ -42,8 +41,12 @@ impl SimTopology {
 /// All tunable cost constants of the virtual cluster.
 #[derive(Clone, Copy, Debug)]
 pub struct MachineParams {
-    /// Interconnect model.
-    pub net: NetworkModel,
+    /// One-way latency of an inter-node message in ns. The raw
+    /// Omni-Path figure is ~100 ns; an MPI small-message path adds
+    /// software overhead, so the default is 1 µs end-to-end. Every
+    /// inter-node message the model sends is a size-less RMA atomic or
+    /// request, so there is no bandwidth term.
+    pub net_latency_ns: Time,
     /// Service time of the global queue's memory-side atomic handler.
     /// Concurrent global-queue operations serialize at this rate.
     pub rma_service_ns: Time,
@@ -77,7 +80,7 @@ pub struct MachineParams {
 impl Default for MachineParams {
     fn default() -> Self {
         Self {
-            net: NetworkModel::default(),
+            net_latency_ns: 1_000,
             rma_service_ns: 300,
             shm_lock_hold_ns: 2_500,
             shm_poll_penalty_ns: 800,
@@ -96,12 +99,6 @@ impl MachineParams {
     /// Cost of one OpenMP barrier for a team of `threads`.
     pub fn omp_barrier(&self, threads: u32) -> Time {
         self.omp_barrier_base_ns + self.omp_barrier_per_thread_ns * Time::from(threads)
-    }
-
-    /// Origin-side cost of one global-queue RMA operation, excluding
-    /// target-side serialization (handled by a [`crate::Resource`]).
-    pub fn rma_origin_cost(&self) -> Time {
-        self.net.rma_round_trip() + self.chunk_calc_ns
     }
 
     /// Parameters with the MPI lock-polling penalty disabled — the
@@ -125,8 +122,8 @@ mod tests {
         // overhead observation.
         assert!(m.omp_dispatch_ns < m.shm_lock_hold_ns);
         assert!(m.chunk_calc_ns < m.omp_dispatch_ns * 10);
-        // Remote RMA costs more than any intra-node dispatch.
-        assert!(m.rma_origin_cost() > m.omp_dispatch_ns);
+        // A remote RMA round trip costs more than any intra-node dispatch.
+        assert!(2 * m.net_latency_ns > m.omp_dispatch_ns);
     }
 
     #[test]

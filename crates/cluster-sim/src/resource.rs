@@ -16,10 +16,6 @@ use crate::time::Time;
 #[derive(Clone, Debug, Default)]
 pub struct Resource {
     free_at: Time,
-    ops: u64,
-    busy: Time,
-    queued_ops: u64,
-    total_wait: Time,
 }
 
 impl Resource {
@@ -35,38 +31,12 @@ impl Resource {
         let start = arrive.max(self.free_at);
         let end = start + service;
         self.free_at = end;
-        self.ops += 1;
-        self.busy += service;
-        if start > arrive {
-            self.queued_ops += 1;
-            self.total_wait += start - arrive;
-        }
         (start, end)
     }
 
     /// When the server next becomes idle.
     pub fn free_at(&self) -> Time {
         self.free_at
-    }
-
-    /// Total requests served.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// Requests that had to queue.
-    pub fn queued_ops(&self) -> u64 {
-        self.queued_ops
-    }
-
-    /// Cumulative queueing delay across all requests.
-    pub fn total_wait(&self) -> Time {
-        self.total_wait
-    }
-
-    /// Cumulative service (busy) time.
-    pub fn busy_time(&self) -> Time {
-        self.busy
     }
 }
 
@@ -87,8 +57,7 @@ mod tests {
         r.request(0, 100);
         let (start, end) = r.request(10, 5);
         assert_eq!((start, end), (100, 105));
-        assert_eq!(r.queued_ops(), 1);
-        assert_eq!(r.total_wait(), 90);
+        assert_eq!(r.free_at(), 105);
     }
 
     #[test]
@@ -99,8 +68,6 @@ mod tests {
             ends.push(r.request(0, 10).1);
         }
         assert_eq!(ends, vec![10, 20, 30, 40]);
-        assert_eq!(r.busy_time(), 40);
-        assert_eq!(r.ops(), 4);
     }
 
     #[test]
@@ -109,6 +76,5 @@ mod tests {
         r.request(0, 10);
         let (start, _) = r.request(50, 10);
         assert_eq!(start, 50);
-        assert_eq!(r.queued_ops(), 0);
     }
 }

@@ -4,10 +4,6 @@
 /// simulated time — ample.
 pub type Time = u64;
 
-/// One microsecond in [`Time`] units.
-pub const US: Time = 1_000;
-/// One millisecond in [`Time`] units.
-pub const MS: Time = 1_000_000;
 /// One second in [`Time`] units.
 pub const SEC: Time = 1_000_000_000;
 
@@ -27,19 +23,19 @@ mod tests {
 
     #[test]
     fn units_consistent() {
-        assert_eq!(1000 * US, MS);
-        assert_eq!(1000 * MS, SEC);
+        assert_eq!(SEC, 1_000_000_000);
+        assert_eq!(fmt_secs(SEC), "1.000s");
     }
 
     #[test]
     fn formatting() {
-        assert_eq!(fmt_secs(19_600 * MS), "19.600s");
+        assert_eq!(fmt_secs(19_600_000_000), "19.600s");
         assert_eq!(fmt_secs(0), "0.000s");
     }
 
     #[test]
     fn to_secs_roundtrip() {
         assert!((to_secs(SEC) - 1.0).abs() < 1e-12);
-        assert!((to_secs(MS) - 0.001).abs() < 1e-12);
+        assert!((to_secs(1_000_000) - 0.001).abs() < 1e-12);
     }
 }

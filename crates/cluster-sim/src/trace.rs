@@ -62,15 +62,6 @@ impl ActivityTotals {
     pub fn total(&self) -> Time {
         self.compute + self.sched + self.sync + self.idle
     }
-
-    /// Fraction of time not spent computing (0.0 when empty).
-    pub fn overhead_fraction(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        1.0 - self.compute as f64 / total as f64
-    }
 }
 
 impl Trace {
@@ -95,11 +86,6 @@ impl Trace {
     /// All recorded segments.
     pub fn segments(&self) -> &[Segment] {
         &self.segments
-    }
-
-    /// Segments of one worker, in recording order.
-    pub fn worker_segments(&self, worker: u32) -> Vec<Segment> {
-        self.segments.iter().filter(|s| s.worker == worker).copied().collect()
     }
 
     /// Activity totals for one worker.
@@ -273,8 +259,9 @@ mod tests {
         let mut tr = Trace::recording();
         tr.record(0, 0, 75, SegmentKind::Compute);
         tr.record(0, 75, 100, SegmentKind::Sync);
+        // Figures 2/3 plot the share of a worker's time not spent computing.
         let t = tr.worker_totals(0);
-        assert!((t.overhead_fraction() - 0.25).abs() < 1e-12);
+        assert_eq!((t.total(), t.total() - t.compute), (100, 25));
     }
 
     #[test]

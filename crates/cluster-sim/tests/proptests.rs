@@ -30,17 +30,14 @@ proptest! {
         reqs.sort_by_key(|&(arrive, _)| arrive);
         let mut r = Resource::new();
         let mut last_end = 0u64;
-        let mut total_service = 0u64;
         for &(arrive, service) in &reqs {
             let (start, end) = r.request(arrive, service);
             prop_assert!(start >= arrive);
             prop_assert!(start >= last_end, "intervals must not overlap");
             prop_assert_eq!(end - start, service);
             last_end = end;
-            total_service += service;
         }
-        prop_assert!(r.busy_time() == total_service);
-        prop_assert_eq!(r.ops(), reqs.len() as u64);
+        prop_assert_eq!(r.free_at(), last_end);
     }
 
     #[test]
@@ -73,7 +70,7 @@ proptest! {
             }
             last = Some((g.start, g.end));
         }
-        prop_assert_eq!(lock.acquisitions(), reqs.len() as u64);
+        prop_assert_eq!(last.map(|(_, end)| end), Some(lock.free_at()));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //!   or wall-clock time), the lock/RMA counters of
 //!   [`hier::stats::RunStats`] behind the `X+SS` pathology, compute-time
 //!   imbalance and c.o.v., a log2 histogram of failed lock polls, and
-//!   the run's recovery and tuner-decision timelines.
+//!   a service campaign's tuner-decision timeline.
 //!   [`service_report`] fills one from a `dls-service` snapshot.
 //! * [`chrome_trace`] — the same timeline as a chrome://tracing /
 //!   Perfetto event array: one track per worker, grouped by node, with
@@ -82,19 +82,14 @@ pub struct ActivityReport {
     /// workers with zero failed polls, bucket `i >= 1` counts workers
     /// with `2^(i-1) <= polls < 2^i`.
     pub lock_poll_histogram: Vec<u64>,
-    /// Recovery timeline of the run (crashes, lease expiries,
-    /// reclaims, failovers, lock repairs), time-ordered. Empty for
-    /// fault-free runs. Attach with [`ActivityReport::with_recovery`].
-    pub recovery: Vec<RecoveryEvent>,
     /// Journal counters when the run was a `dls-service` campaign
     /// ([`service_report`] copies the snapshot's); `None` for backends
     /// without a durability layer.
     pub journal: Option<JournalTotals>,
     /// Tuner decision timeline of an AUTO-mode campaign, dense by
     /// `seq` ([`service_report`] collects it across the snapshot's
-    /// jobs in job order; attach one explicitly with
-    /// [`ActivityReport::with_decisions`]). Empty for fixed-technique
-    /// runs and for backends without the service tuner.
+    /// jobs in job order). Empty for fixed-technique runs and for
+    /// backends without the service tuner.
     pub decisions: Vec<dls::Decision>,
 }
 
@@ -173,22 +168,6 @@ impl ActivityReport {
         }
     }
 
-    /// Attach a run's recovery timeline (e.g. `SimResult::recovery` or
-    /// `LiveResult::recovery`) so the report and its JSON carry the
-    /// fault story alongside the activity totals.
-    pub fn with_recovery(mut self, events: &[RecoveryEvent]) -> Self {
-        self.recovery = events.to_vec();
-        self
-    }
-
-    /// Attach a tuner decision timeline (e.g. `JobProgress::decisions`
-    /// or a STATS job row's history) so the report and its JSON carry
-    /// the technique-switch story of an AUTO campaign.
-    pub fn with_decisions(mut self, decisions: &[dls::Decision]) -> Self {
-        self.decisions = decisions.to_vec();
-        self
-    }
-
     /// Serialise as a self-contained JSON document.
     pub fn to_json(&self) -> String {
         json::object(|o| {
@@ -207,10 +186,6 @@ impl ActivityReport {
             });
             o.array("lock_poll_histogram", |a| {
                 self.lock_poll_histogram.iter().for_each(|&b| a.value(b));
-            });
-            o.rows("recovery", &self.recovery, |o, e| {
-                o.field("at_ns", e.at_ns()).field("rank", e.rank()).field("kind", e.label());
-                o.field("detail", e.to_string().as_str());
             });
             o.rows("decisions", &self.decisions, decision_fields);
             if let Some(j) = &self.journal {
@@ -400,19 +375,15 @@ mod tests {
 
     #[test]
     fn recovery_rows_serialise() {
+        // A run's recovery shows in its counters: reclaims per worker,
+        // revocations per node (the events go to `chrome_trace`).
         let (tr, mut stats) = sample();
         stats.workers[0].reclaims = 1;
         stats.nodes[0].lock_revocations = 1;
-        let events = [
-            RecoveryEvent::Crash { rank: 1, at_ns: 40, holding_lock: true },
-            RecoveryEvent::LockRepair { node: 0, dead_holder: 1, by: 0, at_ns: 90 },
-        ];
-        let r = ActivityReport::build("chaos", &tr, &stats, 2).with_recovery(&events);
+        let r = ActivityReport::build("chaos", &tr, &stats, 2);
         assert_eq!(r.workers[0].reclaims, 1);
         assert_eq!(r.nodes[0].lock_revocations, 1);
         let json = r.to_json();
-        assert!(json.contains("\"kind\":\"crash-holding-lock\""));
-        assert!(json.contains("\"kind\":\"lock-repair\""));
         assert!(json.contains("\"reclaims\":1"));
         assert!(json.contains("\"lock_revocations\":1"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
@@ -525,8 +496,8 @@ mod tests {
     #[test]
     fn decision_rows_serialise() {
         let (tr, stats) = sample();
-        let r = ActivityReport::build("AUTO", &tr, &stats, 2).with_decisions(&decisions());
-        assert_eq!(r.decisions.len(), 2);
+        let mut r = ActivityReport::build("AUTO", &tr, &stats, 2);
+        r.decisions = decisions();
         let json = r.to_json();
         assert!(json.contains(
             "{\"seq\":0,\"step\":8,\"scheduled\":8,\"from\":\"SS\",\

@@ -18,8 +18,6 @@ use workloads::CostTable;
 pub const NODE_COUNTS: [u32; 4] = [2, 4, 8, 16];
 /// Workers per node used throughout the paper's evaluation.
 pub const WORKERS_PER_NODE: u32 = 16;
-/// The intra-node techniques of each figure's five panels.
-pub const INTRA_PANEL: [Kind; 5] = [Kind::STATIC, Kind::SS, Kind::GSS, Kind::TSS, Kind::FAC2];
 
 /// One measured point of a figure.
 #[derive(Clone, Copy, Debug)]
@@ -47,7 +45,7 @@ pub fn figure_grid(
     workers_per_node: u32,
 ) -> Vec<FigurePoint> {
     let mut points = Vec::new();
-    for intra in INTRA_PANEL {
+    for intra in Kind::PAPER {
         for approach in Approach::ALL {
             let spec = HierSpec::new(inter, intra);
             if approach == Approach::MpiOpenMp && !spec.supported_by_openmp() {
@@ -91,7 +89,7 @@ pub fn render_grid(title: &str, points: &[FigurePoint]) -> String {
     let mut out = String::new();
     out.push_str(&format!("{title}\n"));
     out.push_str(&format!("{:=<width$}\n", "", width = title.len()));
-    for intra in INTRA_PANEL {
+    for intra in Kind::PAPER {
         let any: Vec<&FigurePoint> = points.iter().filter(|p| p.intra == intra).collect();
         if any.is_empty() {
             continue;
@@ -157,7 +155,7 @@ mod tests {
     fn render_contains_all_panels() {
         let g = small_grid();
         let s = render_grid("Figure X", &g);
-        for intra in INTRA_PANEL {
+        for intra in Kind::PAPER {
             assert!(s.contains(&format!("intra-node: {intra}")), "{s}");
         }
         assert!(s.contains("not supported"));

@@ -68,8 +68,6 @@ pub struct ServiceConfig {
     pub worker_quota: u32,
     /// Unfinished jobs the table will hold at once.
     pub max_jobs: u32,
-    /// Job-table shards (reduces cross-job lock contention).
-    pub shards: u32,
     /// Event-loop shards: threads multiplexing the connections. Each
     /// owns a share of the accept socket.
     pub event_loops: u32,
@@ -88,7 +86,6 @@ impl Default for ServiceConfig {
             max_batch: 64,
             worker_quota: 256,
             max_jobs: 1024,
-            shards: 8,
             event_loops: 2,
             tuner_overhead_ns: None,
         }
@@ -311,6 +308,10 @@ pub(crate) struct CycleTally {
     empty_polls: u64,
 }
 
+/// Job-table shards: jobs spread over this many locks, so requests for
+/// different jobs seldom wait on each other.
+const SHARDS: usize = 8;
+
 /// Shared server state.
 pub(crate) struct State {
     pub(crate) cfg: ServiceConfig,
@@ -363,14 +364,13 @@ pub(crate) struct State {
 
 impl State {
     fn new(mut cfg: ServiceConfig) -> State {
-        let shards = cfg.shards.max(1);
         // A fetch may grant no more leases than one `Chunks` frame can
         // name; beyond that the limit answers `BatchTooLarge`.
         cfg.max_batch = cfg.max_batch.min(MAX_CHUNKS_PER_FRAME);
         State {
             cfg,
             epoch: Instant::now(),
-            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
             next_job: AtomicU64::new(0),
             jobs_live: AtomicU64::new(0),
             next_conn: AtomicU64::new(0),
@@ -417,7 +417,7 @@ impl State {
 
     /// Index of the job-table shard holding `job`.
     fn shard_index(&self, job: u64) -> usize {
-        (job % self.shards.len() as u64) as usize
+        (job % SHARDS as u64) as usize
     }
 
     /// The shard holding `job`, locked: by `held` already, or now — after
@@ -1152,7 +1152,7 @@ mod conc_models {
     #[test]
     fn create_job_cap_is_exact_under_every_schedule() {
         let outcome = check(move || {
-            let state = tiny_state(ServiceConfig { max_jobs: 1, shards: 1, ..Default::default() });
+            let state = tiny_state(ServiceConfig { max_jobs: 1, ..Default::default() });
             let handles: Vec<_> = (0..2)
                 .map(|_| {
                     let st = Arc::clone(&state);
@@ -1176,7 +1176,7 @@ mod conc_models {
     #[test]
     fn admit_conn_cap_and_peak_are_exact_under_every_schedule() {
         let outcome = check(move || {
-            let cfg = ServiceConfig { max_connections: 2, shards: 1, ..Default::default() };
+            let cfg = ServiceConfig { max_connections: 2, ..Default::default() };
             let state = tiny_state(cfg);
             let handles: Vec<_> = (0..3)
                 .map(|_| {
@@ -1199,7 +1199,7 @@ mod conc_models {
     #[test]
     fn standalone_fetches_never_overlap() {
         let outcome = check(move || {
-            let state = tiny_state(ServiceConfig { shards: 1, ..Default::default() });
+            let state = tiny_state(ServiceConfig::default());
             assert!(matches!(create(&state, 6), Response::JobCreated { job: 0 }));
             let handles: Vec<_> = (0..2)
                 .map(|worker| {
@@ -1234,7 +1234,7 @@ mod conc_models {
     #[test]
     fn report_racing_disconnect_settles_the_lease_once() {
         let outcome = check(move || {
-            let state = tiny_state(ServiceConfig { shards: 1, ..Default::default() });
+            let state = tiny_state(ServiceConfig::default());
             assert!(matches!(create(&state, 8), Response::JobCreated { job: 0 }));
             state.conns_active.fetch_add(1, Ordering::SeqCst);
             let mut a = Peer::new(0);

@@ -47,7 +47,10 @@ impl AwfVariant {
         matches!(self, AwfVariant::C | AwfVariant::E)
     }
 
-    fn includes_overhead(&self) -> bool {
+    /// Whether the variant charges a chunk's scheduling time to its
+    /// worker along with the compute time (-D and -E). The one rule for
+    /// this scheduler and for `hier`'s intra-node AWF, simulated and live.
+    pub fn includes_overhead(&self) -> bool {
         matches!(self, AwfVariant::D | AwfVariant::E)
     }
 }
@@ -184,6 +187,13 @@ mod tests {
         }
         check_exactly_once(&all, n).unwrap();
         s.weights().to_vec()
+    }
+
+    #[test]
+    fn only_d_and_e_charge_scheduling_time() {
+        let charged: Vec<AwfVariant> =
+            AwfVariant::ALL.into_iter().filter(AwfVariant::includes_overhead).collect();
+        assert_eq!(charged, [AwfVariant::D, AwfVariant::E]);
     }
 
     #[test]

@@ -32,7 +32,7 @@ impl RandomChunking {
     }
 
     /// The resolved inclusive range for a given loop.
-    pub fn resolved_range(&self, spec: &LoopSpec) -> (u64, u64) {
+    fn resolved_range(&self, spec: &LoopSpec) -> (u64, u64) {
         self.range.unwrap_or_else(|| {
             // 100P <= 100 * 2^32 — the saturating products cannot
             // actually saturate, they just encode the bound.

@@ -17,7 +17,6 @@
 
 use crate::chunk::{LoopSpec, SchedState};
 use crate::nonadaptive::{Factoring2, FixedSizeChunking};
-use crate::sequence::ChunkSequence;
 use crate::technique::Technique;
 
 /// The closed form of the fixed-chunk techniques (STATIC, SS, FSC; O(1))
@@ -96,15 +95,10 @@ pub fn assignment_fast(technique: &Technique, spec: &LoopSpec, step: u64) -> Opt
     closed_form(technique, spec, step).flatten()
 }
 
-/// Number of scheduling steps in the full schedule — the exclusive
-/// upper bound on counter values that receive work.
-pub fn total_steps(technique: &Technique, spec: &LoopSpec) -> u64 {
-    ChunkSequence::new(spec, technique).count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequence::{step_count, ChunkSequence};
     use crate::technique::Kind;
     use crate::verify::check_exactly_once;
 
@@ -126,7 +120,7 @@ mod tests {
         let spec = LoopSpec::new(100, 4);
         for kind in Kind::ALL {
             let t = Technique::from_kind(kind);
-            let steps = total_steps(&t, &spec);
+            let steps = step_count(&spec, &t);
             assert!(assignment(&t, &spec, steps).is_none(), "{kind}");
             assert!(assignment(&t, &spec, steps + 7).is_none(), "{kind}");
         }
@@ -137,7 +131,7 @@ mod tests {
         let spec = LoopSpec::new(997, 6);
         for kind in [Kind::STATIC, Kind::SS, Kind::FSC] {
             let t = Technique::from_kind(kind);
-            for step in 0..total_steps(&t, &spec) + 3 {
+            for step in 0..step_count(&spec, &t) + 3 {
                 assert_eq!(
                     assignment_fast(&t, &spec, step),
                     assignment(&t, &spec, step),
@@ -256,7 +250,7 @@ mod tests {
         // assignments must still partition the loop.
         let spec = LoopSpec::new(500, 3);
         let t = Technique::fac2();
-        let steps = total_steps(&t, &spec);
+        let steps = step_count(&spec, &t);
         let mut order: Vec<u64> = (0..steps).collect();
         order.reverse();
         order.swap(0, steps as usize / 2);

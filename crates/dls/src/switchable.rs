@@ -93,12 +93,6 @@ impl SchedKind {
         }
     }
 
-    /// True for the stateful techniques that must be *driven* (fed
-    /// completion reports) rather than computed from a pure formula.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, SchedKind::Af | SchedKind::Awf(_))
-    }
-
     /// The canonical wire byte, shared by the service protocol (v3) and
     /// the durability journal. Bytes `0–9` are the pure kinds in
     /// declaration order — identical to the v2 wire and to every

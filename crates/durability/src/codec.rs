@@ -194,7 +194,7 @@ impl<'a> Reader<'a> {
 
     /// A varint that must fit a `u32`.
     #[inline]
-    pub fn varint_u32(&mut self) -> Result<u32> {
+    pub(crate) fn varint_u32(&mut self) -> Result<u32> {
         u32::try_from(self.varint()?).map_err(|_| Malformed("varint past u32"))
     }
 

@@ -92,7 +92,7 @@ pub fn encode_record(payload: &[u8], out: &mut Vec<u8>) {
 /// Append one framed record whose payload `write` appends to `out` in
 /// place: the header is filled in afterwards, so the payload is never
 /// staged and copied.
-pub fn encode_record_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
+pub(crate) fn encode_record_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<u8>)) {
     let start = out.len();
     out.extend_from_slice(&[0; RECORD_HEADER_LEN]);
     write(out);
@@ -116,7 +116,7 @@ pub fn segment_header(seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
 /// rotation creates the file before it writes the header, so a kill
 /// between the two — or a power cut before the header reached the
 /// disk — leaves one. Only the last segment can be in that state.
-pub fn torn_header(bytes: &[u8], seq: u64) -> bool {
+pub(crate) fn torn_header(bytes: &[u8], seq: u64) -> bool {
     bytes.len() < SEGMENT_HEADER_LEN && segment_header(seq).starts_with(bytes)
         || bytes.iter().all(|&b| b == 0)
 }

@@ -436,11 +436,6 @@ impl Journal {
         self.pending += 1;
     }
 
-    /// True when nothing is buffered.
-    pub fn is_clean(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Write every buffered record to the current segment, fsync per
     /// policy, rotate if the segment is full.
     ///

@@ -31,11 +31,8 @@ impl AwfHistory {
 
     /// Record a completed sub-chunk for `local` worker.
     pub fn record(&mut self, local: u32, iters: u64, compute_ns: u64, sched_ns: u64) {
-        let time = if matches!(self.variant, AwfVariant::D | AwfVariant::E) {
-            compute_ns + sched_ns
-        } else {
-            compute_ns
-        };
+        let time =
+            if self.variant.includes_overhead() { compute_ns + sched_ns } else { compute_ns };
         if let Some(h) = self.hist.get_mut(local as usize) {
             h.0 += iters;
             h.1 += time;

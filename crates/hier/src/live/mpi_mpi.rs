@@ -267,6 +267,7 @@ pub(super) fn run_ranks(
                     }
                     local_win.sync();
                     local_win.unlock(LockKind::Exclusive, 0)?;
+                    let polled = out.opened();
                     let started = out.cut(SegmentKind::Sched);
                     out.execute(workload, sub);
                     if straggle > 1.0 {
@@ -278,10 +279,12 @@ pub(super) fn run_ranks(
                         }
                     }
                     let finished = out.cut(SegmentKind::Compute);
-                    if awf.is_some() {
+                    if let Some(variant) = awf {
                         // Charge the measured kernel time to the shared
-                        // history (AWF-C style: per chunk completion).
-                        let elapsed = (finished - started).min(i64::MAX as u64) as i64;
+                        // history at every chunk completion; -D/-E also
+                        // charge the scheduling segment that preceded it.
+                        let from = if variant.includes_overhead() { polled } else { started };
+                        let elapsed = (finished - from).min(i64::MAX as u64) as i64;
                         lock(&mut out)?;
                         // Unified-model visibility: sync before reading
                         // counters peers put under their own epochs, or the

@@ -132,6 +132,11 @@ impl Ledger {
         self.epoch.elapsed().as_nanos() as u64
     }
 
+    /// Where the open timeline segment began, in ns since the run epoch.
+    pub(super) fn opened(&self) -> u64 {
+        self.open
+    }
+
     /// Close the open timeline segment as `kind` and open the next one
     /// at the same instant, which is returned.
     pub(super) fn cut(&mut self, kind: SegmentKind) -> u64 {

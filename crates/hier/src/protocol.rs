@@ -119,7 +119,7 @@ pub const GLOBAL_LOCKED_ADVANCE: &[RmaEvent] =
 /// The global-window transaction of one refill under `mode`; `chunk`
 /// says whether it obtained one.
 #[inline]
-pub fn global_fetch(mode: GlobalQueueMode, chunk: bool) -> &'static [RmaEvent] {
+pub(crate) fn global_fetch(mode: GlobalQueueMode, chunk: bool) -> &'static [RmaEvent] {
     match mode {
         GlobalQueueMode::SingleAtomic => GLOBAL_FAA,
         GlobalQueueMode::LockedCounters if chunk => GLOBAL_LOCKED_ADVANCE,
@@ -131,7 +131,7 @@ pub fn global_fetch(mode: GlobalQueueMode, chunk: bool) -> &'static [RmaEvent] {
 /// attaches the global window (rank `w` of `workers`) and its node's
 /// shared window (rank `w % wpn` of `wpn`), then, when `lock_all`,
 /// opens the run-long epoch bare `fetch_and_op` calls need.
-pub fn attach(
+pub(crate) fn attach(
     w: u32,
     workers: u32,
     wpn: u32,

@@ -151,12 +151,12 @@ impl Word {
 /// Whether `intra`'s sub-chunk is a pure function of the deposit length,
 /// the worker count and the step: the closed forms of STATIC, SS, FSC and
 /// FAC2, and GSS and TSS from a cursor.
-pub fn takes_by_step(intra: &Technique) -> bool {
+fn takes_by_step(intra: &Technique) -> bool {
     matches!(intra.kind(), Kind::STATIC | Kind::SS | Kind::FSC | Kind::FAC2 | Kind::GSS | Kind::TSS)
 }
 
 /// Whether a loop of `n` iterations with unweighted intra technique
-/// `intra` may take without the lock: the technique [`takes_by_step`],
+/// `intra` may take without the lock: the technique takes by step,
 /// and no deposit's step count and no node's deposit count (each at most
 /// `n`) overflows its [`Word`] field. The caller also keeps the lock for
 /// what a take must write besides the step: AWF's history and an active

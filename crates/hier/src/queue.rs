@@ -140,7 +140,7 @@ impl LocalQueue {
     /// the un-taken tail of each deposited chunk. Used by the recovery
     /// layer when a node loses its last live worker: the stranded
     /// ranges migrate to a surviving node's queue for re-execution.
-    pub fn drain_remaining(&mut self) -> Vec<(u64, u64)> {
+    pub(crate) fn drain_remaining(&mut self) -> Vec<(u64, u64)> {
         let out =
             self.ranges.iter().filter(|r| !r.is_empty()).map(|r| (r.lo + r.taken, r.hi)).collect();
         self.ranges.clear();

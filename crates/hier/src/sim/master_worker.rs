@@ -89,7 +89,7 @@ fn simulate_master_worker_inner(cfg: &RunConfig, table: &CostTable, flat: bool) 
 
     for w in 0..total_workers {
         request_sent[w as usize] = 0;
-        let lat = if flat { m.net.latency_ns } else { m.intra_msg_latency_ns };
+        let lat = if flat { m.net_latency_ns } else { m.intra_msg_latency_ns };
         run.push(lat, Event::RequestArrive(w));
     }
 
@@ -111,7 +111,7 @@ fn simulate_master_worker_inner(cfg: &RunConfig, table: &CostTable, flat: bool) 
                     if run.done[by as usize] {
                         run.done[by as usize] = false;
                         request_sent[by as usize] = t;
-                        run.push(t + m.net.latency_ns, Event::RequestArrive(by));
+                        run.push(t + m.net_latency_ns, Event::RequestArrive(by));
                     }
                 } else {
                     let target = (by / wpn) as usize;
@@ -167,7 +167,7 @@ fn simulate_master_worker_inner(cfg: &RunConfig, table: &CostTable, flat: bool) 
                 // chunks are re-issued before fresh ones.
                 let served = run.request_global(t, m.master_service_ns);
                 let payload = reclaim_pool.pop().or_else(|| run.fetch(Some(w)));
-                run.push(served + m.net.latency_ns, Event::Reply(w, payload));
+                run.push(served + m.net_latency_ns, Event::Reply(w, payload));
             }
             Event::RequestArrive(w) => {
                 let node = (w / wpn) as usize;
@@ -188,7 +188,7 @@ fn simulate_master_worker_inner(cfg: &RunConfig, table: &CostTable, flat: bool) 
                         lm.pending.push_back(w);
                         if !lm.refilling {
                             lm.refilling = true;
-                            run.push(served + m.net.latency_ns, Event::GlobalArrive(node as u32));
+                            run.push(served + m.net_latency_ns, Event::GlobalArrive(node as u32));
                         }
                     }
                 }
@@ -198,7 +198,7 @@ fn simulate_master_worker_inner(cfg: &RunConfig, table: &CostTable, flat: bool) 
                 // worker is credited with the global fetch.
                 let served = run.request_global(t, m.master_service_ns);
                 let payload = run.fetch(None);
-                run.push(served + m.net.latency_ns, Event::ChunkArrive(node, payload));
+                run.push(served + m.net_latency_ns, Event::ChunkArrive(node, payload));
             }
             Event::ChunkArrive(node, payload) => {
                 let node_idx = node as usize;
@@ -230,7 +230,7 @@ fn simulate_master_worker_inner(cfg: &RunConfig, table: &CostTable, flat: bool) 
                                     if !lm.refilling && !lm.global_done {
                                         lm.refilling = true;
                                         run.push(
-                                            served + m.net.latency_ns,
+                                            served + m.net_latency_ns,
                                             Event::GlobalArrive(node),
                                         );
                                     }
@@ -271,7 +271,7 @@ fn simulate_master_worker_inner(cfg: &RunConfig, table: &CostTable, flat: bool) 
                         run.compute(w, t, cost, sub);
                         let fin = t + cost;
                         request_sent[w as usize] = fin;
-                        let lat = if flat { m.net.latency_ns } else { m.intra_msg_latency_ns };
+                        let lat = if flat { m.net_latency_ns } else { m.intra_msg_latency_ns };
                         run.push(
                             fin + lat + cfg.faults.message_delay(w, fin),
                             Event::RequestArrive(w),

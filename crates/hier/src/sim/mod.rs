@@ -206,7 +206,7 @@ pub fn simulate(cfg: &RunConfig, table: &CostTable) -> SimResult {
 /// protocol (no end-of-region barrier, fastest-thread refill), but the
 /// local dispatch costs one OpenMP runtime atomic instead of an
 /// `MPI_Win_lock` cycle and suffers no lock polling.
-pub fn simulate_mpi_omp_nowait(cfg: &RunConfig, table: &CostTable) -> SimResult {
+fn simulate_mpi_omp_nowait(cfg: &RunConfig, table: &CostTable) -> SimResult {
     let mut nowait_cfg = cfg.clone();
     nowait_cfg.machine.shm_lock_hold_ns = cfg.machine.omp_dispatch_ns;
     nowait_cfg.machine.shm_poll_penalty_ns = 0;

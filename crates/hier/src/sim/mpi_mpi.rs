@@ -269,7 +269,7 @@ pub fn simulate_mpi_mpi(cfg: &RunConfig, table: &CostTable) -> SimResult {
                         Empty::Retire => run.retire(w, grant.end),
                         Empty::Refill => {
                             let mut depart = grant.end
-                                + m.net.latency_ns
+                                + m.net_latency_ns
                                 + cfg.faults.message_delay(w, grant.end);
                             if plan_active {
                                 if let Some(dt) = cfg.faults.message_drop_at(w) {
@@ -305,15 +305,15 @@ pub fn simulate_mpi_mpi(cfg: &RunConfig, table: &CostTable) -> SimResult {
                 // Serialized service at the global queue's host; then the
                 // response travels back and the origin runs the
                 // distributed chunk calculation. The lock-guarded
-                // two-counter variant pays two extra round trips
-                // (MPI_Win_lock + MPI_Win_unlock) per fetch.
+                // two-counter variant pays two extra round trips of two
+                // messages each (MPI_Win_lock + MPI_Win_unlock) per fetch.
                 let served = run.request_global(t, m.rma_service_ns);
                 let mode_extra = match cfg.global_mode {
                     crate::config::GlobalQueueMode::SingleAtomic => 0,
-                    crate::config::GlobalQueueMode::LockedCounters => 2 * m.net.rma_round_trip(),
+                    crate::config::GlobalQueueMode::LockedCounters => 2 * (2 * m.net_latency_ns),
                 };
                 let resp = served
-                    + m.net.latency_ns
+                    + m.net_latency_ns
                     + m.chunk_calc_ns
                     + mode_extra
                     + cfg.faults.message_delay(w, served);

@@ -57,7 +57,7 @@ pub fn simulate_mpi_omp(cfg: &RunConfig, table: &CostTable) -> SimResult {
     }
 
     for node in 0..nodes {
-        let arrive = m.net.latency_ns + run.jitter.delay(node * threads);
+        let arrive = m.net_latency_ns + run.jitter.delay(node * threads);
         run.push(arrive, Event::FetchArrive(node));
     }
 
@@ -75,7 +75,7 @@ pub fn simulate_mpi_omp(cfg: &RunConfig, table: &CostTable) -> SimResult {
                     continue; // nobody left alive to reclaim
                 };
                 reclaim_queue.push(run.expire(lease, target * threads, t));
-                run.push(t + m.net.latency_ns, Event::FetchArrive(target));
+                run.push(t + m.net_latency_ns, Event::FetchArrive(target));
                 continue;
             }
         };
@@ -95,8 +95,8 @@ pub fn simulate_mpi_omp(cfg: &RunConfig, table: &CostTable) -> SimResult {
         }
         let served = run.request_global(t, m.rma_service_ns);
         let fetched_at =
-            served + m.net.latency_ns + m.chunk_calc_ns + cfg.faults.message_delay(master, served);
-        run.trace.record(master, t - m.net.latency_ns, fetched_at, SegmentKind::Sched);
+            served + m.net_latency_ns + m.chunk_calc_ns + cfg.faults.message_delay(master, served);
+        run.trace.record(master, t - m.net_latency_ns, fetched_at, SegmentKind::Sched);
 
         // Reclaimed ranges take priority over fresh global chunks.
         let reclaimed = reclaim_queue.pop();
@@ -147,7 +147,7 @@ pub fn simulate_mpi_omp(cfg: &RunConfig, table: &CostTable) -> SimResult {
             run.trace.record(w, f, region_end, SegmentKind::Sync);
         }
         region_ends[node as usize] = region_end;
-        let arrive = region_end + m.net.latency_ns + run.jitter.delay(master);
+        let arrive = region_end + m.net_latency_ns + run.jitter.delay(master);
         run.push(arrive, Event::FetchArrive(node));
     }
 

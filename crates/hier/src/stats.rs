@@ -31,7 +31,10 @@ pub struct WorkerStats {
     pub reclaims: u64,
 }
 
-/// Per-node counters.
+/// Per-node counters. The four lock counters are the MPI+MPI node
+/// queue's on both backends; live MPI+OpenMP counts its global-window
+/// epochs and polls in `lock_acquisitions` and `lock_polls`, and the
+/// simulated MPI+OpenMP and master-worker models leave all four 0.
 #[derive(Clone, Debug, Default)]
 pub struct NodeStats {
     /// Chunks deposited into the node's local queue.
@@ -40,7 +43,8 @@ pub struct NodeStats {
     pub sub_chunks: u64,
     /// Local-queue lock acquisitions.
     pub lock_acquisitions: u64,
-    /// Lock acquisitions that found the lock contended.
+    /// Lock acquisitions that found the lock contended (always 0 on
+    /// live MPI+OpenMP).
     pub lock_contended: u64,
     /// Failed lock-poll attempts at the local-queue lock — the
     /// lock-attempt message count behind the paper's `X+SS` pathology.

@@ -7,21 +7,10 @@ use crate::error::{Error, Result};
 
 impl Comm {
     /// `MPI_Bcast`: `root` supplies `value`; everyone returns it.
-    /// Non-root ranks pass their own (ignored) `value`; use
-    /// [`Comm::bcast_from`] to avoid constructing one.
+    /// Non-root ranks pass their own (ignored) `value`.
     pub fn bcast<T: Clone + Send + 'static>(&self, root: u32, value: T) -> Result<T> {
-        self.bcast_from(root, || value.clone())
-    }
-
-    /// `MPI_Bcast` where only the root constructs the value.
-    pub fn bcast_from<T: Clone + Send + 'static>(
-        &self,
-        root: u32,
-        make: impl FnOnce() -> T,
-    ) -> Result<T> {
         self.check_rank(root)?;
         if self.rank() == root {
-            let value = make();
             for dest in 0..self.size() {
                 if dest != root {
                     self.send(dest, TAG_BCAST, value.clone())?;

@@ -12,11 +12,6 @@ use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, PoisonError};
 
-/// Matches any source rank (like `MPI_ANY_SOURCE`).
-pub const ANY_SOURCE: Option<u32> = None;
-/// Matches any tag (like `MPI_ANY_TAG`).
-pub const ANY_TAG: Option<i32> = None;
-
 /// First tag value reserved for internal collective traffic. User tags
 /// must stay below this value.
 pub const INTERNAL_TAG_BASE: i32 = i32::MAX - 64;
@@ -119,7 +114,7 @@ mod tests {
         let mb = Mailbox::new();
         mb.push(Envelope { src: 5, tag: 0, payload: Box::new(1i64) });
         mb.push(Envelope { src: 2, tag: 0, payload: Box::new(2i64) });
-        let (src, _, v) = mb.recv::<i64>(ANY_SOURCE, Some(0)).unwrap();
+        let (src, _, v) = mb.recv::<i64>(None, Some(0)).unwrap();
         assert_eq!((src, v), (5, 1));
     }
 
@@ -136,7 +131,7 @@ mod tests {
         let mb = Mailbox::new();
         assert!(!mb.probe(None, None));
         mb.push(Envelope { src: 0, tag: 0, payload: Box::new(()) });
-        assert!(mb.probe(Some(0), ANY_TAG));
+        assert!(mb.probe(Some(0), None));
         assert_eq!(mb.len(), 1);
     }
 

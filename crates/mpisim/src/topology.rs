@@ -37,17 +37,6 @@ impl Topology {
     pub fn local_rank_of(&self, world_rank: u32) -> u32 {
         world_rank % self.ranks_per_node
     }
-
-    /// World ranks belonging to `node`.
-    pub fn ranks_of_node(&self, node: u32) -> std::ops::Range<u32> {
-        let first = node * self.ranks_per_node;
-        first..first + self.ranks_per_node
-    }
-
-    /// True when both ranks share a node (and therefore physical memory).
-    pub fn same_node(&self, a: u32, b: u32) -> bool {
-        self.node_of(a) == self.node_of(b)
-    }
 }
 
 #[cfg(test)]
@@ -63,14 +52,14 @@ mod tests {
         assert_eq!(t.node_of(4), 1);
         assert_eq!(t.node_of(15), 3);
         assert_eq!(t.local_rank_of(5), 1);
-        assert_eq!(t.ranks_of_node(2).collect::<Vec<_>>(), vec![8, 9, 10, 11]);
+        assert_eq!((8..12).map(|r| t.node_of(r)).collect::<Vec<_>>(), vec![2; 4]);
     }
 
     #[test]
     fn same_node_predicate() {
         let t = Topology::new(2, 3);
-        assert!(t.same_node(0, 2));
-        assert!(!t.same_node(2, 3));
+        assert_eq!(t.node_of(0), t.node_of(2));
+        assert_ne!(t.node_of(2), t.node_of(3));
     }
 
     #[test]
@@ -78,7 +67,7 @@ mod tests {
         let t = Topology::single_node(8);
         assert_eq!(t.nodes, 1);
         assert_eq!(t.world_size(), 8);
-        assert!(t.same_node(0, 7));
+        assert_eq!(t.node_of(0), t.node_of(7));
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::comm::{Comm, TAG_WIN};
 use crate::error::{Error, Result};
 use crate::rmalog::{AtomicOpKind, RmaEvent, RmaLog};
 use crate::sync::QueuedLock;
-use std::ops::Range;
 use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -345,11 +344,6 @@ impl Window {
         }
     }
 
-    /// Length of `target`'s region.
-    pub fn len_of(&self, target: u32) -> Result<usize> {
-        self.region(target).map(|(_, len)| len)
-    }
-
     fn region(&self, target: u32) -> Result<(usize, usize)> {
         self.state
             .regions
@@ -527,40 +521,6 @@ impl Window {
         bump(&self.rank.puts, 1);
         self.rec(RmaEvent::Put { target, disp, len: 1 });
         slot.store(value, Ordering::Release);
-        Ok(())
-    }
-
-    /// `disp..disp + len` of `target`'s region as indices into the
-    /// window's data, or the offset error for a span that leaves the
-    /// region (or the address space: `disp + len` must not wrap).
-    fn span(&self, target: u32, disp: usize, len: usize) -> Result<Range<usize>> {
-        let (offset, region_len) = self.region(target)?;
-        match disp.checked_add(len) {
-            Some(end) if end <= region_len => Ok(offset + disp..offset + end),
-            end => {
-                Err(Error::OffsetOutOfRange { offset: end.unwrap_or(usize::MAX), len: region_len })
-            }
-        }
-    }
-
-    /// `MPI_Get` of `len` consecutive elements starting at `disp`.
-    pub fn get_range(&self, target: u32, disp: usize, len: usize) -> Result<Vec<i64>> {
-        self.check_alive(target)?;
-        let span = self.span(target, disp, len)?;
-        bump(&self.rank.gets, 1);
-        self.rec(RmaEvent::Get { target, disp, len });
-        Ok(self.state.data[span].iter().map(|a| a.load(Ordering::Acquire)).collect())
-    }
-
-    /// `MPI_Put` of consecutive elements starting at `disp`.
-    pub fn put_range(&self, target: u32, disp: usize, values: &[i64]) -> Result<()> {
-        self.check_alive(target)?;
-        let span = self.span(target, disp, values.len())?;
-        bump(&self.rank.puts, 1);
-        self.rec(RmaEvent::Put { target, disp, len: values.len() });
-        for (slot, &v) in self.state.data[span].iter().zip(values) {
-            slot.store(v, Ordering::Release);
-        }
         Ok(())
     }
 
@@ -857,26 +817,19 @@ mod tests {
 
     #[test]
     fn range_put_get_roundtrip() {
+        // Puts to a run of slots in a peer's region, read back by every
+        // rank across a barrier; the slots either side stay untouched.
         Universe::run(Topology::new(1, 2), |p| {
             let w = p.world();
             let win = Window::allocate(w, 5).unwrap();
             if w.rank() == 0 {
-                win.put_range(1, 1, &[10, 20, 30]).unwrap();
+                for (disp, v) in (1..4).zip([10, 20, 30]) {
+                    win.put(1, disp, v).unwrap();
+                }
             }
             w.barrier();
-            assert_eq!(win.get_range(1, 1, 3).unwrap(), vec![10, 20, 30]);
-            assert_eq!(win.get(1, 0).unwrap(), 0);
-            assert_eq!(win.get(1, 4).unwrap(), 0);
-        });
-    }
-
-    #[test]
-    fn range_bounds_checked() {
-        Universe::run(Topology::new(1, 1), |p| {
-            let win = Window::allocate(p.world(), 3).unwrap();
-            assert!(win.get_range(0, 2, 2).is_err());
-            assert!(win.put_range(0, 0, &[1, 2, 3, 4]).is_err());
-            assert!(win.get_range(0, 0, 3).is_ok());
+            let read: Vec<i64> = (0..5).map(|disp| win.get(1, disp).unwrap()).collect();
+            assert_eq!(read, vec![0, 10, 20, 30, 0]);
         });
     }
 

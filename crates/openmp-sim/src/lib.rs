@@ -4,19 +4,21 @@
 //! `#pragma omp parallel` forks a team, `#pragma omp for
 //! schedule(static|dynamic|guided)` distributes iterations, and every
 //! worksharing region ends in an **implicit barrier** unless `nowait`
-//! is given. This crate provides those semantics as a small library
-//! over OS threads, so the MPI+OpenMP executor (and its tests) run
-//! against a real worksharing runtime rather than ad-hoc thread code:
+//! is given. This crate provides the constructs the baseline uses as a
+//! small library over OS threads, so the MPI+OpenMP executor (and its
+//! tests) run against a real worksharing runtime rather than ad-hoc
+//! thread code:
 //!
 //! * [`Team::parallel`] — fork-join parallel region with per-thread
-//!   context ([`TeamCtx`]): `thread_num`, `num_threads`.
+//!   context ([`TeamCtx`]): `thread_num`.
 //! * [`TeamCtx::for_each`] — worksharing loop over a
 //!   [`dls::openmp::OmpSchedule`] clause (the type and its dispatch
 //!   sizes are `dls`'s, so a team and the `dls` calculators cannot
-//!   disagree about Table 1), implicit barrier, and an explicit
-//!   `nowait` variant. A dynamic or guided region is retired at its
-//!   barrier, so a team that opens one construct per chunk keeps no
-//!   state per chunk.
+//!   disagree about Table 1) with its implicit barrier. A dynamic or
+//!   guided region is retired at that barrier, so a team that opens one
+//!   construct per chunk keeps no state per chunk. There is no `nowait`
+//!   construct: the live MPI+OpenMP baseline never runs one, and the
+//!   `nowait` ablation is the simulator's.
 //! * [`TeamCtx::barrier`], [`TeamCtx::master`] — the synchronisation
 //!   constructs hierarchical DLS codes use.
 //!

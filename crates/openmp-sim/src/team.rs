@@ -35,11 +35,6 @@ impl Team {
         Self { threads: threads.max(1) }
     }
 
-    /// Number of threads the team forks.
-    pub fn num_threads(&self) -> u32 {
-        self.threads
-    }
-
     /// `#pragma omp parallel`: fork the team, run `f` on every thread,
     /// join, and return each thread's result in thread order.
     pub fn parallel<R: Send>(&self, f: impl Fn(&TeamCtx) -> R + Sync) -> Vec<R> {
@@ -69,11 +64,6 @@ impl TeamCtx<'_> {
         self.tid
     }
 
-    /// `omp_get_num_threads()`.
-    pub fn num_threads(&self) -> u32 {
-        self.threads
-    }
-
     /// `#pragma omp barrier`.
     pub fn barrier(&self) {
         self.shared.barrier.wait();
@@ -92,53 +82,10 @@ impl TeamCtx<'_> {
         self.for_each_dispatch(range, schedule, |r| r.for_each(&mut body));
     }
 
-    /// `#pragma omp for schedule(...) nowait`: as [`TeamCtx::for_each`]
-    /// but without the end-of-region barrier — the construct whose
-    /// implications the paper discusses at length. Returns the number
-    /// of iterations this thread executed. Without the barrier no thread
-    /// knows when the others are done with the region, so it is never
-    /// retired: the registry keeps it for the team's lifetime.
-    pub fn for_each_nowait(
-        &self,
-        range: Range<u64>,
-        schedule: OmpSchedule,
-        mut body: impl FnMut(u64),
-    ) -> u64 {
-        let mut executed = 0u64;
-        self.for_each_dispatch_nowait(range, schedule, |r| {
-            for i in r {
-                body(i);
-                executed += 1;
-            }
-        });
-        executed
-    }
-
     /// Dispatch-level worksharing with the implicit barrier: `body`
     /// receives each dispatch unit (the runtime's internal chunk) this
     /// thread claims — useful for per-chunk instrumentation.
     pub fn for_each_dispatch(
-        &self,
-        range: Range<u64>,
-        schedule: OmpSchedule,
-        body: impl FnMut(Range<u64>),
-    ) {
-        let seq = self.seq.get();
-        self.for_each_dispatch_nowait(range, schedule, body);
-        self.barrier();
-        // Every thread looked the region up before the barrier, so none
-        // can re-create it: retire it, or a team that opens one construct
-        // per chunk keeps one region per chunk. Static schedules never
-        // create one.
-        if self.tid == 0 && !matches!(schedule, OmpSchedule::Static { .. }) {
-            self.shared.regions.retire(seq);
-        }
-    }
-
-    /// Dispatch-level worksharing without the end barrier. A dynamic or
-    /// guided region stays in the registry for the team's lifetime, as
-    /// in [`TeamCtx::for_each_nowait`].
-    pub fn for_each_dispatch_nowait(
         &self,
         range: Range<u64>,
         schedule: OmpSchedule,
@@ -147,10 +94,8 @@ impl TeamCtx<'_> {
         let seq = self.seq.get();
         self.seq.set(seq + 1);
         let len = range.end.saturating_sub(range.start);
-        if len == 0 {
-            return;
-        }
         match schedule {
+            _ if len == 0 => {}
             OmpSchedule::Static { chunk } => {
                 static_blocks(range, chunk, self.tid, self.threads).for_each(body);
             }
@@ -163,6 +108,14 @@ impl TeamCtx<'_> {
                 }
             }
         }
+        self.barrier();
+        // Every thread looked the region up before the barrier, so none
+        // can re-create it: retire it, or a team that opens one construct
+        // per chunk keeps one region per chunk. Static schedules never
+        // create one.
+        if self.tid == 0 && !matches!(schedule, OmpSchedule::Static { .. }) {
+            self.shared.regions.retire(seq);
+        }
     }
 }
 
@@ -173,8 +126,8 @@ mod tests {
 
     #[test]
     fn parallel_forks_n_threads() {
-        let out = Team::new(4).parallel(|ctx| (ctx.thread_num(), ctx.num_threads()));
-        assert_eq!(out, vec![(0, 4), (1, 4), (2, 4), (3, 4)]);
+        let out = Team::new(4).parallel(|ctx| ctx.thread_num());
+        assert_eq!(out, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -241,16 +194,6 @@ mod tests {
             });
             assert_eq!(live[0], Some(0), "{schedule:?}");
         }
-    }
-
-    #[test]
-    fn nowait_returns_executed_count() {
-        let out = Team::new(4).parallel(|ctx| {
-            let n = ctx.for_each_nowait(0..97, OmpSchedule::Dynamic { chunk: 5 }, |_| {});
-            ctx.barrier();
-            n
-        });
-        assert_eq!(out.iter().sum::<u64>(), 97);
     }
 
     #[test]

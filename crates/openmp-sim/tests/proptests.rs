@@ -1,6 +1,6 @@
 //! Property tests: every schedule must execute every iteration exactly
-//! once for arbitrary team sizes and ranges, across consecutive
-//! regions, with and without `nowait`.
+//! once for arbitrary team sizes and ranges, and across consecutive
+//! regions.
 
 use dls::openmp::OmpSchedule;
 use openmp_sim::Team;
@@ -33,20 +33,6 @@ proptest! {
             });
         });
         prop_assert!(hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-    }
-
-    #[test]
-    fn nowait_counts_sum_to_len(
-        threads in 1u32..9,
-        len in 0u64..500,
-        schedule in arb_schedule(),
-    ) {
-        let out = Team::new(threads).parallel(|ctx| {
-            let n = ctx.for_each_nowait(0..len, schedule, |_| {});
-            ctx.barrier();
-            n
-        });
-        prop_assert_eq!(out.iter().sum::<u64>(), len);
     }
 
     #[test]

@@ -267,14 +267,6 @@ impl CostTable {
     pub fn stats(&self) -> WorkloadStats {
         WorkloadStats::from_costs(self.iter())
     }
-
-    /// A `dls::LoopSpec` for this workload over `p` workers, with the
-    /// measured mean/sigma attached — what FAC and FSC need to apply
-    /// their probabilistic chunk formulas.
-    pub fn loop_spec(&self, p: u32) -> dls::LoopSpec {
-        let s = self.stats();
-        dls::LoopSpec::new(self.n_iters(), p).with_stats(s.mean, s.sigma)
-    }
 }
 
 /// Pack `words`, one cost slot each as [`CostSink`] filled them, to two
@@ -341,7 +333,7 @@ fn grid(narrow: &[u32], wide: &BTreeMap<u64, u64>) -> Option<(u64, u64, u64)> {
     Some((min, step.max(1), max))
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         (a, b) = (b, a % b);
     }
@@ -370,17 +362,5 @@ mod tests {
         assert_eq!(t.range_cost(2, 6), 28);
         assert_eq!(t.range_cost(0, 10), 70);
         assert_eq!(t.range_cost(3, 3), 0);
-    }
-
-    #[test]
-    fn loop_spec_carries_measured_stats() {
-        let w = Synthetic::uniform(1_000, 10, 100, 3);
-        let t = CostTable::build(&w);
-        let spec = t.loop_spec(8);
-        assert_eq!(spec.n_iters, 1_000);
-        assert_eq!(spec.n_workers, 8);
-        let s = t.stats();
-        assert_eq!(spec.mean_iter_time, s.mean);
-        assert_eq!(spec.sigma_iter_time, s.sigma);
     }
 }

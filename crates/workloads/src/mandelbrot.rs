@@ -2,7 +2,7 @@
 //! of one pixel. The classic DLS stress test — the paper selects it
 //! "due to high algorithmic load imbalance".
 
-use crate::{CostSink, Workload};
+use crate::{gcd, CostSink, Workload};
 
 /// How loop-iteration indices map onto image pixels.
 ///
@@ -153,13 +153,6 @@ impl Mandelbrot {
         }
         it
     }
-}
-
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        (a, b) = (b, a % b);
-    }
-    a
 }
 
 impl Workload for Mandelbrot {

@@ -35,7 +35,7 @@ pub struct SpinImage {
 
 impl SpinImage {
     /// Quantised total mass of the histogram, for checksums.
-    pub fn mass_checksum(&self) -> u64 {
+    pub(crate) fn mass_checksum(&self) -> u64 {
         (self.bins.iter().map(|&b| f64::from(b)).sum::<f64>() * 16.0).round() as u64
     }
 }

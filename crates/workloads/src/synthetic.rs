@@ -74,11 +74,6 @@ impl Synthetic {
     pub fn linear_increasing(n: u64, first: u64, last: u64) -> Self {
         Self { n, name: "linear-inc", shape: Shape::Linear { first, last }, seed: 0 }
     }
-
-    /// Linearly decreasing from `first` to `last`.
-    pub fn linear_decreasing(n: u64, first: u64, last: u64) -> Self {
-        Self { n, name: "linear-dec", shape: Shape::Linear { first, last }, seed: 0 }
-    }
 }
 
 impl Workload for Synthetic {
@@ -178,9 +173,6 @@ mod tests {
         let inc = Synthetic::linear_increasing(100, 10, 1000);
         assert_eq!(inc.cost(0), 10);
         assert_eq!(inc.cost(99), 1000);
-        let dec = Synthetic::linear_decreasing(100, 1000, 10);
-        assert_eq!(dec.cost(0), 1000);
-        assert_eq!(dec.cost(99), 10);
     }
 
     #[test]

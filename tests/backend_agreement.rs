@@ -84,9 +84,9 @@ fn net_backend_agrees_with_live_rma_for_all_pairs() {
             assert_eq!(fetches, deposits, "{pair} deposit discipline");
             let live_fetches: u64 = live.stats.workers.iter().map(|w| w.global_fetches).sum();
             // `schedule` builds two nodes.
-            let steps = dls::single_counter::total_steps(
-                &Technique::from_kind(inter),
+            let steps = dls::sequence::step_count(
                 &LoopSpec::new(w.n_iters(), 2),
+                &Technique::from_kind(inter),
             );
             assert_eq!(fetches, steps, "{pair} net fetches == inter steps for p = nodes");
             assert_eq!(live_fetches, steps, "{pair} live fetches == inter steps");
