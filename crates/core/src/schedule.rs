@@ -173,12 +173,6 @@ impl HierScheduleBuilder {
         self
     }
 
-    /// Per-worker slowdown multipliers (failure injection).
-    pub fn slowdown(mut self, s: Vec<f64>) -> Self {
-        self.0.slowdown = s;
-        self
-    }
-
     /// Local-queue refill policy for MPI+MPI `simulate` runs.
     pub fn refill(mut self, policy: hier::sim::RefillPolicy) -> Self {
         self.0.refill = policy;

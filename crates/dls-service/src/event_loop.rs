@@ -66,6 +66,15 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 /// once this many bytes are buffered (TCP backpressure takes over).
 const RX_SOFT_CAP: usize = 1 << 20;
 
+/// Transmit-side flow control: while a connection's unflushed replies
+/// pass this many bytes, it is neither read nor are frames extracted
+/// from it, and it is polled for writability only. A client that
+/// pipelines requests and never reads its replies then fills its own
+/// socket buffers and blocks, instead of the server buffering every
+/// reply. The cap is soft: one cycle's replies to up to
+/// [`RX_SOFT_CAP`] bytes of requests can land on top of it.
+const TX_SOFT_CAP: usize = 1 << 20;
+
 /// Readiness cycles a draining shard grants a connection that holds a
 /// half-received frame before closing it anyway.
 const DRAIN_GRACE_CYCLES: u32 = 5;
@@ -262,6 +271,12 @@ impl LoopShard {
 
     fn read_conn(&mut self, slot: usize, tally: &mut CycleTally) {
         let Some(entry) = self.conns[slot].as_mut() else { return };
+        // Skipping the read skips the extraction too, so `rx` keeps at
+        // most a partial frame, and the socket's own readiness wakes the
+        // connection once its replies drain.
+        if entry.machine.tx_pending().len() > TX_SOFT_CAP {
+            return;
+        }
         loop {
             if entry.machine.rx_len() > RX_SOFT_CAP {
                 break;
@@ -384,7 +399,11 @@ impl LoopShard {
             self.close_conn(slot);
             return;
         }
-        let want = if entry.machine.tx_is_empty() { Interest::READ } else { Interest::READ_WRITE };
+        let want = match entry.machine.tx_pending().len() {
+            0 => Interest::READ,
+            1..=TX_SOFT_CAP => Interest::READ_WRITE,
+            _ => Interest::WRITE,
+        };
         if want != entry.interest {
             let fd: RawFd = entry.stream.as_raw_fd();
             if self.poller.reregister(fd, slot as u64, want).is_ok() {

@@ -30,6 +30,7 @@ pub(crate) struct Interest {
 impl Interest {
     pub(crate) const READ: Interest = Interest { readable: true, writable: false };
     pub(crate) const READ_WRITE: Interest = Interest { readable: true, writable: true };
+    pub(crate) const WRITE: Interest = Interest { readable: false, writable: true };
 }
 
 /// One readiness event. The loop is level-triggered, so the token is
@@ -55,8 +56,10 @@ mod sys {
 
     pub(super) const EPOLLIN: u32 = 0x001;
     pub(super) const EPOLLOUT: u32 = 0x004;
-    /// Peer shutdown of the write half: requested so half-closed
-    /// connections wake the loop (the read then surfaces the EOF).
+    /// Peer shutdown of the write half: requested with `EPOLLIN` so
+    /// half-closed connections wake the loop (the read then surfaces
+    /// the EOF). A connection polled for writing only is not read, so
+    /// a half-close would report ready on every wait.
     pub(super) const EPOLLRDHUP: u32 = 0x2000;
 
     const EPOLL_CLOEXEC: c_int = 0o2000000;
@@ -151,9 +154,9 @@ mod linux_impl {
         }
 
         fn mask(interest: Interest) -> u32 {
-            let mut m = sys::EPOLLRDHUP;
+            let mut m = 0;
             if interest.readable {
-                m |= sys::EPOLLIN;
+                m |= sys::EPOLLIN | sys::EPOLLRDHUP;
             }
             if interest.writable {
                 m |= sys::EPOLLOUT;

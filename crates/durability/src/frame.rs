@@ -1,11 +1,16 @@
-//! On-disk record framing: `len u32 LE | crc32 u32 LE | payload`.
+//! On-disk layout of the journal's two file kinds: record framing
+//! `len u32 LE | crc32 u32 LE | payload`, and the 16-byte header that
+//! opens both kinds, an 8-byte magic followed by a `u64` LE sequence
+//! number.
 //!
-//! Segments are append-only files that begin with an 8-byte magic
-//! (`DLSWAL02`) followed by the segment sequence number (`u64` LE).
-//! After the header come zero or more framed records. The CRC covers
-//! the payload only; the length prefix is implicitly validated by the
+//! A segment is an append-only file: its header ([`SEGMENT_MAGIC`], the
+//! segment's own seq), then zero or more framed records. A snapshot is
+//! its header ([`SNAPSHOT_MAGIC`], the boundary seq), then exactly one
+//! framed record holding the serialized state. The CRC covers the
+//! payload only; the length prefix is implicitly validated by the
 //! CRC check (a torn or garbled length either runs past the end of
-//! the file or yields a payload whose CRC cannot match).
+//! the file or yields a payload whose CRC cannot match). One parser,
+//! `record`, reads the frame in both kinds.
 //!
 //! The framing guarantees the journal's one crash invariant: a
 //! process killed at an arbitrary instant can tear at most the *tail*
@@ -13,21 +18,29 @@
 //! where the clean prefix ends, so the opener can truncate back to the
 //! last complete record instead of refusing to start.
 
+use crate::codec::Reader;
+
 /// 8-byte magic at the start of every segment file; the digit versions
 /// the record wire form. `DLSWAL01` segments carried fixed-width grants
 /// and settle lists and are refused like any other magic.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"DLSWAL02";
 
-/// Fixed size of the segment header: magic + segment sequence number.
+/// 8-byte magic at the start of a snapshot file; the digit versions the
+/// body layout. `DLSSNAP1` bodies carried a row per lease ever granted
+/// and are refused like any other magic.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DLSSNAP2";
+
+/// Fixed size of a file header: magic + sequence number. Segments and
+/// snapshots share it.
 pub const SEGMENT_HEADER_LEN: usize = 16;
 
 /// Per-record framing overhead: length prefix + CRC.
 pub const RECORD_HEADER_LEN: usize = 8;
 
-/// Hard cap on a single record's payload. Nothing the service
-/// journals comes close; the cap exists so a torn length prefix that
-/// happens to pass as "huge" is rejected instead of driving a
-/// multi-gigabyte read.
+/// Hard cap on a single record's payload, checked when encoding.
+/// Nothing the service journals comes close. Parsing needs no cap of
+/// its own: a file is read whole first, so a torn length prefix that
+/// reads as "huge" runs past the end of the bytes and is torn.
 pub const MAX_RECORD_LEN: u32 = 16 * 1024 * 1024;
 
 /// CRC32 (IEEE 802.3, reflected, init/xorout `0xFFFF_FFFF`) — the
@@ -103,12 +116,62 @@ pub(crate) fn encode_record_with(out: &mut Vec<u8>, write: impl FnOnce(&mut Vec<
     out[start + 4..start + RECORD_HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Build a segment header for segment `seq`.
-pub fn segment_header(seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
+/// The header of a file of kind `magic` and sequence number `seq`.
+fn header(magic: &[u8; 8], seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
     let mut h = [0u8; SEGMENT_HEADER_LEN];
-    h[..8].copy_from_slice(SEGMENT_MAGIC);
+    h[..8].copy_from_slice(magic);
     h[8..].copy_from_slice(&seq.to_le_bytes());
     h
+}
+
+/// The sequence number of a file that opens with `magic`, and the
+/// bytes after its header; `None` for a short file or another magic.
+fn read_header<'a>(bytes: &'a [u8], magic: &[u8; 8]) -> Option<(u64, &'a [u8])> {
+    let mut r = Reader::new(bytes);
+    if r.take(magic.len()).ok()? != magic {
+        return None;
+    }
+    Some((r.u64().ok()?, r.rest()))
+}
+
+/// One frame at the front of `bytes`: its payload and the bytes after
+/// it, or `None` when the frame is torn (short header, short payload,
+/// CRC mismatch, or a zero length prefix).
+fn record(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
+    let mut r = Reader::new(bytes);
+    let (len, crc) = (r.u32().ok()?, r.u32().ok()?);
+    // The encoder never writes an empty payload, and an all-zero
+    // header would pass the CRC check (`crc32(&[])` is 0): a
+    // zero-filled tail, as some filesystems leave after a power cut,
+    // is torn, not a run of empty records.
+    if len == 0 {
+        return None;
+    }
+    let payload = r.take(len as usize).ok()?;
+    (crc32(payload) == crc).then(|| (payload, r.rest()))
+}
+
+/// Build a segment header for segment `seq`.
+pub fn segment_header(seq: u64) -> [u8; SEGMENT_HEADER_LEN] {
+    header(SEGMENT_MAGIC, seq)
+}
+
+/// A whole snapshot file: the header of `boundary`, then `body` as one
+/// frame.
+pub fn encode_snapshot(boundary: u64, body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(SEGMENT_HEADER_LEN + RECORD_HEADER_LEN + body.len());
+    out.extend_from_slice(&header(SNAPSHOT_MAGIC, boundary));
+    encode_record(body, &mut out);
+    out
+}
+
+/// The body of a snapshot file written by [`encode_snapshot`] for
+/// `boundary`; `None` for another magic or boundary, a torn frame or
+/// bytes past it.
+pub fn decode_snapshot(bytes: &[u8], boundary: u64) -> Option<&[u8]> {
+    let (seq, framed) = read_header(bytes, SNAPSHOT_MAGIC)?;
+    let (body, rest) = record(framed)?;
+    (seq == boundary && rest.is_empty()).then_some(body)
 }
 
 /// True when `bytes` are a segment cut inside its own header: a proper
@@ -132,8 +195,8 @@ pub struct ScanResult<'a> {
     /// point when `torn` is true, the file length otherwise.
     pub clean_len: usize,
     /// True if trailing bytes after `clean_len` failed to parse
-    /// (short header, short payload, CRC mismatch, or a zero or
-    /// oversized length prefix).
+    /// (short header, short payload, CRC mismatch, or a zero length
+    /// prefix).
     pub torn: bool,
 }
 
@@ -167,53 +230,18 @@ impl std::fmt::Display for ScanError {
 /// offset where the clean prefix ends. `expect_seq` (when `Some`)
 /// cross-checks the header against the filename.
 pub fn scan(bytes: &[u8], expect_seq: Option<u64>) -> Result<ScanResult<'_>, ScanError> {
-    if bytes.len() < SEGMENT_HEADER_LEN || &bytes[..8] != SEGMENT_MAGIC {
-        return Err(ScanError::BadHeader);
-    }
-    let mut seq_buf = [0u8; 8];
-    seq_buf.copy_from_slice(&bytes[8..16]);
-    let seq = u64::from_le_bytes(seq_buf);
+    let (seq, mut rest) = read_header(bytes, SEGMENT_MAGIC).ok_or(ScanError::BadHeader)?;
     if let Some(expected) = expect_seq {
         if seq != expected {
             return Err(ScanError::SeqMismatch { expected, found: seq });
         }
     }
-
     let mut records = Vec::new();
-    let mut off = SEGMENT_HEADER_LEN;
-    loop {
-        if off == bytes.len() {
-            return Ok(ScanResult { seq, records, clean_len: off, torn: false });
-        }
-        if bytes.len() - off < RECORD_HEADER_LEN {
-            return Ok(ScanResult { seq, records, clean_len: off, torn: true });
-        }
-        let mut w = [0u8; 4];
-        w.copy_from_slice(&bytes[off..off + 4]);
-        let len = u32::from_le_bytes(w);
-        w.copy_from_slice(&bytes[off + 4..off + 8]);
-        let crc = u32::from_le_bytes(w);
-        // The encoder never writes an empty payload, and an all-zero
-        // header would pass the CRC check (`crc32(&[])` is 0): a
-        // zero-filled tail, as some filesystems leave after a power cut,
-        // is torn, not a run of empty records.
-        if len == 0 || len > MAX_RECORD_LEN {
-            return Ok(ScanResult { seq, records, clean_len: off, torn: true });
-        }
-        let start = off + RECORD_HEADER_LEN;
-        let Some(end) = start.checked_add(len as usize) else {
-            return Ok(ScanResult { seq, records, clean_len: off, torn: true });
-        };
-        if end > bytes.len() {
-            return Ok(ScanResult { seq, records, clean_len: off, torn: true });
-        }
-        let payload = &bytes[start..end];
-        if crc32(payload) != crc {
-            return Ok(ScanResult { seq, records, clean_len: off, torn: true });
-        }
+    while let Some((payload, after)) = record(rest) {
         records.push(payload);
-        off = end;
+        rest = after;
     }
+    Ok(ScanResult { seq, records, clean_len: bytes.len() - rest.len(), torn: !rest.is_empty() })
 }
 
 #[cfg(test)]
@@ -323,6 +351,21 @@ mod tests {
         assert!(res.torn);
         assert_eq!(res.clean_len, SEGMENT_HEADER_LEN);
         assert!(res.records.is_empty());
+    }
+
+    #[test]
+    fn snapshot_round_trips_and_refuses_what_it_did_not_write() {
+        let file = encode_snapshot(9, b"image");
+        assert_eq!(&file[..8], SNAPSHOT_MAGIC);
+        assert_eq!(decode_snapshot(&file, 9), Some(&b"image"[..]));
+        assert_eq!(decode_snapshot(&file, 8), None, "another boundary");
+        let mut longer = file.clone();
+        longer.push(0);
+        assert_eq!(decode_snapshot(&longer, 9), None, "bytes past the frame");
+        for cut in 0..file.len() {
+            assert_eq!(decode_snapshot(&file[..cut], 9), None, "cut at {cut}");
+        }
+        assert_eq!(scan(&file, None).unwrap_err(), ScanError::BadHeader, "no segment");
     }
 
     #[test]

@@ -26,18 +26,13 @@
 //! have a torn tail.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use crate::frame;
 use crate::record::JournalRecord;
 use crate::replay::{RecoveredState, ReplayError};
-
-/// Magic at the start of a snapshot file; the digit versions the body
-/// layout. `DLSSNAP1` bodies carried a row per lease ever granted and
-/// are refused as [`RecoverError::BadSnapshot`], like any other magic.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DLSSNAP2";
 
 /// When to fsync committed records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -291,91 +286,37 @@ pub struct Journal {
 
 impl Journal {
     /// Open (creating the directory if needed), recover the persisted
-    /// state, truncate any torn tail, bump the epoch, and durably
-    /// record the new incarnation's [`JournalRecord::ServerStart`]
-    /// before returning. The returned state has **not** been re-armed;
-    /// callers decide when to call [`RecoveredState::re_arm`].
+    /// state, repair the torn end of the last segment, bump the epoch,
+    /// and durably record the new incarnation's
+    /// [`JournalRecord::ServerStart`] before returning. The returned
+    /// state has **not** been re-armed; callers decide when to call
+    /// [`RecoveredState::re_arm`].
     pub fn open(opts: JournalOptions) -> Result<(Self, RecoveredState), RecoverError> {
         fs::create_dir_all(&opts.dir)?;
-        let (mut state, base_seq) = load_snapshot(&opts.dir)?;
-        let mut segments = list_seqs(&opts.dir, "wal-", ".log")?;
-        segments.retain(|&(seq, _)| seq >= base_seq);
-
-        // Seq continuity: gaps below the snapshot boundary are GC'd
-        // segments; gaps above it are corruption.
-        for pair in segments.windows(2) {
-            if pair[1].0 != pair[0].0 + 1 {
-                return Err(RecoverError::MissingSegment { seq: pair[0].0 + 1 });
+        let (mut state, tail) = scan_dir(&opts.dir)?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            .append(true)
+            .truncate(false)
+            .open(seg_path(&opts.dir, tail.seq))?;
+        if let Some(clean) = tail.torn {
+            // A crash artifact, or no segment yet: drop the torn bytes
+            // so the next append lands after the last clean record, and
+            // write a torn or missing header whole.
+            file.set_len(clean)?;
+            if clean == 0 {
+                file.write_all(&frame::segment_header(tail.seq))?;
             }
+            file.sync_all()?;
+            fsync_dir(&opts.dir)?;
         }
-        if let (Some(&(first, _)), true) = (segments.first(), base_seq > 0) {
-            if first > base_seq {
-                return Err(RecoverError::MissingSegment { seq: base_seq });
-            }
-        }
-
-        let last_idx = segments.len().wrapping_sub(1);
-        let mut tail = None;
-        for (idx, (seq, path)) in segments.iter().enumerate() {
-            let mut bytes = Vec::new();
-            File::open(path)?.read_to_end(&mut bytes)?;
-            if idx == last_idx && frame::torn_header(&bytes, *seq) {
-                // Killed inside a rotation: write the header it lacks.
-                let mut f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(0)?;
-                f.write_all(&frame::segment_header(*seq))?;
-                f.sync_all()?;
-                tail = Some((*seq, frame::SEGMENT_HEADER_LEN as u64));
-                continue;
-            }
-            let scanned = frame::scan(&bytes, Some(*seq)).map_err(|e| {
-                RecoverError::BadSegment { path: path.clone(), reason: e.to_string() }
-            })?;
-            if scanned.torn {
-                if idx != last_idx {
-                    return Err(RecoverError::TornMiddle { path: path.clone() });
-                }
-                // Crash artifact: drop the torn tail on disk too, so
-                // the next append lands after the last clean record.
-                let f = OpenOptions::new().write(true).open(path)?;
-                f.set_len(scanned.clean_len as u64)?;
-                f.sync_all()?;
-            }
-            for payload in &scanned.records {
-                let rec = JournalRecord::decode(payload)
-                    .ok_or_else(|| RecoverError::BadRecord { path: path.clone() })?;
-                state.apply(&rec)?;
-            }
-            if idx == last_idx {
-                tail = Some((*seq, scanned.clean_len as u64));
-            }
-        }
-
-        let (seg_seq, seg_len, file) = match tail {
-            Some((seq, len)) => {
-                let file = OpenOptions::new().append(true).open(seg_path(&opts.dir, seq))?;
-                (seq, len, file)
-            }
-            None => {
-                // Fresh directory (or snapshot with every segment
-                // GC'd): start the next segment after the boundary.
-                let seq = base_seq.max(1);
-                let mut file = OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .truncate(false)
-                    .open(seg_path(&opts.dir, seq))?;
-                file.write_all(&frame::segment_header(seq))?;
-                fsync_dir(&opts.dir)?;
-                (seq, frame::SEGMENT_HEADER_LEN as u64, file)
-            }
-        };
+        let seg_len = file.metadata()?.len();
 
         let segments_live = list_seqs(&opts.dir, "wal-", ".log")?.len() as u64;
         let mut journal = Journal {
             opts,
             file,
-            seg_seq,
+            seg_seq: tail.seq,
             seg_len,
             buf: Vec::with_capacity(4096),
             pending: 0,
@@ -394,38 +335,11 @@ impl Journal {
         Ok((journal, state))
     }
 
-    /// Replay a journal directory without mutating it — no torn-tail
-    /// truncation, no epoch bump, no appends. The read-only twin of
-    /// [`Journal::open`] for tools and determinism tests.
+    /// Replay a journal directory without mutating it — no repair, no
+    /// epoch bump, no appends: the state [`Journal::open`] recovers,
+    /// before its epoch bump, for tools and determinism tests.
     pub fn replay_dir(dir: &Path) -> Result<RecoveredState, RecoverError> {
-        let (mut state, base_seq) = load_snapshot(dir)?;
-        let mut segments = list_seqs(dir, "wal-", ".log")?;
-        segments.retain(|&(seq, _)| seq >= base_seq);
-        for pair in segments.windows(2) {
-            if pair[1].0 != pair[0].0 + 1 {
-                return Err(RecoverError::MissingSegment { seq: pair[0].0 + 1 });
-            }
-        }
-        let last_idx = segments.len().wrapping_sub(1);
-        for (idx, (seq, path)) in segments.iter().enumerate() {
-            let mut bytes = Vec::new();
-            File::open(path)?.read_to_end(&mut bytes)?;
-            if idx == last_idx && frame::torn_header(&bytes, *seq) {
-                continue; // killed inside a rotation: an empty segment
-            }
-            let scanned = frame::scan(&bytes, Some(*seq)).map_err(|e| {
-                RecoverError::BadSegment { path: path.clone(), reason: e.to_string() }
-            })?;
-            if scanned.torn && idx != last_idx {
-                return Err(RecoverError::TornMiddle { path: path.clone() });
-            }
-            for payload in &scanned.records {
-                let rec = JournalRecord::decode(payload)
-                    .ok_or_else(|| RecoverError::BadRecord { path: path.clone() })?;
-                state.apply(&rec)?;
-            }
-        }
-        Ok(state)
+        scan_dir(dir).map(|(state, _)| state)
     }
 
     /// Buffer one record. No I/O — safe under hot-path locks; the
@@ -572,10 +486,7 @@ impl Journal {
         let final_path = snap_path(&self.opts.dir, boundary);
         {
             let mut f = File::create(&tmp)?;
-            let mut bytes = Vec::with_capacity(body.len() + 24);
-            bytes.extend_from_slice(SNAPSHOT_MAGIC);
-            bytes.extend_from_slice(&boundary.to_le_bytes());
-            frame::encode_record(body, &mut bytes);
+            let bytes = frame::encode_snapshot(boundary, body);
             f.write_all(&bytes)?;
             f.sync_all()?;
             self.stats.fsyncs += 1;
@@ -611,40 +522,70 @@ impl Journal {
     }
 }
 
+/// The segment [`Journal::open`] journals into: the last one, or,
+/// when none survives at or above the snapshot boundary, the next one,
+/// read as cut before its header.
+struct Tail {
+    seq: u64,
+    /// Where a torn segment's clean prefix ends: 0 when the header is
+    /// torn too (killed inside a rotation, which creates the file
+    /// before it writes the header). `None` for a whole segment.
+    torn: Option<u64>,
+}
+
+/// Read a journal directory without touching it: load the newest
+/// snapshot, check that the segments at or above its boundary run
+/// without a gap, and apply their records on top. The one reader
+/// under [`Journal::open`] and [`Journal::replay_dir`].
+fn scan_dir(dir: &Path) -> Result<(RecoveredState, Tail), RecoverError> {
+    let (mut state, base) = load_snapshot(dir)?;
+    let mut segments = list_seqs(dir, "wal-", ".log")?;
+    segments.retain(|&(seq, _)| seq >= base);
+
+    // Seq continuity from the boundary on: gaps below it are GC'd
+    // segments, a gap at or above it is corruption.
+    let first = if base > 0 { base } else { segments.first().map_or(1, |&(seq, _)| seq) };
+    for (expect, &(seq, _)) in (first..).zip(&segments) {
+        if seq != expect {
+            return Err(RecoverError::MissingSegment { seq: expect });
+        }
+    }
+
+    // With no segment to read, the one `open` must create.
+    let mut tail = Tail { seq: first, torn: Some(0) };
+    for (idx, (seq, path)) in segments.iter().enumerate() {
+        let last = idx + 1 == segments.len();
+        let bytes = fs::read(path)?;
+        if last && frame::torn_header(&bytes, *seq) {
+            tail = Tail { seq: *seq, torn: Some(0) };
+            continue;
+        }
+        let scanned = frame::scan(&bytes, Some(*seq))
+            .map_err(|e| RecoverError::BadSegment { path: path.clone(), reason: e.to_string() })?;
+        if scanned.torn && !last {
+            return Err(RecoverError::TornMiddle { path: path.clone() });
+        }
+        for payload in &scanned.records {
+            let rec = JournalRecord::decode(payload)
+                .ok_or_else(|| RecoverError::BadRecord { path: path.clone() })?;
+            state.apply(&rec)?;
+        }
+        tail = Tail { seq: *seq, torn: scanned.torn.then_some(scanned.clean_len as u64) };
+    }
+    Ok((state, tail))
+}
+
 /// Load the newest snapshot in `dir`, returning the base state and
 /// the boundary seq (0 when no snapshot exists).
 fn load_snapshot(dir: &Path) -> Result<(RecoveredState, u64), RecoverError> {
-    if !dir.exists() {
-        return Ok((RecoveredState::new(), 0));
-    }
-    let snaps = list_seqs(dir, "snap-", ".img")?;
-    let Some(&(seq, ref path)) = snaps.last() else {
+    let Some((seq, path)) = list_seqs(dir, "snap-", ".img")?.pop() else {
         return Ok((RecoveredState::new(), 0));
     };
-    let bad = || RecoverError::BadSnapshot { path: path.clone() };
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < 16 || &bytes[..8] != SNAPSHOT_MAGIC {
-        return Err(bad());
-    }
-    let stored_seq = u64::from_le_bytes(bytes[8..16].try_into().map_err(|_| bad())?);
-    if stored_seq != seq {
-        return Err(bad());
-    }
-    // The body is one CRC frame; reuse the segment scanner by faking
-    // a header-less scan: frame layout is identical.
-    let framed = &bytes[16..];
-    if framed.len() < frame::RECORD_HEADER_LEN {
-        return Err(bad());
-    }
-    let len = u32::from_le_bytes(framed[..4].try_into().map_err(|_| bad())?) as usize;
-    let crc = u32::from_le_bytes(framed[4..8].try_into().map_err(|_| bad())?);
-    let body = framed.get(frame::RECORD_HEADER_LEN..).ok_or_else(bad)?;
-    if body.len() != len || frame::crc32(body) != crc {
-        return Err(bad());
-    }
-    let state = RecoveredState::deserialize(body).ok_or_else(bad)?;
-    Ok((state, seq))
+    let bytes = fs::read(&path)?;
+    frame::decode_snapshot(&bytes, seq)
+        .and_then(RecoveredState::deserialize)
+        .map(|state| (state, seq))
+        .ok_or(RecoverError::BadSnapshot { path })
 }
 
 #[cfg(test)]
@@ -894,7 +835,63 @@ mod tests {
         assert!(j.stats().segments >= 3);
         drop(j);
         fs::remove_file(seg_path(&dir, 2)).unwrap();
+        assert!(matches!(Journal::replay_dir(&dir), Err(RecoverError::MissingSegment { seq: 2 })));
         assert!(matches!(Journal::open(o), Err(RecoverError::MissingSegment { seq: 2 })));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `open` and `replay_dir`, as `(entry point, outcome)` pairs.
+    fn both_readers(dir: &Path) -> [(&'static str, Result<RecoveredState, RecoverError>); 2] {
+        [
+            ("replay_dir", Journal::replay_dir(dir)),
+            ("open", Journal::open(opts(dir)).map(|(_, state)| state)),
+        ]
+    }
+
+    #[test]
+    fn the_boundary_segment_missing_under_a_snapshot_is_refused_by_both_readers() {
+        let dir = tmpdir("gap-boundary");
+        let mut o = opts(&dir);
+        o.segment_bytes = 32;
+        let (mut j, _) = Journal::open(o).unwrap();
+        j.append(&JournalRecord::Drained { epoch: 0 });
+        j.commit().unwrap();
+        let boundary = j.begin_snapshot().unwrap();
+        let state = Journal::replay_dir(&dir).unwrap();
+        j.install_snapshot(boundary, &state.serialize()).unwrap();
+        for _ in 0..6 {
+            j.append(&JournalRecord::Drained { epoch: 0 });
+            j.commit().unwrap();
+        }
+        assert!(j.stats().segments >= 3, "segments past the boundary survive");
+        drop(j);
+        // Segments boundary+1.. still run without a gap between them.
+        fs::remove_file(seg_path(&dir, boundary)).unwrap();
+        for (what, result) in both_readers(&dir) {
+            match result {
+                Err(RecoverError::MissingSegment { seq }) => assert_eq!(seq, boundary, "{what}"),
+                other => panic!("{what}: expected MissingSegment, got {other:?}"),
+            }
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_crc_clean_frame_that_is_no_record_is_refused_by_both_readers() {
+        let dir = tmpdir("badrecord");
+        drop(Journal::open(opts(&dir)).unwrap());
+        let seg = seg_path(&dir, 1);
+        let mut bytes = fs::read(&seg).unwrap();
+        frame::encode_record(&[0xFF], &mut bytes);
+        fs::write(&seg, &bytes).unwrap();
+        assert_eq!(JournalRecord::decode(&[0xFF]), None, "no record has tag 0xFF");
+        for (what, result) in both_readers(&dir) {
+            match result {
+                Err(RecoverError::BadRecord { path }) => assert_eq!(path, seg, "{what}"),
+                other => panic!("{what}: expected BadRecord, got {other:?}"),
+            }
+        }
+        assert_eq!(fs::read(&seg).unwrap(), bytes, "a refused open repairs nothing");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -163,10 +163,6 @@ pub struct RunConfig {
     /// (for exactly-once verification). Simulator only: live runs
     /// always keep their ledgers.
     pub record_chunks: bool,
-    /// Per-worker speed multipliers for failure injection / systemic
-    /// imbalance: iteration costs on worker `w` are scaled by
-    /// `slowdown[w]`. Empty means all 1.0. Simulator only.
-    pub slowdown: Vec<f64>,
     /// Who refills the local queue. Simulator only (MPI+MPI).
     pub refill: RefillPolicy,
     /// Model the `nowait` clause for MPI+OpenMP (the paper's future
@@ -215,7 +211,6 @@ impl RunConfig {
             faults: FaultPlan::none(),
             machine: MachineParams::default(),
             record_chunks: false,
-            slowdown: Vec::new(),
             refill: RefillPolicy::Fastest,
             omp_nowait: false,
             perturb: Perturbation::None,
@@ -240,22 +235,14 @@ impl RunConfig {
         }
     }
 
-    pub(crate) fn scaled_cost(&self, worker: u32, raw: u64) -> Time {
-        match self.slowdown.get(worker as usize) {
-            Some(&f) if f != 1.0 => (raw as f64 * f).round().max(1.0) as Time,
-            _ => raw,
-        }
-    }
-
-    /// [`RunConfig::scaled_cost`] further scaled by any straggler fault
-    /// active on `worker` at virtual time `now`.
+    /// `raw` scaled by any straggler fault active on `worker` at
+    /// virtual time `now`.
     pub(crate) fn cost_at(&self, worker: u32, now: Time, raw: u64) -> Time {
-        let base = self.scaled_cost(worker, raw);
         let f = self.faults.straggle_factor(worker, now);
         if f == 1.0 {
-            base
+            raw
         } else {
-            (base as f64 * f).round().max(1.0) as Time
+            (raw as f64 * f).round().max(1.0) as Time
         }
     }
 

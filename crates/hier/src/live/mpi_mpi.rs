@@ -705,10 +705,10 @@ mod tests {
                 let want = [
                     Lock { kind: ex, target: 0 },
                     Sync,
-                    Get { target: 0, disp: i, len: 1 },
-                    Get { target: 0, disp: i + 1, len: 1 },
-                    Put { target: 0, disp: i, len: 1 },
-                    Put { target: 0, disp: i + 1, len: 1 },
+                    Get { target: 0, disp: i },
+                    Get { target: 0, disp: i + 1 },
+                    Put { target: 0, disp: i },
+                    Put { target: 0, disp: i + 1 },
                     Sync,
                     Unlock { kind: ex, target: 0 },
                 ];

@@ -43,11 +43,11 @@ const UNLOCK: RmaEvent = RmaEvent::Unlock { kind: LockKind::Exclusive, target: 0
 const SYNC: RmaEvent = RmaEvent::Sync;
 
 const fn get(disp: usize) -> RmaEvent {
-    RmaEvent::Get { target: 0, disp, len: 1 }
+    RmaEvent::Get { target: 0, disp }
 }
 
 const fn put(disp: usize) -> RmaEvent {
-    RmaEvent::Put { target: 0, disp, len: 1 }
+    RmaEvent::Put { target: 0, disp }
 }
 
 /// Node window: lock, sync, read the front range, advance it, sync,

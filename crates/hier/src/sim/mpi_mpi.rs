@@ -509,7 +509,7 @@ mod tests {
         let w = Synthetic::constant(4000, 50_000);
         let table = CostTable::build(&w);
         let mut cfg = RunConfig::new(1, 4, HierSpec::new(Kind::GSS, Kind::SS), Approach::MpiMpi);
-        cfg.slowdown = vec![4.0, 1.0, 1.0, 1.0]; // worker 0 is 4x slower
+        cfg.faults = resilience::FaultPlan::straggler(0, 4.0); // worker 0 is 4x slower
         let r = simulate_mpi_mpi(&cfg, &table);
         assert_eq!(r.stats.total_iterations, 4000);
         let iters: Vec<u64> = r.stats.workers.iter().map(|w| w.iterations).collect();

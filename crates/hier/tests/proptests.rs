@@ -8,6 +8,7 @@ use hier::queue::{exactly_once, LocalQueue};
 use hier::sim::simulate;
 use hier::{Approach, HierSpec, RunConfig};
 use proptest::prelude::*;
+use resilience::FaultPlan;
 use workloads::synthetic::Synthetic;
 use workloads::{CostTable, Workload};
 
@@ -112,13 +113,13 @@ proptest! {
     ) {
         let w = Synthetic::constant(n, 1_000);
         let table = CostTable::build(&w);
-        let run = |slow: Vec<f64>| {
+        let run = |faults: FaultPlan| {
             let mut cfg = RunConfig::new(2, 2, HierSpec::new(Kind::GSS, Kind::GSS), Approach::MpiMpi);
-            cfg.slowdown = slow;
+            cfg.faults = faults;
             simulate(&cfg, &table).makespan
         };
-        let baseline = run(vec![]);
-        let slowed = run(vec![factor, 1.0, 1.0, 1.0]);
+        let baseline = run(FaultPlan::none());
+        let slowed = run(FaultPlan::straggler(0, factor));
         prop_assert!(slowed >= baseline);
     }
 }

@@ -54,12 +54,10 @@ fn fold_rma_event(h: &mut Fnv, ev: &RmaEvent) {
         RmaEvent::Sync => h.word(6),
         RmaEvent::Flush { target } => h.words(&[7, u64::from(target)]),
         RmaEvent::Barrier => h.word(8),
-        RmaEvent::Get { target, disp, len } => {
-            h.words(&[9, u64::from(target), disp as u64, len as u64]);
-        }
-        RmaEvent::Put { target, disp, len } => {
-            h.words(&[10, u64::from(target), disp as u64, len as u64]);
-        }
+        // The literal 1 is the element count these events once carried;
+        // it keeps every pinned digest.
+        RmaEvent::Get { target, disp } => h.words(&[9, u64::from(target), disp as u64, 1]),
+        RmaEvent::Put { target, disp } => h.words(&[10, u64::from(target), disp as u64, 1]),
         RmaEvent::Atomic { target, disp, op } => {
             let op = match op {
                 AtomicOpKind::FetchAndOp => 0,

@@ -80,23 +80,19 @@ pub enum RmaEvent {
     /// A barrier over the window's communicator, reported by the
     /// application via [`Window::note_barrier`](crate::Window::note_barrier).
     Barrier,
-    /// `MPI_Get` of `len` elements at (`target`, `disp`).
+    /// `MPI_Get` of one element at (`target`, `disp`).
     Get {
         /// Target rank.
         target: u32,
-        /// First displacement read.
+        /// Displacement read.
         disp: usize,
-        /// Elements read.
-        len: usize,
     },
-    /// `MPI_Put` of `len` elements at (`target`, `disp`).
+    /// `MPI_Put` of one element at (`target`, `disp`).
     Put {
         /// Target rank.
         target: u32,
-        /// First displacement written.
+        /// Displacement written.
         disp: usize,
-        /// Elements written.
-        len: usize,
     },
     /// An RMA atomic on a single element.
     Atomic {

@@ -509,7 +509,7 @@ impl Window {
         self.check_alive(target)?;
         let slot = self.slot(target, disp)?;
         bump(&self.rank.gets, 1);
-        self.rec(RmaEvent::Get { target, disp, len: 1 });
+        self.rec(RmaEvent::Get { target, disp });
         Ok(slot.load(Ordering::Acquire))
     }
 
@@ -519,7 +519,7 @@ impl Window {
         self.check_alive(target)?;
         let slot = self.slot(target, disp)?;
         bump(&self.rank.puts, 1);
-        self.rec(RmaEvent::Put { target, disp, len: 1 });
+        self.rec(RmaEvent::Put { target, disp });
         slot.store(value, Ordering::Release);
         Ok(())
     }
@@ -955,7 +955,7 @@ mod tests {
         for rank in 0..2 {
             let mine: Vec<_> = records.iter().filter(|r| r.rank == rank).map(|r| r.event).collect();
             assert!(matches!(mine[0], RmaEvent::Attach { shared: false, comm_size: 2 }));
-            assert!(mine.contains(&RmaEvent::Put { target: 0, disp: 0, len: 1 }));
+            assert!(mine.contains(&RmaEvent::Put { target: 0, disp: 0 }));
             assert!(mine.contains(&RmaEvent::Atomic {
                 target: 1,
                 disp: 0,

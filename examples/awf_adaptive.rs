@@ -15,7 +15,9 @@ fn main() {
     // run 3x slower (e.g. thermally throttled cores).
     let workload = Synthetic::constant(400_000, 8_000);
     let table = CostTable::build(&workload);
-    let slowdown: Vec<f64> = (0..16).map(|w| if w % 8 < 2 { 3.0 } else { 1.0 }).collect();
+    let stragglers = (0..16)
+        .filter(|w| w % 8 < 2)
+        .fold(FaultPlan::none(), |p, w| p.with(w, FaultKind::Straggle { factor: 3.0, from_ns: 0 }));
 
     // Fine-grained global chunks give the adaptive scheme rounds to
     // learn in.
@@ -31,7 +33,7 @@ fn main() {
             .approach(Approach::MpiMpi)
             .nodes(2)
             .workers_per_node(8)
-            .slowdown(slowdown.clone());
+            .faults(stragglers.clone());
         if let Some(v) = awf {
             b = b.awf(v);
         }

@@ -15,9 +15,8 @@ fn main() {
 
     // 2 nodes x 8 workers; one node's first two workers run 3x slower
     // (e.g. sharing their cores with another job).
-    let mut slowdown = vec![1.0; 16];
-    slowdown[0] = 3.0;
-    slowdown[1] = 3.0;
+    let stragglers =
+        FaultPlan::straggler(0, 3.0).with(1, FaultKind::Straggle { factor: 3.0, from_ns: 0 });
 
     println!("2 nodes x 8 workers; workers 0 and 1 are 3x slower\n");
     println!(
@@ -31,7 +30,7 @@ fn main() {
             .approach(Approach::MpiMpi)
             .nodes(2)
             .workers_per_node(8)
-            .slowdown(slowdown.clone())
+            .faults(stragglers.clone())
             .build();
         let r = schedule.simulate(&table);
         let mut iters: Vec<u64> = r.stats.workers.iter().map(|w| w.iterations).collect();

@@ -45,14 +45,15 @@ fn weights_match_speeds_bound_straggler_exposure() {
     // straggler exposure WF is designed to bound.
     let w = Synthetic::constant(100_000, 50_000);
     let table = CostTable::build(&w);
-    let slowdown = vec![2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
+    let stragglers =
+        FaultPlan::straggler(0, 2.0).with(1, FaultKind::Straggle { factor: 2.0, from_ns: 0 });
     let run = |weights: Vec<f64>| {
         HierSchedule::builder()
             .inter(Kind::GSS)
             .intra(Kind::WF)
             .nodes(1)
             .workers_per_node(8)
-            .slowdown(slowdown.clone())
+            .faults(stragglers.clone())
             .weights(weights)
             .record_chunks(true)
             .build()
@@ -83,7 +84,7 @@ fn awf_learns_slow_worker_in_sim() {
             .nodes(1)
             .workers_per_node(4)
             .awf(variant)
-            .slowdown(vec![4.0, 1.0, 1.0, 1.0])
+            .faults(FaultPlan::straggler(0, 4.0))
             .build()
             .simulate(&table);
         assert_eq!(r.stats.total_iterations, 100_000, "{}", variant.name());
@@ -112,7 +113,10 @@ fn awf_beats_plain_fac2_under_systemic_imbalance() {
             .intra(Kind::FAC2)
             .nodes(2)
             .workers_per_node(8)
-            .slowdown((0..16).map(|i| if i % 8 == 0 { 4.0 } else { 1.0 }).collect());
+            .faults(
+                FaultPlan::straggler(0, 4.0)
+                    .with(8, FaultKind::Straggle { factor: 4.0, from_ns: 0 }),
+            );
         if let Some(v) = awf {
             b = b.awf(v);
         }
