@@ -25,6 +25,36 @@ proptest! {
     }
 
     #[test]
+    fn interleaved_pushes_and_pops_match_a_stable_reference(
+        ops in prop::collection::vec((0u8..3, 0u64..4), 0..300)
+    ) {
+        // One op in three pops; pushes draw from four timestamps, so
+        // most pops break a tie, and every pop frees a slot that the
+        // next push reuses.
+        let mut q = EventQueue::new();
+        let mut reference: Vec<(u64, usize)> = Vec::new();
+        for (i, &(op, t)) in ops.iter().enumerate() {
+            if op == 0 {
+                // Earliest time, then earliest insertion: the first
+                // minimum of a vector kept in insertion order.
+                let first = (0..reference.len()).min_by_key(|&j| reference[j].0);
+                let expected = first.map(|j| reference.remove(j));
+                prop_assert_eq!(q.pop(), expected);
+            } else {
+                q.push(t, i);
+                reference.push((t, i));
+            }
+            prop_assert_eq!(q.len(), reference.len());
+        }
+        reference.sort_by_key(|&(t, _)| t);
+        let mut rest = Vec::new();
+        while let Some(e) = q.pop() {
+            rest.push(e);
+        }
+        prop_assert_eq!(rest, reference);
+    }
+
+    #[test]
     fn resource_serializes_without_overlap(reqs in prop::collection::vec((0u64..10_000, 1u64..500), 1..100)) {
         let mut reqs = reqs;
         reqs.sort_by_key(|&(arrive, _)| arrive);

@@ -238,6 +238,9 @@ impl RunConfig {
     /// `raw` scaled by any straggler fault active on `worker` at
     /// virtual time `now`.
     pub(crate) fn cost_at(&self, worker: u32, now: Time, raw: u64) -> Time {
+        if !self.faults.is_active() {
+            return raw;
+        }
         let f = self.faults.straggle_factor(worker, now);
         if f == 1.0 {
             raw

@@ -95,7 +95,8 @@ fn execute_sub(
     let Ok(Some(sub)) = protocol::take(&mut node.queue, &technique, wpn, ctx) else { return false };
     run.tape.tx(grant_end, node_win(node_idx), local, tx);
     let cost = run.cost(w, grant_end, sub);
-    if let Some(ct) = cfg.faults.crash_at(w).filter(|&ct| ct < grant_end + cost) {
+    let crash = cfg.faults.is_active().then(|| cfg.faults.crash_at(w)).flatten();
+    if let Some(ct) = crash.filter(|&ct| ct < grant_end + cost) {
         // Took the sub-chunk under the lock, then died before
         // finishing it: the queue counters advanced, so without a
         // lease these iterations would be silently lost. Grant the

@@ -190,17 +190,13 @@ fn run_team(run: &mut Run<Event>, node: u32, lo: u64, hi: u64, start: Time) -> V
     let mut dispatcher = Resource::new();
     // Perturbation staggers each thread's arrival at the dispatcher,
     // reshuffling which thread wins each pull.
-    let mut clocks: Vec<Time> =
-        (0..threads).map(|i| start + run.jitter.delay(node * threads + i)).collect();
+    let mut team = WinnerTree::new(
+        (0..threads).map(|i| start + run.jitter.delay(node * threads + i)).collect(),
+    );
     loop {
         // The earliest-free thread grabs the next sub-chunk; among
         // equals, the lowest thread id.
-        let (mut i, mut earliest) = (0, clocks[0]);
-        for (j, &c) in clocks.iter().enumerate() {
-            if c < earliest {
-                (i, earliest) = (j, c);
-            }
-        }
+        let (i, earliest) = team.winner();
         let w = node * threads + i as u32;
         let (_, dispatched) = dispatcher.request(earliest, m.omp_dispatch_ns);
         let Some(sub) = queue.take_sub_chunk(intra, threads) else {
@@ -210,9 +206,66 @@ fn run_team(run: &mut Run<Event>, node: u32, lo: u64, hi: u64, start: Time) -> V
         let cost = run.cost(w, dispatched, sub);
         run.compute(w, dispatched, cost, sub);
         run.stats.nodes[node as usize].sub_chunks += 1;
-        clocks[i] = dispatched + cost;
+        team.set(i, dispatched + cost);
     }
-    clocks
+    team.into_clocks()
+}
+
+/// The team's clocks under a winner tree: the earliest-free thread in
+/// one leaf-to-root replay per update instead of a scan of every clock.
+struct WinnerTree {
+    /// The clocks, padded to a power of two with `Time::MAX` (never
+    /// free).
+    clocks: Vec<Time>,
+    /// Node 1 is the root, node `k`'s children are `2k` and `2k + 1`,
+    /// and leaf `clocks.len() + i` is thread `i`. Each node holds the
+    /// thread winning its subtree: the earliest clock, a tie going to
+    /// the left subtree, the lowest thread id.
+    win: Vec<u32>,
+    threads: usize,
+}
+
+impl WinnerTree {
+    fn new(mut clocks: Vec<Time>) -> Self {
+        let threads = clocks.len();
+        let leaves = threads.next_power_of_two();
+        clocks.resize(leaves, Time::MAX);
+        let mut win = vec![0; leaves];
+        win.extend(0..leaves as u32);
+        let mut tree = Self { clocks, win, threads };
+        for k in (1..leaves).rev() {
+            tree.replay(k);
+        }
+        tree
+    }
+
+    /// Node `k` plays its children's winners.
+    fn replay(&mut self, k: usize) {
+        let (l, r) = (self.win[2 * k], self.win[2 * k + 1]);
+        self.win[k] = if self.clocks[r as usize] < self.clocks[l as usize] { r } else { l };
+    }
+
+    /// The earliest-free thread and its clock.
+    fn winner(&self) -> (usize, Time) {
+        let i = self.win[1] as usize;
+        (i, self.clocks[i])
+    }
+
+    /// Thread `i` is next free at `clock`.
+    fn set(&mut self, i: usize, clock: Time) {
+        self.clocks[i] = clock;
+        let mut k = (self.clocks.len() + i) / 2;
+        while k > 0 {
+            self.replay(k);
+            k /= 2;
+        }
+    }
+
+    /// Each thread's clock, by thread id.
+    fn into_clocks(mut self) -> Vec<Time> {
+        self.clocks.truncate(self.threads);
+        self.clocks
+    }
 }
 
 #[cfg(test)]
@@ -285,6 +338,30 @@ mod tests {
         let slow = run(HierSpec::new(Kind::GSS, Kind::GSS), 2, 4, 20_000);
         let fast = run(HierSpec::new(Kind::GSS, Kind::GSS), 8, 4, 20_000);
         assert!(fast.makespan < slow.makespan);
+    }
+
+    #[test]
+    fn winner_tree_picks_the_first_earliest_clock() {
+        // Few distinct clocks, so most picks break a tie.
+        let mut seed = 7u64;
+        let mut next = move || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % 4
+        };
+        for threads in 1..=17 {
+            let mut clocks: Vec<Time> = (0..threads).map(|_| next()).collect();
+            let mut tree = WinnerTree::new(clocks.clone());
+            for _ in 0..200 {
+                let earliest = *clocks.iter().min().unwrap();
+                let first = clocks.iter().position(|&c| c == earliest).unwrap();
+                assert_eq!(tree.winner(), (first, earliest), "{threads} threads");
+                clocks[first] += next();
+                tree.set(first, clocks[first]);
+            }
+            assert_eq!(tree.into_clocks(), clocks);
+        }
     }
 
     #[test]
