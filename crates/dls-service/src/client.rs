@@ -7,10 +7,12 @@
 //! per worker gets crash recovery for free.
 
 use crate::protocol::{
-    frame, ErrorCode, GrantedChunk, JobId, LeaseId, Request, Response, StatsSnapshot, MAX_ITEMS,
+    frame, DecodeError, ErrorCode, GrantedChunk, JobId, LeaseId, Request, Response, StatsSnapshot,
+    MAX_ITEMS,
 };
+use crate::ring::{FramePeek, RingBuf};
 use dls::switchable::{Decision, SchedKind};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -102,7 +104,8 @@ pub struct JobProgress {
 /// One blocking connection to a server.
 pub struct Client {
     stream: TcpStream,
-    read_buf: Vec<u8>,
+    /// Received bytes; a reply is decoded in place once complete.
+    rx: RingBuf,
     /// Per-reply wait budget; `None` blocks indefinitely.
     read_deadline: Option<Duration>,
     /// Server epoch observed on the latest `Chunks`/`JobEpoch` reply;
@@ -117,7 +120,7 @@ impl Client {
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream, read_buf: Vec::new(), read_deadline: None, epoch: 0 })
+        Ok(Client { stream, rx: RingBuf::default(), read_deadline: None, epoch: 0 })
     }
 
     /// The server epoch this client last observed.
@@ -142,24 +145,29 @@ impl Client {
         Ok(())
     }
 
+    /// Write `req`, then read until one reply frame is complete and
+    /// decode it in place. Replies carry no length bound: a `Stats`
+    /// reply grows with the job table.
     fn call(&mut self, req: &Request) -> Result<Response> {
         self.stream.write_all(&frame(&req.encode()))?;
-        // Read exactly one frame.
-        let mut len_buf = [0u8; 4];
-        self.read_exact_buffered(&mut len_buf)?;
-        let len = u32::from_le_bytes(len_buf) as usize;
-        let mut payload = vec![0u8; len];
-        self.read_exact_buffered(&mut payload)?;
-        Response::decode(&payload).map_err(ClientError::Protocol)
-    }
-
-    fn read_exact_buffered(&mut self, out: &mut [u8]) -> Result<()> {
-        // Strict request/response leaves nothing buffered between
-        // calls, but keep a buffer anyway so short reads are handled.
         let start = Instant::now();
-        while self.read_buf.len() < out.len() {
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
+        loop {
+            match self.rx.peek_frame(u32::MAX) {
+                FramePeek::Payload(payload) => {
+                    let reply = Response::decode(payload).map_err(ClientError::Protocol);
+                    self.rx.consume_frame();
+                    return reply;
+                }
+                // Without a bound only a zero length is bad: an empty
+                // reply. Consume its prefix, so the next call reads the
+                // next reply.
+                FramePeek::BadLength(_) => {
+                    self.rx.consume(4);
+                    return Err(ClientError::Protocol(DecodeError::Malformed("empty reply frame")));
+                }
+                FramePeek::Incomplete => {}
+            }
+            match self.rx.read_from(&mut self.stream) {
                 Ok(0) => {
                     // Real EOF: the peer closed. Nothing below may be
                     // conflated with this — a timeout tick is not a
@@ -169,8 +177,8 @@ impl Client {
                         "server closed the connection",
                     )));
                 }
-                Ok(k) => self.read_buf.extend_from_slice(&chunk[..k]),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Ok(_) => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -182,7 +190,7 @@ impl Client {
                                 format!("no reply within {d:?} (connection still open)"),
                             )));
                         }
-                        Some(_) => continue, // tick expired, budget left
+                        Some(_) => {} // tick expired, budget left
                         // No deadline configured (an externally imposed
                         // socket timeout): surface the timeout as-is.
                         None => return Err(ClientError::Io(e)),
@@ -191,9 +199,6 @@ impl Client {
                 Err(e) => return Err(ClientError::Io(e)),
             }
         }
-        out.copy_from_slice(&self.read_buf[..out.len()]);
-        self.read_buf.drain(..out.len());
-        Ok(())
     }
 
     fn expect_ack(resp: Response) -> Result<()> {
@@ -439,4 +444,34 @@ pub fn drive_job_batched(
     execute: &mut dyn FnMut(u64) -> u64,
 ) -> Result<(u64, u64, u64)> {
     drive(client, job, worker, batch, false, execute, &mut |_| true, &mut |_, _| {})
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Read;
+    use std::net::TcpListener;
+
+    /// A zero-length reply fails its call alone: the next call on the
+    /// same connection reads the next reply.
+    #[test]
+    fn a_zero_length_reply_fails_one_call_only() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let request = frame(&Request::Heartbeat { worker: 0 }.encode());
+            let mut got = vec![0u8; request.len()];
+            s.read_exact(&mut got).unwrap();
+            s.write_all(&0u32.to_le_bytes()).unwrap();
+            s.read_exact(&mut got).unwrap();
+            let mut ack = Vec::new();
+            Response::Ack.frame_into(&mut ack);
+            s.write_all(&ack).unwrap();
+        });
+        let mut c = Client::connect(addr).unwrap();
+        assert!(matches!(c.heartbeat(0), Err(ClientError::Protocol(_))));
+        c.heartbeat(0).expect("the next reply is read whole");
+        server.join().unwrap();
+    }
 }

@@ -13,26 +13,35 @@
 //!
 //! 1. *Ingest*: accept new connections (admission is a single
 //!    `fetch_update` CAS on the active-connection counter — the old
-//!    check-then-act race cannot overshoot `max_connections`), read
-//!    every ready socket into its ring buffer, and extract decoded
-//!    requests in arrival order.
-//! 2. *Serve*: answer the whole cycle's requests in one pass, each
-//!    reply framed in place at the end of its connection's write
-//!    buffer. The pass holds one job-table shard guard
-//!    ([`crate::server::Held`]) from request to request — reports,
-//!    fetches, creates and resumes alike — and trades it only when a
-//!    request names a job of another shard (or `Stats` wants them all),
-//!    so a worker's `ReportDone` + `FetchChunk` pair, or a whole burst
-//!    of them against one job, locks its shard once per cycle instead
-//!    of once per request (wakeup-free batching: no condvars, no
-//!    cross-thread handoff). Global stat counters are accumulated
-//!    locally and flushed with one atomic add per counter per cycle.
+//!    check-then-act race cannot overshoot `max_connections`) and read
+//!    every ready socket into its receive buffer.
+//! 2. *Serve*: answer each ready connection's complete frames in
+//!    arrival order, decoded in place from its receive buffer, each
+//!    reply framed in place at the end of its write buffer, until none
+//!    is left or its unflushed replies pass [`TX_SOFT_CAP`]. The pass
+//!    holds one job-table shard guard ([`crate::server::Held`]) from
+//!    request to request — reports, fetches, creates and resumes
+//!    alike — and trades it only when a request names a job of another
+//!    shard (or `Stats` wants them all), so a worker's `ReportDone` +
+//!    `FetchChunk` pair, or a whole burst of them against one job,
+//!    locks its shard once per cycle instead of once per request
+//!    (wakeup-free batching: no condvars, no cross-thread handoff).
+//!    Every count a request moves is kept once, in its job's row or
+//!    its connection's row; `Stats` sums the rows.
 //! 3. *Flush*: write each touched connection's queued responses with
 //!    non-blocking writes, arming `EPOLLOUT` only while a partial
-//!    write is outstanding, then retire connections that died or
-//!    were poisoned by a framing violation. A cycle whose journal
-//!    commit failed does not flush: it closes its connections with
-//!    the replies unwritten (journal-before-ack, fail-stop).
+//!    write is outstanding or a complete frame waits (below), then retire connections that died or
+//!    were poisoned by a framing violation, and publish the touched
+//!    connections' rows. A cycle whose journal commit failed does not
+//!    flush: it closes its connections with the replies unwritten
+//!    (journal-before-ack, fail-stop).
+//!
+//! A connection the cap stopped with a complete frame still buffered
+//! stays polled for writability even once its replies are flushed:
+//! readiness is level-triggered, so a writable socket reports ready on
+//! every wait and the frame is served next cycle. Above the cap it is
+//! polled for writability only, so a client that never reads costs no
+//! spin.
 //!
 //! Rejected connections (`Busy`) get one best-effort non-blocking
 //! write and an immediate close — a client that never reads can no
@@ -43,11 +52,11 @@
 //! half-received frame [`DRAIN_GRACE_CYCLES`] cycles to complete
 //! (the old core could wait on such a connection forever).
 
-use crate::machine::{ConnMachine, FramePeek};
+use crate::machine::ConnMachine;
 use crate::poller::{Event, Interest, Poller};
-use crate::protocol::{ErrorCode, Request, Response, MAX_FRAME, VERSION};
-use crate::ring::READ_CHUNK;
-use crate::server::{CycleTally, Peer, State};
+use crate::protocol::{DecodeError, ErrorCode, Request, Response, MAX_FRAME, VERSION};
+use crate::ring::{FramePeek, READ_CHUNK};
+use crate::server::{Held, Peer, State};
 use crate::sync::atomic::Ordering;
 use crate::sync::Arc;
 use std::io::{ErrorKind, Write};
@@ -55,8 +64,7 @@ use std::net::{Shutdown as SockShutdown, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::time::Duration;
 
-/// Readiness-poll tick: bounds drain latency and how often batched
-/// counters are committed.
+/// Readiness-poll tick: bounds drain latency.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Token reserved for the shard's accept socket.
@@ -67,27 +75,16 @@ const LISTENER_TOKEN: u64 = u64::MAX;
 const RX_SOFT_CAP: usize = 1 << 20;
 
 /// Transmit-side flow control: while a connection's unflushed replies
-/// pass this many bytes, it is neither read nor are frames extracted
-/// from it, and it is polled for writability only. A client that
-/// pipelines requests and never reads its replies then fills its own
-/// socket buffers and blocks, instead of the server buffering every
-/// reply. The cap is soft: one cycle's replies to up to
-/// [`RX_SOFT_CAP`] bytes of requests can land on top of it.
+/// pass this many bytes, it is neither read nor served, and it is
+/// polled for writability only. A client that pipelines requests and
+/// never reads its replies then fills its own socket buffers and
+/// blocks, instead of the server buffering every reply. The cap is
+/// soft by one reply: it is checked before each request is served.
 const TX_SOFT_CAP: usize = 1 << 20;
 
 /// Readiness cycles a draining shard grants a connection that holds a
 /// half-received frame before closing it anyway.
 const DRAIN_GRACE_CYCLES: u32 = 5;
-
-/// One decoded unit of work, queued in arrival order so responses on a
-/// connection always match its request order (pipelining-safe).
-enum OpKind {
-    /// A well-formed request — served through `State::handle`.
-    Request(Request),
-    /// A pre-computed response (decode errors); `close` poisons the
-    /// connection once flushed.
-    Reply { resp: Response, close: bool },
-}
 
 struct ConnEntry {
     peer: Peer,
@@ -96,6 +93,9 @@ struct ConnEntry {
     interest: Interest,
     /// Read side saw EOF or a hard error: retire after this cycle.
     dead: bool,
+    /// The transmit cap stopped this cycle's serve with a complete
+    /// frame still buffered.
+    frame_waiting: bool,
 }
 
 pub(crate) struct LoopShard {
@@ -106,7 +106,6 @@ pub(crate) struct LoopShard {
     free: Vec<usize>,
     live: usize,
     events: Vec<Event>,
-    ops: Vec<(usize, OpKind)>,
     touched: Vec<usize>,
 }
 
@@ -122,7 +121,6 @@ impl LoopShard {
             free: Vec::new(),
             live: 0,
             events: Vec::new(),
-            ops: Vec::new(),
             touched: Vec::new(),
         })
     }
@@ -143,7 +141,6 @@ impl LoopShard {
                 continue;
             }
 
-            let mut tally = CycleTally::default();
             self.touched.clear();
 
             // ---- pass 1: ingest -------------------------------------------
@@ -161,13 +158,15 @@ impl LoopShard {
                 }
                 // Level-triggered readiness: reading a write-only-ready
                 // connection just costs one `WouldBlock`, so every event
-                // is treated uniformly (read, then flush via `touched`).
-                self.read_conn(slot, &mut tally);
+                // is treated uniformly (read, serve, flush via `touched`).
+                self.read_conn(slot);
                 self.touched.push(slot);
             }
+            self.touched.sort_unstable();
+            self.touched.dedup();
 
             // ---- pass 2: serve --------------------------------------------
-            self.serve_cycle(&mut tally);
+            self.serve_cycle();
 
             // ---- journal barrier ------------------------------------------
             // Group-commit the cycle's journal records *before* any
@@ -175,8 +174,6 @@ impl LoopShard {
             // implies the matching Settled/Granted record is durable.
             // (Grant-side loss is additionally fenced by the epoch
             // bump on restart.)
-            self.touched.sort_unstable();
-            self.touched.dedup();
             if self.state.journal_commit() {
                 // ---- pass 3: flush & retire -------------------------------
                 for i in 0..self.touched.len() {
@@ -197,7 +194,7 @@ impl LoopShard {
             if draining {
                 self.drain_pass();
             }
-            self.commit(&tally);
+            self.publish();
 
             if draining && self.live == 0 && self.listener.is_none() {
                 break;
@@ -253,15 +250,16 @@ impl LoopShard {
             return;
         }
         let peer = Peer::new(id);
-        if let Ok(mut stats) = state.conn_stats.lock() {
-            stats.insert(id, peer.stat.clone());
+        if let Ok(mut rows) = state.conn_stats.lock() {
+            rows.open.insert(id, peer.stat.clone());
         }
         self.conns[slot] = Some(ConnEntry {
             peer,
             stream,
-            machine: ConnMachine::new(),
+            machine: ConnMachine::default(),
             interest: Interest::READ,
             dead: false,
+            frame_waiting: false,
         });
         self.live += 1;
         self.touched.push(slot);
@@ -269,25 +267,21 @@ impl LoopShard {
 
     // ---- receive path ----------------------------------------------------
 
-    fn read_conn(&mut self, slot: usize, tally: &mut CycleTally) {
+    fn read_conn(&mut self, slot: usize) {
         let Some(entry) = self.conns[slot].as_mut() else { return };
-        // Skipping the read skips the extraction too, so `rx` keeps at
-        // most a partial frame, and the socket's own readiness wakes the
-        // connection once its replies drain.
-        if entry.machine.tx_pending().len() > TX_SOFT_CAP {
+        // Past the transmit cap the connection is not read, so TCP holds
+        // its client back; the socket's own writability wakes it once
+        // its replies drain.
+        if entry.machine.tx.len() > TX_SOFT_CAP {
             return;
         }
-        loop {
-            if entry.machine.rx_len() > RX_SOFT_CAP {
-                break;
-            }
-            match entry.machine.rx_mut().read_from(&mut entry.stream) {
+        while entry.machine.rx.len() <= RX_SOFT_CAP {
+            match entry.machine.rx.read_from(&mut entry.stream) {
                 Ok(0) => {
                     entry.dead = true;
                     break;
                 }
                 Ok(k) => {
-                    tally.bytes_in += k as u64;
                     entry.machine.idle_cycles = 0;
                     // A short read emptied the socket: asking again
                     // would buy one `WouldBlock`. Should bytes land in
@@ -305,103 +299,44 @@ impl LoopShard {
                 }
             }
         }
-        // Extract every complete frame, preserving arrival order.
-        while !entry.machine.close_after_flush {
-            let op = match entry.machine.peek_frame() {
-                FramePeek::Incomplete => break,
-                FramePeek::BadLength(len) => {
-                    // The stream cannot be resynchronised: answer, then
-                    // close once flushed. Nothing is consumed.
-                    entry.machine.close_after_flush = true;
-                    let resp = Response::Error {
-                        code: ErrorCode::FrameTooLarge,
-                        detail: format!("frame length {len} outside 1..={MAX_FRAME}"),
-                    };
-                    self.ops.push((slot, OpKind::Reply { resp, close: true }));
-                    break;
-                }
-                FramePeek::Payload(payload) => match Request::decode(payload) {
-                    Ok(req) => OpKind::Request(req),
-                    Err(crate::protocol::DecodeError::Version(v)) => {
-                        // A foreign version poisons the rest of the
-                        // stream (framing may differ): close after the
-                        // typed answer.
-                        entry.machine.close_after_flush = true;
-                        OpKind::Reply {
-                            resp: Response::Error {
-                                code: ErrorCode::BadVersion,
-                                detail: format!("version {v}, this server speaks {VERSION}"),
-                            },
-                            close: true,
-                        }
-                    }
-                    Err(e) => OpKind::Reply {
-                        resp: Response::Error {
-                            code: ErrorCode::BadMessage,
-                            detail: e.to_string(),
-                        },
-                        close: false,
-                    },
-                },
-            };
-            let wire = entry.machine.consume_frame();
-            entry.peer.stat.bytes_in += wire as u64;
-            self.ops.push((slot, op));
-        }
     }
 
     // ---- serve path ------------------------------------------------------
 
-    /// Answer the cycle's requests in arrival order, under one held
-    /// shard guard for as long as consecutive requests stay on a shard.
-    fn serve_cycle(&mut self, tally: &mut CycleTally) {
+    /// Serve every touched connection under one shard guard, held for as
+    /// long as consecutive requests stay on a shard.
+    fn serve_cycle(&mut self) {
         let state = Arc::clone(&self.state);
         let mut held = None;
-        let mut ops = std::mem::take(&mut self.ops);
-        for (slot, op) in ops.drain(..) {
+        for &slot in &self.touched {
             let Some(entry) = self.conns[slot].as_mut() else { continue };
-            let tx = entry.machine.tx_mut();
-            let queued = tx.len();
-            let close = match op {
-                OpKind::Request(req) => {
-                    state.handle(req, &mut entry.peer, &mut held, tally, tx);
-                    false
-                }
-                OpKind::Reply { resp, close } => {
-                    resp.frame_into(tx);
-                    close
-                }
-            };
-            let wire = (tx.len() - queued) as u64;
-            entry.machine.close_after_flush |= close;
-            entry.peer.stat.requests += 1;
-            entry.peer.stat.bytes_out += wire;
-            tally.bytes_out += wire;
-            self.touched.push(slot);
+            entry.frame_waiting = serve_conn(&state, entry, &mut held);
         }
-        self.ops = ops; // keep the allocation for the next cycle
     }
 
     // ---- flush & lifecycle ----------------------------------------------
 
     fn flush_conn(&mut self, slot: usize) {
         let Some(entry) = self.conns[slot].as_mut() else { return };
-        while !entry.machine.tx_is_empty() && !entry.dead {
-            match entry.stream.write(entry.machine.tx_pending()) {
+        let tx = &mut entry.machine.tx;
+        while !tx.is_empty() && !entry.dead {
+            match entry.stream.write(tx.as_slice()) {
                 Ok(0) => entry.dead = true,
-                Ok(k) => entry.machine.tx_advance(k),
+                Ok(k) => tx.consume(k),
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(_) => entry.dead = true,
             }
         }
-        if entry.dead || (entry.machine.close_after_flush && entry.machine.tx_is_empty()) {
+        if entry.dead || (entry.machine.close_after_flush && tx.is_empty()) {
             self.close_conn(slot);
             return;
         }
-        let want = match entry.machine.tx_pending().len() {
-            0 => Interest::READ,
-            1..=TX_SOFT_CAP => Interest::READ_WRITE,
+        // A waiting frame keeps the socket polled for writability, which
+        // wakes the next cycle to serve it.
+        let want = match tx.len() {
+            0 if !entry.frame_waiting => Interest::READ,
+            0..=TX_SOFT_CAP => Interest::READ_WRITE,
             _ => Interest::WRITE,
         };
         if want != entry.interest {
@@ -415,13 +350,15 @@ impl LoopShard {
     }
 
     /// During a drain: close connections that have gone quiet, and
-    /// bound how long a half-received frame may hold its connection.
+    /// bound how long a half-received frame may hold its connection. A
+    /// frame still waiting to be served is not quiet.
     fn drain_pass(&mut self) {
         for slot in 0..self.conns.len() {
             let Some(entry) = self.conns[slot].as_mut() else { continue };
-            entry.machine.idle_cycles = entry.machine.idle_cycles.saturating_add(1);
-            let quiet = entry.machine.tx_is_empty() && entry.machine.rx_len() == 0;
-            if quiet || entry.machine.idle_cycles > DRAIN_GRACE_CYCLES {
+            let m = &mut entry.machine;
+            m.idle_cycles = m.idle_cycles.saturating_add(1);
+            let quiet = m.tx.is_empty() && m.rx.is_empty();
+            if quiet || m.idle_cycles > DRAIN_GRACE_CYCLES {
                 self.close_conn(slot);
             }
         }
@@ -431,11 +368,12 @@ impl LoopShard {
         let Some(entry) = self.conns[slot].take() else { return };
         self.poller.deregister(entry.stream.as_raw_fd());
         let _ = entry.stream.shutdown(SockShutdown::Both);
-        // The row goes with the connection — `ServiceTotals` keeps the
-        // lifetime sums — so `Stats` and this map follow the open
-        // connections, not every connection ever accepted.
-        if let Ok(mut stats) = self.state.conn_stats.lock() {
-            stats.remove(&entry.peer.id);
+        // The row goes with the connection and its bytes into the
+        // closed sums, so `Stats` lists the open connections, not every
+        // connection ever accepted. The live row, not the published
+        // one: this cycle's reads and replies are not published yet.
+        if let Ok(mut rows) = self.state.conn_stats.lock() {
+            rows.close(&entry.peer.stat);
         }
         // Reclaims this connection's unsettled leases exactly once and
         // releases its admission slot.
@@ -444,21 +382,68 @@ impl LoopShard {
         self.live -= 1;
     }
 
-    /// Apply the cycle's counter deltas (one atomic add per counter)
-    /// and publish the touched connections' stat rows under one lock —
-    /// work in proportion to the sockets that were ready, not to the
-    /// sockets that are open.
-    fn commit(&mut self, tally: &CycleTally) {
-        self.state.commit(tally);
+    /// Publish the touched connections' stat rows under one lock — work
+    /// in proportion to the sockets that were ready, not to the sockets
+    /// that are open.
+    fn publish(&mut self) {
         if self.touched.is_empty() {
             return;
         }
-        if let Ok(mut stats) = self.state.conn_stats.lock() {
+        if let Ok(mut rows) = self.state.conn_stats.lock() {
             for &slot in &self.touched {
                 if let Some(entry) = &self.conns[slot] {
-                    stats.insert(entry.peer.id, entry.peer.stat.clone());
+                    rows.open.insert(entry.peer.id, entry.peer.stat.clone());
                 }
             }
         }
     }
+}
+
+/// Answer `entry`'s complete frames in arrival order until none is
+/// left, a framing violation poisons the stream, or the unflushed
+/// replies pass [`TX_SOFT_CAP`]. Returns whether the cap left a
+/// complete frame waiting.
+fn serve_conn<'a>(state: &'a State, entry: &mut ConnEntry, held: &mut Held<'a>) -> bool {
+    let m = &mut entry.machine;
+    while !m.close_after_flush {
+        let request = match m.rx.peek_frame(MAX_FRAME) {
+            FramePeek::Incomplete => return false,
+            _ if m.tx.len() > TX_SOFT_CAP => return true,
+            FramePeek::BadLength(len) => {
+                // The stream cannot be resynchronised: answer, then
+                // close once flushed. Nothing is consumed.
+                m.close_after_flush = true;
+                let detail = format!("frame length {len} outside 1..={MAX_FRAME}");
+                Err(Response::Error { code: ErrorCode::FrameTooLarge, detail })
+            }
+            FramePeek::Payload(payload) => {
+                let decoded = Request::decode(payload);
+                entry.peer.stat.bytes_in += m.rx.consume_frame() as u64;
+                match decoded {
+                    Ok(req) => Ok(req),
+                    Err(DecodeError::Version(v)) => {
+                        // A foreign version poisons the rest of the
+                        // stream (framing may differ): close after the
+                        // typed answer.
+                        m.close_after_flush = true;
+                        let detail = format!("version {v}, this server speaks {VERSION}");
+                        Err(Response::Error { code: ErrorCode::BadVersion, detail })
+                    }
+                    Err(e) => {
+                        Err(Response::Error { code: ErrorCode::BadMessage, detail: e.to_string() })
+                    }
+                }
+            }
+        };
+        let tx = m.tx.tail();
+        let queued = tx.len();
+        match request {
+            Ok(req) => state.handle(req, &mut entry.peer, held, tx),
+            Err(resp) => resp.frame_into(tx),
+        }
+        entry.peer.stat.requests += 1;
+        entry.peer.stat.bytes_out += (tx.len() - queued) as u64;
+        m.idle_cycles = 0;
+    }
+    false
 }

@@ -20,9 +20,9 @@
 //!   (connections, batch size, per-worker lease quotas, frame size).
 //!   Connections are multiplexed over a sharded `epoll` readiness loop
 //!   (no thread per connection); admission to `max_connections` is a
-//!   single compare-and-swap, and each readiness cycle answers all of
-//!   its buffered requests — reports and fetches alike — under one
-//!   held job-table lock.
+//!   single compare-and-swap, and each readiness cycle answers its
+//!   buffered requests — reports and fetches alike, each connection's
+//!   up to a transmit cap — under one held job-table lock.
 //! * [`client`] — a blocking client plus the [`client::drive_job`] /
 //!   [`client::drive_job_batched`] worker loops.
 //! * [`json`] — the workspace's one JSON writer (the `STATS` document

@@ -393,7 +393,8 @@ macro_rules! layout {
 // ---------------------------------------------------------------------------
 // Stats snapshot.
 
-/// Server-wide counters at one instant.
+/// Server-wide counters at one instant, each derived from the job and
+/// connection rows.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServiceTotals {
     /// `FetchChunk` requests served (including empty grants).
@@ -413,9 +414,9 @@ pub struct ServiceTotals {
     pub conns_active: u64,
     /// Connections ever accepted.
     pub conns_total: u64,
-    /// Bytes read from all clients.
+    /// Bytes of the frames received from all clients.
     pub bytes_in: u64,
-    /// Bytes written to all clients.
+    /// Bytes of the replies queued for all clients.
     pub bytes_out: u64,
 }
 
@@ -466,9 +467,9 @@ pub struct ConnSnapshot {
     pub conn: u64,
     /// Last worker id seen on this connection (`u32::MAX` if none).
     pub worker: u32,
-    /// Bytes read from this client.
+    /// Bytes of the frames received from this client.
     pub bytes_in: u64,
-    /// Bytes written to this client.
+    /// Bytes of the replies queued for this client.
     pub bytes_out: u64,
     /// Requests served.
     pub requests: u64,

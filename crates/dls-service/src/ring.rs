@@ -1,22 +1,37 @@
-//! Per-connection receive ring buffer.
+//! The one sliding byte buffer: every byte stream of the service —
+//! the server's receive and transmit sides and the [`crate::Client`]'s
+//! receive side — is a [`RingBuf`].
 //!
-//! The event loop reads socket bytes straight into this buffer's spare
-//! tail and decodes frames *in place* from the contiguous live region —
-//! no intermediate stack chunk, no per-frame `Vec` allocation, no
-//! per-frame `drain` shifting the whole buffer (the old thread-backed
-//! `FrameReader` paid both). Consumed bytes advance a head offset;
-//! the live region is memmoved to the front only when the dead prefix
-//! outgrows the live suffix, so compaction cost is amortised O(1) per
-//! byte received.
+//! Socket reads land straight in the buffer's spare tail and frames
+//! are decoded *in place* from the contiguous live region — no
+//! intermediate stack chunk, no per-frame `Vec` allocation, no
+//! per-frame `drain` shifting the whole buffer. Replies are framed in
+//! place at the tail ([`RingBuf::tail`]) and written from the live
+//! region. Consumed bytes advance a head offset; the live region is
+//! memmoved to the front only when the dead prefix outgrows the live
+//! suffix, so compaction cost is amortised O(1) per byte.
 
 use std::io::Read;
 
 /// Spare capacity offered to each socket read.
 pub(crate) const READ_CHUNK: usize = 4096;
 
-/// A contiguous sliding receive buffer (head-offset "ring": the live
-/// bytes are always one contiguous slice, which is what zero-copy
-/// frame decode needs).
+/// What the front of a receive buffer holds.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum FramePeek<'a> {
+    /// A complete frame's payload (version + tag + body), decodable in
+    /// place — call [`RingBuf::consume_frame`] once done with it.
+    Payload(&'a [u8]),
+    /// A length prefix of zero or above the reader's bound: a framing
+    /// violation; the stream cannot be resynchronised.
+    BadLength(u32),
+    /// No complete frame buffered yet.
+    Incomplete,
+}
+
+/// A contiguous sliding buffer (head-offset "ring": the live bytes are
+/// always one contiguous slice, which is what zero-copy frame decode
+/// and a single `write` of the pending bytes need).
 #[derive(Debug, Default)]
 pub(crate) struct RingBuf {
     buf: Vec<u8>,
@@ -49,41 +64,60 @@ impl RingBuf {
         }
     }
 
-    /// Memmove the live region to the front when the dead prefix
-    /// dominates, keeping append cost amortised.
-    fn compact(&mut self) {
+    /// The buffer to append at: the live region ends where the returned
+    /// `Vec` ends. Compacts first, so appends stay amortised.
+    pub(crate) fn tail(&mut self) -> &mut Vec<u8> {
         if self.head > 0 && self.head >= self.len() {
+            // The dead prefix dominates: memmove the live region.
             self.buf.copy_within(self.head.., 0);
             let live = self.len();
             self.buf.truncate(live);
             self.head = 0;
         }
+        &mut self.buf
     }
 
     /// Append bytes (test harness; production reads use
     /// [`RingBuf::read_from`]).
     #[cfg(test)]
     pub(crate) fn extend(&mut self, bytes: &[u8]) {
-        self.compact();
-        self.buf.extend_from_slice(bytes);
+        self.tail().extend_from_slice(bytes);
     }
 
     /// Read once from `r` directly into the spare tail. Returns the
     /// byte count (0 = EOF); errors pass through untouched.
     pub(crate) fn read_from(&mut self, r: &mut impl Read) -> std::io::Result<usize> {
-        self.compact();
-        let old = self.buf.len();
-        self.buf.resize(old + READ_CHUNK, 0);
-        match r.read(&mut self.buf[old..]) {
-            Ok(k) => {
-                self.buf.truncate(old + k);
-                Ok(k)
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(e)
-            }
+        let buf = self.tail();
+        let old = buf.len();
+        buf.resize(old + READ_CHUNK, 0);
+        let got = r.read(&mut buf[old..]);
+        buf.truncate(old + got.as_ref().map_or(0, |&k| k));
+        got
+    }
+
+    /// Inspect the front for a length-prefixed frame whose payload may
+    /// be at most `max` bytes.
+    pub(crate) fn peek_frame(&self, max: u32) -> FramePeek<'_> {
+        let live = self.as_slice();
+        let Some(prefix) = live.first_chunk::<4>() else { return FramePeek::Incomplete };
+        let len = u32::from_le_bytes(*prefix);
+        if len == 0 || len > max {
+            return FramePeek::BadLength(len);
         }
+        match live.get(4..4 + len as usize) {
+            Some(payload) => FramePeek::Payload(payload),
+            None => FramePeek::Incomplete,
+        }
+    }
+
+    /// Discard the complete frame at the front (after a
+    /// [`RingBuf::peek_frame`] that found one). Returns its wire size.
+    pub(crate) fn consume_frame(&mut self) -> usize {
+        let live = self.as_slice();
+        let len = u32::from_le_bytes(*live.first_chunk::<4>().expect("a frame is buffered"));
+        let total = 4 + len as usize;
+        self.consume(total);
+        total
     }
 }
 

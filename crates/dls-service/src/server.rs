@@ -108,7 +108,7 @@ pub(crate) struct Job {
     conn_leases: HashMap<u64, VecDeque<LeaseId>>,
     /// Unsettled leases per worker (quota enforcement).
     outstanding: HashMap<u32, u32>,
-    // Counters.
+    // Counters: the only copy; `State::snapshot` sums them.
     fetches: u64,
     chunks_granted: u64,
     reclaims: u64,
@@ -297,15 +297,24 @@ impl Peer {
 /// `ReportDone` + `FetchChunk` pair, a burst of fetches — lock once.
 pub(crate) type Held<'a> = Option<(usize, MutexGuard<'a, HashMap<u64, Job>>)>;
 
-/// Additions to the server-wide counters, gathered over one serve pass
-/// and applied with one atomic add per counter ([`State::commit`]).
+/// The connection rows `Stats` reads: each open connection's row as
+/// its loop shard last published it, and the bytes of the connections
+/// that closed.
 #[derive(Default)]
-pub(crate) struct CycleTally {
-    pub(crate) bytes_in: u64,
-    pub(crate) bytes_out: u64,
-    fetches: u64,
-    chunks_granted: u64,
-    empty_polls: u64,
+pub(crate) struct ConnRows {
+    pub(crate) open: HashMap<u64, ConnSnapshot>,
+    closed_in: u64,
+    closed_out: u64,
+}
+
+impl ConnRows {
+    /// Retire a connection: drop its row, keep its bytes. `stat` is the
+    /// connection's live row, which may be ahead of the published one.
+    pub(crate) fn close(&mut self, stat: &ConnSnapshot) {
+        self.open.remove(&stat.conn);
+        self.closed_in += stat.bytes_in;
+        self.closed_out += stat.bytes_out;
+    }
 }
 
 /// Job-table shards: jobs spread over this many locks, so requests for
@@ -321,6 +330,7 @@ pub(crate) struct State {
     next_job: AtomicU64,
     /// Jobs not yet done: what `max_jobs` admits against.
     jobs_live: AtomicU64,
+    /// Connections ever admitted — the next connection id. Monotone.
     pub(crate) next_conn: AtomicU64,
     // Ordering discipline for the counters below: every writer uses an
     // RMW (`fetch_add`/`fetch_sub`/`fetch_max`/`fetch_update`), and an
@@ -333,19 +343,12 @@ pub(crate) struct State {
     // and the `jobs_live` cap CAS — use `SeqCst` anyway so the cap
     // check is also ordered against the `shutdown` flag.
     pub(crate) conns_active: AtomicU64,
-    conns_total: AtomicU64,
     /// High-water mark of concurrently admitted connections — observes
     /// that CAS admission never overshoots `max_connections`.
     conns_peak: AtomicU64,
-    fetches: AtomicU64,
-    chunks_granted: AtomicU64,
-    reclaims: AtomicU64,
-    empty_polls: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
     pub(crate) shutdown: AtomicBool,
     shutdown_cv: (Mutex<bool>, Condvar),
-    pub(crate) conn_stats: Mutex<HashMap<u64, ConnSnapshot>>,
+    pub(crate) conn_stats: Mutex<ConnRows>,
     /// Write-ahead journal (None = volatile server). Lock ordering:
     /// the journal lock is only ever taken *after* a job-table shard
     /// lock, or with no shard lock held — never the other way around.
@@ -375,17 +378,10 @@ impl State {
             jobs_live: AtomicU64::new(0),
             next_conn: AtomicU64::new(0),
             conns_active: AtomicU64::new(0),
-            conns_total: AtomicU64::new(0),
             conns_peak: AtomicU64::new(0),
-            fetches: AtomicU64::new(0),
-            chunks_granted: AtomicU64::new(0),
-            reclaims: AtomicU64::new(0),
-            empty_polls: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
             shutdown_cv: (Mutex::new(false), Condvar::new()),
-            conn_stats: Mutex::new(HashMap::new()),
+            conn_stats: Mutex::new(ConnRows::default()),
             journal: None,
             journal_epoch: 0,
             snapshot_every: 0,
@@ -436,24 +432,6 @@ impl State {
         held.as_mut()
             .map(|(_, jobs)| &mut **jobs)
             .ok_or_else(|| Refusal(ErrorCode::UnknownJob, "shard poisoned".into()))
-    }
-
-    /// Apply one serve pass's counter deltas.
-    pub(crate) fn commit(&self, tally: &CycleTally) {
-        // Relaxed throughout: stat counters with RMW-only writers —
-        // per-counter totals stay exact under any interleaving, and
-        // nothing orders against them.
-        for (counter, delta) in [
-            (&self.bytes_in, tally.bytes_in),
-            (&self.bytes_out, tally.bytes_out),
-            (&self.fetches, tally.fetches),
-            (&self.chunks_granted, tally.chunks_granted),
-            (&self.empty_polls, tally.empty_polls),
-        ] {
-            if delta > 0 {
-                counter.fetch_add(delta, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Buffer one journal record (no-op on a volatile server). Called
@@ -583,41 +561,41 @@ impl State {
         }
     }
 
+    /// Every total is derived: a sum over the rows it returns (each job
+    /// row counted under its shard lock), plus the bytes of closed
+    /// connections.
     fn snapshot(&self) -> StatsSnapshot {
         let mut jobs = Vec::new();
-        let mut jobs_active = 0;
         for shard in &self.shards {
             if let Ok(shard) = shard.lock() {
-                for (&id, job) in shard.iter() {
-                    if !job.core.done {
-                        jobs_active += 1;
-                    }
-                    jobs.push(job.snapshot(id));
-                }
+                jobs.extend(shard.iter().map(|(&id, job)| job.snapshot(id)));
             }
         }
         jobs.sort_by_key(|j| j.job);
-        let mut conns: Vec<ConnSnapshot> =
-            self.conn_stats.lock().map(|m| m.values().cloned().collect()).unwrap_or_default();
+        let (mut conns, mut closed) = (Vec::new(), (0, 0));
+        if let Ok(rows) = self.conn_stats.lock() {
+            conns.extend(rows.open.values().cloned());
+            closed = (rows.closed_in, rows.closed_out);
+        }
         conns.sort_by_key(|c| c.conn);
+        let job_sum = |count: fn(&JobSnapshot) -> u64| jobs.iter().map(count).sum();
+        let conn_sum = |count: fn(&ConnSnapshot) -> u64| conns.iter().map(count).sum::<u64>();
         StatsSnapshot {
             uptime_ns: self.now_ns(),
             shutting_down: self.shutdown.load(Ordering::SeqCst),
-            // Relaxed loads: each counter is exact on its own (all
-            // writers are RMWs), but the snapshot as a whole is
-            // advisory — the values are not required to be mutually
-            // consistent at a single instant.
+            // Relaxed loads: the snapshot is advisory — its values are
+            // not required to be mutually consistent at a single instant.
             totals: ServiceTotals {
-                fetches: self.fetches.load(Ordering::Relaxed),
-                chunks_granted: self.chunks_granted.load(Ordering::Relaxed),
-                reclaims: self.reclaims.load(Ordering::Relaxed),
-                empty_polls: self.empty_polls.load(Ordering::Relaxed),
+                fetches: job_sum(|j| j.fetches),
+                chunks_granted: job_sum(|j| j.chunks_granted),
+                reclaims: job_sum(|j| j.reclaims),
+                empty_polls: job_sum(|j| j.empty_polls),
                 jobs_created: self.next_job.load(Ordering::Relaxed),
-                jobs_active,
+                jobs_active: jobs.iter().filter(|j| !j.done).count() as u64,
                 conns_active: self.conns_active.load(Ordering::Relaxed),
-                conns_total: self.conns_total.load(Ordering::Relaxed),
-                bytes_in: self.bytes_in.load(Ordering::Relaxed),
-                bytes_out: self.bytes_out.load(Ordering::Relaxed),
+                conns_total: self.next_conn.load(Ordering::Relaxed),
+                bytes_in: closed.0 + conn_sum(|c| c.bytes_in),
+                bytes_out: closed.1 + conn_sum(|c| c.bytes_out),
             },
             journal: match &self.journal {
                 Some(journal) => {
@@ -650,7 +628,6 @@ impl State {
         req: Request,
         peer: &mut Peer,
         held: &mut Held<'a>,
-        tally: &mut CycleTally,
         out: &mut Vec<u8>,
     ) {
         let resp = match req {
@@ -661,9 +638,6 @@ impl State {
                 match self.fetch(held, job, worker, batch, peer, out) {
                     Ok(granted) => {
                         peer.stat.chunks += granted;
-                        tally.fetches += 1;
-                        tally.chunks_granted += granted;
-                        tally.empty_polls += u64::from(granted == 0);
                         return;
                     }
                     Err(refusal) => Err(refusal),
@@ -900,10 +874,9 @@ impl State {
     /// `max_connections`, or refuse it. Admission is one CAS, so
     /// concurrent accepts on separate loop shards can never push the
     /// active count past the limit (a load-then-increment pair would).
-    /// Relaxed is enough for the other two: `fetch_max` is an RMW, so
-    /// it compares against the *latest* peak in modification order and
-    /// cannot lose a concurrent maximum (a load/compare/store could),
-    /// and `conns_total` is a pure stat counter.
+    /// Relaxed is enough for the peak: `fetch_max` is an RMW, so it
+    /// compares against the *latest* peak in modification order and
+    /// cannot lose a concurrent maximum (a load/compare/store could).
     pub(crate) fn admit_conn(&self) -> bool {
         let max = u64::from(self.cfg.max_connections);
         let Ok(prev) = self
@@ -913,25 +886,19 @@ impl State {
             return false;
         };
         self.conns_peak.fetch_max(prev + 1, Ordering::Relaxed);
-        self.conns_total.fetch_add(1, Ordering::Relaxed);
         true
     }
 
     /// A connection died or closed: reclaim its unsettled leases in
     /// every job it was granted any from, exactly once each.
     pub(crate) fn disconnect(&self, peer: &Peer) {
-        let mut reclaimed = 0;
         let mut held = None;
         for &id in &peer.jobs {
             let Ok(jobs) = self.jobs_held(&mut held, id) else { continue };
             let leases = jobs.get_mut(&id).map(|job| job.reclaim_conn(peer.id)).unwrap_or_default();
             if !leases.is_empty() {
-                reclaimed += leases.len() as u64;
                 self.journal_append(&JournalRecord::Reclaimed { job: id, leases });
             }
-        }
-        if reclaimed > 0 {
-            self.reclaims.fetch_add(reclaimed, Ordering::Relaxed);
         }
         // Relaxed is sound for the cap invariant: the admission CAS
         // and this decrement are RMWs on the same atomic, and RMWs see
@@ -1128,7 +1095,7 @@ mod conc_models {
     /// the shard guard it takes is released before it returns.
     fn call(state: &State, peer: &mut Peer, req: Request) -> Response {
         let mut out = Vec::new();
-        state.handle(req, peer, &mut None, &mut CycleTally::default(), &mut out);
+        state.handle(req, peer, &mut None, &mut out);
         Response::decode(&out[4..]).expect("the server's own reply decodes")
     }
 

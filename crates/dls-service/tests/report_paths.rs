@@ -92,6 +92,12 @@ fn report_paths(journal: Option<&Path>) {
     }
     let stats = b.stats().expect("stats");
     assert_eq!((stats.totals.reclaims, stats.totals.conns_active), (4, 1));
+    assert_eq!(stats.totals.fetches, stats.jobs.iter().map(|j| j.fetches).sum::<u64>());
+    assert_eq!(stats.totals.chunks_granted, stats.jobs.iter().map(|j| j.chunks_granted).sum());
+    assert_eq!(stats.totals.empty_polls, stats.jobs.iter().map(|j| j.empty_polls).sum::<u64>());
+    assert_eq!(stats.totals.reclaims, stats.jobs.iter().map(|j| j.reclaims).sum::<u64>());
+    assert_eq!(stats.totals.jobs_active, stats.jobs.iter().filter(|j| !j.done).count() as u64);
+    assert_eq!(stats.totals.conns_total, 2, "a and b");
     let row = job_row(&mut b, job);
     assert_eq!((row.reclaims, row.leases_reclaimed, row.completed), (4, 4, 8));
 
