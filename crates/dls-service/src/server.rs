@@ -572,6 +572,12 @@ impl State {
             }
         }
         jobs.sort_by_key(|j| j.job);
+        // Before the rows: `close_conn` drops a row before `disconnect`
+        // releases its slot, so a close this count reflects has taken
+        // its row out already, and the rows list no connection the
+        // count calls closed. One that closes after this load may
+        // still be listed.
+        let conns_active = self.conns_active.load(Ordering::Relaxed);
         let (mut conns, mut closed) = (Vec::new(), (0, 0));
         if let Ok(rows) = self.conn_stats.lock() {
             conns.extend(rows.open.values().cloned());
@@ -592,7 +598,7 @@ impl State {
                 empty_polls: job_sum(|j| j.empty_polls),
                 jobs_created: self.next_job.load(Ordering::Relaxed),
                 jobs_active: jobs.iter().filter(|j| !j.done).count() as u64,
-                conns_active: self.conns_active.load(Ordering::Relaxed),
+                conns_active,
                 conns_total: self.next_conn.load(Ordering::Relaxed),
                 bytes_in: closed.0 + conn_sum(|c| c.bytes_in),
                 bytes_out: closed.1 + conn_sum(|c| c.bytes_out),

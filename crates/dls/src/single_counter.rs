@@ -22,6 +22,7 @@ use crate::technique::Technique;
 /// The closed form of the fixed-chunk techniques (STATIC, SS, FSC; O(1))
 /// and of FAC2 (O(batches) = O(log n)): the assignment of `step`, or
 /// outer `None` for any other technique.
+#[inline]
 fn closed_form(technique: &Technique, spec: &LoopSpec, step: u64) -> Option<Option<(u64, u64)>> {
     let n = spec.n_iters;
     // `step` is chunk `index` of equal `chunk`s laid end to end from `base`.
@@ -67,6 +68,7 @@ pub fn assignment(technique: &Technique, spec: &LoopSpec, step: u64) -> Option<(
 /// calculator step per schedule step in all instead of a replay from
 /// step 0 each: exact, amortised `O(1)`. A `step` behind the cursor
 /// starts the replay over.
+#[inline]
 pub fn assignment_from(
     technique: &Technique,
     spec: &LoopSpec,

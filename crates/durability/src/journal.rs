@@ -896,6 +896,46 @@ mod tests {
     }
 
     #[test]
+    fn a_grant_for_a_job_never_created_is_refused_by_both_readers() {
+        let dir = tmpdir("unknownjob");
+        drop(Journal::open(opts(&dir)).unwrap());
+        let seg = seg_path(&dir, 1);
+        let mut bytes = fs::read(&seg).unwrap();
+        let grant = GrantEntry { lease: 0, worker: 0, lo: 0, hi: 1, from_pool: false };
+        let rec = JournalRecord::Granted { job: 7, step: 1, scheduled: 1, grants: vec![grant] };
+        let payload = rec.encode();
+        assert_eq!(JournalRecord::decode(&payload), Some(rec), "a well-formed record");
+        frame::encode_record(&payload, &mut bytes);
+        fs::write(&seg, &bytes).unwrap();
+        for (what, result) in both_readers(&dir) {
+            match result {
+                Err(e @ RecoverError::Apply(ReplayError::UnknownJob(7))) => {
+                    assert_eq!(e.to_string(), "replay: record references unknown job 7", "{what}")
+                }
+                other => panic!("{what}: expected Apply(UnknownJob(7)), got {other:?}"),
+            }
+        }
+        assert_eq!(fs::read(&seg).unwrap(), bytes, "a refused open repairs nothing");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_regular_file_is_no_journal_directory() {
+        let path = tmpdir("regular-file");
+        fs::write(&path, b"not a journal").unwrap();
+        for (what, result) in both_readers(&path) {
+            match result {
+                Err(e @ RecoverError::Io(_)) => {
+                    assert!(e.to_string().starts_with("journal i/o: "), "{what}: {e}")
+                }
+                other => panic!("{what}: expected Io, got {other:?}"),
+            }
+        }
+        assert_eq!(fs::read(&path).unwrap(), b"not a journal", "a refused open writes nothing");
+        fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
     fn sync_policy_batches_fsyncs() {
         let dir = tmpdir("syncpolicy");
         let mut o = opts(&dir);

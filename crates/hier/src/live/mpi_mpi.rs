@@ -438,6 +438,7 @@ pub(super) fn run_ranks(
 /// seals a drained deposit refills it from the global queue. A CAS a
 /// peer beat returns the word it found, which the retry takes against;
 /// the window counts it as a failed poll.
+#[inline(never)]
 fn counter_loop(
     q: &CounterQueue<'_>,
     queue: &GlobalQueue<'_>,

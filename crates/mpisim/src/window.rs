@@ -344,6 +344,7 @@ impl Window {
         }
     }
 
+    #[inline]
     fn region(&self, target: u32) -> Result<(usize, usize)> {
         self.state
             .regions
@@ -352,6 +353,7 @@ impl Window {
             .ok_or(Error::RankOutOfRange { rank: target, size: self.comm.size() })
     }
 
+    #[inline]
     fn slot(&self, target: u32, disp: usize) -> Result<&AtomicI64> {
         let (offset, len) = self.region(target)?;
         if disp >= len {
@@ -367,6 +369,7 @@ impl Window {
     /// accessible — the OS keeps the segment mapped while any node peer
     /// lives, which is exactly what makes node-local lease recovery
     /// possible.
+    #[inline]
     fn check_alive(&self, target: u32) -> Result<()> {
         if !self.state.shared && self.comm.is_failed(target) {
             return Err(Error::RankFailed { rank: target });
@@ -483,6 +486,7 @@ impl Window {
     /// `compare`. Sequentially consistent like
     /// [`Window::fetch_and_op`]. A failed compare counts as one failed
     /// poll in [`Window::rank_stats`].
+    #[inline]
     pub fn compare_and_swap(
         &self,
         target: u32,
