@@ -368,16 +368,17 @@ impl LoopShard {
         let Some(entry) = self.conns[slot].take() else { return };
         self.poller.deregister(entry.stream.as_raw_fd());
         let _ = entry.stream.shutdown(SockShutdown::Both);
-        // The row goes with the connection and its bytes into the
+        // Reclaims this connection's unsettled leases exactly once and
+        // releases its admission slot.
+        self.state.disconnect(&entry.peer);
+        // Then the row goes with the connection and its bytes into the
         // closed sums, so `Stats` lists the open connections, not every
-        // connection ever accepted. The live row, not the published
+        // connection ever accepted, and counts a connection open until
+        // its leases are reclaimed. The live row, not the published
         // one: this cycle's reads and replies are not published yet.
         if let Ok(mut rows) = self.state.conn_stats.lock() {
             rows.close(&entry.peer.stat);
         }
-        // Reclaims this connection's unsettled leases exactly once and
-        // releases its admission slot.
-        self.state.disconnect(&entry.peer);
         self.free.push(slot);
         self.live -= 1;
     }

@@ -572,18 +572,18 @@ impl State {
             }
         }
         jobs.sort_by_key(|j| j.job);
-        // Before the rows: `close_conn` drops a row before `disconnect`
-        // releases its slot, so a close this count reflects has taken
-        // its row out already, and the rows list no connection the
-        // count calls closed. One that closes after this load may
-        // still be listed.
-        let conns_active = self.conns_active.load(Ordering::Relaxed);
         let (mut conns, mut closed) = (Vec::new(), (0, 0));
         if let Ok(rows) = self.conn_stats.lock() {
             conns.extend(rows.open.values().cloned());
             closed = (rows.closed_in, rows.closed_out);
         }
         conns.sort_by_key(|c| c.conn);
+        // Counted from the rows, under their lock, not read from the
+        // `conns_active` admission counter: `accept` counts a
+        // connection before it inserts the row and `close_conn` drops
+        // the row after the counter, so counter and rows disagree in
+        // between, and the count would not match `conns`.
+        let conns_active = conns.len() as u64;
         let job_sum = |count: fn(&JobSnapshot) -> u64| jobs.iter().map(count).sum();
         let conn_sum = |count: fn(&ConnSnapshot) -> u64| conns.iter().map(count).sum::<u64>();
         StatsSnapshot {

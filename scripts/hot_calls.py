@@ -5,21 +5,27 @@
 
 SYMBOL is the demangled path `nm -C` prints, without the hash, e.g.
 `hier::live::mpi_mpi::counter_loop`. Every function of that name is
-disassembled (`objdump -d`) and each `call` in it is printed with its
-callee:
+disassembled (`objdump -d`) and each `call` in it is printed with every
+name defined at its callee's address:
 
-  - `call addr <sym>`: a direct call, named by objdump;
+  - `call addr <sym>`: a direct call, unresolved if no symbol starts at
+    `addr`;
   - `call *off(%rip)`: a call through a GOT slot, which is how a
     position-independent executable calls most functions of another
-    crate. objdump names only the slot, so the slot is looked up in
-    `readelf -rW`'s relocations: an `R_X86_64_RELATIVE` slot holds its
-    addend, which `nm -C` names; a `R_X86_64_GLOB_DAT` or
-    `R_X86_64_JUMP_SLOT` slot names its symbol;
-  - `call *%reg` and other computed calls: printed as `<indirect>`.
+    crate. The slot is looked up in `readelf -rW`'s relocations: an
+    `R_X86_64_RELATIVE` slot holds its target as addend, which `nm -C`
+    names. Any other slot, or an addend no symbol names, is unresolved;
+  - `call *%reg` and other calls through a register: printed as
+    `<indirect>` (a `dyn` method or a function pointer).
 
-With `--forbid NAME`, exits 1 when any callee is NAME (a demangled path
-like SYMBOL). Exits 2 when SYMBOL is not in the binary, so a rename or
-an inlined-away function fails a check rather than passing it.
+Names are compared without a trailing `::h<16 hex>` hash, `.llvm.N`
+suffix or ` [clone ...]`, so an out-of-line local copy of a function
+still has the function's name.
+
+Exits 1 when a callee has a name given with `--forbid`, or when a
+callee cannot be resolved (it could be a forbidden one). Exits
+2 when SYMBOL is not in the binary, so a rename or an inlined-away
+function fails a check rather than passing it.
 """
 
 import argparse
@@ -32,47 +38,48 @@ def run(*cmd):
     return subprocess.run(cmd, check=True, capture_output=True, text=True).stdout
 
 
+SUFFIX = re.compile(r"(::h[0-9a-f]{16}|\.llvm\.[0-9]+| \[clone [^\]]*\])+$")
+
+
+def normalise(name):
+    return SUFFIX.sub("", name)
+
+
 def symbols(binary):
-    """Function symbols as (address, size, demangled name), and a map
-    from address to the names defined there."""
+    """Function symbols as (address, size, name), and a map from address
+    to every name defined there."""
     funcs, by_addr = [], {}
     for line in run("nm", "-C", "--print-size", "--defined-only", binary).splitlines():
         m = re.match(r"([0-9a-f]+) ([0-9a-f]+) [tTwW] (.+)$", line)
         if not m:
             continue
-        addr, size, name = int(m[1], 16), int(m[2], 16), m[3]
+        addr, size, name = int(m[1], 16), int(m[2], 16), normalise(m[3])
         funcs.append((addr, size, name))
-        by_addr.setdefault(addr, []).append(name)
+        names = by_addr.setdefault(addr, [])
+        if name not in names:
+            names.append(name)
     return funcs, by_addr
 
 
-def got_slots(binary, by_addr):
-    """GOT slot address -> the name of the function it holds."""
+def got_slots(binary):
+    """GOT slot address -> the address an `R_X86_64_RELATIVE` slot holds."""
     slots = {}
     for line in run("readelf", "-rW", binary).splitlines():
         f = line.split()
-        if len(f) < 4 or not re.fullmatch(r"[0-9a-f]+", f[0]):
-            continue
-        slot, kind = int(f[0], 16), f[2]
-        if kind == "R_X86_64_RELATIVE":
-            target = int(f[3], 16)
-            slots[slot] = by_addr.get(target, [f"<unnamed {target:#x}>"])[0]
-        elif kind in ("R_X86_64_GLOB_DAT", "R_X86_64_JUMP_SLOT") and len(f) >= 5:
-            slots[slot] = demangle(f[4].split("@")[0])
+        if len(f) >= 4 and f[2] == "R_X86_64_RELATIVE" and re.fullmatch(r"[0-9a-f]+", f[0]):
+            slots[int(f[0], 16)] = int(f[3], 16)
     return slots
 
 
-def demangle(name):
-    return run("c++filt", name).strip() if name.startswith("_Z") or name.startswith("_R") else name
-
-
 CALL = re.compile(r"^\s*([0-9a-f]+):\s+call\s+(.*)$")
-DIRECT = re.compile(r"^([0-9a-f]+) <(.+)>$")
-VIA_SLOT = re.compile(r"^\*0x[0-9a-f]+\(%rip\)\s+# ([0-9a-f]+) <")
+DIRECT = re.compile(r"^([0-9a-f]+) <")
+VIA_SLOT = re.compile(r"^\*-?0x[0-9a-f]+\(%rip\)\s+# ([0-9a-f]+)\b")
 
 
 def calls(binary, addr, size, by_addr, slots):
-    """(call site, callee) for every call in [addr, addr + size)."""
+    """(call site, callee names) for every call in [addr, addr + size).
+    The names are None for an unresolved callee, and
+    `["<indirect>"]` for a call through a register."""
     out = run(
         "objdump", "-d", "--no-show-raw-insn", f"--start-address={addr:#x}",
         f"--stop-address={addr + size:#x}", binary,
@@ -83,13 +90,13 @@ def calls(binary, addr, size, by_addr, slots):
             continue
         site, operand = int(m[1], 16), m[2].strip()
         if d := DIRECT.match(operand):
-            target = int(d[1], 16)
-            callee = by_addr[target][0] if target in by_addr else demangle(d[2])
-        elif s := VIA_SLOT.match(operand):
-            callee = slots.get(int(s[1], 16), f"<GOT slot {s[1]} unresolved>")
+            yield site, by_addr.get(int(d[1], 16))
+        elif "(%rip)" in operand:
+            s = VIA_SLOT.match(operand)
+            target = slots.get(int(s[1], 16)) if s else None
+            yield site, by_addr.get(target)
         else:
-            callee = "<indirect>"
-        yield site, callee
+            yield site, ["<indirect>"]
 
 
 def main():
@@ -104,16 +111,19 @@ def main():
     if not found:
         print(f"hot_calls: no function `{args.symbol}` in {args.binary}", file=sys.stderr)
         return 2
-    slots = got_slots(args.binary, by_addr)
+    slots = got_slots(args.binary)
 
     bad = []
     for addr, size in found:
         print(f"{args.symbol} at {addr:#x}, {size} bytes:")
-        for site, callee in calls(args.binary, addr, size, by_addr, slots):
-            forbidden = callee in args.forbid
-            print(f"  {site:#x}  {callee}{'  <- forbidden' if forbidden else ''}")
-            if forbidden:
-                bad.append(callee)
+        for site, names in calls(args.binary, addr, size, by_addr, slots):
+            if names is None:
+                print(f"  {site:#x}  <unresolved>  <- fails the check")
+                bad.append(f"an unresolved callee at {site:#x}")
+                continue
+            hits = [n for n in names if n in args.forbid]
+            print(f"  {site:#x}  {' = '.join(names)}{'  <- forbidden' if hits else ''}")
+            bad.extend(hits)
     if bad:
         print(f"hot_calls: `{args.symbol}` calls {', '.join(sorted(set(bad)))}", file=sys.stderr)
         return 1

@@ -4,7 +4,6 @@
 #
 #   scripts/profile.sh BIN [ARGS...]
 #   PROFILE_RUNS=10 scripts/profile.sh BIN [ARGS...]     (default: 1)
-#   PROFILE_TOP=30 ...                                     (rows, default 20)
 #
 # Compiles scripts/profile_shim.c with the system `cc` into a temporary
 # directory and runs the command PROFILE_RUNS times under LD_PRELOAD of
@@ -36,4 +35,4 @@ for run in $(seq "$runs"); do
     mkdir -p "$work/run.$run"
     PROFILE_OUT="$work/run.$run" LD_PRELOAD="$work/profile_shim.so" "$@" >/dev/null
 done
-python3 "$here/profile_report.py" --top "${PROFILE_TOP:-20}" "$work"/run.*
+python3 "$here/profile_report.py" "$work"/run.*

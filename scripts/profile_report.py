@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Report the samples scripts/profile_shim.c wrote, summed over runs.
 
-    python3 scripts/profile_report.py [--top N] RUN_DIR...
+    python3 scripts/profile_report.py RUN_DIR...
 
 Each RUN_DIR holds `<pid>.pcs` (sampled instruction pointers, native u64)
 and `<pid>.maps` (that process's /proc/self/maps at exit) for every
@@ -11,7 +11,7 @@ base is taken off (the mapping's start, then the ELF LOAD segment's
 `addr2line -i -C -f`, which names the innermost inlined frame first and
 the function the code was compiled in last. Prints three tables: by
 outermost function, by innermost inlined frame, and the hottest
-addresses with their source lines.
+addresses with their source lines, the top 20 rows of each.
 """
 
 import argparse
@@ -23,6 +23,8 @@ import re
 import subprocess
 import sys
 from array import array
+
+TOP = 20
 
 
 def mappings(maps_path):
@@ -149,15 +151,14 @@ def short(src):
     return m[1] if m else src
 
 
-def table(title, rows, total, top):
+def table(title, rows, total):
     print(f"\n{title}")
-    for key, n in rows.most_common(top):
+    for key, n in rows.most_common(TOP):
         print(f"  {100.0 * n / total:6.2f} %  {n:8d}  {key}")
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--top", type=int, default=20)
     ap.add_argument("runs", nargs="+")
     args = ap.parse_args()
 
@@ -173,13 +174,13 @@ def main():
         outer[frames[key][-1][0]] += n
         inner[frames[key][0][0]] += n
     print(f"{total} samples (1 ms of CPU each) from {procs} processes in {len(args.runs)} runs")
-    table("by function (outermost frame)", outer, total, args.top)
-    table("by inlined frame (innermost)", inner, total, args.top)
+    table("by function (outermost frame)", outer, total)
+    table("by inlined frame (innermost)", inner, total)
     hot = collections.Counter()
     for (path, addr), n in counts.items():
         fn, src = frames[(path, addr)][0]
         hot[f"{os.path.basename(path)}+{addr:#x}  {fn}  {short(src)}"] += n
-    table("hottest addresses (innermost frame, source line)", hot, total, args.top)
+    table("hottest addresses (innermost frame, source line)", hot, total)
     return 0
 
 
