@@ -211,6 +211,25 @@ fn fsync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+/// Create `dir` and its missing ancestors, fsyncing the parent of each
+/// directory it creates: without that, a power loss could take a new
+/// directory's entry, and everything below it, with it.
+fn create_dir_durably(dir: &Path) -> io::Result<()> {
+    if dir.is_dir() {
+        return Ok(());
+    }
+    let parent = match dir.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    create_dir_durably(parent)?;
+    match fs::create_dir(dir) {
+        // Made meanwhile by someone else, whose entry it is to sync.
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists && dir.is_dir() => Ok(()),
+        made => made.and_then(|()| fsync_dir(parent)),
+    }
+}
+
 /// An I/O error as the journal keeps it: `io::Error` is not `Clone`.
 type Failure = (io::ErrorKind, String);
 
@@ -273,6 +292,9 @@ pub struct Journal {
     file: File,
     seg_seq: u64,
     seg_len: u64,
+    /// Bytes were written to `file` since its last synchronous fsync,
+    /// so sealing it takes one.
+    unsynced: bool,
     buf: Vec<u8>,
     pending: u64,
     commits_since_sync: u32,
@@ -292,7 +314,7 @@ impl Journal {
     /// state has **not** been re-armed; callers decide when to call
     /// [`RecoveredState::re_arm`].
     pub fn open(opts: JournalOptions) -> Result<(Self, RecoveredState), RecoverError> {
-        fs::create_dir_all(&opts.dir)?;
+        create_dir_durably(&opts.dir)?;
         let (mut state, tail) = scan_dir(&opts.dir)?;
         let mut file = OpenOptions::new()
             .create(true)
@@ -318,6 +340,7 @@ impl Journal {
             file,
             seg_seq: tail.seq,
             seg_len,
+            unsynced: true,
             buf: Vec::with_capacity(4096),
             pending: 0,
             commits_since_sync: 0,
@@ -395,6 +418,7 @@ impl Journal {
     fn write_out(&mut self, force_sync: bool) -> io::Result<()> {
         if !self.buf.is_empty() {
             self.file.write_all(&self.buf)?;
+            self.unsynced = true;
             self.seg_len += self.buf.len() as u64;
             self.stats.bytes += self.buf.len() as u64;
             self.stats.records += self.pending;
@@ -420,12 +444,12 @@ impl Journal {
                     Ok(clone) => {
                         let flusher = self.flusher.get_or_insert_with(Flusher::spawn);
                         if flusher.send(clone).is_err() {
-                            self.file.sync_data()?;
+                            self.sync_file()?;
                         }
                     }
-                    Err(_) => self.file.sync_data()?,
+                    Err(_) => self.sync_file()?,
                 },
-                _ => self.file.sync_data()?,
+                _ => self.sync_file()?,
             }
             self.stats.fsyncs += 1;
             self.commits_since_sync = 0;
@@ -441,17 +465,29 @@ impl Journal {
         self.commit_inner(true)
     }
 
+    /// A synchronous fsync of the live segment: every byte written to
+    /// it so far is durable.
+    fn sync_file(&mut self) -> io::Result<()> {
+        self.file.sync_data()?;
+        self.unsynced = false;
+        Ok(())
+    }
+
     fn rotate(&mut self) -> io::Result<()> {
         // Seal the old segment durably first: recovery may treat a
         // torn record in a non-final segment as corruption only
-        // because of this ordering.
-        self.file.sync_data()?;
-        self.stats.fsyncs += 1;
+        // because of this ordering. A segment synced since its last
+        // write is sealed already.
+        if self.unsynced {
+            self.sync_file()?;
+            self.stats.fsyncs += 1;
+        }
         let seq = self.seg_seq + 1;
         let mut file =
             OpenOptions::new().create_new(true).append(true).open(seg_path(&self.opts.dir, seq))?;
         file.write_all(&frame::segment_header(seq))?;
         fsync_dir(&self.opts.dir)?;
+        self.unsynced = true;
         self.file = file;
         self.seg_seq = seq;
         self.seg_len = frame::SEGMENT_HEADER_LEN as u64;
@@ -460,7 +496,9 @@ impl Journal {
     }
 
     /// Phase one of a snapshot: flush + seal the current segment and
-    /// rotate. Returns the boundary seq `S` — a snapshot serialized
+    /// rotate, once: a segment the flush filled has rotated already,
+    /// and its successor holds no record yet. Returns the boundary
+    /// seq `S` — a snapshot serialized
     /// from state observed *at or after* this call covers every
     /// record in segments `< S` (and harmlessly, perhaps a prefix of
     /// `S`). Call with no shard locks held; serialize the state
@@ -473,7 +511,10 @@ impl Journal {
     pub fn begin_snapshot(&mut self) -> io::Result<u64> {
         self.sticky(|j| {
             j.write_out(true)?;
-            j.rotate()
+            if j.seg_len > frame::SEGMENT_HEADER_LEN as u64 {
+                j.rotate()?;
+            }
+            Ok(())
         })?;
         Ok(self.seg_seq)
     }
@@ -619,6 +660,71 @@ mod tests {
         let replayed = Journal::replay_dir(&dir).unwrap();
         assert_eq!(replayed.epoch, 2);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `open` makes the directories it creates durable; what a test
+    /// can see is that a journal two levels below a fresh directory
+    /// opens, and reopens to the next epoch.
+    #[test]
+    fn a_journal_opens_below_directories_it_creates() {
+        let root = tmpdir("nested");
+        let dir = root.join("a").join("b");
+        let (j, st) = Journal::open(opts(&dir)).unwrap();
+        assert_eq!(st.epoch, 1);
+        drop(j);
+        let (_j2, st2) = Journal::open(opts(&dir)).unwrap();
+        assert_eq!(st2.epoch, 2);
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// A snapshot on a part-full segment, and one on a segment that the
+    /// snapshot's own flush fills, each take one fsync and one new
+    /// segment; reopened, the journal recovers the state it had.
+    #[test]
+    fn a_snapshot_seals_its_segment_once() {
+        for (tag, grants, fills) in [("snap-part", 1u64, false), ("snap-full", 24, true)] {
+            let dir = tmpdir(tag);
+            let mut o = opts(&dir);
+            o.sync = SyncPolicy::EveryN(512);
+            o.segment_bytes = 256;
+            let (mut j, _) = Journal::open(o.clone()).unwrap();
+            j.append(&JournalRecord::JobCreated {
+                job: 0,
+                n: 100,
+                kind: Kind::SS.into(),
+                weights: vec![],
+            });
+            for i in 0..grants {
+                j.append(&JournalRecord::Granted {
+                    job: 0,
+                    step: i + 1,
+                    scheduled: i + 1,
+                    grants: vec![GrantEntry {
+                        lease: i,
+                        worker: 0,
+                        lo: i,
+                        hi: i + 1,
+                        from_pool: false,
+                    }],
+                });
+            }
+            assert_eq!(j.seg_len + j.buf.len() as u64 >= o.segment_bytes, fills, "{tag}");
+            let before = j.stats();
+            let boundary = j.begin_snapshot().unwrap();
+            let after = j.stats();
+            assert_eq!(after.fsyncs - before.fsyncs, 1, "{tag}: fsyncs");
+            assert_eq!(after.segments - before.segments, 1, "{tag}: segments");
+            assert_eq!(boundary, 2, "{tag}");
+
+            let mut state = Journal::replay_dir(&dir).unwrap();
+            j.install_snapshot(boundary, &state.serialize()).unwrap();
+            drop(j);
+            let (_j, reopened) = Journal::open(o).unwrap();
+            state.epoch += 1;
+            assert_eq!(reopened.serialize(), state.serialize(), "{tag}");
+            assert_eq!(reopened.jobs[&0].scheduled, grants, "{tag}");
+            fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

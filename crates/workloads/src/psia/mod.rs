@@ -84,6 +84,17 @@ impl Psia {
     pub fn contributing(&self, i: u64) -> u64 {
         image::contributing(&self.cloud, i as usize, &self.params)
     }
+
+    /// [`Psia::contributing`] of every oriented point, in order, from
+    /// one column copy of the cloud.
+    pub fn contributing_all(&self) -> Vec<u64> {
+        image::contributing_all(&self.cloud, &self.params)
+    }
+
+    /// The cost of a spin image that bins `contributing` points.
+    fn cost_of(&self, contributing: u64) -> u64 {
+        self.ns_base + self.ns_scan * self.cloud.len() as u64 + self.ns_accum * contributing
+    }
 }
 
 impl Workload for Psia {
@@ -105,7 +116,7 @@ impl Workload for Psia {
     /// From the kernel's own count of the points the image bins
     /// ([`Psia::contributing`]), without building the image.
     fn cost(&self, i: u64) -> u64 {
-        self.ns_base + self.ns_scan * self.cloud.len() as u64 + self.ns_accum * self.contributing(i)
+        self.cost_of(self.contributing(i))
     }
 }
 
@@ -131,7 +142,7 @@ pub struct PsiaStream {
 impl PsiaStream {
     /// Stream over `frames` frames of `base`'s scene.
     pub fn new(base: Psia, frames: u64, jitter: f64) -> Self {
-        let point_costs = (0..base.n_iters()).map(|i| base.cost(i)).collect();
+        let point_costs = base.contributing_all().into_iter().map(|c| base.cost_of(c)).collect();
         Self { base, frames, jitter, point_costs }
     }
 

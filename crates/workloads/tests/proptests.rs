@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use workloads::psia::cloud::PointCloud;
-use workloads::psia::image::{contributing, spin_image, SpinImageParams};
+use workloads::psia::image::{contributing, contributing_all, spin_image, SpinImageParams};
 use workloads::synthetic::Synthetic;
 use workloads::{
     CostSink, CostTable, Mandelbrot, Psia, PsiaStream, Traversal, Workload, WorkloadStats,
@@ -82,14 +82,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     // The lane-interleaved table build against the scalar kernel. About
-    // a quarter of the cases have fewer pixels than lanes, most have a
+    // two cases in five have fewer pixels than the 8 lanes, most have a
     // count the lanes do not divide; `max_iter` 0 and 1 finish every
-    // pixel at once.
+    // pixel at once. 7 and 9 straddle a batch of 8 steps, so a bounded
+    // pixel's count passes `max_iter` inside the batch; 2,047 and 2,049
+    // straddle the 2,048 steps after which the tail takes a pixel over.
     #[test]
     fn mandelbrot_costs_match_the_scalar_kernel(
         width in prop_oneof![1u32..4, 1u32..48],
         height in prop_oneof![Just(1u32), 1u32..10],
-        max_iter in prop::sample::select(vec![0u32, 1, 7, 256]),
+        max_iter in prop::sample::select(vec![0u32, 1, 7, 9, 256, 2_047, 2_049]),
         re_min in -2.2f64..0.6,
         re_span in 0.001f64..2.8,
         im_min in -1.3f64..1.3,
@@ -152,10 +154,11 @@ fn quick_mandelbrot_packs_completely() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // The support count against the image's own `contributing`, at every
-    // point of small sphere, torus and clustered clouds. Copying points
-    // over others makes duplicates (alpha = beta = 0 pairs); a cosine of
-    // exactly 1 keeps only normals whose dot product rounds to 1.
+    // The support count, of one point and of all, against the image's
+    // own `contributing`, at every point of small sphere, torus and
+    // clustered clouds. Copying points over others makes duplicates
+    // (alpha = beta = 0 pairs); a cosine of exactly 1 keeps only normals
+    // whose dot product rounds to 1.
     #[test]
     fn psia_count_matches_the_spin_image(
         shape in 0u8..3,
@@ -177,11 +180,12 @@ proptest! {
             cloud.normals[to] = cloud.normals[from];
         }
         let params = SpinImageParams { image_width, bin_size, support_angle_cos };
-        for idx in 0..n {
-            prop_assert_eq!(
-                contributing(&cloud, idx, &params),
-                spin_image(&cloud, idx, &params).contributing
-            );
+        let all = contributing_all(&cloud, &params);
+        prop_assert_eq!(all.len(), n);
+        for (idx, &counted) in all.iter().enumerate() {
+            let binned = spin_image(&cloud, idx, &params).contributing;
+            prop_assert_eq!(contributing(&cloud, idx, &params), binned);
+            prop_assert_eq!(counted, binned);
         }
     }
 }
@@ -206,8 +210,9 @@ fn psia_costs_count_what_the_images_bin_at_all_4096_points() {
     let p = Psia::single_object();
     let images = single_object_images();
     assert_eq!(images.len(), 4096);
+    let counts = p.contributing_all();
     for (i, &binned) in images.iter().enumerate() {
-        assert_eq!(contributing(p.cloud(), i, p.params()), binned, "point {i}");
+        assert_eq!(counts[i], binned, "point {i}");
         assert_eq!(p.cost(i as u64), cost_from_image(&p, binned), "point {i}");
     }
 }

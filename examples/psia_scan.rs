@@ -44,8 +44,10 @@ fn main() {
     }
 
     // Render the spin image of the densest point.
-    let densest =
-        (0..psia.n_iters()).max_by_key(|&i| psia.contributing(i)).expect("non-empty scene");
+    let densest = {
+        let counts = psia.contributing_all();
+        (0..psia.n_iters()).max_by_key(|&i| counts[i as usize]).expect("non-empty scene")
+    };
     let img = psia.image(densest);
     println!("\nspin image of point {densest} ({} contributing points):", img.contributing);
     let max = img.bins.iter().cloned().fold(0.0f32, f32::max).max(1e-9);
